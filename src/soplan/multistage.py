@@ -176,6 +176,8 @@ class StagePlan:
         for k, raw in enumerate(data["stages"]):
             if not isinstance(raw, dict) or "target" not in raw or "rates" not in raw:
                 raise FormatError(f"stage {k} must have 'target' and 'rates'")
+            if not isinstance(raw["target"], list) or not isinstance(raw["rates"], dict):
+                raise FormatError(f"stage {k} needs a 'target' list and a 'rates' object")
             target_mask = 0
             for item in raw["target"]:
                 key = str(item)
@@ -195,6 +197,8 @@ class StagePlan:
         plan = cls(ground, model, tuple(stages), chunk, field, seed)
         declared = data.get("total_rates")
         if declared is not None:
+            if not isinstance(declared, dict):
+                raise FormatError("'total_rates' must map users to rationals")
             actual = plan.total_rates
             for key, value in declared.items():
                 if key not in lookup:

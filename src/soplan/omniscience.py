@@ -32,8 +32,8 @@ from .core import (
     Partition,
     RateVector,
     SubsetLike,
-    _iter_partition_masks,
-    iter_submasks,
+    bit_positions,
+    submask_sums,
 )
 from .submodular import AlphaFunction, dilworth_truncation, run_rate_update
 
@@ -50,60 +50,81 @@ def check_model(model: str) -> str:
 
 @dataclass(frozen=True)
 class MinSumRateResult:
-    """Value of the minimum sum-rate, with the partition that attains
-    the bound (asymptotic model only)."""
+    """Value of the minimum sum-rate with its primal-dual witness
+    (asymptotic model only): a partition whose bound equals the value
+    and an achievable rate vector that sums to it."""
 
     model: str
     value: Fraction
     maximizing_partition: Partition | None
+    rates: RateVector | None
 
 
-def _min_sum_rate_asymptotic(source, mask: int):
-    """Exhaustive evaluation of the partition bound.  Returns the value
-    and the first maximizing partition in enumeration order."""
-    h_x = source.entropy(mask)
-    if source.integral:
-        hx = int(h_x)
-        h_cache: dict = {}
-        best_num = None  # value = best_num / best_den, compared exactly
-        best_den = 1
-        best_blocks = None
-        for blocks in _iter_partition_masks(mask):
-            k = len(blocks)
-            if k == 1:
-                continue
-            total = 0
-            for b in blocks:
-                hb = h_cache.get(b)
-                if hb is None:
-                    hb = h_cache[b] = int(source.entropy(b))
-                total += hb
-            num = k * hx - total
-            den = k - 1
-            if best_num is None or num * best_den > best_num * den:
-                best_num, best_den, best_blocks = num, den, blocks
-        return Fraction(best_num, best_den), Partition(best_blocks)
+def partition_bound(source, partition: Partition) -> Fraction:
+    """``sum_{C in P} (H(X) - H(C)) / (|P| - 1)`` for a partition P of X
+    into at least two blocks: a lower bound on R(X)."""
+    if len(partition) < 2:
+        raise DomainError("the partition bound needs at least two blocks")
+    h_x = source.entropy(partition.union)
+    deficit = sum((h_x - source.entropy(block) for block in partition), Fraction(0))
+    return deficit / (len(partition) - 1)
 
-    best_value = None
-    best_blocks = None
-    for blocks in _iter_partition_masks(mask):
-        k = len(blocks)
-        if k == 1:
-            continue
-        deficit = sum((h_x - source.entropy(b) for b in blocks), Fraction(0))
-        value = deficit / (k - 1)
-        if best_value is None or value > best_value:
-            best_value = value
-            best_blocks = blocks
-    return best_value, Partition(best_blocks)
+
+def _min_sum_rate_asymptotic(source, mask: int) -> MinSumRateResult:
+    """R(X) by the decomposition scheme of Ding, Chan, Zhou, Kennedy and
+    Sadeghi ("Determining optimal rates for communication for
+    omniscience", IEEE Trans. IT 2018).
+
+    With f(Y) = alpha - H(X) + H(Y), alpha >= R(X) exactly when the
+    Dilworth truncation of f at X equals f(X) = alpha.  Starting from the
+    singleton-partition bound, each completed prefix sweep over X either
+    confirms that, or records a partition with a strictly larger bound,
+    which becomes the next alpha.  The result is certified before it is
+    returned.
+    """
+    ground = source.ground
+    # f#_beta(Y) = beta - H(V) + H(Y), so beta = alpha + H(V) - H(X) gives f.
+    # beta stays inside [0, H(V)] because alpha <= R(X) <= H(X).
+    offset = source.entropy(ground.full_mask) - source.entropy(mask)
+    partition = Partition(tuple(1 << pos for pos in bit_positions(mask)))
+    alpha = partition_bound(source, partition)
+    while True:
+        run = run_rate_update(AlphaFunction(source, alpha + offset), early_exit=False, within=mask)
+        if sum(run.rates, Fraction(0)) == alpha:
+            break
+        bound = partition_bound(source, run.partition)
+        if bound <= alpha:
+            raise CertificationError(
+                f"sweep over {ground.format(mask)} at alpha = {alpha} recorded a "
+                f"partition with bound {bound}, not a larger one"
+            )
+        alpha, partition = bound, run.partition
+
+    rates = RateVector(ground, run.rates, mask)
+    if rates.total != alpha:
+        raise CertificationError(f"witness rates sum to {rates.total}, not {alpha}")
+    check = check_sw_achievable(source, mask, rates)
+    if not check:
+        raise CertificationError(
+            f"witness rates fail achievability on {ground.format(check.violating)} "
+            f"(deficit {check.deficit})"
+        )
+    if partition.union != mask or partition_bound(source, partition) != alpha:
+        raise CertificationError(
+            f"witness partition of {ground.format(mask)} does not attain {alpha}"
+        )
+    return MinSumRateResult(ASYMPTOTIC, alpha, partition, rates)
 
 
 def min_sum_rate(source, subset: SubsetLike = None, model: str = ASYMPTOTIC) -> MinSumRateResult:
     """Minimum total rate for omniscience of ``subset`` (default: V).
 
-    Exhaustive over partitions, hence exact; this is the oracle the
-    rest of the package certifies against.  Needs at least two users in
-    the subset.
+    Computed by iterated prefix sweeps and certified by a primal-dual
+    witness: the returned rates are achievable and sum to the value (so
+    R <= value), and the returned partition's bound equals it (so
+    R >= value).  A failed certificate raises
+    :class:`CertificationError`.  Needs at least two users in the
+    subset.
     """
     check_model(model)
     ground = source.ground
@@ -116,12 +137,10 @@ def min_sum_rate(source, subset: SubsetLike = None, model: str = ASYMPTOTIC) -> 
         return result
     asym = cache.get((mask, ASYMPTOTIC))
     if asym is None:
-        value, partition = _min_sum_rate_asymptotic(source, mask)
-        asym = MinSumRateResult(ASYMPTOTIC, value, partition)
-        cache[(mask, ASYMPTOTIC)] = asym
+        asym = cache[(mask, ASYMPTOTIC)] = _min_sum_rate_asymptotic(source, mask)
     if model == ASYMPTOTIC:
         return asym
-    result = MinSumRateResult(NON_ASYMPTOTIC, Fraction(math.ceil(asym.value)), None)
+    result = MinSumRateResult(NON_ASYMPTOTIC, Fraction(math.ceil(asym.value)), None, None)
     cache[(mask, NON_ASYMPTOTIC)] = result
     return result
 
@@ -142,7 +161,7 @@ class SwCheck:
 def check_sw_achievable(source, subset: SubsetLike, rates: RateVector) -> SwCheck:
     """Does ``rates`` let every user in ``subset`` reach omniscience of
     the subset?  Checks ``r(C) >= H(X) - H(X minus C)`` for every proper
-    subset C of X."""
+    subset C of X, with the rate sums built once over all of X."""
     ground = source.ground
     mask = ground.mask(subset)
     if mask.bit_count() < 2:
@@ -150,11 +169,9 @@ def check_sw_achievable(source, subset: SubsetLike, rates: RateVector) -> SwChec
     if mask & ~rates.domain:
         raise DomainError("rate vector domain does not cover the subset")
     h_x = source.entropy(mask)
-    for c in iter_submasks(mask):
-        if c == 0 or c == mask:
-            continue
+    submasks, rate_sums = submask_sums(mask, rates.values)
+    for c, have in zip(submasks[1:-1], rate_sums[1:-1]):
         need = h_x - source.entropy(mask ^ c)
-        have = rates.sum_over(c)
         if have < need:
             return SwCheck(False, c, need - have)
     return SwCheck(True, None, None)
@@ -235,8 +252,10 @@ def enumerate_complementary(source, model: str = ASYMPTOTIC, verify: bool = Fals
 def optimal_rate_vector(source, model: str = ASYMPTOTIC) -> RateVector:
     """An optimal omniscience rate vector for V.
 
-    Runs the prefix rate update to completion at alpha equal to the
-    exact minimum sum-rate.  The result is certified before being
+    In the asymptotic model this is the certified witness of
+    :func:`min_sum_rate`: the prefix rate update run to completion at
+    alpha = R(V).  In the non-asymptotic model the same update runs at
+    the ceiling of R(V), and the result is certified before being
     returned: it must sum to the minimum and pass the achievability
     check, otherwise something is broken and a
     :class:`CertificationError` is raised.  With integer entropies and
@@ -244,7 +263,10 @@ def optimal_rate_vector(source, model: str = ASYMPTOTIC) -> RateVector:
     """
     check_model(model)
     ground = source.ground
-    target = min_sum_rate(source, None, model).value
+    result = min_sum_rate(source, None, model)
+    if model == ASYMPTOTIC:
+        return result.rates
+    target = result.value
     af = AlphaFunction(source, target)
     run = run_rate_update(af, early_exit=False)
     rates = RateVector(ground, run.rates, ground.full_mask)

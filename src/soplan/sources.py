@@ -348,6 +348,9 @@ def source_from_dict(data) -> Source:
         for key, ids in packets.items():
             if not isinstance(ids, list):
                 raise FormatError(f"packets for user {key} must be a list")
+            for packet in ids:
+                if isinstance(packet, (list, dict)):
+                    raise FormatError(f"packet ids for user {key} must be scalars, got {packet!r}")
             possession[lookup[key]] = ids
         return PacketSource(ground, possession)
 

@@ -10,9 +10,13 @@ The truncation minimizes the block sum of f#_alpha over all partitions
 of a subset; equality of f#_alpha(X) with its truncation at the right
 alpha characterizes the subsets worth splitting off early.
 
-All minimizations here are exhaustive.  That is deliberate: at desk
-scale they are exact and fast enough, and they double as the trusted
-oracle for everything built on top.
+One loop computes everything here: the prefix sweep of
+:func:`run_rate_update`, optionally restricted to a subset.  Each step
+minimizes over the 2^(i-1) prefix sets that hold the newest user, so a
+completed sweep over k users visits 2^k - 1 sets.  The truncation is the
+sum of the finished rates, and the sweep records a partition attaining
+it.  Partitions are never enumerated outside the tests, where
+:func:`soplan.core.enumerate_partitions` serves as the oracle.
 """
 
 from __future__ import annotations
@@ -26,7 +30,8 @@ from .core import (
     Partition,
     RateVector,
     SubsetLike,
-    _iter_partition_masks,
+    bit_positions,
+    submask_sums,
 )
 
 
@@ -64,48 +69,18 @@ def dilworth_truncation(af: AlphaFunction, subset: SubsetLike) -> tuple:
     """Minimize the block sum of f#_alpha over all partitions of
     ``subset``.
 
-    Returns ``(min_value, partition)`` where the partition is the first
-    minimizer in restricted-growth enumeration order.  Because the
-    one-block partition is enumerated first, the minimum equals
-    f#_alpha(subset) exactly when no finer partition beats it.
+    Returns ``(min_value, partition)``.  One completed prefix sweep over
+    the subset gives both: the finished rates sum to the minimum
+    (Fujishige's greedy construction of the Dilworth truncation), and the
+    tight partition the sweep records attains it.  That partition is the
+    coarsest minimizer, so it is the one-block partition exactly when no
+    finer partition beats f#_alpha(subset).
     """
-    ground = af.ground
-    mask = ground.mask(subset)
+    mask = af.ground.mask(subset)
     if mask == 0:
         raise DomainError("truncation of the empty set is not defined")
-    source = af.source
-    alpha = af.alpha
-    h_total = source.entropy(ground.full_mask)
-
-    if source.integral:
-        # Integer entropies: a block sum is k*alpha + (sum H - k*H(V)),
-        # so scaling by alpha's denominator gives an all-int sort key.
-        p, q = alpha.numerator, alpha.denominator
-        hv = int(h_total)
-        h = {}
-        best_key = None
-        best_blocks = None
-        for blocks in _iter_partition_masks(mask):
-            total = 0
-            for b in blocks:
-                hb = h.get(b)
-                if hb is None:
-                    hb = h[b] = int(source.entropy(b))
-                total += hb
-            key = len(blocks) * (p - q * hv) + q * total
-            if best_key is None or key < best_key:
-                best_key = key
-                best_blocks = blocks
-        return Fraction(best_key, q), Partition(best_blocks)
-
-    best_value = None
-    best_blocks = None
-    for blocks in _iter_partition_masks(mask):
-        total = sum((af.value(b) for b in blocks), Fraction(0))
-        if best_value is None or total < best_value:
-            best_value = total
-            best_blocks = blocks
-    return best_value, Partition(best_blocks)
+    run = run_rate_update(af, early_exit=False, within=mask)
+    return sum(run.rates, Fraction(0)), run.partition
 
 
 @dataclass(frozen=True)
@@ -133,17 +108,23 @@ class SfmResult:
         return self.minimizers[0]
 
 
-def minimize_over_prefix(af: AlphaFunction, rates, position: int) -> SfmResult:
+def minimize_over_prefix(af: AlphaFunction, rates, position: int, within: SubsetLike = None) -> SfmResult:
     """Exhaustively minimize g(X) = f#_alpha(X) - r(X) over
-    ``{X : position's user in X, X inside the first `position` users}``.
+    ``{X : position's user in X, X inside the first `position` users}``,
+    and inside ``within`` when given (default: the whole ground set).
 
     ``position`` is 1-based in ground order; candidates are enumerated
     by ascending mask value, which fixes ``a_minimizer``
-    deterministically.
+    deterministically.  "Proper" in ``nonsingleton_proper_minimizer``
+    means other than ``within`` itself.
     """
     ground = af.ground
+    whole = ground.full_mask if within is None else ground.mask(within)
     if not 1 <= position <= ground.size:
         raise DomainError(f"position {position} out of range")
+    top = 1 << (position - 1)
+    if not whole & top:
+        raise DomainError(f"position {position} lies outside {ground.format(whole)}")
     if isinstance(rates, RateVector):
         values = list(rates.values)
     else:
@@ -151,48 +132,36 @@ def minimize_over_prefix(af: AlphaFunction, rates, position: int) -> SfmResult:
         if len(values) != ground.size:
             raise DomainError("rate sequence length does not match the ground set")
 
-    top = 1 << (position - 1)
-    below = top - 1
-    full = ground.full_mask
-
-    # Subset sums of the rates over the prefix below the newest user.
-    rate_sum = [Fraction(0)] * (below + 1)
-    for sub in range(1, below + 1):
-        low = sub & -sub
-        rate_sum[sub] = rate_sum[sub ^ low] + values[low.bit_length() - 1]
-    top_rate = values[position - 1]
-
-    best_value = None
+    # For X = sub + top, g(X) = (shift - r(top)) + H(X) - r(sub); the part
+    # in brackets is the same for every candidate, so only the rest is
+    # compared.
+    submasks, rate_sums = submask_sums(whole & (top - 1), values)
+    entropy = af.source.entropy
+    best = None
     minimizers: list = []
-    count = 0
-    sub = 0
-    while True:
+    for sub, rate_sum in zip(submasks, rate_sums):
         candidate = sub | top
-        count += 1
-        g = af.value(candidate) - rate_sum[sub] - top_rate
-        if best_value is None or g < best_value:
-            best_value = g
+        key = entropy(candidate) - rate_sum
+        if best is None or key < best:
+            best = key
             minimizers = [candidate]
-        elif g == best_value:
+        elif key == best:
             minimizers.append(candidate)
-        if sub == below:
-            break
-        sub = (sub - below) & below
 
     minimal = minimizers[0]
     maximal = 0
     for m in minimizers:
         minimal &= m
         maximal |= m
-    eligible = [m for m in minimizers if m.bit_count() >= 2 and m != full]
+    eligible = [m for m in minimizers if m.bit_count() >= 2 and m != whole]
     chosen = min(eligible, key=lambda m: (m.bit_count(), m)) if eligible else None
     return SfmResult(
-        min_value=best_value,
+        min_value=af._shift - values[position - 1] + best,
         minimizers=tuple(minimizers),
         minimal_minimizer=minimal,
         maximal_minimizer=maximal,
         nonsingleton_proper_minimizer=chosen,
-        candidates_examined=count,
+        candidates_examined=len(submasks),
     )
 
 
@@ -203,7 +172,9 @@ class UpdateRun:
     ``snapshots`` holds the rate tuple after initialization and after
     every completed update, so invariants over the running vector can be
     replayed.  On an early exit ``rates`` is the state at the moment the
-    subset surfaced.
+    subset surfaced.  ``partition`` is the tight partition of a completed
+    sweep's domain (None after an early exit): its blocks' f#_alpha
+    values add up to the sum of the finished rates.
     """
 
     exit_subset: int | None
@@ -211,40 +182,67 @@ class UpdateRun:
     rates: tuple
     snapshots: tuple
     candidates_examined: int
+    partition: Partition | None
 
 
-def run_rate_update(af: AlphaFunction, early_exit: bool = True) -> UpdateRun:
-    """The prefix-sweep rate update.
+def run_rate_update(af: AlphaFunction, early_exit: bool = True, within: SubsetLike = None) -> UpdateRun:
+    """The prefix-sweep rate update over ``within`` (default: V).
 
-    Start from r = (f#_alpha({first user}), alpha - H(V), ...); for each
-    later user, minimize f#_alpha - r over the prefix sets containing
-    that user.  With ``early_exit`` the sweep stops as soon as a
-    minimizer is a non-singleton proper subset of V and reports it;
-    otherwise the minimum is absorbed into that user's rate and the
-    sweep continues to completion.
+    Start from r = (f#_alpha({first user}), alpha - H(V), ...) on the
+    users of ``within``, and 0 elsewhere; for each later user, minimize
+    f#_alpha - r over the prefix sets containing that user.  With
+    ``early_exit`` the sweep stops as soon as a minimizer is a
+    non-singleton proper subset of ``within`` and reports it; otherwise
+    the minimum is absorbed into that user's rate and the sweep continues
+    to completion.
+
+    The finished rates are the greedy maximum of r(within) subject to
+    r(X) <= f#_alpha(X) for every nonempty X inside ``within``, which is
+    the Dilworth truncation of f#_alpha at ``within``.  Along the way the
+    sweep keeps a partition of the prefix whose blocks are tight
+    (r(B) = f#_alpha(B)): each step joins the newest user with every
+    block that meets that step's maximal minimizer.  Tight sets that
+    meet have a tight union, so the blocks stay tight.
     """
     ground = af.ground
-    n = ground.size
-    rates = [af.value(1)] + [af.alpha - af.source.entropy(ground.full_mask)] * (n - 1)
+    whole = ground.full_mask if within is None else ground.mask(within)
+    if whole == 0:
+        raise DomainError("the rate update needs at least one user")
+    positions = list(bit_positions(whole))
+    rates = [Fraction(0)] * ground.size
+    for pos in positions:
+        rates[pos] = af._shift
+    rates[positions[0]] = af.value(1 << positions[0])
     snapshots = [tuple(rates)]
+    blocks = [1 << positions[0]]
     candidates = 0
-    for position in range(2, n + 1):
-        result = minimize_over_prefix(af, rates, position)
+    for pos in positions[1:]:
+        result = minimize_over_prefix(af, rates, pos + 1, whole)
         candidates += result.candidates_examined
         if early_exit and result.nonsingleton_proper_minimizer is not None:
             return UpdateRun(
                 exit_subset=result.nonsingleton_proper_minimizer,
-                exit_position=position,
+                exit_position=pos + 1,
                 rates=tuple(rates),
                 snapshots=tuple(snapshots),
                 candidates_examined=candidates,
+                partition=None,
             )
-        rates[position - 1] += result.min_value
+        rates[pos] += result.min_value
         snapshots.append(tuple(rates))
+        joined = 1 << pos
+        rest = []
+        for block in blocks:
+            if block & result.maximal_minimizer:
+                joined |= block
+            else:
+                rest.append(block)
+        blocks = rest + [joined]
     return UpdateRun(
         exit_subset=None,
         exit_position=None,
         rates=tuple(rates),
         snapshots=tuple(snapshots),
         candidates_examined=candidates,
+        partition=Partition(blocks),
     )

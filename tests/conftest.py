@@ -4,10 +4,11 @@ and a reproducible corpus of random packet sources."""
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 
 import pytest
 
-from soplan import GroundSet, PacketSource
+from soplan import GroundSet, PacketSource, TableSource
 
 CORPUS_SEED = 20260823
 CORPUS_SIZE = 200
@@ -81,6 +82,20 @@ def random_packet_source(rng: random.Random, n_users: int, n_packets: int) -> Pa
         if not possession[label]:
             possession[label].add(rng.choice(packets))
     return PacketSource(ground, possession)
+
+
+def random_rational_table(rng: random.Random, n_users: int, n_packets: int) -> TableSource:
+    """Weighted packet coverage with rational weights: H(X) is the total
+    weight of the packets some member of X holds.  A polymatroid by
+    construction, with non-integral entropies."""
+    source = random_packet_source(rng, n_users, n_packets)
+    weight = {f"p{k}": Fraction(rng.randint(1, 6), rng.randint(2, 5)) for k in range(n_packets)}
+    ground = source.ground
+    table = {}
+    for mask in range(ground.full_mask + 1):
+        held = set().union(*(source.possession[label] for label in ground.labels_of(mask)))
+        table[mask] = sum((weight[p] for p in held), Fraction(0))
+    return TableSource(ground, table)
 
 
 @pytest.fixture(scope="session")

@@ -2,12 +2,20 @@
 
 from __future__ import annotations
 
+import contextlib
+import copy
+import functools
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import soplan.cli as cli
-from soplan import PlanningError, dump_source, induced_table, load_plan
+from soplan import PlanningError, dump_source, induced_table, load_plan, plan_multistage
 from tests.conftest import make_five_user, make_cyclic_triple
 
 
@@ -197,3 +205,124 @@ class TestErrorPaths:
         path = tmp_path / "plan.json"
         path.write_text("[]")
         assert cli.main(["simulate", five_user_file, str(path)]) == 2
+
+
+# Small JSON values for the fuzz test.  Strings avoid digits so that no
+# mutation can turn a rate into something huge like "9e9".
+_JSON_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(min_value=-3, max_value=3)
+    | st.floats(allow_nan=False, allow_infinity=False, width=16)
+    | st.text(alphabet="ab,/ ", max_size=3),
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(st.text(alphabet="12ab", max_size=2), children, max_size=3),
+    max_leaves=6,
+)
+
+_PACKET_DOC = {"model": "packet", "users": [1, 2, 3], "packets": {"1": ["a", "b"], "2": ["b"], "3": ["c"]}}
+_TABLE_DOC = {
+    "model": "table",
+    "users": ["x", "y"],
+    "entropy": {"": "0", "x": "1", "y": "1/2", "x,y": "3/2"},
+}
+
+
+def _mutate(doc, data):
+    """A copy of ``doc`` with one value somewhere inside it replaced,
+    deleted, or joined by a new key."""
+    doc = copy.deepcopy(doc)
+    node = doc
+    while True:
+        key = data.draw(st.sampled_from(list(node) if isinstance(node, dict) else range(len(node))))
+        child = node[key]
+        if isinstance(child, (dict, list)) and child and data.draw(st.booleans()):
+            node = child
+            continue
+        action = data.draw(st.sampled_from(("replace", "delete", "insert")))
+        if action == "replace":
+            node[key] = data.draw(_JSON_VALUES)
+        elif action == "delete":
+            del node[key]
+        elif isinstance(node, dict):
+            node[data.draw(st.text(alphabet="123ab", max_size=2))] = data.draw(_JSON_VALUES)
+        else:
+            node.append(data.draw(_JSON_VALUES))
+        return doc
+
+
+def _run_quietly(argv) -> tuple:
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    return code, err.getvalue()
+
+
+class TestMalformedInput:
+    """Bad documents exit 2 with a one-line error, never a traceback."""
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"model": "packet", "users": [[1], [2]], "packets": {}},
+            {"model": "packet", "users": [1, 2], "packets": {"1": [{"a": 1}], "2": ["b"]}},
+            {"model": "packet", "users": [1, 2], "packets": {"1": [["a"]], "2": ["b"]}},
+            {"model": "table", "users": [{"a": 1}, 2], "entropy": {}},
+        ],
+    )
+    def test_unhashable_source_fields(self, doc, tmp_path, capsys):
+        path = tmp_path / "source.json"
+        path.write_text(json.dumps(doc))
+        assert cli.main(["minrate", str(path)]) == 2
+        assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            {"users": [[1], [2], [3], [4], [5]]},
+            {"stages": [{"target": 1, "rates": {}}]},
+            {"stages": [{"target": [1, 2], "rates": ["1"]}]},
+            {"stages": [{"target": [[1]], "rates": {}}]},
+            {"total_rates": ["1"]},
+        ],
+    )
+    def test_malformed_plans(self, change, five_user_file, tmp_path, capsys):
+        plan = dict(_five_user_plan(), **change)
+        path = tmp_path / "plan.json"
+        path.write_text(json.dumps(plan))
+        assert cli.main(["simulate", five_user_file, str(path)]) == 2
+        assert "error:" in capsys.readouterr().err
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_fuzzed_sources(self, data):
+        doc = _mutate(data.draw(st.sampled_from((_PACKET_DOC, _TABLE_DOC))), data)
+        command = data.draw(st.sampled_from(("minrate", "validate", "plan")))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "source.json"
+            path.write_text(json.dumps(doc))
+            code, err = _run_quietly([command, str(path)])
+        assert code in (0, 2), err
+        assert "Traceback" not in err
+        if code == 2:
+            assert err.startswith("error:")
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_fuzzed_plans(self, data):
+        plan = _mutate(_five_user_plan(), data)
+        with tempfile.TemporaryDirectory() as tmp:
+            source_path = Path(tmp) / "five.json"
+            dump_source(make_five_user(), source_path)
+            plan_path = Path(tmp) / "plan.json"
+            plan_path.write_text(json.dumps(plan))
+            code, err = _run_quietly(["simulate", str(source_path), str(plan_path)])
+        # A mutation can leave a well-formed plan that simply under-sends.
+        assert code in (0, 2, 4), err
+        assert "Traceback" not in err
+
+
+@functools.cache
+def _five_user_plan() -> dict:
+    """Shared and never modified: callers copy before changing it."""
+    return plan_multistage(make_five_user()).to_dict()

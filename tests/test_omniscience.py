@@ -4,6 +4,7 @@ against hand-computed values and an independent brute-force reference."""
 from __future__ import annotations
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -15,15 +16,20 @@ from soplan import (
     NON_ASYMPTOTIC,
     CertificationError,
     DomainError,
+    Partition,
     RateVector,
+    SwCheck,
     check_model,
     check_sw_achievable,
     enumerate_complementary,
     is_complementary,
+    enumerate_partitions,
+    iter_submasks,
     min_sum_rate,
     optimal_rate_vector,
 )
-from tests.conftest import random_packet_source
+from soplan import omniscience
+from tests.conftest import random_packet_source, random_rational_table
 
 
 def ref_partitions(elements):
@@ -56,6 +62,34 @@ def ref_min_sum_rate(source, labels, model):
     if model == NON_ASYMPTOTIC:
         best = Fraction(math.ceil(best))
     return best
+
+
+def bound_of(source, blocks) -> Fraction:
+    """The partition bound sum_C (H(X) - H(C)) / (|P| - 1), X the union."""
+    blocks = tuple(blocks)
+    union = 0
+    for block in blocks:
+        union |= block
+    h_x = source.entropy(union)
+    return sum((h_x - source.entropy(b) for b in blocks), Fraction(0)) / (len(blocks) - 1)
+
+
+def bell_min_sum_rate(source, mask) -> Fraction:
+    """R(X) by Bell-number enumeration of every partition of X."""
+    return max(bound_of(source, p) for p in enumerate_partitions(mask) if len(p) >= 2)
+
+
+def ref_sw_check(source, mask, rates):
+    """Achievability checked one subset at a time, the slow way."""
+    h_x = source.entropy(mask)
+    for c in iter_submasks(mask):
+        if c in (0, mask):
+            continue
+        need = h_x - source.entropy(mask ^ c)
+        have = rates.sum_over(c)
+        if have < need:
+            return SwCheck(False, c, need - have)
+    return SwCheck(True, None, None)
 
 
 def ref_complementary(source, labels, model):
@@ -136,6 +170,66 @@ class TestMinSumRate:
         assert non == math.ceil(asym)
 
 
+class TestSweepAgainstBellOracle:
+    """The sweep-based minimum sum-rate against Bell-number enumeration."""
+
+    @staticmethod
+    def assert_matches_oracle(source, mask):
+        want = bell_min_sum_rate(source, mask)
+        asym = min_sum_rate(source, mask, ASYMPTOTIC)
+        assert asym.value == want
+        partition = asym.maximizing_partition
+        assert partition.union == mask and len(partition) >= 2
+        assert bound_of(source, partition) == want
+        assert asym.rates.domain == mask and asym.rates.total == want
+        assert check_sw_achievable(source, mask, asym.rates).ok
+        assert min_sum_rate(source, mask, NON_ASYMPTOTIC).value == math.ceil(want)
+
+    def test_corpus_every_subset(self, source_corpus):
+        for source in source_corpus:
+            for mask in range(3, source.ground.full_mask + 1):
+                if mask.bit_count() >= 2:
+                    self.assert_matches_oracle(source, mask)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.randoms(use_true_random=False))
+    def test_rational_tables(self, rng):
+        source = random_rational_table(rng, rng.randint(2, 6), rng.randint(2, 10))
+        for mask in range(3, source.ground.full_mask + 1):
+            if mask.bit_count() >= 2:
+                self.assert_matches_oracle(source, mask)
+
+    def test_fourteen_users_certify(self):
+        source = random_packet_source(random.Random(14), 14, 40)
+        result = min_sum_rate(source)
+        full = source.ground.full_mask
+        assert result.rates.total == result.value
+        assert check_sw_achievable(source, full, result.rates).ok
+        assert result.maximizing_partition.union == full
+        assert bound_of(source, result.maximizing_partition) == result.value
+
+    def test_stalled_alpha_raises(self, five_user, monkeypatch):
+        # A sweep that never reaches alpha but records no better partition.
+        real = omniscience.run_rate_update
+
+        def stalled(af, early_exit=True, within=None):
+            run = real(af, early_exit, within)
+            singletons = Partition(tuple(1 << pos for pos in range(5)))
+            rates = (Fraction(0),) * 5
+            return type(run)(None, None, rates, run.snapshots, 0, singletons)
+
+        monkeypatch.setattr(omniscience, "run_rate_update", stalled)
+        with pytest.raises(CertificationError, match="not a larger one"):
+            min_sum_rate(five_user)
+
+    def test_broken_witness_raises(self, five_user, monkeypatch):
+        monkeypatch.setattr(
+            omniscience, "check_sw_achievable", lambda *args: SwCheck(False, 1, Fraction(1))
+        )
+        with pytest.raises(CertificationError, match="achievability"):
+            min_sum_rate(five_user)
+
+
 class TestSwAchievability:
     def test_optimal_vector_passes(self, five_user):
         g = five_user.ground
@@ -158,6 +252,19 @@ class TestSwAchievability:
         rates = RateVector.from_map(g, {label: 1 for label in g.labels})
         # total 5 < 13/2, so some constraint must break
         assert not check_sw_achievable(five_user, g.full_mask, rates).ok
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.randoms(use_true_random=False))
+    def test_matches_per_subset_reference(self, rng):
+        source = random_packet_source(rng, 5, rng.randint(5, 10))
+        mask = rng.choice([m for m in range(32) if m.bit_count() >= 2])
+        values = {
+            label: Fraction(rng.randint(-1, 8), 2)
+            for pos, label in enumerate(source.ground.labels)
+            if mask >> pos & 1
+        }
+        rates = RateVector.from_map(source.ground, values, domain=mask)
+        assert check_sw_achievable(source, mask, rates) == ref_sw_check(source, mask, rates)
 
     def test_local_subset_check(self, five_user):
         g = five_user.ground

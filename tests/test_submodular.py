@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from soplan import (
     AlphaFunction,
     DomainError,
+    alpha_lower_bound,
     TableSource,
     dilworth_truncation,
     enumerate_partitions,
@@ -21,7 +22,7 @@ from soplan import (
     minimize_over_prefix,
     run_rate_update,
 )
-from tests.conftest import random_packet_source
+from tests.conftest import random_packet_source, random_rational_table
 
 
 def g_value(af, rates, candidate):
@@ -86,7 +87,7 @@ class TestDilworthTruncation:
 
     @settings(max_examples=20, deadline=None)
     @given(st.randoms(use_true_random=False), st.integers(min_value=0, max_value=6))
-    def test_integer_fast_path_matches_generic(self, rng, numerator):
+    def test_scaling_entropies_scales_the_truncation(self, rng, numerator):
         source = random_packet_source(rng, 4, 7)
         h_total = source.entropy(source.ground.full_mask)
         alpha = h_total * Fraction(numerator, 6)
@@ -94,7 +95,7 @@ class TestDilworthTruncation:
         fast_value, fast_partition = dilworth_truncation(
             AlphaFunction(source, alpha), source.ground.full_mask
         )
-        # force the generic Fraction path with a scaled non-integral table
+        # the same source with every entropy divided by 3: non-integral
         scaled = TableSource(
             source.ground,
             {
@@ -111,6 +112,45 @@ class TestDilworthTruncation:
         assert fast_partition.blocks == slow_partition.blocks
 
 
+def bell_truncation(af, mask) -> tuple:
+    """The minimum block sum of f#_alpha over every partition of ``mask``
+    and the first minimizing partition in enumeration order."""
+    best = None
+    for partition in enumerate_partitions(mask):
+        total = sum((af.value(b) for b in partition), Fraction(0))
+        if best is None or total < best[0]:
+            best = (total, partition)
+    return best
+
+
+class TestTruncationAgainstBellOracle:
+    """The sweep-based truncation against Bell-number enumeration: same
+    value, and the recorded partition is the first minimizer."""
+
+    @staticmethod
+    def assert_matches_oracle(af, mask):
+        value, partition = dilworth_truncation(af, mask)
+        want_value, want_partition = bell_truncation(af, mask)
+        assert value == want_value
+        assert partition.blocks == want_partition.blocks
+
+    def test_corpus_every_subset(self, source_corpus):
+        for k, source in enumerate(source_corpus):
+            # alpha = R(V) decides complementarity; the lower bound sits below it
+            alpha = min_sum_rate(source).value if k % 2 else alpha_lower_bound(source)
+            af = AlphaFunction(source, alpha)
+            for mask in range(1, source.ground.full_mask + 1):
+                self.assert_matches_oracle(af, mask)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.randoms(use_true_random=False), st.integers(min_value=0, max_value=8))
+    def test_rational_tables(self, rng, eighths):
+        source = random_rational_table(rng, rng.randint(2, 6), rng.randint(2, 10))
+        af = AlphaFunction(source, source.entropy(source.ground.full_mask) * Fraction(eighths, 8))
+        for mask in range(1, source.ground.full_mask + 1):
+            self.assert_matches_oracle(af, mask)
+
+
 class TestMinimizeOverPrefix:
     def test_candidate_count(self, five_user):
         af = AlphaFunction(five_user, Fraction(13, 2))
@@ -124,6 +164,8 @@ class TestMinimizeOverPrefix:
             minimize_over_prefix(af, [Fraction(0)] * 5, 0)
         with pytest.raises(DomainError):
             minimize_over_prefix(af, [Fraction(0)] * 5, 6)
+        with pytest.raises(DomainError):
+            minimize_over_prefix(af, [Fraction(0)] * 5, 3, within=[1, 2, 4])
 
     def test_known_minimizer(self, five_user):
         # position 2 at the exact parameter: {1,2} beats the singleton
