@@ -160,7 +160,10 @@ def _cmd_validate(args) -> int:
     source = load_source(args.source, validate=False)
     report = validate_polymatroid(source)
     print(report.summary())
-    return EXIT_OK if report.ok else EXIT_BAD_INPUT
+    if report.ok:
+        return EXIT_OK
+    print("error: the entropy table is not a polymatroid", file=sys.stderr)
+    return EXIT_BAD_INPUT
 
 
 def _build_parser() -> argparse.ArgumentParser:

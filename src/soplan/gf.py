@@ -3,15 +3,19 @@
 Rows are tuples of ints in ``[0, q)``.  :class:`RowSpace` keeps a
 reduced row-echelon basis incrementally, which is all the rank and
 span-membership machinery the simulator and the linear entropy model
-need.  Pure Python keeps everything exact; the matrices involved are
-desk-scale.
+need.  Most rows in play are unit rows (a user's own packet chunks), so
+a space takes a set of covered columns whose unit rows it contains
+without storing them, and keeps the other basis rows on the uncovered
+columns only: rank is the number of covered columns plus one small
+residual elimination.  Pure Python keeps everything exact.
 """
 
 from __future__ import annotations
 
+from struct import pack, unpack
 from typing import Iterable, Sequence
 
-from .core import DomainError
+from .core import DomainError, bit_positions
 
 
 def is_prime(n: int) -> bool:
@@ -40,91 +44,168 @@ def next_prime(n: int) -> int:
 class RowSpace:
     """A subspace of GF(q)^width, maintained as a reduced echelon basis.
 
-    Basis rows have leading coefficient 1, are sorted by pivot column,
-    and every pivot column is zero in all other basis rows, so a single
-    forward pass reduces any vector.
+    The unit row of every column in the bitmask ``covered`` belongs to
+    the space; these coordinate rows are implicit.  The other basis rows
+    vanish on covered columns, so they are stored on the uncovered
+    columns (``free``, ascending) only.  Their leading entry is 1, they
+    are sorted by pivot, and every pivot column is zero in all other
+    rows, so a single forward pass reduces any vector.  With
+    ``covered == 0`` this is a plain reduced echelon basis.
+
+    A stored row is one int holding an entry per free column in a fixed
+    number of bits, so a row operation is a single big-int multiply-add.
+    Entries are only meaningful mod q and are normalized when a row is
+    read out; a row operation adds less than q*q to an entry, and the
+    slots are wide enough that no sequence of them can carry into the
+    next slot.
     """
 
-    __slots__ = ("q", "width", "rows", "pivots")
+    __slots__ = ("q", "width", "covered", "free", "rows", "pivots", "_bits", "_bytes", "_format")
 
-    def __init__(self, q: int, width: int, rows: Iterable[Sequence[int]] = ()):
+    def __init__(self, q: int, width: int, rows: Iterable[Sequence[int]] = (), covered: int = 0):
         if not is_prime(q):
             raise DomainError(f"field order {q} is not prime")
         if width < 0:
             raise DomainError("row width must be nonnegative")
+        if covered < 0 or covered >> width:
+            raise DomainError(f"covered columns must lie inside width {width}")
         self.q = q
         self.width = width
-        self.rows: list = []
-        self.pivots: list = []
+        self.covered = covered
+        self.free = tuple(j for j in range(width) if not covered >> j & 1)
+        # A stored entry takes at most one row operation per later basis
+        # row, and a reduced vector or a combination one per basis row:
+        # entries stay below (n + 1)^2 * q^3 for n free columns.
+        size = -(-((len(self.free) + 1) ** 2 * q**3).bit_length() // 8)
+        self._bytes = max(size, 8)
+        self._bits = 8 * self._bytes
+        self._format = f"<{len(self.free)}Q" if self._bytes == 8 else None
+        self.rows: list = []  # packed
+        self.pivots: list = []  # positions in ``free``
         for row in rows:
             self.add(row)
 
-    def _reduce(self, row: Sequence[int]) -> list:
+    def _pack(self, values: Sequence[int]) -> int:
+        if self._format:
+            return int.from_bytes(pack(self._format, *values), "little")
+        size = self._bytes
+        return int.from_bytes(b"".join(value.to_bytes(size, "little") for value in values), "little")
+
+    def _unpack(self, packed: int) -> list:
+        """The entries of a packed row, normalized mod q."""
+        q, size = self.q, self._bytes
+        data = packed.to_bytes(size * len(self.free), "little")
+        if self._format:
+            return [value % q for value in unpack(self._format, data)]
+        return [int.from_bytes(data[k:k + size], "little") % q for k in range(0, len(data), size)]
+
+    def _reduce(self, row: Sequence[int]) -> int:
         q = self.q
         if len(row) != self.width:
             raise DomainError(f"row width {len(row)} != {self.width}")
-        out = [value % q for value in row]
+        if len(self.rows) == len(self.free):
+            return 0  # the space is everything: every row reduces to zero
+        out = self._pack([row[j] % q for j in self.free])
+        bits, mask = self._bits, (1 << self._bits) - 1
         for basis_row, pivot in zip(self.rows, self.pivots):
-            coeff = out[pivot]
+            coeff = (out >> pivot * bits & mask) % q
             if coeff:
-                out = [(a - coeff * b) % q for a, b in zip(out, basis_row)]
+                out += (q - coeff) * basis_row
         return out
 
     def add(self, row: Sequence[int]) -> bool:
         """Insert ``row``; return True iff it enlarged the space."""
-        reduced = self._reduce(row)
+        q = self.q
+        reduced = self._unpack(self._reduce(row))
         pivot = next((j for j, value in enumerate(reduced) if value), None)
         if pivot is None:
             return False
-        inv = pow(reduced[pivot], -1, self.q)
-        reduced = [value * inv % self.q for value in reduced]
+        inv = pow(reduced[pivot], -1, q)
+        new = self._pack([value * inv % q for value in reduced])
         # Clear the new pivot column from the existing basis rows to keep
         # the basis fully reduced.
+        bits, mask = self._bits, (1 << self._bits) - 1
         for k, basis_row in enumerate(self.rows):
-            coeff = basis_row[pivot]
+            coeff = (basis_row >> pivot * bits & mask) % q
             if coeff:
-                self.rows[k] = [
-                    (a - coeff * b) % self.q for a, b in zip(basis_row, reduced)
-                ]
+                self.rows[k] = basis_row + (q - coeff) * new
         at = next((k for k, p in enumerate(self.pivots) if p > pivot), len(self.pivots))
-        self.rows.insert(at, reduced)
+        self.rows.insert(at, new)
         self.pivots.insert(at, pivot)
         return True
 
     def contains(self, row: Sequence[int]) -> bool:
-        return not any(self._reduce(row))
+        return not any(self._unpack(self._reduce(row)))
 
     @property
     def rank(self) -> int:
-        return len(self.rows)
+        return self.covered.bit_count() + len(self.rows)
 
     def basis(self) -> tuple:
-        return tuple(tuple(row) for row in self.rows)
+        """The reduced echelon basis in pivot order.  A coordinate row
+        is given as its column index; every other row as a full-width
+        tuple."""
+        free = self.free
+        entries = [(j, j) for j in bit_positions(self.covered)]
+        for pivot, row in zip(self.pivots, self.rows):
+            full = [0] * self.width
+            for j, value in zip(free, self._unpack(row)):
+                full[j] = value
+            entries.append((free[pivot], tuple(full)))
+        entries.sort(key=lambda entry: entry[0])
+        return tuple(entry for _, entry in entries)
+
+    def combination(self, coefficients: Iterable[int]) -> tuple:
+        """The full-width sum of the basis rows, in the order
+        :meth:`basis` lists them, each times the next of
+        ``coefficients``.  Stored rows are combined packed; a coordinate
+        row contributes its coefficient at its column."""
+        q = self.q
+        order = [(j, -1) for j in bit_positions(self.covered)]
+        order += [(self.free[pivot], k) for k, pivot in enumerate(self.pivots)]
+        order.sort()
+        out = [0] * self.width
+        packed = 0
+        for (column, k), coeff in zip(order, coefficients):
+            if k < 0:
+                out[column] = coeff % q
+            else:
+                packed += coeff % q * self.rows[k]
+        for column, value in zip(self.free, self._unpack(packed)):
+            out[column] = value
+        return tuple(out)
 
     def clone(self) -> "RowSpace":
         other = RowSpace.__new__(RowSpace)
-        other.q = self.q
-        other.width = self.width
-        other.rows = [list(row) for row in self.rows]
+        for name in RowSpace.__slots__:
+            setattr(other, name, getattr(self, name))
+        other.rows = list(self.rows)
         other.pivots = list(self.pivots)
         return other
 
 
-def rank_of(rows: Iterable[Sequence[int]], q: int, width: int) -> int:
-    return RowSpace(q, width, rows).rank
-
-
-def random_combination(basis: Sequence[Sequence[int]], width: int, q: int, rng) -> tuple:
-    """A uniformly random GF(q)-combination of ``basis`` rows.
+def random_combination(basis, width: int, q: int, rng) -> tuple:
+    """A uniformly random GF(q)-combination of ``basis`` rows, drawing
+    one coefficient per row in order.  A basis entry is a full-width row
+    or, as :meth:`RowSpace.basis` gives coordinate rows, a column index
+    standing for that column's unit row.  ``basis`` may also be a
+    :class:`RowSpace`, whose basis is then combined without expanding
+    it to full-width rows; the draws and the result are the same.
 
     With an empty basis this is the zero row: a sender that knows
     nothing can only broadcast nothing.
     """
+    if isinstance(basis, RowSpace):
+        return basis.combination(rng.randrange(q) for _ in range(basis.rank))
     out = [0] * width
     for row in basis:
         coeff = rng.randrange(q)
-        if coeff:
-            for j, value in enumerate(row):
-                if value:
-                    out[j] = (out[j] + coeff * value) % q
+        if not coeff:
+            continue
+        if isinstance(row, int):
+            out[row] = (out[row] + coeff) % q
+            continue
+        for j, value in enumerate(row):
+            if value:
+                out[j] = (out[j] + coeff * value) % q
     return tuple(out)

@@ -16,10 +16,17 @@ Mechanics worth knowing:
   whole number of chunk rows.  The chunk factor is discovered by
   restarting planning whenever a stage rate shows a new denominator and
   is fixed for the whole plan (it stays 1 in the non-asymptotic model).
+* A system never stores lifted unit rows.  Each user is its coverage
+  (the chunk columns it observes directly, ORed over a super user's
+  members) plus the broadcasts it heard, kept as indices into one
+  shared row table, so every rank is a popcount plus one small residual
+  elimination (see :class:`~soplan.sources.LinearSource`).
 * Post-merge entropies come from the ranks of actually synthesized
   coding rows, not from a generic-rank formula.  Rows are drawn from a
-  seeded RNG; if a draw is rank-deficient (cannot happen often over the
-  large field chosen), the stage is retried with fresh rows.
+  seeded RNG (:func:`~soplan.rlnc.draw_stage`, the simulator's loop).  A
+  draw is kept once every member spans the group's observation and the
+  merged system's minimum sum-rate is the current one less the stage
+  total; a rare unlucky draw over the large field chosen is redrawn.
 * A super user's transmissions are charged to its earliest original
   member, who can produce them because local omniscience handed the
   whole group's observation to every member.
@@ -45,7 +52,6 @@ from .core import (
     bit_positions,
     parse_fraction,
 )
-from .gf import RowSpace, random_combination
 from .omniscience import ASYMPTOTIC, NON_ASYMPTOTIC, check_model, is_complementary, min_sum_rate, optimal_rate_vector
 from .compsetso import (
     EXACT,
@@ -55,11 +61,10 @@ from .compsetso import (
     certify_outcome,
     comp_set_so,
 )
-from .rlnc import choose_field
+from .rlnc import choose_field, draw_stage
 from .sources import LinearSource, PacketSource
 
 MAX_RESTARTS = 8
-STAGE_ROW_RETRIES = 25
 SUPER_JOIN = "+"
 
 
@@ -263,9 +268,11 @@ def merge_super_user(
 ) -> MergedSystem:
     """Merge the members of ``subset`` into one super user.
 
-    The super user observes the stacked rows of all members and takes
-    the position of the earliest member; every remaining user keeps its
-    rows plus the stage's ``transmissions``.  Unless ``certified`` says
+    The super user observes everything its members observe (their
+    coverage ORed, their table rows united) and takes the position of
+    the earliest member.  The stage's ``transmissions`` join the shared
+    row table once, and every remaining user hears them on top of its
+    own observation.  Unless ``certified`` says
     the caller already certified it, the subset must pass the
     complementarity oracle, otherwise the merge is refused.
     """
@@ -280,8 +287,15 @@ def merge_super_user(
             f"refusing to merge {ground.format(mask)}: not certified complementary"
         )
     members = ground.labels_of(mask)
-    rows = dict(system.source.rows)
-    transmissions = tuple(tuple(row) for row in transmissions)
+    source = system.source
+    q, width = source.field_order, source.width
+    sent = []
+    for row in transmissions:
+        if len(row) != width:
+            raise DomainError(f"transmission of width {len(row)}, expected {width}")
+        sent.append(tuple(value % q for value in row))
+    row_table = source.row_table + tuple(sent)
+    heard = ((1 << len(sent)) - 1) << len(source.row_table)
 
     super_orig = frozenset().union(*(system.label_map[m] for m in members))
     ordered = sorted(super_orig, key=system.original.position)
@@ -289,7 +303,8 @@ def merge_super_user(
 
     anchor = mask & -mask
     new_labels = []
-    new_rows = {}
+    coverage = {}
+    row_sets = {}
     new_map = {}
     for pos, label in enumerate(ground.labels):
         bit = 1 << pos
@@ -297,14 +312,18 @@ def merge_super_user(
             if bit != anchor:
                 continue
             new_labels.append(super_label)
-            new_rows[super_label] = tuple(r for m in members for r in rows[m])
+            coverage[super_label] = row_sets[super_label] = 0
+            for member in members:
+                coverage[super_label] |= source.coverage[member]
+                row_sets[super_label] |= source.row_sets[member]
             new_map[super_label] = super_orig
         else:
             new_labels.append(label)
-            new_rows[label] = tuple(rows[label]) + transmissions
+            coverage[label] = source.coverage[label]
+            row_sets[label] = source.row_sets[label] | heard
             new_map[label] = system.label_map[label]
     new_ground = GroundSet(tuple(new_labels))
-    linear = LinearSource(new_ground, system.source.field_order, system.source.width, new_rows)
+    linear = LinearSource.from_parts(new_ground, q, width, coverage, row_table, row_sets)
     return MergedSystem(new_ground, linear, new_map, system.original)
 
 
@@ -344,9 +363,15 @@ def _integral_chunk_counts(chunk_rates: Mapping) -> None:
 
 def _restricted(system: MergedSystem, mask: int) -> LinearSource:
     members = system.ground.labels_of(mask)
-    sub_ground = GroundSet(members)
-    rows = {m: system.source.rows[m] for m in members}
-    return LinearSource(sub_ground, system.source.field_order, system.source.width, rows)
+    source = system.source
+    return LinearSource.from_parts(
+        GroundSet(members),
+        source.field_order,
+        source.width,
+        {m: source.coverage[m] for m in members},
+        source.row_table,
+        {m: source.row_sets[m] for m in members},
+    )
 
 
 def _stage_from_local(system: MergedSystem, mask: int, chunk_rates: Mapping, chunk_factor: int) -> Stage:
@@ -364,36 +389,43 @@ def _stage_from_local(system: MergedSystem, mask: int, chunk_rates: Mapping, chu
     return Stage(system.original_mask(mask), rates)
 
 
-def _synthesize_stage(system: MergedSystem, mask: int, chunk_rates: Mapping, rng) -> tuple:
-    """Draw the stage's coding rows and verify they hand every member
-    the whole group's span.  Retries with fresh rows on a rank
-    deficiency; the field is large enough that this almost never loops."""
+def _synthesize_stage(
+    system: MergedSystem, mask: int, chunk_rates: Mapping, model: str, rng
+) -> MergedSystem:
+    """Draw the stage's coding rows and return the system merged
+    through them.
+
+    A draw is kept once every member spans the whole group's
+    observation and the merged system's minimum sum-rate is the current
+    one less the stage total.  Random rows reach the generic ranks only
+    with high probability over the field, and a draw that hands the
+    members everything can still leave an outsider short, so the second
+    check is needed as well.  Rejected draws are redrawn within
+    ``STAGE_REDRAW_LIMIT`` attempts.
+    """
     source = system.source
-    q, width = source.field_order, source.width
     members = system.ground.labels_of(mask)
-    union = RowSpace(q, width)
-    for member in members:
-        for row in source.rows[member]:
-            union.add(row)
-    target_rank = union.rank
+    target_rank = source.entropy(mask)
+    expected = min_sum_rate(source, None, model).value - sum(chunk_rates[m] for m in members)
+    spaces = {member: source.row_space([member]) for member in members}
+    merged = []
+
+    def accept(trial, rows) -> bool:
+        if any(trial[m].rank != target_rank for m in members):
+            return False
+        merged.append(
+            merge_super_user(system, mask, [row for _, row in rows], model, certified=True)
+        )
+        return min_sum_rate(merged[-1].source, None, model).value == expected
+
     counts = {m: int(chunk_rates[m]) for m in members}
-    for _ in range(STAGE_ROW_RETRIES):
-        spaces = {m: RowSpace(q, width, source.rows[m]) for m in members}
-        out = []
-        for sender in members:
-            basis = spaces[sender].basis()
-            for _ in range(counts[sender]):
-                row = random_combination(basis, width, q, rng)
-                out.append(row)
-                for member in members:
-                    if member != sender:
-                        spaces[member].add(row)
-        if all(spaces[m].rank == target_rank for m in members):
-            return tuple(out)
-    raise PlanningError(
-        f"stage rows for {system.ground.format(mask)} stayed rank-deficient after "
-        f"{STAGE_ROW_RETRIES} retries; try another seed"
-    )
+    draw = draw_stage(spaces, counts, rng, accept)
+    if not draw.accepted:
+        raise PlanningError(
+            f"no draw of stage rows for {system.ground.format(mask)} reached the generic "
+            f"ranks in {draw.attempts} attempts; try another seed"
+        )
+    return merged[-1]
 
 
 def _find_subset(system: MergedSystem, model: str, alpha_mode: str):
@@ -446,13 +478,13 @@ def _plan_pass(source: PacketSource, model: str, seed: int, chunk_factor: int, a
         local_rates = optimal_rate_vector(local, model)
         chunk_rates = local_rates.as_dict()
         _integral_chunk_counts(chunk_rates)
-        transmissions = _synthesize_stage(system, mask, chunk_rates, rng)
+        merged = _synthesize_stage(system, mask, chunk_rates, model, rng)
         stage = _stage_from_local(system, mask, chunk_rates, chunk_factor)
         emitted = stage.total > 0
         builds.append(StageBuild(system, mask, chunk_rates, certificate, stage, emitted))
         if emitted:
             stages.append(stage)
-        system = merge_super_user(system, mask, transmissions, model, certified=True)
+        system = merged
 
     plan = StagePlan(ground, model, tuple(stages), chunk_factor, field.order, seed)
     want = min_sum_rate(source, None, model).value

@@ -12,7 +12,13 @@ redrawn from fresh randomness (the rate budget is unchanged; the failed
 draw is discarded) and the attempt count is recorded in the stage
 report, so no failure passes silently.  A stage that stays short after
 ``STAGE_REDRAW_LIMIT`` attempts keeps its last draw and the honest
-decode flags propagate to the final report.
+decode flags propagate to the final report.  Only the stage members
+are checked: a draw can leave a bystander below the rank generic rows
+would give it, which the simulator has no way to know.
+
+Every user's space starts from its chunk columns as covered
+coordinates (see :class:`~soplan.gf.RowSpace`), so only broadcasts are
+ever eliminated.  :func:`draw_stage` is also the planner's loop.
 """
 
 from __future__ import annotations
@@ -23,7 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING, Mapping
 
-from .core import DomainError, FormatError
+from .core import DomainError, FormatError, bit_positions
 from .gf import RowSpace, is_prime, next_prime, random_combination
 from .sources import PacketSource
 
@@ -143,10 +149,58 @@ class Transcript:
         return "\n".join(lines) + "\n"
 
 
-def _unit_row(width: int, index: int) -> tuple:
-    row = [0] * width
-    row[index] = 1
-    return tuple(row)
+@dataclass(frozen=True)
+class StageDraw:
+    """One stage's coding rows as ``(sender, row)`` pairs in broadcast
+    order, every listener's space after hearing them, the number of
+    attempts taken, and whether the last attempt was accepted."""
+
+    rows: tuple
+    spaces: Mapping
+    attempts: int
+    accepted: bool
+
+
+def draw_stage(spaces: Mapping, counts: Mapping, rng, accept) -> StageDraw:
+    """Draw one stage's random coding rows, redrawing rejected draws.
+
+    ``spaces`` maps every listener to its current row space and stays
+    untouched; ``counts`` maps each sender, in sending order, to its
+    number of rows.  A sender combines what it spans at its turn (its
+    observation plus the rows sent before it in the same draw), and
+    every other listener hears each row.  ``accept(spaces, rows)``
+    judges a draw.  Drawing stops at the first accepted draw, after one
+    draw without rows (fresh randomness cannot change it), or after
+    ``STAGE_REDRAW_LIMIT`` attempts; the last draw is returned.
+    """
+    attempts = 0
+    while True:
+        attempts += 1
+        trial = {user: space.clone() for user, space in spaces.items()}
+        rows = []
+        for sender, count in counts.items():
+            space = trial[sender]
+            for _ in range(count):
+                row = random_combination(space, space.width, space.q, rng)
+                # a sender can only combine what it already spans
+                assert space.contains(row)
+                rows.append((sender, row))
+                for user, listener in trial.items():
+                    if user != sender:
+                        listener.add(row)
+        accepted = accept(trial, rows)
+        if accepted or not rows or attempts >= STAGE_REDRAW_LIMIT:
+            return StageDraw(tuple(rows), trial, attempts, accepted)
+
+
+def _spans_columns(space: RowSpace, columns: int) -> bool:
+    """Does ``space`` contain the unit row of every column in ``columns``?"""
+    for column in bit_positions(columns & ~space.covered):
+        row = [0] * space.width
+        row[column] = 1
+        if not space.contains(row):
+            return False
+    return True
 
 
 def decode_check(
@@ -160,22 +214,15 @@ def decode_check(
     """Can ``user`` reconstruct every packet held inside ``target``
     from its own observation plus ``received_rows``?"""
     lifted = source.lift(chunk_factor, field_order)
-    if user not in lifted.rows:
+    if user not in lifted.coverage:
         raise DomainError(f"unknown user {user!r}")
-    space = RowSpace(field_order, lifted.width, lifted.rows[user])
+    space = lifted.row_space([user])
     for row in received_rows:
         space.add(row)
-    target_mask = source.ground.mask(target)
-    packets = set()
-    for label in source.ground.labels_of(target_mask):
-        packets.update(source.possession[label])
-    index_of = {packet: k for k, packet in enumerate(source.packet_order)}
-    for packet in packets:
-        base = index_of[packet] * chunk_factor
-        for c in range(chunk_factor):
-            if not space.contains(_unit_row(lifted.width, base + c)):
-                return False
-    return True
+    needed = 0
+    for label in source.ground.labels_of(source.ground.mask(target)):
+        needed |= lifted.coverage[label]
+    return _spans_columns(space, needed)
 
 
 def execute_plan(source: PacketSource, plan: "StagePlan", seed: int = None) -> Transcript:
@@ -183,7 +230,9 @@ def execute_plan(source: PacketSource, plan: "StagePlan", seed: int = None) -> T
 
     Broadcasts reach every user, not only the stage's target; later
     stages count on bystanders having heard earlier stages.  ``seed``
-    defaults to the seed recorded in the plan.
+    defaults to the seed recorded in the plan.  Only the stage members'
+    decoding is checked before a draw is kept: the simulator cannot
+    know the ranks outsiders would reach with generic rows.
     """
     if not isinstance(source, PacketSource):
         raise DomainError("the simulator needs a packet source")
@@ -200,63 +249,48 @@ def execute_plan(source: PacketSource, plan: "StagePlan", seed: int = None) -> T
             f"plan field order {q} is too small for {ground.size} users times "
             f"{chunk * h_total} chunks"
         )
+    stage_counts = []
+    for stage_index, stage in enumerate(plan.stages):
+        counts = {}
+        for member in ground.labels_of(stage.target):
+            rate = stage.rates.rate(member)
+            if rate > h_total:
+                # beyond H(V) a sender's rows cannot add a dimension
+                raise FormatError(
+                    f"stage {stage_index} rate {rate} for {member!r} exceeds "
+                    f"the source entropy {h_total}"
+                )
+            scaled = rate * chunk
+            if scaled.denominator != 1:
+                raise FormatError(
+                    f"stage {stage_index} rate {rate} for "
+                    f"{member!r} is not a whole number of chunks at chunk factor {chunk}"
+                )
+            counts[member] = int(scaled)
+        stage_counts.append(counts)
     lifted = source.lift(chunk, q)
     width = lifted.width
     if seed is None:
         seed = plan.seed
     rng = random.Random(seed)
 
-    spaces = {user: RowSpace(q, width, lifted.rows[user]) for user in ground.labels}
+    spaces = {user: lifted.row_space([user]) for user in ground.labels}
     broadcasts = []
     reports = []
-    index_of = {packet: k for k, packet in enumerate(source.packet_order)}
-    for stage_index, stage in enumerate(plan.stages):
-        members = ground.labels_of(stage.target)
-        counts = {}
-        for member in members:
-            scaled = stage.rates.rate(member) * chunk
-            if scaled.denominator != 1:
-                raise FormatError(
-                    f"stage {stage_index} rate {stage.rates.rate(member)} for "
-                    f"{member!r} is not a whole number of chunks at chunk factor {chunk}"
-                )
-            counts[member] = int(scaled)
-        group_packets = set()
-        for member in members:
-            group_packets.update(source.possession[member])
-        needed = [
-            _unit_row(width, index_of[packet] * chunk + c)
-            for packet in group_packets
-            for c in range(chunk)
-        ]
-        attempts = 0
-        while True:
-            attempts += 1
-            trial = {user: spaces[user].clone() for user in ground.labels}
-            stage_rows = []
-            for sender in members:
-                basis = trial[sender].basis()
-                for _ in range(counts[sender]):
-                    row = random_combination(basis, width, q, rng)
-                    # a sender can only combine what it already spans
-                    assert trial[sender].contains(row)
-                    stage_rows.append((sender, row))
-                    for user in ground.labels:
-                        if user != sender:
-                            trial[user].add(row)
-            achieved = {
-                member: all(trial[member].contains(row) for row in needed)
-                for member in members
-            }
-            # redraw on a rank shortfall; without fresh rows a retry
-            # cannot change the outcome, so report honestly instead
-            if all(achieved.values()) or not stage_rows or attempts >= STAGE_REDRAW_LIMIT:
-                spaces = trial
-                broadcasts.extend(
-                    Broadcast(stage_index, sender, row) for sender, row in stage_rows
-                )
-                reports.append(StageReport(stage_index, stage.target, achieved, attempts))
-                break
+    for stage_index, (stage, counts) in enumerate(zip(plan.stages, stage_counts)):
+        needed = 0
+        for member in counts:
+            needed |= lifted.coverage[member]
+        achieved = {}
+
+        def accept(trial, rows) -> bool:
+            achieved.update((member, _spans_columns(trial[member], needed)) for member in counts)
+            return all(achieved.values())
+
+        draw = draw_stage(spaces, counts, rng, accept)
+        spaces = draw.spaces
+        broadcasts.extend(Broadcast(stage_index, sender, row) for sender, row in draw.rows)
+        reports.append(StageReport(stage_index, stage.target, achieved, draw.attempts))
 
     decoded = {user: spaces[user].rank == width for user in ground.labels}
     ranks = {user: spaces[user].rank for user in ground.labels}

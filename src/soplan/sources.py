@@ -107,28 +107,35 @@ class PacketSource(_SourceBase):
 
         Each packet becomes ``chunk_factor`` chunks; the chunk ``c`` of
         packet number ``p`` (in ``packet_order``) is column
-        ``p * chunk_factor + c``.  Subset ranks equal ``chunk_factor``
-        times the packet-count entropies.
+        ``p * chunk_factor + c``.  A user observes the unit rows of its
+        chunks' columns, held as its coverage mask, so subset ranks equal
+        ``chunk_factor`` times the packet-count entropies without any
+        elimination.
         """
         if chunk_factor < 1:
             raise DomainError("chunk factor must be a positive integer")
         width = chunk_factor * len(self.packet_order)
-        index = {packet: k for k, packet in enumerate(self.packet_order)}
-        rows = {}
-        for label in self.ground.labels:
-            user_rows = []
-            for packet in sorted(self.possession[label], key=str):
-                base = index[packet] * chunk_factor
-                for c in range(chunk_factor):
-                    row = [0] * width
-                    row[base + c] = 1
-                    user_rows.append(tuple(row))
-            rows[label] = tuple(user_rows)
-        return LinearSource(self.ground, field_order, width, rows)
+        chunks = (1 << chunk_factor) - 1
+        coverage = {}
+        for label, bits in zip(self.ground.labels, self._user_bits):
+            cover = 0
+            for packet in bit_positions(bits):
+                cover |= chunks << packet * chunk_factor
+            coverage[label] = cover
+        return LinearSource.from_parts(self.ground, field_order, width, coverage, (), {})
 
 
 class LinearSource(_SourceBase):
     """Users observing rows over GF(q); entropy is rank in symbols.
+
+    A user's observation is kept as a coverage mask plus other rows.  A
+    row with a single nonzero entry spans the unit row of its column,
+    which becomes a bit of the user's ``coverage``.  Every other row is
+    stored once in the shared ``row_table``, and ``row_sets`` maps each
+    user to the bitmask of the table rows it observes.  For identity
+    rows on the columns C plus rows B, rank is |C| plus the rank of B
+    with the C columns deleted, so a subset's entropy ORs its members'
+    masks and runs one residual elimination.
 
     When built by lifting a packet source with chunk factor L, one
     symbol is one chunk and every entropy is L times its packet-unit
@@ -136,37 +143,111 @@ class LinearSource(_SourceBase):
     """
 
     def __init__(self, ground: GroundSet, field_order: int, width: int, rows: Mapping):
-        if not gf.is_prime(field_order):
-            raise DomainError(f"field order {field_order} is not prime")
-        self.ground = ground
-        self.field_order = field_order
-        self.width = width
         unknown = set(rows) - set(ground.labels)
         if unknown:
             raise DomainError(f"rows listed for unknown users: {sorted(map(str, unknown))}")
-        normalized = {}
+        table: dict = {}
+        coverage = {}
+        row_sets = {}
         for label in ground.labels:
-            user_rows = []
+            cover = held = 0
             for row in rows.get(label, ()):
                 if len(row) != width:
                     raise DomainError(f"row of width {len(row)} for user {label!r}, expected {width}")
-                user_rows.append(tuple(value % field_order for value in row))
-            normalized[label] = tuple(user_rows)
-        self.rows = normalized
+                row = tuple(value % field_order for value in row)
+                support = [j for j, value in enumerate(row) if value]
+                if len(support) == 1:
+                    cover |= 1 << support[0]
+                else:
+                    held |= 1 << table.setdefault(row, len(table))
+            coverage[label] = cover
+            row_sets[label] = held
+        self._init_parts(ground, field_order, width, coverage, tuple(table), row_sets)
+
+    @classmethod
+    def from_parts(
+        cls,
+        ground: GroundSet,
+        field_order: int,
+        width: int,
+        coverage: Mapping,
+        row_table: tuple,
+        row_sets: Mapping,
+    ) -> "LinearSource":
+        """A source from coverage masks and row-table indices directly.
+
+        ``row_table`` rows must already be reduced mod ``field_order``;
+        users missing from ``coverage`` or ``row_sets`` get 0.
+        """
+        unknown = (set(coverage) | set(row_sets)) - set(ground.labels)
+        if unknown:
+            raise DomainError(f"parts listed for unknown users: {sorted(map(str, unknown))}")
+        if any(len(row) != width for row in row_table):
+            raise DomainError(f"row table holds a row whose width is not {width}")
+        source = cls.__new__(cls)
+        source._init_parts(
+            ground,
+            field_order,
+            width,
+            {label: coverage.get(label, 0) for label in ground.labels},
+            row_table,
+            {label: row_sets.get(label, 0) for label in ground.labels},
+        )
+        return source
+
+    def _init_parts(self, ground, field_order, width, coverage, row_table, row_sets) -> None:
+        if not gf.is_prime(field_order):
+            raise DomainError(f"field order {field_order} is not prime")
+        if any(mask >> width for mask in coverage.values()):
+            raise DomainError(f"coverage names a column outside width {width}")
+        if any(mask >> len(row_table) for mask in row_sets.values()):
+            raise DomainError("row set names a row outside the row table")
+        self.ground = ground
+        self.field_order = field_order
+        self.width = width
+        self.coverage = coverage
+        self.row_table = row_table
+        self.row_sets = row_sets
         self.integral = True
         self._cache: dict = {}
-        self._rank_cache: dict = {}
+
+    @property
+    def rows(self) -> dict:
+        """Every user's observation as explicit full-width rows: the unit
+        rows of its coverage, then its table rows.  Built afresh on each
+        access for export and independent checks; entropies never use
+        it."""
+        out = {}
+        for label in self.ground.labels:
+            user_rows = []
+            for column in bit_positions(self.coverage[label]):
+                row = [0] * self.width
+                row[column] = 1
+                user_rows.append(tuple(row))
+            user_rows.extend(self.row_table[k] for k in bit_positions(self.row_sets[label]))
+            out[label] = tuple(user_rows)
+        return out
+
+    def _union(self, mask: int) -> tuple:
+        """(ORed coverage, ORed row set) of the users in ``mask``."""
+        labels = self.ground.labels
+        covered = held = 0
+        for pos in bit_positions(mask):
+            covered |= self.coverage[labels[pos]]
+            held |= self.row_sets[labels[pos]]
+        return covered, held
+
+    def row_space(self, subset: SubsetLike) -> gf.RowSpace:
+        """The span of everything the users in ``subset`` observe."""
+        covered, held = self._union(self.ground.mask(subset))
+        rows = (self.row_table[k] for k in bit_positions(held))
+        return gf.RowSpace(self.field_order, self.width, rows, covered=covered)
 
     def _h(self, mask: int) -> int:
-        value = self._rank_cache.get(mask)
-        if value is None:
-            space = gf.RowSpace(self.field_order, self.width)
-            for pos in bit_positions(mask):
-                for row in self.rows[self.ground.labels[pos]]:
-                    space.add(row)
-            value = space.rank
-            self._rank_cache[mask] = value
-        return value
+        covered, held = self._union(mask)
+        if not held:
+            return covered.bit_count()
+        return self.row_space(mask).rank
 
 
 class TableSource(_SourceBase):
@@ -300,7 +381,10 @@ def reorder(source: Source, labels: Iterable) -> Source:
     if isinstance(source, PacketSource):
         return PacketSource(new_ground, source.possession)
     if isinstance(source, LinearSource):
-        return LinearSource(new_ground, source.field_order, source.width, source.rows)
+        return LinearSource.from_parts(
+            new_ground, source.field_order, source.width,
+            source.coverage, source.row_table, source.row_sets,
+        )
     if isinstance(source, TableSource):
         table = {}
         for new_mask in range(new_ground.full_mask + 1):

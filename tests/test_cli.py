@@ -158,6 +158,20 @@ class TestSimulate:
         assert cli.main(["simulate", five_user_file, str(plan_path)]) == 4
         assert "decode failed" in capsys.readouterr().err
 
+    def test_absurd_stage_rate_exits_2(self, five_user_file, tmp_path, capsys):
+        # a stage rate above H(V) cannot add a dimension; without the
+        # declared totals the plan loads, and simulate must refuse it
+        plan = copy.deepcopy(_five_user_plan())
+        del plan["total_rates"]
+        stage = plan["stages"][0]
+        stage["rates"][next(iter(stage["rates"]))] = "1e6"
+        path = tmp_path / "absurd.json"
+        path.write_text(json.dumps(plan))
+        assert cli.main(["simulate", five_user_file, str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert "exceeds the source entropy" in err
+
     def test_source_plan_mismatch_exits_2(self, cyclic_file, five_user_file, tmp_path, capsys):
         plan_path = tmp_path / "plan.json"
         assert cli.main(["plan", five_user_file, "--out", str(plan_path)]) == 0
@@ -187,8 +201,9 @@ class TestValidate:
             )
         )
         assert cli.main(["validate", str(path)]) == 2
-        out = capsys.readouterr().out
-        assert "monotonicity" in out
+        captured = capsys.readouterr()
+        assert "monotonicity" in captured.out
+        assert captured.err.startswith("error:")
 
 
 class TestErrorPaths:

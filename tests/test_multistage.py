@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+from soplan import multistage
 from soplan import (
     ASYMPTOTIC,
     NON_ASYMPTOTIC,
@@ -14,6 +15,7 @@ from soplan import (
     FormatError,
     GroundSet,
     LinearSource,
+    PacketSource,
     RateVector,
     Stage,
     StagePlan,
@@ -21,6 +23,7 @@ from soplan import (
     check_sw_achievable,
     dump_plan,
     entropy,
+    execute_plan,
     induced_table,
     initial_system,
     load_plan,
@@ -210,6 +213,50 @@ class TestPlannerEdgeCases:
         two = plan_multistage(five_user, ASYMPTOTIC, seed=99).to_dict()
         one.pop("seed"), two.pop("seed")
         assert one == two
+
+
+# Six users, 33 packets: (packet id, holders).  Ids are kept as drawn
+# because their sorted order lays out the lifted columns.  At plan seed
+# 2071639918 one stage draw hands every member the group's span but
+# leaves an outsider short, so the merged system's minimum sum-rate comes
+# out one chunk above the current one less the stage total.
+OUTSIDER_SHORTFALL_SEED = 2071639918
+OUTSIDER_SHORTFALL_PACKETS = (
+    ("k00e95af26a", "12356"), ("k0fc35bb88d", "123456"), ("k137345f4a6", "46"),
+    ("k21ddb53746", "23456"), ("k2c1de78b2c", "135"), ("k3082366c41", "3456"),
+    ("k326c0bffae", "13456"), ("k36d12e13da", "123456"), ("k375335378f", "14"),
+    ("k382ab8a298", "13"), ("k42ebe39dee", "12356"), ("k5088d5b80e", "123456"),
+    ("k554229f0c5", "12456"), ("k58439aa581", "123456"), ("k591de82d1c", "6"),
+    ("k63c3621eab", "1234"), ("k6dca567886", "134"), ("k7c2052b380", "4"),
+    ("k84dd22a06b", "6"), ("k860001e8f9", "126"), ("k8bf8663533", "125"),
+    ("k8d02508cb2", "35"), ("k8ec25ae4b8", "5"), ("k9a139e8d30", "2346"),
+    ("k9b837b6779", "35"), ("ka0347c5b79", "1236"), ("ka392e9739b", "12346"),
+    ("kae5263a8cb", "123456"), ("kc60300ad25", "1"), ("kca9cc1ea02", "123456"),
+    ("kef76798dfd", "23456"), ("kef98729054", "123456"), ("kfeb0ab2c37", "134"),
+)
+
+
+class TestStageRedraws:
+    def test_outsider_shortfall_is_redrawn(self, monkeypatch):
+        users = (1, 2, 3, 4, 5, 6)
+        possession = {
+            u: [packet for packet, holders in OUTSIDER_SHORTFALL_PACKETS if str(u) in holders]
+            for u in users
+        }
+        source = PacketSource(GroundSet(users), possession)
+        attempts = []
+
+        def recording(*args, **kwargs):
+            draw = multistage.draw_stage.__wrapped__(*args, **kwargs)
+            attempts.append(draw.attempts)
+            return draw
+
+        recording.__wrapped__ = multistage.draw_stage
+        monkeypatch.setattr(multistage, "draw_stage", recording)
+        plan = plan_multistage(source, ASYMPTOTIC, seed=OUTSIDER_SHORTFALL_SEED)
+        assert max(attempts) > 1
+        assert plan.total_rates.total == min_sum_rate(source, None, ASYMPTOTIC).value
+        assert execute_plan(source, plan).ok
 
 
 class TestPlanSerialization:

@@ -20,7 +20,7 @@ from soplan import (
     execute_plan,
     plan_multistage,
 )
-from soplan.gf import RowSpace, is_prime, next_prime, random_combination, rank_of
+from soplan.gf import RowSpace, is_prime, next_prime, random_combination
 
 
 class TestPrimes:
@@ -54,7 +54,7 @@ class TestRowSpace:
         for row in basis:
             pivot = next(v for v in row if v)
             assert pivot == 1
-        assert rank_of(basis, 5, 3) == 2
+        assert RowSpace(5, 3, basis).rank == 2
 
     def test_zero_width_space(self):
         space = RowSpace(5, 0)
