@@ -14,6 +14,8 @@ a parameter alpha and stops at the first non-singleton proper minimizer:
 * any other alpha in [0, H(V)] (mode ``custom``): accepted, but the
   outcome carries only an experimental certificate.
 
+:func:`comp_set_so` refuses an alpha outside [0, H(V)] in every mode.
+
 Every outcome is certified against the minimum sum-rates of
 :mod:`soplan.omniscience`, each of which carries its own primal-dual
 witness; in the non-custom modes a failed certificate is a bug and
@@ -31,7 +33,6 @@ from .omniscience import (
     NON_ASYMPTOTIC,
     check_model,
     check_sw_achievable,
-    is_complementary,
     min_sum_rate,
     partition_bound,
 )
@@ -96,7 +97,11 @@ class CompSetOutcome:
 
 
 def comp_set_so(source, alpha: AlphaChoice) -> CompSetOutcome:
-    """Run the single-sweep search with the given alpha choice."""
+    """Run the single-sweep search with the given alpha choice, which
+    must lie in [0, H(V)]."""
+    h_total = source.entropy(source.ground.full_mask)
+    if not 0 <= alpha.value <= h_total:
+        raise DomainError(f"alpha = {alpha.value} outside [0, H(V)] = [0, {h_total}]")
     af = AlphaFunction(source, alpha.value)
     run = run_rate_update(af, early_exit=True)
     if run.exit_subset is not None:

@@ -257,7 +257,9 @@ class RateVector:
         return RateVector(self.ground, tuple(v * factor for v in self.values), self.domain)
 
     def as_dict(self) -> dict:
-        return {label: self.values[pos] for pos, label in enumerate(self.ground.labels)}
+        """Each user of the domain mapped to its rate."""
+        labels = self.ground.labels
+        return {labels[pos]: self.values[pos] for pos in bit_positions(self.domain)}
 
     def format(self) -> str:
         parts = [
@@ -266,11 +268,6 @@ class RateVector:
             if self.domain >> pos & 1
         ]
         return "(" + ", ".join(parts) + ")"
-
-
-def rate_sum(rates: RateVector, subset: SubsetLike) -> Fraction:
-    """Sum of ``rates`` over ``subset`` (must lie inside the domain)."""
-    return rates.sum_over(subset)
 
 
 @dataclass(frozen=True)

@@ -18,18 +18,40 @@ from typing import Iterable, Sequence
 from .core import DomainError, bit_positions
 
 
+# Miller-Rabin with the primes up to 41 as bases decides primality
+# exactly below this bound, the least strong pseudoprime to all of them
+# (Sorenson and Webster, "Strong pseudoprimes to twelve prime bases",
+# Math. Comp. 2017).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PRIME_TEST_LIMIT = 3317044064679887385961981
+
+
 def is_prime(n: int) -> bool:
+    """Exact primality for ``n`` below ``PRIME_TEST_LIMIT``; larger
+    ``n`` raise :class:`DomainError`."""
+    if n >= PRIME_TEST_LIMIT:
+        raise DomainError(
+            f"field order {n} is beyond the exact primality test (orders must be "
+            f"below {PRIME_TEST_LIMIT})"
+        )
     if n < 2:
         return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
+    for p in _MR_BASES:
+        if n % p == 0:
+            return n == p
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 

@@ -52,7 +52,7 @@ from .core import (
     bit_positions,
     parse_fraction,
 )
-from .omniscience import ASYMPTOTIC, NON_ASYMPTOTIC, check_model, is_complementary, min_sum_rate, optimal_rate_vector
+from .omniscience import ASYMPTOTIC, NON_ASYMPTOTIC, check_model, is_complementary, min_sum_rate
 from .compsetso import (
     EXACT,
     LOWER_BOUND,
@@ -361,19 +361,6 @@ def _integral_chunk_counts(chunk_rates: Mapping) -> None:
         raise _ChunkRestart(lcm(*bad))
 
 
-def _restricted(system: MergedSystem, mask: int) -> LinearSource:
-    members = system.ground.labels_of(mask)
-    source = system.source
-    return LinearSource.from_parts(
-        GroundSet(members),
-        source.field_order,
-        source.width,
-        {m: source.coverage[m] for m in members},
-        source.row_table,
-        {m: source.row_sets[m] for m in members},
-    )
-
-
 def _stage_from_local(system: MergedSystem, mask: int, chunk_rates: Mapping, chunk_factor: int) -> Stage:
     """Map current-system chunk rates down to original users and packet
     units.  A super user's rate lands on its earliest original member."""
@@ -474,9 +461,7 @@ def _plan_pass(source: PacketSource, model: str, seed: int, chunk_factor: int, a
                 stages.append(stage)
             break
         mask = outcome.subset
-        local = _restricted(system, mask)
-        local_rates = optimal_rate_vector(local, model)
-        chunk_rates = local_rates.as_dict()
+        chunk_rates = min_sum_rate(system.source, mask, model).rates.as_dict()
         _integral_chunk_counts(chunk_rates)
         merged = _synthesize_stage(system, mask, chunk_rates, model, rng)
         stage = _stage_from_local(system, mask, chunk_rates, chunk_factor)

@@ -50,14 +50,15 @@ def check_model(model: str) -> str:
 
 @dataclass(frozen=True)
 class MinSumRateResult:
-    """Value of the minimum sum-rate with its primal-dual witness
-    (asymptotic model only): a partition whose bound equals the value
-    and an achievable rate vector that sums to it."""
+    """Value of the minimum sum-rate with its primal-dual witness: an
+    achievable rate vector that sums to the value (so R <= value), in
+    both models, and in the asymptotic model a partition whose bound
+    equals the value (so R >= value)."""
 
     model: str
     value: Fraction
     maximizing_partition: Partition | None
-    rates: RateVector | None
+    rates: RateVector
 
 
 def partition_bound(source, partition: Partition) -> Fraction:
@@ -70,6 +71,14 @@ def partition_bound(source, partition: Partition) -> Fraction:
     return deficit / (len(partition) - 1)
 
 
+def _sweep(source, mask: int, alpha: Fraction):
+    """One completed prefix sweep over X = ``mask`` of
+    f(Y) = alpha - H(X) + H(Y)."""
+    # f#_beta(Y) = beta - H(V) + H(Y), so beta = alpha + H(V) - H(X) gives f.
+    offset = source.entropy(source.ground.full_mask) - source.entropy(mask)
+    return run_rate_update(AlphaFunction(source, alpha + offset), early_exit=False, within=mask)
+
+
 def _min_sum_rate_asymptotic(source, mask: int) -> MinSumRateResult:
     """R(X) by the decomposition scheme of Ding, Chan, Zhou, Kennedy and
     Sadeghi ("Determining optimal rates for communication for
@@ -78,20 +87,16 @@ def _min_sum_rate_asymptotic(source, mask: int) -> MinSumRateResult:
     With f(Y) = alpha - H(X) + H(Y), alpha >= R(X) exactly when the
     Dilworth truncation of f at X equals f(X) = alpha.  Starting from the
     singleton-partition bound, each completed prefix sweep over X either
-    confirms that, or records a partition with a strictly larger bound,
-    which becomes the next alpha.  The result is certified before it is
-    returned.
+    confirms that, so its rates are the witness, or records a partition
+    with a strictly larger bound, which becomes the next alpha.
     """
     ground = source.ground
-    # f#_beta(Y) = beta - H(V) + H(Y), so beta = alpha + H(V) - H(X) gives f.
-    # beta stays inside [0, H(V)] because alpha <= R(X) <= H(X).
-    offset = source.entropy(ground.full_mask) - source.entropy(mask)
     partition = Partition(tuple(1 << pos for pos in bit_positions(mask)))
     alpha = partition_bound(source, partition)
     while True:
-        run = run_rate_update(AlphaFunction(source, alpha + offset), early_exit=False, within=mask)
+        run = _sweep(source, mask, alpha)
         if sum(run.rates, Fraction(0)) == alpha:
-            break
+            return MinSumRateResult(ASYMPTOTIC, alpha, partition, RateVector(ground, run.rates, mask))
         bound = partition_bound(source, run.partition)
         if bound <= alpha:
             raise CertificationError(
@@ -100,31 +105,38 @@ def _min_sum_rate_asymptotic(source, mask: int) -> MinSumRateResult:
             )
         alpha, partition = bound, run.partition
 
-    rates = RateVector(ground, run.rates, mask)
-    if rates.total != alpha:
-        raise CertificationError(f"witness rates sum to {rates.total}, not {alpha}")
+
+def _certified(source, mask: int, result: MinSumRateResult) -> MinSumRateResult:
+    """``result`` once its witness holds, else :class:`CertificationError`."""
+    ground = source.ground
+    rates, value, partition = result.rates, result.value, result.maximizing_partition
+    if rates.total != value:
+        raise CertificationError(f"witness rates sum to {rates.total}, not {value}")
     check = check_sw_achievable(source, mask, rates)
     if not check:
         raise CertificationError(
             f"witness rates fail achievability on {ground.format(check.violating)} "
             f"(deficit {check.deficit})"
         )
-    if partition.union != mask or partition_bound(source, partition) != alpha:
+    if partition is not None and (
+        partition.union != mask or partition_bound(source, partition) != value
+    ):
         raise CertificationError(
-            f"witness partition of {ground.format(mask)} does not attain {alpha}"
+            f"witness partition of {ground.format(mask)} does not attain {value}"
         )
-    return MinSumRateResult(ASYMPTOTIC, alpha, partition, rates)
+    return result
 
 
 def min_sum_rate(source, subset: SubsetLike = None, model: str = ASYMPTOTIC) -> MinSumRateResult:
     """Minimum total rate for omniscience of ``subset`` (default: V).
 
     Computed by iterated prefix sweeps and certified by a primal-dual
-    witness: the returned rates are achievable and sum to the value (so
-    R <= value), and the returned partition's bound equals it (so
-    R >= value).  A failed certificate raises
-    :class:`CertificationError`.  Needs at least two users in the
-    subset.
+    witness before it is returned; a failed certificate raises
+    :class:`CertificationError`.  The asymptotic witness rates are the
+    final sweep's, at alpha = R(X).  The non-asymptotic value is the
+    ceiling of R(X), and its witness is the sweep at that ceiling: the
+    asymptotic one when R(X) is an integer, and integer-valued whenever
+    the entropies are.  Needs at least two users in the subset.
     """
     check_model(model)
     ground = source.ground
@@ -137,10 +149,17 @@ def min_sum_rate(source, subset: SubsetLike = None, model: str = ASYMPTOTIC) -> 
         return result
     asym = cache.get((mask, ASYMPTOTIC))
     if asym is None:
-        asym = cache[(mask, ASYMPTOTIC)] = _min_sum_rate_asymptotic(source, mask)
+        asym = cache[(mask, ASYMPTOTIC)] = _certified(
+            source, mask, _min_sum_rate_asymptotic(source, mask)
+        )
     if model == ASYMPTOTIC:
         return asym
-    result = MinSumRateResult(NON_ASYMPTOTIC, Fraction(math.ceil(asym.value)), None, None)
+    value = Fraction(math.ceil(asym.value))
+    if value == asym.value:
+        result = MinSumRateResult(NON_ASYMPTOTIC, value, None, asym.rates)
+    else:
+        rates = RateVector(ground, _sweep(source, mask, value).rates, mask)
+        result = _certified(source, mask, MinSumRateResult(NON_ASYMPTOTIC, value, None, rates))
     cache[(mask, NON_ASYMPTOTIC)] = result
     return result
 
@@ -250,34 +269,7 @@ def enumerate_complementary(source, model: str = ASYMPTOTIC, verify: bool = Fals
 
 
 def optimal_rate_vector(source, model: str = ASYMPTOTIC) -> RateVector:
-    """An optimal omniscience rate vector for V.
-
-    In the asymptotic model this is the certified witness of
-    :func:`min_sum_rate`: the prefix rate update run to completion at
-    alpha = R(V).  In the non-asymptotic model the same update runs at
-    the ceiling of R(V), and the result is certified before being
-    returned: it must sum to the minimum and pass the achievability
-    check, otherwise something is broken and a
-    :class:`CertificationError` is raised.  With integer entropies and
-    the non-asymptotic model every entry is an integer.
-    """
-    check_model(model)
-    ground = source.ground
-    result = min_sum_rate(source, None, model)
-    if model == ASYMPTOTIC:
-        return result.rates
-    target = result.value
-    af = AlphaFunction(source, target)
-    run = run_rate_update(af, early_exit=False)
-    rates = RateVector(ground, run.rates, ground.full_mask)
-    if rates.total != target:
-        raise CertificationError(
-            f"rate update reached {rates.total}, expected the minimum sum-rate {target}"
-        )
-    check = check_sw_achievable(source, ground.full_mask, rates)
-    if not check:
-        raise CertificationError(
-            f"optimal rate vector fails achievability on {ground.format(check.violating)} "
-            f"(deficit {check.deficit})"
-        )
-    return rates
+    """An optimal omniscience rate vector for V: the certified witness
+    of :func:`min_sum_rate`.  With integer entropies and the
+    non-asymptotic model every entry is an integer."""
+    return min_sum_rate(source, None, model).rates

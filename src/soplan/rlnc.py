@@ -54,7 +54,7 @@ class FieldSpec:
             raise DomainError(f"field order {self.order} is not prime")
         if self.order <= self.chunk_factor * self.source_entropy * self.n_users:
             raise DomainError(
-                f"field order {self.order} is not above "
+                f"field order {self.order} is too small: it must exceed "
                 f"{self.chunk_factor} * {self.source_entropy} * {self.n_users}"
             )
 
@@ -241,14 +241,11 @@ def execute_plan(source: PacketSource, plan: "StagePlan", seed: int = None) -> T
     ground = source.ground
     q = plan.field_order
     chunk = plan.chunk_factor
-    if not is_prime(q):
-        raise FormatError(f"plan field order {q} is not prime")
     h_total = source.entropy(ground.full_mask)
-    if q <= chunk * h_total * ground.size:
-        raise FormatError(
-            f"plan field order {q} is too small for {ground.size} users times "
-            f"{chunk * h_total} chunks"
-        )
+    try:
+        FieldSpec(q, chunk, h_total, ground.size)
+    except DomainError as exc:
+        raise FormatError(f"plan {exc}") from None
     stage_counts = []
     for stage_index, stage in enumerate(plan.stages):
         counts = {}

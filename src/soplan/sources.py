@@ -37,7 +37,6 @@ from .core import (
     GroundSet,
     SubsetLike,
     bit_positions,
-    iter_submasks,
     parse_fraction,
 )
 
@@ -286,11 +285,6 @@ class TableSource(_SourceBase):
 Source = PacketSource | LinearSource | TableSource
 
 
-def entropy(source: Source, subset: SubsetLike) -> Fraction:
-    """H(subset) under the source's model."""
-    return source.entropy(subset)
-
-
 def conditional_entropy(source: Source, subset: SubsetLike, given: SubsetLike) -> Fraction:
     """H(A | C) = H(A united with C) - H(C) for disjoint A and C."""
     a = source.ground.mask(subset)
@@ -404,9 +398,10 @@ def _label_lookup(ground: GroundSet) -> dict:
     return lookup
 
 
-def source_from_dict(data) -> Source:
+def source_from_dict(data, validate: bool = True) -> Source:
     """Build a source from the JSON structure documented in the module
-    docstring.  Raises :class:`FormatError` on malformed input."""
+    docstring.  Raises :class:`FormatError` on malformed input.
+    ``validate=False`` skips the table polymatroid gate."""
     if not isinstance(data, dict):
         raise FormatError("source document must be a JSON object")
     model = data.get("model")
@@ -465,7 +460,7 @@ def source_from_dict(data) -> Source:
             f"entropy table misses {len(missing)} subsets, e.g. {ground.format(missing[0])}"
         )
     try:
-        return TableSource(ground, table, validate=True)
+        return TableSource(ground, table, validate=validate)
     except DomainError as exc:
         raise FormatError(str(exc)) from None
 
@@ -503,30 +498,7 @@ def load_source(path, validate: bool = True) -> Source:
         raise FormatError(f"cannot read {path}: {exc}") from None
     except json.JSONDecodeError as exc:
         raise FormatError(f"{path} is not valid JSON: {exc}") from None
-    if not validate and isinstance(data, dict) and data.get("model") == TABLE_MODEL:
-        return _table_without_gate(data)
-    return source_from_dict(data)
-
-
-def _table_without_gate(data) -> TableSource:
-    strict = dict(data)
-    try:
-        return source_from_dict(strict)
-    except FormatError as exc:
-        if "not a polymatroid" not in str(exc):
-            raise
-    # Shape is fine, axioms are not: construct unvalidated.
-    users = tuple(data["users"])
-    ground = GroundSet(users)
-    lookup = _label_lookup(ground)
-    table = {0: Fraction(0)}
-    for key, value in data["entropy"].items():
-        mask = 0
-        if key:
-            for part in key.split(","):
-                mask |= ground.bit(lookup[part])
-        table[mask] = parse_fraction(value, where=f"entropy[{key!r}]")
-    return TableSource(ground, table, validate=False)
+    return source_from_dict(data, validate)
 
 
 def dump_source(source: Source, path) -> None:

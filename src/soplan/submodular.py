@@ -1,7 +1,7 @@
 """The parametrized set function f#_alpha, its partition truncation, and
 the prefix-lattice minimization that drives the subset search.
 
-For a source with ground set V and a parameter alpha in [0, H(V)]::
+For a source with ground set V and a rational parameter alpha::
 
     f#_alpha(X) = 0                          if X is empty
                   alpha - H(V) + H(X)        otherwise
@@ -39,8 +39,9 @@ from .core import (
 class AlphaFunction:
     """f#_alpha for a fixed source and alpha.
 
-    Constructing one checks 0 <= alpha <= H(V); values outside that
-    range have no meaning in this model.
+    Any rational alpha is accepted: the sweeps behind a minimum sum-rate
+    of a subset, or behind a non-asymptotic witness, shift it past H(V).
+    Callers that take alpha from outside check its range themselves.
     """
 
     source: object
@@ -49,10 +50,7 @@ class AlphaFunction:
     def __post_init__(self):
         alpha = Fraction(self.alpha)
         object.__setattr__(self, "alpha", alpha)
-        h_total = self.source.entropy(self.ground.full_mask)
-        if not 0 <= alpha <= h_total:
-            raise DomainError(f"alpha = {alpha} outside [0, H(V)] = [0, {h_total}]")
-        object.__setattr__(self, "_shift", alpha - h_total)
+        object.__setattr__(self, "_shift", alpha - self.source.entropy(self.ground.full_mask))
 
     @property
     def ground(self) -> GroundSet:
@@ -103,10 +101,6 @@ class SfmResult:
     nonsingleton_proper_minimizer: int | None
     candidates_examined: int
 
-    @property
-    def a_minimizer(self) -> int:
-        return self.minimizers[0]
-
 
 def minimize_over_prefix(af: AlphaFunction, rates, position: int, within: SubsetLike = None) -> SfmResult:
     """Exhaustively minimize g(X) = f#_alpha(X) - r(X) over
@@ -114,9 +108,9 @@ def minimize_over_prefix(af: AlphaFunction, rates, position: int, within: Subset
     and inside ``within`` when given (default: the whole ground set).
 
     ``position`` is 1-based in ground order; candidates are enumerated
-    by ascending mask value, which fixes ``a_minimizer``
-    deterministically.  "Proper" in ``nonsingleton_proper_minimizer``
-    means other than ``within`` itself.
+    by ascending mask value, which fixes the order of ``minimizers``.
+    "Proper" in ``nonsingleton_proper_minimizer`` means other than
+    ``within`` itself.
     """
     ground = af.ground
     whole = ground.full_mask if within is None else ground.mask(within)

@@ -6,8 +6,10 @@ import contextlib
 import copy
 import functools
 import io
+import itertools
 import json
 import tempfile
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -15,7 +17,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import soplan.cli as cli
-from soplan import PlanningError, dump_source, induced_table, load_plan, plan_multistage
+from soplan import (
+    PlanningError,
+    RateVector,
+    check_sw_achievable,
+    dump_source,
+    induced_table,
+    load_plan,
+    load_source,
+    plan_multistage,
+)
 from tests.conftest import make_five_user, make_cyclic_triple
 
 
@@ -93,6 +104,43 @@ class TestEnumerate:
             cli.main(["enumerate", five_user_file, "--model", "non-asymptotic"]) == 0
         )
         assert "complementary subsets: 18" in capsys.readouterr().out
+
+
+def _independent_table(tmp_path, users) -> str:
+    """Independent users of entropy 5/4 each: H(V) is fractional, so the
+    non-asymptotic minimum sum-rate, its ceiling, exceeds H(V)."""
+    entropy = {}
+    for size in range(1, len(users) + 1):
+        for subset in itertools.combinations(users, size):
+            entropy[",".join(subset)] = str(Fraction(5, 4) * size)
+    path = tmp_path / "independent.json"
+    path.write_text(json.dumps({"model": "table", "users": users, "entropy": entropy}))
+    return str(path)
+
+
+class TestNonAsymptoticPastEntropy:
+    def test_minrate_gives_certified_witness(self, tmp_path, capsys):
+        path = _independent_table(tmp_path, ["x", "y"])
+        assert cli.main(["minrate", path, "--model", "non-asymptotic"]) == 0
+        out = capsys.readouterr().out
+        assert "min sum-rate: 3" in out
+        printed = out.split("optimal rates: (")[1].split(")")[0]
+        source = load_source(path)
+        rates = RateVector.from_map(
+            source.ground, dict(part.split(":") for part in printed.split(", "))
+        )
+        assert rates.total == 3
+        assert check_sw_achievable(source, source.ground.full_mask, rates).ok
+
+    def test_enumerate_verify(self, tmp_path, capsys):
+        path = _independent_table(tmp_path, ["x", "y", "z"])
+        assert cli.main(["enumerate", path, "--model", "non-asymptotic", "--verify"]) == 0
+        assert "complementary subsets: 0" in capsys.readouterr().out
+
+    def test_compset_refuses_alpha_past_entropy(self, tmp_path, capsys):
+        path = _independent_table(tmp_path, ["x", "y"])
+        assert cli.main(["compset", path, "--model", "non-asymptotic"]) == 2
+        assert "alpha = 3 outside [0, H(V)] = [0, 5/2]" in capsys.readouterr().err
 
 
 class TestPlan:

@@ -22,7 +22,6 @@ from soplan import (
     build_plan,
     check_sw_achievable,
     dump_plan,
-    entropy,
     execute_plan,
     induced_table,
     initial_system,
@@ -67,7 +66,7 @@ class TestMergedSystem:
         system = initial_system(five_user, 1, 53)
         assert system.ground.labels == (1, 2, 3, 4, 5)
         assert system.label_map[3] == frozenset([3])
-        assert entropy(system.source, system.ground.full_mask) == 10
+        assert system.source.entropy(system.ground.full_mask) == 10
 
     def test_merge_builds_super_user(self, five_user):
         system = initial_system(five_user, 1, 53)
@@ -77,7 +76,7 @@ class TestMergedSystem:
         assert merged.label_map["1+2"] == frozenset([1, 2])
         assert merged.original_mask(["1+2", 5]) == five_user.ground.mask([1, 2, 5])
         # super user stacks member rows: rank is the joint entropy
-        assert entropy(merged.source, ["1+2"]) == 8
+        assert merged.source.entropy(["1+2"]) == 8
         # bystanders keep their rows plus the transmissions
         assert len(merged.source.rows[3]) == 4 + 1
 

@@ -183,7 +183,12 @@ class TestSweepAgainstBellOracle:
         assert bound_of(source, partition) == want
         assert asym.rates.domain == mask and asym.rates.total == want
         assert check_sw_achievable(source, mask, asym.rates).ok
-        assert min_sum_rate(source, mask, NON_ASYMPTOTIC).value == math.ceil(want)
+        integer = min_sum_rate(source, mask, NON_ASYMPTOTIC)
+        assert integer.value == math.ceil(want)
+        assert integer.rates.domain == mask and integer.rates.total == integer.value
+        assert check_sw_achievable(source, mask, integer.rates).ok
+        if source.integral:
+            assert all(v.denominator == 1 for v in integer.rates.values)
 
     def test_corpus_every_subset(self, source_corpus):
         for source in source_corpus:

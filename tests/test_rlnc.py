@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 import random
 from fractions import Fraction
 
@@ -26,6 +27,22 @@ from soplan.gf import RowSpace, is_prime, next_prime, random_combination
 class TestPrimes:
     def test_is_prime_small_cases(self):
         assert [n for n in range(20) if is_prime(n)] == [2, 3, 5, 7, 11, 13, 17, 19]
+
+    def test_is_prime_matches_trial_division(self):
+        def by_trial(n):
+            return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
+
+        carmichael = [561, 1105, 1729, 2465, 2821, 6601, 8911, 41041, 825265, 321197185]
+        for n in list(range(10**4)) + carmichael:
+            assert is_prime(n) == by_trial(n), n
+
+    def test_large_orders(self):
+        # a strong pseudoprime to every prime base up to 37
+        assert not is_prime(318665857834031151167461)
+        assert is_prime(2**61 - 1)
+        assert RowSpace(2**61 - 1, 3).rank == 0
+        with pytest.raises(DomainError, match="beyond the exact primality test"):
+            RowSpace(2**89 - 1, 3)
 
     def test_next_prime_is_strictly_greater(self):
         assert next_prime(0) == 2
@@ -202,6 +219,14 @@ class TestExecutePlan:
         bad = StagePlan.from_dict(data)
         with pytest.raises(FormatError, match="prime"):
             execute_plan(five_user, bad)
+
+    def test_mersenne_prime_field_runs(self, five_user):
+        data = plan_multistage(five_user, "non_asymptotic").to_dict()
+        data["field_order"] = 2**61 - 1
+        assert execute_plan(five_user, StagePlan.from_dict(data)).ok
+        data["field_order"] = 2**89 - 1  # prime, but past the exact primality test
+        with pytest.raises(FormatError, match="beyond"):
+            execute_plan(five_user, StagePlan.from_dict(data))
 
     def test_fractional_chunk_counts_rejected(self, five_user):
         plan = plan_multistage(five_user, "asymptotic")

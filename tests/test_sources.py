@@ -19,7 +19,6 @@ from soplan import (
     TableSource,
     conditional_entropy,
     dump_source,
-    entropy,
     induced_table,
     load_source,
     reorder,
@@ -33,11 +32,11 @@ from tests.conftest import random_packet_source
 class TestPacketSource:
     def test_entropy_counts_distinct_packets(self, five_user):
         g = five_user.ground
-        assert entropy(five_user, g.full_mask) == 10
-        assert entropy(five_user, [1]) == 8
-        assert entropy(five_user, [2]) == 6
-        assert entropy(five_user, [1, 2]) == 8  # user 2's packets nest in user 1's
-        assert entropy(five_user, 0) == 0
+        assert five_user.entropy(g.full_mask) == 10
+        assert five_user.entropy([1]) == 8
+        assert five_user.entropy([2]) == 6
+        assert five_user.entropy([1, 2]) == 8  # user 2's packets nest in user 1's
+        assert five_user.entropy(0) == 0
 
     def test_integral_flag(self, five_user):
         assert five_user.integral
@@ -71,16 +70,16 @@ class TestLinearSource:
             "v": ((1, 1, 0), (0, 0, 1)),
         }
         src = LinearSource(g, 7, 3, rows)
-        assert entropy(src, ["u"]) == 2
-        assert entropy(src, ["v"]) == 2
-        assert entropy(src, g.full_mask) == 3
+        assert src.entropy(["u"]) == 2
+        assert src.entropy(["v"]) == 2
+        assert src.entropy(g.full_mask) == 3
         assert src.integral
 
     def test_dependent_rows_collapse(self):
         g = GroundSet(("u", "v"))
         rows = {"u": ((2, 4),), "v": ((1, 2), (3, 6))}
         src = LinearSource(g, 5, 2, rows)
-        assert entropy(src, g.full_mask) == 1
+        assert src.entropy(g.full_mask) == 1
 
     def test_rejects_composite_field(self):
         g = GroundSet((1, 2))
@@ -96,7 +95,7 @@ class TestLinearSource:
         lifted = five_user.lift(2, 101)
         g = five_user.ground
         for mask in range(g.full_mask + 1):
-            assert entropy(lifted, mask) == 2 * entropy(five_user, mask)
+            assert lifted.entropy(mask) == 2 * five_user.entropy(mask)
 
     def test_lift_chunk_columns(self, cyclic_triple):
         lifted = cyclic_triple.lift(3, 11)
@@ -111,7 +110,7 @@ class TestTableSource:
         g = GroundSet((1, 2))
         table = {0: 0, 1: 1, 2: 1, 3: Fraction(3, 2)}
         src = TableSource(g, table)
-        assert entropy(src, [1, 2]) == Fraction(3, 2)
+        assert src.entropy([1, 2]) == Fraction(3, 2)
         assert not src.integral
 
     def test_missing_subset_rejected(self):
@@ -144,7 +143,7 @@ class TestTableSource:
     def test_induced_table_matches(self, cyclic_triple):
         table = induced_table(cyclic_triple)
         for mask in range(cyclic_triple.ground.full_mask + 1):
-            assert entropy(table, mask) == entropy(cyclic_triple, mask)
+            assert table.entropy(mask) == cyclic_triple.entropy(mask)
 
 
 class TestReorder:
@@ -152,14 +151,14 @@ class TestReorder:
         swapped = reorder(five_user, (5, 4, 3, 2, 1))
         g = swapped.ground
         assert g.labels == (5, 4, 3, 2, 1)
-        assert entropy(swapped, [1, 2]) == 8
-        assert entropy(swapped, g.full_mask) == 10
+        assert swapped.entropy([1, 2]) == 8
+        assert swapped.entropy(g.full_mask) == 10
 
     def test_table_reorder_remaps_masks(self, cyclic_triple):
         table = induced_table(cyclic_triple)
         swapped = reorder(table, (3, 1, 2))
         for subset in ([1], [2], [3], [1, 2], [2, 3], [1, 3], [1, 2, 3]):
-            assert entropy(swapped, subset) == entropy(table, subset)
+            assert swapped.entropy(subset) == table.entropy(subset)
 
     def test_reorder_requires_permutation(self, cyclic_triple):
         with pytest.raises(DomainError):
@@ -174,7 +173,7 @@ class TestJsonRoundTrip:
         assert isinstance(loaded, PacketSource)
         assert loaded.ground.labels == five_user.ground.labels
         for mask in range(five_user.ground.full_mask + 1):
-            assert entropy(loaded, mask) == entropy(five_user, mask)
+            assert loaded.entropy(mask) == five_user.entropy(mask)
 
     def test_table_round_trip(self, cyclic_triple, tmp_path):
         table = induced_table(cyclic_triple)
@@ -182,7 +181,7 @@ class TestJsonRoundTrip:
         dump_source(table, path)
         loaded = load_source(path)
         assert isinstance(loaded, TableSource)
-        assert entropy(loaded, [1, 3]) == 3
+        assert loaded.entropy([1, 3]) == 3
 
     def test_fraction_strings_survive(self):
         data = {
@@ -191,7 +190,7 @@ class TestJsonRoundTrip:
             "entropy": {"1": "1/2", "2": "1/2", "1,2": "3/4"},
         }
         src = source_from_dict(data)
-        assert entropy(src, [1, 2]) == Fraction(3, 4)
+        assert src.entropy([1, 2]) == Fraction(3, 4)
         back = source_to_dict(src)
         assert back["entropy"]["1,2"] == "3/4"
 
@@ -201,7 +200,7 @@ class TestJsonRoundTrip:
             "users": [1, 2],
             "entropy": {"1": "1", "2": "1", "1,2": "2"},
         }
-        assert entropy(source_from_dict(data), 0) == 0
+        assert source_from_dict(data).entropy(0) == 0
 
     def test_float_entropy_rejected(self):
         data = {

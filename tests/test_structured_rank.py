@@ -15,7 +15,7 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from soplan import GroundSet, LinearSource, entropy
+from soplan import GroundSet, LinearSource
 from soplan.gf import RowSpace, random_combination
 
 
@@ -143,7 +143,7 @@ class TestLinearSourceAgainstDense:
         q, width = source.field_order, source.width
         for mask in range(ground.full_mask + 1):
             stacked = [row for label in ground.labels_of(mask) for row in rows[label]]
-            assert entropy(source, mask) == len(dense_rref(stacked, q, width))
+            assert source.entropy(mask) == len(dense_rref(stacked, q, width))
 
     @settings(max_examples=100, deadline=None)
     @given(linear_sources())
@@ -152,7 +152,7 @@ class TestLinearSourceAgainstDense:
         again = LinearSource(source.ground, source.field_order, source.width, source.rows)
         assert again.coverage == source.coverage
         for mask in range(source.ground.full_mask + 1):
-            assert entropy(again, mask) == entropy(source, mask)
+            assert again.entropy(mask) == source.entropy(mask)
 
     def test_coordinate_rows_become_coverage(self):
         ground = GroundSet(("u", "v"))
@@ -160,7 +160,7 @@ class TestLinearSourceAgainstDense:
         assert source.coverage == {"u": 0b0010, "v": 0}
         assert source.row_table == ((1, 1, 0, 0),)  # stored once, shared
         assert source.row_sets == {"u": 1, "v": 1}
-        assert entropy(source, ground.full_mask) == 2
+        assert source.entropy(ground.full_mask) == 2
 
     def test_lift_materialises_no_rows(self, five_user):
         lifted = five_user.lift(3, 101)

@@ -11,10 +11,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from soplan import (
+    AlphaChoice,
     AlphaFunction,
     DomainError,
     alpha_lower_bound,
     TableSource,
+    comp_set_so,
     dilworth_truncation,
     enumerate_partitions,
     induced_table,
@@ -42,12 +44,14 @@ class TestAlphaFunction:
         assert af.value(five_user.ground.full_mask) == Fraction(13, 2)
 
     def test_alpha_range_enforced(self, five_user):
-        with pytest.raises(DomainError):
-            AlphaFunction(five_user, Fraction(-1))
-        with pytest.raises(DomainError):
-            AlphaFunction(five_user, Fraction(21, 2))
-        AlphaFunction(five_user, Fraction(0))
-        AlphaFunction(five_user, Fraction(10))
+        # AlphaFunction takes any alpha; the [0, H(V)] gate sits in
+        # comp_set_so, where a caller-chosen alpha enters.
+        for value in (Fraction(-1), Fraction(21, 2)):
+            AlphaFunction(five_user, value)
+            with pytest.raises(DomainError, match=r"outside \[0, H\(V\)\]"):
+                comp_set_so(five_user, AlphaChoice.custom(value))
+        comp_set_so(five_user, AlphaChoice.custom(0))
+        comp_set_so(five_user, AlphaChoice.custom(10))
 
 
 class TestDilworthTruncation:
