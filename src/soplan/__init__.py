@@ -11,6 +11,9 @@ network coding over a prime field.
 
 All rate arithmetic uses exact rationals; every headline result is
 re-certified against the definitions before it is returned.
+
+The names below are the public API (README, "Public API"); everything
+else is reached through its module, e.g. ``soplan.submodular``.
 """
 
 from .core import (
@@ -23,154 +26,63 @@ from .core import (
     PlanningError,
     RateVector,
     SoplanError,
-    bit_positions,
-    enumerate_partitions,
-    iter_submasks,
-    parse_fraction,
 )
 from .sources import (
     LinearSource,
     PacketSource,
-    PolymatroidReport,
     TableSource,
-    conditional_entropy,
     dump_source,
-    induced_table,
     load_source,
-    reorder,
-    source_from_dict,
-    source_to_dict,
     validate_polymatroid,
-)
-from .submodular import (
-    AlphaFunction,
-    SfmResult,
-    UpdateRun,
-    dilworth_truncation,
-    minimize_over_prefix,
-    run_rate_update,
 )
 from .omniscience import (
     ASYMPTOTIC,
-    MODELS,
     NON_ASYMPTOTIC,
-    MinSumRateResult,
-    SwCheck,
-    check_model,
     check_sw_achievable,
     enumerate_complementary,
     is_complementary,
     min_sum_rate,
-    optimal_rate_vector,
 )
 from .compsetso import (
-    CUSTOM,
-    EXACT,
-    LOWER_BOUND,
     AlphaChoice,
-    Certificate,
-    CompSetOutcome,
-    alpha_lower_bound,
     certify_outcome,
     comp_set_so,
     complementary_by_lower_bound,
 )
-from .multistage import (
-    MergedSystem,
-    PlanBuild,
-    Stage,
-    StageBuild,
-    StagePlan,
-    build_plan,
-    dump_plan,
-    initial_system,
-    load_plan,
-    merge_super_user,
-    plan_multistage,
-)
-from .rlnc import (
-    STAGE_REDRAW_LIMIT,
-    Broadcast,
-    FieldSpec,
-    StageReport,
-    Transcript,
-    choose_field,
-    decode_check,
-    execute_plan,
-)
+from .multistage import StagePlan, dump_plan, load_plan, plan_multistage
+from .rlnc import execute_plan
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "MAX_USERS",
-    "ASYMPTOTIC",
-    "NON_ASYMPTOTIC",
-    "MODELS",
     "SoplanError",
     "DomainError",
     "FormatError",
     "CertificationError",
     "PlanningError",
+    "MAX_USERS",
     "GroundSet",
     "RateVector",
     "Partition",
-    "bit_positions",
-    "iter_submasks",
-    "enumerate_partitions",
-    "parse_fraction",
     "PacketSource",
     "LinearSource",
     "TableSource",
-    "PolymatroidReport",
-    "conditional_entropy",
-    "induced_table",
-    "validate_polymatroid",
-    "reorder",
     "load_source",
     "dump_source",
-    "source_from_dict",
-    "source_to_dict",
-    "AlphaFunction",
-    "SfmResult",
-    "UpdateRun",
-    "dilworth_truncation",
-    "minimize_over_prefix",
-    "run_rate_update",
-    "MinSumRateResult",
-    "SwCheck",
-    "check_model",
+    "validate_polymatroid",
+    "ASYMPTOTIC",
+    "NON_ASYMPTOTIC",
     "min_sum_rate",
     "check_sw_achievable",
     "is_complementary",
     "enumerate_complementary",
-    "optimal_rate_vector",
     "AlphaChoice",
-    "CUSTOM",
-    "EXACT",
-    "LOWER_BOUND",
-    "CompSetOutcome",
-    "Certificate",
-    "alpha_lower_bound",
     "comp_set_so",
-    "complementary_by_lower_bound",
     "certify_outcome",
-    "Stage",
+    "complementary_by_lower_bound",
     "StagePlan",
-    "StageBuild",
-    "PlanBuild",
-    "MergedSystem",
-    "initial_system",
-    "merge_super_user",
-    "build_plan",
     "plan_multistage",
     "load_plan",
     "dump_plan",
-    "FieldSpec",
-    "Broadcast",
-    "STAGE_REDRAW_LIMIT",
-    "StageReport",
-    "Transcript",
-    "choose_field",
-    "decode_check",
     "execute_plan",
 ]

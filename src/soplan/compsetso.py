@@ -1,7 +1,8 @@
 """Single-sweep search for a complementary subset.
 
 The search runs the prefix rate update of :mod:`soplan.submodular` with
-a parameter alpha and stops at the first non-singleton proper minimizer:
+a parameter alpha and stops at the first non-singleton proper minimizer.
+Alpha is chosen in one of two modes:
 
 * ``alpha = R(V)`` (mode ``exact``): an early exit returns a
   complementary subset, and completion proves none exists; either way
@@ -11,15 +12,16 @@ a parameter alpha and stops at the first non-singleton proper minimizer:
   early exit still returns a complementary subset, and completion
   additionally proves that alpha was R(V) all along, so the finished
   rates are an optimal omniscience rate vector.
-* any other alpha in [0, H(V)] (mode ``custom``): accepted, but the
-  outcome carries only an experimental certificate.
 
-:func:`comp_set_so` refuses an alpha outside [0, H(V)] in every mode.
+:func:`comp_set_so` refuses an alpha outside [0, H(V)].  In the
+non-asymptotic model it also refuses a source with a fractional entropy:
+the guarantee that an early exit is complementary there assumes integer
+entropies, and with a fractional one the ceiling on R(X) can break it.
 
 Every outcome is certified against the minimum sum-rates of
 :mod:`soplan.omniscience`, each of which carries its own primal-dual
-witness; in the non-custom modes a failed certificate is a bug and
-raises :class:`CertificationError`.
+witness; a failed certificate is a bug and raises
+:class:`CertificationError`.
 """
 
 from __future__ import annotations
@@ -42,7 +44,6 @@ import math
 
 EXACT = "exact"
 LOWER_BOUND = "lower_bound"
-CUSTOM = "custom"
 
 
 def alpha_lower_bound(source, model: str = ASYMPTOTIC) -> Fraction:
@@ -66,7 +67,7 @@ class AlphaChoice:
     value: Fraction
 
     def __post_init__(self):
-        if self.mode not in (EXACT, LOWER_BOUND, CUSTOM):
+        if self.mode not in (EXACT, LOWER_BOUND):
             raise DomainError(f"unknown alpha mode {self.mode!r}")
         check_model(self.model)
         object.__setattr__(self, "value", Fraction(self.value))
@@ -78,10 +79,6 @@ class AlphaChoice:
     @classmethod
     def lower_bound(cls, source, model: str = ASYMPTOTIC) -> "AlphaChoice":
         return cls(LOWER_BOUND, model, alpha_lower_bound(source, model))
-
-    @classmethod
-    def custom(cls, value, model: str = ASYMPTOTIC) -> "AlphaChoice":
-        return cls(CUSTOM, model, Fraction(value))
 
 
 @dataclass(frozen=True)
@@ -98,10 +95,16 @@ class CompSetOutcome:
 
 def comp_set_so(source, alpha: AlphaChoice) -> CompSetOutcome:
     """Run the single-sweep search with the given alpha choice, which
-    must lie in [0, H(V)]."""
+    must lie in [0, H(V)]; the non-asymptotic model also needs integer
+    entropies."""
     h_total = source.entropy(source.ground.full_mask)
     if not 0 <= alpha.value <= h_total:
         raise DomainError(f"alpha = {alpha.value} outside [0, H(V)] = [0, {h_total}]")
+    if alpha.model == NON_ASYMPTOTIC and not source.integral:
+        raise DomainError(
+            "the non-asymptotic subset search needs integer entropies; "
+            "this source has a fractional one"
+        )
     af = AlphaFunction(source, alpha.value)
     run = run_rate_update(af, early_exit=True)
     if run.exit_subset is not None:
@@ -164,9 +167,8 @@ def certify_outcome(source, alpha: AlphaChoice, outcome: CompSetOutcome) -> Cert
     Subset outcomes are certified complementary via the direct
     inequality; finished rates are certified achievable with total
     alpha, and in ``lower_bound`` mode alpha itself is certified equal
-    to the minimum sum-rate.  In the ``exact`` and
-    ``lower_bound`` modes a failure raises :class:`CertificationError`;
-    in ``custom`` mode the certificate simply reports what held.
+    to the minimum sum-rate.  A failure raises
+    :class:`CertificationError`.
     """
     ground = source.ground
     model = alpha.model
@@ -224,7 +226,7 @@ def certify_outcome(source, alpha: AlphaChoice, outcome: CompSetOutcome) -> Cert
                 f"rates violate the constraint for {ground.format(check.violating)} "
                 f"by {check.deficit}"
             )
-        if model == NON_ASYMPTOTIC and source.integral:
+        if model == NON_ASYMPTOTIC:
             if all(v.denominator == 1 for v in rates.values):
                 lines.append("all entries are integers, as the non-asymptotic model requires")
             else:
@@ -240,7 +242,7 @@ def certify_outcome(source, alpha: AlphaChoice, outcome: CompSetOutcome) -> Cert
             else:
                 ok = False
                 lines.append(f"alpha differs from the certified minimum sum-rate {oracle}")
-        elif alpha.mode == EXACT:
+        else:
             lines.append(
                 "sweep completed at the exact minimum sum-rate: no complementary "
                 "subset exists and the finished rates are optimal"
@@ -251,10 +253,7 @@ def certify_outcome(source, alpha: AlphaChoice, outcome: CompSetOutcome) -> Cert
             else f"finished rates FAILED certification ({model})"
         )
 
-    if alpha.mode == CUSTOM:
-        lines.append("experimental alpha: no optimality claim attaches to this run")
-        summary = "experimental outcome: " + ("checks passed" if ok else "checks FAILED")
-        return Certificate(ok, summary, tuple(lines))
+    certificate = Certificate(ok, summary, tuple(lines))
     if not ok:
-        raise CertificationError(str(Certificate(ok, summary, tuple(lines))))
-    return Certificate(ok, summary, tuple(lines))
+        raise CertificationError(str(certificate))
+    return certificate

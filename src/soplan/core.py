@@ -176,12 +176,6 @@ class GroundSet:
     def format(self, mask: int) -> str:
         return "{%s}" % ",".join(str(label) for label in self.labels_of(mask))
 
-    def prefix_mask(self, count: int) -> int:
-        """Mask of the first ``count`` users in ground order."""
-        if not 1 <= count <= self.size:
-            raise DomainError(f"prefix length {count} out of range")
-        return (1 << count) - 1
-
 
 @dataclass(frozen=True)
 class RateVector:
@@ -251,10 +245,6 @@ class RateVector:
             raise DomainError("cannot add rate vectors over different ground sets")
         values = tuple(a + b for a, b in zip(self.values, other.values))
         return RateVector(self.ground, values, self.domain | other.domain)
-
-    def scaled(self, factor) -> "RateVector":
-        factor = Fraction(factor)
-        return RateVector(self.ground, tuple(v * factor for v in self.values), self.domain)
 
     def as_dict(self) -> dict:
         """Each user of the domain mapped to its rate."""

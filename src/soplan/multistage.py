@@ -5,7 +5,9 @@ omniscience inside it, and merges its members into a single super user
 that observes everything they observed.  Everyone else keeps their own
 observation plus every coding row broadcast so far.  The process
 repeats on the shrunken system until no complementary subset remains;
-the finishing sweep then yields the residual stage covering everybody.
+a residual stage covering everybody then finishes the plan.  Every
+stage's rates are the certified witness of
+:func:`~soplan.omniscience.min_sum_rate` on its target.
 Stage rates always add up to the single-shot minimum sum-rate, so the
 staging is free in total cost while letting small groups finish early.
 
@@ -416,23 +418,11 @@ def _synthesize_stage(
 
 
 def _find_subset(system: MergedSystem, model: str, alpha_mode: str):
-    """One subset search plus certification, falling back to the exact
-    alpha if the cheap alpha's outcome ever failed to certify."""
-    alpha = (
-        AlphaChoice.lower_bound(system.source, model)
-        if alpha_mode == LOWER_BOUND
-        else AlphaChoice.exact(system.source, model)
-    )
+    """One certified subset search on the current system."""
+    choose = AlphaChoice.lower_bound if alpha_mode == LOWER_BOUND else AlphaChoice.exact
+    alpha = choose(system.source, model)
     outcome = comp_set_so(system.source, alpha)
-    try:
-        certificate = certify_outcome(system.source, alpha, outcome)
-    except CertificationError:
-        if alpha.mode == EXACT:
-            raise
-        alpha = AlphaChoice.exact(system.source, model)
-        outcome = comp_set_so(system.source, alpha)
-        certificate = certify_outcome(system.source, alpha, outcome)
-    return outcome, certificate
+    return outcome, certify_outcome(system.source, alpha, outcome)
 
 
 def _plan_pass(source: PacketSource, model: str, seed: int, chunk_factor: int, alpha_mode: str) -> PlanBuild:
@@ -449,27 +439,19 @@ def _plan_pass(source: PacketSource, model: str, seed: int, chunk_factor: int, a
     stages = []
     while True:
         outcome, certificate = _find_subset(system, model, alpha_mode)
-        if outcome.subset is None:
-            chunk_rates = outcome.rates.as_dict()
-            _integral_chunk_counts(chunk_rates)
-            stage = _stage_from_local(system, system.ground.full_mask, chunk_rates, chunk_factor)
-            emitted = stage.total > 0
-            builds.append(
-                StageBuild(system, system.ground.full_mask, chunk_rates, certificate, stage, emitted)
-            )
-            if emitted:
-                stages.append(stage)
-            break
-        mask = outcome.subset
+        # a completed sweep leaves the whole system as the final target
+        final = outcome.subset is None
+        mask = system.ground.full_mask if final else outcome.subset
         chunk_rates = min_sum_rate(system.source, mask, model).rates.as_dict()
         _integral_chunk_counts(chunk_rates)
-        merged = _synthesize_stage(system, mask, chunk_rates, model, rng)
         stage = _stage_from_local(system, mask, chunk_rates, chunk_factor)
         emitted = stage.total > 0
         builds.append(StageBuild(system, mask, chunk_rates, certificate, stage, emitted))
         if emitted:
             stages.append(stage)
-        system = merged
+        if final:
+            break
+        system = _synthesize_stage(system, mask, chunk_rates, model, rng)
 
     plan = StagePlan(ground, model, tuple(stages), chunk_factor, field.order, seed)
     want = min_sum_rate(source, None, model).value

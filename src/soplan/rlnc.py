@@ -203,28 +203,6 @@ def _spans_columns(space: RowSpace, columns: int) -> bool:
     return True
 
 
-def decode_check(
-    source: PacketSource,
-    user,
-    received_rows,
-    target,
-    chunk_factor: int,
-    field_order: int,
-) -> bool:
-    """Can ``user`` reconstruct every packet held inside ``target``
-    from its own observation plus ``received_rows``?"""
-    lifted = source.lift(chunk_factor, field_order)
-    if user not in lifted.coverage:
-        raise DomainError(f"unknown user {user!r}")
-    space = lifted.row_space([user])
-    for row in received_rows:
-        space.add(row)
-    needed = 0
-    for label in source.ground.labels_of(source.ground.mask(target)):
-        needed |= lifted.coverage[label]
-    return _spans_columns(space, needed)
-
-
 def execute_plan(source: PacketSource, plan: "StagePlan", seed: int = None) -> Transcript:
     """Run a stage plan and report per-user decode results.
 

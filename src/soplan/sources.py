@@ -285,18 +285,6 @@ class TableSource(_SourceBase):
 Source = PacketSource | LinearSource | TableSource
 
 
-def conditional_entropy(source: Source, subset: SubsetLike, given: SubsetLike) -> Fraction:
-    """H(A | C) = H(A united with C) - H(C) for disjoint A and C."""
-    a = source.ground.mask(subset)
-    c = source.ground.mask(given)
-    if a & c:
-        raise DomainError(
-            f"conditional entropy needs disjoint sets, got overlap "
-            f"{source.ground.format(a & c)}"
-        )
-    return source.entropy(a | c) - source.entropy(c)
-
-
 @dataclass(frozen=True)
 class Violation:
     kind: str  # "normalization" | "monotonicity" | "submodularity"

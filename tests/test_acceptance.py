@@ -9,29 +9,25 @@ from fractions import Fraction
 
 from soplan import (
     ASYMPTOTIC,
-    EXACT,
-    LOWER_BOUND,
     NON_ASYMPTOTIC,
     AlphaChoice,
-    AlphaFunction,
     GroundSet,
     LinearSource,
     RateVector,
-    alpha_lower_bound,
-    build_plan,
     certify_outcome,
     check_sw_achievable,
     comp_set_so,
     complementary_by_lower_bound,
-    dilworth_truncation,
     enumerate_complementary,
     execute_plan,
     is_complementary,
     min_sum_rate,
-    optimal_rate_vector,
     plan_multistage,
-    run_rate_update,
 )
+from soplan.compsetso import EXACT, LOWER_BOUND, alpha_lower_bound
+from soplan.multistage import build_plan
+from soplan.omniscience import optimal_rate_vector
+from soplan.submodular import AlphaFunction, dilworth_truncation, run_rate_update
 from tests.conftest import (
     make_cyclic_triple,
     make_five_user,

@@ -22,11 +22,11 @@ from soplan import (
     RateVector,
     check_sw_achievable,
     dump_source,
-    induced_table,
     load_plan,
     load_source,
     plan_multistage,
 )
+from soplan.sources import induced_table
 from tests.conftest import make_five_user, make_cyclic_triple
 
 
@@ -141,6 +141,26 @@ class TestNonAsymptoticPastEntropy:
         path = _independent_table(tmp_path, ["x", "y"])
         assert cli.main(["compset", path, "--model", "non-asymptotic"]) == 2
         assert "alpha = 3 outside [0, H(V)] = [0, 5/2]" in capsys.readouterr().err
+
+
+class TestNonAsymptoticFractionalTable:
+    """The integer-rate subset search needs integer entropies.  On this
+    table both alphas lie inside [0, H(V)] and the sweep exits at {1,2},
+    which is not complementary once R({1,2}) is ceiled to 1."""
+
+    ENTROPY = {
+        "1": "26/15", "2": "12/5", "3": "44/15",
+        "1,2": "12/5", "1,3": "44/15", "2,3": "18/5", "1,2,3": "18/5",
+    }
+
+    @pytest.mark.parametrize("alpha", ["exact", "lower-bound"])
+    def test_compset_refuses_the_table(self, alpha, tmp_path, capsys):
+        path = tmp_path / "fractional.json"
+        path.write_text(json.dumps({"model": "table", "users": [1, 2, 3], "entropy": self.ENTROPY}))
+        argv = ["compset", str(path), "--model", "non-asymptotic", "--alpha", alpha]
+        assert cli.main(argv) == 2
+        assert "needs integer entropies" in capsys.readouterr().err
+        assert cli.main(argv[:2] + ["--alpha", alpha]) == 0
 
 
 class TestPlan:
@@ -360,11 +380,15 @@ class TestMalformedInput:
     @given(st.data())
     def test_fuzzed_sources(self, data):
         doc = _mutate(data.draw(st.sampled_from((_PACKET_DOC, _TABLE_DOC))), data)
-        command = data.draw(st.sampled_from(("minrate", "validate", "plan")))
+        command, *flags = data.draw(
+            st.sampled_from(
+                ("minrate", "validate", "plan", "compset", "compset --model non-asymptotic")
+            )
+        ).split()
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "source.json"
             path.write_text(json.dumps(doc))
-            code, err = _run_quietly([command, str(path)])
+            code, err = _run_quietly([command, str(path), *flags])
         assert code in (0, 2), err
         assert "Traceback" not in err
         if code == 2:

@@ -13,16 +13,17 @@ from soplan import (
     ASYMPTOTIC,
     NON_ASYMPTOTIC,
     AlphaChoice,
+    CertificationError,
     DomainError,
     GroundSet,
     PacketSource,
-    alpha_lower_bound,
     certify_outcome,
     comp_set_so,
     complementary_by_lower_bound,
     is_complementary,
     min_sum_rate,
 )
+from soplan.compsetso import alpha_lower_bound
 from tests.conftest import random_packet_source
 
 
@@ -51,11 +52,6 @@ class TestAlphaChoice:
     def test_lower_bound_values(self, five_user):
         assert AlphaChoice.lower_bound(five_user, ASYMPTOTIC).value == Fraction(23, 4)
         assert AlphaChoice.lower_bound(five_user, NON_ASYMPTOTIC).value == 6
-
-    def test_custom_keeps_value(self):
-        choice = AlphaChoice.custom("11/3")
-        assert choice.value == Fraction(11, 3)
-        assert choice.mode == "custom"
 
     def test_bad_mode_rejected(self):
         with pytest.raises(DomainError):
@@ -137,19 +133,12 @@ class TestCertificates:
         certificate = certify_outcome(cyclic_triple, alpha, outcome)
         assert any("alpha = R(V)" in line for line in certificate.lines)
 
-    def test_custom_alpha_never_raises(self, five_user):
-        alpha = AlphaChoice.custom(0, ASYMPTOTIC)
+    def test_exact_mode_at_a_wrong_alpha_raises(self, five_user):
+        # an "exact" alpha that is not R(V) fails its own certificate
+        alpha = AlphaChoice("exact", ASYMPTOTIC, 0)
         outcome = comp_set_so(five_user, alpha)
-        certificate = certify_outcome(five_user, alpha, outcome)
-        assert not certificate.ok  # rates cannot sum to an alpha below R(V)
-        assert any("experimental" in line for line in certificate.lines)
-
-    def test_custom_alpha_at_the_optimum_checks_out(self, five_user):
-        alpha = AlphaChoice.custom(Fraction(13, 2), ASYMPTOTIC)
-        outcome = comp_set_so(five_user, alpha)
-        certificate = certify_outcome(five_user, alpha, outcome)
-        assert certificate.ok
-        assert "experimental" in str(certificate)
+        with pytest.raises(CertificationError, match="differs from the certified"):
+            certify_outcome(five_user, alpha, outcome)
 
 
 class TestSufficientCondition:

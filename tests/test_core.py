@@ -15,11 +15,8 @@ from soplan import (
     MAX_USERS,
     Partition,
     RateVector,
-    bit_positions,
-    enumerate_partitions,
-    iter_submasks,
-    parse_fraction,
 )
+from soplan.core import bit_positions, enumerate_partitions, iter_submasks, parse_fraction
 
 BELL = {1: 1, 2: 2, 3: 5, 4: 15, 5: 52, 6: 203}
 
@@ -78,13 +75,6 @@ class TestGroundSet:
         assert g.labels_of(g.mask(3)) == (1, 2)
         assert g.mask([3]) == 0b100
 
-    def test_prefix_mask(self):
-        g = GroundSet((1, 2, 3, 4))
-        assert g.prefix_mask(1) == 0b0001
-        assert g.prefix_mask(4) == g.full_mask
-        with pytest.raises(DomainError):
-            g.prefix_mask(0)
-
     def test_rejects_duplicates_and_tiny_ground(self):
         with pytest.raises(DomainError):
             GroundSet((1, 1))
@@ -137,11 +127,6 @@ class TestRateVector:
         b = RateVector.zeros(GroundSet((1, 3)))
         with pytest.raises(DomainError):
             a + b
-
-    def test_scaled(self):
-        g = GroundSet((1, 2))
-        r = RateVector.from_map(g, {1: Fraction(1, 2), 2: 1}).scaled(2)
-        assert r.rate(1) == 1 and r.rate(2) == 2
 
     def test_format(self):
         g = GroundSet((1, 2))

@@ -17,19 +17,16 @@ from soplan import (
     LinearSource,
     PacketSource,
     RateVector,
-    Stage,
     StagePlan,
-    build_plan,
     check_sw_achievable,
     dump_plan,
     execute_plan,
-    induced_table,
-    initial_system,
     load_plan,
-    merge_super_user,
     min_sum_rate,
     plan_multistage,
 )
+from soplan.multistage import Stage, build_plan, initial_system, merge_super_user
+from soplan.sources import induced_table
 
 
 def restricted_source(system, mask):

@@ -18,16 +18,13 @@ from soplan import (
     DomainError,
     Partition,
     RateVector,
-    SwCheck,
-    check_model,
     check_sw_achievable,
     enumerate_complementary,
     is_complementary,
-    enumerate_partitions,
-    iter_submasks,
     min_sum_rate,
-    optimal_rate_vector,
 )
+from soplan.core import enumerate_partitions, iter_submasks
+from soplan.omniscience import SwCheck, check_model, optimal_rate_vector
 from soplan import omniscience
 from tests.conftest import random_packet_source, random_rational_table
 

@@ -12,15 +12,13 @@ import pytest
 from soplan import (
     DomainError,
     FormatError,
-    FieldSpec,
     RateVector,
-    Stage,
     StagePlan,
-    choose_field,
-    decode_check,
     execute_plan,
     plan_multistage,
 )
+from soplan.multistage import Stage
+from soplan.rlnc import FieldSpec, choose_field
 from soplan.gf import RowSpace, is_prime, next_prime, random_combination
 
 
@@ -112,29 +110,6 @@ class TestChooseField:
             FieldSpec(5, 1, Fraction(3), 2)  # 5 <= 3*2
         with pytest.raises(DomainError):
             FieldSpec(9, 1, Fraction(2), 2)  # not prime
-
-
-class TestDecodeCheck:
-    def test_own_packets_always_decodable(self, five_user):
-        assert decode_check(five_user, 2, [], [2], 1, 53)
-
-    def test_missing_packets_block_decode(self, five_user):
-        # user 2 lacks d and g from user 1's packets
-        assert not decode_check(five_user, 2, [], [1], 1, 53)
-
-    def test_unit_rows_fill_the_gap(self, five_user):
-        lifted = five_user.lift(1, 53)
-        order = five_user.packet_order
-        rows = []
-        for packet in ("d", "g"):
-            row = [0] * lifted.width
-            row[order.index(packet)] = 1
-            rows.append(tuple(row))
-        assert decode_check(five_user, 2, rows, [1], 1, 53)
-
-    def test_unknown_user(self, five_user):
-        with pytest.raises(DomainError):
-            decode_check(five_user, 99, [], [1], 1, 53)
 
 
 class TestExecutePlan:

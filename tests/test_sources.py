@@ -17,15 +17,11 @@ from soplan import (
     LinearSource,
     PacketSource,
     TableSource,
-    conditional_entropy,
     dump_source,
-    induced_table,
     load_source,
-    reorder,
-    source_from_dict,
-    source_to_dict,
     validate_polymatroid,
 )
+from soplan.sources import induced_table, reorder, source_from_dict, source_to_dict
 from tests.conftest import random_packet_source
 
 
@@ -40,12 +36,6 @@ class TestPacketSource:
 
     def test_integral_flag(self, five_user):
         assert five_user.integral
-
-    def test_conditional_entropy(self, five_user):
-        assert conditional_entropy(five_user, [1], [2]) == 2
-        assert conditional_entropy(five_user, [2], [1]) == 0
-        with pytest.raises(DomainError):
-            conditional_entropy(five_user, [1, 2], [2])
 
     def test_unknown_user_rejected(self):
         g = GroundSet((1, 2))

@@ -11,16 +11,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from soplan import (
+    ASYMPTOTIC,
     AlphaChoice,
-    AlphaFunction,
     DomainError,
-    alpha_lower_bound,
     TableSource,
     comp_set_so,
-    dilworth_truncation,
-    enumerate_partitions,
-    induced_table,
     min_sum_rate,
+)
+from soplan.compsetso import alpha_lower_bound
+from soplan.core import enumerate_partitions
+from soplan.submodular import (
+    AlphaFunction,
+    dilworth_truncation,
     minimize_over_prefix,
     run_rate_update,
 )
@@ -49,9 +51,9 @@ class TestAlphaFunction:
         for value in (Fraction(-1), Fraction(21, 2)):
             AlphaFunction(five_user, value)
             with pytest.raises(DomainError, match=r"outside \[0, H\(V\)\]"):
-                comp_set_so(five_user, AlphaChoice.custom(value))
-        comp_set_so(five_user, AlphaChoice.custom(0))
-        comp_set_so(five_user, AlphaChoice.custom(10))
+                comp_set_so(five_user, AlphaChoice("exact", ASYMPTOTIC, value))
+        comp_set_so(five_user, AlphaChoice("exact", ASYMPTOTIC, 0))
+        comp_set_so(five_user, AlphaChoice("exact", ASYMPTOTIC, 10))
 
 
 class TestDilworthTruncation:
