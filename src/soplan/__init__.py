@@ -43,12 +43,7 @@ from .omniscience import (
     is_complementary,
     min_sum_rate,
 )
-from .compsetso import (
-    AlphaChoice,
-    certify_outcome,
-    comp_set_so,
-    complementary_by_lower_bound,
-)
+from .compsetso import comp_set_so, complementary_by_lower_bound
 from .multistage import StagePlan, dump_plan, load_plan, plan_multistage
 from .rlnc import execute_plan
 
@@ -76,9 +71,7 @@ __all__ = [
     "check_sw_achievable",
     "is_complementary",
     "enumerate_complementary",
-    "AlphaChoice",
     "comp_set_so",
-    "certify_outcome",
     "complementary_by_lower_bound",
     "StagePlan",
     "plan_multistage",

@@ -22,7 +22,7 @@ import argparse
 import json
 import sys
 
-from .compsetso import EXACT, AlphaChoice, certify_outcome, comp_set_so
+from .compsetso import comp_set_so
 from .core import CertificationError, DomainError, FormatError, PlanningError
 from .multistage import load_plan, plan_multistage
 from .omniscience import enumerate_complementary, min_sum_rate, optimal_rate_vector
@@ -83,23 +83,17 @@ def _cmd_minrate(args) -> int:
 def _cmd_compset(args) -> int:
     source = _load_ordered(args)
     model = _canonical(args.model)
-    mode = _canonical(args.alpha)
-    if mode == EXACT:
-        alpha = AlphaChoice.exact(source, model)
-    else:
-        alpha = AlphaChoice.lower_bound(source, model)
-    outcome = comp_set_so(source, alpha)
-    certificate = certify_outcome(source, alpha, outcome)
+    outcome = comp_set_so(source, model, _canonical(args.alpha))
     ground = source.ground
     print(f"model: {model}")
-    print(f"alpha: {alpha.value} ({mode})")
+    print(f"alpha: {outcome.alpha} ({outcome.mode})")
     if outcome.subset is not None:
         print(f"complementary subset: {ground.format(outcome.subset)}")
         print(f"found at position: {outcome.exit_position}")
     else:
         print("no complementary subset found")
         print(f"rates: {outcome.rates.format()}")
-    print(certificate)
+    print(outcome.certificate)
     return EXIT_OK
 
 

@@ -13,20 +13,21 @@ Alpha is chosen in one of two modes:
   additionally proves that alpha was R(V) all along, so the finished
   rates are an optimal omniscience rate vector.
 
-:func:`comp_set_so` refuses an alpha outside [0, H(V)].  In the
-non-asymptotic model it also refuses a source with a fractional entropy:
-the guarantee that an early exit is complementary there assumes integer
-entropies, and with a fractional one the ceiling on R(X) can break it.
+:func:`comp_set_so` computes alpha itself, so it always lies in
+[0, H(V)].  In the non-asymptotic model it refuses a source with a
+fractional entropy: the guarantee that an early exit is complementary
+there assumes integer entropies, and with a fractional one the ceiling
+on R(X) can break it.
 
-Every outcome is certified against the minimum sum-rates of
-:mod:`soplan.omniscience`, each of which carries its own primal-dual
-witness; a failed certificate is a bug and raises
-:class:`CertificationError`.
+:func:`comp_set_so` certifies every outcome before returning it,
+against the minimum sum-rates of :mod:`soplan.omniscience`, each of
+which carries its own primal-dual witness; a failed check is a bug and
+raises :class:`CertificationError`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .core import CertificationError, DomainError, Partition, RateVector, SubsetLike
@@ -58,69 +59,56 @@ def alpha_lower_bound(source, model: str = ASYMPTOTIC) -> Fraction:
 
 
 @dataclass(frozen=True)
-class AlphaChoice:
-    """A parameter value together with how it was chosen, which decides
-    what the certificate may claim."""
+class Certificate:
+    """Human-checkable evidence for an outcome."""
 
-    mode: str
-    model: str
-    value: Fraction
+    summary: str
+    lines: tuple
 
-    def __post_init__(self):
-        if self.mode not in (EXACT, LOWER_BOUND):
-            raise DomainError(f"unknown alpha mode {self.mode!r}")
-        check_model(self.model)
-        object.__setattr__(self, "value", Fraction(self.value))
-
-    @classmethod
-    def exact(cls, source, model: str = ASYMPTOTIC) -> "AlphaChoice":
-        return cls(EXACT, model, min_sum_rate(source, None, model).value)
-
-    @classmethod
-    def lower_bound(cls, source, model: str = ASYMPTOTIC) -> "AlphaChoice":
-        return cls(LOWER_BOUND, model, alpha_lower_bound(source, model))
+    def __str__(self) -> str:
+        return "\n".join((self.summary,) + self.lines)
 
 
 @dataclass(frozen=True)
 class CompSetOutcome:
-    """Either a complementary subset (mask) or, if the sweep completed,
-    the finished rate vector.  ``exit_position`` is the 1-based user
-    position whose prefix surfaced the subset."""
+    """One search: how alpha was chosen and its value, then either a
+    complementary subset (mask) or, if the sweep completed, the finished
+    rate vector.  ``exit_position`` is the 1-based user position whose
+    prefix surfaced the subset.  :func:`comp_set_so` returns outcomes
+    with their ``certificate``."""
 
+    mode: str
+    model: str
+    alpha: Fraction
     subset: int | None
     rates: RateVector | None
     exit_position: int | None
     candidates_examined: int
+    certificate: Certificate | None = None
 
 
-def comp_set_so(source, alpha: AlphaChoice) -> CompSetOutcome:
-    """Run the single-sweep search with the given alpha choice, which
-    must lie in [0, H(V)]; the non-asymptotic model also needs integer
-    entropies."""
-    h_total = source.entropy(source.ground.full_mask)
-    if not 0 <= alpha.value <= h_total:
-        raise DomainError(f"alpha = {alpha.value} outside [0, H(V)] = [0, {h_total}]")
-    if alpha.model == NON_ASYMPTOTIC and not source.integral:
+def comp_set_so(source, model: str = ASYMPTOTIC, mode: str = EXACT) -> CompSetOutcome:
+    """Run the single-sweep search at the alpha that ``mode`` names and
+    return the certified outcome.  The non-asymptotic model needs
+    integer entropies."""
+    if mode not in (EXACT, LOWER_BOUND):
+        raise DomainError(f"unknown alpha mode {mode!r}")
+    if model == NON_ASYMPTOTIC and not source.integral:
         raise DomainError(
             "the non-asymptotic subset search needs integer entropies; "
             "this source has a fractional one"
         )
-    af = AlphaFunction(source, alpha.value)
-    run = run_rate_update(af, early_exit=True)
-    if run.exit_subset is not None:
-        return CompSetOutcome(
-            subset=run.exit_subset,
-            rates=None,
-            exit_position=run.exit_position,
-            candidates_examined=run.candidates_examined,
-        )
-    rates = RateVector(source.ground, run.rates, source.ground.full_mask)
-    return CompSetOutcome(
-        subset=None,
-        rates=rates,
-        exit_position=None,
-        candidates_examined=run.candidates_examined,
+    if mode == EXACT:
+        alpha = min_sum_rate(source, None, model).value
+    else:
+        alpha = alpha_lower_bound(source, model)
+    run = run_rate_update(AlphaFunction(source, alpha), early_exit=True)
+    ground = source.ground
+    rates = None if run.exit_subset is not None else RateVector(ground, run.rates, ground.full_mask)
+    outcome = CompSetOutcome(
+        mode, model, alpha, run.exit_subset, rates, run.exit_position, run.candidates_examined
     )
+    return replace(outcome, certificate=certify_outcome(source, outcome))
 
 
 def complementary_by_lower_bound(source, subset: SubsetLike, model: str = ASYMPTOTIC) -> bool:
@@ -149,111 +137,76 @@ def complementary_by_lower_bound(source, subset: SubsetLike, model: str = ASYMPT
     return value == af.value(mask)
 
 
-@dataclass(frozen=True)
-class Certificate:
-    """Human-checkable evidence for an outcome."""
-
-    ok: bool
-    summary: str
-    lines: tuple
-
-    def __str__(self) -> str:
-        return "\n".join((self.summary,) + self.lines)
-
-
-def certify_outcome(source, alpha: AlphaChoice, outcome: CompSetOutcome) -> Certificate:
+def certify_outcome(source, outcome: CompSetOutcome) -> Certificate:
     """Check an outcome against the certified minimum sum-rates.
 
     Subset outcomes are certified complementary via the direct
     inequality; finished rates are certified achievable with total
-    alpha, and in ``lower_bound`` mode alpha itself is certified equal
-    to the minimum sum-rate.  A failure raises
-    :class:`CertificationError`.
+    alpha.  Exact mode, and a completed sweep in either mode, also claim
+    that alpha is the minimum sum-rate, which is checked too.  A failed
+    check raises :class:`CertificationError` naming it.
     """
     ground = source.ground
-    model = alpha.model
-    lines = [f"alpha = {alpha.value} (mode {alpha.mode}, model {model})"]
-    ok = True
-
-    if alpha.mode == EXACT:
-        oracle = min_sum_rate(source, None, model).value
-        if alpha.value == oracle:
-            lines.append(f"alpha equals the certified minimum sum-rate {oracle}")
-        else:
-            ok = False
-            lines.append(f"alpha differs from the certified minimum sum-rate {oracle}")
+    model, mode, alpha = outcome.model, outcome.mode, outcome.alpha
+    r_v = min_sum_rate(source, None, model).value
+    lines = [f"alpha = {alpha} (mode {mode}, model {model})"]
+    if mode == EXACT:
+        lines.append(f"alpha equals the certified minimum sum-rate {r_v}")
 
     if outcome.subset is not None:
         mask = outcome.subset
         h_v = source.entropy(ground.full_mask)
         h_x = source.entropy(mask)
         r_x = min_sum_rate(source, mask, model).value
-        r_v = min_sum_rate(source, None, model).value
         lhs = h_v - h_x + r_x
         holds = lhs <= r_v
-        ok = ok and holds
-        rel = "<=" if holds else ">"
-        lines.append(
+        inequality = (
             f"subset {ground.format(mask)}: H(V) - H(X) + R(X) = "
-            f"{h_v} - {h_x} + {r_x} = {lhs} {rel} {r_v} = R(V)"
+            f"{h_v} - {h_x} + {r_x} = {lhs} {'<=' if holds else '>'} {r_v} = R(V)"
         )
+        if not holds:
+            raise CertificationError(
+                f"{ground.format(mask)} FAILED the complementarity check ({model}): {inequality}"
+            )
+        lines.append(inequality)
         if outcome.exit_position is not None:
             lines.append(f"surfaced at user position {outcome.exit_position}")
-        if alpha.mode == LOWER_BOUND:
+        if mode == LOWER_BOUND:
             lines.append(
                 "note: only the returned subset is certified; other complementary "
                 "subsets may exist"
             )
-        summary = (
-            f"{ground.format(mask)} certified complementary ({model})"
-            if holds
-            else f"{ground.format(mask)} FAILED the complementarity check ({model})"
-        )
+        summary = f"{ground.format(mask)} certified complementary ({model})"
     else:
         rates = outcome.rates
-        total = rates.total
-        if total == alpha.value:
-            lines.append(f"finished rates {rates.format()} sum to alpha = {total}")
-        else:
-            ok = False
-            lines.append(f"finished rates sum to {total}, not alpha = {alpha.value}")
+        if rates.total != alpha:
+            raise CertificationError(f"finished rates sum to {rates.total}, not alpha = {alpha}")
+        lines.append(f"finished rates {rates.format()} sum to alpha = {alpha}")
         check = check_sw_achievable(source, ground.full_mask, rates)
-        if check.ok:
-            lines.append("rates satisfy every omniscience constraint on V")
-        else:
-            ok = False
-            lines.append(
+        if not check.ok:
+            raise CertificationError(
                 f"rates violate the constraint for {ground.format(check.violating)} "
                 f"by {check.deficit}"
             )
+        lines.append("rates satisfy every omniscience constraint on V")
         if model == NON_ASYMPTOTIC:
-            if all(v.denominator == 1 for v in rates.values):
-                lines.append("all entries are integers, as the non-asymptotic model requires")
-            else:
-                ok = False
-                lines.append("non-integer entry in a non-asymptotic rate vector")
-        if alpha.mode == LOWER_BOUND:
-            oracle = min_sum_rate(source, None, model).value
-            if alpha.value == oracle:
-                lines.append(
-                    f"alpha = R(V) = {oracle}: no complementary subset exists and the "
-                    "finished rates are an optimal omniscience rate vector"
-                )
-            else:
-                ok = False
-                lines.append(f"alpha differs from the certified minimum sum-rate {oracle}")
+            if any(v.denominator != 1 for v in rates.values):
+                raise CertificationError("non-integer entry in a non-asymptotic rate vector")
+            lines.append("all entries are integers, as the non-asymptotic model requires")
+        if mode == LOWER_BOUND:
+            lines.append(
+                f"alpha = R(V) = {r_v}: no complementary subset exists and the "
+                "finished rates are an optimal omniscience rate vector"
+            )
         else:
             lines.append(
                 "sweep completed at the exact minimum sum-rate: no complementary "
                 "subset exists and the finished rates are optimal"
             )
-        summary = (
-            f"finished rates certified optimal ({model})"
-            if ok
-            else f"finished rates FAILED certification ({model})"
-        )
+        summary = f"finished rates certified optimal ({model})"
 
-    certificate = Certificate(ok, summary, tuple(lines))
-    if not ok:
-        raise CertificationError(str(certificate))
-    return certificate
+    if (mode == EXACT or outcome.subset is None) and alpha != r_v:
+        raise CertificationError(
+            f"alpha differs from the certified minimum sum-rate {r_v}: alpha = {alpha}"
+        )
+    return Certificate(summary, tuple(lines))

@@ -54,15 +54,8 @@ from .core import (
     bit_positions,
     parse_fraction,
 )
-from .omniscience import ASYMPTOTIC, NON_ASYMPTOTIC, check_model, is_complementary, min_sum_rate
-from .compsetso import (
-    EXACT,
-    LOWER_BOUND,
-    AlphaChoice,
-    Certificate,
-    certify_outcome,
-    comp_set_so,
-)
+from .omniscience import ASYMPTOTIC, NON_ASYMPTOTIC, check_model, min_sum_rate
+from .compsetso import LOWER_BOUND, comp_set_so
 from .rlnc import choose_field, draw_stage
 from .sources import LinearSource, PacketSource
 
@@ -261,22 +254,16 @@ def initial_system(source: PacketSource, chunk_factor: int, field_order: int) ->
     return MergedSystem(source.ground, linear, label_map, source.ground)
 
 
-def merge_super_user(
-    system: MergedSystem,
-    subset: SubsetLike,
-    transmissions,
-    model: str = ASYMPTOTIC,
-    certified: bool = False,
-) -> MergedSystem:
+def merge_super_user(system: MergedSystem, subset: SubsetLike, transmissions) -> MergedSystem:
     """Merge the members of ``subset`` into one super user.
 
     The super user observes everything its members observe (their
     coverage ORed, their table rows united) and takes the position of
     the earliest member.  The stage's ``transmissions`` join the shared
     row table once, and every remaining user hears them on top of its
-    own observation.  Unless ``certified`` says
-    the caller already certified it, the subset must pass the
-    complementarity oracle, otherwise the merge is refused.
+    own observation.  Any non-singleton proper subset merges; the
+    planner passes only subsets that :func:`~soplan.compsetso.comp_set_so`
+    certified complementary.
     """
     ground = system.ground
     mask = ground.mask(subset)
@@ -284,10 +271,6 @@ def merge_super_user(
         raise DomainError("refusing to merge a singleton; a super user needs two members")
     if mask == ground.full_mask:
         raise DomainError("refusing to merge the entire system")
-    if not certified and not is_complementary(system.source, mask, model):
-        raise DomainError(
-            f"refusing to merge {ground.format(mask)}: not certified complementary"
-        )
     members = ground.labels_of(mask)
     source = system.source
     q, width = source.field_order, source.width
@@ -332,15 +315,13 @@ def merge_super_user(
 @dataclass(frozen=True)
 class StageBuild:
     """Planner-internal record of one stage: the system it was planned
-    on, the target in that system's labels, the local rates in chunk
-    units, and the certificate of the subset search that produced it.
-    ``emitted`` is False for zero-rate stages, which are merged through
-    but dropped from the plan."""
+    on, the target in that system's labels and the local rates in chunk
+    units.  ``emitted`` is False for zero-rate stages, which are merged
+    through but dropped from the plan."""
 
     system: MergedSystem
     target: int
     chunk_rates: Mapping
-    certificate: Certificate
     stage: Stage
     emitted: bool
 
@@ -402,9 +383,7 @@ def _synthesize_stage(
     def accept(trial, rows) -> bool:
         if any(trial[m].rank != target_rank for m in members):
             return False
-        merged.append(
-            merge_super_user(system, mask, [row for _, row in rows], model, certified=True)
-        )
+        merged.append(merge_super_user(system, mask, [row for _, row in rows]))
         return min_sum_rate(merged[-1].source, None, model).value == expected
 
     counts = {m: int(chunk_rates[m]) for m in members}
@@ -415,14 +394,6 @@ def _synthesize_stage(
             f"ranks in {draw.attempts} attempts; try another seed"
         )
     return merged[-1]
-
-
-def _find_subset(system: MergedSystem, model: str, alpha_mode: str):
-    """One certified subset search on the current system."""
-    choose = AlphaChoice.lower_bound if alpha_mode == LOWER_BOUND else AlphaChoice.exact
-    alpha = choose(system.source, model)
-    outcome = comp_set_so(system.source, alpha)
-    return outcome, certify_outcome(system.source, alpha, outcome)
 
 
 def _plan_pass(source: PacketSource, model: str, seed: int, chunk_factor: int, alpha_mode: str) -> PlanBuild:
@@ -438,7 +409,7 @@ def _plan_pass(source: PacketSource, model: str, seed: int, chunk_factor: int, a
     builds = []
     stages = []
     while True:
-        outcome, certificate = _find_subset(system, model, alpha_mode)
+        outcome = comp_set_so(system.source, model, alpha_mode)
         # a completed sweep leaves the whole system as the final target
         final = outcome.subset is None
         mask = system.ground.full_mask if final else outcome.subset
@@ -446,7 +417,7 @@ def _plan_pass(source: PacketSource, model: str, seed: int, chunk_factor: int, a
         _integral_chunk_counts(chunk_rates)
         stage = _stage_from_local(system, mask, chunk_rates, chunk_factor)
         emitted = stage.total > 0
-        builds.append(StageBuild(system, mask, chunk_rates, certificate, stage, emitted))
+        builds.append(StageBuild(system, mask, chunk_rates, stage, emitted))
         if emitted:
             stages.append(stage)
         if final:
@@ -473,8 +444,6 @@ def build_plan(
     check_model(model)
     if not isinstance(source, PacketSource):
         raise DomainError("staged planning synthesizes coding rows and needs a packet source")
-    if alpha_mode not in (EXACT, LOWER_BOUND):
-        raise DomainError(f"alpha mode for planning must be exact or lower_bound, not {alpha_mode!r}")
     chunk_factor = 1
     for _ in range(MAX_RESTARTS):
         try:

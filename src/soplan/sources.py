@@ -362,11 +362,6 @@ def reorder(source: Source, labels: Iterable) -> Source:
         raise DomainError("reorder must use exactly the existing user labels")
     if isinstance(source, PacketSource):
         return PacketSource(new_ground, source.possession)
-    if isinstance(source, LinearSource):
-        return LinearSource.from_parts(
-            new_ground, source.field_order, source.width,
-            source.coverage, source.row_table, source.row_sets,
-        )
     if isinstance(source, TableSource):
         table = {}
         for new_mask in range(new_ground.full_mask + 1):

@@ -28,7 +28,6 @@ from .core import (
     DomainError,
     GroundSet,
     Partition,
-    RateVector,
     SubsetLike,
     bit_positions,
     submask_sums,
@@ -107,8 +106,9 @@ def minimize_over_prefix(af: AlphaFunction, rates, position: int, within: Subset
     ``{X : position's user in X, X inside the first `position` users}``,
     and inside ``within`` when given (default: the whole ground set).
 
-    ``position`` is 1-based in ground order; candidates are enumerated
-    by ascending mask value, which fixes the order of ``minimizers``.
+    ``rates`` holds one rational per ground position.  ``position`` is
+    1-based in ground order; candidates are enumerated by ascending mask
+    value, which fixes the order of ``minimizers``.
     "Proper" in ``nonsingleton_proper_minimizer`` means other than
     ``within`` itself.
     """
@@ -119,17 +119,13 @@ def minimize_over_prefix(af: AlphaFunction, rates, position: int, within: Subset
     top = 1 << (position - 1)
     if not whole & top:
         raise DomainError(f"position {position} lies outside {ground.format(whole)}")
-    if isinstance(rates, RateVector):
-        values = list(rates.values)
-    else:
-        values = [Fraction(v) for v in rates]
-        if len(values) != ground.size:
-            raise DomainError("rate sequence length does not match the ground set")
+    if len(rates) != ground.size:
+        raise DomainError("rate sequence length does not match the ground set")
 
     # For X = sub + top, g(X) = (shift - r(top)) + H(X) - r(sub); the part
     # in brackets is the same for every candidate, so only the rest is
     # compared.
-    submasks, rate_sums = submask_sums(whole & (top - 1), values)
+    submasks, rate_sums = submask_sums(whole & (top - 1), rates)
     entropy = af.source.entropy
     best = None
     minimizers: list = []
@@ -150,7 +146,7 @@ def minimize_over_prefix(af: AlphaFunction, rates, position: int, within: Subset
     eligible = [m for m in minimizers if m.bit_count() >= 2 and m != whole]
     chosen = min(eligible, key=lambda m: (m.bit_count(), m)) if eligible else None
     return SfmResult(
-        min_value=af._shift - values[position - 1] + best,
+        min_value=af._shift - rates[position - 1] + best,
         minimizers=tuple(minimizers),
         minimal_minimizer=minimal,
         maximal_minimizer=maximal,

@@ -10,11 +10,9 @@ from fractions import Fraction
 from soplan import (
     ASYMPTOTIC,
     NON_ASYMPTOTIC,
-    AlphaChoice,
     GroundSet,
     LinearSource,
     RateVector,
-    certify_outcome,
     check_sw_achievable,
     comp_set_so,
     complementary_by_lower_bound,
@@ -123,25 +121,24 @@ def test_criterion_4_single_sweep_search_four_alphas():
     source = make_five_user()
     target = source.ground.mask([1, 2])
     cases = (
-        (AlphaChoice.exact(source, ASYMPTOTIC), FIVE_USER_ASYMPTOTIC),
-        (AlphaChoice.exact(source, NON_ASYMPTOTIC), FIVE_USER_NON_ASYMPTOTIC),
-        (AlphaChoice.lower_bound(source, ASYMPTOTIC), Fraction(23, 4)),
-        (AlphaChoice.lower_bound(source, NON_ASYMPTOTIC), Fraction(6)),
+        (EXACT, ASYMPTOTIC, FIVE_USER_ASYMPTOTIC),
+        (EXACT, NON_ASYMPTOTIC, FIVE_USER_NON_ASYMPTOTIC),
+        (LOWER_BOUND, ASYMPTOTIC, Fraction(23, 4)),
+        (LOWER_BOUND, NON_ASYMPTOTIC, Fraction(6)),
     )
-    for alpha, expected_value in cases:
-        assert alpha.value == expected_value
-        outcome = comp_set_so(source, alpha)
+    for mode, model, expected_value in cases:
+        outcome = comp_set_so(source, model, mode)
+        assert outcome.alpha == expected_value
         assert outcome.subset == target
-        if alpha.mode == EXACT:
+        if mode == EXACT:
             assert outcome.exit_position == 2
-        assert certify_outcome(source, alpha, outcome).ok
     _passed(4, "{1,2} found under all four alpha settings, exact cases at i = 2")
 
 
 def test_criterion_5_degenerate_triples():
     cyclic = make_cyclic_triple()
     assert min_sum_rate(cyclic, None, ASYMPTOTIC).value == Fraction(3, 2)
-    outcome = comp_set_so(cyclic, AlphaChoice.exact(cyclic, ASYMPTOTIC))
+    outcome = comp_set_so(cyclic, ASYMPTOTIC, EXACT)
     assert outcome.subset is None
     half = Fraction(1, 2)
     assert outcome.rates.as_dict() == {1: half, 2: half, 3: half}
@@ -235,16 +232,10 @@ def test_criterion_8_randomized_oracle_equivalence(source_corpus):
                     assert mask in listed
 
             for mode in (EXACT, LOWER_BOUND):
-                alpha = (
-                    AlphaChoice.exact(source, model)
-                    if mode == EXACT
-                    else AlphaChoice.lower_bound(source, model)
-                )
-                outcome = comp_set_so(source, alpha)
-                assert certify_outcome(source, alpha, outcome).ok
+                outcome = comp_set_so(source, model, mode)
                 if outcome.subset is None:
                     oracle = min_sum_rate(source, None, model).value
-                    assert alpha.value == oracle
+                    assert outcome.alpha == oracle
                     assert check_sw_achievable(source, ground.full_mask, outcome.rates).ok
             vector = optimal_rate_vector(source, model)
             assert check_sw_achievable(source, ground.full_mask, vector).ok

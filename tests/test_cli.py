@@ -140,13 +140,13 @@ class TestNonAsymptoticPastEntropy:
     def test_compset_refuses_alpha_past_entropy(self, tmp_path, capsys):
         path = _independent_table(tmp_path, ["x", "y"])
         assert cli.main(["compset", path, "--model", "non-asymptotic"]) == 2
-        assert "alpha = 3 outside [0, H(V)] = [0, 5/2]" in capsys.readouterr().err
+        assert "needs integer entropies" in capsys.readouterr().err
 
 
 class TestNonAsymptoticFractionalTable:
     """The integer-rate subset search needs integer entropies.  On this
-    table both alphas lie inside [0, H(V)] and the sweep exits at {1,2},
-    which is not complementary once R({1,2}) is ceiled to 1."""
+    table both alphas lie inside [0, H(V)] and the sweep would exit at
+    {1,2}, which is not complementary once R({1,2}) is ceiled to 1."""
 
     ENTROPY = {
         "1": "26/15", "2": "12/5", "3": "44/15",

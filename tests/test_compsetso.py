@@ -3,6 +3,7 @@ its certificates."""
 
 from __future__ import annotations
 
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -12,18 +13,23 @@ from hypothesis import strategies as st
 from soplan import (
     ASYMPTOTIC,
     NON_ASYMPTOTIC,
-    AlphaChoice,
     CertificationError,
     DomainError,
     GroundSet,
     PacketSource,
-    certify_outcome,
+    RateVector,
     comp_set_so,
     complementary_by_lower_bound,
     is_complementary,
     min_sum_rate,
 )
-from soplan.compsetso import alpha_lower_bound
+from soplan.compsetso import (
+    EXACT,
+    LOWER_BOUND,
+    CompSetOutcome,
+    alpha_lower_bound,
+    certify_outcome,
+)
 from tests.conftest import random_packet_source
 
 
@@ -46,56 +52,50 @@ class TestAlphaLowerBound:
 
 class TestAlphaChoice:
     def test_exact_values(self, five_user):
-        assert AlphaChoice.exact(five_user, ASYMPTOTIC).value == Fraction(13, 2)
-        assert AlphaChoice.exact(five_user, NON_ASYMPTOTIC).value == 7
+        assert comp_set_so(five_user, ASYMPTOTIC, EXACT).alpha == Fraction(13, 2)
+        assert comp_set_so(five_user, NON_ASYMPTOTIC, EXACT).alpha == 7
 
     def test_lower_bound_values(self, five_user):
-        assert AlphaChoice.lower_bound(five_user, ASYMPTOTIC).value == Fraction(23, 4)
-        assert AlphaChoice.lower_bound(five_user, NON_ASYMPTOTIC).value == 6
+        assert comp_set_so(five_user, ASYMPTOTIC, LOWER_BOUND).alpha == Fraction(23, 4)
+        assert comp_set_so(five_user, NON_ASYMPTOTIC, LOWER_BOUND).alpha == 6
 
-    def test_bad_mode_rejected(self):
+    def test_bad_mode_rejected(self, five_user):
         with pytest.raises(DomainError):
-            AlphaChoice("guesswork", ASYMPTOTIC, Fraction(1))
+            comp_set_so(five_user, ASYMPTOTIC, "guesswork")
 
 
 class TestCompSetSo:
     @pytest.mark.parametrize(
-        "maker,model,expected_alpha",
+        "mode,model,expected_alpha",
         [
-            (AlphaChoice.exact, ASYMPTOTIC, Fraction(13, 2)),
-            (AlphaChoice.exact, NON_ASYMPTOTIC, Fraction(7)),
-            (AlphaChoice.lower_bound, ASYMPTOTIC, Fraction(23, 4)),
-            (AlphaChoice.lower_bound, NON_ASYMPTOTIC, Fraction(6)),
+            (EXACT, ASYMPTOTIC, Fraction(13, 2)),
+            (EXACT, NON_ASYMPTOTIC, Fraction(7)),
+            (LOWER_BOUND, ASYMPTOTIC, Fraction(23, 4)),
+            (LOWER_BOUND, NON_ASYMPTOTIC, Fraction(6)),
         ],
     )
-    def test_worked_example_all_alphas(self, five_user, maker, model, expected_alpha):
-        alpha = maker(five_user, model)
-        assert alpha.value == expected_alpha
-        outcome = comp_set_so(five_user, alpha)
+    def test_worked_example_all_alphas(self, five_user, mode, model, expected_alpha):
+        outcome = comp_set_so(five_user, model, mode)
+        assert (outcome.mode, outcome.model, outcome.alpha) == (mode, model, expected_alpha)
         assert outcome.subset == five_user.ground.mask([1, 2])
         assert outcome.exit_position == 2
-        certificate = certify_outcome(five_user, alpha, outcome)
-        assert certificate.ok
+        assert outcome.certificate.summary == f"{{1,2}} certified complementary ({model})"
 
     def test_independent_triple_exits_at_two(self, independent_triple):
-        alpha = AlphaChoice.exact(independent_triple, ASYMPTOTIC)
-        assert alpha.value == 3
-        outcome = comp_set_so(independent_triple, alpha)
+        outcome = comp_set_so(independent_triple, ASYMPTOTIC, EXACT)
+        assert outcome.alpha == 3
         assert outcome.subset == independent_triple.ground.mask([1, 2])
         assert outcome.exit_position == 2
 
     def test_cyclic_triple_finishes_with_rates(self, cyclic_triple):
-        alpha = AlphaChoice.lower_bound(cyclic_triple, ASYMPTOTIC)
-        assert alpha.value == Fraction(3, 2)
-        outcome = comp_set_so(cyclic_triple, alpha)
+        outcome = comp_set_so(cyclic_triple, ASYMPTOTIC, LOWER_BOUND)
+        assert outcome.alpha == Fraction(3, 2)
         assert outcome.subset is None
         assert outcome.rates.values == (Fraction(1, 2),) * 3
-        certificate = certify_outcome(cyclic_triple, alpha, outcome)
-        assert certificate.ok
-        assert any("optimal" in line for line in certificate.lines)
+        assert any("optimal" in line for line in outcome.certificate.lines)
 
     def test_exit_subset_is_always_complementary(self, five_user):
-        outcome = comp_set_so(five_user, AlphaChoice.exact(five_user))
+        outcome = comp_set_so(five_user)
         assert is_complementary(five_user, outcome.subset, ASYMPTOTIC)
 
     @settings(max_examples=20, deadline=None)
@@ -103,42 +103,71 @@ class TestCompSetSo:
     def test_random_sources_certify_in_both_modes(self, rng):
         source = random_packet_source(rng, rng.randint(3, 5), rng.randint(3, 9))
         for model in (ASYMPTOTIC, NON_ASYMPTOTIC):
-            for maker in (AlphaChoice.exact, AlphaChoice.lower_bound):
-                alpha = maker(source, model)
-                outcome = comp_set_so(source, alpha)
-                certificate = certify_outcome(source, alpha, outcome)
-                assert certificate.ok
-                if outcome.subset is not None and maker is AlphaChoice.exact:
+            for mode in (EXACT, LOWER_BOUND):
+                outcome = comp_set_so(source, model, mode)
+                # the certificate a fresh check builds is the one returned
+                assert certify_outcome(source, replace(outcome, certificate=None)) == outcome.certificate
+                if outcome.subset is not None and mode == EXACT:
                     assert is_complementary(source, outcome.subset, model)
 
 
 class TestCertificates:
     def test_subset_certificate_spells_out_the_inequality(self, five_user):
-        alpha = AlphaChoice.exact(five_user, ASYMPTOTIC)
-        outcome = comp_set_so(five_user, alpha)
-        certificate = certify_outcome(five_user, alpha, outcome)
-        text = str(certificate)
+        text = str(comp_set_so(five_user, ASYMPTOTIC, EXACT).certificate)
         assert "H(V) - H(X) + R(X) = 10 - 8 + 2 = 4 <= 13/2 = R(V)" in text
         assert "position 2" in text
 
     def test_lower_bound_subset_certificate_carries_caveat(self, five_user):
-        alpha = AlphaChoice.lower_bound(five_user, ASYMPTOTIC)
-        outcome = comp_set_so(five_user, alpha)
-        certificate = certify_outcome(five_user, alpha, outcome)
+        certificate = comp_set_so(five_user, ASYMPTOTIC, LOWER_BOUND).certificate
         assert any("may exist" in line for line in certificate.lines)
 
     def test_lower_bound_completion_claims_optimality(self, cyclic_triple):
-        alpha = AlphaChoice.lower_bound(cyclic_triple, ASYMPTOTIC)
-        outcome = comp_set_so(cyclic_triple, alpha)
-        certificate = certify_outcome(cyclic_triple, alpha, outcome)
+        certificate = comp_set_so(cyclic_triple, ASYMPTOTIC, LOWER_BOUND).certificate
         assert any("alpha = R(V)" in line for line in certificate.lines)
 
+    # Forged outcomes reach each failed check of certify_outcome, which
+    # no outcome of comp_set_so can.
+
+    @staticmethod
+    def completed(five_user, mode, model, alpha, extra):
+        """A completed outcome whose rates are the optimal witness plus
+        ``extra`` on user 1; raising a rate keeps the vector achievable."""
+        rates = min_sum_rate(five_user).rates.as_dict()
+        rates[1] += extra
+        vector = RateVector.from_map(five_user.ground, rates)
+        return CompSetOutcome(mode, model, Fraction(alpha), None, vector, None, 0)
+
+    def test_non_complementary_subset(self, five_user):
+        outcome = replace(comp_set_so(five_user), subset=five_user.ground.mask([3, 4]), certificate=None)
+        with pytest.raises(CertificationError, match="FAILED the complementarity check"):
+            certify_outcome(five_user, outcome)
+
+    def test_rates_off_alpha(self, five_user):
+        outcome = self.completed(five_user, LOWER_BOUND, ASYMPTOTIC, Fraction(23, 4), 0)
+        with pytest.raises(CertificationError, match="finished rates sum to 13/2, not alpha = 23/4"):
+            certify_outcome(five_user, outcome)
+
+    def test_rates_not_achievable(self, five_user):
+        rates = RateVector.from_map(five_user.ground, {1: Fraction(13, 2)})
+        outcome = CompSetOutcome(EXACT, ASYMPTOTIC, Fraction(13, 2), None, rates, None, 0)
+        with pytest.raises(CertificationError, match="rates violate the constraint"):
+            certify_outcome(five_user, outcome)
+
+    def test_fractional_non_asymptotic_rates(self, five_user):
+        outcome = self.completed(five_user, LOWER_BOUND, NON_ASYMPTOTIC, 7, Fraction(1, 2))
+        with pytest.raises(CertificationError, match="non-integer entry"):
+            certify_outcome(five_user, outcome)
+
+    def test_lower_bound_completion_above_the_minimum(self, five_user):
+        outcome = self.completed(five_user, LOWER_BOUND, ASYMPTOTIC, 7, Fraction(1, 2))
+        with pytest.raises(CertificationError, match="alpha differs"):
+            certify_outcome(five_user, outcome)
+
     def test_exact_mode_at_a_wrong_alpha_raises(self, five_user):
-        # an "exact" alpha that is not R(V) fails its own certificate
-        alpha = AlphaChoice("exact", ASYMPTOTIC, 0)
-        outcome = comp_set_so(five_user, alpha)
+        # an "exact" outcome whose alpha is not R(V) fails its certificate
+        outcome = replace(comp_set_so(five_user), alpha=Fraction(0), certificate=None)
         with pytest.raises(CertificationError, match="differs from the certified"):
-            certify_outcome(five_user, alpha, outcome)
+            certify_outcome(five_user, outcome)
 
 
 class TestSufficientCondition:

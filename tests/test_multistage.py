@@ -68,7 +68,7 @@ class TestMergedSystem:
     def test_merge_builds_super_user(self, five_user):
         system = initial_system(five_user, 1, 53)
         rows = ((0,) * 10,)  # one junk broadcast row, support irrelevant here
-        merged = merge_super_user(system, [1, 2], rows, ASYMPTOTIC)
+        merged = merge_super_user(system, [1, 2], rows)
         assert merged.ground.labels == ("1+2", 3, 4, 5)
         assert merged.label_map["1+2"] == frozenset([1, 2])
         assert merged.original_mask(["1+2", 5]) == five_user.ground.mask([1, 2, 5])
@@ -79,8 +79,8 @@ class TestMergedSystem:
 
     def test_merge_chains_keep_original_order(self, five_user):
         system = initial_system(five_user, 1, 53)
-        merged = merge_super_user(system, [1, 2], (), ASYMPTOTIC)
-        again = merge_super_user(merged, ["1+2", 5], (), ASYMPTOTIC, certified=True)
+        merged = merge_super_user(system, [1, 2], ())
+        again = merge_super_user(merged, ["1+2", 5], ())
         assert again.ground.labels == ("1+2+5", 3, 4)
         assert again.label_map["1+2+5"] == frozenset([1, 2, 5])
 
@@ -90,13 +90,6 @@ class TestMergedSystem:
             merge_super_user(system, [3], ())
         with pytest.raises(DomainError):
             merge_super_user(system, system.ground.full_mask, ())
-
-    def test_merge_refuses_uncertified_non_complementary(self, five_user):
-        system = initial_system(five_user, 1, 53)
-        with pytest.raises(DomainError, match="not certified complementary"):
-            merge_super_user(system, [3, 4], (), ASYMPTOTIC)
-        merged = merge_super_user(system, [3, 4], (), ASYMPTOTIC, certified=True)
-        assert merged.ground.labels == (1, 2, "3+4", 5)
 
 
 class TestBuildPlanWorkedExample:
@@ -157,7 +150,6 @@ class TestBuildPlanWorkedExample:
             rates = RateVector.from_map(local.ground, record.chunk_rates)
             if local.ground.size >= 2 and rates.total > 0:
                 assert check_sw_achievable(local, local.ground.full_mask, rates).ok
-            assert record.certificate.ok
 
     def test_builds_cover_all_stages(self, five_user):
         build = build_plan(five_user, ASYMPTOTIC, seed=0)

@@ -11,11 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from soplan import (
-    ASYMPTOTIC,
-    AlphaChoice,
     DomainError,
     TableSource,
-    comp_set_so,
     min_sum_rate,
 )
 from soplan.compsetso import alpha_lower_bound
@@ -46,14 +43,10 @@ class TestAlphaFunction:
         assert af.value(five_user.ground.full_mask) == Fraction(13, 2)
 
     def test_alpha_range_enforced(self, five_user):
-        # AlphaFunction takes any alpha; the [0, H(V)] gate sits in
-        # comp_set_so, where a caller-chosen alpha enters.
+        # AlphaFunction takes any alpha: the sweeps behind R(X) and the
+        # non-asymptotic witness shift it past H(V)
         for value in (Fraction(-1), Fraction(21, 2)):
-            AlphaFunction(five_user, value)
-            with pytest.raises(DomainError, match=r"outside \[0, H\(V\)\]"):
-                comp_set_so(five_user, AlphaChoice("exact", ASYMPTOTIC, value))
-        comp_set_so(five_user, AlphaChoice("exact", ASYMPTOTIC, 0))
-        comp_set_so(five_user, AlphaChoice("exact", ASYMPTOTIC, 10))
+            assert AlphaFunction(five_user, value).value([1]) == value - 2
 
 
 class TestDilworthTruncation:
