@@ -39,7 +39,7 @@ from .omniscience import (
     min_sum_rate,
     partition_bound,
 )
-from .submodular import AlphaFunction, dilworth_truncation, run_rate_update
+from .submodular import dilworth_truncation, run_rate_update
 
 import math
 
@@ -102,8 +102,8 @@ def comp_set_so(source, model: str = ASYMPTOTIC, mode: str = EXACT) -> CompSetOu
         alpha = min_sum_rate(source, None, model).value
     else:
         alpha = alpha_lower_bound(source, model)
-    run = run_rate_update(AlphaFunction(source, alpha), early_exit=True)
     ground = source.ground
+    run = run_rate_update(source, alpha - source.entropy(ground.full_mask), early_exit=True)
     rates = None if run.exit_subset is not None else RateVector(ground, run.rates, ground.full_mask)
     outcome = CompSetOutcome(
         mode, model, alpha, run.exit_subset, rates, run.exit_position, run.candidates_examined
@@ -130,11 +130,11 @@ def complementary_by_lower_bound(source, subset: SubsetLike, model: str = ASYMPT
     alpha = total / (ground.size - 1)
     if model == NON_ASYMPTOTIC:
         alpha = Fraction(math.ceil(alpha))
-    if not 0 <= alpha <= source.entropy(ground.full_mask):
+    h_v = source.entropy(ground.full_mask)
+    if not 0 <= alpha <= h_v:
         return False
-    af = AlphaFunction(source, alpha)
-    value, _ = dilworth_truncation(af, mask)
-    return value == af.value(mask)
+    value, _ = dilworth_truncation(source, alpha - h_v, mask)
+    return value == alpha - h_v + h_x
 
 
 def certify_outcome(source, outcome: CompSetOutcome) -> Certificate:

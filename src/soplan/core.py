@@ -2,9 +2,10 @@
 
 Subsets of the ground set are plain ``int`` bitmasks over the fixed user
 order: bit ``k`` stands for the user at position ``k``, so the prefix of
-the first ``i`` users is ``(1 << i) - 1``.  Every numeric quantity in
-this package is a :class:`fractions.Fraction`; nothing is rounded and no
-comparison uses a tolerance.
+the first ``i`` users is ``(1 << i) - 1``.  Every numeric quantity that
+crosses the package's interface is a :class:`fractions.Fraction`; inside,
+entropies and sweep rates are ints on a common scale.  Nothing is rounded
+and no comparison uses a tolerance.
 """
 
 from __future__ import annotations
@@ -13,11 +14,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
-#: Hard cap on the number of users.  Every prefix sweep and every
-#: certificate visits all 2^|V| subsets and memoizes their entropies, so
-#: time and memory double with each user: a minimum sum-rate of a packet
-#: source takes about 0.6 s at 14 users and 40 s at 20 (README, Design
-#: notes).
+#: Hard cap on the number of users.  Every source keeps an entropy table
+#: over all 2^|V| subsets and every prefix sweep and certificate visits
+#: them all, so time and memory double with each user: a minimum sum-rate
+#: of a packet source takes about 0.02 s at 14 users and 1.5 s and 90 MiB
+#: at 20 (README, Design notes).
 MAX_USERS = 20
 
 
@@ -91,18 +92,14 @@ def submask_sums(mask: int, values: Sequence) -> tuple:
     of ``values`` (indexed by ground position) over it.
 
     Returns two lists of length 2^popcount(mask), ``(submasks, sums)``.
-    Each entry extends an earlier one by a single element, so building
-    both costs one addition per submask.
+    Each element of ``mask``, lowest first, doubles both lists, so
+    building them costs one addition per submask.
     """
-    positions = list(bit_positions(mask))
-    size = 1 << len(positions)
-    submasks = [0] * size
-    sums = [Fraction(0)] * size
-    for index in range(1, size):
-        low = index & -index
-        pos = positions[low.bit_length() - 1]
-        submasks[index] = submasks[index ^ low] | 1 << pos
-        sums[index] = sums[index ^ low] + values[pos]
+    submasks, sums = [0], [0]
+    for pos in bit_positions(mask):
+        bit, value = 1 << pos, values[pos]
+        submasks += [sub | bit for sub in submasks]
+        sums += [total + value for total in sums]
     return submasks, sums
 
 
@@ -191,9 +188,12 @@ class RateVector:
     domain: int
 
     def __post_init__(self):
-        values = tuple(Fraction(v) for v in self.values)
-        if len(values) != self.ground.size:
+        labels = self.ground.labels
+        if len(self.values) != len(labels):
             raise DomainError("rate vector length does not match the ground set")
+        values = tuple(
+            parse_fraction(v, where=f"rate for {label!r}") for label, v in zip(labels, self.values)
+        )
         domain = self.ground.mask(self.domain)
         for pos, value in enumerate(values):
             if not domain >> pos & 1 and value != 0:
@@ -210,9 +210,9 @@ class RateVector:
         rates: Mapping,
         domain: SubsetLike | None = None,
     ) -> "RateVector":
-        values = [Fraction(0)] * ground.size
+        values = [0] * ground.size
         for label, value in rates.items():
-            values[ground.position(label)] = Fraction(value)
+            values[ground.position(label)] = value
         mask = ground.full_mask if domain is None else ground.mask(domain)
         return cls(ground, tuple(values), mask)
 

@@ -35,7 +35,7 @@ from .core import (
     bit_positions,
     submask_sums,
 )
-from .submodular import AlphaFunction, dilworth_truncation, run_rate_update
+from .submodular import dilworth_truncation, run_rate_update
 
 ASYMPTOTIC = "asymptotic"
 NON_ASYMPTOTIC = "non_asymptotic"
@@ -66,17 +66,16 @@ def partition_bound(source, partition: Partition) -> Fraction:
     into at least two blocks: a lower bound on R(X)."""
     if len(partition) < 2:
         raise DomainError("the partition bound needs at least two blocks")
-    h_x = source.entropy(partition.union)
-    deficit = sum((h_x - source.entropy(block) for block in partition), Fraction(0))
-    return deficit / (len(partition) - 1)
+    table = source.entropies
+    h_x = table[partition.union]
+    deficit = sum(h_x - table[block] for block in partition)
+    return Fraction(deficit, source.denominator * (len(partition) - 1))
 
 
 def _sweep(source, mask: int, alpha: Fraction):
     """One completed prefix sweep over X = ``mask`` of
     f(Y) = alpha - H(X) + H(Y)."""
-    # f#_beta(Y) = beta - H(V) + H(Y), so beta = alpha + H(V) - H(X) gives f.
-    offset = source.entropy(source.ground.full_mask) - source.entropy(mask)
-    return run_rate_update(AlphaFunction(source, alpha + offset), early_exit=False, within=mask)
+    return run_rate_update(source, alpha - source.entropy(mask), early_exit=False, within=mask)
 
 
 def _min_sum_rate_asymptotic(source, mask: int) -> MinSumRateResult:
@@ -95,7 +94,7 @@ def _min_sum_rate_asymptotic(source, mask: int) -> MinSumRateResult:
     alpha = partition_bound(source, partition)
     while True:
         run = _sweep(source, mask, alpha)
-        if sum(run.rates, Fraction(0)) == alpha:
+        if Fraction(sum(run.scaled[-1]), run.scale) == alpha:
             return MinSumRateResult(ASYMPTOTIC, alpha, partition, RateVector(ground, run.rates, mask))
         bound = partition_bound(source, run.partition)
         if bound <= alpha:
@@ -180,19 +179,25 @@ class SwCheck:
 def check_sw_achievable(source, subset: SubsetLike, rates: RateVector) -> SwCheck:
     """Does ``rates`` let every user in ``subset`` reach omniscience of
     the subset?  Checks ``r(C) >= H(X) - H(X minus C)`` for every proper
-    subset C of X, with the rate sums built once over all of X."""
+    subset C of X, with the rate sums built once over all of X.  Both
+    sides are ints, scaled by the lcm L of the rates' denominators times
+    the entropy table's D."""
     ground = source.ground
     mask = ground.mask(subset)
     if mask.bit_count() < 2:
         raise DomainError("achievability concerns subsets of at least two users")
     if mask & ~rates.domain:
         raise DomainError("rate vector domain does not cover the subset")
-    h_x = source.entropy(mask)
-    submasks, rate_sums = submask_sums(mask, rates.values)
-    for c, have in zip(submasks[1:-1], rate_sums[1:-1]):
-        need = h_x - source.entropy(mask ^ c)
+    table, denominator = source.entropies, source.denominator
+    scale = math.lcm(*(value.denominator for value in rates.values))
+    scaled = [int(value * scale) * denominator for value in rates.values]
+    h_x = table[mask]
+    submasks, rate_sums = submask_sums(mask, scaled)
+    submasks.pop()  # C = X is no constraint; C = {} asks for nothing
+    for c, have in zip(submasks, rate_sums):
+        need = scale * (h_x - table[mask ^ c])
         if have < need:
-            return SwCheck(False, c, need - have)
+            return SwCheck(False, c, Fraction(need - have, scale * denominator))
     return SwCheck(True, None, None)
 
 
@@ -243,14 +248,14 @@ def enumerate_complementary(source, model: str = ASYMPTOTIC, verify: bool = Fals
         if _complementary_given(source, mask, model, r_whole):
             found.append(mask)
     if verify:
-        af = AlphaFunction(source, r_whole)
+        shift = r_whole - source.entropy(full)
         by_truncation = []
         by_inequality = []
         for mask in range(3, full):
             if mask.bit_count() < 2:
                 continue
-            value, _ = dilworth_truncation(af, mask)
-            if value == af.value(mask):
+            value, _ = dilworth_truncation(source, shift, mask)
+            if value == shift + source.entropy(mask):
                 by_truncation.append(mask)
             if _complementary_given(source, mask, ASYMPTOTIC, r_whole):
                 by_inequality.append(mask)

@@ -219,7 +219,9 @@ def execute_plan(source: PacketSource, plan: "StagePlan", seed: int = None) -> T
     ground = source.ground
     q = plan.field_order
     chunk = plan.chunk_factor
-    h_total = source.entropy(ground.full_mask)
+    # H(V) of a packet source is its number of held packets; reading it
+    # off the entropy table would build all 2^|V| entries
+    h_total = len(source.packet_order)
     try:
         FieldSpec(q, chunk, h_total, ground.size)
     except DomainError as exc:

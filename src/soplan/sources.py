@@ -9,8 +9,9 @@ Three interchangeable models expose ``entropy(subset) -> Fraction``:
 * :class:`TableSource` - an explicit entropy value for every subset,
   validated against the polymatroid axioms at load time.
 
-Sources are immutable after construction; per-subset results are
-memoized internally, which is safe for the same reason.
+Sources are immutable after construction.  Each keeps ``denominator *
+H(mask)`` for all 2^|V| subset masks in one list of ints, ``entropies``,
+built on first use; ``entropy`` reads it back as a reduced Fraction.
 
 JSON file format (used by :func:`load_source` / :func:`dump_source`)::
 
@@ -28,6 +29,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from math import lcm
 from typing import Iterable, Mapping
 
 from . import gf
@@ -45,22 +48,23 @@ TABLE_MODEL = "table"
 
 
 class _SourceBase:
-    """Shared plumbing: mask normalization, memoized Fraction entropy."""
+    """Shared plumbing: the integer entropy table, which a subclass
+    builds in ``_entropy_table`` or on construction, and its exact view."""
 
     ground: GroundSet
-    integral: bool  # True when every subset entropy is an integer
+    denominator = 1
 
-    def _h(self, mask: int):
-        raise NotImplementedError
+    @cached_property
+    def entropies(self) -> list:
+        return self._entropy_table()
+
+    @property
+    def integral(self) -> bool:
+        """True when every subset entropy is an integer."""
+        return self.denominator == 1
 
     def entropy(self, subset: SubsetLike) -> Fraction:
-        mask = self.ground.mask(subset)
-        cache = self._cache
-        value = cache.get(mask)
-        if value is None:
-            value = Fraction(self._h(mask))
-            cache[mask] = value
-        return value
+        return Fraction(self.entropies[self.ground.mask(subset)], self.denominator)
 
 
 class PacketSource(_SourceBase):
@@ -92,14 +96,13 @@ class PacketSource(_SourceBase):
             sum(1 << packet_index[p] for p in self.possession[label])
             for label in ground.labels
         )
-        self.integral = True
-        self._cache: dict = {}
 
-    def _h(self, mask: int) -> int:
-        bits = 0
-        for pos in bit_positions(mask):
-            bits |= self._user_bits[pos]
-        return bits.bit_count()
+    def _entropy_table(self) -> list:
+        # union[m | bit] = union[m] | that user's packets, one user at a time
+        union = [0]
+        for bits in self._user_bits:
+            union += [held | bits for held in union]
+        return [held.bit_count() for held in union]
 
     def lift(self, chunk_factor: int, field_order: int) -> "LinearSource":
         """The identity-row linear view of this source.
@@ -207,8 +210,6 @@ class LinearSource(_SourceBase):
         self.coverage = coverage
         self.row_table = row_table
         self.row_sets = row_sets
-        self.integral = True
-        self._cache: dict = {}
 
     @property
     def rows(self) -> dict:
@@ -242,18 +243,21 @@ class LinearSource(_SourceBase):
         rows = (self.row_table[k] for k in bit_positions(held))
         return gf.RowSpace(self.field_order, self.width, rows, covered=covered)
 
-    def _h(self, mask: int) -> int:
-        covered, held = self._union(mask)
-        if not held:
-            return covered.bit_count()
-        return self.row_space(mask).rank
+    def _entropy_table(self) -> list:
+        table = []
+        for mask in range(self.ground.full_mask + 1):
+            covered, held = self._union(mask)
+            table.append(self.row_space(mask).rank if held else covered.bit_count())
+        return table
 
 
 class TableSource(_SourceBase):
     """An explicit entropy table covering every subset.
 
-    ``table`` maps subset masks to rationals and must cover all 2^|V|
-    subsets.  With ``validate=True`` (the default) the polymatroid
+    ``table`` maps subset masks to rationals (ints, Fractions or
+    ``"p/q"`` strings, never floats or bools) and must cover all 2^|V|
+    subsets.  The values are stored scaled by the lcm of their
+    denominators.  With ``validate=True`` (the default) the polymatroid
     axioms are checked up front so that a bad table fails loudly here
     instead of mysteriously inside an optimization loop.
     """
@@ -264,22 +268,21 @@ class TableSource(_SourceBase):
         parsed = {}
         for mask, value in table.items():
             mask = ground.mask(mask)
-            parsed[mask] = Fraction(value)
+            parsed[mask] = parse_fraction(value, where=f"entropy of {ground.format(mask)}")
         missing = [m for m in range(full + 1) if m not in parsed]
         if missing:
             raise DomainError(
                 f"entropy table misses {len(missing)} subsets, first {ground.format(missing[0])}"
             )
-        self.table = parsed
-        self.integral = all(v.denominator == 1 for v in parsed.values())
-        self._cache: dict = {}
+        self.denominator = lcm(*(value.denominator for value in parsed.values()))
+        self.entropies = [
+            parsed[m].numerator * (self.denominator // parsed[m].denominator)
+            for m in range(full + 1)
+        ]
         if validate:
             report = validate_polymatroid(self)
             if not report.ok:
                 raise DomainError("entropy table is not a polymatroid:\n" + report.summary())
-
-    def _h(self, mask: int) -> Fraction:
-        return self.table[mask]
 
 
 Source = PacketSource | LinearSource | TableSource
@@ -310,14 +313,19 @@ def validate_polymatroid(source: Source) -> PolymatroidReport:
     Monotonicity is checked one element at a time and submodularity on
     all triples (C, i, j), the local characterization equivalent to the
     pairwise form.  Every violated case is reported.  Cost is
-    O(2^|V| * |V|^2) entropy evaluations.
+    O(2^|V| * |V|^2) int comparisons on the source's entropy table;
+    values become Fractions only in the messages.
     """
     ground = source.ground
     n = ground.size
     violations = []
-    h = [source.entropy(mask) for mask in range(ground.full_mask + 1)]
+    h = source.entropies
+
+    def value(scaled: int) -> Fraction:
+        return Fraction(scaled, source.denominator)
+
     if h[0] != 0:
-        violations.append(Violation("normalization", f"H({{}}) = {h[0]}, expected 0"))
+        violations.append(Violation("normalization", f"H({{}}) = {value(h[0])}, expected 0"))
     for mask in range(ground.full_mask + 1):
         outside = [pos for pos in range(n) if not mask >> pos & 1]
         for ai, i in enumerate(outside):
@@ -326,8 +334,8 @@ def validate_polymatroid(source: Source) -> PolymatroidReport:
                 violations.append(
                     Violation(
                         "monotonicity",
-                        f"H({ground.format(mask)}) = {h[mask]} > "
-                        f"{h[with_i]} = H({ground.format(with_i)})",
+                        f"H({ground.format(mask)}) = {value(h[mask])} > "
+                        f"{value(h[with_i])} = H({ground.format(with_i)})",
                     )
                 )
             for j in outside[ai + 1:]:
@@ -338,7 +346,7 @@ def validate_polymatroid(source: Source) -> PolymatroidReport:
                         Violation(
                             "submodularity",
                             f"H({ground.format(with_i)}) + H({ground.format(with_j)}) = "
-                            f"{h[with_i] + h[with_j]} < {h[both] + h[mask]} = "
+                            f"{value(h[with_i] + h[with_j])} < {value(h[both] + h[mask])} = "
                             f"H({ground.format(both)}) + H({ground.format(mask)})",
                         )
                     )
@@ -366,7 +374,7 @@ def reorder(source: Source, labels: Iterable) -> Source:
         table = {}
         for new_mask in range(new_ground.full_mask + 1):
             old_mask = source.ground.mask(new_ground.labels_of(new_mask))
-            table[new_mask] = source.table[old_mask]
+            table[new_mask] = source.entropy(old_mask)
         return TableSource(new_ground, table, validate=False)
     raise DomainError(f"cannot reorder {type(source).__name__}")
 
@@ -464,7 +472,7 @@ def source_to_dict(source: Source) -> dict:
             "model": TABLE_MODEL,
             "users": list(ground.labels),
             "entropy": {
-                ",".join(str(l) for l in ground.labels_of(mask)): str(source.table[mask])
+                ",".join(str(l) for l in ground.labels_of(mask)): str(source.entropy(mask))
                 for mask in range(ground.full_mask + 1)
             },
         }

@@ -1,14 +1,15 @@
-"""The parametrized set function f#_alpha, its partition truncation, and
-the prefix-lattice minimization that drives the subset search.
+"""The parametrized set function f, its partition truncation, and the
+prefix-lattice minimization that drives the subset search.
 
-For a source with ground set V and a rational parameter alpha::
+For a source with ground set V and a rational ``shift``::
 
-    f#_alpha(X) = 0                          if X is empty
-                  alpha - H(V) + H(X)        otherwise
+    f(X) = 0                 if X is empty
+           shift + H(X)      otherwise
 
-The truncation minimizes the block sum of f#_alpha over all partitions
-of a subset; equality of f#_alpha(X) with its truncation at the right
-alpha characterizes the subsets worth splitting off early.
+With ``shift = alpha - H(V)`` this is the paper's f#_alpha.  The
+truncation minimizes the block sum of f over all partitions of a
+subset; equality of f#_alpha(X) with its truncation at the right alpha
+characterizes the subsets worth splitting off early.
 
 One loop computes everything here: the prefix sweep of
 :func:`run_rate_update`, optionally restricted to a subset.  Each step
@@ -17,6 +18,11 @@ completed sweep over k users visits 2^k - 1 sets.  The truncation is the
 sum of the finished rates, and the sweep records a partition attaining
 it.  Partitions are never enumerated outside the tests, where
 :func:`soplan.core.enumerate_partitions` serves as the oracle.
+
+The sweep reads the source's integer table, H(X) = entropies[X] / D.
+For shift = p/q it keeps every rate as an int on the scale q*D, where
+f(X) is ``p*D + q*entropies[X]``; Fractions appear only in the shift it
+takes and in what it returns.
 """
 
 from __future__ import annotations
@@ -26,7 +32,6 @@ from fractions import Fraction
 
 from .core import (
     DomainError,
-    GroundSet,
     Partition,
     SubsetLike,
     bit_positions,
@@ -34,66 +39,39 @@ from .core import (
 )
 
 
-@dataclass(frozen=True)
-class AlphaFunction:
-    """f#_alpha for a fixed source and alpha.
-
-    Any rational alpha is accepted: the sweeps behind a minimum sum-rate
-    of a subset, or behind a non-asymptotic witness, shift it past H(V).
-    Callers that take alpha from outside check its range themselves.
-    """
-
-    source: object
-    alpha: Fraction
-
-    def __post_init__(self):
-        alpha = Fraction(self.alpha)
-        object.__setattr__(self, "alpha", alpha)
-        object.__setattr__(self, "_shift", alpha - self.source.entropy(self.ground.full_mask))
-
-    @property
-    def ground(self) -> GroundSet:
-        return self.source.ground
-
-    def value(self, subset: SubsetLike) -> Fraction:
-        mask = self.ground.mask(subset)
-        if mask == 0:
-            return Fraction(0)
-        return self._shift + self.source.entropy(mask)
-
-
-def dilworth_truncation(af: AlphaFunction, subset: SubsetLike) -> tuple:
-    """Minimize the block sum of f#_alpha over all partitions of
-    ``subset``.
+def dilworth_truncation(source, shift, subset: SubsetLike) -> tuple:
+    """Minimize the block sum of f(X) = shift + H(X) over all partitions
+    of ``subset``.
 
     Returns ``(min_value, partition)``.  One completed prefix sweep over
     the subset gives both: the finished rates sum to the minimum
     (Fujishige's greedy construction of the Dilworth truncation), and the
     tight partition the sweep records attains it.  That partition is the
     coarsest minimizer, so it is the one-block partition exactly when no
-    finer partition beats f#_alpha(subset).
+    finer partition beats f(subset).
     """
-    mask = af.ground.mask(subset)
+    mask = source.ground.mask(subset)
     if mask == 0:
         raise DomainError("truncation of the empty set is not defined")
-    run = run_rate_update(af, early_exit=False, within=mask)
-    return sum(run.rates, Fraction(0)), run.partition
+    run = run_rate_update(source, shift, early_exit=False, within=mask)
+    return Fraction(sum(run.scaled[-1]), run.scale), run.partition
 
 
 @dataclass(frozen=True)
 class SfmResult:
-    """Outcome of minimizing f#_alpha(X) - r(X) over the sets X that
-    contain the newest user inside the current prefix.
+    """Outcome of minimizing ``weight * entropies[X] - rates(X)`` over the
+    sets X that contain the newest user inside the current prefix.
 
-    The minimizers of such a function are closed under union and
-    intersection, so ``minimal_minimizer`` / ``maximal_minimizer`` are
-    themselves minimizers.  ``nonsingleton_proper_minimizer`` applies
-    the early-exit tie-break: smallest cardinality first, then smallest
+    ``min_value`` is an int on the scale of the rates.  The minimizers
+    of such a function are closed under union and intersection, so
+    ``minimal_minimizer`` / ``maximal_minimizer`` are themselves
+    minimizers.  ``nonsingleton_proper_minimizer`` applies the
+    early-exit tie-break: smallest cardinality first, then smallest
     bitmask; it is None when every minimizer is a singleton or the full
     ground set.
     """
 
-    min_value: Fraction
+    min_value: int
     minimizers: tuple
     minimal_minimizer: int
     maximal_minimizer: int
@@ -101,18 +79,20 @@ class SfmResult:
     candidates_examined: int
 
 
-def minimize_over_prefix(af: AlphaFunction, rates, position: int, within: SubsetLike = None) -> SfmResult:
-    """Exhaustively minimize g(X) = f#_alpha(X) - r(X) over
+def minimize_over_prefix(source, weight: int, rates, position: int, within: SubsetLike = None) -> SfmResult:
+    """Exhaustively minimize ``weight * entropies[X] - rates(X)`` over
     ``{X : position's user in X, X inside the first `position` users}``,
     and inside ``within`` when given (default: the whole ground set).
 
-    ``rates`` holds one rational per ground position.  ``position`` is
-    1-based in ground order; candidates are enumerated by ascending mask
-    value, which fixes the order of ``minimizers``.
+    ``rates`` holds one int per ground position.  With the rates on the
+    scale weight*D, this is g(X) = shift + H(X) - r(X) on that scale
+    less the constant shift, so both have the same minimizers.
+    ``position`` is 1-based in ground order; candidates are enumerated
+    by ascending mask value, which fixes the order of ``minimizers``.
     "Proper" in ``nonsingleton_proper_minimizer`` means other than
     ``within`` itself.
     """
-    ground = af.ground
+    ground = source.ground
     whole = ground.full_mask if within is None else ground.mask(within)
     if not 1 <= position <= ground.size:
         raise DomainError(f"position {position} out of range")
@@ -122,21 +102,13 @@ def minimize_over_prefix(af: AlphaFunction, rates, position: int, within: Subset
     if len(rates) != ground.size:
         raise DomainError("rate sequence length does not match the ground set")
 
-    # For X = sub + top, g(X) = (shift - r(top)) + H(X) - r(sub); the part
-    # in brackets is the same for every candidate, so only the rest is
-    # compared.
+    # For X = sub + top, the key drops the rate of top, the same for
+    # every candidate, and adds it back in min_value.
     submasks, rate_sums = submask_sums(whole & (top - 1), rates)
-    entropy = af.source.entropy
-    best = None
-    minimizers: list = []
-    for sub, rate_sum in zip(submasks, rate_sums):
-        candidate = sub | top
-        key = entropy(candidate) - rate_sum
-        if best is None or key < best:
-            best = key
-            minimizers = [candidate]
-        elif key == best:
-            minimizers.append(candidate)
+    table = source.entropies
+    keys = [weight * table[sub | top] - total for sub, total in zip(submasks, rate_sums)]
+    best = min(keys)
+    minimizers = [sub | top for sub, key in zip(submasks, keys) if key == best]
 
     minimal = minimizers[0]
     maximal = 0
@@ -146,7 +118,7 @@ def minimize_over_prefix(af: AlphaFunction, rates, position: int, within: Subset
     eligible = [m for m in minimizers if m.bit_count() >= 2 and m != whole]
     chosen = min(eligible, key=lambda m: (m.bit_count(), m)) if eligible else None
     return SfmResult(
-        min_value=af._shift - rates[position - 1] + best,
+        min_value=best - rates[position - 1],
         minimizers=tuple(minimizers),
         minimal_minimizer=minimal,
         maximal_minimizer=maximal,
@@ -159,67 +131,74 @@ def minimize_over_prefix(af: AlphaFunction, rates, position: int, within: Subset
 class UpdateRun:
     """Trace of the rate update loop.
 
-    ``snapshots`` holds the rate tuple after initialization and after
-    every completed update, so invariants over the running vector can be
-    replayed.  On an early exit ``rates`` is the state at the moment the
-    subset surfaced.  ``partition`` is the tight partition of a completed
-    sweep's domain (None after an early exit): its blocks' f#_alpha
-    values add up to the sum of the finished rates.
+    ``scaled`` holds the rates, as ints on the scale ``scale``, after
+    initialization and after every completed update; ``snapshots``
+    gives them as Fractions so invariants can be replayed, and
+    ``rates`` gives the last: the finished rates, or on an early exit
+    the state when the subset surfaced.  ``partition`` is the tight
+    partition of a completed sweep's domain (None after an early exit):
+    its blocks' f values add up to the sum of the finished rates.
     """
 
     exit_subset: int | None
     exit_position: int | None
-    rates: tuple
-    snapshots: tuple
+    scaled: tuple
+    scale: int
     candidates_examined: int
     partition: Partition | None
 
+    @property
+    def rates(self) -> tuple:
+        return tuple(Fraction(value, self.scale) for value in self.scaled[-1])
 
-def run_rate_update(af: AlphaFunction, early_exit: bool = True, within: SubsetLike = None) -> UpdateRun:
-    """The prefix-sweep rate update over ``within`` (default: V).
+    @property
+    def snapshots(self) -> tuple:
+        return tuple(tuple(Fraction(v, self.scale) for v in rates) for rates in self.scaled)
 
-    Start from r = (f#_alpha({first user}), alpha - H(V), ...) on the
-    users of ``within``, and 0 elsewhere; for each later user, minimize
-    f#_alpha - r over the prefix sets containing that user.  With
-    ``early_exit`` the sweep stops as soon as a minimizer is a
-    non-singleton proper subset of ``within`` and reports it; otherwise
-    the minimum is absorbed into that user's rate and the sweep continues
-    to completion.
+
+def run_rate_update(source, shift, early_exit: bool = True, within: SubsetLike = None) -> UpdateRun:
+    """The prefix-sweep rate update of f(X) = shift + H(X) over
+    ``within`` (default: V).
+
+    Start from r = (f({first user}), shift, ...) on the users of
+    ``within``, and 0 elsewhere; for each later user, minimize f - r
+    over the prefix sets containing that user.  With ``early_exit`` the
+    sweep stops as soon as a minimizer is a non-singleton proper subset
+    of ``within`` and reports it; otherwise the minimum is absorbed into
+    that user's rate and the sweep continues to completion.
 
     The finished rates are the greedy maximum of r(within) subject to
-    r(X) <= f#_alpha(X) for every nonempty X inside ``within``, which is
-    the Dilworth truncation of f#_alpha at ``within``.  Along the way the
-    sweep keeps a partition of the prefix whose blocks are tight
-    (r(B) = f#_alpha(B)): each step joins the newest user with every
-    block that meets that step's maximal minimizer.  Tight sets that
-    meet have a tight union, so the blocks stay tight.
+    r(X) <= f(X) for every nonempty X inside ``within``, which is the
+    Dilworth truncation of f at ``within``.  Along the way the sweep
+    keeps a partition of the prefix whose blocks are tight
+    (r(B) = f(B)): each step joins the newest user with every block that
+    meets that step's maximal minimizer.  Tight sets that meet have a
+    tight union, so the blocks stay tight.
     """
-    ground = af.ground
+    ground = source.ground
     whole = ground.full_mask if within is None else ground.mask(within)
     if whole == 0:
         raise DomainError("the rate update needs at least one user")
+    shift = Fraction(shift)
+    weight = shift.denominator
+    base = shift.numerator * source.denominator  # f's constant on the scale weight*D
     positions = list(bit_positions(whole))
-    rates = [Fraction(0)] * ground.size
+    rates = [0] * ground.size
     for pos in positions:
-        rates[pos] = af._shift
-    rates[positions[0]] = af.value(1 << positions[0])
-    snapshots = [tuple(rates)]
+        rates[pos] = base
+    rates[positions[0]] += weight * source.entropies[1 << positions[0]]
+    scaled = [tuple(rates)]
     blocks = [1 << positions[0]]
     candidates = 0
+    exit_subset = exit_position = None
     for pos in positions[1:]:
-        result = minimize_over_prefix(af, rates, pos + 1, whole)
+        result = minimize_over_prefix(source, weight, rates, pos + 1, whole)
         candidates += result.candidates_examined
         if early_exit and result.nonsingleton_proper_minimizer is not None:
-            return UpdateRun(
-                exit_subset=result.nonsingleton_proper_minimizer,
-                exit_position=pos + 1,
-                rates=tuple(rates),
-                snapshots=tuple(snapshots),
-                candidates_examined=candidates,
-                partition=None,
-            )
-        rates[pos] += result.min_value
-        snapshots.append(tuple(rates))
+            exit_subset, exit_position = result.nonsingleton_proper_minimizer, pos + 1
+            break
+        rates[pos] += base + result.min_value
+        scaled.append(tuple(rates))
         joined = 1 << pos
         rest = []
         for block in blocks:
@@ -229,10 +208,10 @@ def run_rate_update(af: AlphaFunction, early_exit: bool = True, within: SubsetLi
                 rest.append(block)
         blocks = rest + [joined]
     return UpdateRun(
-        exit_subset=None,
-        exit_position=None,
-        rates=tuple(rates),
-        snapshots=tuple(snapshots),
+        exit_subset=exit_subset,
+        exit_position=exit_position,
+        scaled=tuple(scaled),
+        scale=weight * source.denominator,
         candidates_examined=candidates,
-        partition=Partition(blocks),
+        partition=None if exit_subset is not None else Partition(blocks),
     )

@@ -25,7 +25,7 @@ from soplan import (
 from soplan.compsetso import EXACT, LOWER_BOUND, alpha_lower_bound
 from soplan.multistage import build_plan
 from soplan.omniscience import optimal_rate_vector
-from soplan.submodular import AlphaFunction, dilworth_truncation, run_rate_update
+from soplan.submodular import dilworth_truncation, run_rate_update
 from tests.conftest import (
     make_cyclic_triple,
     make_five_user,
@@ -49,14 +49,14 @@ def _passed(number: int, note: str) -> None:
 def _truncation_complementary(source, model: str) -> tuple:
     """The characterization through the truncation equality at
     alpha = R(V), evaluated from scratch for every testable subset."""
-    af = AlphaFunction(source, min_sum_rate(source, None, model).value)
     ground = source.ground
+    shift = min_sum_rate(source, None, model).value - source.entropy(ground.full_mask)
     found = []
     for mask in range(1, ground.full_mask):
         if mask.bit_count() < 2:
             continue
-        value, _ = dilworth_truncation(af, mask)
-        if value == af.value(mask):
+        value, _ = dilworth_truncation(source, shift, mask)
+        if value == shift + source.entropy(mask):
             found.append(mask)
     return tuple(found)
 
@@ -262,13 +262,13 @@ def test_criterion_9_rate_update_stays_in_polyhedron(source_corpus):
                     if mode == EXACT
                     else alpha_lower_bound(source, model)
                 )
-                af = AlphaFunction(source, alpha)
-                run = run_rate_update(af, early_exit=False)
+                shift = alpha - source.entropy(ground.full_mask)
+                run = run_rate_update(source, shift, early_exit=False)
                 for snapshot in run.snapshots:
                     for mask in range(1, ground.full_mask + 1):
                         total = sum(
                             (snapshot[pos] for pos in range(ground.size) if mask >> pos & 1),
                             Fraction(0),
                         )
-                        assert total <= af.value(mask)
+                        assert total <= shift + source.entropy(mask)
     _passed(9, f"r(X) <= f#_alpha(X) held through every update on {instances} sources")

@@ -273,6 +273,29 @@ class TestValidate:
         assert "monotonicity" in captured.out
         assert captured.err.startswith("error:")
 
+    def test_defective_rational_table_output_is_pinned(self, tmp_path, capsys):
+        # mixed denominators and all three violation kinds; the expected
+        # text was recorded when the validator still compared Fractions
+        path = tmp_path / "defective.json"
+        entropy = {
+            "": "1/3", "1": "3/2", "2": "2/7", "3": "5/3",
+            "1,2": "1", "1,3": "11/5", "2,3": "9/4", "1,2,3": "23/6",
+        }
+        path.write_text(json.dumps({"model": "table", "users": [1, 2, 3], "entropy": entropy}))
+        assert cli.main(["validate", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == (
+            "7 violation(s):\n"
+            "  [normalization] H({}) = 1/3, expected 0\n"
+            "  [monotonicity] H({}) = 1/3 > 2/7 = H({2})\n"
+            "  [submodularity] H({2}) + H({3}) = 41/21 < 31/12 = H({2,3}) + H({})\n"
+            "  [monotonicity] H({1}) = 3/2 > 1 = H({1,2})\n"
+            "  [submodularity] H({1,2}) + H({1,3}) = 16/5 < 16/3 = H({1,2,3}) + H({1})\n"
+            "  [submodularity] H({1,2}) + H({2,3}) = 13/4 < 173/42 = H({1,2,3}) + H({2})\n"
+            "  [submodularity] H({1,3}) + H({2,3}) = 89/20 < 11/2 = H({1,2,3}) + H({3})\n"
+        )
+        assert captured.err == "error: the entropy table is not a polymatroid\n"
+
 
 class TestErrorPaths:
     def test_missing_source(self, capsys):

@@ -138,6 +138,14 @@ class TestRateVector:
         r = RateVector(g, (1, 2), g.full_mask)
         assert all(isinstance(v, Fraction) for v in r.values)
 
+    def test_rejects_floats_and_bools(self):
+        g = GroundSet((1, 2))
+        for bad in (0.5, True):
+            with pytest.raises(FormatError, match="rate for 2"):
+                RateVector(g, (1, bad), g.full_mask)
+            with pytest.raises(FormatError, match="rate for 2"):
+                RateVector.from_map(g, {2: bad})
+
 
 class TestPartition:
     def test_blocks_sorted_by_lowest_member(self):

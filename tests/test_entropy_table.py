@@ -1,0 +1,130 @@
+"""The integer entropy table of every source model against references
+that share no code with it.
+
+Each source stores ``denominator * H(mask)`` as an int for every mask;
+``entropy(mask)`` must give back exactly the reference value as a
+reduced Fraction.
+"""
+
+from __future__ import annotations
+
+import random
+from fractions import Fraction
+
+from soplan import GroundSet, LinearSource, TableSource, min_sum_rate
+from soplan.multistage import initial_system, merge_super_user
+from soplan.submodular import dilworth_truncation
+from tests.conftest import make_five_user, random_packet_source
+from tests.test_omniscience import bell_min_sum_rate
+from tests.test_structured_rank import dense_rref
+from tests.test_submodular import bell_truncation
+
+LARGE_PRIMES = (1000003, 1000033, 1000037, 1000039, 1000081, 1000099, 1000117)
+
+
+def assert_entropies(source, want) -> None:
+    """``entropy(mask)`` is the reduced Fraction ``want(mask)`` for every mask."""
+    for mask in range(source.ground.full_mask + 1):
+        value, expected = source.entropy(mask), Fraction(want(mask))
+        assert isinstance(value, Fraction)
+        assert (value.numerator, value.denominator) == (expected.numerator, expected.denominator)
+
+
+def dense_entropy(source, rows):
+    """H(mask) as the dense rank of the members' explicit rows."""
+
+    def want(mask):
+        stacked = [row for label in source.ground.labels_of(mask) for row in rows[label]]
+        return len(dense_rref(stacked, source.field_order, source.width))
+
+    return want
+
+
+def weighted_coverage(rng, n_users, denominators) -> TableSource:
+    """H(X) = total weight of the packets some member of X holds, with
+    packet k weighing a random numerator over ``denominators[k]``."""
+    source = random_packet_source(rng, n_users, len(denominators))
+    weight = {f"p{k}": Fraction(rng.randint(1, 9), d) for k, d in enumerate(denominators)}
+    ground = source.ground
+    table = {}
+    for mask in range(ground.full_mask + 1):
+        held = set().union(*(source.possession[label] for label in ground.labels_of(mask)))
+        table[mask] = sum((weight[p] for p in held), Fraction(0))
+    return TableSource(ground, table)
+
+
+def test_packet_sources_against_union_count():
+    rng = random.Random(11)
+    for n_users in (2, 3, 5, 7, 9):
+        source = random_packet_source(rng, n_users, rng.randint(n_users, 3 * n_users))
+        ground = source.ground
+
+        def union_count(mask):
+            return len(set().union(*(source.possession[label] for label in ground.labels_of(mask))))
+
+        assert_entropies(source, union_count)
+
+
+def test_linear_sources_against_dense_rank():
+    rng = random.Random(12)
+    for q, width, n_users in ((2, 5, 3), (7, 6, 4), (101, 4, 5)):
+        ground = GroundSet(tuple(f"u{k}" for k in range(n_users)))
+        rows = {}
+        for label in ground.labels:
+            rows[label] = tuple(
+                # a mix of scaled unit rows (coverage) and dense rows
+                tuple(rng.randrange(q) if rng.random() < 0.5 or k == j else 0 for k in range(width))
+                for j in rng.sample(range(width), rng.randint(0, 3))
+            )
+        source = LinearSource(ground, q, width, rows)
+        assert_entropies(source, dense_entropy(source, rows))
+
+
+def test_merged_systems_against_dense_rank():
+    rng = random.Random(13)
+    system = initial_system(make_five_user(), 2, 101)
+    for subset in ([1, 2], ["1+2", 5]):
+        width = system.source.width
+        sent = [tuple(rng.randrange(101) for _ in range(width)) for _ in range(3)]
+        before = system.source.rows
+        members = system.ground.labels_of(system.ground.mask(subset))
+        system = merge_super_user(system, subset, sent)
+        rows = {}
+        for label in system.ground.labels:
+            if label in before:
+                rows[label] = before[label] + tuple(sent)
+            else:
+                rows[label] = tuple(row for member in members for row in before[member])
+        assert_entropies(system.source, dense_entropy(system.source, rows))
+
+
+def test_table_with_denominators_two_three_seven():
+    ground = GroundSet(("a", "b", "c"))
+    given = {
+        0: 0,
+        0b001: Fraction(1, 2),
+        0b010: Fraction(2, 3),
+        0b100: Fraction(3, 7),
+        0b011: Fraction(7, 6),
+        0b101: Fraction(13, 14),
+        0b110: Fraction(23, 21),
+        0b111: Fraction(67, 42),
+    }
+    source = TableSource(ground, given)
+    assert source.denominator == 42
+    assert not source.integral
+    assert_entropies(source, given.__getitem__)
+
+
+def test_large_prime_denominators_against_bell_oracle():
+    source = weighted_coverage(random.Random(14), 5, LARGE_PRIMES)
+    ground = source.ground
+    for mask in range(3, ground.full_mask + 1):
+        if mask.bit_count() >= 2:
+            assert min_sum_rate(source, mask).value == bell_min_sum_rate(source, mask)
+    shift = min_sum_rate(source).value - source.entropy(ground.full_mask)
+    for mask in range(1, ground.full_mask + 1):
+        value, partition = dilworth_truncation(source, shift, mask)
+        want_value, want_partition = bell_truncation(source, shift, mask)
+        assert value == want_value
+        assert partition.blocks == want_partition.blocks

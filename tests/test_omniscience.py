@@ -214,11 +214,11 @@ class TestSweepAgainstBellOracle:
         # A sweep that never reaches alpha but records no better partition.
         real = omniscience.run_rate_update
 
-        def stalled(af, early_exit=True, within=None):
-            run = real(af, early_exit, within)
+        def stalled(source, shift, early_exit=True, within=None):
+            run = real(source, shift, early_exit, within)
             singletons = Partition(tuple(1 << pos for pos in range(5)))
-            rates = (Fraction(0),) * 5
-            return type(run)(None, None, rates, run.snapshots, 0, singletons)
+            zero_rates = ((0,) * 5,)
+            return type(run)(None, None, zero_rates, 1, 0, singletons)
 
         monkeypatch.setattr(omniscience, "run_rate_update", stalled)
         with pytest.raises(CertificationError, match="not a larger one"):

@@ -18,6 +18,7 @@ from soplan import (
     plan_multistage,
 )
 from soplan.multistage import Stage
+from tests.conftest import make_five_user
 from soplan.rlnc import FieldSpec, choose_field
 from soplan.gf import RowSpace, is_prime, next_prime, random_combination
 
@@ -122,6 +123,13 @@ class TestExecutePlan:
         expected_rows = int(plan.total_rates.total * plan.chunk_factor)
         assert len(transcript.broadcasts) == expected_rows
         assert transcript.required_rank == 10 * plan.chunk_factor
+
+    def test_fresh_source_builds_no_entropy_table(self, five_user):
+        # H(V) is the packet count; the 2^|V| table is never needed
+        plan = plan_multistage(five_user)
+        fresh = make_five_user()
+        assert execute_plan(fresh, plan).ok
+        assert "entropies" not in vars(fresh)
 
     def test_broadcast_rows_have_sender_support(self, five_user):
         plan = plan_multistage(five_user, "asymptotic")

@@ -108,6 +108,14 @@ class TestTableSource:
         with pytest.raises(DomainError):
             TableSource(g, {0: 0, 1: 1, 3: 2})
 
+    def test_floats_and_bools_rejected(self):
+        g = GroundSet((1, 2))
+        with pytest.raises(FormatError, match="floats are not accepted"):
+            TableSource(g, {0: 0, 1: 0.1, 2: 0.1, 3: 0.2})
+        with pytest.raises(FormatError, match="bool"):
+            TableSource(g, {0: 0, 1: True, 2: 1, 3: 2})
+        assert TableSource(g, {0: 0, 1: "1/10", 2: 1, 3: "11/10"}).entropy([1]) == Fraction(1, 10)
+
     def test_invalid_table_rejected_by_default(self):
         g = GroundSet((1, 2))
         bad = {0: 0, 1: 2, 2: 2, 3: 1}  # violates monotonicity

@@ -1,8 +1,13 @@
 """The alpha-parametrized function, its partition truncation, and the
-prefix minimization and rate update that power the subset search."""
+prefix minimization and rate update that power the subset search.
+
+The sweep takes f(X) = shift + H(X); ``shift = alpha - H(V)`` makes it
+f#_alpha.  The helpers below evaluate f and g from Fraction entropies,
+independently of the sweep's integer arithmetic."""
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
@@ -18,7 +23,6 @@ from soplan import (
 from soplan.compsetso import alpha_lower_bound
 from soplan.core import enumerate_partitions
 from soplan.submodular import (
-    AlphaFunction,
     dilworth_truncation,
     minimize_over_prefix,
     run_rate_update,
@@ -26,60 +30,83 @@ from soplan.submodular import (
 from tests.conftest import random_packet_source, random_rational_table
 
 
-def g_value(af, rates, candidate):
+def shift_of(source, alpha) -> Fraction:
+    """The shift that turns f into f#_alpha."""
+    return Fraction(alpha) - source.entropy(source.ground.full_mask)
+
+
+def f_value(source, shift, mask) -> Fraction:
+    return Fraction(0) if mask == 0 else shift + source.entropy(mask)
+
+
+def g_value(source, shift, rates, candidate):
     total = sum(
-        (rates[pos] for pos in range(af.ground.size) if candidate >> pos & 1),
+        (rates[pos] for pos in range(source.ground.size) if candidate >> pos & 1),
         Fraction(0),
     )
-    return af.value(candidate) - total
+    return f_value(source, shift, candidate) - total
+
+
+def minimize(source, shift, rates, position, within=None) -> tuple:
+    """minimize_over_prefix on Fraction rates, scaled to ints for it;
+    returns its result and the minimum of g it implies."""
+    weight = math.lcm(*(Fraction(r).denominator for r in rates))
+    scale = weight * source.denominator
+    scaled = [int(r * scale) for r in rates]
+    result = minimize_over_prefix(source, weight, scaled, position, within)
+    return result, shift + Fraction(result.min_value, scale)
 
 
 class TestAlphaFunction:
+    """f#_alpha as the sweep evaluates it."""
+
     def test_values_on_worked_example(self, five_user):
-        af = AlphaFunction(five_user, Fraction(13, 2))
-        assert af.value(0) == 0
-        assert af.value([1]) == Fraction(9, 2)
-        assert af.value([2]) == Fraction(5, 2)
-        assert af.value(five_user.ground.full_mask) == Fraction(13, 2)
+        shift = shift_of(five_user, Fraction(13, 2))
+        # f on one user is its own truncation; f(empty) = 0 keeps the
+        # rates outside the sweep's domain at 0
+        run = run_rate_update(five_user, shift, early_exit=False, within=[1])
+        assert run.rates == (Fraction(9, 2), 0, 0, 0, 0)
+        assert dilworth_truncation(five_user, shift, [2])[0] == Fraction(5, 2)
+        # alpha = 13/2 is R(V), so f(V) is its own truncation
+        assert dilworth_truncation(five_user, shift, five_user.ground.full_mask)[0] == Fraction(13, 2)
 
     def test_alpha_range_enforced(self, five_user):
-        # AlphaFunction takes any alpha: the sweeps behind R(X) and the
+        # the sweep takes any alpha: the sweeps behind R(X) and the
         # non-asymptotic witness shift it past H(V)
         for value in (Fraction(-1), Fraction(21, 2)):
-            assert AlphaFunction(five_user, value).value([1]) == value - 2
+            assert dilworth_truncation(five_user, shift_of(five_user, value), [1])[0] == value - 2
 
 
 class TestDilworthTruncation:
     def test_complementary_subset_keeps_one_block(self, five_user):
-        af = AlphaFunction(five_user, Fraction(13, 2))
-        value, partition = dilworth_truncation(af, [1, 2])
-        assert value == af.value([1, 2]) == Fraction(9, 2)
+        shift = shift_of(five_user, Fraction(13, 2))
+        value, partition = dilworth_truncation(five_user, shift, [1, 2])
+        assert value == f_value(five_user, shift, 0b11) == Fraction(9, 2)
         assert partition.blocks == (five_user.ground.mask([1, 2]),)
 
     def test_loose_subset_splits(self, five_user):
-        af = AlphaFunction(five_user, Fraction(13, 2))
-        value, partition = dilworth_truncation(af, [3, 4])
+        shift = shift_of(five_user, Fraction(13, 2))
+        value, partition = dilworth_truncation(five_user, shift, [3, 4])
         assert value == 1  # two singleton blocks at 1/2 each
         assert len(partition) == 2
 
     def test_full_set_truncation_equals_min_sum_rate(self, five_user):
         target = min_sum_rate(five_user).value
-        af = AlphaFunction(five_user, target)
-        value, partition = dilworth_truncation(af, five_user.ground.full_mask)
+        shift = shift_of(five_user, target)
+        value, partition = dilworth_truncation(five_user, shift, five_user.ground.full_mask)
         assert value == target
         assert partition.union == five_user.ground.full_mask
 
     def test_empty_subset_rejected(self, five_user):
-        af = AlphaFunction(five_user, Fraction(1))
         with pytest.raises(DomainError):
-            dilworth_truncation(af, 0)
+            dilworth_truncation(five_user, shift_of(five_user, 1), 0)
 
     def test_minimum_over_explicit_partitions(self, five_user):
-        af = AlphaFunction(five_user, Fraction(4))
+        shift = shift_of(five_user, 4)
         mask = five_user.ground.mask([1, 3, 4])
-        value, _ = dilworth_truncation(af, mask)
+        value, _ = dilworth_truncation(five_user, shift, mask)
         explicit = min(
-            sum((af.value(b) for b in p), Fraction(0))
+            sum((f_value(five_user, shift, b) for b in p), Fraction(0))
             for p in enumerate_partitions(mask)
         )
         assert value == explicit
@@ -92,7 +119,7 @@ class TestDilworthTruncation:
         alpha = h_total * Fraction(numerator, 6)
         assert source.integral
         fast_value, fast_partition = dilworth_truncation(
-            AlphaFunction(source, alpha), source.ground.full_mask
+            source, shift_of(source, alpha), source.ground.full_mask
         )
         # the same source with every entropy divided by 3: non-integral
         scaled = TableSource(
@@ -105,18 +132,18 @@ class TestDilworthTruncation:
         )
         assert not scaled.integral or h_total == 0
         slow_value, slow_partition = dilworth_truncation(
-            AlphaFunction(scaled, alpha / 3), scaled.ground.full_mask
+            scaled, shift_of(scaled, alpha / 3), scaled.ground.full_mask
         )
         assert fast_value == slow_value * 3
         assert fast_partition.blocks == slow_partition.blocks
 
 
-def bell_truncation(af, mask) -> tuple:
-    """The minimum block sum of f#_alpha over every partition of ``mask``
-    and the first minimizing partition in enumeration order."""
+def bell_truncation(source, shift, mask) -> tuple:
+    """The minimum block sum of f over every partition of ``mask`` and
+    the first minimizing partition in enumeration order."""
     best = None
     for partition in enumerate_partitions(mask):
-        total = sum((af.value(b) for b in partition), Fraction(0))
+        total = sum((f_value(source, shift, b) for b in partition), Fraction(0))
         if best is None or total < best[0]:
             best = (total, partition)
     return best
@@ -127,9 +154,9 @@ class TestTruncationAgainstBellOracle:
     value, and the recorded partition is the first minimizer."""
 
     @staticmethod
-    def assert_matches_oracle(af, mask):
-        value, partition = dilworth_truncation(af, mask)
-        want_value, want_partition = bell_truncation(af, mask)
+    def assert_matches_oracle(source, shift, mask):
+        value, partition = dilworth_truncation(source, shift, mask)
+        want_value, want_partition = bell_truncation(source, shift, mask)
         assert value == want_value
         assert partition.blocks == want_partition.blocks
 
@@ -137,41 +164,41 @@ class TestTruncationAgainstBellOracle:
         for k, source in enumerate(source_corpus):
             # alpha = R(V) decides complementarity; the lower bound sits below it
             alpha = min_sum_rate(source).value if k % 2 else alpha_lower_bound(source)
-            af = AlphaFunction(source, alpha)
+            shift = shift_of(source, alpha)
             for mask in range(1, source.ground.full_mask + 1):
-                self.assert_matches_oracle(af, mask)
+                self.assert_matches_oracle(source, shift, mask)
 
     @settings(max_examples=40, deadline=None)
     @given(st.randoms(use_true_random=False), st.integers(min_value=0, max_value=8))
     def test_rational_tables(self, rng, eighths):
         source = random_rational_table(rng, rng.randint(2, 6), rng.randint(2, 10))
-        af = AlphaFunction(source, source.entropy(source.ground.full_mask) * Fraction(eighths, 8))
+        shift = shift_of(source, source.entropy(source.ground.full_mask) * Fraction(eighths, 8))
         for mask in range(1, source.ground.full_mask + 1):
-            self.assert_matches_oracle(af, mask)
+            self.assert_matches_oracle(source, shift, mask)
 
 
 class TestMinimizeOverPrefix:
     def test_candidate_count(self, five_user):
-        af = AlphaFunction(five_user, Fraction(13, 2))
+        shift = shift_of(five_user, Fraction(13, 2))
         rates = [Fraction(0)] * 5
-        result = minimize_over_prefix(af, rates, 4)
+        result, _ = minimize(five_user, shift, rates, 4)
         assert result.candidates_examined == 2 ** 3
 
     def test_position_range(self, five_user):
-        af = AlphaFunction(five_user, Fraction(13, 2))
+        shift = shift_of(five_user, Fraction(13, 2))
         with pytest.raises(DomainError):
-            minimize_over_prefix(af, [Fraction(0)] * 5, 0)
+            minimize(five_user, shift, [Fraction(0)] * 5, 0)
         with pytest.raises(DomainError):
-            minimize_over_prefix(af, [Fraction(0)] * 5, 6)
+            minimize(five_user, shift, [Fraction(0)] * 5, 6)
         with pytest.raises(DomainError):
-            minimize_over_prefix(af, [Fraction(0)] * 5, 3, within=[1, 2, 4])
+            minimize(five_user, shift, [Fraction(0)] * 5, 3, within=[1, 2, 4])
 
     def test_known_minimizer(self, five_user):
         # position 2 at the exact parameter: {1,2} beats the singleton
-        af = AlphaFunction(five_user, Fraction(13, 2))
-        rates = [af.value([1])] + [Fraction(13, 2) - 10] * 4
-        result = minimize_over_prefix(af, rates, 2)
-        assert result.min_value == Fraction(7, 2)
+        shift = shift_of(five_user, Fraction(13, 2))
+        rates = [f_value(five_user, shift, 0b1)] + [Fraction(13, 2) - 10] * 4
+        result, min_value = minimize(five_user, shift, rates, 2)
+        assert min_value == Fraction(7, 2)
         assert result.nonsingleton_proper_minimizer == five_user.ground.mask([1, 2])
 
     @settings(max_examples=30, deadline=None)
@@ -183,35 +210,33 @@ class TestMinimizeOverPrefix:
     def test_lattice_closure_of_minimizers(self, rng, position, numerators):
         source = random_packet_source(rng, 4, 6)
         h_total = source.entropy(source.ground.full_mask)
-        af = AlphaFunction(source, h_total * Fraction(1, 2))
+        shift = shift_of(source, h_total * Fraction(1, 2))
         rates = [Fraction(n, 3) for n in numerators]
-        result = minimize_over_prefix(af, rates, position)
+        result, min_value = minimize(source, shift, rates, position)
         for mask in result.minimizers:
-            assert g_value(af, rates, mask) == result.min_value
+            assert g_value(source, shift, rates, mask) == min_value
         # minimizers form a lattice: intersection and union stay minimizers
-        assert g_value(af, rates, result.minimal_minimizer) == result.min_value
-        assert g_value(af, rates, result.maximal_minimizer) == result.min_value
+        assert g_value(source, shift, rates, result.minimal_minimizer) == min_value
+        assert g_value(source, shift, rates, result.maximal_minimizer) == min_value
         # exhaustive cross-check of the minimum itself
         top = 1 << (position - 1)
         below = top - 1
         lo = min(
-            g_value(af, rates, sub | top)
+            g_value(source, shift, rates, sub | top)
             for sub in range(below + 1)
             if (sub | top) & below == sub
         )
-        assert lo == result.min_value
+        assert lo == min_value
 
 
 class TestRunRateUpdate:
     def test_early_exit_on_worked_example(self, five_user):
-        af = AlphaFunction(five_user, Fraction(13, 2))
-        run = run_rate_update(af, early_exit=True)
+        run = run_rate_update(five_user, shift_of(five_user, Fraction(13, 2)), early_exit=True)
         assert run.exit_subset == five_user.ground.mask([1, 2])
         assert run.exit_position == 2
 
     def test_completion_reaches_known_vector(self, five_user):
-        af = AlphaFunction(five_user, Fraction(13, 2))
-        run = run_rate_update(af, early_exit=False)
+        run = run_rate_update(five_user, shift_of(five_user, Fraction(13, 2)), early_exit=False)
         assert run.exit_subset is None
         assert run.rates == (
             Fraction(9, 2),
@@ -223,8 +248,7 @@ class TestRunRateUpdate:
         assert len(run.snapshots) == 5  # init + one per later user
 
     def test_snapshots_start_at_initialization(self, five_user):
-        af = AlphaFunction(five_user, Fraction(13, 2))
-        run = run_rate_update(af, early_exit=False)
+        run = run_rate_update(five_user, shift_of(five_user, Fraction(13, 2)), early_exit=False)
         shift = Fraction(13, 2) - 10
         assert run.snapshots[0] == (Fraction(9, 2),) + (shift,) * 4
 
@@ -235,8 +259,8 @@ class TestRunRateUpdate:
         after initialization and after every completed update."""
         source = random_packet_source(rng, rng.randint(3, 5), rng.randint(3, 8))
         h_total = source.entropy(source.ground.full_mask)
-        af = AlphaFunction(source, h_total * Fraction(quarter, 4))
-        run = run_rate_update(af, early_exit=False)
+        shift = shift_of(source, h_total * Fraction(quarter, 4))
+        run = run_rate_update(source, shift, early_exit=False)
         full = source.ground.full_mask
         for snapshot in run.snapshots:
             for mask in range(1, full + 1):
@@ -244,4 +268,4 @@ class TestRunRateUpdate:
                     (snapshot[pos] for pos in range(source.ground.size) if mask >> pos & 1),
                     Fraction(0),
                 )
-                assert total <= af.value(mask)
+                assert total <= f_value(source, shift, mask)
