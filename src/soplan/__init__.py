@@ -23,7 +23,6 @@ from .core import (
     FormatError,
     GroundSet,
     Partition,
-    PlanningError,
     RateVector,
     SoplanError,
 )
@@ -54,7 +53,6 @@ __all__ = [
     "DomainError",
     "FormatError",
     "CertificationError",
-    "PlanningError",
     "MAX_USERS",
     "GroundSet",
     "RateVector",

@@ -12,8 +12,7 @@ Subcommands:
 Artifacts (plan JSON, simulation transcript) go to ``--out`` or stdout;
 human summaries for those two commands go to stderr so artifacts stay
 machine-readable.  Exit codes: 0 success, 2 malformed input or domain
-error, 3 failed certification or planning, 4 decode failure in a
-simulation.
+error, 3 failed certification, 4 decode failure in a simulation.
 """
 
 from __future__ import annotations
@@ -23,7 +22,7 @@ import json
 import sys
 
 from .compsetso import comp_set_so
-from .core import CertificationError, DomainError, FormatError, PlanningError
+from .core import CertificationError, DomainError, FormatError
 from .multistage import load_plan, plan_multistage
 from .omniscience import enumerate_complementary, min_sum_rate, optimal_rate_vector
 from .rlnc import execute_plan
@@ -235,7 +234,7 @@ def main(argv=None) -> int:
     except (FormatError, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
-    except (CertificationError, PlanningError) as exc:
+    except CertificationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CERTIFICATION
     except OSError as exc:

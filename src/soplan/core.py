@@ -41,11 +41,6 @@ class CertificationError(SoplanError):
     """
 
 
-class PlanningError(SoplanError):
-    """Multi-stage planning could not complete, e.g. a rank deficiency
-    persisted across the bounded number of seeded retries."""
-
-
 SubsetLike = Union[int, Iterable]
 
 

@@ -13,22 +13,20 @@ staging is free in total cost while letting small groups finish early.
 
 Mechanics worth knowing:
 
-* Planning works on a linear lift of the packet source.  Each packet is
-  split into ``chunk_factor`` chunks so that every stage broadcast is a
-  whole number of chunk rows.  The chunk factor is discovered by
-  restarting planning whenever a stage rate shows a new denominator and
-  is fixed for the whole plan (it stays 1 in the non-asymptotic model).
-* A system never stores lifted unit rows.  Each user is its coverage
-  (the chunk columns it observes directly, ORed over a super user's
-  members) plus the broadcasts it heard, kept as indices into one
-  shared row table, so every rank is a popcount plus one small residual
-  elimination (see :class:`~soplan.sources.LinearSource`).
-* Post-merge entropies come from the ranks of actually synthesized
-  coding rows, not from a generic-rank formula.  Rows are drawn from a
-  seeded RNG (:func:`~soplan.rlnc.draw_stage`, the simulator's loop).  A
-  draw is kept once every member spans the group's observation and the
-  merged system's minimum sum-rate is the current one less the stage
-  total; a rare unlucky draw over the large field chosen is redrawn.
+* Planning is entropy-table arithmetic; no coding row is drawn.  The
+  first system is the packet source itself, and each merged system is a
+  :class:`~soplan.sources.TableSource` built from the previous table and
+  the stage rates by the generic-rank formula of
+  :func:`merge_super_user`: the rank generic coding rows give every
+  listener (Ho et al., "A random linear network coding approach to
+  multicast", IEEE Trans. IT 2006).
+* A merged table is scaled by the denominator of its stage's rates, so
+  every table stays integral.  ``MergedSystem.scale`` counts a system's
+  entropy units per packet, and stage rates are divided by it.
+* The chunk factor, the number of chunks each packet is split into so
+  that every stage broadcast is a whole number of chunk rows, is the lcm
+  of the stage rates' denominators in packet units (1 in the
+  non-asymptotic model).  The field is chosen from it once, at the end.
 * A super user's transmissions are charged to its earliest original
   member, who can produce them because local omniscience handed the
   whole group's observation to every member.
@@ -37,7 +35,6 @@ Mechanics worth knowing:
 from __future__ import annotations
 
 import json
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
@@ -48,18 +45,17 @@ from .core import (
     DomainError,
     FormatError,
     GroundSet,
-    PlanningError,
     RateVector,
     SubsetLike,
     bit_positions,
     parse_fraction,
+    submask_sums,
 )
 from .omniscience import ASYMPTOTIC, NON_ASYMPTOTIC, check_model, min_sum_rate
 from .compsetso import LOWER_BOUND, comp_set_so
-from .rlnc import choose_field, draw_stage
-from .sources import LinearSource, PacketSource
+from .rlnc import choose_field
+from .sources import PacketSource, TableSource
 
-MAX_RESTARTS = 8
 SUPER_JOIN = "+"
 
 
@@ -94,7 +90,7 @@ class Stage:
 @dataclass(frozen=True)
 class StagePlan:
     """An ordered list of stages plus everything the simulator needs:
-    the chunk factor, the field order and the planning seed."""
+    the chunk factor, the field order and its default seed."""
 
     ground: GroundSet
     model: str
@@ -227,16 +223,23 @@ def load_plan(path) -> StagePlan:
 
 @dataclass(frozen=True)
 class MergedSystem:
-    """A linear system over the current (possibly merged) users.
+    """The system a stage is planned on.
 
-    ``label_map`` sends every current user to the set of original users
-    it stands for; the sets partition the original ground set.
+    ``source`` is the packet source for the first stage and an integral
+    entropy table afterwards; ``scale`` is its number of entropy units
+    per packet.  ``label_map`` sends every current user to the set of
+    original users it stands for; the sets partition the original
+    ground set.
     """
 
-    ground: GroundSet
-    source: LinearSource
+    source: PacketSource | TableSource
     label_map: Mapping
     original: GroundSet
+    scale: int
+
+    @property
+    def ground(self) -> GroundSet:
+        return self.source.ground
 
     def original_mask(self, subset: SubsetLike) -> int:
         mask = self.ground.mask(subset)
@@ -247,22 +250,31 @@ class MergedSystem:
         return out
 
 
-def initial_system(source: PacketSource, chunk_factor: int, field_order: int) -> MergedSystem:
-    """Lift a packet source to chunk rows; every user stands for itself."""
-    linear = source.lift(chunk_factor, field_order)
+def initial_system(source: PacketSource) -> MergedSystem:
+    """The packet source as a system; every user stands for itself."""
     label_map = {label: frozenset([label]) for label in source.ground.labels}
-    return MergedSystem(source.ground, linear, label_map, source.ground)
+    return MergedSystem(source, label_map, source.ground, 1)
 
 
-def merge_super_user(system: MergedSystem, subset: SubsetLike, transmissions) -> MergedSystem:
-    """Merge the members of ``subset`` into one super user.
+def merge_super_user(system: MergedSystem, subset: SubsetLike, rates: RateVector) -> MergedSystem:
+    """Merge the members of ``subset`` = X into one super user after a
+    stage in which they broadcast generic coding rows at ``rates`` (a
+    rate vector on the system's users, zero outside X).
 
-    The super user observes everything its members observe (their
-    coverage ORed, their table rows united) and takes the position of
-    the earliest member.  The stage's ``transmissions`` join the shared
-    row table once, and every remaining user hears them on top of its
-    own observation.  Any non-singleton proper subset merges; the
-    planner passes only subsets that :func:`~soplan.compsetso.comp_set_so`
+    The super user observes everything its members observe and takes
+    the position of the earliest member.  Every other user hears the
+    stage's rows, and a listener set Y disjoint from X reaches the rank
+    generic rows give it: the minimum over sender sets T ⊆ X of what Y
+    and the senders outside T observe, plus the rows T sends::
+
+        H'(Y) = H(Y ∪ X)                                 if Y meets X
+        H'(Y) = min over T ⊆ X of H(Y ∪ (X∖T)) + r(T)    if Y is nonempty
+        H'(∅) = 0
+
+    The new table is scaled by the lcm d of the rates' denominators, so
+    it stays integral, and the returned system's ``scale`` is d times
+    the current one.  Any non-singleton proper subset merges; the planner
+    passes only subsets that :func:`~soplan.compsetso.comp_set_so`
     certified complementary.
     """
     ground = system.ground
@@ -271,57 +283,59 @@ def merge_super_user(system: MergedSystem, subset: SubsetLike, transmissions) ->
         raise DomainError("refusing to merge a singleton; a super user needs two members")
     if mask == ground.full_mask:
         raise DomainError("refusing to merge the entire system")
-    members = ground.labels_of(mask)
     source = system.source
-    q, width = source.field_order, source.width
-    sent = []
-    for row in transmissions:
-        if len(row) != width:
-            raise DomainError(f"transmission of width {len(row)}, expected {width}")
-        sent.append(tuple(value % q for value in row))
-    row_table = source.row_table + tuple(sent)
-    heard = ((1 << len(sent)) - 1) << len(source.row_table)
+    d = lcm(*(rates.values[pos].denominator for pos in bit_positions(mask)))
+    table, denominator = source.entropies, source.denominator
+    # r(T) for every T in X, on the scale d * denominator of the new table
+    senders, sent = submask_sums(mask, [int(v * d) * denominator for v in rates.values])
 
+    members = ground.labels_of(mask)
     super_orig = frozenset().union(*(system.label_map[m] for m in members))
-    ordered = sorted(super_orig, key=system.original.position)
-    super_label = SUPER_JOIN.join(str(member) for member in ordered)
-
+    super_label = SUPER_JOIN.join(
+        str(member) for member in sorted(super_orig, key=system.original.position)
+    )
     anchor = mask & -mask
     new_labels = []
-    coverage = {}
-    row_sets = {}
     new_map = {}
+    # old_masks[m] is the current-system subset that the new subset m
+    # stands for; the super user's position stands for all of X
+    old_masks = [0]
     for pos, label in enumerate(ground.labels):
         bit = 1 << pos
         if bit & mask:
             if bit != anchor:
                 continue
-            new_labels.append(super_label)
-            coverage[super_label] = row_sets[super_label] = 0
-            for member in members:
-                coverage[super_label] |= source.coverage[member]
-                row_sets[super_label] |= source.row_sets[member]
-            new_map[super_label] = super_orig
+            label, bit = super_label, mask
+            new_map[label] = super_orig
         else:
-            new_labels.append(label)
-            coverage[label] = source.coverage[label]
-            row_sets[label] = source.row_sets[label] | heard
             new_map[label] = system.label_map[label]
+        new_labels.append(label)
+        old_masks += [old | bit for old in old_masks]
+
+    merged = []
+    for old in old_masks:
+        if old & mask:
+            value = d * table[old | mask]
+        elif old:
+            value = min(d * table[old | (mask ^ t)] + r for t, r in zip(senders, sent))
+        else:
+            value = 0
+        merged.append(Fraction(value, denominator))
     new_ground = GroundSet(tuple(new_labels))
-    linear = LinearSource.from_parts(new_ground, q, width, coverage, row_table, row_sets)
-    return MergedSystem(new_ground, linear, new_map, system.original)
+    table_source = TableSource(new_ground, dict(enumerate(merged)), validate=False)
+    return MergedSystem(table_source, new_map, system.original, system.scale * d)
 
 
 @dataclass(frozen=True)
 class StageBuild:
     """Planner-internal record of one stage: the system it was planned
-    on, the target in that system's labels and the local rates in chunk
-    units.  ``emitted`` is False for zero-rate stages, which are merged
-    through but dropped from the plan."""
+    on, the target in that system's labels and the local rates in that
+    system's units.  ``emitted`` is False for zero-rate stages, which are
+    merged through but dropped from the plan."""
 
     system: MergedSystem
     target: int
-    chunk_rates: Mapping
+    rates: RateVector
     stage: Stage
     emitted: bool
 
@@ -332,106 +346,18 @@ class PlanBuild:
     builds: tuple
 
 
-class _ChunkRestart(Exception):
-    def __init__(self, multiplier: int):
-        self.multiplier = multiplier
-
-
-def _integral_chunk_counts(chunk_rates: Mapping) -> None:
-    denominators = [Fraction(v).denominator for v in chunk_rates.values()]
-    bad = [d for d in denominators if d != 1]
-    if bad:
-        raise _ChunkRestart(lcm(*bad))
-
-
-def _stage_from_local(system: MergedSystem, mask: int, chunk_rates: Mapping, chunk_factor: int) -> Stage:
-    """Map current-system chunk rates down to original users and packet
+def _stage_from_local(system: MergedSystem, mask: int, rates: RateVector) -> Stage:
+    """Map current-system rates down to original users and packet
     units.  A super user's rate lands on its earliest original member."""
     per_original: dict = {}
-    for label, rate in chunk_rates.items():
+    for label, rate in rates.as_dict().items():
         if rate == 0:
             continue
         representative = min(system.label_map[label], key=system.original.position)
         per_original[representative] = (
-            per_original.get(representative, Fraction(0)) + Fraction(rate) / chunk_factor
+            per_original.get(representative, Fraction(0)) + rate / system.scale
         )
-    rates = RateVector.from_map(system.original, per_original)
-    return Stage(system.original_mask(mask), rates)
-
-
-def _synthesize_stage(
-    system: MergedSystem, mask: int, chunk_rates: Mapping, model: str, rng
-) -> MergedSystem:
-    """Draw the stage's coding rows and return the system merged
-    through them.
-
-    A draw is kept once every member spans the whole group's
-    observation and the merged system's minimum sum-rate is the current
-    one less the stage total.  Random rows reach the generic ranks only
-    with high probability over the field, and a draw that hands the
-    members everything can still leave an outsider short, so the second
-    check is needed as well.  Rejected draws are redrawn within
-    ``STAGE_REDRAW_LIMIT`` attempts.
-    """
-    source = system.source
-    members = system.ground.labels_of(mask)
-    target_rank = source.entropy(mask)
-    expected = min_sum_rate(source, None, model).value - sum(chunk_rates[m] for m in members)
-    spaces = {member: source.row_space([member]) for member in members}
-    merged = []
-
-    def accept(trial, rows) -> bool:
-        if any(trial[m].rank != target_rank for m in members):
-            return False
-        merged.append(merge_super_user(system, mask, [row for _, row in rows]))
-        return min_sum_rate(merged[-1].source, None, model).value == expected
-
-    counts = {m: int(chunk_rates[m]) for m in members}
-    draw = draw_stage(spaces, counts, rng, accept)
-    if not draw.accepted:
-        raise PlanningError(
-            f"no draw of stage rows for {system.ground.format(mask)} reached the generic "
-            f"ranks in {draw.attempts} attempts; try another seed"
-        )
-    return merged[-1]
-
-
-def _plan_pass(source: PacketSource, model: str, seed: int, chunk_factor: int, alpha_mode: str) -> PlanBuild:
-    ground = source.ground
-    h_total = source.entropy(ground.full_mask)
-    if model == NON_ASYMPTOTIC and chunk_factor != 1:
-        raise CertificationError(
-            "non-asymptotic stage rates are integers; the chunk factor must stay 1"
-        )
-    field = choose_field(chunk_factor, h_total, ground.size)
-    system = initial_system(source, chunk_factor, field.order)
-    rng = random.Random(f"{seed}/{chunk_factor}")
-    builds = []
-    stages = []
-    while True:
-        outcome = comp_set_so(system.source, model, alpha_mode)
-        # a completed sweep leaves the whole system as the final target
-        final = outcome.subset is None
-        mask = system.ground.full_mask if final else outcome.subset
-        chunk_rates = min_sum_rate(system.source, mask, model).rates.as_dict()
-        _integral_chunk_counts(chunk_rates)
-        stage = _stage_from_local(system, mask, chunk_rates, chunk_factor)
-        emitted = stage.total > 0
-        builds.append(StageBuild(system, mask, chunk_rates, stage, emitted))
-        if emitted:
-            stages.append(stage)
-        if final:
-            break
-        system = _synthesize_stage(system, mask, chunk_rates, model, rng)
-
-    plan = StagePlan(ground, model, tuple(stages), chunk_factor, field.order, seed)
-    want = min_sum_rate(source, None, model).value
-    have = plan.total_rates.total
-    if have != want:
-        raise CertificationError(
-            f"stage rates total {have} but the single-shot minimum sum-rate is {want}"
-        )
-    return PlanBuild(plan, tuple(builds))
+    return Stage(system.original_mask(mask), RateVector.from_map(system.original, per_original))
 
 
 def build_plan(
@@ -440,17 +366,55 @@ def build_plan(
     seed: int = 0,
     alpha_mode: str = LOWER_BOUND,
 ) -> PlanBuild:
-    """Plan with full internal records (per-stage systems and rates)."""
+    """Plan with full internal records (per-stage systems and rates).
+
+    Each merge is certified: the merged system's minimum sum-rate is the
+    current one less the stage total, at the new scale.  So is the plan:
+    its total is the single-shot minimum sum-rate.  ``seed`` is only
+    recorded in the plan, for the simulator.
+    """
     check_model(model)
     if not isinstance(source, PacketSource):
-        raise DomainError("staged planning synthesizes coding rows and needs a packet source")
-    chunk_factor = 1
-    for _ in range(MAX_RESTARTS):
-        try:
-            return _plan_pass(source, model, seed, chunk_factor, alpha_mode)
-        except _ChunkRestart as restart:
-            chunk_factor *= restart.multiplier
-    raise PlanningError("the chunk factor did not stabilize; this should be impossible")
+        raise DomainError("staged planning splits packets into chunks and needs a packet source")
+    system = initial_system(source)
+    builds = []
+    while True:
+        outcome = comp_set_so(system.source, model, alpha_mode)
+        # a completed sweep leaves the whole system as the final target
+        final = outcome.subset is None
+        mask = system.ground.full_mask if final else outcome.subset
+        rates = min_sum_rate(system.source, mask, model).rates
+        stage = _stage_from_local(system, mask, rates)
+        builds.append(StageBuild(system, mask, rates, stage, stage.total > 0))
+        if final:
+            break
+        merged = merge_super_user(system, mask, rates)
+        want = (min_sum_rate(system.source, None, model).value - rates.total) * (
+            merged.scale // system.scale
+        )
+        have = min_sum_rate(merged.source, None, model).value
+        if have != want:
+            raise CertificationError(
+                f"merging {system.ground.format(mask)} left a minimum sum-rate of {have}, "
+                f"not {want}"
+            )
+        system = merged
+
+    stages = tuple(record.stage for record in builds if record.emitted)
+    chunk_factor = lcm(*(rate.denominator for stage in stages for rate in stage.rates.values))
+    if model == NON_ASYMPTOTIC and chunk_factor != 1:
+        raise CertificationError(
+            "non-asymptotic stage rates are integers; the chunk factor must stay 1"
+        )
+    field = choose_field(chunk_factor, source.entropy(source.ground.full_mask), source.ground.size)
+    plan = StagePlan(source.ground, model, stages, chunk_factor, field.order, seed)
+    want = min_sum_rate(source, None, model).value
+    have = plan.total_rates.total
+    if have != want:
+        raise CertificationError(
+            f"stage rates total {have} but the single-shot minimum sum-rate is {want}"
+        )
+    return PlanBuild(plan, tuple(builds))
 
 
 def plan_multistage(

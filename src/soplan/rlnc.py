@@ -13,12 +13,14 @@ draw is discarded) and the attempt count is recorded in the stage
 report, so no failure passes silently.  A stage that stays short after
 ``STAGE_REDRAW_LIMIT`` attempts keeps its last draw and the honest
 decode flags propagate to the final report.  Only the stage members
-are checked: a draw can leave a bystander below the rank generic rows
-would give it, which the simulator has no way to know.
+are checked: a draw can still leave a bystander below the rank generic
+rows give it (the rank the planner's merged tables hold, see
+:func:`~soplan.multistage.merge_super_user`), and a later stage may
+then fail to decode.
 
 Every user's space starts from its chunk columns as covered
 coordinates (see :class:`~soplan.gf.RowSpace`), so only broadcasts are
-ever eliminated.  :func:`draw_stage` is also the planner's loop.
+ever eliminated.
 """
 
 from __future__ import annotations
@@ -149,29 +151,41 @@ class Transcript:
         return "\n".join(lines) + "\n"
 
 
+def _spans_columns(space: RowSpace, columns: int) -> bool:
+    """Does ``space`` contain the unit row of every column in ``columns``?"""
+    for column in bit_positions(columns & ~space.covered):
+        row = [0] * space.width
+        row[column] = 1
+        if not space.contains(row):
+            return False
+    return True
+
+
 @dataclass(frozen=True)
 class StageDraw:
     """One stage's coding rows as ``(sender, row)`` pairs in broadcast
     order, every listener's space after hearing them, the number of
-    attempts taken, and whether the last attempt was accepted."""
+    attempts taken, and whether each sender spans the needed columns
+    after the last attempt."""
 
     rows: tuple
     spaces: Mapping
     attempts: int
-    accepted: bool
+    achieved: Mapping
 
 
-def draw_stage(spaces: Mapping, counts: Mapping, rng, accept) -> StageDraw:
-    """Draw one stage's random coding rows, redrawing rejected draws.
+def draw_stage(spaces: Mapping, counts: Mapping, rng, needed: int) -> StageDraw:
+    """Draw one stage's random coding rows, redrawing short draws.
 
     ``spaces`` maps every listener to its current row space and stays
     untouched; ``counts`` maps each sender, in sending order, to its
     number of rows.  A sender combines what it spans at its turn (its
     observation plus the rows sent before it in the same draw), and
-    every other listener hears each row.  ``accept(spaces, rows)``
-    judges a draw.  Drawing stops at the first accepted draw, after one
-    draw without rows (fresh randomness cannot change it), or after
-    ``STAGE_REDRAW_LIMIT`` attempts; the last draw is returned.
+    every other listener hears each row.  A draw is kept once every
+    sender spans the unit rows of the columns in ``needed``.  Drawing
+    stops there, after one draw without rows (fresh randomness cannot
+    change it), or after ``STAGE_REDRAW_LIMIT`` attempts; the last draw
+    is returned.
     """
     attempts = 0
     while True:
@@ -188,19 +202,9 @@ def draw_stage(spaces: Mapping, counts: Mapping, rng, accept) -> StageDraw:
                 for user, listener in trial.items():
                     if user != sender:
                         listener.add(row)
-        accepted = accept(trial, rows)
-        if accepted or not rows or attempts >= STAGE_REDRAW_LIMIT:
-            return StageDraw(tuple(rows), trial, attempts, accepted)
-
-
-def _spans_columns(space: RowSpace, columns: int) -> bool:
-    """Does ``space`` contain the unit row of every column in ``columns``?"""
-    for column in bit_positions(columns & ~space.covered):
-        row = [0] * space.width
-        row[column] = 1
-        if not space.contains(row):
-            return False
-    return True
+        achieved = {member: _spans_columns(trial[member], needed) for member in counts}
+        if all(achieved.values()) or not rows or attempts >= STAGE_REDRAW_LIMIT:
+            return StageDraw(tuple(rows), trial, attempts, achieved)
 
 
 def execute_plan(source: PacketSource, plan: "StagePlan", seed: int = None) -> Transcript:
@@ -209,8 +213,7 @@ def execute_plan(source: PacketSource, plan: "StagePlan", seed: int = None) -> T
     Broadcasts reach every user, not only the stage's target; later
     stages count on bystanders having heard earlier stages.  ``seed``
     defaults to the seed recorded in the plan.  Only the stage members'
-    decoding is checked before a draw is kept: the simulator cannot
-    know the ranks outsiders would reach with generic rows.
+    decoding is checked before a draw is kept; bystanders are not.
     """
     if not isinstance(source, PacketSource):
         raise DomainError("the simulator needs a packet source")
@@ -258,16 +261,10 @@ def execute_plan(source: PacketSource, plan: "StagePlan", seed: int = None) -> T
         needed = 0
         for member in counts:
             needed |= lifted.coverage[member]
-        achieved = {}
-
-        def accept(trial, rows) -> bool:
-            achieved.update((member, _spans_columns(trial[member], needed)) for member in counts)
-            return all(achieved.values())
-
-        draw = draw_stage(spaces, counts, rng, accept)
+        draw = draw_stage(spaces, counts, rng, needed)
         spaces = draw.spaces
         broadcasts.extend(Broadcast(stage_index, sender, row) for sender, row in draw.rows)
-        reports.append(StageReport(stage_index, stage.target, achieved, draw.attempts))
+        reports.append(StageReport(stage_index, stage.target, draw.achieved, draw.attempts))
 
     decoded = {user: spaces[user].rank == width for user in ground.labels}
     ranks = {user: spaces[user].rank for user in ground.labels}

@@ -13,7 +13,6 @@ PUBLIC = [
     "DomainError",
     "FormatError",
     "CertificationError",
-    "PlanningError",
     # core
     "MAX_USERS",
     "GroundSet",
@@ -49,7 +48,7 @@ README = Path(__file__).resolve().parent.parent / "README.md"
 
 def test_all_is_the_public_list():
     assert sorted(soplan.__all__) == sorted(PUBLIC)
-    assert len(soplan.__all__) == len(set(soplan.__all__)) == 28
+    assert len(soplan.__all__) == len(set(soplan.__all__)) == 27
 
 
 def test_every_public_name_resolves():

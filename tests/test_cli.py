@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 import soplan.cli as cli
 from soplan import (
-    PlanningError,
+    CertificationError,
     RateVector,
     check_sw_achievable,
     dump_source,
@@ -187,7 +187,7 @@ class TestPlan:
 
     def test_planning_error_maps_to_exit_3(self, five_user_file, monkeypatch, capsys):
         def boom(*args, **kwargs):
-            raise PlanningError("synthetic failure")
+            raise CertificationError("synthetic failure")
 
         monkeypatch.setattr(cli, "plan_multistage", boom)
         assert cli.main(["plan", five_user_file]) == 3

@@ -11,10 +11,11 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from soplan import GroundSet, LinearSource, TableSource, min_sum_rate
-from soplan.multistage import initial_system, merge_super_user
+from soplan import ASYMPTOTIC, GroundSet, LinearSource, TableSource, min_sum_rate, validate_polymatroid
+from soplan.multistage import build_plan
+from soplan.rlnc import draw_stage
 from soplan.submodular import dilworth_truncation
-from tests.conftest import make_five_user, random_packet_source
+from tests.conftest import random_packet_source
 from tests.test_omniscience import bell_min_sum_rate
 from tests.test_structured_rank import dense_rref
 from tests.test_submodular import bell_truncation
@@ -80,22 +81,42 @@ def test_linear_sources_against_dense_rank():
         assert_entropies(source, dense_entropy(source, rows))
 
 
-def test_merged_systems_against_dense_rank():
+def test_merged_tables_against_drawn_rows(source_corpus):
+    """Every merged system the planner builds from the generic-rank
+    formula has the entropies of rows drawn over GF(2^31 - 1), in packet
+    units: the same stages replayed on the lifted source, with the super
+    user stacking its members' rows and everyone else hearing the
+    stage's rows."""
+    q = 2**31 - 1
     rng = random.Random(13)
-    system = initial_system(make_five_user(), 2, 101)
-    for subset in ([1, 2], ["1+2", 5]):
-        width = system.source.width
-        sent = [tuple(rng.randrange(101) for _ in range(width)) for _ in range(3)]
-        before = system.source.rows
-        members = system.ground.labels_of(system.ground.mask(subset))
-        system = merge_super_user(system, subset, sent)
-        rows = {}
-        for label in system.ground.labels:
-            if label in before:
-                rows[label] = before[label] + tuple(sent)
-            else:
-                rows[label] = tuple(row for member in members for row in before[member])
-        assert_entropies(system.source, dense_entropy(system.source, rows))
+    merges = 0
+    for source in source_corpus:
+        build = build_plan(source, ASYMPTOTIC)
+        chunk = build.plan.chunk_factor
+        linear = source.lift(chunk, q)
+        for record, after in zip(build.builds, build.builds[1:]):
+            system = record.system
+            counts = {}
+            for member in system.ground.labels_of(record.target):
+                count = record.rates.rate(member) * chunk / system.scale
+                assert count.denominator == 1
+                counts[member] = int(count)
+            spaces = {label: linear.row_space([label]) for label in system.ground.labels}
+            sent = tuple(row for _, row in draw_stage(spaces, counts, rng, 0).rows)
+            before = linear.rows
+            rows = {}
+            for label in after.system.ground.labels:
+                if label in before:
+                    rows[label] = before[label] + sent
+                else:  # the super user
+                    rows[label] = tuple(row for member in counts for row in before[member])
+            linear = LinearSource(after.system.ground, q, linear.width, rows)
+            table = after.system.source
+            assert validate_polymatroid(table).ok
+            for mask in range(table.ground.full_mask + 1):
+                assert table.entropy(mask) * chunk == linear.entropy(mask) * after.system.scale
+            merges += 1
+    assert merges > 100
 
 
 def test_table_with_denominators_two_three_seven():
