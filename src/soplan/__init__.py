@@ -27,7 +27,6 @@ from .core import (
     SoplanError,
 )
 from .sources import (
-    LinearSource,
     PacketSource,
     TableSource,
     dump_source,
@@ -58,7 +57,6 @@ __all__ = [
     "RateVector",
     "Partition",
     "PacketSource",
-    "LinearSource",
     "TableSource",
     "load_source",
     "dump_source",

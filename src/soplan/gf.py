@@ -2,12 +2,11 @@
 
 Rows are tuples of ints in ``[0, q)``.  :class:`RowSpace` keeps a
 reduced row-echelon basis incrementally, which is all the rank and
-span-membership machinery the simulator and the linear entropy model
-need.  Most rows in play are unit rows (a user's own packet chunks), so
-a space takes a set of covered columns whose unit rows it contains
-without storing them, and keeps the other basis rows on the uncovered
-columns only: rank is the number of covered columns plus one small
-residual elimination.  Pure Python keeps everything exact.
+span-membership machinery the simulator needs.  Most rows in play are
+unit rows (a user's own packet chunks), so a space takes a set of
+covered columns whose unit rows it contains without storing them, and
+keeps the other basis rows on the uncovered columns only: rank is the
+number of covered columns plus one small residual elimination.  Pure Python keeps everything exact.
 """
 
 from __future__ import annotations

@@ -27,9 +27,9 @@ Mechanics worth knowing:
   that every stage broadcast is a whole number of chunk rows, is the lcm
   of the stage rates' denominators in packet units (1 in the
   non-asymptotic model).  The field is chosen from it once, at the end.
-* A super user's transmissions are charged to its earliest original
-  member, who can produce them because local omniscience handed the
-  whole group's observation to every member.
+* A super user keeps the label of its earliest original member, who is
+  charged its transmissions and can produce them because local
+  omniscience handed the whole group's observation to every member.
 """
 
 from __future__ import annotations
@@ -55,8 +55,6 @@ from .omniscience import ASYMPTOTIC, NON_ASYMPTOTIC, check_model, min_sum_rate
 from .compsetso import LOWER_BOUND, comp_set_so
 from .rlnc import choose_field
 from .sources import PacketSource, TableSource
-
-SUPER_JOIN = "+"
 
 
 @dataclass(frozen=True)
@@ -262,10 +260,11 @@ def merge_super_user(system: MergedSystem, subset: SubsetLike, rates: RateVector
     rate vector on the system's users, zero outside X).
 
     The super user observes everything its members observe and takes
-    the position of the earliest member.  Every other user hears the
-    stage's rows, and a listener set Y disjoint from X reaches the rank
-    generic rows give it: the minimum over sender sets T ⊆ X of what Y
-    and the senders outside T observe, plus the rows T sends::
+    the position and the label of the earliest member.  Every other
+    user hears the stage's rows, and a listener set Y disjoint from X
+    reaches the rank generic rows give it: the minimum over sender sets
+    T ⊆ X of what Y and the senders outside T observe, plus the rows T
+    sends::
 
         H'(Y) = H(Y ∪ X)                                 if Y meets X
         H'(Y) = min over T ⊆ X of H(Y ∪ (X∖T)) + r(T)    if Y is nonempty
@@ -289,27 +288,18 @@ def merge_super_user(system: MergedSystem, subset: SubsetLike, rates: RateVector
     # r(T) for every T in X, on the scale d * denominator of the new table
     senders, sent = submask_sums(mask, [int(v * d) * denominator for v in rates.values])
 
-    members = ground.labels_of(mask)
-    super_orig = frozenset().union(*(system.label_map[m] for m in members))
-    super_label = SUPER_JOIN.join(
-        str(member) for member in sorted(super_orig, key=system.original.position)
-    )
     anchor = mask & -mask
-    new_labels = []
     new_map = {}
     # old_masks[m] is the current-system subset that the new subset m
     # stands for; the super user's position stands for all of X
     old_masks = [0]
     for pos, label in enumerate(ground.labels):
         bit = 1 << pos
-        if bit & mask:
-            if bit != anchor:
-                continue
-            label, bit = super_label, mask
-            new_map[label] = super_orig
-        else:
-            new_map[label] = system.label_map[label]
-        new_labels.append(label)
+        if bit == anchor:
+            bit = mask
+        elif bit & mask:
+            continue
+        new_map[label] = frozenset().union(*(system.label_map[m] for m in ground.labels_of(bit)))
         old_masks += [old | bit for old in old_masks]
 
     merged = []
@@ -321,7 +311,7 @@ def merge_super_user(system: MergedSystem, subset: SubsetLike, rates: RateVector
         else:
             value = 0
         merged.append(Fraction(value, denominator))
-    new_ground = GroundSet(tuple(new_labels))
+    new_ground = GroundSet(tuple(new_map))
     table_source = TableSource(new_ground, dict(enumerate(merged)), validate=False)
     return MergedSystem(table_source, new_map, system.original, system.scale * d)
 
@@ -348,15 +338,9 @@ class PlanBuild:
 
 def _stage_from_local(system: MergedSystem, mask: int, rates: RateVector) -> Stage:
     """Map current-system rates down to original users and packet
-    units.  A super user's rate lands on its earliest original member."""
-    per_original: dict = {}
-    for label, rate in rates.as_dict().items():
-        if rate == 0:
-            continue
-        representative = min(system.label_map[label], key=system.original.position)
-        per_original[representative] = (
-            per_original.get(representative, Fraction(0)) + rate / system.scale
-        )
+    units.  A super user's label is its earliest original member, who
+    takes its rate."""
+    per_original = {label: rate / system.scale for label, rate in rates.as_dict().items() if rate}
     return Stage(system.original_mask(mask), RateVector.from_map(system.original, per_original))
 
 

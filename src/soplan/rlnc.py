@@ -207,6 +207,16 @@ def draw_stage(spaces: Mapping, counts: Mapping, rng, needed: int) -> StageDraw:
             return StageDraw(tuple(rows), trial, attempts, achieved)
 
 
+def _chunk_columns(packet_order, possession: Mapping, chunk_factor: int) -> tuple:
+    """Packet k of ``packet_order`` becomes the chunk columns k*L ...
+    k*L+L-1 for chunk factor L.  Returns the row width and each user's
+    covered columns as a bitmask."""
+    chunks = (1 << chunk_factor) - 1
+    columns = {packet: chunks << k * chunk_factor for k, packet in enumerate(packet_order)}
+    coverage = {label: sum(columns[p] for p in held) for label, held in possession.items()}
+    return chunk_factor * len(packet_order), coverage
+
+
 def execute_plan(source: PacketSource, plan: "StagePlan", seed: int = None) -> Transcript:
     """Run a stage plan and report per-user decode results.
 
@@ -214,12 +224,14 @@ def execute_plan(source: PacketSource, plan: "StagePlan", seed: int = None) -> T
     stages count on bystanders having heard earlier stages.  ``seed``
     defaults to the seed recorded in the plan.  Only the stage members'
     decoding is checked before a draw is kept; bystanders are not.
+    The plan's user order is used throughout, so a plan made on a
+    reordered source runs on the source as filed.
     """
     if not isinstance(source, PacketSource):
         raise DomainError("the simulator needs a packet source")
-    if tuple(plan.ground.labels) != tuple(source.ground.labels):
+    ground = plan.ground
+    if set(ground.labels) != set(source.ground.labels):
         raise FormatError("plan users do not match source users")
-    ground = source.ground
     q = plan.field_order
     chunk = plan.chunk_factor
     # H(V) of a packet source is its number of held packets; reading it
@@ -248,19 +260,18 @@ def execute_plan(source: PacketSource, plan: "StagePlan", seed: int = None) -> T
                 )
             counts[member] = int(scaled)
         stage_counts.append(counts)
-    lifted = source.lift(chunk, q)
-    width = lifted.width
+    width, coverage = _chunk_columns(source.packet_order, source.possession, chunk)
     if seed is None:
         seed = plan.seed
     rng = random.Random(seed)
 
-    spaces = {user: lifted.row_space([user]) for user in ground.labels}
+    spaces = {user: RowSpace(q, width, covered=coverage[user]) for user in ground.labels}
     broadcasts = []
     reports = []
     for stage_index, (stage, counts) in enumerate(zip(plan.stages, stage_counts)):
         needed = 0
         for member in counts:
-            needed |= lifted.coverage[member]
+            needed |= coverage[member]
         draw = draw_stage(spaces, counts, rng, needed)
         spaces = draw.spaces
         broadcasts.extend(Broadcast(stage_index, sender, row) for sender, row in draw.rows)

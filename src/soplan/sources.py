@@ -1,11 +1,9 @@
 """Entropy models for correlated sources.
 
-Three interchangeable models expose ``entropy(subset) -> Fraction``:
+Two interchangeable models expose ``entropy(subset) -> Fraction``:
 
 * :class:`PacketSource` - each user holds a set of packets; the entropy
   of a subset is the number of distinct packets its members hold.
-* :class:`LinearSource` - each user observes rows of a matrix over a
-  prime field; entropy is the rank of the stacked rows.
 * :class:`TableSource` - an explicit entropy value for every subset,
   validated against the polymatroid axioms at load time.
 
@@ -33,13 +31,11 @@ from functools import cached_property
 from math import lcm
 from typing import Iterable, Mapping
 
-from . import gf
 from .core import (
     DomainError,
     FormatError,
     GroundSet,
     SubsetLike,
-    bit_positions,
     parse_fraction,
 )
 
@@ -89,7 +85,7 @@ class PacketSource(_SourceBase):
             universe = frozenset(universe)
             if not held <= universe:
                 raise DomainError("explicit packet universe misses some held packets")
-        #: Held packets in a fixed order; column layout for RLNC lifting.
+        #: Held packets in a fixed order; the simulator's column layout.
         self.packet_order = tuple(sorted(held, key=str))
         packet_index = {packet: k for k, packet in enumerate(self.packet_order)}
         self._user_bits = tuple(
@@ -103,152 +99,6 @@ class PacketSource(_SourceBase):
         for bits in self._user_bits:
             union += [held | bits for held in union]
         return [held.bit_count() for held in union]
-
-    def lift(self, chunk_factor: int, field_order: int) -> "LinearSource":
-        """The identity-row linear view of this source.
-
-        Each packet becomes ``chunk_factor`` chunks; the chunk ``c`` of
-        packet number ``p`` (in ``packet_order``) is column
-        ``p * chunk_factor + c``.  A user observes the unit rows of its
-        chunks' columns, held as its coverage mask, so subset ranks equal
-        ``chunk_factor`` times the packet-count entropies without any
-        elimination.
-        """
-        if chunk_factor < 1:
-            raise DomainError("chunk factor must be a positive integer")
-        width = chunk_factor * len(self.packet_order)
-        chunks = (1 << chunk_factor) - 1
-        coverage = {}
-        for label, bits in zip(self.ground.labels, self._user_bits):
-            cover = 0
-            for packet in bit_positions(bits):
-                cover |= chunks << packet * chunk_factor
-            coverage[label] = cover
-        return LinearSource.from_parts(self.ground, field_order, width, coverage, (), {})
-
-
-class LinearSource(_SourceBase):
-    """Users observing rows over GF(q); entropy is rank in symbols.
-
-    A user's observation is kept as a coverage mask plus other rows.  A
-    row with a single nonzero entry spans the unit row of its column,
-    which becomes a bit of the user's ``coverage``.  Every other row is
-    stored once in the shared ``row_table``, and ``row_sets`` maps each
-    user to the bitmask of the table rows it observes.  For identity
-    rows on the columns C plus rows B, rank is |C| plus the rank of B
-    with the C columns deleted, so a subset's entropy ORs its members'
-    masks and runs one residual elimination.
-
-    When built by lifting a packet source with chunk factor L, one
-    symbol is one chunk and every entropy is L times its packet-unit
-    counterpart.
-    """
-
-    def __init__(self, ground: GroundSet, field_order: int, width: int, rows: Mapping):
-        unknown = set(rows) - set(ground.labels)
-        if unknown:
-            raise DomainError(f"rows listed for unknown users: {sorted(map(str, unknown))}")
-        table: dict = {}
-        coverage = {}
-        row_sets = {}
-        for label in ground.labels:
-            cover = held = 0
-            for row in rows.get(label, ()):
-                if len(row) != width:
-                    raise DomainError(f"row of width {len(row)} for user {label!r}, expected {width}")
-                row = tuple(value % field_order for value in row)
-                support = [j for j, value in enumerate(row) if value]
-                if len(support) == 1:
-                    cover |= 1 << support[0]
-                else:
-                    held |= 1 << table.setdefault(row, len(table))
-            coverage[label] = cover
-            row_sets[label] = held
-        self._init_parts(ground, field_order, width, coverage, tuple(table), row_sets)
-
-    @classmethod
-    def from_parts(
-        cls,
-        ground: GroundSet,
-        field_order: int,
-        width: int,
-        coverage: Mapping,
-        row_table: tuple,
-        row_sets: Mapping,
-    ) -> "LinearSource":
-        """A source from coverage masks and row-table indices directly.
-
-        ``row_table`` rows must already be reduced mod ``field_order``;
-        users missing from ``coverage`` or ``row_sets`` get 0.
-        """
-        unknown = (set(coverage) | set(row_sets)) - set(ground.labels)
-        if unknown:
-            raise DomainError(f"parts listed for unknown users: {sorted(map(str, unknown))}")
-        if any(len(row) != width for row in row_table):
-            raise DomainError(f"row table holds a row whose width is not {width}")
-        source = cls.__new__(cls)
-        source._init_parts(
-            ground,
-            field_order,
-            width,
-            {label: coverage.get(label, 0) for label in ground.labels},
-            row_table,
-            {label: row_sets.get(label, 0) for label in ground.labels},
-        )
-        return source
-
-    def _init_parts(self, ground, field_order, width, coverage, row_table, row_sets) -> None:
-        if not gf.is_prime(field_order):
-            raise DomainError(f"field order {field_order} is not prime")
-        if any(mask >> width for mask in coverage.values()):
-            raise DomainError(f"coverage names a column outside width {width}")
-        if any(mask >> len(row_table) for mask in row_sets.values()):
-            raise DomainError("row set names a row outside the row table")
-        self.ground = ground
-        self.field_order = field_order
-        self.width = width
-        self.coverage = coverage
-        self.row_table = row_table
-        self.row_sets = row_sets
-
-    @property
-    def rows(self) -> dict:
-        """Every user's observation as explicit full-width rows: the unit
-        rows of its coverage, then its table rows.  Built afresh on each
-        access for export and independent checks; entropies never use
-        it."""
-        out = {}
-        for label in self.ground.labels:
-            user_rows = []
-            for column in bit_positions(self.coverage[label]):
-                row = [0] * self.width
-                row[column] = 1
-                user_rows.append(tuple(row))
-            user_rows.extend(self.row_table[k] for k in bit_positions(self.row_sets[label]))
-            out[label] = tuple(user_rows)
-        return out
-
-    def _union(self, mask: int) -> tuple:
-        """(ORed coverage, ORed row set) of the users in ``mask``."""
-        labels = self.ground.labels
-        covered = held = 0
-        for pos in bit_positions(mask):
-            covered |= self.coverage[labels[pos]]
-            held |= self.row_sets[labels[pos]]
-        return covered, held
-
-    def row_space(self, subset: SubsetLike) -> gf.RowSpace:
-        """The span of everything the users in ``subset`` observe."""
-        covered, held = self._union(self.ground.mask(subset))
-        rows = (self.row_table[k] for k in bit_positions(held))
-        return gf.RowSpace(self.field_order, self.width, rows, covered=covered)
-
-    def _entropy_table(self) -> list:
-        table = []
-        for mask in range(self.ground.full_mask + 1):
-            covered, held = self._union(mask)
-            table.append(self.row_space(mask).rank if held else covered.bit_count())
-        return table
 
 
 class TableSource(_SourceBase):
@@ -285,7 +135,7 @@ class TableSource(_SourceBase):
                 raise DomainError("entropy table is not a polymatroid:\n" + report.summary())
 
 
-Source = PacketSource | LinearSource | TableSource
+Source = PacketSource | TableSource
 
 
 @dataclass(frozen=True)
@@ -370,13 +220,11 @@ def reorder(source: Source, labels: Iterable) -> Source:
         raise DomainError("reorder must use exactly the existing user labels")
     if isinstance(source, PacketSource):
         return PacketSource(new_ground, source.possession)
-    if isinstance(source, TableSource):
-        table = {}
-        for new_mask in range(new_ground.full_mask + 1):
-            old_mask = source.ground.mask(new_ground.labels_of(new_mask))
-            table[new_mask] = source.entropy(old_mask)
-        return TableSource(new_ground, table, validate=False)
-    raise DomainError(f"cannot reorder {type(source).__name__}")
+    table = {}
+    for new_mask in range(new_ground.full_mask + 1):
+        old_mask = source.ground.mask(new_ground.labels_of(new_mask))
+        table[new_mask] = source.entropy(old_mask)
+    return TableSource(new_ground, table, validate=False)
 
 
 def _label_lookup(ground: GroundSet) -> dict:
@@ -467,16 +315,14 @@ def source_to_dict(source: Source) -> dict:
                 for label in ground.labels
             },
         }
-    if isinstance(source, TableSource):
-        return {
-            "model": TABLE_MODEL,
-            "users": list(ground.labels),
-            "entropy": {
-                ",".join(str(l) for l in ground.labels_of(mask)): str(source.entropy(mask))
-                for mask in range(ground.full_mask + 1)
-            },
-        }
-    raise DomainError(f"{type(source).__name__} has no file representation")
+    return {
+        "model": TABLE_MODEL,
+        "users": list(ground.labels),
+        "entropy": {
+            ",".join(str(l) for l in ground.labels_of(mask)): str(source.entropy(mask))
+            for mask in range(ground.full_mask + 1)
+        },
+    }
 
 
 def load_source(path, validate: bool = True) -> Source:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import ast
 import re
 from pathlib import Path
 
@@ -20,7 +21,6 @@ PUBLIC = [
     "Partition",
     # sources
     "PacketSource",
-    "LinearSource",
     "TableSource",
     "load_source",
     "dump_source",
@@ -43,12 +43,13 @@ PUBLIC = [
     "execute_plan",
 ]
 
-README = Path(__file__).resolve().parent.parent / "README.md"
+ROOT = Path(__file__).resolve().parent.parent
+README = ROOT / "README.md"
 
 
 def test_all_is_the_public_list():
     assert sorted(soplan.__all__) == sorted(PUBLIC)
-    assert len(soplan.__all__) == len(set(soplan.__all__)) == 27
+    assert len(soplan.__all__) == len(set(soplan.__all__)) == 26
 
 
 def test_every_public_name_resolves():
@@ -61,3 +62,26 @@ def test_readme_lists_exactly_the_public_names():
     section = text.split("## Public API", 1)[1].split("\n## ", 1)[0]
     listed = re.findall(r"`([A-Za-z_]+)`", section)
     assert sorted(set(listed)) == sorted(PUBLIC)
+
+
+def _imports_gf(tree: ast.Module) -> bool:
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            if node.module == "gf" or (node.module or "").endswith(".gf"):
+                return True
+            if node.module in (None, "soplan") and any(a.name == "gf" for a in node.names):
+                return True
+        elif isinstance(node, ast.Import):
+            if any(a.name == "soplan.gf" for a in node.names):
+                return True
+    return False
+
+
+def test_only_the_simulator_imports_gf():
+    # GF(q) stays behind the simulator: planning is entropy arithmetic
+    importers = sorted(
+        path.name
+        for path in (ROOT / "src" / "soplan").glob("*.py")
+        if _imports_gf(ast.parse(path.read_text()))
+    )
+    assert importers == ["rlnc.py"]

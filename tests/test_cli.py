@@ -185,6 +185,20 @@ class TestPlan:
         assert cli.main(["plan", five_user_file, "--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
 
+    def test_super_user_label_cannot_collide(self, five_user_file, tmp_path, capsys):
+        # a real user named like a joined group: super users keep their
+        # earliest member's label, so no merged system repeats a label
+        doc = json.loads(Path(five_user_file).read_text())
+        doc["users"] = [1, 2, "1+2", 4, 5]
+        doc["packets"]["1+2"] = doc["packets"].pop("3")
+        path = tmp_path / "renamed.json"
+        path.write_text(json.dumps(doc))
+        plan_path = tmp_path / "plan.json"
+        assert cli.main(["plan", str(path), "--out", str(plan_path)]) == 0
+        assert "total sum-rate: 13/2" in capsys.readouterr().err
+        assert cli.main(["simulate", str(path), str(plan_path)]) == 0
+        assert "all users decoded" in capsys.readouterr().err
+
     def test_planning_error_maps_to_exit_3(self, five_user_file, monkeypatch, capsys):
         def boom(*args, **kwargs):
             raise CertificationError("synthetic failure")
@@ -245,6 +259,25 @@ class TestSimulate:
         assert cli.main(["plan", five_user_file, "--out", str(plan_path)]) == 0
         capsys.readouterr()
         assert cli.main(["simulate", cyclic_file, str(plan_path)]) == 2
+
+    def test_reordered_plan_simulates(self, five_user_file, tmp_path, capsys):
+        plan_path = tmp_path / "plan.json"
+        argv = ["plan", five_user_file, "--order", "5,4,3,2,1", "--out", str(plan_path)]
+        assert cli.main(argv) == 0
+        capsys.readouterr()
+        assert cli.main(["simulate", five_user_file, str(plan_path)]) == 0
+        assert "all users decoded" in capsys.readouterr().err
+        # the same users in any order match; a different user does not
+        data = json.loads(plan_path.read_text())
+        data["users"][data["users"].index(3)] = 6
+        for stage in data["stages"]:
+            stage["target"] = [6 if user == 3 else user for user in stage["target"]]
+            if "3" in stage["rates"]:
+                stage["rates"]["6"] = stage["rates"].pop("3")
+        data["total_rates"]["6"] = data["total_rates"].pop("3")
+        plan_path.write_text(json.dumps(data))
+        assert cli.main(["simulate", five_user_file, str(plan_path)]) == 2
+        assert "plan users do not match source users" in capsys.readouterr().err
 
 
 class TestValidate:

@@ -1,5 +1,6 @@
-"""The integer entropy table of every source model against references
-that share no code with it.
+"""The integer entropy table of both source models against references
+that share no code with it, and the planner's merged tables against
+the ranks of coding rows drawn over GF(q).
 
 Each source stores ``denominator * H(mask)`` as an int for every mask;
 ``entropy(mask)`` must give back exactly the reference value as a
@@ -10,14 +11,16 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from functools import reduce
+from operator import or_
 
-from soplan import ASYMPTOTIC, GroundSet, LinearSource, TableSource, min_sum_rate, validate_polymatroid
+from soplan import ASYMPTOTIC, GroundSet, TableSource, min_sum_rate, validate_polymatroid
+from soplan.gf import RowSpace
 from soplan.multistage import build_plan
-from soplan.rlnc import draw_stage
+from soplan.rlnc import _chunk_columns, draw_stage
 from soplan.submodular import dilworth_truncation
 from tests.conftest import random_packet_source
 from tests.test_omniscience import bell_min_sum_rate
-from tests.test_structured_rank import dense_rref
 from tests.test_submodular import bell_truncation
 
 LARGE_PRIMES = (1000003, 1000033, 1000037, 1000039, 1000081, 1000099, 1000117)
@@ -29,16 +32,6 @@ def assert_entropies(source, want) -> None:
         value, expected = source.entropy(mask), Fraction(want(mask))
         assert isinstance(value, Fraction)
         assert (value.numerator, value.denominator) == (expected.numerator, expected.denominator)
-
-
-def dense_entropy(source, rows):
-    """H(mask) as the dense rank of the members' explicit rows."""
-
-    def want(mask):
-        stacked = [row for label in source.ground.labels_of(mask) for row in rows[label]]
-        return len(dense_rref(stacked, source.field_order, source.width))
-
-    return want
 
 
 def weighted_coverage(rng, n_users, denominators) -> TableSource:
@@ -66,34 +59,21 @@ def test_packet_sources_against_union_count():
         assert_entropies(source, union_count)
 
 
-def test_linear_sources_against_dense_rank():
-    rng = random.Random(12)
-    for q, width, n_users in ((2, 5, 3), (7, 6, 4), (101, 4, 5)):
-        ground = GroundSet(tuple(f"u{k}" for k in range(n_users)))
-        rows = {}
-        for label in ground.labels:
-            rows[label] = tuple(
-                # a mix of scaled unit rows (coverage) and dense rows
-                tuple(rng.randrange(q) if rng.random() < 0.5 or k == j else 0 for k in range(width))
-                for j in rng.sample(range(width), rng.randint(0, 3))
-            )
-        source = LinearSource(ground, q, width, rows)
-        assert_entropies(source, dense_entropy(source, rows))
-
-
 def test_merged_tables_against_drawn_rows(source_corpus):
     """Every merged system the planner builds from the generic-rank
     formula has the entropies of rows drawn over GF(2^31 - 1), in packet
-    units: the same stages replayed on the lifted source, with the super
-    user stacking its members' rows and everyone else hearing the
-    stage's rows."""
+    units: the same stages replayed on the source's chunk columns, with
+    the super user stacking its members' observations and everyone else
+    hearing the stage's rows.  A subset's rank is that of its members'
+    drawn rows with their chunk columns covered."""
     q = 2**31 - 1
     rng = random.Random(13)
     merges = 0
     for source in source_corpus:
         build = build_plan(source, ASYMPTOTIC)
         chunk = build.plan.chunk_factor
-        linear = source.lift(chunk, q)
+        width, coverage = _chunk_columns(source.packet_order, source.possession, chunk)
+        rows = {label: () for label in source.ground.labels}
         for record, after in zip(build.builds, build.builds[1:]):
             system = record.system
             counts = {}
@@ -101,20 +81,27 @@ def test_merged_tables_against_drawn_rows(source_corpus):
                 count = record.rates.rate(member) * chunk / system.scale
                 assert count.denominator == 1
                 counts[member] = int(count)
-            spaces = {label: linear.row_space([label]) for label in system.ground.labels}
+            spaces = {
+                label: RowSpace(q, width, rows[label], covered=coverage[label])
+                for label in system.ground.labels
+            }
             sent = tuple(row for _, row in draw_stage(spaces, counts, rng, 0).rows)
-            before = linear.rows
-            rows = {}
-            for label in after.system.ground.labels:
-                if label in before:
-                    rows[label] = before[label] + sent
+            heard, covers = {}, {}
+            for label, originals in after.system.label_map.items():
+                if originals == system.label_map[label]:
+                    heard[label], covers[label] = rows[label] + sent, coverage[label]
                 else:  # the super user
-                    rows[label] = tuple(row for member in counts for row in before[member])
-            linear = LinearSource(after.system.ground, q, linear.width, rows)
+                    heard[label] = tuple(row for member in counts for row in rows[member])
+                    covers[label] = reduce(or_, (coverage[member] for member in counts), 0)
+            rows, coverage = heard, covers
             table = after.system.source
             assert validate_polymatroid(table).ok
             for mask in range(table.ground.full_mask + 1):
-                assert table.entropy(mask) * chunk == linear.entropy(mask) * after.system.scale
+                members = table.ground.labels_of(mask)
+                stacked = dict.fromkeys(row for label in members for row in rows[label])
+                covered = reduce(or_, (coverage[label] for label in members), 0)
+                rank = RowSpace(q, width, stacked, covered=covered).rank
+                assert table.entropy(mask) * chunk == rank * after.system.scale
             merges += 1
     assert merges > 100
 

@@ -61,15 +61,16 @@ class TestMergedSystem:
         system = initial_system(five_user)
         one_row = RateVector.from_map(system.ground, {1: 1}, [1, 2])
         merged = merge_super_user(system, [1, 2], one_row)
-        assert merged.ground.labels == ("1+2", 3, 4, 5)
-        assert merged.label_map["1+2"] == frozenset([1, 2])
-        assert merged.original_mask(["1+2", 5]) == five_user.ground.mask([1, 2, 5])
+        # the super user keeps its earliest member's label
+        assert merged.ground.labels == (1, 3, 4, 5)
+        assert merged.label_map[1] == frozenset([1, 2])
+        assert merged.original_mask([1, 5]) == five_user.ground.mask([1, 2, 5])
         assert merged.scale == 1
         # the super user holds the joint observation
-        assert merged.source.entropy(["1+2"]) == 8
+        assert merged.source.entropy([1]) == 8
         # user 3 (efhi) gains the row user 1 sends, at no cost to the cap
         assert merged.source.entropy([3]) == 4 + 1
-        assert merged.source.entropy(["1+2", 3]) == 10
+        assert merged.source.entropy([1, 3]) == 10
 
     def test_fractional_rates_scale_the_table(self, five_user):
         system = initial_system(five_user)
@@ -77,15 +78,15 @@ class TestMergedSystem:
         merged = merge_super_user(system, [1, 2], half_row)
         assert merged.scale == 2
         assert merged.source.integral
-        assert merged.source.entropy(["1+2"]) == 16
+        assert merged.source.entropy([1]) == 16
         assert merged.source.entropy([3]) == 2 * 4 + 1
 
     def test_merge_chains_keep_original_order(self, five_user):
         system = initial_system(five_user)
         merged = merge_super_user(system, [1, 2], RateVector.zeros(system.ground))
-        again = merge_super_user(merged, ["1+2", 5], RateVector.zeros(merged.ground))
-        assert again.ground.labels == ("1+2+5", 3, 4)
-        assert again.label_map["1+2+5"] == frozenset([1, 2, 5])
+        again = merge_super_user(merged, [1, 5], RateVector.zeros(merged.ground))
+        assert again.ground.labels == (1, 3, 4)
+        assert again.label_map[1] == frozenset([1, 2, 5])
 
     def test_merge_refuses_bad_subsets(self, five_user):
         system = initial_system(five_user)
@@ -211,7 +212,7 @@ class TestPlannerEdgeCases:
 
 
 # Six users, 33 packets: (packet id, holders).  Ids are kept as drawn
-# because their sorted order lays out the lifted columns.  At plan seed
+# because their sorted order lays out the chunk columns.  At plan seed
 # 2071639918 a random draw of one stage's rows hands every member the
 # group's span but leaves an outsider short, so a merged system built
 # from those rows has a minimum sum-rate one chunk above the current one

@@ -19,7 +19,8 @@ from soplan import (
 )
 from soplan.multistage import Stage
 from tests.conftest import make_five_user
-from soplan.rlnc import FieldSpec, choose_field
+from soplan.rlnc import FieldSpec, _chunk_columns, choose_field
+from soplan.sources import reorder
 from soplan.gf import RowSpace, is_prime, next_prime, random_combination
 
 
@@ -134,9 +135,19 @@ class TestExecutePlan:
     def test_broadcast_rows_have_sender_support(self, five_user):
         plan = plan_multistage(five_user, "asymptotic")
         transcript = execute_plan(five_user, plan)
-        lifted = five_user.lift(plan.chunk_factor, plan.field_order)
-        heard = {user: RowSpace(plan.field_order, lifted.width, lifted.rows[user])
-                 for user in five_user.ground.labels}
+        # packet k of packet_order is chunk columns k*L .. k*L+L-1
+        chunk, order = plan.chunk_factor, five_user.packet_order
+        width = chunk * len(order)
+        heard = {}
+        for user in five_user.ground.labels:
+            columns = [
+                k * chunk + c
+                for k, packet in enumerate(order)
+                if packet in five_user.possession[user]
+                for c in range(chunk)
+            ]
+            units = [tuple(int(j == column) for j in range(width)) for column in columns]
+            heard[user] = RowSpace(plan.field_order, width, units)
         for broadcast in transcript.broadcasts:
             sender = broadcast.sender if broadcast.sender in heard else None
             assert sender is not None
@@ -187,6 +198,13 @@ class TestExecutePlan:
         with pytest.raises(FormatError, match="users"):
             execute_plan(five_user, plan)
 
+    def test_reordered_plan_runs_on_the_filed_source(self, five_user):
+        reordered = reorder(five_user, (5, 4, 3, 2, 1))
+        plan = plan_multistage(reordered, "asymptotic")
+        transcript = execute_plan(five_user, plan)
+        assert transcript.ok
+        assert transcript.to_jsonl() == execute_plan(reordered, plan).to_jsonl()
+
     def test_inadequate_field_rejected(self, five_user):
         plan = plan_multistage(five_user, "non_asymptotic")
         data = plan.to_dict()
@@ -228,3 +246,25 @@ class TestExecutePlan:
         assert not all(report.ok for report in transcript.stage_reports)
         closing = json.loads(transcript.to_jsonl().strip().split("\n")[-1])
         assert closing["ok"] is False
+
+
+class TestChunkColumns:
+    def test_chunk_counts_scale_entropies(self, five_user):
+        width, coverage = _chunk_columns(five_user.packet_order, five_user.possession, 2)
+        g = five_user.ground
+        assert width == 2 * 10
+        for mask in range(g.full_mask + 1):
+            covered = 0
+            for label in g.labels_of(mask):
+                covered |= coverage[label]
+            assert covered.bit_count() == 2 * five_user.entropy(mask)
+
+    def test_chunk_columns_follow_packet_order(self, cyclic_triple):
+        width, coverage = _chunk_columns(cyclic_triple.packet_order, cyclic_triple.possession, 3)
+        assert width == 3 * 3
+        # packet order is sorted; user 1 holds a and b -> chunks 0..5
+        assert coverage[1] == 0b111111
+
+    def test_user_covers_every_chunk_of_its_packets(self, five_user):
+        _, coverage = _chunk_columns(five_user.packet_order, five_user.possession, 3)
+        assert coverage[3].bit_count() == 3 * 4

@@ -1,5 +1,5 @@
-"""Source models: packets, linear rows, entropy tables, JSON round
-trips and the polymatroid gate."""
+"""Source models: packets, entropy tables, JSON round trips and the
+polymatroid gate."""
 
 from __future__ import annotations
 
@@ -14,7 +14,6 @@ from soplan import (
     DomainError,
     FormatError,
     GroundSet,
-    LinearSource,
     PacketSource,
     TableSource,
     dump_source,
@@ -50,49 +49,6 @@ class TestPacketSource:
     def test_random_sources_are_polymatroids(self, rng):
         source = random_packet_source(rng, 4, 8)
         assert validate_polymatroid(source).ok
-
-
-class TestLinearSource:
-    def test_rank_entropy(self):
-        g = GroundSet(("u", "v"))
-        rows = {
-            "u": ((1, 0, 0), (0, 1, 0)),
-            "v": ((1, 1, 0), (0, 0, 1)),
-        }
-        src = LinearSource(g, 7, 3, rows)
-        assert src.entropy(["u"]) == 2
-        assert src.entropy(["v"]) == 2
-        assert src.entropy(g.full_mask) == 3
-        assert src.integral
-
-    def test_dependent_rows_collapse(self):
-        g = GroundSet(("u", "v"))
-        rows = {"u": ((2, 4),), "v": ((1, 2), (3, 6))}
-        src = LinearSource(g, 5, 2, rows)
-        assert src.entropy(g.full_mask) == 1
-
-    def test_rejects_composite_field(self):
-        g = GroundSet((1, 2))
-        with pytest.raises(DomainError):
-            LinearSource(g, 6, 2, {1: ((1, 0),), 2: ((0, 1),)})
-
-    def test_rejects_bad_width(self):
-        g = GroundSet((1, 2))
-        with pytest.raises(DomainError):
-            LinearSource(g, 5, 2, {1: ((1, 0, 0),), 2: ()})
-
-    def test_lift_round_trip_entropies(self, five_user):
-        lifted = five_user.lift(2, 101)
-        g = five_user.ground
-        for mask in range(g.full_mask + 1):
-            assert lifted.entropy(mask) == 2 * five_user.entropy(mask)
-
-    def test_lift_chunk_columns(self, cyclic_triple):
-        lifted = cyclic_triple.lift(3, 11)
-        assert lifted.width == 3 * 3
-        # packet order is sorted; user 1 holds a and b -> chunks 0..5
-        unit = lambda j: tuple(1 if k == j else 0 for k in range(9))
-        assert set(lifted.rows[1]) == {unit(j) for j in range(6)}
 
 
 class TestTableSource:

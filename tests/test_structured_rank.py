@@ -1,10 +1,9 @@
 """Coordinate coverage plus residual elimination against plain dense
 elimination.
 
-Row spaces and linear sources keep unit rows as a column bitmask and
-eliminate only the other rows, packed into big ints, on the uncovered
-columns.  Every check
-here compares that against a dense Gauss-Jordan reference over
+Row spaces keep unit rows as a column bitmask and eliminate only the
+other rows, packed into big ints, on the uncovered columns.  Every
+check here compares that against a dense Gauss-Jordan reference over
 full-width rows that shares no code with ``soplan.gf``.
 """
 
@@ -15,7 +14,6 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from soplan import GroundSet, LinearSource
 from soplan.gf import RowSpace, random_combination
 
 
@@ -83,15 +81,6 @@ def spaces(draw):
     return q, width, covered, rows, [row for probe in probes for row in probe]
 
 
-@st.composite
-def linear_sources(draw):
-    q = draw(st.sampled_from(FIELDS))
-    width = draw(st.integers(0, 7))
-    n = draw(st.integers(2, 4))
-    rows = {label: draw(mixed_rows(q, width, 4)) for label in range(1, n + 1)}
-    return LinearSource(GroundSet(tuple(rows)), q, width, rows), rows
-
-
 def _full(q: int, width: int, covered: int, rows) -> list:
     units = [unit(width, j) for j in range(width) if covered >> j & 1]
     return dense_rref(units + list(rows), q, width)
@@ -132,38 +121,3 @@ class TestRowSpaceAgainstDense:
             assert copy.add(probe) is not spanned
         assert space.rank == len(_full(q, width, covered, rows))
         assert copy.rank == len(_full(q, width, covered, list(rows) + probes))
-
-
-class TestLinearSourceAgainstDense:
-    @settings(max_examples=200, deadline=None)
-    @given(linear_sources())
-    def test_every_subset_entropy(self, case):
-        source, rows = case
-        ground = source.ground
-        q, width = source.field_order, source.width
-        for mask in range(ground.full_mask + 1):
-            stacked = [row for label in ground.labels_of(mask) for row in rows[label]]
-            assert source.entropy(mask) == len(dense_rref(stacked, q, width))
-
-    @settings(max_examples=100, deadline=None)
-    @given(linear_sources())
-    def test_explicit_rows_round_trip(self, case):
-        source, _ = case
-        again = LinearSource(source.ground, source.field_order, source.width, source.rows)
-        assert again.coverage == source.coverage
-        for mask in range(source.ground.full_mask + 1):
-            assert again.entropy(mask) == source.entropy(mask)
-
-    def test_coordinate_rows_become_coverage(self):
-        ground = GroundSet(("u", "v"))
-        source = LinearSource(ground, 7, 4, {"u": ((0, 3, 0, 0), (1, 1, 0, 0)), "v": ((1, 1, 0, 0),)})
-        assert source.coverage == {"u": 0b0010, "v": 0}
-        assert source.row_table == ((1, 1, 0, 0),)  # stored once, shared
-        assert source.row_sets == {"u": 1, "v": 1}
-        assert source.entropy(ground.full_mask) == 2
-
-    def test_lift_materialises_no_rows(self, five_user):
-        lifted = five_user.lift(3, 101)
-        assert lifted.row_table == ()
-        assert all(lifted.row_sets[label] == 0 for label in five_user.ground.labels)
-        assert lifted.coverage[3].bit_count() == 3 * 4
