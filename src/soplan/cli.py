@@ -195,7 +195,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--verify",
         action="store_true",
-        help="cross-check the list against the partition characterization",
+        help="recompute every verdict with a truncation of its own, per subset",
     )
     p.set_defaults(func=_cmd_enumerate)
 

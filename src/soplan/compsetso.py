@@ -115,10 +115,13 @@ def complementary_by_lower_bound(source, subset: SubsetLike, model: str = ASYMPT
     """A sufficient (not necessary) complementarity test that never
     computes R(V).
 
-    Evaluates the truncation equality at the subset-specific bound
+    Takes the subset-specific bound
     ``alpha = sum_{i in V} (H(X) - H({i})) / (|V| - 1)`` (ceiled in the
-    non-asymptotic model).  When that alpha falls outside [0, H(V)] the
-    test simply does not apply and False is returned.
+    non-asymptotic model) and asks whether R(X) <= gamma for
+    ``gamma = alpha - H(V) + H(X)``, floored in the non-asymptotic model
+    as :func:`soplan.omniscience.enumerate_complementary` does, through
+    the truncation equality at ``gamma - H(X)``.  When alpha falls outside
+    [0, H(V)] the test simply does not apply and False is returned.
     """
     check_model(model)
     ground = source.ground
@@ -133,8 +136,11 @@ def complementary_by_lower_bound(source, subset: SubsetLike, model: str = ASYMPT
     h_v = source.entropy(ground.full_mask)
     if not 0 <= alpha <= h_v:
         return False
-    value, _ = dilworth_truncation(source, alpha - h_v, mask)
-    return value == alpha - h_v + h_x
+    gamma = alpha - h_v + h_x
+    if model == NON_ASYMPTOTIC:
+        gamma = Fraction(math.floor(gamma))
+    value, _ = dilworth_truncation(source, gamma - h_x, mask)
+    return value == gamma
 
 
 def certify_outcome(source, outcome: CompSetOutcome) -> Certificate:

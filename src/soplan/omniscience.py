@@ -35,7 +35,7 @@ from .core import (
     bit_positions,
     submask_sums,
 )
-from .submodular import dilworth_truncation, run_rate_update
+from .submodular import _prefix_trie_sweeps, dilworth_truncation, run_rate_update
 
 ASYMPTOTIC = "asymptotic"
 NON_ASYMPTOTIC = "non_asymptotic"
@@ -208,8 +208,10 @@ def is_complementary(source, subset: SubsetLike, model: str = ASYMPTOTIC) -> boo
     ground = source.ground
     mask = ground.mask(subset)
     _require_testable(ground, mask)
-    r_whole = min_sum_rate(source, None, model).value
-    return _complementary_given(source, mask, model, r_whole)
+    h_v = source.entropy(ground.full_mask)
+    h_x = source.entropy(mask)
+    r_x = min_sum_rate(source, mask, model).value
+    return h_v - h_x + r_x <= min_sum_rate(source, None, model).value
 
 
 def _require_testable(ground: GroundSet, mask: int) -> None:
@@ -219,56 +221,93 @@ def _require_testable(ground: GroundSet, mask: int) -> None:
         raise DomainError("complementarity is not defined for singletons")
 
 
-def _complementary_given(source, mask: int, model: str, r_whole: Fraction) -> bool:
-    h_v = source.entropy(source.ground.full_mask)
-    h_x = source.entropy(mask)
-    r_x = min_sum_rate(source, mask, model).value
-    return h_v - h_x + r_x <= r_whole
+def _witnessed_verdict(source, mask: int, shift: Fraction, rates, partition: Partition) -> bool:
+    """Whether the completed sweep over X = ``mask`` of
+    f(Y) = shift + H(Y), with finished ``rates`` (ints on the scale
+    shift.denominator * D) and tight ``partition``, reaches f(X), after
+    checking the witness of that verdict.
+
+    Yes: the rates sum to f(X) and satisfy r(S) <= f(S) for every
+    nonempty S inside X, so they achieve omniscience of X with total
+    f(X) and R(X) <= f(X).  No: the partition has at least two blocks
+    and a bound above f(X), so R(X) > f(X).  A witness that fails raises
+    :class:`CertificationError`.
+    """
+    ground, table = source.ground, source.entropies
+    weight = shift.denominator
+    base = shift.numerator * source.denominator
+    if sum(rates) == base + weight * table[mask]:
+        submasks, sums = submask_sums(mask, rates)
+        for sub, total in zip(submasks[1:], sums[1:]):
+            if total > base + weight * table[sub]:
+                raise CertificationError(
+                    f"rates listing {ground.format(mask)} exceed f on {ground.format(sub)}"
+                )
+        return True
+    own = shift + source.entropy(mask)
+    if len(partition) < 2 or partition_bound(source, partition) <= own:
+        raise CertificationError(
+            f"partition leaving out {ground.format(mask)} does not bound R above {own}"
+        )
+    return False
 
 
 def enumerate_complementary(source, model: str = ASYMPTOTIC, verify: bool = False) -> tuple:
     """All complementary subsets, as masks in ascending order.
 
-    With ``verify=True`` the list is recomputed through the truncation
-    characterization (f#_alpha(X) equals its partition truncation at
-    alpha = R(V)) and the two paths must agree.  The truncation equality
-    is equivalent to the direct inequality with the asymptotic local
-    rate; under the non-asymptotic model the ceiling on R(X) changes
-    nothing when entropies are integers, which is the only case the
-    returned list is cross-checked against.
+    X is complementary exactly when R(X) <= gamma_X, where
+    gamma_X = s + H(X) with s = R(V) - H(V), floored in the
+    non-asymptotic model (R(X) is ceiled there, and an integer bounds
+    the ceiling exactly when it bounds R(X)).  That holds exactly when the
+    Dilworth truncation of f(Y) = gamma_X - H(X) + H(Y) at X equals
+    f(X) = gamma_X.  One walk of the prefix trie finishes the sweep at
+    shift s over every subset, with one step per subset; a subset whose
+    gamma_X falls below s + H(X) and passes at s gets one more sweep at
+    gamma_X - H(X).  Every verdict is checked against its witness (see
+    :func:`_witnessed_verdict`), and R(V) is the only minimum sum-rate
+    computed.
+
+    With ``verify=True`` every verdict is recomputed by that subset's
+    own :func:`dilworth_truncation`, with no prefix sharing, and the two
+    lists must agree.
     """
     check_model(model)
     ground = source.ground
     full = ground.full_mask
-    r_whole = min_sum_rate(source, None, model).value
+    shift = min_sum_rate(source, None, model).value - source.entropy(full)
+
+    def gamma(mask: int) -> Fraction:
+        own = shift + source.entropy(mask)
+        return own if model == ASYMPTOTIC else Fraction(math.floor(own))
+
     found = []
-    for mask in range(3, full):
-        if mask.bit_count() < 2:
+    for mask, rates, partition in _prefix_trie_sweeps(source, shift):
+        if mask == full or mask.bit_count() < 2:
             continue
-        if _complementary_given(source, mask, model, r_whole):
+        listed = _witnessed_verdict(source, mask, shift, rates, partition)
+        if listed and model == NON_ASYMPTOTIC:
+            local = gamma(mask) - source.entropy(mask)
+            if local != shift:
+                run = run_rate_update(source, local, early_exit=False, within=mask)
+                listed = _witnessed_verdict(source, mask, local, run.scaled[-1], run.partition)
+        if listed:
             found.append(mask)
+    found.sort()
     if verify:
-        shift = r_whole - source.entropy(full)
         by_truncation = []
-        by_inequality = []
         for mask in range(3, full):
             if mask.bit_count() < 2:
                 continue
-            value, _ = dilworth_truncation(source, shift, mask)
-            if value == shift + source.entropy(mask):
+            target = gamma(mask)
+            value, _ = dilworth_truncation(source, target - source.entropy(mask), mask)
+            if value == target:
                 by_truncation.append(mask)
-            if _complementary_given(source, mask, ASYMPTOTIC, r_whole):
-                by_inequality.append(mask)
-        if by_truncation != by_inequality:
-            only_direct = [ground.format(m) for m in by_inequality if m not in by_truncation]
-            only_trunc = [ground.format(m) for m in by_truncation if m not in by_inequality]
+        if by_truncation != found:
+            only_trie = [ground.format(m) for m in found if m not in by_truncation]
+            only_own = [ground.format(m) for m in by_truncation if m not in found]
             raise CertificationError(
-                "complementary-subset characterizations disagree: "
-                f"only direct: {only_direct}; only truncation: {only_trunc}"
-            )
-        if (model == ASYMPTOTIC or source.integral) and by_truncation != found:
-            raise CertificationError(
-                "truncation path disagrees with the model's complementary list"
+                "complementary subsets disagree: "
+                f"only the shared sweep: {only_trie}; only the per-subset truncation: {only_own}"
             )
     return tuple(found)
 

@@ -19,6 +19,14 @@ sum of the finished rates, and the sweep records a partition attaining
 it.  Partitions are never enumerated outside the tests, where
 :func:`soplan.core.enumerate_partitions` serves as the oracle.
 
+The sweep over a subset X at user j sees only the members of X below j,
+so the sweep over X is the sweep over X minus its highest user plus one
+more step.  :func:`_prefix_trie_sweeps` uses that to finish the sweep
+over every nonempty subset at one shift in a single depth-first walk,
+one step per subset and 3^n / 2 candidates in all, where a sweep per
+subset visits about 3^n and pays the per-step overhead n * 2^(n-1)
+times.
+
 The sweep reads the source's integer table, H(X) = entropies[X] / D.
 For shift = p/q it keeps every rate as an int on the scale q*D, where
 f(X) is ``p*D + q*entropies[X]``; Fractions appear only in the shift it
@@ -79,6 +87,22 @@ class SfmResult:
     candidates_examined: int
 
 
+def _prefix_minimum(table, weight: int, top: int, submasks, rate_sums) -> tuple:
+    """One prefix step: minimize ``weight * table[sub | top] - rate_sums``
+    over the candidate sets ``sub`` (which exclude ``top``).
+
+    Returns ``(best, minimizers, maximal)``: the minimum key, the sets
+    ``sub | top`` attaining it in candidate order, and their union.
+    """
+    keys = [weight * table[sub | top] - total for sub, total in zip(submasks, rate_sums)]
+    best = min(keys)
+    minimizers = [sub | top for sub, key in zip(submasks, keys) if key == best]
+    maximal = 0
+    for m in minimizers:
+        maximal |= m
+    return best, minimizers, maximal
+
+
 def minimize_over_prefix(source, weight: int, rates, position: int, within: SubsetLike = None) -> SfmResult:
     """Exhaustively minimize ``weight * entropies[X] - rates(X)`` over
     ``{X : position's user in X, X inside the first `position` users}``,
@@ -105,16 +129,10 @@ def minimize_over_prefix(source, weight: int, rates, position: int, within: Subs
     # For X = sub + top, the key drops the rate of top, the same for
     # every candidate, and adds it back in min_value.
     submasks, rate_sums = submask_sums(whole & (top - 1), rates)
-    table = source.entropies
-    keys = [weight * table[sub | top] - total for sub, total in zip(submasks, rate_sums)]
-    best = min(keys)
-    minimizers = [sub | top for sub, key in zip(submasks, keys) if key == best]
-
+    best, minimizers, maximal = _prefix_minimum(source.entropies, weight, top, submasks, rate_sums)
     minimal = minimizers[0]
-    maximal = 0
     for m in minimizers:
         minimal &= m
-        maximal |= m
     eligible = [m for m in minimizers if m.bit_count() >= 2 and m != whole]
     chosen = min(eligible, key=lambda m: (m.bit_count(), m)) if eligible else None
     return SfmResult(
@@ -154,6 +172,18 @@ class UpdateRun:
     @property
     def snapshots(self) -> tuple:
         return tuple(tuple(Fraction(v, self.scale) for v in rates) for rates in self.scaled)
+
+
+def _join_blocks(blocks: list, top: int, maximal: int) -> list:
+    """The tight blocks after the step of ``top``: ``top`` joined with
+    every block that meets the step's maximal minimizer."""
+    joined, rest = top, []
+    for block in blocks:
+        if block & maximal:
+            joined |= block
+        else:
+            rest.append(block)
+    return rest + [joined]
 
 
 def run_rate_update(source, shift, early_exit: bool = True, within: SubsetLike = None) -> UpdateRun:
@@ -199,14 +229,7 @@ def run_rate_update(source, shift, early_exit: bool = True, within: SubsetLike =
             break
         rates[pos] += base + result.min_value
         scaled.append(tuple(rates))
-        joined = 1 << pos
-        rest = []
-        for block in blocks:
-            if block & result.maximal_minimizer:
-                joined |= block
-            else:
-                rest.append(block)
-        blocks = rest + [joined]
+        blocks = _join_blocks(blocks, 1 << pos, result.maximal_minimizer)
     return UpdateRun(
         exit_subset=exit_subset,
         exit_position=exit_position,
@@ -215,3 +238,42 @@ def run_rate_update(source, shift, early_exit: bool = True, within: SubsetLike =
         candidates_examined=candidates,
         partition=None if exit_subset is not None else Partition(blocks),
     )
+
+
+def _prefix_trie_sweeps(source, shift):
+    """Yield ``(mask, rates, partition)`` for every nonempty mask: the
+    completed sweep of f(X) = shift + H(X) over that mask.
+
+    The result for a mask equals ``run_rate_update(source, shift,
+    early_exit=False, within=mask)``: ``rates`` is its last entry of
+    ``scaled``, on the scale ``shift.denominator * D`` and 0 outside the
+    mask, and ``partition`` is its tight partition.  The walk goes
+    depth first through the prefix trie, in which the parent of a mask
+    is the mask minus its highest user.  A child takes its parent's
+    rates, submask list and rate sums, and does the one step of its new
+    highest user; the lists then double for the child's own children.
+    """
+    shift = Fraction(shift)
+    weight = shift.denominator
+    base = shift.numerator * source.denominator
+    table = source.entropies
+    size = source.ground.size
+    rates = [0] * size
+
+    def grow(parent: int, submasks: list, sums: list, blocks: list):
+        for pos in range(parent.bit_length(), size):
+            top = 1 << pos
+            best, _, maximal = _prefix_minimum(table, weight, top, submasks, sums)
+            rates[pos] = rate = base + best
+            child_blocks = _join_blocks(blocks, top, maximal)
+            yield parent | top, tuple(rates), Partition(child_blocks)
+            if pos + 1 < size:
+                yield from grow(
+                    parent | top,
+                    submasks + [sub | top for sub in submasks],
+                    sums + [total + rate for total in sums],
+                    child_blocks,
+                )
+            rates[pos] = 0
+
+    yield from grow(0, [0], [0], [])

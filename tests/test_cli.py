@@ -17,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import soplan.cli as cli
+from soplan import omniscience
 from soplan import (
     CertificationError,
     RateVector,
@@ -104,6 +105,19 @@ class TestEnumerate:
             cli.main(["enumerate", five_user_file, "--model", "non-asymptotic"]) == 0
         )
         assert "complementary subsets: 18" in capsys.readouterr().out
+
+    def test_failed_witness_exits_3(self, five_user_file, monkeypatch, capsys):
+        # A pass that hands out rates above f on some subset lists
+        # nothing it can certify.
+        real = omniscience._prefix_trie_sweeps
+
+        def inflated(source, shift):
+            for mask, rates, partition in real(source, shift):
+                yield mask, rates[:-1] + (rates[-1] + 1,), partition
+
+        monkeypatch.setattr(omniscience, "_prefix_trie_sweeps", inflated)
+        assert cli.main(["enumerate", five_user_file]) == 3
+        assert "error:" in capsys.readouterr().err
 
 
 def _independent_table(tmp_path, users) -> str:

@@ -18,8 +18,10 @@ from soplan import (
     GroundSet,
     PacketSource,
     RateVector,
+    TableSource,
     comp_set_so,
     complementary_by_lower_bound,
+    enumerate_complementary,
     is_complementary,
     min_sum_rate,
 )
@@ -30,7 +32,7 @@ from soplan.compsetso import (
     alpha_lower_bound,
     certify_outcome,
 )
-from tests.conftest import random_packet_source
+from tests.conftest import random_packet_source, random_rational_table
 
 
 class TestAlphaLowerBound:
@@ -191,6 +193,16 @@ class TestSufficientCondition:
         # the subset-specific alpha is negative, the test does not apply
         assert not complementary_by_lower_bound(source, [1, 2], ASYMPTOTIC)
 
+    def test_fractional_table_floors_the_local_budget(self):
+        # alpha = 2 and H(V) - H({1,3}) = 3/5: R({1,3}) = 4/3 fits the
+        # budget 2 - 3/5 = 7/5, but its ceiling 2 exceeds floor(7/5) = 1.
+        ground = GroundSet((1, 2, 3))
+        h = {1: "31/6", 2: "133/30", 4: "23/6", 3: "173/30", 5: "31/6", 6: "133/30", 7: "173/30"}
+        source = TableSource(ground, {0: 0, **{m: Fraction(v) for m, v in h.items()}})
+        assert not complementary_by_lower_bound(source, [1, 3], NON_ASYMPTOTIC)
+        assert not is_complementary(source, [1, 3], NON_ASYMPTOTIC)
+        assert ground.mask([1, 3]) not in enumerate_complementary(source, NON_ASYMPTOTIC)
+
     def test_degenerate_subsets_rejected(self, five_user):
         with pytest.raises(DomainError):
             complementary_by_lower_bound(five_user, [1])
@@ -208,3 +220,14 @@ class TestSufficientCondition:
                     continue
                 if complementary_by_lower_bound(source, mask, model):
                     assert is_complementary(source, mask, model)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.randoms(use_true_random=False))
+    def test_implies_listed_on_rational_tables(self, rng):
+        source = random_rational_table(rng, rng.randint(3, 5), rng.randint(2, 9))
+        full = source.ground.full_mask
+        for model in (ASYMPTOTIC, NON_ASYMPTOTIC):
+            listed = enumerate_complementary(source, model)
+            for mask in range(3, full):
+                if mask.bit_count() >= 2 and complementary_by_lower_bound(source, mask, model):
+                    assert mask in listed

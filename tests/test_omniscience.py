@@ -324,17 +324,92 @@ class TestComplementary:
     @settings(max_examples=15, deadline=None)
     @given(st.randoms(use_true_random=False))
     def test_enumeration_matches_reference(self, rng):
-        source = random_packet_source(rng, 4, rng.randint(4, 8))
-        g = source.ground
+        """Packet sources and rational tables, whose non-asymptotic
+        verdicts floor s + H(X), in both models, verified or not."""
+        sources = (
+            random_packet_source(rng, 4, rng.randint(4, 8)),
+            random_rational_table(rng, 4, rng.randint(2, 8)),
+        )
+        for source in sources:
+            g = source.ground
+            for model in (ASYMPTOTIC, NON_ASYMPTOTIC):
+                expected = tuple(
+                    mask
+                    for mask in range(3, g.full_mask)
+                    if mask.bit_count() >= 2
+                    and ref_complementary(source, list(g.labels_of(mask)), model)
+                )
+                for verify in (False, True):
+                    assert enumerate_complementary(source, model, verify) == expected
+
+
+class TestEnumerationWitnesses:
+    """Every verdict of the shared prefix-trie pass is checked against
+    its witness, so a pass that lies fails loudly."""
+
+    @staticmethod
+    def tamper(monkeypatch, edit):
+        """Replace the pass by one that hands the first proper subset of
+        at least two users for which ``edit`` returns rates through
+        with those rates."""
+        real = omniscience._prefix_trie_sweeps
+
+        def tampered(source, shift):
+            done = False
+            for mask, rates, partition in real(source, shift):
+                if not done and mask.bit_count() >= 2 and mask != source.ground.full_mask:
+                    changed = edit(source, Fraction(shift), mask, list(rates))
+                    if changed is not None:
+                        done, rates = True, tuple(changed)
+                yield mask, rates, partition
+
+        monkeypatch.setattr(omniscience, "_prefix_trie_sweeps", tampered)
+
+    @staticmethod
+    def own(source, shift, mask) -> int:
+        """f(X) = shift + H(X) on the scale of the sweep's rates."""
+        return shift.numerator * source.denominator + shift.denominator * source.entropies[mask]
+
+    def test_listing_a_subset_without_a_witness_raises(self, five_user, monkeypatch):
+        # Lift the top rate of a subset the sweep leaves out until the
+        # rates reach f(X): the achievability check must reject them.
+        def lift(source, shift, mask, rates):
+            short = self.own(source, shift, mask) - sum(rates)
+            if short == 0:
+                return None
+            rates[mask.bit_length() - 1] += short
+            return rates
+
+        self.tamper(monkeypatch, lift)
+        with pytest.raises(CertificationError, match="exceed f"):
+            enumerate_complementary(five_user)
+
+    def test_dropping_a_listed_subset_raises(self, five_user, monkeypatch):
+        # Nudge one rate of a listed subset down: its one-block partition
+        # bounds nothing, so the omission has no witness.
+        def nudge(source, shift, mask, rates):
+            if sum(rates) != self.own(source, shift, mask):
+                return None
+            rates[mask.bit_length() - 1] -= 1
+            return rates
+
+        self.tamper(monkeypatch, nudge)
+        with pytest.raises(CertificationError, match="does not bound"):
+            enumerate_complementary(five_user, NON_ASYMPTOTIC)
+
+    def test_minimum_sum_rate_of_v_only(self, five_user, monkeypatch):
+        calls = []
+        real = omniscience.min_sum_rate
+
+        def counted(source, subset=None, model=ASYMPTOTIC):
+            calls.append(subset)
+            return real(source, subset, model)
+
+        monkeypatch.setattr(omniscience, "min_sum_rate", counted)
         for model in (ASYMPTOTIC, NON_ASYMPTOTIC):
-            got = enumerate_complementary(source, model, verify=True)
-            expected = tuple(
-                mask
-                for mask in range(3, g.full_mask)
-                if mask.bit_count() >= 2
-                and ref_complementary(source, list(g.labels_of(mask)), model)
-            )
-            assert got == expected
+            for verify in (False, True):
+                enumerate_complementary(five_user, model, verify)
+        assert calls == [None] * 4
 
 
 class TestOptimalRateVector:

@@ -16,6 +16,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from soplan import (
+    ASYMPTOTIC,
+    NON_ASYMPTOTIC,
     DomainError,
     TableSource,
     min_sum_rate,
@@ -23,6 +25,7 @@ from soplan import (
 from soplan.compsetso import alpha_lower_bound
 from soplan.core import enumerate_partitions
 from soplan.submodular import (
+    _prefix_trie_sweeps,
     dilworth_truncation,
     minimize_over_prefix,
     run_rate_update,
@@ -175,6 +178,39 @@ class TestTruncationAgainstBellOracle:
         shift = shift_of(source, source.entropy(source.ground.full_mask) * Fraction(eighths, 8))
         for mask in range(1, source.ground.full_mask + 1):
             self.assert_matches_oracle(source, shift, mask)
+
+
+class TestPrefixTrie:
+    """The shared depth-first walk finishes the same sweep over every
+    subset as a sweep of its own, at the shift that decides
+    complementarity in each model."""
+
+    @staticmethod
+    def assert_matches_own_sweeps(source):
+        for model in (ASYMPTOTIC, NON_ASYMPTOTIC):
+            shift = shift_of(source, min_sum_rate(source, None, model).value)
+            scale = shift.denominator * source.denominator
+            seen = []
+            for mask, rates, partition in _prefix_trie_sweeps(source, shift):
+                run = run_rate_update(source, shift, early_exit=False, within=mask)
+                assert rates == run.scaled[-1]
+                assert partition == run.partition
+                value, truncation_partition = dilworth_truncation(source, shift, mask)
+                assert Fraction(sum(rates), scale) == value
+                assert partition == truncation_partition
+                seen.append(mask)
+            assert sorted(seen) == list(range(1, source.ground.full_mask + 1))
+
+    def test_corpus_every_subset(self, source_corpus):
+        for source in source_corpus:
+            self.assert_matches_own_sweeps(source)
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.randoms(use_true_random=False))
+    def test_rational_tables(self, rng):
+        self.assert_matches_own_sweeps(
+            random_rational_table(rng, rng.randint(2, 6), rng.randint(2, 10))
+        )
 
 
 class TestMinimizeOverPrefix:
