@@ -189,7 +189,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", choices=_ALPHA_CHOICES, default="exact")
     p.set_defaults(func=_cmd_compset)
 
-    p = sub.add_parser("enumerate", help="list all complementary subsets")
+    p = sub.add_parser("enumerate", help="list all complementary subsets "
+                       "(3^n / 2 candidate visits: about 11 s at 16 users)")
     add_source(p)
     add_model(p)
     p.add_argument(

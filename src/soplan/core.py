@@ -18,7 +18,9 @@ from typing import Iterable, Iterator, Mapping, Sequence, Union
 #: over all 2^|V| subsets and every prefix sweep and certificate visits
 #: them all, so time and memory double with each user: a minimum sum-rate
 #: of a packet source takes about 0.02 s at 14 users and 1.5 s and 90 MiB
-#: at 20 (README, Design notes).
+#: at 20.  ``enumerate`` makes 3^n / 2 candidate visits, 9 times more per
+#: 2 users: about 11 s at 16 users, so roughly 15 min at 20 (extrapolated,
+#: not run; README, Design notes).
 MAX_USERS = 20
 
 

@@ -54,7 +54,7 @@ from .core import (
 from .omniscience import ASYMPTOTIC, NON_ASYMPTOTIC, check_model, min_sum_rate
 from .compsetso import LOWER_BOUND, comp_set_so
 from .rlnc import choose_field
-from .sources import PacketSource, TableSource
+from .sources import PacketSource, TableSource, _label_lookup
 
 
 @dataclass(frozen=True)
@@ -113,6 +113,8 @@ class StagePlan:
         return total
 
     def to_dict(self) -> dict:
+        """The structure :meth:`from_dict` reads; refuses colliding labels."""
+        _label_lookup(self.ground)
         return {
             "model": self.model,
             "users": list(self.ground.labels),
@@ -149,9 +151,7 @@ class StagePlan:
             ground = GroundSet(tuple(users))
         except DomainError as exc:
             raise FormatError(str(exc)) from None
-        lookup = {str(label): label for label in ground.labels}
-        if len(lookup) != ground.size:
-            raise FormatError("user labels collide when stringified")
+        lookup = _label_lookup(ground)
         model = data["model"]
         if model not in (ASYMPTOTIC, NON_ASYMPTOTIC):
             raise FormatError(f"unknown model {model!r}")
@@ -203,8 +203,9 @@ class StagePlan:
 
 
 def dump_plan(plan: StagePlan, path) -> None:
+    data = plan.to_dict()
     with open(path, "w") as fh:
-        json.dump(plan.to_dict(), fh, indent=2, sort_keys=True)
+        json.dump(data, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
@@ -310,9 +311,8 @@ def merge_super_user(system: MergedSystem, subset: SubsetLike, rates: RateVector
             value = min(d * table[old | (mask ^ t)] + r for t, r in zip(senders, sent))
         else:
             value = 0
-        merged.append(Fraction(value, denominator))
-    new_ground = GroundSet(tuple(new_map))
-    table_source = TableSource(new_ground, dict(enumerate(merged)), validate=False)
+        merged.append(value)
+    table_source = TableSource._from_ints(GroundSet(tuple(new_map)), merged, denominator)
     return MergedSystem(table_source, new_map, system.original, system.scale * d)
 
 

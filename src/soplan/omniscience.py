@@ -188,17 +188,27 @@ def check_sw_achievable(source, subset: SubsetLike, rates: RateVector) -> SwChec
         raise DomainError("achievability concerns subsets of at least two users")
     if mask & ~rates.domain:
         raise DomainError("rate vector domain does not cover the subset")
-    table, denominator = source.entropies, source.denominator
+    denominator = source.denominator
     scale = math.lcm(*(value.denominator for value in rates.values))
     scaled = [int(value * scale) * denominator for value in rates.values]
+    short = _shortfall(source.entropies, mask, scaled, scale)
+    if short is None:
+        return SwCheck(True, None, None)
+    return SwCheck(False, short[0], Fraction(short[1], scale * denominator))
+
+
+def _shortfall(table, mask: int, rates, weight: int) -> tuple | None:
+    """``(C, shortfall)`` for the first proper subset C of X = ``mask``,
+    in ascending mask order, with r(C) < weight * (H(X) - H(X minus C)),
+    for ``rates`` on the scale weight*D by ground position; else None."""
     h_x = table[mask]
-    submasks, rate_sums = submask_sums(mask, scaled)
+    submasks, rate_sums = submask_sums(mask, rates)
     submasks.pop()  # C = X is no constraint; C = {} asks for nothing
     for c, have in zip(submasks, rate_sums):
-        need = scale * (h_x - table[mask ^ c])
+        need = weight * (h_x - table[mask ^ c])
         if have < need:
-            return SwCheck(False, c, Fraction(need - have, scale * denominator))
-    return SwCheck(True, None, None)
+            return c, need - have
+    return None
 
 
 def is_complementary(source, subset: SubsetLike, model: str = ASYMPTOTIC) -> bool:
@@ -237,12 +247,14 @@ def _witnessed_verdict(source, mask: int, shift: Fraction, rates, partition: Par
     weight = shift.denominator
     base = shift.numerator * source.denominator
     if sum(rates) == base + weight * table[mask]:
-        submasks, sums = submask_sums(mask, rates)
-        for sub, total in zip(submasks[1:], sums[1:]):
-            if total > base + weight * table[sub]:
-                raise CertificationError(
-                    f"rates listing {ground.format(mask)} exceed f on {ground.format(sub)}"
-                )
+        # with r(X) = f(X), r(S) <= f(S) for S inside X is
+        # r(X minus S) >= weight * (H(X) - H(S)) on the rates' scale
+        short = _shortfall(table, mask, rates, weight)
+        if short is not None:
+            raise CertificationError(
+                f"rates listing {ground.format(mask)} exceed f on "
+                f"{ground.format(mask ^ short[0])}"
+            )
         return True
     own = shift + source.entropy(mask)
     if len(partition) < 2 or partition_bound(source, partition) <= own:

@@ -28,7 +28,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import lcm
+from math import gcd, lcm
 from typing import Iterable, Mapping
 
 from .core import (
@@ -134,6 +134,17 @@ class TableSource(_SourceBase):
             if not report.ok:
                 raise DomainError("entropy table is not a polymatroid:\n" + report.summary())
 
+    @classmethod
+    def _from_ints(cls, ground: GroundSet, entropies: list, denominator: int) -> "TableSource":
+        """The unvalidated table H(mask) = entropies[mask] / denominator,
+        reduced by the gcd as the public constructor would store it."""
+        common = gcd(denominator, *entropies)
+        source = cls.__new__(cls)
+        source.ground = ground
+        source.denominator = denominator // common
+        source.entropies = [e // common for e in entropies] if common > 1 else entropies
+        return source
+
 
 Source = PacketSource | TableSource
 
@@ -204,9 +215,8 @@ def validate_polymatroid(source: Source) -> PolymatroidReport:
 
 
 def induced_table(source: Source) -> TableSource:
-    """The explicit-table view of any source (2^|V| evaluations)."""
-    table = {mask: source.entropy(mask) for mask in range(source.ground.full_mask + 1)}
-    return TableSource(source.ground, table, validate=False)
+    """The explicit-table view of any source."""
+    return TableSource._from_ints(source.ground, list(source.entropies), source.denominator)
 
 
 def reorder(source: Source, labels: Iterable) -> Source:
@@ -220,14 +230,17 @@ def reorder(source: Source, labels: Iterable) -> Source:
         raise DomainError("reorder must use exactly the existing user labels")
     if isinstance(source, PacketSource):
         return PacketSource(new_ground, source.possession)
-    table = {}
-    for new_mask in range(new_ground.full_mask + 1):
-        old_mask = source.ground.mask(new_ground.labels_of(new_mask))
-        table[new_mask] = source.entropy(old_mask)
-    return TableSource(new_ground, table, validate=False)
+    # old_masks[m] is the old mask of the users in the new mask m
+    old_masks = [0]
+    for label in new_ground.labels:
+        bit = source.ground.bit(label)
+        old_masks += [old | bit for old in old_masks]
+    table = source.entropies
+    return TableSource._from_ints(new_ground, [table[old] for old in old_masks], source.denominator)
 
 
 def _label_lookup(ground: GroundSet) -> dict:
+    """Each label by ``str(label)``, its name in files; refuses collisions."""
     lookup = {}
     for label in ground.labels:
         key = str(label)
@@ -235,6 +248,13 @@ def _label_lookup(ground: GroundSet) -> dict:
             raise FormatError(f"user labels {lookup[key]!r} and {label!r} collide as {key!r}")
         lookup[key] = label
     return lookup
+
+
+def _check_table_labels(ground: GroundSet) -> None:
+    """Table keys join labels with commas and name the empty set by ""."""
+    for label in ground.labels:
+        if not str(label) or "," in str(label):
+            raise FormatError(f"table sources need nonempty comma-free labels, got {label!r}")
 
 
 def source_from_dict(data, validate: bool = True) -> Source:
@@ -272,9 +292,7 @@ def source_from_dict(data, validate: bool = True) -> Source:
             possession[lookup[key]] = ids
         return PacketSource(ground, possession)
 
-    for label in ground.labels:
-        if "," in str(label):
-            raise FormatError(f"table sources need comma-free labels, got {label!r}")
+    _check_table_labels(ground)
     raw = data.get("entropy")
     if not isinstance(raw, dict):
         raise FormatError("'entropy' must map subset keys to rationals")
@@ -305,7 +323,9 @@ def source_from_dict(data, validate: bool = True) -> Source:
 
 
 def source_to_dict(source: Source) -> dict:
+    """The module docstring's JSON structure; refuses labels the loader refuses."""
     ground = source.ground
+    _label_lookup(ground)
     if isinstance(source, PacketSource):
         return {
             "model": PACKET_MODEL,
@@ -315,6 +335,7 @@ def source_to_dict(source: Source) -> dict:
                 for label in ground.labels
             },
         }
+    _check_table_labels(ground)
     return {
         "model": TABLE_MODEL,
         "users": list(ground.labels),
@@ -339,6 +360,7 @@ def load_source(path, validate: bool = True) -> Source:
 
 
 def dump_source(source: Source, path) -> None:
+    data = source_to_dict(source)
     with open(path, "w") as fh:
-        json.dump(source_to_dict(source), fh, indent=2, sort_keys=True)
+        json.dump(data, fh, indent=2, sort_keys=True)
         fh.write("\n")

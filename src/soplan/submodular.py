@@ -11,21 +11,23 @@ truncation minimizes the block sum of f over all partitions of a
 subset; equality of f#_alpha(X) with its truncation at the right alpha
 characterizes the subsets worth splitting off early.
 
-One loop computes everything here: the prefix sweep of
-:func:`run_rate_update`, optionally restricted to a subset.  Each step
+One step computes everything here: :func:`minimize_over_prefix`
 minimizes over the 2^(i-1) prefix sets that hold the newest user, so a
-completed sweep over k users visits 2^k - 1 sets.  The truncation is the
-sum of the finished rates, and the sweep records a partition attaining
-it.  Partitions are never enumerated outside the tests, where
+completed sweep over k users visits 2^k - 1 sets.  Its caller keeps the
+submasks of the finished prefix and their rate sums, and doubles both
+lists with each finished user.  The truncation is the sum of the
+finished rates, and the sweep records a partition attaining it.
+Partitions are never enumerated outside the tests, where
 :func:`soplan.core.enumerate_partitions` serves as the oracle.
 
-The sweep over a subset X at user j sees only the members of X below j,
-so the sweep over X is the sweep over X minus its highest user plus one
-more step.  :func:`_prefix_trie_sweeps` uses that to finish the sweep
-over every nonempty subset at one shift in a single depth-first walk,
-one step per subset and 3^n / 2 candidates in all, where a sweep per
-subset visits about 3^n and pays the per-step overhead n * 2^(n-1)
-times.
+The step has two callers.  :func:`run_rate_update` walks one path of the
+prefix trie: the sweep over V, or over one subset.  The sweep over a
+subset X at user j sees only the members of X below j, so the sweep over
+X is the sweep over X minus its highest user plus one more step.
+:func:`_prefix_trie_sweeps` uses that to finish the sweep over every
+nonempty subset at one shift in a single depth-first walk, one step per
+subset and 3^n / 2 candidates in all, where a sweep per subset visits
+about 3^n and pays the per-step overhead n * 2^(n-1) times.
 
 The sweep reads the source's integer table, H(X) = entropies[X] / D.
 For shift = p/q it keeps every rate as an int on the scale q*D, where
@@ -38,13 +40,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import (
-    DomainError,
-    Partition,
-    SubsetLike,
-    bit_positions,
-    submask_sums,
-)
+from .core import DomainError, Partition, SubsetLike, bit_positions
 
 
 def dilworth_truncation(source, shift, subset: SubsetLike) -> tuple:
@@ -67,82 +63,35 @@ def dilworth_truncation(source, shift, subset: SubsetLike) -> tuple:
 
 @dataclass(frozen=True)
 class SfmResult:
-    """Outcome of minimizing ``weight * entropies[X] - rates(X)`` over the
-    sets X that contain the newest user inside the current prefix.
-
-    ``min_value`` is an int on the scale of the rates.  The minimizers
-    of such a function are closed under union and intersection, so
-    ``minimal_minimizer`` / ``maximal_minimizer`` are themselves
-    minimizers.  ``nonsingleton_proper_minimizer`` applies the
-    early-exit tie-break: smallest cardinality first, then smallest
-    bitmask; it is None when every minimizer is a singleton or the full
-    ground set.
-    """
+    """One prefix step: the minimum key, the union of the minimizers
+    (itself a minimizer), the early exit (the smallest (cardinality,
+    bitmask) among the minimizers other than ``{top}`` and ``whole``, or
+    None) and the number of candidates."""
 
     min_value: int
-    minimizers: tuple
-    minimal_minimizer: int
     maximal_minimizer: int
     nonsingleton_proper_minimizer: int | None
     candidates_examined: int
 
 
-def _prefix_minimum(table, weight: int, top: int, submasks, rate_sums) -> tuple:
-    """One prefix step: minimize ``weight * table[sub | top] - rate_sums``
-    over the candidate sets ``sub`` (which exclude ``top``).
+def minimize_over_prefix(table, weight: int, top: int, submasks, rate_sums, whole: int) -> SfmResult:
+    """Minimize the key ``weight * table[sub | top] - total`` over the
+    submasks ``sub`` of the finished prefix inside the sweep's domain
+    ``whole``, each with its rate sum ``total`` from ``rate_sums``.
 
-    Returns ``(best, minimizers, maximal)``: the minimum key, the sets
-    ``sub | top`` attaining it in candidate order, and their union.
-    """
+    On the rates' scale weight*D the key is f(X) - r(X) for X = sub | top,
+    less f's constant and plus the rate of ``top``, so both have the
+    same minimizers, and that rate is finished at f's constant plus
+    ``min_value``."""
     keys = [weight * table[sub | top] - total for sub, total in zip(submasks, rate_sums)]
     best = min(keys)
     minimizers = [sub | top for sub, key in zip(submasks, keys) if key == best]
     maximal = 0
     for m in minimizers:
         maximal |= m
-    return best, minimizers, maximal
-
-
-def minimize_over_prefix(source, weight: int, rates, position: int, within: SubsetLike = None) -> SfmResult:
-    """Exhaustively minimize ``weight * entropies[X] - rates(X)`` over
-    ``{X : position's user in X, X inside the first `position` users}``,
-    and inside ``within`` when given (default: the whole ground set).
-
-    ``rates`` holds one int per ground position.  With the rates on the
-    scale weight*D, this is g(X) = shift + H(X) - r(X) on that scale
-    less the constant shift, so both have the same minimizers.
-    ``position`` is 1-based in ground order; candidates are enumerated
-    by ascending mask value, which fixes the order of ``minimizers``.
-    "Proper" in ``nonsingleton_proper_minimizer`` means other than
-    ``within`` itself.
-    """
-    ground = source.ground
-    whole = ground.full_mask if within is None else ground.mask(within)
-    if not 1 <= position <= ground.size:
-        raise DomainError(f"position {position} out of range")
-    top = 1 << (position - 1)
-    if not whole & top:
-        raise DomainError(f"position {position} lies outside {ground.format(whole)}")
-    if len(rates) != ground.size:
-        raise DomainError("rate sequence length does not match the ground set")
-
-    # For X = sub + top, the key drops the rate of top, the same for
-    # every candidate, and adds it back in min_value.
-    submasks, rate_sums = submask_sums(whole & (top - 1), rates)
-    best, minimizers, maximal = _prefix_minimum(source.entropies, weight, top, submasks, rate_sums)
-    minimal = minimizers[0]
-    for m in minimizers:
-        minimal &= m
-    eligible = [m for m in minimizers if m.bit_count() >= 2 and m != whole]
+    eligible = [m for m in minimizers if m != top and m != whole]
     chosen = min(eligible, key=lambda m: (m.bit_count(), m)) if eligible else None
-    return SfmResult(
-        min_value=best - rates[position - 1],
-        minimizers=tuple(minimizers),
-        minimal_minimizer=minimal,
-        maximal_minimizer=maximal,
-        nonsingleton_proper_minimizer=chosen,
-        candidates_examined=len(submasks),
-    )
+    return SfmResult(best, maximal, chosen, len(submasks))
 
 
 @dataclass(frozen=True)
@@ -212,24 +161,32 @@ def run_rate_update(source, shift, early_exit: bool = True, within: SubsetLike =
     shift = Fraction(shift)
     weight = shift.denominator
     base = shift.numerator * source.denominator  # f's constant on the scale weight*D
-    positions = list(bit_positions(whole))
+    table = source.entropies
+    first, *later = bit_positions(whole)
     rates = [0] * ground.size
-    for pos in positions:
+    for pos in later:
         rates[pos] = base
-    rates[positions[0]] += weight * source.entropies[1 << positions[0]]
+    rates[first] = base + weight * table[1 << first]
     scaled = [tuple(rates)]
-    blocks = [1 << positions[0]]
+    blocks = [1 << first]
+    # the submasks of the finished prefix inside ``whole``, with their
+    # rate sums; each finished user doubles both, as in the prefix trie
+    submasks, sums = [0, 1 << first], [0, rates[first]]
     candidates = 0
     exit_subset = exit_position = None
-    for pos in positions[1:]:
-        result = minimize_over_prefix(source, weight, rates, pos + 1, whole)
-        candidates += result.candidates_examined
-        if early_exit and result.nonsingleton_proper_minimizer is not None:
-            exit_subset, exit_position = result.nonsingleton_proper_minimizer, pos + 1
+    for pos in later:
+        top = 1 << pos
+        step = minimize_over_prefix(table, weight, top, submasks, sums, whole)
+        candidates += step.candidates_examined
+        if early_exit and step.nonsingleton_proper_minimizer is not None:
+            exit_subset, exit_position = step.nonsingleton_proper_minimizer, pos + 1
             break
-        rates[pos] += base + result.min_value
+        rates[pos] = rate = base + step.min_value
         scaled.append(tuple(rates))
-        blocks = _join_blocks(blocks, 1 << pos, result.maximal_minimizer)
+        blocks = _join_blocks(blocks, top, step.maximal_minimizer)
+        if pos != later[-1]:
+            submasks += [sub | top for sub in submasks]
+            sums += [total + rate for total in sums]
     return UpdateRun(
         exit_subset=exit_subset,
         exit_position=exit_position,
@@ -263,13 +220,14 @@ def _prefix_trie_sweeps(source, shift):
     def grow(parent: int, submasks: list, sums: list, blocks: list):
         for pos in range(parent.bit_length(), size):
             top = 1 << pos
-            best, _, maximal = _prefix_minimum(table, weight, top, submasks, sums)
-            rates[pos] = rate = base + best
-            child_blocks = _join_blocks(blocks, top, maximal)
-            yield parent | top, tuple(rates), Partition(child_blocks)
+            child = parent | top
+            step = minimize_over_prefix(table, weight, top, submasks, sums, child)
+            rates[pos] = rate = base + step.min_value
+            child_blocks = _join_blocks(blocks, top, step.maximal_minimizer)
+            yield child, tuple(rates), Partition(child_blocks)
             if pos + 1 < size:
                 yield from grow(
-                    parent | top,
+                    child,
                     submasks + [sub | top for sub in submasks],
                     sums + [total + rate for total in sums],
                     child_blocks,

@@ -14,10 +14,18 @@ from fractions import Fraction
 from functools import reduce
 from operator import or_
 
-from soplan import ASYMPTOTIC, GroundSet, TableSource, min_sum_rate, validate_polymatroid
+from soplan import (
+    ASYMPTOTIC,
+    NON_ASYMPTOTIC,
+    GroundSet,
+    TableSource,
+    min_sum_rate,
+    validate_polymatroid,
+)
 from soplan.gf import RowSpace
 from soplan.multistage import build_plan
 from soplan.rlnc import _chunk_columns, draw_stage
+from soplan.sources import induced_table, reorder
 from soplan.submodular import dilworth_truncation
 from tests.conftest import random_packet_source
 from tests.test_omniscience import bell_min_sum_rate
@@ -104,6 +112,35 @@ def test_merged_tables_against_drawn_rows(source_corpus):
                 assert table.entropy(mask) * chunk == rank * after.system.scale
             merges += 1
     assert merges > 100
+
+
+def test_int_tables_stored_as_the_public_constructor_stores_them(source_corpus, monkeypatch):
+    """Every table built from ints (the planner's merged systems,
+    ``reorder`` and ``induced_table``) stores the entropies and
+    denominator that ``TableSource`` stores for the same Fractions."""
+    built = []
+    from_ints = TableSource._from_ints.__func__
+
+    def spy(cls, ground, entropies, denominator):
+        values = [Fraction(e, denominator) for e in entropies]
+        table = from_ints(cls, ground, list(entropies), denominator)
+        built.append((table, values))
+        return table
+
+    monkeypatch.setattr(TableSource, "_from_ints", classmethod(spy))
+    rng = random.Random(19)
+    for source in source_corpus:
+        for model in (ASYMPTOTIC, NON_ASYMPTOTIC):
+            build_plan(source, model)
+        reorder(induced_table(source), reversed(source.ground.labels))
+    for _ in range(20):
+        table = weighted_coverage(rng, rng.randint(2, 6), [rng.randint(1, 6) for _ in range(8)])
+        reorder(induced_table(table), reversed(table.ground.labels))
+    TableSource._from_ints(GroundSet(("a", "b")), [0, 2, 4, 6], 4)  # a common factor of 2
+    assert len(built) > 3 * len(source_corpus)
+    for table, values in built:
+        public = TableSource(table.ground, dict(enumerate(values)), validate=False)
+        assert (table.entropies, table.denominator) == (public.entropies, public.denominator)
 
 
 def test_table_with_denominators_two_three_seven():

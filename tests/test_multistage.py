@@ -305,6 +305,18 @@ class TestPlanSerialization:
             with pytest.raises(FormatError):
                 StagePlan.from_dict(case)
 
+    def test_colliding_labels_refused_both_ways(self, five_user, tmp_path):
+        plan = StagePlan(GroundSet((1, "1")), ASYMPTOTIC, (), 1, 2, 0)
+        path = tmp_path / "plan.json"
+        path.write_text("kept")
+        with pytest.raises(FormatError, match="collide as '1'"):
+            dump_plan(plan, path)
+        assert path.read_text() == "kept"
+        data = plan_multistage(five_user, ASYMPTOTIC).to_dict()
+        data["users"] = [1, "1", 3, 4, 5]
+        with pytest.raises(FormatError, match="collide as '1'"):
+            StagePlan.from_dict(data)
+
     def test_fraction_rates_survive_json(self, five_user):
         plan = plan_multistage(five_user, ASYMPTOTIC)
         data = json.loads(json.dumps(plan.to_dict()))

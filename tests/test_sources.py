@@ -212,3 +212,34 @@ class TestJsonRoundTrip:
         }
         with pytest.raises(FormatError):
             source_from_dict(data)
+
+
+class TestDumpRefusesWhatLoadRefuses:
+    """A dump either writes a file that loads back, or raises before it
+    opens the file."""
+
+    def test_colliding_labels(self, tmp_path):
+        # both users would be written as "1", losing user 1's packet
+        source = PacketSource(GroundSet((1, "1")), {1: "x", "1": "y"})
+        path = tmp_path / "src.json"
+        with pytest.raises(FormatError, match="collide as '1'"):
+            dump_source(source, path)
+        assert not path.exists()
+
+    @pytest.mark.parametrize("label", ["", "a,b"])
+    def test_table_labels_that_keys_cannot_name(self, label, tmp_path):
+        table = induced_table(PacketSource(GroundSet((label, "c")), {label: "p", "c": "pq"}))
+        path = tmp_path / "table.json"
+        path.write_text("kept")
+        with pytest.raises(FormatError, match="nonempty comma-free"):
+            dump_source(table, path)
+        assert path.read_text() == "kept"
+        data = {"model": "table", "users": [label, "c"], "entropy": {"": "0", "c": "2"}}
+        with pytest.raises(FormatError, match="nonempty comma-free"):
+            source_from_dict(data)
+
+    def test_unusual_labels_round_trip(self, tmp_path):
+        source = PacketSource(GroundSet(("", "a,b", 3)), {"": "x", "a,b": "xy", 3: "z"})
+        path = tmp_path / "src.json"
+        dump_source(source, path)
+        assert load_source(path).possession == source.possession

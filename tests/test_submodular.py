@@ -19,6 +19,8 @@ from soplan import (
     ASYMPTOTIC,
     NON_ASYMPTOTIC,
     DomainError,
+    GroundSet,
+    PacketSource,
     TableSource,
     min_sum_rate,
 )
@@ -50,14 +52,25 @@ def g_value(source, shift, rates, candidate):
     return f_value(source, shift, candidate) - total
 
 
-def minimize(source, shift, rates, position, within=None) -> tuple:
+def prefix_lists(top, whole, scaled) -> tuple:
+    """The step's input, built by brute force: every submask of the
+    prefix below ``top`` inside ``whole``, ascending, with its rate sum."""
+    submasks = [sub for sub in range(top) if not sub & ~whole]
+    sums = [sum(v for pos, v in enumerate(scaled) if sub >> pos & 1) for sub in submasks]
+    return submasks, sums
+
+
+def step(source, shift, rates, position, within=None) -> tuple:
     """minimize_over_prefix on Fraction rates, scaled to ints for it;
     returns its result and the minimum of g it implies."""
     weight = math.lcm(*(Fraction(r).denominator for r in rates))
     scale = weight * source.denominator
     scaled = [int(r * scale) for r in rates]
-    result = minimize_over_prefix(source, weight, scaled, position, within)
-    return result, shift + Fraction(result.min_value, scale)
+    top = 1 << (position - 1)
+    whole = source.ground.full_mask if within is None else source.ground.mask(within)
+    submasks, sums = prefix_lists(top, whole, scaled)
+    result = minimize_over_prefix(source.entropies, weight, top, submasks, sums, whole)
+    return result, shift + Fraction(result.min_value - scaled[position - 1], scale)
 
 
 class TestAlphaFunction:
@@ -214,55 +227,85 @@ class TestPrefixTrie:
 
 
 class TestMinimizeOverPrefix:
+    """The prefix step against a brute-force oracle over its candidates,
+    which evaluates g = f - r from Fraction entropies."""
+
+    @staticmethod
+    def assert_matches_brute_force(source, shift, rates, position, within):
+        result, min_value = step(source, shift, rates, position, within)
+        top = 1 << (position - 1)
+        whole = source.ground.mask(within)
+        candidates = [sub | top for sub in range(top) if not sub & ~whole]
+        values = {m: g_value(source, shift, rates, m) for m in candidates}
+        assert min_value == min(values.values())
+        minimizers = [m for m in candidates if values[m] == min_value]
+        # minimizers form a lattice: their union is the largest of them
+        union = 0
+        for m in minimizers:
+            union |= m
+        assert result.maximal_minimizer == union
+        assert values[union] == min_value
+        eligible = [m for m in minimizers if m.bit_count() >= 2 and m != whole]
+        want = min(eligible, key=lambda m: (m.bit_count(), m)) if eligible else None
+        assert result.nonsingleton_proper_minimizer == want
+        assert result.candidates_examined == len(candidates)
+
+    @staticmethod
+    def draw(rng, source) -> tuple:
+        """A random shift, position, domain holding it and rate vector.
+        Half the rates are the entropy their user adds to a random set of
+        others, which makes about a fifth of the draws tie."""
+        n = source.ground.size
+        position = rng.randint(1, n)
+        within = rng.getrandbits(n) | 1 << (position - 1)
+        rates = []
+        for pos in range(n):
+            if rng.random() < 0.5:
+                rates.append(Fraction(rng.randint(-6, 6), rng.choice((1, 2, 3))))
+            else:
+                others = rng.getrandbits(n) & ~(1 << pos)
+                rates.append(source.entropy(others | 1 << pos) - source.entropy(others))
+        return Fraction(rng.randint(-8, 8), 2), rates, position, within
+
     def test_candidate_count(self, five_user):
         shift = shift_of(five_user, Fraction(13, 2))
         rates = [Fraction(0)] * 5
-        result, _ = minimize(five_user, shift, rates, 4)
-        assert result.candidates_examined == 2 ** 3
-
-    def test_position_range(self, five_user):
-        shift = shift_of(five_user, Fraction(13, 2))
-        with pytest.raises(DomainError):
-            minimize(five_user, shift, [Fraction(0)] * 5, 0)
-        with pytest.raises(DomainError):
-            minimize(five_user, shift, [Fraction(0)] * 5, 6)
-        with pytest.raises(DomainError):
-            minimize(five_user, shift, [Fraction(0)] * 5, 3, within=[1, 2, 4])
+        assert step(five_user, shift, rates, 4)[0].candidates_examined == 2 ** 3
+        assert step(five_user, shift, rates, 4, [1, 3, 4])[0].candidates_examined == 2 ** 2
 
     def test_known_minimizer(self, five_user):
         # position 2 at the exact parameter: {1,2} beats the singleton
         shift = shift_of(five_user, Fraction(13, 2))
         rates = [f_value(five_user, shift, 0b1)] + [Fraction(13, 2) - 10] * 4
-        result, min_value = minimize(five_user, shift, rates, 2)
+        result, min_value = step(five_user, shift, rates, 2)
         assert min_value == Fraction(7, 2)
         assert result.nonsingleton_proper_minimizer == five_user.ground.mask([1, 2])
 
-    @settings(max_examples=30, deadline=None)
-    @given(
-        st.randoms(use_true_random=False),
-        st.integers(min_value=1, max_value=4),
-        st.lists(st.integers(min_value=-6, max_value=6), min_size=4, max_size=4),
-    )
-    def test_lattice_closure_of_minimizers(self, rng, position, numerators):
-        source = random_packet_source(rng, 4, 6)
-        h_total = source.entropy(source.ground.full_mask)
-        shift = shift_of(source, h_total * Fraction(1, 2))
-        rates = [Fraction(n, 3) for n in numerators]
-        result, min_value = minimize(source, shift, rates, position)
-        for mask in result.minimizers:
-            assert g_value(source, shift, rates, mask) == min_value
-        # minimizers form a lattice: intersection and union stay minimizers
-        assert g_value(source, shift, rates, result.minimal_minimizer) == min_value
-        assert g_value(source, shift, rates, result.maximal_minimizer) == min_value
-        # exhaustive cross-check of the minimum itself
-        top = 1 << (position - 1)
-        below = top - 1
-        lo = min(
-            g_value(source, shift, rates, sub | top)
-            for sub in range(below + 1)
-            if (sub | top) & below == sub
-        )
-        assert lo == min_value
+    def test_tie_break_puts_cardinality_before_mask(self):
+        # at user 4 the minimizers are {4}, {3,4}, {1,2,4} and V: the exit
+        # is {3,4}, although {1,2,4} has the smaller mask
+        source = PacketSource(GroundSet((1, 2, 3, 4)), {1: "xy", 2: "xy", 3: "a", 4: "abc"})
+        rates = [Fraction(1), Fraction(1), Fraction(0), Fraction(0)]
+        result, _ = step(source, Fraction(0), rates, 4)
+        assert result.nonsingleton_proper_minimizer == 0b1100
+        assert result.maximal_minimizer == 0b1111
+        self.assert_matches_brute_force(source, Fraction(0), rates, 4, 0b1111)
+        # inside {1,2,4}, that set is the whole domain and no exit
+        result, _ = step(source, Fraction(0), rates, 4, 0b1011)
+        assert result.nonsingleton_proper_minimizer is None
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.randoms(use_true_random=False))
+    def test_lattice_closure_of_minimizers(self, rng):
+        n = rng.randint(2, 6)
+        source = random_packet_source(rng, n, rng.randint(n, 10))
+        self.assert_matches_brute_force(source, *self.draw(rng, source))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.randoms(use_true_random=False))
+    def test_rational_tables(self, rng):
+        source = random_rational_table(rng, rng.randint(2, 6), rng.randint(2, 10))
+        self.assert_matches_brute_force(source, *self.draw(rng, source))
 
 
 class TestRunRateUpdate:

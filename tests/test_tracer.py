@@ -4,10 +4,11 @@ so a rename in ``src`` must fail here, not only in the benchmark."""
 from __future__ import annotations
 
 import importlib.util
+import random
 from pathlib import Path
 
-from soplan import ASYMPTOTIC, multistage, plan_multistage, sources
-from tests.conftest import make_five_user
+from soplan import ASYMPTOTIC, enumerate_complementary, multistage, plan_multistage, sources
+from tests.conftest import make_five_user, random_rational_table
 
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
 
@@ -32,3 +33,17 @@ def test_install_and_uninstall():
         tracer.uninstall()
     assert multistage.merge_super_user is merge
     assert sources._SourceBase.__dict__["entropy"] is entropy
+
+
+def test_prefix_trie_steps_are_counted():
+    """enumerate's prefix-trie walk runs the same step as every sweep,
+    so the tracer sees its (3^n - 1) / 2 candidates."""
+    source = random_rational_table(random.Random(6), 6, 8)
+    tracer = _tracer_module().Tracer()
+    tracer.install()
+    try:
+        enumerate_complementary(source)
+    finally:
+        tracer.uninstall()
+    assert tracer.stat("submodular.minimize_over_prefix")[0] >= 2 ** 6 - 1
+    assert tracer.counts["submodular.minimize_over_prefix.candidates"] >= (3 ** 6 - 1) // 2
