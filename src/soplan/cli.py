@@ -26,7 +26,7 @@ from .core import CertificationError, DomainError, FormatError
 from .multistage import load_plan, plan_multistage
 from .omniscience import enumerate_complementary, min_sum_rate, optimal_rate_vector
 from .rlnc import execute_plan
-from .sources import load_source, reorder, validate_polymatroid
+from .sources import _label_lookup, load_source, reorder, validate_polymatroid
 
 EXIT_OK = 0
 EXIT_BAD_INPUT = 2
@@ -44,7 +44,7 @@ def _canonical(name: str) -> str:
 def _load_ordered(args):
     source = load_source(args.source)
     if getattr(args, "order", None):
-        lookup = {str(label): label for label in source.ground.labels}
+        lookup = _label_lookup(source.ground)
         labels = []
         for part in args.order.split(","):
             part = part.strip()

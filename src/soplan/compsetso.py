@@ -11,7 +11,7 @@ Alpha is chosen in one of two modes:
   ceiled in the non-asymptotic model): a cheap lower bound on R(V).  An
   early exit still returns a complementary subset, and completion
   additionally proves that alpha was R(V) all along, so the finished
-  rates are an optimal omniscience rate vector.
+  rates are an optimal omniscience rate vector.  R(V) is never computed.
 
 :func:`comp_set_so` computes alpha itself, so it always lies in
 [0, H(V)].  In the non-asymptotic model it refuses a source with a
@@ -19,10 +19,10 @@ fractional entropy: the guarantee that an early exit is complementary
 there assumes integer entropies, and with a fractional one the ceiling
 on R(X) can break it.
 
-:func:`comp_set_so` certifies every outcome before returning it,
-against the minimum sum-rates of :mod:`soplan.omniscience`, each of
-which carries its own primal-dual witness; a failed check is a bug and
-raises :class:`CertificationError`.
+:func:`comp_set_so` certifies every outcome before returning it by one
+rule, H(V) - H(X) + R(X) <= alpha <= R(V), where the mode only decides
+why alpha is at most R(V); a failed check is a bug and raises
+:class:`CertificationError`.
 """
 
 from __future__ import annotations
@@ -58,6 +58,15 @@ def alpha_lower_bound(source, model: str = ASYMPTOTIC) -> Fraction:
     return bound
 
 
+def _alpha(source, model: str, mode: str) -> Fraction:
+    """The alpha that ``mode`` names; either way it is at most R(V)."""
+    if mode == EXACT:
+        return min_sum_rate(source, None, model).value
+    if mode == LOWER_BOUND:
+        return alpha_lower_bound(source, model)
+    raise DomainError(f"unknown alpha mode {mode!r}")
+
+
 @dataclass(frozen=True)
 class Certificate:
     """Human-checkable evidence for an outcome."""
@@ -91,17 +100,12 @@ def comp_set_so(source, model: str = ASYMPTOTIC, mode: str = EXACT) -> CompSetOu
     """Run the single-sweep search at the alpha that ``mode`` names and
     return the certified outcome.  The non-asymptotic model needs
     integer entropies."""
-    if mode not in (EXACT, LOWER_BOUND):
-        raise DomainError(f"unknown alpha mode {mode!r}")
     if model == NON_ASYMPTOTIC and not source.integral:
         raise DomainError(
             "the non-asymptotic subset search needs integer entropies; "
             "this source has a fractional one"
         )
-    if mode == EXACT:
-        alpha = min_sum_rate(source, None, model).value
-    else:
-        alpha = alpha_lower_bound(source, model)
+    alpha = _alpha(source, model, mode)
     ground = source.ground
     run = run_rate_update(source, alpha - source.entropy(ground.full_mask), early_exit=True)
     rates = None if run.exit_subset is not None else RateVector(ground, run.rates, ground.full_mask)
@@ -144,20 +148,23 @@ def complementary_by_lower_bound(source, subset: SubsetLike, model: str = ASYMPT
 
 
 def certify_outcome(source, outcome: CompSetOutcome) -> Certificate:
-    """Check an outcome against the certified minimum sum-rates.
+    """Check an outcome against H(V) - H(X) + R(X) <= alpha <= R(V).
 
-    Subset outcomes are certified complementary via the direct
-    inequality; finished rates are certified achievable with total
-    alpha.  Exact mode, and a completed sweep in either mode, also claim
-    that alpha is the minimum sum-rate, which is checked too.  A failed
+    alpha <= R(V) holds by the choice of alpha, recomputed for the
+    outcome's mode.  A subset X must meet the left inequality with R(X)
+    certified.  Finished rates must sum to alpha and be achievable on V
+    (integers in the non-asymptotic model), so alpha = R(V) and they are
+    optimal.  Only mode exact computes R(V), to choose alpha.  A failed
     check raises :class:`CertificationError` naming it.
     """
     ground = source.ground
     model, mode, alpha = outcome.model, outcome.mode, outcome.alpha
-    r_v = min_sum_rate(source, None, model).value
+    chosen = _alpha(source, model, mode)
+    if alpha != chosen:
+        raise CertificationError(f"alpha differs from the {mode} alpha {chosen}: alpha = {alpha}")
     lines = [f"alpha = {alpha} (mode {mode}, model {model})"]
     if mode == EXACT:
-        lines.append(f"alpha equals the certified minimum sum-rate {r_v}")
+        lines.append(f"alpha equals the certified minimum sum-rate {alpha}")
 
     if outcome.subset is not None:
         mask = outcome.subset
@@ -165,10 +172,11 @@ def certify_outcome(source, outcome: CompSetOutcome) -> Certificate:
         h_x = source.entropy(mask)
         r_x = min_sum_rate(source, mask, model).value
         lhs = h_v - h_x + r_x
-        holds = lhs <= r_v
+        holds = lhs <= alpha
         inequality = (
             f"subset {ground.format(mask)}: H(V) - H(X) + R(X) = "
-            f"{h_v} - {h_x} + {r_x} = {lhs} {'<=' if holds else '>'} {r_v} = R(V)"
+            f"{h_v} - {h_x} + {r_x} = {lhs} {'<=' if holds else '>'} {alpha} = "
+            + ("R(V)" if mode == EXACT else "alpha <= R(V)")
         )
         if not holds:
             raise CertificationError(
@@ -201,7 +209,7 @@ def certify_outcome(source, outcome: CompSetOutcome) -> Certificate:
             lines.append("all entries are integers, as the non-asymptotic model requires")
         if mode == LOWER_BOUND:
             lines.append(
-                f"alpha = R(V) = {r_v}: no complementary subset exists and the "
+                f"alpha = R(V) = {alpha}: no complementary subset exists and the "
                 "finished rates are an optimal omniscience rate vector"
             )
         else:
@@ -210,9 +218,4 @@ def certify_outcome(source, outcome: CompSetOutcome) -> Certificate:
                 "subset exists and the finished rates are optimal"
             )
         summary = f"finished rates certified optimal ({model})"
-
-    if (mode == EXACT or outcome.subset is None) and alpha != r_v:
-        raise CertificationError(
-            f"alpha differs from the certified minimum sum-rate {r_v}: alpha = {alpha}"
-        )
     return Certificate(summary, tuple(lines))

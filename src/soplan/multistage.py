@@ -107,14 +107,12 @@ class StagePlan:
 
     @property
     def total_rates(self) -> RateVector:
-        total = RateVector.zeros(self.ground)
-        for stage in self.stages:
-            total = total + stage.rates
-        return total
+        return sum((stage.rates for stage in self.stages), RateVector.zeros(self.ground))
 
     def to_dict(self) -> dict:
-        """The structure :meth:`from_dict` reads; refuses colliding labels."""
+        """The structure :meth:`from_dict` reads; refuses labels it refuses."""
         _label_lookup(self.ground)
+        totals = self.total_rates
         return {
             "model": self.model,
             "users": list(self.ground.labels),
@@ -132,8 +130,7 @@ class StagePlan:
                 for stage in self.stages
             ],
             "total_rates": {
-                str(label): str(self.total_rates.rate(label))
-                for label in self.ground.labels
+                str(label): str(totals.rate(label)) for label in self.ground.labels
             },
         }
 

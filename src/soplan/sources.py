@@ -19,7 +19,8 @@ JSON file format (used by :func:`load_source` / :func:`dump_source`)::
 
 Packet dict keys and table subset keys use ``str(label)``; table keys
 join the subset's labels with commas (so labels must not contain
-commas).  Rationals are ``"p/q"`` strings or integers, never floats.
+commas).  Labels and packet ids are JSON strings, numbers or null.
+Rationals are ``"p/q"`` strings or integers, never floats.
 """
 
 from __future__ import annotations
@@ -114,20 +115,19 @@ class TableSource(_SourceBase):
 
     def __init__(self, ground: GroundSet, table: Mapping, validate: bool = True):
         self.ground = ground
-        full = ground.full_mask
-        parsed = {}
+        parsed = [None] * (ground.full_mask + 1)
         for mask, value in table.items():
             mask = ground.mask(mask)
-            parsed[mask] = parse_fraction(value, where=f"entropy of {ground.format(mask)}")
-        missing = [m for m in range(full + 1) if m not in parsed]
-        if missing:
-            raise DomainError(
-                f"entropy table misses {len(missing)} subsets, first {ground.format(missing[0])}"
-            )
-        self.denominator = lcm(*(value.denominator for value in parsed.values()))
+            try:
+                parsed[mask] = parse_fraction(value)
+            except FormatError:  # parse again, naming the subset this time
+                parse_fraction(value, where=f"entropy of {ground.format(mask)}")
+        if None in parsed:
+            first = ground.format(parsed.index(None))
+            raise DomainError(f"entropy table misses {parsed.count(None)} subsets, first {first}")
+        self.denominator = lcm(*(value.denominator for value in parsed))
         self.entropies = [
-            parsed[m].numerator * (self.denominator // parsed[m].denominator)
-            for m in range(full + 1)
+            value.numerator * (self.denominator // value.denominator) for value in parsed
         ]
         if validate:
             report = validate_polymatroid(self)
@@ -239,11 +239,18 @@ def reorder(source: Source, labels: Iterable) -> Source:
     return TableSource._from_ints(new_ground, [table[old] for old in old_masks], source.denominator)
 
 
+def _scalar(value, what: str):
+    """``value``, if a file can hold it: a JSON string, number or null."""
+    if not (value is None or isinstance(value, (str, int, float))):
+        raise FormatError(f"{what} must be strings, numbers or null, got {value!r}")
+    return value
+
+
 def _label_lookup(ground: GroundSet) -> dict:
-    """Each label by ``str(label)``, its name in files; refuses collisions."""
+    """Each label by ``str(label)``, its name in files; refuses others and collisions."""
     lookup = {}
     for label in ground.labels:
-        key = str(label)
+        key = str(_scalar(label, "user labels"))
         if key in lookup:
             raise FormatError(f"user labels {lookup[key]!r} and {label!r} collide as {key!r}")
         lookup[key] = label
@@ -286,18 +293,14 @@ def source_from_dict(data, validate: bool = True) -> Source:
         for key, ids in packets.items():
             if not isinstance(ids, list):
                 raise FormatError(f"packets for user {key} must be a list")
-            for packet in ids:
-                if isinstance(packet, (list, dict)):
-                    raise FormatError(f"packet ids for user {key} must be scalars, got {packet!r}")
-            possession[lookup[key]] = ids
+            possession[lookup[key]] = [_scalar(p, f"packet ids for user {key}") for p in ids]
         return PacketSource(ground, possession)
 
     _check_table_labels(ground)
     raw = data.get("entropy")
     if not isinstance(raw, dict):
         raise FormatError("'entropy' must map subset keys to rationals")
-    table = {0: Fraction(0)}
-    seen = set()
+    table = {}
     for key, value in raw.items():
         if not isinstance(key, str):
             raise FormatError("entropy keys must be strings")
@@ -307,15 +310,10 @@ def source_from_dict(data, validate: bool = True) -> Source:
                 if part not in lookup:
                     raise FormatError(f"entropy key {key!r} names unknown user {part!r}")
                 mask |= ground.bit(lookup[part])
-        if mask in seen:
+        if mask in table:
             raise FormatError(f"entropy key {key!r} repeats a subset")
-        seen.add(mask)
-        table[mask] = parse_fraction(value, where=f"entropy[{key!r}]")
-    missing = [m for m in range(ground.full_mask + 1) if m not in table]
-    if missing:
-        raise FormatError(
-            f"entropy table misses {len(missing)} subsets, e.g. {ground.format(missing[0])}"
-        )
+        table[mask] = value
+    table.setdefault(0, 0)
     try:
         return TableSource(ground, table, validate=validate)
     except DomainError as exc:
@@ -331,7 +329,9 @@ def source_to_dict(source: Source) -> dict:
             "model": PACKET_MODEL,
             "users": list(ground.labels),
             "packets": {
-                str(label): sorted(source.possession[label], key=str)
+                str(label): sorted(
+                    (_scalar(p, "packet ids") for p in source.possession[label]), key=str
+                )
                 for label in ground.labels
             },
         }

@@ -34,7 +34,7 @@ GOLDENS = {
     ("cyclic_triple", "asymptotic", "enumerate-verify"): "5b47e4f4520023c325c1e5c770a13f155058f7a167b692fe035ce9b8ad163db5",
     ("cyclic_triple", "non-asymptotic", "minrate"): "3a950c831e5a2ab0ad9e33c3ee9a21cbdbc45ce89a73a2120a47f0b5b0880f78",
     ("cyclic_triple", "non-asymptotic", "compset-exact"): "2ccd284f20d7ccc1f4be8764af3d328533855a90e4eb33a5c4d1b60766288468",
-    ("cyclic_triple", "non-asymptotic", "compset-lower-bound"): "ff2fa163954c2570a92580f067e6f7f1bc394cfd23f12848afb5d834e22233cc",
+    ("cyclic_triple", "non-asymptotic", "compset-lower-bound"): "70cc7b590f9b1c63b9a1444ddaec090164c023e6a7c6ef886bde2a9777d518bc",
     ("cyclic_triple", "non-asymptotic", "enumerate-verify"): "81fb817322c80e6a1218b27e9995ece328d65ed3ca55443015d435611811f406",
     ("cyclic_triple_table", "asymptotic", "minrate"): "14f9d22addaedd7379ccbe5a53657d51f7a1563335ecb807a901a47a1ea4cdc7",
     ("cyclic_triple_table", "asymptotic", "compset-exact"): "b42187ee648ae55325ec87318cc5fe5b52cff7239096169f7a40c9602e85ea7c",
@@ -42,23 +42,23 @@ GOLDENS = {
     ("cyclic_triple_table", "asymptotic", "enumerate-verify"): "5b47e4f4520023c325c1e5c770a13f155058f7a167b692fe035ce9b8ad163db5",
     ("cyclic_triple_table", "non-asymptotic", "minrate"): "3a950c831e5a2ab0ad9e33c3ee9a21cbdbc45ce89a73a2120a47f0b5b0880f78",
     ("cyclic_triple_table", "non-asymptotic", "compset-exact"): "2ccd284f20d7ccc1f4be8764af3d328533855a90e4eb33a5c4d1b60766288468",
-    ("cyclic_triple_table", "non-asymptotic", "compset-lower-bound"): "ff2fa163954c2570a92580f067e6f7f1bc394cfd23f12848afb5d834e22233cc",
+    ("cyclic_triple_table", "non-asymptotic", "compset-lower-bound"): "70cc7b590f9b1c63b9a1444ddaec090164c023e6a7c6ef886bde2a9777d518bc",
     ("cyclic_triple_table", "non-asymptotic", "enumerate-verify"): "81fb817322c80e6a1218b27e9995ece328d65ed3ca55443015d435611811f406",
     ("demo_source", "asymptotic", "minrate"): "c9db9cd3a80473efa57a7fdd497991168b5ed19edd4c9b27f761f8e1757c9d5c",
     ("demo_source", "asymptotic", "compset-exact"): "2ba4ccb7b380e73b2ef3a9117f5c99d46ce92607a798451521abd97cde61d903",
-    ("demo_source", "asymptotic", "compset-lower-bound"): "6e23db0fd0f62de79cd6babb0379a8cf71816acc9180b0b7930d8d5de5b488dd",
+    ("demo_source", "asymptotic", "compset-lower-bound"): "3568dc6aa128f585fb83507c3784e0824cd4e2f422bf35ad51f1c2d16495f20c",
     ("demo_source", "asymptotic", "enumerate-verify"): "595c2df5a383c3b474e165f87c3de0ff69070d73c3d92b6e43d2d181c2bcb5eb",
     ("demo_source", "non-asymptotic", "minrate"): "fc8fefd2dfa45015bb4d9253e4d7d7ded066c792807cadff9d0d8a5a65b767d0",
     ("demo_source", "non-asymptotic", "compset-exact"): "62886cddcdeda11df7865820efbfa9579a78f905fe0efe2e1ff22fd42ab88542",
-    ("demo_source", "non-asymptotic", "compset-lower-bound"): "71ab0c72729399a6bf48747cdbd7433bebfa9b0a2e87ad109bad2b4187aab604",
+    ("demo_source", "non-asymptotic", "compset-lower-bound"): "c472849a90c5b8b6e1297902e1de6005b7e8edb633bef1ac1384a9e94e72ceca",
     ("demo_source", "non-asymptotic", "enumerate-verify"): "46875e2f8e11ee3ecdb27859a0bcda2745943a0450ca2fdad330fca1285dfc6d",
     ("independent_triple", "asymptotic", "minrate"): "34da629be2a15fffa7f74ad07b4ea2a1e5928f0345d1bf68deb3a9cc1de082e7",
     ("independent_triple", "asymptotic", "compset-exact"): "65ac5e2099fc7286c7712d2b4e5c16fb826f46a50f796a022bf2f8238232b6b0",
-    ("independent_triple", "asymptotic", "compset-lower-bound"): "5759f97550c3e64be615ed73044bb212031e29ae0aae7fbb49f4dd06b8a02428",
+    ("independent_triple", "asymptotic", "compset-lower-bound"): "77e686cfe57bebd9115b6a83457d6d2d9c4fb1084b4cd696e8e4d3cb3dd2f96c",
     ("independent_triple", "asymptotic", "enumerate-verify"): "fefbaf8664b551a1dad13c818c44ae3b0aa9fa4fba6588b0b9c247735b01a144",
     ("independent_triple", "non-asymptotic", "minrate"): "02ad75a8cb85909de65777f326dabd7f0ca4fce67e01f235759ef31577c039e5",
     ("independent_triple", "non-asymptotic", "compset-exact"): "b274c5a56cc1246b48c66576166b5b06faf46c78865ac27de0ce618f8e4121a3",
-    ("independent_triple", "non-asymptotic", "compset-lower-bound"): "f3afc1b2da246280c30e73a8e0dca860238b0b87a1b5ad2eb489bbf6c287f84f",
+    ("independent_triple", "non-asymptotic", "compset-lower-bound"): "638025e04908437b67f3a5eff24e00a099e09652813b2021e91d13e0262a8d9a",
     ("independent_triple", "non-asymptotic", "enumerate-verify"): "81fb817322c80e6a1218b27e9995ece328d65ed3ca55443015d435611811f406",
 }
 

@@ -32,7 +32,12 @@ from soplan.compsetso import (
     alpha_lower_bound,
     certify_outcome,
 )
-from tests.conftest import random_packet_source, random_rational_table
+from tests.conftest import (
+    make_cyclic_triple,
+    make_five_user,
+    random_packet_source,
+    random_rational_table,
+)
 
 
 class TestAlphaLowerBound:
@@ -105,12 +110,31 @@ class TestCompSetSo:
     def test_random_sources_certify_in_both_modes(self, rng):
         source = random_packet_source(rng, rng.randint(3, 5), rng.randint(3, 9))
         for model in (ASYMPTOTIC, NON_ASYMPTOTIC):
+            listed = enumerate_complementary(source, model)
             for mode in (EXACT, LOWER_BOUND):
                 outcome = comp_set_so(source, model, mode)
                 # the certificate a fresh check builds is the one returned
                 assert certify_outcome(source, replace(outcome, certificate=None)) == outcome.certificate
-                if outcome.subset is not None and mode == EXACT:
+                if outcome.subset is not None:
+                    assert outcome.subset in listed
                     assert is_complementary(source, outcome.subset, model)
+
+    def test_corpus_lower_bound_subsets_are_listed(self, source_corpus):
+        for source in source_corpus:
+            for model in (ASYMPTOTIC, NON_ASYMPTOTIC):
+                outcome = comp_set_so(source, model, LOWER_BOUND)
+                if outcome.subset is not None:
+                    assert outcome.subset in enumerate_complementary(source, model)
+
+    @pytest.mark.parametrize("model", [ASYMPTOTIC, NON_ASYMPTOTIC])
+    @pytest.mark.parametrize("make", [make_five_user, make_cyclic_triple])
+    def test_lower_bound_never_computes_the_minimum_on_v(self, make, model):
+        # five_user exits early in both models; cyclic_triple completes
+        # its asymptotic sweep
+        source = make()
+        comp_set_so(source, model, LOWER_BOUND)
+        cache = source.__dict__.get("_minrate_cache", {})
+        assert all(mask != source.ground.full_mask for mask, _ in cache)
 
 
 class TestCertificates:
@@ -156,19 +180,30 @@ class TestCertificates:
             certify_outcome(five_user, outcome)
 
     def test_fractional_non_asymptotic_rates(self, five_user):
-        outcome = self.completed(five_user, LOWER_BOUND, NON_ASYMPTOTIC, 7, Fraction(1, 2))
+        # 7 is the non-asymptotic R(V), so only the integrality check fails
+        outcome = self.completed(five_user, EXACT, NON_ASYMPTOTIC, 7, Fraction(1, 2))
         with pytest.raises(CertificationError, match="non-integer entry"):
             certify_outcome(five_user, outcome)
 
     def test_lower_bound_completion_above_the_minimum(self, five_user):
+        # achievable rates summing to 7 > R(V) = 13/2 would pass every rate
+        # check; alpha <= R(V) rests on alpha being the singleton bound
         outcome = self.completed(five_user, LOWER_BOUND, ASYMPTOTIC, 7, Fraction(1, 2))
-        with pytest.raises(CertificationError, match="alpha differs"):
+        with pytest.raises(CertificationError, match="lower_bound alpha 23/4: alpha = 7"):
             certify_outcome(five_user, outcome)
 
     def test_exact_mode_at_a_wrong_alpha_raises(self, five_user):
         # an "exact" outcome whose alpha is not R(V) fails its certificate
         outcome = replace(comp_set_so(five_user), alpha=Fraction(0), certificate=None)
-        with pytest.raises(CertificationError, match="differs from the certified"):
+        with pytest.raises(CertificationError, match="exact alpha 13/2: alpha = 0"):
+            certify_outcome(five_user, outcome)
+
+    def test_lower_bound_subset_at_another_alpha_raises(self, five_user):
+        # {1,2} meets H(V) - H(X) + R(X) <= 13/2 = R(V), yet a lower-bound
+        # outcome must carry the singleton bound as its alpha
+        outcome = comp_set_so(five_user, ASYMPTOTIC, LOWER_BOUND)
+        outcome = replace(outcome, alpha=Fraction(13, 2), certificate=None)
+        with pytest.raises(CertificationError, match="lower_bound alpha 23/4: alpha = 13/2"):
             certify_outcome(five_user, outcome)
 
 

@@ -317,6 +317,15 @@ class TestPlanSerialization:
         with pytest.raises(FormatError, match="collide as '1'"):
             StagePlan.from_dict(data)
 
+    @pytest.mark.parametrize("label", [(1, 2), frozenset({1})])
+    def test_labels_json_cannot_hold_refused(self, label, tmp_path):
+        plan = StagePlan(GroundSet((label, 3)), ASYMPTOTIC, (), 1, 2, 0)
+        path = tmp_path / "plan.json"
+        path.write_text("kept")
+        with pytest.raises(FormatError, match="must be strings, numbers or null"):
+            dump_plan(plan, path)
+        assert path.read_text() == "kept"
+
     def test_fraction_rates_survive_json(self, five_user):
         plan = plan_multistage(five_user, ASYMPTOTIC)
         data = json.loads(json.dumps(plan.to_dict()))

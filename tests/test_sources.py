@@ -72,6 +72,17 @@ class TestTableSource:
             TableSource(g, {0: 0, 1: True, 2: 1, 3: 2})
         assert TableSource(g, {0: 0, 1: "1/10", 2: 1, 3: "11/10"}).entropy([1]) == Fraction(1, 10)
 
+    def test_subset_named_only_for_a_bad_value(self, monkeypatch):
+        formatted = []
+        real = GroundSet.format
+        monkeypatch.setattr(GroundSet, "format", lambda g, mask: formatted.append(mask) or real(g, mask))
+        g = GroundSet((1, 2))
+        TableSource(g, {0: 0, 1: 1, 2: 1, 3: "3/2"})
+        assert formatted == []
+        with pytest.raises(FormatError, match=r"entropy of \{1,2\}: floats are not accepted"):
+            TableSource(g, {0: 0, 1: 1, 2: 1, 3: 1.5})
+        assert formatted == [3]
+
     def test_invalid_table_rejected_by_default(self):
         g = GroundSet((1, 2))
         bad = {0: 0, 1: 2, 2: 2, 3: 1}  # violates monotonicity
@@ -237,6 +248,20 @@ class TestDumpRefusesWhatLoadRefuses:
         data = {"model": "table", "users": [label, "c"], "entropy": {"": "0", "c": "2"}}
         with pytest.raises(FormatError, match="nonempty comma-free"):
             source_from_dict(data)
+
+    @pytest.mark.parametrize(
+        "labels,packet",
+        [(((1, 2), 3), "p"), ((frozenset({1}), 3), "p"), ((1, 3), ("a", 1)), ((1, 3), object())],
+    )
+    def test_values_json_cannot_hold(self, labels, packet, tmp_path):
+        # a tuple would be written as a list the loader refuses, a
+        # frozenset or an object() would stop json.dump midway
+        source = PacketSource(GroundSet(labels), {labels[0]: [packet], labels[1]: "q"})
+        path = tmp_path / "src.json"
+        path.write_text("kept")
+        with pytest.raises(FormatError, match="must be strings, numbers or null"):
+            dump_source(source, path)
+        assert path.read_text() == "kept"
 
     def test_unusual_labels_round_trip(self, tmp_path):
         source = PacketSource(GroundSet(("", "a,b", 3)), {"": "x", "a,b": "xy", 3: "z"})
