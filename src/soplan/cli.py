@@ -18,6 +18,7 @@ error, 3 failed certification, 4 decode failure in a simulation.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -159,7 +160,10 @@ def _cmd_validate(args) -> int:
     return EXIT_BAD_INPUT
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built on first use and then shared: building it
+    formats help for every option, which costs more than a small job."""
     parser = argparse.ArgumentParser(
         prog="soplan",
         description="Minimum sum-rates, complementary subsets and staged "

@@ -6,13 +6,22 @@ span-membership machinery the simulator needs.  Most rows in play are
 unit rows (a user's own packet chunks), so a space takes a set of
 covered columns whose unit rows it contains without storing them, and
 keeps the other basis rows on the uncovered columns only: rank is the
-number of covered columns plus one small residual elimination.  Pure Python keeps everything exact.
+number of covered columns plus one small residual elimination.
+
+Because the basis is fully reduced, a vector is reduced by reading its
+entries at the pivot columns, with no elimination order to follow, and
+whether the space holds a unit row is read off the basis itself.
+Coefficients are drawn by :func:`draw_coefficients`, value for value as
+``rng.randrange(q)`` draws them.  Pure Python keeps everything exact.
 """
 
 from __future__ import annotations
 
+from bisect import bisect, bisect_left
+from itertools import repeat
+from operator import itemgetter, mul
 from struct import pack, unpack
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .core import DomainError, bit_positions
 
@@ -62,6 +71,17 @@ def next_prime(n: int) -> int:
     return candidate
 
 
+def _getter(indices: Sequence[int]) -> Callable[[Sequence], tuple]:
+    """``seq -> tuple(seq[i] for i in indices)``, run by ``itemgetter``
+    (which returns a bare item, not a tuple, for one index)."""
+    if len(indices) == 1:
+        index = indices[0]
+        return lambda seq: (seq[index],)
+    if not indices:
+        return lambda seq: ()
+    return itemgetter(*indices)
+
+
 class RowSpace:
     """A subspace of GF(q)^width, maintained as a reduced echelon basis.
 
@@ -70,7 +90,8 @@ class RowSpace:
     vanish on covered columns, so they are stored on the uncovered
     columns (``free``, ascending) only.  Their leading entry is 1, they
     are sorted by pivot, and every pivot column is zero in all other
-    rows, so a single forward pass reduces any vector.  With
+    rows.  So reducing a vector subtracts one multiple of each stored
+    row: the vector's own entry at that row's pivot.  With
     ``covered == 0`` this is a plain reduced echelon basis.
 
     A stored row is one int holding an entry per free column in a fixed
@@ -81,7 +102,10 @@ class RowSpace:
     next slot.
     """
 
-    __slots__ = ("q", "width", "covered", "free", "rows", "pivots", "_bits", "_bytes", "_format")
+    __slots__ = (
+        "q", "width", "covered", "free", "rows", "pivots",
+        "_bits", "_bytes", "_format", "_project", "_covered_columns", "_place",
+    )
 
     def __init__(self, q: int, width: int, rows: Iterable[Sequence[int]] = (), covered: int = 0):
         if not is_prime(q):
@@ -101,6 +125,12 @@ class RowSpace:
         self._bytes = max(size, 8)
         self._bits = 8 * self._bytes
         self._format = f"<{len(self.free)}Q" if self._bytes == 8 else None
+        # a full-width row's entries on the free columns
+        self._project = _getter(self.free)
+        self._covered_columns = list(bit_positions(covered))
+        # full-width row from its free entries followed by its covered ones
+        slot = {column: k for k, column in enumerate(self.free + tuple(self._covered_columns))}
+        self._place = _getter([slot[j] for j in range(width)])
         self.rows: list = []  # packed
         self.pivots: list = []  # positions in ``free``
         for row in rows:
@@ -117,40 +147,39 @@ class RowSpace:
         q, size = self.q, self._bytes
         data = packed.to_bytes(size * len(self.free), "little")
         if self._format:
-            return [value % q for value in unpack(self._format, data)]
+            return list(map(q.__rmod__, unpack(self._format, data)))
         return [int.from_bytes(data[k:k + size], "little") % q for k in range(0, len(data), size)]
 
     def _reduce(self, row: Sequence[int]) -> int:
-        q = self.q
         if len(row) != self.width:
             raise DomainError(f"row width {len(row)} != {self.width}")
         if len(self.rows) == len(self.free):
             return 0  # the space is everything: every row reduces to zero
-        out = self._pack([row[j] % q for j in self.free])
-        bits, mask = self._bits, (1 << self._bits) - 1
-        for basis_row, pivot in zip(self.rows, self.pivots):
-            coeff = (out >> pivot * bits & mask) % q
-            if coeff:
-                out += (q - coeff) * basis_row
-        return out
+        q = self.q
+        values = list(map(q.__rmod__, self._project(row)))
+        # every other stored row is zero at a row's pivot, so the
+        # multiple of that row to subtract is the vector's entry there
+        multipliers = [-values[pivot] % q for pivot in self.pivots]
+        return self._pack(values) + sum(map(mul, multipliers, self.rows))
 
     def add(self, row: Sequence[int]) -> bool:
         """Insert ``row``; return True iff it enlarged the space."""
         q = self.q
         reduced = self._unpack(self._reduce(row))
-        pivot = next((j for j, value in enumerate(reduced) if value), None)
-        if pivot is None:
+        lead = next(filter(None, reduced), 0)
+        if not lead:
             return False
-        inv = pow(reduced[pivot], -1, q)
+        pivot = reduced.index(lead)
+        inv = pow(lead, -1, q)
         new = self._pack([value * inv % q for value in reduced])
         # Clear the new pivot column from the existing basis rows to keep
         # the basis fully reduced.
-        bits, mask = self._bits, (1 << self._bits) - 1
-        for k, basis_row in enumerate(self.rows):
-            coeff = (basis_row >> pivot * bits & mask) % q
-            if coeff:
-                self.rows[k] = basis_row + (q - coeff) * new
-        at = next((k for k, p in enumerate(self.pivots) if p > pivot), len(self.pivots))
+        shift, mask = pivot * self._bits, (1 << self._bits) - 1
+        self.rows = [
+            stored + (q - coeff) * new if (coeff := (stored >> shift & mask) % q) else stored
+            for stored in self.rows
+        ]
+        at = bisect(self.pivots, pivot)
         self.rows.insert(at, new)
         self.pivots.insert(at, pivot)
         return True
@@ -158,16 +187,38 @@ class RowSpace:
     def contains(self, row: Sequence[int]) -> bool:
         return not any(self._unpack(self._reduce(row)))
 
+    def spans_units(self, columns: int) -> bool:
+        """Does the space contain the unit row of every column in the
+        bitmask ``columns``?  A covered column's unit row is implicit;
+        an uncovered column's is in the space exactly when the column is
+        a pivot whose stored row is that unit row, because the reduced
+        echelon basis is canonical."""
+        if columns < 0 or columns >> self.width:
+            raise DomainError(f"columns must lie inside width {self.width}")
+        rest = columns & ~self.covered
+        if not rest or self.rank == self.width:
+            return True
+        free, pivots = self.free, self.pivots
+        for column in bit_positions(rest):
+            position = bisect_left(free, column)
+            k = bisect_left(pivots, position)
+            if k == len(pivots) or pivots[k] != position:
+                return False
+            # the pivot entry is 1; a unit row is zero everywhere else
+            if self._unpack(self.rows[k]).count(0) != len(free) - 1:
+                return False
+        return True
+
     @property
     def rank(self) -> int:
-        return self.covered.bit_count() + len(self.rows)
+        return len(self._covered_columns) + len(self.rows)
 
     def basis(self) -> tuple:
         """The reduced echelon basis in pivot order.  A coordinate row
         is given as its column index; every other row as a full-width
         tuple."""
         free = self.free
-        entries = [(j, j) for j in bit_positions(self.covered)]
+        entries = [(j, j) for j in self._covered_columns]
         for pivot, row in zip(self.pivots, self.rows):
             full = [0] * self.width
             for j, value in zip(free, self._unpack(row)):
@@ -179,22 +230,20 @@ class RowSpace:
     def combination(self, coefficients: Iterable[int]) -> tuple:
         """The full-width sum of the basis rows, in the order
         :meth:`basis` lists them, each times the next of
-        ``coefficients``.  Stored rows are combined packed; a coordinate
-        row contributes its coefficient at its column."""
+        ``coefficients``, which must give one coefficient per basis
+        row.  Every basis row is 1 at its own pivot and 0 at all the
+        others, so the sum's entry at each pivot column is that row's
+        coefficient; the stored rows are combined packed."""
         q = self.q
-        order = [(j, -1) for j in bit_positions(self.covered)]
-        order += [(self.free[pivot], k) for k, pivot in enumerate(self.pivots)]
-        order.sort()
-        out = [0] * self.width
-        packed = 0
-        for (column, k), coeff in zip(order, coefficients):
-            if k < 0:
-                out[column] = coeff % q
-            else:
-                packed += coeff % q * self.rows[k]
-        for column, value in zip(self.free, self._unpack(packed)):
-            out[column] = value
-        return tuple(out)
+        coefficients = list(map(q.__rmod__, coefficients))
+        if len(coefficients) != self.rank:
+            raise DomainError(
+                f"{len(coefficients)} coefficients for a basis of {self.rank} rows"
+            )
+        pivot_columns = list(map(self.free.__getitem__, self.pivots))
+        at = dict(zip(sorted(self._covered_columns + pivot_columns), coefficients))
+        packed = sum(map(mul, map(at.__getitem__, pivot_columns), self.rows))
+        return self._place(self._unpack(packed) + list(map(at.__getitem__, self._covered_columns)))
 
     def clone(self) -> "RowSpace":
         other = RowSpace.__new__(RowSpace)
@@ -203,6 +252,20 @@ class RowSpace:
         other.rows = list(self.rows)
         other.pivots = list(self.pivots)
         return other
+
+
+def draw_coefficients(q: int, count: int, rng) -> list:
+    """``count`` values in ``[0, q)``: exactly those ``count`` calls of
+    ``rng.randrange(q)`` return, leaving ``rng`` in the same state.
+    Like randrange, each value is ``rng.getrandbits(q.bit_length())``
+    redrawn until it is below ``q``; the draws are batched, without
+    randrange's per-call overhead."""
+    bits = q.bit_length()
+    getrandbits = rng.getrandbits
+    draws = list(filter(q.__gt__, map(getrandbits, repeat(bits, count))))
+    while len(draws) < count:
+        draws += filter(q.__gt__, map(getrandbits, repeat(bits, count - len(draws))))
+    return draws
 
 
 def random_combination(basis, width: int, q: int, rng) -> tuple:
@@ -217,10 +280,9 @@ def random_combination(basis, width: int, q: int, rng) -> tuple:
     nothing can only broadcast nothing.
     """
     if isinstance(basis, RowSpace):
-        return basis.combination(rng.randrange(q) for _ in range(basis.rank))
+        return basis.combination(draw_coefficients(q, basis.rank, rng))
     out = [0] * width
-    for row in basis:
-        coeff = rng.randrange(q)
+    for row, coeff in zip(basis, draw_coefficients(q, len(basis), rng)):
         if not coeff:
             continue
         if isinstance(row, int):

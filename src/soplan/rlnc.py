@@ -20,7 +20,11 @@ then fail to decode.
 
 Every user's space starts from its chunk columns as covered
 coordinates (see :class:`~soplan.gf.RowSpace`), so only broadcasts are
-ever eliminated.
+ever eliminated.  Whether a member decodes a stage is read off its
+reduced basis (:meth:`~soplan.gf.RowSpace.spans_units`), with no
+elimination; the one membership test per broadcast checks that the
+sender spans its own row, and a row outside it raises
+:class:`~soplan.core.CertificationError`.
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING, Mapping
 
-from .core import DomainError, FormatError, bit_positions
+from .core import CertificationError, DomainError, FormatError
 from .gf import RowSpace, is_prime, next_prime, random_combination
 from .sources import PacketSource
 
@@ -39,6 +43,9 @@ if TYPE_CHECKING:
     from .multistage import StagePlan
 
 STAGE_REDRAW_LIMIT = 25
+
+# what json.dumps(..., sort_keys=True) writes, without a new encoder per record
+_JSONL = json.JSONEncoder(sort_keys=True)
 
 
 @dataclass(frozen=True)
@@ -123,42 +130,30 @@ class Transcript:
 
     def to_jsonl(self) -> str:
         """One JSON record per broadcast, then a closing summary record."""
-        lines = []
-        for broadcast in self.broadcasts:
-            lines.append(
-                json.dumps(
-                    {
-                        "stage": broadcast.stage,
-                        "sender": str(broadcast.sender),
-                        "coding_row": list(broadcast.row),
-                        "field": self.field_order,
-                    },
-                    sort_keys=True,
-                )
+        encode = _JSONL.encode
+        lines = [
+            encode(
+                {
+                    "stage": broadcast.stage,
+                    "sender": str(broadcast.sender),
+                    "coding_row": list(broadcast.row),
+                    "field": self.field_order,
+                }
             )
+            for broadcast in self.broadcasts
+        ]
         lines.append(
-            json.dumps(
+            encode(
                 {
                     "ok": self.ok,
                     "decoded": {str(u): flag for u, flag in self.decoded.items()},
                     "ranks": {str(u): rank for u, rank in self.ranks.items()},
                     "required_rank": self.required_rank,
                     "stage_attempts": [r.attempts for r in self.stage_reports],
-                },
-                sort_keys=True,
+                }
             )
         )
         return "\n".join(lines) + "\n"
-
-
-def _spans_columns(space: RowSpace, columns: int) -> bool:
-    """Does ``space`` contain the unit row of every column in ``columns``?"""
-    for column in bit_positions(columns & ~space.covered):
-        row = [0] * space.width
-        row[column] = 1
-        if not space.contains(row):
-            return False
-    return True
 
 
 @dataclass(frozen=True)
@@ -174,7 +169,7 @@ class StageDraw:
     achieved: Mapping
 
 
-def draw_stage(spaces: Mapping, counts: Mapping, rng, needed: int) -> StageDraw:
+def draw_stage(spaces: Mapping, counts: Mapping, rng, needed: int, stage: int = 0) -> StageDraw:
     """Draw one stage's random coding rows, redrawing short draws.
 
     ``spaces`` maps every listener to its current row space and stays
@@ -185,7 +180,9 @@ def draw_stage(spaces: Mapping, counts: Mapping, rng, needed: int) -> StageDraw:
     sender spans the unit rows of the columns in ``needed``.  Drawing
     stops there, after one draw without rows (fresh randomness cannot
     change it), or after ``STAGE_REDRAW_LIMIT`` attempts; the last draw
-    is returned.
+    is returned.  A row outside its sender's span, which no correct
+    combination produces, raises :class:`CertificationError` naming
+    ``stage`` and the sender.
     """
     attempts = 0
     while True:
@@ -197,12 +194,15 @@ def draw_stage(spaces: Mapping, counts: Mapping, rng, needed: int) -> StageDraw:
             for _ in range(count):
                 row = random_combination(space, space.width, space.q, rng)
                 # a sender can only combine what it already spans
-                assert space.contains(row)
+                if not space.contains(row):
+                    raise CertificationError(
+                        f"stage {stage}: sender {sender!r} broadcast a row outside its own span"
+                    )
                 rows.append((sender, row))
                 for user, listener in trial.items():
                     if user != sender:
                         listener.add(row)
-        achieved = {member: _spans_columns(trial[member], needed) for member in counts}
+        achieved = {member: trial[member].spans_units(needed) for member in counts}
         if all(achieved.values()) or not rows or attempts >= STAGE_REDRAW_LIMIT:
             return StageDraw(tuple(rows), trial, attempts, achieved)
 
@@ -272,7 +272,7 @@ def execute_plan(source: PacketSource, plan: "StagePlan", seed: int = None) -> T
         needed = 0
         for member in counts:
             needed |= coverage[member]
-        draw = draw_stage(spaces, counts, rng, needed)
+        draw = draw_stage(spaces, counts, rng, needed, stage_index)
         spaces = draw.spaces
         broadcasts.extend(Broadcast(stage_index, sender, row) for sender, row in draw.rows)
         reports.append(StageReport(stage_index, stage.target, draw.achieved, draw.attempts))

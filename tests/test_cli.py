@@ -27,6 +27,7 @@ from soplan import (
     load_source,
     plan_multistage,
 )
+from soplan.gf import RowSpace
 from soplan.sources import induced_table
 from tests.conftest import make_five_user, make_cyclic_triple
 
@@ -268,6 +269,21 @@ class TestSimulate:
         assert err.startswith("error:")
         assert "exceeds the source entropy" in err
 
+    def test_row_outside_sender_span_exits_3(self, five_user_file, tmp_path, monkeypatch, capsys):
+        plan_path = tmp_path / "plan.json"
+        assert cli.main(["plan", five_user_file, "--out", str(plan_path)]) == 0
+        capsys.readouterr()
+
+        def outside(space, coefficients):
+            # no user holds every packet, so no stage-0 sender spans this
+            return (1,) * space.width
+
+        monkeypatch.setattr(RowSpace, "combination", outside)
+        assert cli.main(["simulate", five_user_file, str(plan_path)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: stage 0: sender ")
+        assert "outside its own span" in err
+
     def test_source_plan_mismatch_exits_2(self, cyclic_file, five_user_file, tmp_path, capsys):
         plan_path = tmp_path / "plan.json"
         assert cli.main(["plan", five_user_file, "--out", str(plan_path)]) == 0
@@ -358,6 +374,17 @@ class TestErrorPaths:
         path = tmp_path / "plan.json"
         path.write_text("[]")
         assert cli.main(["simulate", five_user_file, str(path)]) == 2
+
+    def test_parser_survives_a_rejected_call(self, five_user_file, capsys):
+        # the parser is built once per process and shared by every call
+        with pytest.raises(SystemExit) as rejected:
+            cli.main(["minrate", "--model", "bogus", five_user_file])
+        assert rejected.value.code == 2
+        capsys.readouterr()
+        assert cli.main(["minrate", five_user_file, "--model", "non-asymptotic"]) == 0
+        assert "min sum-rate: 7" in capsys.readouterr().out
+        assert cli.main(["minrate", five_user_file]) == 0
+        assert "min sum-rate: 13/2" in capsys.readouterr().out
 
 
 # Small JSON values for the fuzz test.  Strings avoid digits so that no

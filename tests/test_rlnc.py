@@ -10,6 +10,7 @@ from fractions import Fraction
 import pytest
 
 from soplan import (
+    CertificationError,
     DomainError,
     FormatError,
     RateVector,
@@ -19,7 +20,7 @@ from soplan import (
 )
 from soplan.multistage import Stage
 from tests.conftest import make_five_user
-from soplan.rlnc import FieldSpec, _chunk_columns, choose_field
+from soplan.rlnc import FieldSpec, _chunk_columns, choose_field, draw_stage
 from soplan.sources import reorder
 from soplan.gf import RowSpace, is_prime, next_prime, random_combination
 
@@ -85,6 +86,13 @@ class TestRowSpace:
             row = random_combination(space.basis(), 4, 11, rng)
             assert space.contains(row)
 
+    def test_combination_needs_one_coefficient_per_row(self):
+        space = RowSpace(5, 3, [(1, 0, 0), (0, 1, 0)])
+        assert space.combination([2, 3]) == (2, 3, 0)
+        for coefficients in ([1], [1, 2, 3, 4]):
+            with pytest.raises(DomainError, match="coefficients for a basis of 2 rows"):
+                space.combination(coefficients)
+
     def test_random_combination_of_nothing_is_zero(self):
         rng = random.Random(1)
         assert random_combination((), 3, 7, rng) == (0, 0, 0)
@@ -131,6 +139,16 @@ class TestExecutePlan:
         fresh = make_five_user()
         assert execute_plan(fresh, plan).ok
         assert "entropies" not in vars(fresh)
+
+    def test_row_outside_the_sender_span_is_refused(self, monkeypatch):
+        # an explicit check, so it holds under python -O as well
+        def outside(space, coefficients):
+            return (0, 1)
+
+        monkeypatch.setattr(RowSpace, "combination", outside)
+        spaces = {"a": RowSpace(7, 2, covered=0b01), "b": RowSpace(7, 2, covered=0b10)}
+        with pytest.raises(CertificationError, match="stage 3: sender 'a' broadcast a row outside"):
+            draw_stage(spaces, {"a": 1}, random.Random(0), 0b11, 3)
 
     def test_broadcast_rows_have_sender_support(self, five_user):
         plan = plan_multistage(five_user, "asymptotic")

@@ -11,10 +11,12 @@ from __future__ import annotations
 
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from soplan.gf import RowSpace, random_combination
+from soplan.core import DomainError
+from soplan.gf import RowSpace, draw_coefficients, random_combination
 
 
 def dense_rref(rows, q: int, width: int) -> list:
@@ -121,3 +123,87 @@ class TestRowSpaceAgainstDense:
             assert copy.add(probe) is not spanned
         assert space.rank == len(_full(q, width, covered, rows))
         assert copy.rank == len(_full(q, width, covered, list(rows) + probes))
+
+
+@st.composite
+def full_rank_rows(draw, q: int, width: int) -> list:
+    """``width`` dense rows, row i nonzero at column i and zero past it:
+    a triangular matrix, so they span everything."""
+    rows = []
+    for i in range(width):
+        head = draw(st.lists(st.integers(0, q - 1), min_size=i, max_size=i))
+        rows.append(tuple(head) + (draw(st.integers(1, q - 1)),) + (0,) * (width - i - 1))
+    return draw(st.permutations(rows))
+
+
+class TestUnitSpan:
+    """``spans_units`` reads the unit rows off the basis; the oracle
+    reduces each unit row with ``contains``."""
+
+    @staticmethod
+    def oracle(space: RowSpace, columns: int) -> bool:
+        width = space.width
+        return all(space.contains(unit(width, j)) for j in range(width) if columns >> j & 1)
+
+    @settings(max_examples=300, deadline=None)
+    @given(spaces(), st.booleans(), st.data())
+    def test_agrees_with_contains(self, case, full, data):
+        q, width, covered, rows, _ = case
+        if full:
+            rows = rows + data.draw(full_rank_rows(q, width))
+        space = RowSpace(q, width, rows, covered=covered)
+        if full:
+            assert space.rank == width
+        columns = data.draw(st.integers(0, (1 << width) - 1))
+        assert space.spans_units(columns) is self.oracle(space, columns)
+
+    def test_pivot_row_that_is_not_a_unit_row(self):
+        space = RowSpace(5, 4, [(0, 1, 3, 0)], covered=0b0001)
+        assert space.spans_units(0b0001)
+        assert not space.spans_units(0b0010)  # pivot column, row (0, 1, 3, 0)
+        assert not space.spans_units(0b0100)  # free, not a pivot
+        space.add((0, 0, 2, 0))
+        assert space.spans_units(0b0111)
+        assert not space.spans_units(0b1000)
+
+    def test_full_rank_and_bounds(self):
+        space = RowSpace(7, 3, [(1, 2, 3), (0, 1, 4), (0, 0, 5)])
+        assert space.spans_units(0b111)
+        assert RowSpace(7, 3).spans_units(0)
+        with pytest.raises(DomainError):
+            space.spans_units(0b1000)
+
+
+class TestDrawCoefficients:
+    @pytest.mark.parametrize("q", [2, 3, 251, 1511, 2**61 - 1])
+    @pytest.mark.parametrize("seed", [0, 1, 7, 2**40 + 3])
+    def test_matches_randrange(self, q, seed):
+        rng, reference = random.Random(seed), random.Random(seed)
+        for count in (0, 1, 5, 64):
+            expected = [reference.randrange(q) for _ in range(count)]
+            assert draw_coefficients(q, count, rng) == expected
+        # the generator is left where randrange leaves it
+        assert rng.getstate() == reference.getstate()
+
+
+class TestStoredRowsStayReduced:
+    """After any sequence of adds, every packed stored row is 1 mod q at
+    its own pivot and 0 mod q at every other pivot, read straight off
+    the packed ints."""
+
+    @staticmethod
+    def entry(space: RowSpace, packed: int, position: int) -> int:
+        return (packed >> position * space._bits & ((1 << space._bits) - 1)) % space.q
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.sampled_from((5, 2**31 - 1)), st.integers(1, 8), st.data())
+    def test_pivot_entries(self, q, width, data):
+        covered = data.draw(st.integers(0, (1 << width) - 1))
+        space = RowSpace(q, width, covered=covered)
+        # 2^31 - 1 needs slots wider than 8 bytes, so no struct format
+        assert (space._format is None) is (q > 5)
+        for row in data.draw(mixed_rows(q, width, 8)):
+            space.add(row)
+            for k, packed in enumerate(space.rows):
+                for i, pivot in enumerate(space.pivots):
+                    assert self.entry(space, packed, pivot) == int(i == k)
