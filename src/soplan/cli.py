@@ -19,11 +19,10 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import sys
 
 from .compsetso import comp_set_so
-from .core import CertificationError, DomainError, FormatError
+from .core import CertificationError, DomainError, FormatError, json_text
 from .multistage import load_plan, plan_multistage
 from .omniscience import enumerate_complementary, min_sum_rate, optimal_rate_vector
 from .rlnc import execute_plan
@@ -113,8 +112,7 @@ def _cmd_plan(args) -> int:
     source = _load_ordered(args)
     model = _canonical(args.model)
     plan = plan_multistage(source, model, seed=args.seed, alpha_mode=_canonical(args.alpha))
-    payload = json.dumps(plan.to_dict(), indent=2, sort_keys=True) + "\n"
-    _emit(payload, args.out)
+    _emit(json_text(plan.to_dict()), args.out)
     ground = plan.ground
     print(f"model: {model}", file=sys.stderr)
     print(f"stages: {len(plan.stages)}", file=sys.stderr)

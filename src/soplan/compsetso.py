@@ -22,7 +22,9 @@ on R(X) can break it.
 :func:`comp_set_so` certifies every outcome before returning it by one
 rule, H(V) - H(X) + R(X) <= alpha <= R(V), where the mode only decides
 why alpha is at most R(V); a failed check is a bug and raises
-:class:`CertificationError`.
+:class:`CertificationError`.  :func:`complementary_by_lower_bound`
+checks the witness of its verdict the same way
+:func:`soplan.omniscience.enumerate_complementary` does.
 """
 
 from __future__ import annotations
@@ -34,12 +36,14 @@ from .core import CertificationError, DomainError, Partition, RateVector, Subset
 from .omniscience import (
     ASYMPTOTIC,
     NON_ASYMPTOTIC,
+    _reaches,
+    _require_testable,
     check_model,
     check_sw_achievable,
     min_sum_rate,
     partition_bound,
 )
-from .submodular import dilworth_truncation, run_rate_update
+from .submodular import run_rate_update
 
 import math
 
@@ -123,15 +127,15 @@ def complementary_by_lower_bound(source, subset: SubsetLike, model: str = ASYMPT
     ``alpha = sum_{i in V} (H(X) - H({i})) / (|V| - 1)`` (ceiled in the
     non-asymptotic model) and asks whether R(X) <= gamma for
     ``gamma = alpha - H(V) + H(X)``, floored in the non-asymptotic model
-    as :func:`soplan.omniscience.enumerate_complementary` does, through
-    the truncation equality at ``gamma - H(X)``.  When alpha falls outside
+    as :func:`soplan.omniscience.enumerate_complementary` does, by one
+    sweep whose verdict is checked against its witness; a failed witness
+    raises :class:`CertificationError`.  When alpha falls outside
     [0, H(V)] the test simply does not apply and False is returned.
     """
     check_model(model)
     ground = source.ground
     mask = ground.mask(subset)
-    if mask == ground.full_mask or mask.bit_count() < 2:
-        raise DomainError("the test concerns non-singleton proper subsets")
+    _require_testable(ground, mask)
     h_x = source.entropy(mask)
     total = sum((h_x - source.entropy(1 << pos) for pos in range(ground.size)), Fraction(0))
     alpha = total / (ground.size - 1)
@@ -143,8 +147,7 @@ def complementary_by_lower_bound(source, subset: SubsetLike, model: str = ASYMPT
     gamma = alpha - h_v + h_x
     if model == NON_ASYMPTOTIC:
         gamma = Fraction(math.floor(gamma))
-    value, _ = dilworth_truncation(source, gamma - h_x, mask)
-    return value == gamma
+    return _reaches(source, mask, gamma)[0]
 
 
 def certify_outcome(source, outcome: CompSetOutcome) -> Certificate:

@@ -10,6 +10,7 @@ and no comparison uses a tolerance.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Sequence, Union
@@ -63,6 +64,22 @@ def parse_fraction(value, where: str = "value") -> Fraction:
         except (ValueError, ZeroDivisionError) as exc:
             raise FormatError(f"{where}: not a rational: {value!r}") from exc
     raise FormatError(f"{where}: cannot read a rational from {type(value).__name__}")
+
+
+def read_json(path):
+    """The JSON document in file ``path``, or :class:`FormatError`."""
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except OSError as exc:
+        raise FormatError(f"cannot read {path}: {exc}") from None
+    except json.JSONDecodeError as exc:
+        raise FormatError(f"{path} is not valid JSON: {exc}") from None
+
+
+def json_text(data) -> str:
+    """``data`` as every JSON file of this package is written."""
+    return json.dumps(data, indent=2, sort_keys=True) + "\n"
 
 
 def bit_positions(mask: int) -> Iterator[int]:

@@ -34,7 +34,6 @@ Mechanics worth knowing:
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
@@ -48,7 +47,9 @@ from .core import (
     RateVector,
     SubsetLike,
     bit_positions,
+    json_text,
     parse_fraction,
+    read_json,
     submask_sums,
 )
 from .omniscience import ASYMPTOTIC, NON_ASYMPTOTIC, check_model, min_sum_rate
@@ -200,21 +201,13 @@ class StagePlan:
 
 
 def dump_plan(plan: StagePlan, path) -> None:
-    data = plan.to_dict()
+    text = json_text(plan.to_dict())
     with open(path, "w") as fh:
-        json.dump(data, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text)
 
 
 def load_plan(path) -> StagePlan:
-    try:
-        with open(path) as fh:
-            data = json.load(fh)
-    except OSError as exc:
-        raise FormatError(f"cannot read {path}: {exc}") from None
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"{path} is not valid JSON: {exc}") from None
-    return StagePlan.from_dict(data)
+    return StagePlan.from_dict(read_json(path))
 
 
 @dataclass(frozen=True)

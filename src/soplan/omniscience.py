@@ -17,6 +17,12 @@ A non-singleton proper subset X of V is *complementary* when local
 omniscience inside X followed by global omniscience costs no more than
 going directly: ``H(V) - H(X) + R(X) <= R(V)`` with R per model.  Such
 subsets are exactly what the staged planner peels off first.
+
+Every "is R(X) <= t?" is one completed sweep over X whose verdict is
+checked against its witness (:func:`_reaches`), whether
+:func:`min_sum_rate`, :func:`enumerate_complementary` (for every subset
+in one shared walk) or
+:func:`soplan.compsetso.complementary_by_lower_bound` asks.
 """
 
 from __future__ import annotations
@@ -72,56 +78,33 @@ def partition_bound(source, partition: Partition) -> Fraction:
     return Fraction(deficit, source.denominator * (len(partition) - 1))
 
 
-def _sweep(source, mask: int, alpha: Fraction):
-    """One completed prefix sweep over X = ``mask`` of
-    f(Y) = alpha - H(X) + H(Y)."""
-    return run_rate_update(source, alpha - source.entropy(mask), early_exit=False, within=mask)
-
-
 def _min_sum_rate_asymptotic(source, mask: int) -> MinSumRateResult:
     """R(X) by the decomposition scheme of Ding, Chan, Zhou, Kennedy and
     Sadeghi ("Determining optimal rates for communication for
     omniscience", IEEE Trans. IT 2018).
 
-    With f(Y) = alpha - H(X) + H(Y), alpha >= R(X) exactly when the
-    Dilworth truncation of f at X equals f(X) = alpha.  Starting from the
-    singleton-partition bound, each completed prefix sweep over X either
-    confirms that, so its rates are the witness, or records a partition
-    with a strictly larger bound, which becomes the next alpha.
+    Starting from the singleton-partition bound, each alpha is put to
+    :func:`_reaches`: a yes makes its rates the witness, and a no
+    records a partition with a strictly larger bound, which becomes the
+    next alpha.
     """
-    ground = source.ground
     partition = Partition(tuple(1 << pos for pos in bit_positions(mask)))
     alpha = partition_bound(source, partition)
     while True:
-        run = _sweep(source, mask, alpha)
-        if Fraction(sum(run.scaled[-1]), run.scale) == alpha:
-            return MinSumRateResult(ASYMPTOTIC, alpha, partition, RateVector(ground, run.rates, mask))
-        bound = partition_bound(source, run.partition)
-        if bound <= alpha:
-            raise CertificationError(
-                f"sweep over {ground.format(mask)} at alpha = {alpha} recorded a "
-                f"partition with bound {bound}, not a larger one"
-            )
-        alpha, partition = bound, run.partition
+        reached, run = _reaches(source, mask, alpha)
+        if reached:
+            rates = RateVector(source.ground, run.rates, mask)
+            return MinSumRateResult(ASYMPTOTIC, alpha, partition, rates)
+        alpha, partition = partition_bound(source, run.partition), run.partition
 
 
 def _certified(source, mask: int, result: MinSumRateResult) -> MinSumRateResult:
-    """``result`` once its witness holds, else :class:`CertificationError`."""
-    ground = source.ground
-    rates, value, partition = result.rates, result.value, result.maximizing_partition
-    if rates.total != value:
-        raise CertificationError(f"witness rates sum to {rates.total}, not {value}")
-    check = check_sw_achievable(source, mask, rates)
-    if not check:
+    """``result`` once its partition attains its value, else
+    :class:`CertificationError`; the verdict that accepted it checked its rates."""
+    partition, value = result.maximizing_partition, result.value
+    if partition.union != mask or partition_bound(source, partition) != value:
         raise CertificationError(
-            f"witness rates fail achievability on {ground.format(check.violating)} "
-            f"(deficit {check.deficit})"
-        )
-    if partition is not None and (
-        partition.union != mask or partition_bound(source, partition) != value
-    ):
-        raise CertificationError(
-            f"witness partition of {ground.format(mask)} does not attain {value}"
+            f"witness partition of {source.ground.format(mask)} does not attain {value}"
         )
     return result
 
@@ -132,10 +115,11 @@ def min_sum_rate(source, subset: SubsetLike = None, model: str = ASYMPTOTIC) -> 
     Computed by iterated prefix sweeps and certified by a primal-dual
     witness before it is returned; a failed certificate raises
     :class:`CertificationError`.  The asymptotic witness rates are the
-    final sweep's, at alpha = R(X).  The non-asymptotic value is the
-    ceiling of R(X), and its witness is the sweep at that ceiling: the
-    asymptotic one when R(X) is an integer, and integer-valued whenever
-    the entropies are.  Needs at least two users in the subset.
+    final sweep's, at alpha = R(X), checked by its verdict.  The
+    non-asymptotic value is the ceiling of R(X), and its witness is the
+    sweep at that ceiling, which must reach it: the asymptotic one when
+    R(X) is an integer, and integer-valued whenever the entropies are.
+    Needs at least two users in the subset.
     """
     check_model(model)
     ground = source.ground
@@ -154,12 +138,16 @@ def min_sum_rate(source, subset: SubsetLike = None, model: str = ASYMPTOTIC) -> 
     if model == ASYMPTOTIC:
         return asym
     value = Fraction(math.ceil(asym.value))
-    if value == asym.value:
-        result = MinSumRateResult(NON_ASYMPTOTIC, value, None, asym.rates)
-    else:
-        rates = RateVector(ground, _sweep(source, mask, value).rates, mask)
-        result = _certified(source, mask, MinSumRateResult(NON_ASYMPTOTIC, value, None, rates))
-    cache[(mask, NON_ASYMPTOTIC)] = result
+    rates = asym.rates
+    if value != asym.value:
+        reached, run = _reaches(source, mask, value)
+        if not reached:
+            raise CertificationError(
+                f"the sweep over {ground.format(mask)} at the ceiling {value} of "
+                f"R = {asym.value} gives no witness"
+            )
+        rates = RateVector(ground, run.rates, mask)
+    result = cache[(mask, NON_ASYMPTOTIC)] = MinSumRateResult(NON_ASYMPTOTIC, value, None, rates)
     return result
 
 
@@ -264,6 +252,18 @@ def _witnessed_verdict(source, mask: int, shift: Fraction, rates, partition: Par
     return False
 
 
+def _reaches(source, mask: int, target: Fraction) -> tuple:
+    """``(R(X) <= target, run)`` for X = ``mask``.
+
+    ``run`` is the completed sweep over X of f(Y) = target - H(X) + H(Y),
+    whose finished rates sum to the Dilworth truncation of f at X; that
+    reaches f(X) = target exactly when R(X) <= target.  The verdict is
+    checked against its witness by :func:`_witnessed_verdict`."""
+    shift = target - source.entropy(mask)
+    run = run_rate_update(source, shift, early_exit=False, within=mask)
+    return _witnessed_verdict(source, mask, shift, run.scaled[-1], run.partition), run
+
+
 def enumerate_complementary(source, model: str = ASYMPTOTIC, verify: bool = False) -> tuple:
     """All complementary subsets, as masks in ascending order.
 
@@ -298,10 +298,9 @@ def enumerate_complementary(source, model: str = ASYMPTOTIC, verify: bool = Fals
             continue
         listed = _witnessed_verdict(source, mask, shift, rates, partition)
         if listed and model == NON_ASYMPTOTIC:
-            local = gamma(mask) - source.entropy(mask)
-            if local != shift:
-                run = run_rate_update(source, local, early_exit=False, within=mask)
-                listed = _witnessed_verdict(source, mask, local, run.scaled[-1], run.partition)
+            target = gamma(mask)
+            if target != shift + source.entropy(mask):
+                listed = _reaches(source, mask, target)[0]
         if listed:
             found.append(mask)
     found.sort()

@@ -25,7 +25,6 @@ Rationals are ``"p/q"`` strings or integers, never floats.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -37,7 +36,9 @@ from .core import (
     FormatError,
     GroundSet,
     SubsetLike,
+    json_text,
     parse_fraction,
+    read_json,
 )
 
 PACKET_MODEL = "packet"
@@ -68,12 +69,10 @@ class PacketSource(_SourceBase):
     """Users holding packets; entropy counts distinct packets.
 
     ``possession`` maps each user label to an iterable of packet ids.
-    Users absent from the mapping hold nothing.  The packet universe is
-    the union of all holdings plus any extra ids passed explicitly; ids
-    nobody holds do not contribute to any entropy.
+    Users absent from the mapping hold nothing.
     """
 
-    def __init__(self, ground: GroundSet, possession: Mapping, universe: Iterable = None):
+    def __init__(self, ground: GroundSet, possession: Mapping):
         self.ground = ground
         unknown = set(possession) - set(ground.labels)
         if unknown:
@@ -82,10 +81,6 @@ class PacketSource(_SourceBase):
             label: frozenset(possession.get(label, ())) for label in ground.labels
         }
         held = frozenset().union(*self.possession.values())
-        if universe is not None:
-            universe = frozenset(universe)
-            if not held <= universe:
-                raise DomainError("explicit packet universe misses some held packets")
         #: Held packets in a fixed order; the simulator's column layout.
         self.packet_order = tuple(sorted(held, key=str))
         packet_index = {packet: k for k, packet in enumerate(self.packet_order)}
@@ -240,8 +235,9 @@ def reorder(source: Source, labels: Iterable) -> Source:
 
 
 def _scalar(value, what: str):
-    """``value``, if a file can hold it: a JSON string, number or null."""
-    if not (value is None or isinstance(value, (str, int, float))):
+    """``value``, if a file can hold it: a JSON string, number or null.
+    A bool is refused: ``true`` would name the same packet or user as 1."""
+    if isinstance(value, bool) or not (value is None or isinstance(value, (str, int, float))):
         raise FormatError(f"{what} must be strings, numbers or null, got {value!r}")
     return value
 
@@ -349,18 +345,10 @@ def source_to_dict(source: Source) -> dict:
 def load_source(path, validate: bool = True) -> Source:
     """Read a source JSON file.  ``validate=False`` skips the table
     polymatroid gate so a defective table can still be inspected."""
-    try:
-        with open(path) as fh:
-            data = json.load(fh)
-    except OSError as exc:
-        raise FormatError(f"cannot read {path}: {exc}") from None
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"{path} is not valid JSON: {exc}") from None
-    return source_from_dict(data, validate)
+    return source_from_dict(read_json(path), validate)
 
 
 def dump_source(source: Source, path) -> None:
-    data = source_to_dict(source)
+    text = json_text(source_to_dict(source))
     with open(path, "w") as fh:
-        json.dump(data, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text)

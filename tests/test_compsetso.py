@@ -25,6 +25,7 @@ from soplan import (
     is_complementary,
     min_sum_rate,
 )
+from soplan import omniscience
 from soplan.compsetso import (
     EXACT,
     LOWER_BOUND,
@@ -237,6 +238,14 @@ class TestSufficientCondition:
         assert not complementary_by_lower_bound(source, [1, 3], NON_ASYMPTOTIC)
         assert not is_complementary(source, [1, 3], NON_ASYMPTOTIC)
         assert ground.mask([1, 3]) not in enumerate_complementary(source, NON_ASYMPTOTIC)
+
+    def test_broken_witness_raises(self, monkeypatch):
+        # the pair's verdict is yes, so its rates must pass the shortfall check
+        ground = GroundSet((1, 2, 3))
+        source = PacketSource(ground, {1: "abcd", 2: "abcd", 3: "a"})
+        monkeypatch.setattr(omniscience, "_shortfall", lambda *args: (1, 1))
+        with pytest.raises(CertificationError, match="exceed f"):
+            complementary_by_lower_bound(source, [1, 2], ASYMPTOTIC)
 
     def test_degenerate_subsets_rejected(self, five_user):
         with pytest.raises(DomainError):

@@ -16,8 +16,10 @@ from soplan import (
     NON_ASYMPTOTIC,
     CertificationError,
     DomainError,
+    GroundSet,
     Partition,
     RateVector,
+    TableSource,
     check_sw_achievable,
     enumerate_complementary,
     is_complementary,
@@ -221,15 +223,24 @@ class TestSweepAgainstBellOracle:
             return type(run)(None, None, zero_rates, 1, 0, singletons)
 
         monkeypatch.setattr(omniscience, "run_rate_update", stalled)
-        with pytest.raises(CertificationError, match="not a larger one"):
+        with pytest.raises(CertificationError, match="does not bound R above"):
             min_sum_rate(five_user)
 
     def test_broken_witness_raises(self, five_user, monkeypatch):
-        monkeypatch.setattr(
-            omniscience, "check_sw_achievable", lambda *args: SwCheck(False, 1, Fraction(1))
-        )
-        with pytest.raises(CertificationError, match="achievability"):
+        monkeypatch.setattr(omniscience, "_shortfall", lambda *args: (1, 1))
+        with pytest.raises(CertificationError, match="exceed f"):
             min_sum_rate(five_user)
+
+    def test_ceiling_without_witness_raises(self, monkeypatch):
+        # R(V) = 29/15 on this rational table, and the sweep at the
+        # ceiling 2 must reach it to give the non-asymptotic witness
+        ground = GroundSet((1, 2, 3))
+        h = {1: "31/6", 2: "133/30", 4: "23/6", 3: "173/30", 5: "31/6", 6: "133/30", 7: "173/30"}
+        source = TableSource(ground, {0: 0, **h})
+        assert min_sum_rate(source).value == Fraction(29, 15)
+        monkeypatch.setattr(omniscience, "_witnessed_verdict", lambda *args: False)
+        with pytest.raises(CertificationError, match="ceiling 2 of R = 29/15 gives no witness"):
+            min_sum_rate(source, None, NON_ASYMPTOTIC)
 
 
 class TestSwAchievability:

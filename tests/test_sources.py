@@ -263,6 +263,25 @@ class TestDumpRefusesWhatLoadRefuses:
             dump_source(source, path)
         assert path.read_text() == "kept"
 
+    @pytest.mark.parametrize(
+        "users,packets",
+        [(["a", "b"], {"a": [1], "b": [True]}), (["a", True], {"a": [1], "True": [2]})],
+        ids=["packet-id", "label"],
+    )
+    def test_true_is_refused(self, users, packets, tmp_path):
+        # true == 1 in Python: as a packet id it would be the same packet
+        # as 1, giving {"a": [1], "b": [true]} a minimum sum-rate of 0
+        path = tmp_path / "src.json"
+        path.write_text(json.dumps({"model": "packet", "users": users, "packets": packets}))
+        with pytest.raises(FormatError, match="must be strings, numbers or null, got True"):
+            load_source(path)
+        ground = GroundSet(tuple(users))
+        source = PacketSource(ground, dict(zip(ground.labels, packets.values())))
+        path.write_text("kept")
+        with pytest.raises(FormatError, match="must be strings, numbers or null, got True"):
+            dump_source(source, path)
+        assert path.read_text() == "kept"
+
     def test_unusual_labels_round_trip(self, tmp_path):
         source = PacketSource(GroundSet(("", "a,b", 3)), {"": "x", "a,b": "xy", 3: "z"})
         path = tmp_path / "src.json"
