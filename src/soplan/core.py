@@ -52,18 +52,19 @@ def parse_fraction(value, where: str = "value") -> Fraction:
 
     Floats are rejected: they would silently break exactness.
     """
-    if isinstance(value, bool):
-        raise FormatError(f"{where}: expected a rational, got a bool")
-    if isinstance(value, (int, Fraction)):
-        return Fraction(value)
-    if isinstance(value, float):
-        raise FormatError(f"{where}: floats are not accepted, use a 'p/q' string")
-    if isinstance(value, str):
-        try:
+    if type(value) is not str:  # a str, the common case, needs no type tests
+        if isinstance(value, bool):
+            raise FormatError(f"{where}: expected a rational, got a bool")
+        if isinstance(value, (int, Fraction)):
             return Fraction(value)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise FormatError(f"{where}: not a rational: {value!r}") from exc
-    raise FormatError(f"{where}: cannot read a rational from {type(value).__name__}")
+        if isinstance(value, float):
+            raise FormatError(f"{where}: floats are not accepted, use a 'p/q' string")
+        if not isinstance(value, str):
+            raise FormatError(f"{where}: cannot read a rational from {type(value).__name__}")
+    try:
+        return Fraction(value)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise FormatError(f"{where}: not a rational: {value!r}") from exc
 
 
 def read_json(path):
@@ -148,14 +149,11 @@ class GroundSet:
                 raise DomainError(f"duplicate user label {label!r}")
             index[label] = pos
         object.__setattr__(self, "_index", index)
+        object.__setattr__(self, "full_mask", (1 << len(labels)) - 1)
 
     @property
     def size(self) -> int:
         return len(self.labels)
-
-    @property
-    def full_mask(self) -> int:
-        return (1 << len(self.labels)) - 1
 
     def position(self, label) -> int:
         try:

@@ -95,7 +95,8 @@ def _min_sum_rate_asymptotic(source, mask: int) -> MinSumRateResult:
         if reached:
             rates = RateVector(source.ground, run.rates, mask)
             return MinSumRateResult(ASYMPTOTIC, alpha, partition, rates)
-        alpha, partition = partition_bound(source, run.partition), run.partition
+        partition = run.partition
+        alpha = partition_bound(source, partition)
 
 
 def _certified(source, mask: int, result: MinSumRateResult) -> MinSumRateResult:
@@ -219,17 +220,17 @@ def _require_testable(ground: GroundSet, mask: int) -> None:
         raise DomainError("complementarity is not defined for singletons")
 
 
-def _witnessed_verdict(source, mask: int, shift: Fraction, rates, partition: Partition) -> bool:
+def _witnessed_verdict(source, mask: int, shift: Fraction, rates, blocks) -> bool:
     """Whether the completed sweep over X = ``mask`` of
     f(Y) = shift + H(Y), with finished ``rates`` (ints on the scale
-    shift.denominator * D) and tight ``partition``, reaches f(X), after
+    shift.denominator * D) and tight ``blocks``, reaches f(X), after
     checking the witness of that verdict.
 
     Yes: the rates sum to f(X) and satisfy r(S) <= f(S) for every
     nonempty S inside X, so they achieve omniscience of X with total
-    f(X) and R(X) <= f(X).  No: the partition has at least two blocks
-    and a bound above f(X), so R(X) > f(X).  A witness that fails raises
-    :class:`CertificationError`.
+    f(X) and R(X) <= f(X).  No: the blocks form a partition with at
+    least two blocks and a bound above f(X), so R(X) > f(X).  A witness
+    that fails raises :class:`CertificationError`.
     """
     ground, table = source.ground, source.entropies
     weight = shift.denominator
@@ -245,6 +246,7 @@ def _witnessed_verdict(source, mask: int, shift: Fraction, rates, partition: Par
             )
         return True
     own = shift + source.entropy(mask)
+    partition = Partition(blocks)
     if len(partition) < 2 or partition_bound(source, partition) <= own:
         raise CertificationError(
             f"partition leaving out {ground.format(mask)} does not bound R above {own}"
@@ -261,7 +263,7 @@ def _reaches(source, mask: int, target: Fraction) -> tuple:
     checked against its witness by :func:`_witnessed_verdict`."""
     shift = target - source.entropy(mask)
     run = run_rate_update(source, shift, early_exit=False, within=mask)
-    return _witnessed_verdict(source, mask, shift, run.scaled[-1], run.partition), run
+    return _witnessed_verdict(source, mask, shift, run.scaled[-1], run.blocks), run
 
 
 def enumerate_complementary(source, model: str = ASYMPTOTIC, verify: bool = False) -> tuple:
@@ -293,10 +295,10 @@ def enumerate_complementary(source, model: str = ASYMPTOTIC, verify: bool = Fals
         return own if model == ASYMPTOTIC else Fraction(math.floor(own))
 
     found = []
-    for mask, rates, partition in _prefix_trie_sweeps(source, shift):
+    for mask, rates, blocks in _prefix_trie_sweeps(source, shift):
         if mask == full or mask.bit_count() < 2:
             continue
-        listed = _witnessed_verdict(source, mask, shift, rates, partition)
+        listed = _witnessed_verdict(source, mask, shift, rates, blocks)
         if listed and model == NON_ASYMPTOTIC:
             target = gamma(mask)
             if target != shift + source.entropy(mask):
@@ -310,7 +312,9 @@ def enumerate_complementary(source, model: str = ASYMPTOTIC, verify: bool = Fals
             if mask.bit_count() < 2:
                 continue
             target = gamma(mask)
-            value, _ = dilworth_truncation(source, target - source.entropy(mask), mask)
+            # gamma_X - H(X) is s itself in the asymptotic model
+            own_shift = shift if model == ASYMPTOTIC else target - source.entropy(mask)
+            value, _ = dilworth_truncation(source, own_shift, mask)
             if value == target:
                 by_truncation.append(mask)
         if by_truncation != found:

@@ -19,8 +19,10 @@ JSON file format (used by :func:`load_source` / :func:`dump_source`)::
 
 Packet dict keys and table subset keys use ``str(label)``; table keys
 join the subset's labels with commas (so labels must not contain
-commas).  Labels and packet ids are JSON strings, numbers or null.
-Rationals are ``"p/q"`` strings or integers, never floats.
+commas).  Labels and packet ids are JSON strings, numbers or null; a
+float packet id must be finite and not integral.  Packet ids are
+written in order of their text, then of their type.  Rationals are
+``"p/q"`` strings or integers, never floats.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import gcd, lcm
+from math import gcd, isfinite, lcm
 from typing import Iterable, Mapping
 
 from .core import (
@@ -82,7 +84,7 @@ class PacketSource(_SourceBase):
         }
         held = frozenset().union(*self.possession.values())
         #: Held packets in a fixed order; the simulator's column layout.
-        self.packet_order = tuple(sorted(held, key=str))
+        self.packet_order = tuple(sorted(held, key=_packet_key))
         packet_index = {packet: k for k, packet in enumerate(self.packet_order)}
         self._user_bits = tuple(
             sum(1 << packet_index[p] for p in self.possession[label])
@@ -117,9 +119,10 @@ class TableSource(_SourceBase):
                 parsed[mask] = parse_fraction(value)
             except FormatError:  # parse again, naming the subset this time
                 parse_fraction(value, where=f"entropy of {ground.format(mask)}")
-        if None in parsed:
-            first = ground.format(parsed.index(None))
-            raise DomainError(f"entropy table misses {parsed.count(None)} subsets, first {first}")
+        missing = [mask for mask, value in enumerate(parsed) if value is None]
+        if missing:
+            first = ground.format(missing[0])
+            raise DomainError(f"entropy table misses {len(missing)} subsets, first {first}")
         self.denominator = lcm(*(value.denominator for value in parsed))
         self.entropies = [
             value.numerator * (self.denominator // value.denominator) for value in parsed
@@ -242,6 +245,22 @@ def _scalar(value, what: str):
     return value
 
 
+def _packet_id(value, what: str):
+    """``value``, if a file can hold it as a packet id: a scalar, and no
+    float that is integral (``1.0`` would name the same packet as ``1``)
+    or not finite (NaN and the infinities are not JSON)."""
+    _scalar(value, what)
+    if isinstance(value, float) and (value.is_integer() or not isfinite(value)):
+        raise FormatError(f"{what} must not be integral or non-finite floats, got {value!r}")
+    return value
+
+
+def _packet_key(packet) -> tuple:
+    """Packet ids in order of their text, then of their type, so that
+    ``1`` and ``"1"`` fall in the same order in every process."""
+    return str(packet), type(packet).__name__
+
+
 def _label_lookup(ground: GroundSet) -> dict:
     """Each label by ``str(label)``, its name in files; refuses others and collisions."""
     lookup = {}
@@ -289,7 +308,7 @@ def source_from_dict(data, validate: bool = True) -> Source:
         for key, ids in packets.items():
             if not isinstance(ids, list):
                 raise FormatError(f"packets for user {key} must be a list")
-            possession[lookup[key]] = [_scalar(p, f"packet ids for user {key}") for p in ids]
+            possession[lookup[key]] = [_packet_id(p, f"packet ids for user {key}") for p in ids]
         return PacketSource(ground, possession)
 
     _check_table_labels(ground)
@@ -326,7 +345,8 @@ def source_to_dict(source: Source) -> dict:
             "users": list(ground.labels),
             "packets": {
                 str(label): sorted(
-                    (_scalar(p, "packet ids") for p in source.possession[label]), key=str
+                    (_packet_id(p, "packet ids") for p in source.possession[label]),
+                    key=_packet_key,
                 )
                 for label in ground.labels
             },

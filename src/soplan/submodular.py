@@ -15,8 +15,13 @@ One step computes everything here: :func:`minimize_over_prefix`
 minimizes over the 2^(i-1) prefix sets that hold the newest user, so a
 completed sweep over k users visits 2^k - 1 sets.  Its caller keeps the
 submasks of the finished prefix and their rate sums, and doubles both
-lists with each finished user.  The truncation is the sum of the
-finished rates, and the sweep records a partition attaining it.
+lists with each finished user.  The step returns the minimum, the
+maximal minimizer and the minimizers; a completed sweep reads only the
+first two, and only the early-exit sweep reads the (cardinality, mask)
+tie-break among the minimizers, which is worked out when read.  The
+truncation is the sum of the finished rates, and the sweep records the
+blocks of a partition attaining it, which become a
+:class:`~soplan.core.Partition` only when a caller reads one.
 Partitions are never enumerated outside the tests, where
 :func:`soplan.core.enumerate_partitions` serves as the oracle.
 
@@ -37,7 +42,6 @@ takes and in what it returns.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .core import DomainError, Partition, SubsetLike, bit_positions
@@ -61,17 +65,30 @@ def dilworth_truncation(source, shift, subset: SubsetLike) -> tuple:
     return Fraction(sum(run.scaled[-1]), run.scale), run.partition
 
 
-@dataclass(frozen=True)
 class SfmResult:
     """One prefix step: the minimum key, the union of the minimizers
-    (itself a minimizer), the early exit (the smallest (cardinality,
-    bitmask) among the minimizers other than ``{top}`` and ``whole``, or
-    None) and the number of candidates."""
+    (itself a minimizer), the minimizers themselves and the number of
+    candidates.  The early exit, the smallest (cardinality, bitmask)
+    among the minimizers other than ``{top}`` and the step's domain
+    ``whole``, is worked out only when read."""
 
-    min_value: int
-    maximal_minimizer: int
-    nonsingleton_proper_minimizer: int | None
-    candidates_examined: int
+    __slots__ = ("min_value", "maximal_minimizer", "minimizers", "whole", "candidates_examined")
+
+    def __init__(self, min_value: int, maximal_minimizer: int, minimizers: list, whole: int,
+                 candidates_examined: int):
+        self.min_value = min_value
+        self.maximal_minimizer = maximal_minimizer
+        self.minimizers = minimizers
+        self.whole = whole
+        self.candidates_examined = candidates_examined
+
+    @property
+    def nonsingleton_proper_minimizer(self) -> int | None:
+        # every minimizer holds top, so the ones other than {top} have
+        # at least two members
+        whole = self.whole
+        eligible = [m for m in self.minimizers if m.bit_count() > 1 and m != whole]
+        return min(eligible, key=lambda m: (m.bit_count(), m)) if eligible else None
 
 
 def minimize_over_prefix(table, weight: int, top: int, submasks, rate_sums, whole: int) -> SfmResult:
@@ -89,12 +106,9 @@ def minimize_over_prefix(table, weight: int, top: int, submasks, rate_sums, whol
     maximal = 0
     for m in minimizers:
         maximal |= m
-    eligible = [m for m in minimizers if m != top and m != whole]
-    chosen = min(eligible, key=lambda m: (m.bit_count(), m)) if eligible else None
-    return SfmResult(best, maximal, chosen, len(submasks))
+    return SfmResult(best, maximal, minimizers, whole, len(submasks))
 
 
-@dataclass(frozen=True)
 class UpdateRun:
     """Trace of the rate update loop.
 
@@ -102,17 +116,26 @@ class UpdateRun:
     initialization and after every completed update; ``snapshots``
     gives them as Fractions so invariants can be replayed, and
     ``rates`` gives the last: the finished rates, or on an early exit
-    the state when the subset surfaced.  ``partition`` is the tight
-    partition of a completed sweep's domain (None after an early exit):
-    its blocks' f values add up to the sum of the finished rates.
+    the state when the subset surfaced.  ``blocks`` are the tight
+    blocks of a completed sweep's domain (None after an early exit):
+    their f values add up to the sum of the finished rates.
+    ``partition`` builds their :class:`Partition` when read.
     """
 
-    exit_subset: int | None
-    exit_position: int | None
-    scaled: tuple
-    scale: int
-    candidates_examined: int
-    partition: Partition | None
+    __slots__ = ("exit_subset", "exit_position", "scaled", "scale", "candidates_examined", "blocks")
+
+    def __init__(self, exit_subset: int | None, exit_position: int | None, scaled: tuple,
+                 scale: int, candidates_examined: int, blocks: list | None):
+        self.exit_subset = exit_subset
+        self.exit_position = exit_position
+        self.scaled = scaled
+        self.scale = scale
+        self.candidates_examined = candidates_examined
+        self.blocks = blocks
+
+    @property
+    def partition(self) -> Partition | None:
+        return None if self.blocks is None else Partition(self.blocks)
 
     @property
     def rates(self) -> tuple:
@@ -193,18 +216,18 @@ def run_rate_update(source, shift, early_exit: bool = True, within: SubsetLike =
         scaled=tuple(scaled),
         scale=weight * source.denominator,
         candidates_examined=candidates,
-        partition=None if exit_subset is not None else Partition(blocks),
+        blocks=None if exit_subset is not None else blocks,
     )
 
 
 def _prefix_trie_sweeps(source, shift):
-    """Yield ``(mask, rates, partition)`` for every nonempty mask: the
+    """Yield ``(mask, rates, blocks)`` for every nonempty mask: the
     completed sweep of f(X) = shift + H(X) over that mask.
 
     The result for a mask equals ``run_rate_update(source, shift,
     early_exit=False, within=mask)``: ``rates`` is its last entry of
     ``scaled``, on the scale ``shift.denominator * D`` and 0 outside the
-    mask, and ``partition`` is its tight partition.  The walk goes
+    mask, and ``blocks`` are its tight blocks.  The walk goes
     depth first through the prefix trie, in which the parent of a mask
     is the mask minus its highest user.  A child takes its parent's
     rates, submask list and rate sums, and does the one step of its new
@@ -224,7 +247,7 @@ def _prefix_trie_sweeps(source, shift):
             step = minimize_over_prefix(table, weight, top, submasks, sums, child)
             rates[pos] = rate = base + step.min_value
             child_blocks = _join_blocks(blocks, top, step.maximal_minimizer)
-            yield child, tuple(rates), Partition(child_blocks)
+            yield child, tuple(rates), child_blocks
             if pos + 1 < size:
                 yield from grow(
                     child,

@@ -178,6 +178,14 @@ class TestNonAsymptoticFractionalTable:
         assert cli.main(argv[:2] + ["--alpha", alpha]) == 0
 
 
+def test_integral_float_packet_id_exits_2(tmp_path, capsys):
+    # 1.0 would be the same packet as 1 and give a minimum sum-rate of 0
+    path = tmp_path / "float.json"
+    path.write_text('{"model": "packet", "users": ["a", "b"], "packets": {"a": [1], "b": [1.0]}}')
+    assert cli.main(["minrate", str(path)]) == 2
+    assert "must not be integral or non-finite floats, got 1.0" in capsys.readouterr().err
+
+
 class TestPlan:
     def test_plan_artifact_and_summary(self, five_user_file, tmp_path, capsys):
         out_path = tmp_path / "plan.json"

@@ -21,10 +21,12 @@ from soplan import (
     RateVector,
     TableSource,
     check_sw_achievable,
+    dump_source,
     enumerate_complementary,
     is_complementary,
     min_sum_rate,
 )
+import soplan.cli as cli
 from soplan.core import enumerate_partitions, iter_submasks
 from soplan.omniscience import SwCheck, check_model, optimal_rate_vector
 from soplan import omniscience
@@ -407,6 +409,37 @@ class TestEnumerationWitnesses:
         self.tamper(monkeypatch, nudge)
         with pytest.raises(CertificationError, match="does not bound"):
             enumerate_complementary(five_user, NON_ASYMPTOTIC)
+
+    @staticmethod
+    def skip_one_listed(monkeypatch, source):
+        """Replace the pass by one that hides the smallest complementary
+        subset of ``source``; returns that subset."""
+        hidden = enumerate_complementary(source)[0]
+        real = omniscience._prefix_trie_sweeps
+
+        def skipping(source, shift):
+            for swept in real(source, shift):
+                if swept[0] != hidden:
+                    yield swept
+
+        monkeypatch.setattr(omniscience, "_prefix_trie_sweeps", skipping)
+        return hidden
+
+    def test_disagreeing_truncations_raise(self, five_user, monkeypatch):
+        # The pass alone cannot see a subset it never sweeps; the
+        # per-subset truncations of --verify list it and disagree.
+        hidden = self.skip_one_listed(monkeypatch, five_user)
+        assert hidden not in enumerate_complementary(five_user)
+        with pytest.raises(CertificationError, match=r"subsets disagree: only the shared "
+                           r"sweep: \[\]; only the per-subset truncation: \['\{1,2\}'\]"):
+            enumerate_complementary(five_user, verify=True)
+
+    def test_disagreeing_truncations_exit_3(self, five_user, monkeypatch, tmp_path, capsys):
+        path = tmp_path / "five.json"
+        dump_source(five_user, path)
+        self.skip_one_listed(monkeypatch, five_user)
+        assert cli.main(["enumerate", str(path), "--verify"]) == 3
+        assert "subsets disagree" in capsys.readouterr().err
 
     def test_minimum_sum_rate_of_v_only(self, five_user, monkeypatch):
         calls = []

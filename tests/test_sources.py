@@ -282,6 +282,29 @@ class TestDumpRefusesWhatLoadRefuses:
             dump_source(source, path)
         assert path.read_text() == "kept"
 
+    @pytest.mark.parametrize("packet", [1.0, -0.0, float("nan"), float("inf")])
+    def test_integral_and_non_finite_float_ids(self, packet, tmp_path):
+        # 1.0 == 1 in Python: {"a": [1], "b": [1.0]} would get a minimum
+        # sum-rate of 0; NaN and the infinities are not JSON
+        path = tmp_path / "src.json"
+        path.write_text(json.dumps({"model": "packet", "users": ["a", "b"],
+                                    "packets": {"a": [1], "b": [packet]}}))
+        with pytest.raises(FormatError, match="must not be integral or non-finite floats"):
+            load_source(path)
+        source = PacketSource(GroundSet(("a", "b")), {"a": [2], "b": [packet]})
+        path.write_text("kept")
+        with pytest.raises(FormatError, match="must not be integral or non-finite floats"):
+            dump_source(source, path)
+        assert path.read_text() == "kept"
+
+    def test_fractional_float_id_round_trips(self, tmp_path):
+        source = PacketSource(GroundSet(("a", "b")), {"a": [1, 1.5], "b": ["1.5"]})
+        path = tmp_path / "src.json"
+        dump_source(source, path)
+        loaded = load_source(path)
+        assert loaded.possession == source.possession
+        assert loaded.entropy(loaded.ground.full_mask) == 3
+
     def test_unusual_labels_round_trip(self, tmp_path):
         source = PacketSource(GroundSet(("", "a,b", 3)), {"": "x", "a,b": "xy", 3: "z"})
         path = tmp_path / "src.json"

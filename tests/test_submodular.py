@@ -21,18 +21,21 @@ from soplan import (
     DomainError,
     GroundSet,
     PacketSource,
+    Partition,
     TableSource,
+    enumerate_complementary,
     min_sum_rate,
 )
-from soplan.compsetso import alpha_lower_bound
+from soplan.compsetso import alpha_lower_bound, comp_set_so
 from soplan.core import enumerate_partitions
 from soplan.submodular import (
+    SfmResult,
     _prefix_trie_sweeps,
     dilworth_truncation,
     minimize_over_prefix,
     run_rate_update,
 )
-from tests.conftest import random_packet_source, random_rational_table
+from tests.conftest import make_five_user, random_packet_source, random_rational_table
 
 
 def shift_of(source, alpha) -> Fraction:
@@ -204,13 +207,13 @@ class TestPrefixTrie:
             shift = shift_of(source, min_sum_rate(source, None, model).value)
             scale = shift.denominator * source.denominator
             seen = []
-            for mask, rates, partition in _prefix_trie_sweeps(source, shift):
+            for mask, rates, blocks in _prefix_trie_sweeps(source, shift):
                 run = run_rate_update(source, shift, early_exit=False, within=mask)
                 assert rates == run.scaled[-1]
-                assert partition == run.partition
+                assert Partition(blocks) == run.partition
                 value, truncation_partition = dilworth_truncation(source, shift, mask)
                 assert Fraction(sum(rates), scale) == value
-                assert partition == truncation_partition
+                assert Partition(blocks) == truncation_partition
                 seen.append(mask)
             assert sorted(seen) == list(range(1, source.ground.full_mask + 1))
 
@@ -348,3 +351,32 @@ class TestRunRateUpdate:
                     Fraction(0),
                 )
                 assert total <= f_value(source, shift, mask)
+
+
+class TieBreakRead(Exception):
+    pass
+
+
+class TestTieBreakOnlyWhenRead:
+    """Only the early-exit sweep reads the step's (cardinality, mask)
+    tie-break; completed sweeps and the prefix trie never work it out."""
+
+    @staticmethod
+    def forbid(monkeypatch):
+        def refuse(result):
+            raise TieBreakRead
+
+        monkeypatch.setattr(SfmResult, "nonsingleton_proper_minimizer", property(refuse))
+
+    def test_completed_sweeps_never_read_it(self, monkeypatch):
+        self.forbid(monkeypatch)
+        for source in (make_five_user(), random_rational_table(random.Random(3), 5, 8)):
+            for model in (ASYMPTOTIC, NON_ASYMPTOTIC):
+                min_sum_rate(source, None, model)
+                enumerate_complementary(source, model, verify=True)
+            dilworth_truncation(source, Fraction(-1), source.ground.full_mask)
+
+    def test_early_exit_reads_it(self, five_user, monkeypatch):
+        self.forbid(monkeypatch)
+        with pytest.raises(TieBreakRead):
+            comp_set_so(five_user)

@@ -37,13 +37,17 @@ def test_install_and_uninstall():
 
 def test_prefix_trie_steps_are_counted():
     """enumerate's prefix-trie walk runs the same step as every sweep,
-    so the tracer sees its (3^n - 1) / 2 candidates."""
+    so the tracer sees its (3^n - 1) / 2 candidates.  ``verify`` adds
+    exactly one reference truncation per non-singleton proper subset,
+    which the benchmark's fraction-tables workload relies on."""
     source = random_rational_table(random.Random(6), 6, 8)
-    tracer = _tracer_module().Tracer()
-    tracer.install()
-    try:
-        enumerate_complementary(source)
-    finally:
-        tracer.uninstall()
-    assert tracer.stat("submodular.minimize_over_prefix")[0] >= 2 ** 6 - 1
-    assert tracer.counts["submodular.minimize_over_prefix.candidates"] >= (3 ** 6 - 1) // 2
+    for verify, truncations in ((False, 0), (True, 2 ** 6 - 6 - 2)):
+        tracer = _tracer_module().Tracer()
+        tracer.install()
+        try:
+            enumerate_complementary(source, verify=verify)
+        finally:
+            tracer.uninstall()
+        assert tracer.stat("submodular.minimize_over_prefix")[0] >= 2 ** 6 - 1
+        assert tracer.counts["submodular.minimize_over_prefix.candidates"] >= (3 ** 6 - 1) // 2
+        assert tracer.stat("submodular.dilworth_truncation")[0] == truncations
