@@ -198,7 +198,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--verify",
         action="store_true",
-        help="recompute every verdict with a truncation of its own, per subset",
+        help="recompute every verdict from each subset's own truncation, "
+        "by a reference loop that shares no code with the listing",
     )
     p.set_defaults(func=_cmd_enumerate)
 

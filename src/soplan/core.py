@@ -67,20 +67,28 @@ def parse_fraction(value, where: str = "value") -> Fraction:
         raise FormatError(f"{where}: not a rational: {value!r}") from exc
 
 
+def _refuse_constant(token: str):
+    raise ValueError(f"{token} is not a JSON value")
+
+
 def read_json(path):
-    """The JSON document in file ``path``, or :class:`FormatError`."""
+    """The JSON document in file ``path``, or :class:`FormatError`.
+
+    Strict JSON only: Python's reader also takes ``NaN`` and
+    ``Infinity``, which no file of this package may hold."""
     try:
         with open(path) as fh:
-            return json.load(fh)
+            return json.load(fh, parse_constant=_refuse_constant)
     except OSError as exc:
         raise FormatError(f"cannot read {path}: {exc}") from None
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # bad syntax or text, a refused constant, an int too long to read
         raise FormatError(f"{path} is not valid JSON: {exc}") from None
 
 
 def json_text(data) -> str:
-    """``data`` as every JSON file of this package is written."""
-    return json.dumps(data, indent=2, sort_keys=True) + "\n"
+    """``data`` as every JSON file of this package is written: strict
+    JSON, so a file soplan writes is one it reads."""
+    return json.dumps(data, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 def bit_positions(mask: int) -> Iterator[int]:
@@ -89,17 +97,6 @@ def bit_positions(mask: int) -> Iterator[int]:
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
-
-
-def iter_submasks(mask: int) -> Iterator[int]:
-    """Yield every submask of ``mask`` in ascending numeric order,
-    including 0 and ``mask`` itself."""
-    sub = 0
-    while True:
-        yield sub
-        if sub == mask:
-            return
-        sub = (sub - mask) & mask
 
 
 def submask_sums(mask: int, values: Sequence) -> tuple:
@@ -310,43 +307,3 @@ class Partition:
     def __iter__(self):
         return iter(self.blocks)
 
-
-def _iter_partition_masks(mask: int) -> Iterator[tuple]:
-    """Yield the partitions of ``mask`` as tuples of block masks.
-
-    Order follows the lexicographic restricted-growth strings over the
-    elements in ascending bit order: the one-block partition comes
-    first, the all-singletons partition last.
-    """
-    elements = [1 << pos for pos in bit_positions(mask)]
-    n = len(elements)
-    blocks: list = []
-
-    def rec(pos: int) -> Iterator[tuple]:
-        if pos == n:
-            yield tuple(blocks)
-            return
-        bit = elements[pos]
-        for k in range(len(blocks)):
-            blocks[k] |= bit
-            yield from rec(pos + 1)
-            blocks[k] ^= bit
-        blocks.append(bit)
-        yield from rec(pos + 1)
-        blocks.pop()
-
-    return rec(0)
-
-
-def enumerate_partitions(mask: int) -> Iterator[Partition]:
-    """Enumerate all partitions of the nonempty subset ``mask``.
-
-    Deterministic restricted-growth order; the number of partitions of
-    an n-element subset is the n-th Bell number.
-    """
-    if mask == 0:
-        raise DomainError("cannot partition the empty set")
-    if mask < 0:
-        raise DomainError("subset masks are nonnegative")
-    for blocks in _iter_partition_masks(mask):
-        yield Partition(blocks)

@@ -281,9 +281,11 @@ def enumerate_complementary(source, model: str = ASYMPTOTIC, verify: bool = Fals
     :func:`_witnessed_verdict`), and R(V) is the only minimum sum-rate
     computed.
 
-    With ``verify=True`` every verdict is recomputed by that subset's
-    own :func:`dilworth_truncation`, with no prefix sharing, and the two
-    lists must agree.
+    With ``verify=True`` every verdict is recomputed from that subset's
+    own :func:`dilworth_truncation`, and the two lists must agree.  That
+    reference is kept apart from the prefix step on purpose: it shares
+    no code with the trie walk, so a fault in the step cannot corrupt
+    both sides alike.
     """
     check_model(model)
     ground = source.ground
@@ -314,8 +316,7 @@ def enumerate_complementary(source, model: str = ASYMPTOTIC, verify: bool = Fals
             target = gamma(mask)
             # gamma_X - H(X) is s itself in the asymptotic model
             own_shift = shift if model == ASYMPTOTIC else target - source.entropy(mask)
-            value, _ = dilworth_truncation(source, own_shift, mask)
-            if value == target:
+            if dilworth_truncation(source, own_shift, mask) == target:
                 by_truncation.append(mask)
         if by_truncation != found:
             only_trie = [ground.format(m) for m in found if m not in by_truncation]

@@ -44,8 +44,9 @@ if TYPE_CHECKING:
 
 STAGE_REDRAW_LIMIT = 25
 
-# what json.dumps(..., sort_keys=True) writes, without a new encoder per record
-_JSONL = json.JSONEncoder(sort_keys=True)
+# what json.dumps(..., sort_keys=True, allow_nan=False) writes, without a
+# new encoder per record
+_JSONL = json.JSONEncoder(sort_keys=True, allow_nan=False)
 
 
 @dataclass(frozen=True)

@@ -239,20 +239,22 @@ def reorder(source: Source, labels: Iterable) -> Source:
 
 def _scalar(value, what: str):
     """``value``, if a file can hold it: a JSON string, number or null.
-    A bool is refused: ``true`` would name the same packet or user as 1."""
+    A bool is refused: ``true`` would name the same packet or user as 1;
+    so are NaN and the infinities, which are not JSON."""
     if isinstance(value, bool) or not (value is None or isinstance(value, (str, int, float))):
         raise FormatError(f"{what} must be strings, numbers or null, got {value!r}")
+    if isinstance(value, float) and not isfinite(value):
+        raise FormatError(f"{what} must be finite numbers, got {value!r}")
     return value
 
 
 def _packet_id(value, what: str):
     """``value``, if a file can hold it as a packet id: a scalar, and no
     float that is integral (``1.0`` would name the same packet as ``1``)
-    or not finite (NaN and the infinities are not JSON)."""
-    _scalar(value, what)
+    or not finite."""
     if isinstance(value, float) and (value.is_integer() or not isfinite(value)):
         raise FormatError(f"{what} must not be integral or non-finite floats, got {value!r}")
-    return value
+    return _scalar(value, what)
 
 
 def _packet_key(packet) -> tuple:

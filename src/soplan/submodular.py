@@ -11,7 +11,7 @@ truncation minimizes the block sum of f over all partitions of a
 subset; equality of f#_alpha(X) with its truncation at the right alpha
 characterizes the subsets worth splitting off early.
 
-One step computes everything here: :func:`minimize_over_prefix`
+One step serves every sweep: :func:`minimize_over_prefix`
 minimizes over the 2^(i-1) prefix sets that hold the newest user, so a
 completed sweep over k users visits 2^k - 1 sets.  Its caller keeps the
 submasks of the finished prefix and their rate sums, and doubles both
@@ -23,7 +23,12 @@ truncation is the sum of the finished rates, and the sweep records the
 blocks of a partition attaining it, which become a
 :class:`~soplan.core.Partition` only when a caller reads one.
 Partitions are never enumerated outside the tests, where
-:func:`soplan.core.enumerate_partitions` serves as the oracle.
+``tests/conftest.enumerate_partitions`` serves as the oracle.
+
+:func:`dilworth_truncation` is the one exception, on purpose: it is the
+reference that ``enumerate --verify`` re-derives every verdict with, so
+it computes the truncation's value with a loop of its own and shares no
+code with the step, the sweep or the trie walk it checks.
 
 The step has two callers.  :func:`run_rate_update` walks one path of the
 prefix trie: the sweep over V, or over one subset.  The sweep over a
@@ -47,22 +52,36 @@ from fractions import Fraction
 from .core import DomainError, Partition, SubsetLike, bit_positions
 
 
-def dilworth_truncation(source, shift, subset: SubsetLike) -> tuple:
+def dilworth_truncation(source, shift, subset: SubsetLike) -> Fraction:
     """Minimize the block sum of f(X) = shift + H(X) over all partitions
-    of ``subset``.
+    of ``subset``: Fujishige's greedy construction of the Dilworth
+    truncation, whose finished rates sum to the minimum.
 
-    Returns ``(min_value, partition)``.  One completed prefix sweep over
-    the subset gives both: the finished rates sum to the minimum
-    (Fujishige's greedy construction of the Dilworth truncation), and the
-    tight partition the sweep records attains it.  That partition is the
-    coarsest minimizer, so it is the one-block partition exactly when no
-    finer partition beats f(subset).
+    This is the reference that ``enumerate --verify`` checks the prefix
+    trie against, so it is kept apart from the step on purpose: its own
+    int loop over the table, with no call to :func:`minimize_over_prefix`
+    or :func:`run_rate_update` and no records, blocks or partition.  On
+    the scale weight*D, each user of ``subset`` in turn gets f's constant
+    plus the least weight*H(S + user) - r(S) over the submasks S of the
+    users before it (only the empty S for the first); the submasks and
+    their rate sums double with each finished user.
     """
     mask = source.ground.mask(subset)
     if mask == 0:
         raise DomainError("truncation of the empty set is not defined")
-    run = run_rate_update(source, shift, early_exit=False, within=mask)
-    return Fraction(sum(run.scaled[-1]), run.scale), run.partition
+    shift = Fraction(shift)
+    weight, table = shift.denominator, source.entropies
+    base = shift.numerator * source.denominator  # f's constant on the scale weight*D
+    last = mask.bit_length() - 1
+    submasks, sums, total = [0], [0], 0
+    for pos in bit_positions(mask):
+        top = 1 << pos
+        rate = base + min([weight * table[sub | top] - s for sub, s in zip(submasks, sums)])
+        total += rate
+        if pos != last:
+            submasks += [sub | top for sub in submasks]
+            sums += [s + rate for s in sums]
+    return Fraction(total, weight * source.denominator)
 
 
 class SfmResult:
@@ -113,13 +132,13 @@ class UpdateRun:
     """Trace of the rate update loop.
 
     ``scaled`` holds the rates, as ints on the scale ``scale``, after
-    initialization and after every completed update; ``snapshots``
-    gives them as Fractions so invariants can be replayed, and
-    ``rates`` gives the last: the finished rates, or on an early exit
-    the state when the subset surfaced.  ``blocks`` are the tight
-    blocks of a completed sweep's domain (None after an early exit):
-    their f values add up to the sum of the finished rates.
-    ``partition`` builds their :class:`Partition` when read.
+    initialization and after every completed update, so invariants can
+    be replayed; ``rates`` gives the last as Fractions: the finished
+    rates, or on an early exit the state when the subset surfaced.
+    ``blocks`` are the tight blocks of a completed sweep's domain (None
+    after an early exit): their f values add up to the sum of the
+    finished rates.  ``partition`` builds their :class:`Partition` when
+    read.
     """
 
     __slots__ = ("exit_subset", "exit_position", "scaled", "scale", "candidates_examined", "blocks")
@@ -140,10 +159,6 @@ class UpdateRun:
     @property
     def rates(self) -> tuple:
         return tuple(Fraction(value, self.scale) for value in self.scaled[-1])
-
-    @property
-    def snapshots(self) -> tuple:
-        return tuple(tuple(Fraction(v, self.scale) for v in rates) for rates in self.scaled)
 
 
 def _join_blocks(blocks: list, top: int, maximal: int) -> list:

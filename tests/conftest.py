@@ -1,14 +1,17 @@
 """Shared fixtures: the worked five-user example, small named sources,
-and a reproducible corpus of random packet sources."""
+a reproducible corpus of random packet sources, and the exhaustive
+oracles the tests check the package against."""
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
+from typing import Iterator
 
 import pytest
 
-from soplan import GroundSet, PacketSource, TableSource
+from soplan import DomainError, GroundSet, PacketSource, Partition, TableSource
+from soplan.core import bit_positions
 
 CORPUS_SEED = 20260823
 CORPUS_SIZE = 200
@@ -109,3 +112,65 @@ def source_corpus() -> tuple:
         n_packets = rng.randint(n_users, 12)
         corpus.append(random_packet_source(rng, n_users, n_packets))
     return tuple(corpus)
+
+
+# ---------------------------------------------------------------- oracles
+
+
+def iter_submasks(mask: int) -> Iterator[int]:
+    """Yield every submask of ``mask`` in ascending numeric order,
+    including 0 and ``mask`` itself."""
+    sub = 0
+    while True:
+        yield sub
+        if sub == mask:
+            return
+        sub = (sub - mask) & mask
+
+
+def _iter_partition_masks(mask: int) -> Iterator[tuple]:
+    """Yield the partitions of ``mask`` as tuples of block masks.
+
+    Order follows the lexicographic restricted-growth strings over the
+    elements in ascending bit order: the one-block partition comes
+    first, the all-singletons partition last.
+    """
+    elements = [1 << pos for pos in bit_positions(mask)]
+    n = len(elements)
+    blocks: list = []
+
+    def rec(pos: int) -> Iterator[tuple]:
+        if pos == n:
+            yield tuple(blocks)
+            return
+        bit = elements[pos]
+        for k in range(len(blocks)):
+            blocks[k] |= bit
+            yield from rec(pos + 1)
+            blocks[k] ^= bit
+        blocks.append(bit)
+        yield from rec(pos + 1)
+        blocks.pop()
+
+    return rec(0)
+
+
+def enumerate_partitions(mask: int) -> Iterator[Partition]:
+    """Enumerate all partitions of the nonempty subset ``mask``: the Bell
+    oracle.
+
+    Deterministic restricted-growth order; the number of partitions of
+    an n-element subset is the n-th Bell number.
+    """
+    if mask == 0:
+        raise DomainError("cannot partition the empty set")
+    if mask < 0:
+        raise DomainError("subset masks are nonnegative")
+    for blocks in _iter_partition_masks(mask):
+        yield Partition(blocks)
+
+
+def snapshots(run) -> tuple:
+    """The rates of a rate-update run after initialization and after
+    every completed update, as Fractions, so invariants can be replayed."""
+    return tuple(tuple(Fraction(v, run.scale) for v in rates) for rates in run.scaled)

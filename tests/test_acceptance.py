@@ -28,6 +28,7 @@ from tests.conftest import (
     make_cyclic_triple,
     make_five_user,
     make_independent_triple,
+    snapshots,
 )
 
 FIVE_USER_ASYMPTOTIC = Fraction(13, 2)
@@ -53,8 +54,7 @@ def _truncation_complementary(source, model: str) -> tuple:
     for mask in range(1, ground.full_mask):
         if mask.bit_count() < 2:
             continue
-        value, _ = dilworth_truncation(source, shift, mask)
-        if value == shift + source.entropy(mask):
+        if dilworth_truncation(source, shift, mask) == shift + source.entropy(mask):
             found.append(mask)
     return tuple(found)
 
@@ -250,7 +250,7 @@ def test_criterion_9_rate_update_stays_in_polyhedron(source_corpus):
                 )
                 shift = alpha - source.entropy(ground.full_mask)
                 run = run_rate_update(source, shift, early_exit=False)
-                for snapshot in run.snapshots:
+                for snapshot in snapshots(run):
                     for mask in range(1, ground.full_mask + 1):
                         total = sum(
                             (snapshot[pos] for pos in range(ground.size) if mask >> pos & 1),

@@ -186,6 +186,33 @@ def test_integral_float_packet_id_exits_2(tmp_path, capsys):
     assert "must not be integral or non-finite floats, got 1.0" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
+def test_non_json_constants_exit_2(constant, tmp_path, capsys):
+    # Python's reader takes these; a plan for the NaN label was written
+    # back holding the non-JSON token NaN
+    path = tmp_path / "src.json"
+    key = json.dumps(str(float(constant)))
+    path.write_text(f'{{"model": "packet", "users": [{constant}, "b"], '
+                    f'"packets": {{{key}: [1, 2], "b": [2]}}}}')
+    out = tmp_path / "plan.json"
+    for argv in (["minrate", str(path)], ["plan", str(path), "--out", str(out)]):
+        assert cli.main(argv) == 2
+        assert f"is not valid JSON: {constant} is not a JSON value" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("text", [
+    b'{"model": "packet", "users": ["a", "b"], "packets": {"a": [1' + b"0" * 5000 + b'], "b": [2]}}',
+    b'{"model": "packet", "users": ["\xff", "b"], "packets": {"b": [2]}}',
+], ids=["int-past-the-digit-limit", "not-utf8"])
+def test_unreadable_json_exits_2(text, tmp_path, capsys):
+    # both were tracebacks with exit 1
+    path = tmp_path / "src.json"
+    path.write_bytes(text)
+    assert cli.main(["minrate", str(path)]) == 2
+    assert "is not valid JSON" in capsys.readouterr().err
+
+
 class TestPlan:
     def test_plan_artifact_and_summary(self, five_user_file, tmp_path, capsys):
         out_path = tmp_path / "plan.json"

@@ -16,7 +16,8 @@ from soplan import (
     Partition,
     RateVector,
 )
-from soplan.core import bit_positions, enumerate_partitions, iter_submasks, parse_fraction
+from soplan.core import bit_positions, parse_fraction
+from tests.conftest import enumerate_partitions, iter_submasks
 
 BELL = {1: 1, 2: 2, 3: 5, 4: 15, 5: 52, 6: 203}
 

@@ -27,10 +27,14 @@ from soplan import (
     min_sum_rate,
 )
 import soplan.cli as cli
-from soplan.core import enumerate_partitions, iter_submasks
 from soplan.omniscience import SwCheck, check_model, optimal_rate_vector
 from soplan import omniscience
-from tests.conftest import random_packet_source, random_rational_table
+from tests.conftest import (
+    enumerate_partitions,
+    iter_submasks,
+    random_packet_source,
+    random_rational_table,
+)
 
 
 def ref_partitions(elements):

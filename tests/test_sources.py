@@ -4,6 +4,7 @@ polymatroid gate."""
 from __future__ import annotations
 
 import json
+import math
 from fractions import Fraction
 
 import pytest
@@ -16,8 +17,10 @@ from soplan import (
     GroundSet,
     PacketSource,
     TableSource,
+    dump_plan,
     dump_source,
     load_source,
+    plan_multistage,
     validate_polymatroid,
 )
 from soplan.sources import induced_table, reorder, source_from_dict, source_to_dict
@@ -285,17 +288,35 @@ class TestDumpRefusesWhatLoadRefuses:
     @pytest.mark.parametrize("packet", [1.0, -0.0, float("nan"), float("inf")])
     def test_integral_and_non_finite_float_ids(self, packet, tmp_path):
         # 1.0 == 1 in Python: {"a": [1], "b": [1.0]} would get a minimum
-        # sum-rate of 0; NaN and the infinities are not JSON
-        path = tmp_path / "src.json"
-        path.write_text(json.dumps({"model": "packet", "users": ["a", "b"],
-                                    "packets": {"a": [1], "b": [packet]}}))
+        # sum-rate of 0; NaN and the infinities are not JSON, so a file
+        # that holds them is refused as it is read
+        data = {"model": "packet", "users": ["a", "b"], "packets": {"a": [1], "b": [packet]}}
         with pytest.raises(FormatError, match="must not be integral or non-finite floats"):
+            source_from_dict(data)
+        path = tmp_path / "src.json"
+        path.write_text(json.dumps(data))
+        refused = "must not be integral" if math.isfinite(packet) else "is not a JSON value"
+        with pytest.raises(FormatError, match=refused):
             load_source(path)
         source = PacketSource(GroundSet(("a", "b")), {"a": [2], "b": [packet]})
         path.write_text("kept")
         with pytest.raises(FormatError, match="must not be integral or non-finite floats"):
             dump_source(source, path)
         assert path.read_text() == "kept"
+
+    @pytest.mark.parametrize("label", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_float_labels(self, label, tmp_path):
+        # dumped, they were written as the non-JSON tokens NaN and Infinity
+        source = PacketSource(GroundSet((label, "b")), {label: [1, 2], "b": [2]})
+        plan = plan_multistage(source)
+        path = tmp_path / "out.json"
+        path.write_text("kept")
+        for dump, value in ((dump_source, source), (dump_plan, plan)):
+            with pytest.raises(FormatError, match="user labels must be finite numbers"):
+                dump(value, path)
+            assert path.read_text() == "kept"
+        with pytest.raises(FormatError, match="user labels must be finite numbers"):
+            source_from_dict({"model": "packet", "users": [label, "b"], "packets": {"b": [2]}})
 
     def test_fractional_float_id_round_trips(self, tmp_path):
         source = PacketSource(GroundSet(("a", "b")), {"a": [1, 1.5], "b": ["1.5"]})

@@ -27,7 +27,7 @@ from soplan import (
     min_sum_rate,
 )
 from soplan.compsetso import alpha_lower_bound, comp_set_so
-from soplan.core import enumerate_partitions
+from soplan import submodular
 from soplan.submodular import (
     SfmResult,
     _prefix_trie_sweeps,
@@ -35,7 +35,13 @@ from soplan.submodular import (
     minimize_over_prefix,
     run_rate_update,
 )
-from tests.conftest import make_five_user, random_packet_source, random_rational_table
+from tests.conftest import (
+    enumerate_partitions,
+    make_five_user,
+    random_packet_source,
+    random_rational_table,
+    snapshots,
+)
 
 
 def shift_of(source, alpha) -> Fraction:
@@ -63,6 +69,11 @@ def prefix_lists(top, whole, scaled) -> tuple:
     return submasks, sums
 
 
+def sweep_partition(source, shift, mask) -> Partition:
+    """The tight partition of the completed sweep over ``mask``."""
+    return run_rate_update(source, shift, early_exit=False, within=mask).partition
+
+
 def step(source, shift, rates, position, within=None) -> tuple:
     """minimize_over_prefix on Fraction rates, scaled to ints for it;
     returns its result and the minimum of g it implies."""
@@ -85,34 +96,37 @@ class TestAlphaFunction:
         # rates outside the sweep's domain at 0
         run = run_rate_update(five_user, shift, early_exit=False, within=[1])
         assert run.rates == (Fraction(9, 2), 0, 0, 0, 0)
-        assert dilworth_truncation(five_user, shift, [2])[0] == Fraction(5, 2)
+        assert dilworth_truncation(five_user, shift, [2]) == Fraction(5, 2)
         # alpha = 13/2 is R(V), so f(V) is its own truncation
-        assert dilworth_truncation(five_user, shift, five_user.ground.full_mask)[0] == Fraction(13, 2)
+        assert dilworth_truncation(five_user, shift, five_user.ground.full_mask) == Fraction(13, 2)
 
     def test_alpha_range_enforced(self, five_user):
         # the sweep takes any alpha: the sweeps behind R(X) and the
         # non-asymptotic witness shift it past H(V)
         for value in (Fraction(-1), Fraction(21, 2)):
-            assert dilworth_truncation(five_user, shift_of(five_user, value), [1])[0] == value - 2
+            assert dilworth_truncation(five_user, shift_of(five_user, value), [1]) == value - 2
 
 
 class TestDilworthTruncation:
     def test_complementary_subset_keeps_one_block(self, five_user):
         shift = shift_of(five_user, Fraction(13, 2))
-        value, partition = dilworth_truncation(five_user, shift, [1, 2])
+        value = dilworth_truncation(five_user, shift, [1, 2])
+        partition = sweep_partition(five_user, shift, [1, 2])
         assert value == f_value(five_user, shift, 0b11) == Fraction(9, 2)
         assert partition.blocks == (five_user.ground.mask([1, 2]),)
 
     def test_loose_subset_splits(self, five_user):
         shift = shift_of(five_user, Fraction(13, 2))
-        value, partition = dilworth_truncation(five_user, shift, [3, 4])
+        value = dilworth_truncation(five_user, shift, [3, 4])
+        partition = sweep_partition(five_user, shift, [3, 4])
         assert value == 1  # two singleton blocks at 1/2 each
         assert len(partition) == 2
 
     def test_full_set_truncation_equals_min_sum_rate(self, five_user):
         target = min_sum_rate(five_user).value
         shift = shift_of(five_user, target)
-        value, partition = dilworth_truncation(five_user, shift, five_user.ground.full_mask)
+        value = dilworth_truncation(five_user, shift, five_user.ground.full_mask)
+        partition = sweep_partition(five_user, shift, five_user.ground.full_mask)
         assert value == target
         assert partition.union == five_user.ground.full_mask
 
@@ -123,7 +137,7 @@ class TestDilworthTruncation:
     def test_minimum_over_explicit_partitions(self, five_user):
         shift = shift_of(five_user, 4)
         mask = five_user.ground.mask([1, 3, 4])
-        value, _ = dilworth_truncation(five_user, shift, mask)
+        value = dilworth_truncation(five_user, shift, mask)
         explicit = min(
             sum((f_value(five_user, shift, b) for b in p), Fraction(0))
             for p in enumerate_partitions(mask)
@@ -137,9 +151,9 @@ class TestDilworthTruncation:
         h_total = source.entropy(source.ground.full_mask)
         alpha = h_total * Fraction(numerator, 6)
         assert source.integral
-        fast_value, fast_partition = dilworth_truncation(
-            source, shift_of(source, alpha), source.ground.full_mask
-        )
+        full, shift = source.ground.full_mask, shift_of(source, alpha)
+        fast_value = dilworth_truncation(source, shift, full)
+        fast_partition = sweep_partition(source, shift, full)
         # the same source with every entropy divided by 3: non-integral
         scaled = TableSource(
             source.ground,
@@ -150,9 +164,9 @@ class TestDilworthTruncation:
             validate=False,
         )
         assert not scaled.integral or h_total == 0
-        slow_value, slow_partition = dilworth_truncation(
-            scaled, shift_of(scaled, alpha / 3), scaled.ground.full_mask
-        )
+        shift = shift_of(scaled, alpha / 3)
+        slow_value = dilworth_truncation(scaled, shift, full)
+        slow_partition = sweep_partition(scaled, shift, full)
         assert fast_value == slow_value * 3
         assert fast_partition.blocks == slow_partition.blocks
 
@@ -169,15 +183,24 @@ def bell_truncation(source, shift, mask) -> tuple:
 
 
 class TestTruncationAgainstBellOracle:
-    """The sweep-based truncation against Bell-number enumeration: same
-    value, and the recorded partition is the first minimizer."""
+    """The reference truncation and the sweep's against Bell-number
+    enumeration: same value, and the sweep's recorded partition is the
+    first minimizer."""
 
     @staticmethod
     def assert_matches_oracle(source, shift, mask):
-        value, partition = dilworth_truncation(source, shift, mask)
+        value = dilworth_truncation(source, shift, mask)
+        run = run_rate_update(source, shift, early_exit=False, within=mask)
         want_value, want_partition = bell_truncation(source, shift, mask)
         assert value == want_value
-        assert partition.blocks == want_partition.blocks
+        assert value == Fraction(sum(run.scaled[-1]), run.scale)
+        assert run.partition.blocks == want_partition.blocks
+
+    @staticmethod
+    def model_shifts(source) -> list:
+        """The shift at R(V) in each model, which decides complementarity."""
+        return [shift_of(source, min_sum_rate(source, None, model).value)
+                for model in (ASYMPTOTIC, NON_ASYMPTOTIC)]
 
     def test_corpus_every_subset(self, source_corpus):
         for k, source in enumerate(source_corpus):
@@ -192,8 +215,32 @@ class TestTruncationAgainstBellOracle:
     def test_rational_tables(self, rng, eighths):
         source = random_rational_table(rng, rng.randint(2, 6), rng.randint(2, 10))
         shift = shift_of(source, source.entropy(source.ground.full_mask) * Fraction(eighths, 8))
-        for mask in range(1, source.ground.full_mask + 1):
-            self.assert_matches_oracle(source, shift, mask)
+        for shift in [shift] + self.model_shifts(source):
+            for mask in range(1, source.ground.full_mask + 1):
+                self.assert_matches_oracle(source, shift, mask)
+
+    def test_corpus_at_both_models_shifts_without_the_step(self, source_corpus, monkeypatch):
+        """The reference shares no code with the sweep it checks: with
+        the step, the sweep and the trie walk made to raise, it still
+        matches the oracle and the sweep's value recorded before."""
+        cases = []
+        for source in source_corpus:
+            for shift in self.model_shifts(source):
+                for mask in range(1, source.ground.full_mask + 1):
+                    run = run_rate_update(source, shift, early_exit=False, within=mask)
+                    cases.append((source, shift, mask, run))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the reference truncation called the prefix step")
+
+        for name in ("minimize_over_prefix", "run_rate_update", "_join_blocks", "_prefix_trie_sweeps"):
+            monkeypatch.setattr(submodular, name, refuse)
+        for source, shift, mask, run in cases:
+            value = dilworth_truncation(source, shift, mask)
+            want_value, want_partition = bell_truncation(source, shift, mask)
+            assert value == want_value
+            assert value == Fraction(sum(run.scaled[-1]), run.scale)
+            assert run.partition.blocks == want_partition.blocks
 
 
 class TestPrefixTrie:
@@ -211,9 +258,7 @@ class TestPrefixTrie:
                 run = run_rate_update(source, shift, early_exit=False, within=mask)
                 assert rates == run.scaled[-1]
                 assert Partition(blocks) == run.partition
-                value, truncation_partition = dilworth_truncation(source, shift, mask)
-                assert Fraction(sum(rates), scale) == value
-                assert Partition(blocks) == truncation_partition
+                assert Fraction(sum(rates), scale) == dilworth_truncation(source, shift, mask)
                 seen.append(mask)
             assert sorted(seen) == list(range(1, source.ground.full_mask + 1))
 
@@ -327,12 +372,12 @@ class TestRunRateUpdate:
             Fraction(1, 2),
             Fraction(1),
         )
-        assert len(run.snapshots) == 5  # init + one per later user
+        assert len(snapshots(run)) == 5  # init + one per later user
 
     def test_snapshots_start_at_initialization(self, five_user):
         run = run_rate_update(five_user, shift_of(five_user, Fraction(13, 2)), early_exit=False)
         shift = Fraction(13, 2) - 10
-        assert run.snapshots[0] == (Fraction(9, 2),) + (shift,) * 4
+        assert snapshots(run)[0] == (Fraction(9, 2),) + (shift,) * 4
 
     @settings(max_examples=25, deadline=None)
     @given(st.randoms(use_true_random=False), st.integers(min_value=0, max_value=4))
@@ -344,7 +389,7 @@ class TestRunRateUpdate:
         shift = shift_of(source, h_total * Fraction(quarter, 4))
         run = run_rate_update(source, shift, early_exit=False)
         full = source.ground.full_mask
-        for snapshot in run.snapshots:
+        for snapshot in snapshots(run):
             for mask in range(1, full + 1):
                 total = sum(
                     (snapshot[pos] for pos in range(source.ground.size) if mask >> pos & 1),

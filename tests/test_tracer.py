@@ -39,15 +39,20 @@ def test_prefix_trie_steps_are_counted():
     """enumerate's prefix-trie walk runs the same step as every sweep,
     so the tracer sees its (3^n - 1) / 2 candidates.  ``verify`` adds
     exactly one reference truncation per non-singleton proper subset,
-    which the benchmark's fraction-tables workload relies on."""
-    source = random_rational_table(random.Random(6), 6, 8)
+    which the benchmark's fraction-tables workload relies on, and no
+    prefix step: the reference shares no code with the walk it checks."""
+    steps = {}
     for verify, truncations in ((False, 0), (True, 2 ** 6 - 6 - 2)):
+        # a fresh source each time, so R(V) is computed, not cached
+        source = random_rational_table(random.Random(6), 6, 8)
         tracer = _tracer_module().Tracer()
         tracer.install()
         try:
             enumerate_complementary(source, verify=verify)
         finally:
             tracer.uninstall()
-        assert tracer.stat("submodular.minimize_over_prefix")[0] >= 2 ** 6 - 1
+        steps[verify] = tracer.stat("submodular.minimize_over_prefix")[0]
+        assert steps[verify] >= 2 ** 6 - 1
         assert tracer.counts["submodular.minimize_over_prefix.candidates"] >= (3 ** 6 - 1) // 2
         assert tracer.stat("submodular.dilworth_truncation")[0] == truncations
+    assert steps[True] == steps[False]
