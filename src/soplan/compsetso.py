@@ -32,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
-from .core import CertificationError, DomainError, Partition, RateVector, SubsetLike
+from .core import CertificationError, DomainError, RateVector, SubsetLike
 from .omniscience import (
     ASYMPTOTIC,
     NON_ASYMPTOTIC,
@@ -41,7 +41,6 @@ from .omniscience import (
     check_model,
     check_sw_achievable,
     min_sum_rate,
-    partition_bound,
 )
 from .submodular import run_rate_update
 
@@ -51,15 +50,20 @@ EXACT = "exact"
 LOWER_BOUND = "lower_bound"
 
 
+def _singleton_bound(source, mask: int, model: str) -> Fraction:
+    """``sum_{i in V} (H(X) - H({i})) / (|V| - 1)`` for X = ``mask``,
+    ceiled in the non-asymptotic model."""
+    h, n = source.entropy_scaled, source.ground.size
+    deficit = n * h(mask) - sum(h(1 << pos) for pos in range(n))
+    bound = Fraction(deficit, source.denominator * (n - 1))
+    return Fraction(math.ceil(bound)) if model == NON_ASYMPTOTIC else bound
+
+
 def alpha_lower_bound(source, model: str = ASYMPTOTIC) -> Fraction:
     """The singleton-partition lower bound on the minimum sum-rate,
     ceiled in the non-asymptotic model."""
     check_model(model)
-    singletons = Partition(tuple(1 << pos for pos in range(source.ground.size)))
-    bound = partition_bound(source, singletons)
-    if model == NON_ASYMPTOTIC:
-        bound = Fraction(math.ceil(bound))
-    return bound
+    return _singleton_bound(source, source.ground.full_mask, model)
 
 
 def _alpha(source, model: str, mode: str) -> Fraction:
@@ -136,15 +140,11 @@ def complementary_by_lower_bound(source, subset: SubsetLike, model: str = ASYMPT
     ground = source.ground
     mask = ground.mask(subset)
     _require_testable(ground, mask)
-    h_x = source.entropy(mask)
-    total = sum((h_x - source.entropy(1 << pos) for pos in range(ground.size)), Fraction(0))
-    alpha = total / (ground.size - 1)
-    if model == NON_ASYMPTOTIC:
-        alpha = Fraction(math.ceil(alpha))
+    alpha = _singleton_bound(source, mask, model)
     h_v = source.entropy(ground.full_mask)
     if not 0 <= alpha <= h_v:
         return False
-    gamma = alpha - h_v + h_x
+    gamma = alpha - h_v + source.entropy(mask)
     if model == NON_ASYMPTOTIC:
         gamma = Fraction(math.floor(gamma))
     return _reaches(source, mask, gamma)[0]

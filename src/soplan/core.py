@@ -18,10 +18,11 @@ from typing import Iterable, Iterator, Mapping, Sequence, Union
 #: Hard cap on the number of users.  Every source keeps an entropy table
 #: over all 2^|V| subsets and every prefix sweep and certificate visits
 #: them all, so time and memory double with each user: a minimum sum-rate
-#: of a packet source takes about 0.02 s at 14 users and 1.5 s and 90 MiB
-#: at 20.  ``enumerate`` makes 3^n / 2 candidate visits, 9 times more per
-#: 2 users: about 11 s at 16 users, so roughly 15 min at 20 (extrapolated,
-#: not run; README, Design notes).
+#: of a packet source takes about 0.02 s at 14 users and 1.1-1.5 s at 20,
+#: where the process peaks at 88 MiB (98 MiB with pytest loaded).
+#: ``enumerate`` makes 3^n / 2 candidate visits, 9 times more per 2 users:
+#: about 11 s at 16 users, so roughly 15 min at 20 (extrapolated, not run;
+#: README, Design notes).
 MAX_USERS = 20
 
 
@@ -83,6 +84,8 @@ def read_json(path):
         raise FormatError(f"cannot read {path}: {exc}") from None
     except ValueError as exc:  # bad syntax or text, a refused constant, an int too long to read
         raise FormatError(f"{path} is not valid JSON: {exc}") from None
+    except RecursionError:
+        raise FormatError(f"{path} nests too deeply to read") from None
 
 
 def json_text(data) -> str:

@@ -275,7 +275,7 @@ def merge_super_user(system: MergedSystem, subset: SubsetLike, rates: RateVector
         raise DomainError("refusing to merge the entire system")
     source = system.source
     d = lcm(*(rates.values[pos].denominator for pos in bit_positions(mask)))
-    table, denominator = source.entropies, source.denominator
+    h, denominator = source.entropy_scaled, source.denominator
     # r(T) for every T in X, on the scale d * denominator of the new table
     senders, sent = submask_sums(mask, [int(v * d) * denominator for v in rates.values])
 
@@ -296,9 +296,9 @@ def merge_super_user(system: MergedSystem, subset: SubsetLike, rates: RateVector
     merged = []
     for old in old_masks:
         if old & mask:
-            value = d * table[old | mask]
+            value = d * h(old | mask)
         elif old:
-            value = min(d * table[old | (mask ^ t)] + r for t, r in zip(senders, sent))
+            value = min(d * h(old | (mask ^ t)) + r for t, r in zip(senders, sent))
         else:
             value = 0
         merged.append(value)

@@ -22,7 +22,9 @@ Every "is R(X) <= t?" is one completed sweep over X whose verdict is
 checked against its witness (:func:`_reaches`), whether
 :func:`min_sum_rate`, :func:`enumerate_complementary` (for every subset
 in one shared walk) or
-:func:`soplan.compsetso.complementary_by_lower_bound` asks.
+:func:`soplan.compsetso.complementary_by_lower_bound` asks.  Verdicts,
+partition bounds and the achievability check ask the source's
+``entropy_scaled`` and ``shortfall`` and never index its table.
 """
 
 from __future__ import annotations
@@ -39,7 +41,6 @@ from .core import (
     RateVector,
     SubsetLike,
     bit_positions,
-    submask_sums,
 )
 from .submodular import _prefix_trie_sweeps, dilworth_truncation, run_rate_update
 
@@ -72,9 +73,8 @@ def partition_bound(source, partition: Partition) -> Fraction:
     into at least two blocks: a lower bound on R(X)."""
     if len(partition) < 2:
         raise DomainError("the partition bound needs at least two blocks")
-    table = source.entropies
-    h_x = table[partition.union]
-    deficit = sum(h_x - table[block] for block in partition)
+    h = source.entropy_scaled
+    deficit = len(partition) * h(partition.union) - sum(map(h, partition))
     return Fraction(deficit, source.denominator * (len(partition) - 1))
 
 
@@ -180,24 +180,10 @@ def check_sw_achievable(source, subset: SubsetLike, rates: RateVector) -> SwChec
     denominator = source.denominator
     scale = math.lcm(*(value.denominator for value in rates.values))
     scaled = [int(value * scale) * denominator for value in rates.values]
-    short = _shortfall(source.entropies, mask, scaled, scale)
+    short = source.shortfall(mask, scaled, scale)
     if short is None:
         return SwCheck(True, None, None)
     return SwCheck(False, short[0], Fraction(short[1], scale * denominator))
-
-
-def _shortfall(table, mask: int, rates, weight: int) -> tuple | None:
-    """``(C, shortfall)`` for the first proper subset C of X = ``mask``,
-    in ascending mask order, with r(C) < weight * (H(X) - H(X minus C)),
-    for ``rates`` on the scale weight*D by ground position; else None."""
-    h_x = table[mask]
-    submasks, rate_sums = submask_sums(mask, rates)
-    submasks.pop()  # C = X is no constraint; C = {} asks for nothing
-    for c, have in zip(submasks, rate_sums):
-        need = weight * (h_x - table[mask ^ c])
-        if have < need:
-            return c, need - have
-    return None
 
 
 def is_complementary(source, subset: SubsetLike, model: str = ASYMPTOTIC) -> bool:
@@ -232,13 +218,13 @@ def _witnessed_verdict(source, mask: int, shift: Fraction, rates, blocks) -> boo
     least two blocks and a bound above f(X), so R(X) > f(X).  A witness
     that fails raises :class:`CertificationError`.
     """
-    ground, table = source.ground, source.entropies
+    ground = source.ground
     weight = shift.denominator
     base = shift.numerator * source.denominator
-    if sum(rates) == base + weight * table[mask]:
+    if sum(rates) == base + weight * source.entropy_scaled(mask):
         # with r(X) = f(X), r(S) <= f(S) for S inside X is
         # r(X minus S) >= weight * (H(X) - H(S)) on the rates' scale
-        short = _shortfall(table, mask, rates, weight)
+        short = source.shortfall(mask, rates, weight)
         if short is not None:
             raise CertificationError(
                 f"rates listing {ground.format(mask)} exceed f on "

@@ -7,9 +7,13 @@ Two interchangeable models expose ``entropy(subset) -> Fraction``:
 * :class:`TableSource` - an explicit entropy value for every subset,
   validated against the polymatroid axioms at load time.
 
-Sources are immutable after construction.  Each keeps ``denominator *
-H(mask)`` for all 2^|V| subset masks in one list of ints, ``entropies``,
-built on first use; ``entropy`` reads it back as a reduced Fraction.
+Sources are immutable after construction.  Sweeps, verdicts, bounds
+and merges ask a source three queries instead of indexing its table:
+``entropy_scaled(mask)``, the int D * H(mask) for the common
+``denominator`` D; ``stepper(weight)``, one sweep's prefix steps; and
+``shortfall``, the achievability loop.  All three read one list of ints,
+``entropies``, with D * H(mask) for all 2^|V| masks, built on first
+use; ``entropy`` reads ``entropy_scaled`` back as a reduced Fraction.
 
 JSON file format (used by :func:`load_source` / :func:`dump_source`)::
 
@@ -41,7 +45,9 @@ from .core import (
     json_text,
     parse_fraction,
     read_json,
+    submask_sums,
 )
+from .submodular import PrefixStepper
 
 PACKET_MODEL = "packet"
 TABLE_MODEL = "table"
@@ -49,7 +55,8 @@ TABLE_MODEL = "table"
 
 class _SourceBase:
     """Shared plumbing: the integer entropy table, which a subclass
-    builds in ``_entropy_table`` or on construction, and its exact view."""
+    builds in ``_entropy_table`` or on construction, the three queries
+    answered from it, and the exact view ``entropy``."""
 
     ground: GroundSet
     denominator = 1
@@ -64,7 +71,29 @@ class _SourceBase:
         return self.denominator == 1
 
     def entropy(self, subset: SubsetLike) -> Fraction:
-        return Fraction(self.entropies[self.ground.mask(subset)], self.denominator)
+        return Fraction(self.entropy_scaled(self.ground.mask(subset)), self.denominator)
+
+    def entropy_scaled(self, mask: int) -> int:
+        """D * H(mask) for the common denominator D, ``denominator``."""
+        return self.entropies[mask]
+
+    def stepper(self, weight: int) -> PrefixStepper:
+        """A fresh sweep's prefix steps, for rates on the scale weight*D."""
+        return PrefixStepper(self.entropies, weight)
+
+    def shortfall(self, mask: int, rates, weight: int) -> tuple | None:
+        """``(C, shortfall)`` for the first proper subset C of X = ``mask``,
+        in ascending mask order, with r(C) < weight * (H(X) - H(X minus C)),
+        for ``rates`` on the scale weight*D by ground position; else None."""
+        table = self.entropies
+        h_x = table[mask]
+        submasks, rate_sums = submask_sums(mask, rates)
+        submasks.pop()  # C = X is no constraint; C = {} asks for nothing
+        for c, have in zip(submasks, rate_sums):
+            need = weight * (h_x - table[mask ^ c])
+            if have < need:
+                return c, need - have
+        return None
 
 
 class PacketSource(_SourceBase):

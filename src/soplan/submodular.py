@@ -13,9 +13,10 @@ characterizes the subsets worth splitting off early.
 
 One step serves every sweep: :func:`minimize_over_prefix`
 minimizes over the 2^(i-1) prefix sets that hold the newest user, so a
-completed sweep over k users visits 2^k - 1 sets.  Its caller keeps the
-submasks of the finished prefix and their rate sums, and doubles both
-lists with each finished user.  The step returns the minimum, the
+completed sweep over k users visits 2^k - 1 sets.  A sweep asks the
+source for a stepper (:class:`PrefixStepper` on a table), which keeps
+the submasks of the finished prefix and their rate sums and doubles
+both lists with each finished user.  The step returns the minimum, the
 maximal minimizer and the minimizers; a completed sweep reads only the
 first two, and only the early-exit sweep reads the (cardinality, mask)
 tie-break among the minimizers, which is worked out when read.  The
@@ -39,14 +40,15 @@ nonempty subset at one shift in a single depth-first walk, one step per
 subset and 3^n / 2 candidates in all, where a sweep per subset visits
 about 3^n and pays the per-step overhead n * 2^(n-1) times.
 
-The sweep reads the source's integer table, H(X) = entropies[X] / D.
-For shift = p/q it keeps every rate as an int on the scale q*D, where
-f(X) is ``p*D + q*entropies[X]``; Fractions appear only in the shift it
-takes and in what it returns.
+The sweeps reach H only through the source's stepper, on the scale of
+its ``entropy_scaled(X)`` = D*H(X).  For shift = p/q a sweep keeps every
+rate as an int on the scale q*D, where f(X) is ``p*D + q*D*H(X)``;
+Fractions appear only in the shift it takes and in what it returns.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .core import DomainError, Partition, SubsetLike, bit_positions
@@ -84,6 +86,7 @@ def dilworth_truncation(source, shift, subset: SubsetLike) -> Fraction:
     return Fraction(total, weight * source.denominator)
 
 
+@dataclass(slots=True)
 class SfmResult:
     """One prefix step: the minimum key, the union of the minimizers
     (itself a minimizer), the minimizers themselves and the number of
@@ -91,15 +94,11 @@ class SfmResult:
     among the minimizers other than ``{top}`` and the step's domain
     ``whole``, is worked out only when read."""
 
-    __slots__ = ("min_value", "maximal_minimizer", "minimizers", "whole", "candidates_examined")
-
-    def __init__(self, min_value: int, maximal_minimizer: int, minimizers: list, whole: int,
-                 candidates_examined: int):
-        self.min_value = min_value
-        self.maximal_minimizer = maximal_minimizer
-        self.minimizers = minimizers
-        self.whole = whole
-        self.candidates_examined = candidates_examined
+    min_value: int
+    maximal_minimizer: int
+    minimizers: list
+    whole: int
+    candidates_examined: int
 
     @property
     def nonsingleton_proper_minimizer(self) -> int | None:
@@ -128,6 +127,30 @@ def minimize_over_prefix(table, weight: int, top: int, submasks, rate_sums, whol
     return SfmResult(best, maximal, minimizers, whole, len(submasks))
 
 
+class PrefixStepper:
+    """The steps of one sweep on an int entropy table at one ``weight``:
+    the finished prefix's submasks inside the sweep's domain and their
+    rate sums, which ``absorb`` doubles in place with each finished user
+    and ``fork`` copies for the trie walk."""
+
+    __slots__ = ("table", "weight", "submasks", "sums")
+
+    def __init__(self, table, weight: int, submasks=(0,), sums=(0,)):
+        self.table, self.weight = table, weight
+        self.submasks, self.sums = list(submasks), list(sums)
+
+    def step(self, top: int, whole: int) -> SfmResult:
+        return minimize_over_prefix(self.table, self.weight, top, self.submasks, self.sums, whole)
+
+    def absorb(self, top: int, rate: int) -> None:
+        self.submasks += [sub | top for sub in self.submasks]
+        self.sums += [total + rate for total in self.sums]
+
+    def fork(self) -> "PrefixStepper":
+        return PrefixStepper(self.table, self.weight, self.submasks, self.sums)
+
+
+@dataclass(slots=True)
 class UpdateRun:
     """Trace of the rate update loop.
 
@@ -141,16 +164,12 @@ class UpdateRun:
     read.
     """
 
-    __slots__ = ("exit_subset", "exit_position", "scaled", "scale", "candidates_examined", "blocks")
-
-    def __init__(self, exit_subset: int | None, exit_position: int | None, scaled: tuple,
-                 scale: int, candidates_examined: int, blocks: list | None):
-        self.exit_subset = exit_subset
-        self.exit_position = exit_position
-        self.scaled = scaled
-        self.scale = scale
-        self.candidates_examined = candidates_examined
-        self.blocks = blocks
+    exit_subset: int | None
+    exit_position: int | None
+    scaled: tuple
+    scale: int
+    candidates_examined: int
+    blocks: list | None
 
     @property
     def partition(self) -> Partition | None:
@@ -177,10 +196,11 @@ def run_rate_update(source, shift, early_exit: bool = True, within: SubsetLike =
     """The prefix-sweep rate update of f(X) = shift + H(X) over
     ``within`` (default: V).
 
-    Start from r = (f({first user}), shift, ...) on the users of
-    ``within``, and 0 elsewhere; for each later user, minimize f - r
-    over the prefix sets containing that user.  With ``early_exit`` the
-    sweep stops as soon as a minimizer is a non-singleton proper subset
+    Start from r = shift on the users of ``within``, and 0 elsewhere;
+    for each user in turn, minimize f - r over the prefix sets
+    containing that user, which for the first is that user alone, by
+    one step of the source's stepper.  With ``early_exit`` the sweep
+    stops as soon as a minimizer is a non-singleton proper subset
     of ``within`` and reports it; otherwise the minimum is absorbed into
     that user's rate and the sweep continues to completion.
 
@@ -199,22 +219,14 @@ def run_rate_update(source, shift, early_exit: bool = True, within: SubsetLike =
     shift = Fraction(shift)
     weight = shift.denominator
     base = shift.numerator * source.denominator  # f's constant on the scale weight*D
-    table = source.entropies
-    first, *later = bit_positions(whole)
-    rates = [0] * ground.size
-    for pos in later:
-        rates[pos] = base
-    rates[first] = base + weight * table[1 << first]
-    scaled = [tuple(rates)]
-    blocks = [1 << first]
-    # the submasks of the finished prefix inside ``whole``, with their
-    # rate sums; each finished user doubles both, as in the prefix trie
-    submasks, sums = [0, 1 << first], [0, rates[first]]
-    candidates = 0
+    rates = [base if whole >> pos & 1 else 0 for pos in range(ground.size)]
+    stepper, last = source.stepper(weight), whole.bit_length() - 1
+    scaled, blocks = [], []
+    candidates = -1  # the first user's one candidate, itself, is no choice
     exit_subset = exit_position = None
-    for pos in later:
+    for pos in bit_positions(whole):
         top = 1 << pos
-        step = minimize_over_prefix(table, weight, top, submasks, sums, whole)
+        step = stepper.step(top, whole)
         candidates += step.candidates_examined
         if early_exit and step.nonsingleton_proper_minimizer is not None:
             exit_subset, exit_position = step.nonsingleton_proper_minimizer, pos + 1
@@ -222,17 +234,10 @@ def run_rate_update(source, shift, early_exit: bool = True, within: SubsetLike =
         rates[pos] = rate = base + step.min_value
         scaled.append(tuple(rates))
         blocks = _join_blocks(blocks, top, step.maximal_minimizer)
-        if pos != later[-1]:
-            submasks += [sub | top for sub in submasks]
-            sums += [total + rate for total in sums]
-    return UpdateRun(
-        exit_subset=exit_subset,
-        exit_position=exit_position,
-        scaled=tuple(scaled),
-        scale=weight * source.denominator,
-        candidates_examined=candidates,
-        blocks=None if exit_subset is not None else blocks,
-    )
+        if pos != last:
+            stepper.absorb(top, rate)
+    return UpdateRun(exit_subset, exit_position, tuple(scaled), weight * source.denominator,
+                     candidates, None if exit_subset is not None else blocks)
 
 
 def _prefix_trie_sweeps(source, shift):
@@ -245,31 +250,26 @@ def _prefix_trie_sweeps(source, shift):
     mask, and ``blocks`` are its tight blocks.  The walk goes
     depth first through the prefix trie, in which the parent of a mask
     is the mask minus its highest user.  A child takes its parent's
-    rates, submask list and rate sums, and does the one step of its new
-    highest user; the lists then double for the child's own children.
+    rates and a fork of its stepper, and does the one step of its new
+    highest user, which the fork then absorbs for the child's children.
     """
     shift = Fraction(shift)
-    weight = shift.denominator
     base = shift.numerator * source.denominator
-    table = source.entropies
     size = source.ground.size
     rates = [0] * size
 
-    def grow(parent: int, submasks: list, sums: list, blocks: list):
+    def grow(parent: int, stepper, blocks: list):
         for pos in range(parent.bit_length(), size):
             top = 1 << pos
             child = parent | top
-            step = minimize_over_prefix(table, weight, top, submasks, sums, child)
+            step = stepper.step(top, child)
             rates[pos] = rate = base + step.min_value
             child_blocks = _join_blocks(blocks, top, step.maximal_minimizer)
             yield child, tuple(rates), child_blocks
             if pos + 1 < size:
-                yield from grow(
-                    child,
-                    submasks + [sub | top for sub in submasks],
-                    sums + [total + rate for total in sums],
-                    child_blocks,
-                )
+                child_stepper = stepper.fork()
+                child_stepper.absorb(top, rate)
+                yield from grow(child, child_stepper, child_blocks)
             rates[pos] = 0
 
-    yield from grow(0, [0], [0], [])
+    yield from grow(0, source.stepper(shift.denominator), [])

@@ -508,6 +508,20 @@ class TestMalformedInput:
         assert cli.main(["simulate", five_user_file, str(path)]) == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["minrate", "validate"])
+    def test_deeply_nested_source(self, command, tmp_path, capsys):
+        # the reader's RecursionError was a traceback with exit 1
+        path = tmp_path / "source.json"
+        path.write_text("[" * 1000 + "]" * 1000)
+        assert cli.main([command, str(path)]) == 2
+        assert "nests too deeply to read" in capsys.readouterr().err
+
+    def test_deeply_nested_plan(self, five_user_file, tmp_path, capsys):
+        path = tmp_path / "plan.json"
+        path.write_text("[" * 1000 + "]" * 1000)
+        assert cli.main(["simulate", five_user_file, str(path)]) == 2
+        assert "nests too deeply to read" in capsys.readouterr().err
+
     @settings(max_examples=150, deadline=None)
     @given(st.data())
     def test_fuzzed_sources(self, data):

@@ -25,7 +25,6 @@ from soplan import (
     is_complementary,
     min_sum_rate,
 )
-from soplan import omniscience
 from soplan.compsetso import (
     EXACT,
     LOWER_BOUND,
@@ -33,6 +32,7 @@ from soplan.compsetso import (
     alpha_lower_bound,
     certify_outcome,
 )
+from soplan.sources import _SourceBase
 from tests.conftest import (
     make_cyclic_triple,
     make_five_user,
@@ -243,7 +243,7 @@ class TestSufficientCondition:
         # the pair's verdict is yes, so its rates must pass the shortfall check
         ground = GroundSet((1, 2, 3))
         source = PacketSource(ground, {1: "abcd", 2: "abcd", 3: "a"})
-        monkeypatch.setattr(omniscience, "_shortfall", lambda *args: (1, 1))
+        monkeypatch.setattr(_SourceBase, "shortfall", lambda *args: (1, 1))
         with pytest.raises(CertificationError, match="exceed f"):
             complementary_by_lower_bound(source, [1, 2], ASYMPTOTIC)
 

@@ -29,6 +29,7 @@ from soplan import (
 import soplan.cli as cli
 from soplan.omniscience import SwCheck, check_model, optimal_rate_vector
 from soplan import omniscience
+from soplan.sources import _SourceBase
 from tests.conftest import (
     enumerate_partitions,
     iter_submasks,
@@ -233,7 +234,7 @@ class TestSweepAgainstBellOracle:
             min_sum_rate(five_user)
 
     def test_broken_witness_raises(self, five_user, monkeypatch):
-        monkeypatch.setattr(omniscience, "_shortfall", lambda *args: (1, 1))
+        monkeypatch.setattr(_SourceBase, "shortfall", lambda *args: (1, 1))
         with pytest.raises(CertificationError, match="exceed f"):
             min_sum_rate(five_user)
 
