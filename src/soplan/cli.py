@@ -22,7 +22,7 @@ import functools
 import sys
 
 from .compsetso import comp_set_so
-from .core import CertificationError, DomainError, FormatError, json_text
+from .core import CertificationError, DomainError, FormatError, brief, json_text
 from .multistage import load_plan, plan_multistage
 from .omniscience import enumerate_complementary, min_sum_rate, optimal_rate_vector
 from .rlnc import execute_plan
@@ -49,7 +49,7 @@ def _load_ordered(args):
         for part in args.order.split(","):
             part = part.strip()
             if part not in lookup:
-                raise FormatError(f"--order names unknown user {part!r}")
+                raise FormatError(f"--order names unknown user {brief(part)}")
             labels.append(lookup[part])
         source = reorder(source, labels)
     return source

@@ -22,7 +22,9 @@ from typing import Iterable, Iterator, Mapping, Sequence, Union
 #: where the process peaks at 88 MiB (98 MiB with pytest loaded).
 #: ``enumerate`` makes 3^n / 2 candidate visits, 9 times more per 2 users:
 #: about 11 s at 16 users, so roughly 15 min at 20 (extrapolated, not run;
-#: README, Design notes).
+#: README, Design notes).  Loading and validating a 20-user entropy table
+#: (a 42 MB file) took 11.8 s and peaked at 365 MiB, 254 MiB of it the
+#: parsed JSON document (measured, one run).
 MAX_USERS = 20
 
 
@@ -48,24 +50,29 @@ class CertificationError(SoplanError):
 SubsetLike = Union[int, Iterable]
 
 
+def brief(value, limit: int = 80) -> str:
+    """``repr(value)`` for an error message, cut to ``limit`` characters
+    with a trailing "..." when longer, so a deeply nested or huge input
+    cannot swamp the message that names it."""
+    text = repr(value)
+    return text if len(text) <= limit else text[: limit - 3] + "..."
+
+
 def parse_fraction(value, where: str = "value") -> Fraction:
     """Parse an exact rational from ``"p/q"`` / ``"n"`` strings or ints.
 
     Floats are rejected: they would silently break exactness.
     """
-    if type(value) is not str:  # a str, the common case, needs no type tests
-        if isinstance(value, bool):
-            raise FormatError(f"{where}: expected a rational, got a bool")
-        if isinstance(value, (int, Fraction)):
-            return Fraction(value)
-        if isinstance(value, float):
-            raise FormatError(f"{where}: floats are not accepted, use a 'p/q' string")
-        if not isinstance(value, str):
-            raise FormatError(f"{where}: cannot read a rational from {type(value).__name__}")
+    if isinstance(value, bool):
+        raise FormatError(f"{where}: expected a rational, got a bool")
+    if isinstance(value, float):
+        raise FormatError(f"{where}: floats are not accepted, use a 'p/q' string")
+    if not isinstance(value, (str, int, Fraction)):
+        raise FormatError(f"{where}: cannot read a rational from {type(value).__name__}")
     try:
         return Fraction(value)
     except (ValueError, ZeroDivisionError) as exc:
-        raise FormatError(f"{where}: not a rational: {value!r}") from exc
+        raise FormatError(f"{where}: not a rational: {brief(value)}") from exc
 
 
 def _refuse_constant(token: str):
@@ -144,9 +151,9 @@ class GroundSet:
             try:
                 hash(label)
             except TypeError:
-                raise DomainError(f"user label {label!r} is not hashable") from None
+                raise DomainError(f"user label {brief(label)} is not hashable") from None
             if label in index:
-                raise DomainError(f"duplicate user label {label!r}")
+                raise DomainError(f"duplicate user label {brief(label)}")
             index[label] = pos
         object.__setattr__(self, "_index", index)
         object.__setattr__(self, "full_mask", (1 << len(labels)) - 1)
@@ -159,7 +166,7 @@ class GroundSet:
         try:
             return self._index[label]
         except KeyError:
-            raise DomainError(f"unknown user {label!r}") from None
+            raise DomainError(f"unknown user {brief(label)}") from None
 
     def bit(self, label) -> int:
         return 1 << self.position(label)

@@ -47,6 +47,7 @@ from .core import (
     RateVector,
     SubsetLike,
     bit_positions,
+    brief,
     json_text,
     parse_fraction,
     read_json,
@@ -152,7 +153,7 @@ class StagePlan:
         lookup = _label_lookup(ground)
         model = data["model"]
         if model not in (ASYMPTOTIC, NON_ASYMPTOTIC):
-            raise FormatError(f"unknown model {model!r}")
+            raise FormatError(f"unknown model {brief(model)}")
         chunk = data["chunk_factor"]
         seed = data["seed"]
         field = data["field_order"]
@@ -174,12 +175,12 @@ class StagePlan:
             for item in raw["target"]:
                 key = str(item)
                 if key not in lookup:
-                    raise FormatError(f"stage {k} targets unknown user {item!r}")
+                    raise FormatError(f"stage {k} targets unknown user {brief(item)}")
                 target_mask |= ground.bit(lookup[key])
             rates = {}
             for key, value in raw["rates"].items():
                 if key not in lookup:
-                    raise FormatError(f"stage {k} rates name unknown user {key!r}")
+                    raise FormatError(f"stage {k} rates name unknown user {brief(key)}")
                 rates[lookup[key]] = parse_fraction(value, where=f"stage {k} rate for {key}")
             try:
                 stage = Stage(target_mask, RateVector.from_map(ground, rates))
@@ -194,7 +195,7 @@ class StagePlan:
             actual = plan.total_rates
             for key, value in declared.items():
                 if key not in lookup:
-                    raise FormatError(f"'total_rates' names unknown user {key!r}")
+                    raise FormatError(f"'total_rates' names unknown user {brief(key)}")
                 if parse_fraction(value, where=f"total rate for {key}") != actual.rate(lookup[key]):
                     raise FormatError(f"declared total rate for {key} does not match the stages")
         return plan

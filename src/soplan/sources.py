@@ -27,14 +27,23 @@ commas).  Labels and packet ids are JSON strings, numbers or null; a
 float packet id must be finite and not integral.  Packet ids are
 written in order of their text, then of their type.  Rationals are
 ``"p/q"`` strings or integers, never floats.
+
+A table loads in whole-list passes: each key sums the bits of its
+labels, looked up by label text, and may name a user only once; each
+distinct value is read once by :func:`_ratio`; and
+:func:`validate_polymatroid` costs O(2^|V| * |V|^2) int comparisons
+(README, "File formats", gives load times).
 """
 
 from __future__ import annotations
 
+from contextlib import suppress
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import compress, cycle, repeat
 from math import gcd, isfinite, lcm
+from operator import gt, lt, sub
 from typing import Iterable, Mapping
 
 from .core import (
@@ -42,6 +51,7 @@ from .core import (
     FormatError,
     GroundSet,
     SubsetLike,
+    brief,
     json_text,
     parse_fraction,
     read_json,
@@ -141,21 +151,30 @@ class TableSource(_SourceBase):
 
     def __init__(self, ground: GroundSet, table: Mapping, validate: bool = True):
         self.ground = ground
-        parsed = [None] * (ground.full_mask + 1)
-        for mask, value in table.items():
-            mask = ground.mask(mask)
-            try:
-                parsed[mask] = parse_fraction(value)
-            except FormatError:  # parse again, naming the subset this time
-                parse_fraction(value, where=f"entropy of {ground.format(mask)}")
-        missing = [mask for mask, value in enumerate(parsed) if value is None]
-        if missing:
+        values = table.values()
+        try:
+            by_mask = dict(zip(map(ground.mask, table), values))  # a later key replaces an earlier
+            # Each distinct value is read once, told apart by type too: True, 1.0 and 1
+            # are equal keys, and the values read without an error are equal as rationals.
+            ratios = {value: _ratio(value) for _, value in set(zip(map(type, values), values))}
+        except (DomainError, FormatError, TypeError):  # TypeError: an unhashable value
+            for key, value in table.items():  # again in order, so the first bad entry raises
+                mask = ground.mask(key)
+                try:
+                    parse_fraction(value)
+                except FormatError:  # parse again, naming only the bad entry's subset
+                    parse_fraction(value, where=f"entropy of {ground.format(mask)}")
+            raise
+        size = ground.full_mask + 1
+        if len(by_mask) < size:
+            missing = [mask for mask in range(size) if mask not in by_mask]
             first = ground.format(missing[0])
             raise DomainError(f"entropy table misses {len(missing)} subsets, first {first}")
-        self.denominator = lcm(*(value.denominator for value in parsed))
-        self.entropies = [
-            value.numerator * (self.denominator // value.denominator) for value in parsed
-        ]
+        ordered = list(map(by_mask.__getitem__, range(size)))
+        self.denominator = lcm(*(ratios[value][1] for value in set(ordered)))
+        scaled = {value: num * (self.denominator // den) for value, (num, den) in ratios.items()}
+        self.entropies = list(map(scaled.__getitem__, ordered))
+        del by_mask, ordered  # the validation below needs room for its own lists
         if validate:
             report = validate_polymatroid(self)
             if not report.ok:
@@ -174,6 +193,26 @@ class TableSource(_SourceBase):
 
 
 Source = PacketSource | TableSource
+
+
+def _ratio(value) -> tuple:
+    """An entropy value as a reduced ``(numerator, denominator)`` int pair.
+
+    A JSON int and an ASCII ``"digits"`` or ``"digits/digits"`` string
+    with a nonzero denominator are read by ``int`` alone; every other
+    value, signs, spaces, ``_``, decimals and non-ASCII digits included,
+    goes through :func:`parse_fraction` and its messages."""
+    if type(value) is int:
+        return value, 1
+    if type(value) is str and value.isascii():
+        num, slash, den = value.partition("/")
+        if num.isdigit() and (den.isdigit() or not slash):
+            with suppress(ValueError):  # beyond int()'s digit limit: parse_fraction refuses it too
+                num, den = int(num), int(den or 1)
+                if den:
+                    return num // gcd(num, den), den // gcd(num, den)
+    value = parse_fraction(value)
+    return value.numerator, value.denominator
 
 
 @dataclass(frozen=True)
@@ -200,45 +239,70 @@ def validate_polymatroid(source: Source) -> PolymatroidReport:
 
     Monotonicity is checked one element at a time and submodularity on
     all triples (C, i, j), the local characterization equivalent to the
-    pairwise form.  Every violated case is reported.  Cost is
-    O(2^|V| * |V|^2) int comparisons on the source's entropy table;
-    values become Fractions only in the messages.
+    pairwise form: i's marginal H(C + i) - H(C) must be nonnegative and
+    must not grow when j joins C.  Every violated case is reported,
+    ordered by C, then i, then monotonicity before the pairs (i, j) by j.
+
+    The checks are whole-list passes over the source's int entropy
+    table: per user i, one list of i's marginals over the 2^(|V|-1) sets
+    without i, picked by ``itertools.compress`` with cycled selectors;
+    per pair (i, j), one ``map`` comparing that list's entries without j
+    to their partners with j, through list slices.  That is
+    O(2^|V| * |V|^2) int comparisons, none in an interpreted loop
+    (README, "File formats", gives times).  Only the violated cases are
+    formatted, with values as Fractions; a loaded table's values were
+    read by :func:`_ratio`.
     """
-    ground = source.ground
-    n = ground.size
-    violations = []
     h = source.entropies
+    masks = list(range(len(h)))  # compress then hands out these ints instead of new ones
+    found = []  # (C, i, j) with j = -1 for a monotonicity case
+    for i in range(source.ground.size):
+        clear, full = (True,) * (1 << i), (False,) * (1 << i)
+        sets = list(compress(masks, cycle(clear + full)))  # the sets C without i, ascending
+        with_i, without_i = compress(h, cycle(full + clear)), compress(h, cycle(clear + full))
+        marginal = list(map(sub, with_i, without_i))  # H(C + i) - H(C) by C's place in sets
+        found += [(c, i, -1) for c in compress(sets, map(gt, repeat(0), marginal))]
+        for j in range(i + 1, source.ground.size):
+            # bit j of C is bit j - 1 of C's place k in sets, and C + j is at k + 2^(j - 1)
+            violated = []
+            for lower, upper in _partner_slices(len(marginal), j - 1):
+                violated += compress(sets[lower], map(lt, marginal[lower], marginal[upper]))
+            found += [(c, i, j) for c in violated]
+
+    def term(mask: int) -> str:
+        return f"H({source.ground.format(mask)})"
 
     def value(scaled: int) -> Fraction:
         return Fraction(scaled, source.denominator)
 
+    violations = []
     if h[0] != 0:
         violations.append(Violation("normalization", f"H({{}}) = {value(h[0])}, expected 0"))
-    for mask in range(ground.full_mask + 1):
-        outside = [pos for pos in range(n) if not mask >> pos & 1]
-        for ai, i in enumerate(outside):
-            with_i = mask | 1 << i
-            if h[mask] > h[with_i]:
-                violations.append(
-                    Violation(
-                        "monotonicity",
-                        f"H({ground.format(mask)}) = {value(h[mask])} > "
-                        f"{value(h[with_i])} = H({ground.format(with_i)})",
-                    )
-                )
-            for j in outside[ai + 1:]:
-                with_j = mask | 1 << j
-                both = with_i | 1 << j
-                if h[with_i] + h[with_j] < h[both] + h[mask]:
-                    violations.append(
-                        Violation(
-                            "submodularity",
-                            f"H({ground.format(with_i)}) + H({ground.format(with_j)}) = "
-                            f"{value(h[with_i] + h[with_j])} < {value(h[both] + h[mask])} = "
-                            f"H({ground.format(both)}) + H({ground.format(mask)})",
-                        )
-                    )
+    for c, i, j in sorted(found):
+        ci = c | 1 << i
+        if j < 0:
+            detail = f"{term(c)} = {value(h[c])} > {value(h[ci])} = {term(ci)}"
+            violations.append(Violation("monotonicity", detail))
+        else:
+            cj, cij = c | 1 << j, ci | 1 << j
+            detail = (
+                f"{term(ci)} + {term(cj)} = {value(h[ci] + h[cj])} < "
+                f"{value(h[cij] + h[c])} = {term(cij)} + {term(c)}"
+            )
+            violations.append(Violation("submodularity", detail))
     return PolymatroidReport(not violations, tuple(violations))
+
+
+def _partner_slices(size: int, pos: int) -> tuple:
+    """Pairs of slices of ``range(size)``: the first of each pair picks
+    indices whose bit ``pos`` is clear, the second those indices plus
+    that bit, and the pairs together cover every such index once.  The
+    slices are strided while 2^pos is small and contiguous blocks once
+    it is large, whichever takes fewer: at most sqrt(size / 2) pairs."""
+    half, period = 1 << pos, 2 << pos
+    if half * period <= size:
+        return tuple((slice(r, size, period), slice(r + half, size, period)) for r in range(half))
+    return tuple((slice(s, s + half), slice(s + half, s + period)) for s in range(0, size, period))
 
 
 def induced_table(source: Source) -> TableSource:
@@ -271,9 +335,9 @@ def _scalar(value, what: str):
     A bool is refused: ``true`` would name the same packet or user as 1;
     so are NaN and the infinities, which are not JSON."""
     if isinstance(value, bool) or not (value is None or isinstance(value, (str, int, float))):
-        raise FormatError(f"{what} must be strings, numbers or null, got {value!r}")
+        raise FormatError(f"{what} must be strings, numbers or null, got {brief(value)}")
     if isinstance(value, float) and not isfinite(value):
-        raise FormatError(f"{what} must be finite numbers, got {value!r}")
+        raise FormatError(f"{what} must be finite numbers, got {brief(value)}")
     return value
 
 
@@ -282,7 +346,7 @@ def _packet_id(value, what: str):
     float that is integral (``1.0`` would name the same packet as ``1``)
     or not finite."""
     if isinstance(value, float) and (value.is_integer() or not isfinite(value)):
-        raise FormatError(f"{what} must not be integral or non-finite floats, got {value!r}")
+        raise FormatError(f"{what} must not be integral or non-finite floats, got {brief(value)}")
     return _scalar(value, what)
 
 
@@ -298,7 +362,8 @@ def _label_lookup(ground: GroundSet) -> dict:
     for label in ground.labels:
         key = str(_scalar(label, "user labels"))
         if key in lookup:
-            raise FormatError(f"user labels {lookup[key]!r} and {label!r} collide as {key!r}")
+            named = f"{brief(lookup[key])} and {brief(label)}"
+            raise FormatError(f"user labels {named} collide as {brief(key)}")
         lookup[key] = label
     return lookup
 
@@ -307,7 +372,7 @@ def _check_table_labels(ground: GroundSet) -> None:
     """Table keys join labels with commas and name the empty set by ""."""
     for label in ground.labels:
         if not str(label) or "," in str(label):
-            raise FormatError(f"table sources need nonempty comma-free labels, got {label!r}")
+            raise FormatError(f"table sources need nonempty comma-free labels, got {brief(label)}")
 
 
 def source_from_dict(data, validate: bool = True) -> Source:
@@ -318,7 +383,7 @@ def source_from_dict(data, validate: bool = True) -> Source:
         raise FormatError("source document must be a JSON object")
     model = data.get("model")
     if model not in (PACKET_MODEL, TABLE_MODEL):
-        raise FormatError(f"unknown source model {model!r}; expected 'packet' or 'table'")
+        raise FormatError(f"unknown source model {brief(model)}; expected 'packet' or 'table'")
     users = data.get("users")
     if not isinstance(users, list) or not users:
         raise FormatError("'users' must be a nonempty list")
@@ -334,7 +399,7 @@ def source_from_dict(data, validate: bool = True) -> Source:
             raise FormatError("'packets' must map users to packet-id lists")
         unknown = [key for key in packets if key not in lookup]
         if unknown:
-            raise FormatError(f"'packets' lists unknown users: {unknown}")
+            raise FormatError(f"'packets' lists unknown users: {brief(unknown)}")
         possession = {}
         for key, ids in packets.items():
             if not isinstance(ids, list):
@@ -346,18 +411,22 @@ def source_from_dict(data, validate: bool = True) -> Source:
     raw = data.get("entropy")
     if not isinstance(raw, dict):
         raise FormatError("'entropy' must map subset keys to rationals")
+    bits = {text: ground.bit(label) for text, label in lookup.items()}
     table = {}
     for key, value in raw.items():
         if not isinstance(key, str):
             raise FormatError("entropy keys must be strings")
-        mask = 0
-        if key:
-            for part in key.split(","):
-                if part not in lookup:
-                    raise FormatError(f"entropy key {key!r} names unknown user {part!r}")
-                mask |= ground.bit(lookup[part])
+        parts = key.split(",") if key else ()
+        try:  # distinct bits sum to their union
+            mask = sum(map(bits.__getitem__, parts))
+        except KeyError as exc:
+            unknown = brief(exc.args[0])
+            raise FormatError(f"entropy key {brief(key)} names unknown user {unknown}") from None
+        if mask.bit_count() < len(parts):  # a carry: some bit was added twice
+            twice = next(part for k, part in enumerate(parts) if part in parts[:k])
+            raise FormatError(f"entropy key {brief(key)} names user {brief(twice)} twice")
         if mask in table:
-            raise FormatError(f"entropy key {key!r} repeats a subset")
+            raise FormatError(f"entropy key {brief(key)} repeats a subset")
         table[mask] = value
     table.setdefault(0, 0)
     try:

@@ -12,6 +12,7 @@ import pytest
 
 from soplan import DomainError, GroundSet, PacketSource, Partition, TableSource
 from soplan.core import bit_positions
+from soplan.sources import PolymatroidReport, Violation
 
 CORPUS_SEED = 20260823
 CORPUS_SIZE = 200
@@ -174,3 +175,44 @@ def snapshots(run) -> tuple:
     """The rates of a rate-update run after initialization and after
     every completed update, as Fractions, so invariants can be replayed."""
     return tuple(tuple(Fraction(v, run.scale) for v in rates) for rates in run.scaled)
+
+
+def polymatroid_report(source) -> PolymatroidReport:
+    """The per-mask polymatroid check: every (C, i) and (C, i, j) tested
+    one at a time, in that order, with today's texts: the oracle for
+    ``validate_polymatroid``'s whole-list passes."""
+    ground = source.ground
+    n = ground.size
+    violations = []
+    h = source.entropies
+
+    def value(scaled: int) -> Fraction:
+        return Fraction(scaled, source.denominator)
+
+    if h[0] != 0:
+        violations.append(Violation("normalization", f"H({{}}) = {value(h[0])}, expected 0"))
+    for mask in range(ground.full_mask + 1):
+        outside = [pos for pos in range(n) if not mask >> pos & 1]
+        for ai, i in enumerate(outside):
+            with_i = mask | 1 << i
+            if h[mask] > h[with_i]:
+                violations.append(
+                    Violation(
+                        "monotonicity",
+                        f"H({ground.format(mask)}) = {value(h[mask])} > "
+                        f"{value(h[with_i])} = H({ground.format(with_i)})",
+                    )
+                )
+            for j in outside[ai + 1:]:
+                with_j = mask | 1 << j
+                both = with_i | 1 << j
+                if h[with_i] + h[with_j] < h[both] + h[mask]:
+                    violations.append(
+                        Violation(
+                            "submodularity",
+                            f"H({ground.format(with_i)}) + H({ground.format(with_j)}) = "
+                            f"{value(h[with_i] + h[with_j])} < {value(h[both] + h[mask])} = "
+                            f"H({ground.format(both)}) + H({ground.format(mask)})",
+                        )
+                    )
+    return PolymatroidReport(not violations, tuple(violations))

@@ -522,6 +522,40 @@ class TestMalformedInput:
         assert cli.main(["simulate", five_user_file, str(path)]) == 2
         assert "nests too deeply to read" in capsys.readouterr().err
 
+    def test_key_naming_a_user_twice(self, tmp_path, capsys):
+        # it loaded as the subset {1} before
+        path = tmp_path / "source.json"
+        entropy = {"": "0", "1,1": "1", "2": "1", "1,2": "2"}
+        path.write_text(json.dumps({"model": "table", "users": [1, 2], "entropy": entropy}))
+        assert cli.main(["minrate", str(path)]) == 2
+        assert capsys.readouterr().err == "error: entropy key '1,1' names user '1' twice\n"
+
+    _NESTED = json.loads("[" * 900 + "]" * 900)
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"model": "packet", "users": [_NESTED, 2], "packets": {}},
+            {"model": "packet", "users": [1, 2], "packets": {"1": [_NESTED], "2": ["b"]}},
+        ],
+        ids=["label", "packet-id"],
+    )
+    def test_nested_source_value_is_cut_short(self, doc, tmp_path, capsys):
+        path = tmp_path / "source.json"
+        path.write_text(json.dumps(doc))
+        assert cli.main(["minrate", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and len(err.encode()) < 300
+
+    def test_nested_plan_target_is_cut_short(self, five_user_file, tmp_path, capsys):
+        plan = copy.deepcopy(_five_user_plan())
+        plan["stages"][0]["target"] = [self._NESTED]
+        path = tmp_path / "plan.json"
+        path.write_text(json.dumps(plan))
+        assert cli.main(["simulate", five_user_file, str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: stage 0 targets unknown user [[[") and len(err.encode()) < 300
+
     @settings(max_examples=150, deadline=None)
     @given(st.data())
     def test_fuzzed_sources(self, data):

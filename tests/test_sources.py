@@ -23,8 +23,9 @@ from soplan import (
     plan_multistage,
     validate_polymatroid,
 )
+from soplan.core import parse_fraction
 from soplan.sources import induced_table, reorder, source_from_dict, source_to_dict
-from tests.conftest import random_packet_source
+from tests.conftest import polymatroid_report, random_packet_source, random_rational_table
 
 
 class TestPacketSource:
@@ -112,6 +113,119 @@ class TestTableSource:
         table = induced_table(cyclic_triple)
         for mask in range(cyclic_triple.ground.full_mask + 1):
             assert table.entropy(mask) == cyclic_triple.entropy(mask)
+
+
+class TestTableLoading:
+    """The loader's whole-list passes against one-at-a-time references:
+    ``parse_fraction`` for each value and the per-mask oracle in
+    ``tests/conftest.py`` for the polymatroid report."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.randoms(use_true_random=False),
+        st.integers(min_value=2, max_value=6),
+        st.lists(st.sampled_from(("normalization", "monotonicity", "submodularity")), max_size=4),
+    )
+    def test_planted_violations_match_the_oracle(self, rng, n, kinds):
+        table = random_rational_table(rng, n, rng.randint(1, 2 * n))
+        h, d = list(table.entropies), table.denominator
+        for kind in kinds:
+            mask = rng.randrange(table.ground.full_mask)
+            outside = [pos for pos in range(n) if not mask >> pos & 1]
+            if kind == "normalization":
+                h[0] += rng.randint(1, 2 * d)
+            elif kind == "monotonicity":
+                with_i = mask | 1 << rng.choice(outside)
+                h[mask] = h[with_i] + rng.randint(1, 2 * d)
+            elif len(outside) >= 2:
+                i, j = rng.sample(outside, 2)
+                gap = h[mask | 1 << i] + h[mask | 1 << j] - h[mask] - h[mask | 1 << i | 1 << j]
+                h[mask | 1 << i | 1 << j] += gap + rng.randint(1, 2 * d)
+        source = TableSource._from_ints(table.ground, h, d)
+        report = validate_polymatroid(source)
+        assert report == polymatroid_report(source)
+        assert report.summary() == polymatroid_report(source).summary()
+
+    def test_oracle_agrees_on_the_clean_corpus(self, source_corpus):
+        for source in source_corpus[:40]:
+            assert validate_polymatroid(source) == polymatroid_report(source)
+
+    @pytest.mark.parametrize(
+        "value",
+        [
+            "0", "007", "0/5", "6/4", " 1 ", "+1", "-1/2", "1_0/10", "2.0", "1e2", "\u0661",
+            pytest.param("1" * 5000, id="5000-digits"),
+            pytest.param("1" * 5000 + "/3", id="5000-digits/3"),
+            pytest.param("9" * 4000 + "/7", id="4000-digits/7"),
+            12, -3, Fraction(6, 4),
+            "3/0", "x", "1/", "/2", "", " ", "1/2/3", "0x10", 1.5, True, None, [1],
+        ],
+    )
+    def test_values_read_as_parse_fraction_reads_them(self, value):
+        g = GroundSet((1, 2))
+        table = {0: 0, 1: value, 2: "1/3", 3: 1}
+        try:
+            want = parse_fraction(value, where="entropy of {1}")
+        except FormatError as exc:
+            with pytest.raises(FormatError) as got:
+                TableSource(g, table, validate=False)
+            assert str(got.value) == str(exc)
+            return
+        source = TableSource(g, table, validate=False)
+        assert source.entropy([1]) == want
+        assert source.denominator == math.lcm(want.denominator, 3)
+
+    @pytest.mark.parametrize(
+        "value, message",
+        [
+            ("3/0", "entropy of {1}: not a rational: '3/0'"),
+            ("x", "entropy of {1}: not a rational: 'x'"),
+            (1.5, "entropy of {1}: floats are not accepted, use a 'p/q' string"),
+            (True, "entropy of {1}: expected a rational, got a bool"),
+            ([1], "entropy of {1}: cannot read a rational from list"),
+        ],
+    )
+    def test_bad_value_messages(self, value, message):
+        with pytest.raises(FormatError) as got:
+            TableSource(GroundSet((1, 2)), {0: 0, 1: value, 2: 1, 3: 1})
+        assert str(got.value) == message
+
+    def test_equal_values_of_other_types_are_read_apart(self):
+        # 1, True and 1.0 are equal dict keys; only the int is a rational
+        g = GroundSet((1, 2))
+        with pytest.raises(FormatError, match=r"entropy of \{2\}: expected a rational, got a bool"):
+            TableSource(g, {0: 0, 1: 1, 2: True, 3: 1.0})
+        with pytest.raises(FormatError, match=r"entropy of \{1,2\}: floats are not accepted"):
+            TableSource(g, {0: 0, 1: Fraction(1, 2), 2: "1/2", 3: 0.5})
+
+    def test_first_bad_entry_in_order_raises(self):
+        g = GroundSet((1, 2))
+        with pytest.raises(FormatError, match="not a rational: 'x'"):
+            TableSource(g, {0: 0, 1: "x", 7: 1})
+        with pytest.raises(DomainError, match="out of range"):
+            TableSource(g, {0: 0, 7: 1, 1: "x"})
+
+    def test_a_later_key_replaces_an_earlier_one(self):
+        # both keys name {1}; the replaced 1/3 leaves no trace in the scale
+        source = TableSource(GroundSet((1, 2)), {0: 0, 1: "1/3", (1,): 1, 2: 1, 3: 2})
+        assert source.entropy([1]) == 1
+        assert source.denominator == 1
+
+    @pytest.mark.parametrize(
+        "key, message",
+        [
+            ("1,9", "entropy key '1,9' names unknown user '9'"),
+            ("1,", "entropy key '1,' names unknown user ''"),
+            ("2,1", "entropy key '2,1' repeats a subset"),
+            ("1,1", "entropy key '1,1' names user '1' twice"),  # it loaded as {1} before
+            ("1,2,1", "entropy key '1,2,1' names user '1' twice"),
+        ],
+    )
+    def test_key_messages(self, key, message):
+        entropy = {"": "0", "1": "1", "2": "1", "1,2": "2", key: "2"}
+        with pytest.raises(FormatError) as got:
+            source_from_dict({"model": "table", "users": [1, 2], "entropy": entropy})
+        assert str(got.value) == message
 
 
 class TestReorder:
