@@ -199,7 +199,9 @@ def _build_parser() -> argparse.ArgumentParser:
         "--verify",
         action="store_true",
         help="recompute every verdict from each subset's own truncation, "
-        "by a reference loop that shares no code with the listing",
+        "read off a table of partition minima that shares no code with the "
+        "listing (one table per shift: one, except in the non-asymptotic "
+        "model on fractional entropies)",
     )
     p.set_defaults(func=_cmd_enumerate)
 

@@ -42,7 +42,7 @@ from .core import (
     SubsetLike,
     bit_positions,
 )
-from .submodular import _prefix_trie_sweeps, dilworth_truncation, run_rate_update
+from .submodular import _prefix_trie_sweeps, dilworth_truncations, run_rate_update
 
 ASYMPTOTIC = "asymptotic"
 NON_ASYMPTOTIC = "non_asymptotic"
@@ -268,10 +268,14 @@ def enumerate_complementary(source, model: str = ASYMPTOTIC, verify: bool = Fals
     computed.
 
     With ``verify=True`` every verdict is recomputed from that subset's
-    own :func:`dilworth_truncation`, and the two lists must agree.  That
-    reference is kept apart from the prefix step on purpose: it shares
-    no code with the trie walk, so a fault in the step cannot corrupt
-    both sides alike.
+    own :func:`dilworth_truncation` at gamma_X - H(X), and the two lists
+    must agree.  That reference is kept apart from the prefix step on
+    purpose: it shares no code with the trie walk, so a fault in the
+    step cannot corrupt both sides alike.  It is asked through
+    :func:`dilworth_truncations`, which builds one table of partition
+    minima per distinct shift: one in the asymptotic model and whenever
+    the entropies are integers, and up to D (one per value of
+    gamma_X - H(X)) on a fractional table in the non-asymptotic model.
     """
     check_model(model)
     ground = source.ground
@@ -295,15 +299,14 @@ def enumerate_complementary(source, model: str = ASYMPTOTIC, verify: bool = Fals
             found.append(mask)
     found.sort()
     if verify:
-        by_truncation = []
+        targets, own_shifts = {}, {}
         for mask in range(3, full):
-            if mask.bit_count() < 2:
-                continue
-            target = gamma(mask)
-            # gamma_X - H(X) is s itself in the asymptotic model
-            own_shift = shift if model == ASYMPTOTIC else target - source.entropy(mask)
-            if dilworth_truncation(source, own_shift, mask) == target:
-                by_truncation.append(mask)
+            if mask.bit_count() > 1:
+                targets[mask] = gamma(mask)
+                # gamma_X - H(X) is s itself in the asymptotic model
+                own_shifts[mask] = shift if model == ASYMPTOTIC else targets[mask] - source.entropy(mask)
+        values = dilworth_truncations(source, own_shifts)
+        by_truncation = [mask for mask in own_shifts if values[mask] == targets[mask]]
         if by_truncation != found:
             only_trie = [ground.format(m) for m in found if m not in by_truncation]
             only_own = [ground.format(m) for m in by_truncation if m not in found]

@@ -28,8 +28,13 @@ Partitions are never enumerated outside the tests, where
 
 :func:`dilworth_truncation` is the one exception, on purpose: it is the
 reference that ``enumerate --verify`` re-derives every verdict with, so
-it computes the truncation's value with a loop of its own and shares no
-code with the step, the sweep or the trie walk it checks.
+it shares no code with the step, the sweep or the trie walk it checks,
+and not even their method.  It reads the truncation off a table of
+partition minima, built for every subset at once by the recurrence over
+the block that holds a subset's lowest user, and cached on the source
+for the latest shift.  :func:`dilworth_truncations` answers many subsets
+at their own shifts, one shift at a time, so each shift builds its table
+once.
 
 The step has two callers.  :func:`run_rate_update` walks one path of the
 prefix trie: the sweep over V, or over one subset.  The sweep over a
@@ -56,34 +61,77 @@ from .core import DomainError, Partition, SubsetLike, bit_positions
 
 def dilworth_truncation(source, shift, subset: SubsetLike) -> Fraction:
     """Minimize the block sum of f(X) = shift + H(X) over all partitions
-    of ``subset``: Fujishige's greedy construction of the Dilworth
-    truncation, whose finished rates sum to the minimum.
+    of ``subset``: the Dilworth truncation of f at ``subset``.
 
     This is the reference that ``enumerate --verify`` checks the prefix
-    trie against, so it is kept apart from the step on purpose: its own
-    int loop over the table, with no call to :func:`minimize_over_prefix`
-    or :func:`run_rate_update` and no records, blocks or partition.  On
-    the scale weight*D, each user of ``subset`` in turn gets f's constant
-    plus the least weight*H(S + user) - r(S) over the submasks S of the
-    users before it (only the empty S for the first); the submasks and
-    their rate sums double with each finished user.
+    trie against, so it is kept apart from the step on purpose: it
+    calls neither :func:`minimize_over_prefix` nor :func:`run_rate_update`
+    and runs no greedy sweep.  It reads the value off
+    :func:`_partition_minima`'s table for ``shift``, which the source
+    keeps for the latest shift only: the first call at a shift costs
+    3^|V| / 2 visits, and every later call at that shift is a lookup.
+    Callers with many subsets at mixed shifts go through
+    :func:`dilworth_truncations`, which keeps that order for them.
     """
     mask = source.ground.mask(subset)
     if mask == 0:
         raise DomainError("truncation of the empty set is not defined")
     shift = Fraction(shift)
-    weight, table = shift.denominator, source.entropies
-    base = shift.numerator * source.denominator  # f's constant on the scale weight*D
-    last = mask.bit_length() - 1
-    submasks, sums, total = [0], [0], 0
-    for pos in bit_positions(mask):
-        top = 1 << pos
-        rate = base + min([weight * table[sub | top] - s for sub, s in zip(submasks, sums)])
-        total += rate
-        if pos != last:
-            submasks += [sub | top for sub in submasks]
-            sums += [s + rate for s in sums]
-    return Fraction(total, weight * source.denominator)
+    cached = source.__dict__.get("_partition_minima")
+    if cached is None or cached[0] != shift:
+        cached = source.__dict__["_partition_minima"] = (shift, _partition_minima(source, shift))
+    return Fraction(cached[1][mask], shift.denominator * source.denominator)
+
+
+def dilworth_truncations(source, shifts: dict) -> dict:
+    """The truncation at every mask of ``shifts`` at that mask's own
+    shift, as ``{mask: value}``.
+
+    The masks are asked one shift at a time, whatever their order in
+    ``shifts``, so each distinct shift builds the table behind
+    :func:`dilworth_truncation` once; every mask is still one call.
+    """
+    by_shift = {}
+    for mask, shift in shifts.items():
+        by_shift.setdefault(shift, []).append(mask)
+    return {
+        mask: dilworth_truncation(source, shift, mask)
+        for shift, masks in by_shift.items()
+        for mask in masks
+    }
+
+
+def _partition_minima(source, shift: Fraction) -> list:
+    """``best[X]``, the least block sum of f(Y) = shift + H(Y) over the
+    partitions of X, for every mask X, as ints on the scale weight*D
+    (weight = shift.denominator).
+
+    The block B of a partition of X that holds X's lowest user leaves a
+    partition of X minus B, so best[X] = min over those B of
+    f(B) + best[X minus B], with best[{}] = 0.  Every such X minus B lies
+    above X's lowest user, so the table is filled one lowest user at a
+    time, from the highest down.  For each, a depth-first walk adds the
+    users above it in ascending order and doubles the list of candidate
+    blocks with each: 2^(|X| - 1) candidates for X, 3^n / 2 in all.
+    """
+    weight, size = shift.denominator, source.ground.size
+    f = [shift.numerator * source.denominator + weight * h for h in source.entropies]
+    best = [0] * len(f)  # f[0] is never read: every block is nonempty
+
+    def grow(mask: int, blocks: list, start: int) -> None:
+        for pos in range(start, size):
+            top = 1 << pos
+            child = mask | top
+            child_blocks = blocks + [block | top for block in blocks]
+            best[child] = min([f[block] + best[child ^ block] for block in child_blocks])
+            if pos + 1 < size:
+                grow(child, child_blocks, pos + 1)
+
+    for pos in reversed(range(size)):
+        low = 1 << pos
+        best[low] = f[low]
+        grow(low, [low], pos + 1)
+    return best
 
 
 @dataclass(slots=True)

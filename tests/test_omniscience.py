@@ -360,6 +360,21 @@ class TestComplementary:
                 for verify in (False, True):
                     assert enumerate_complementary(source, model, verify) == expected
 
+    @settings(max_examples=12, derandomize=True, deadline=None)
+    @given(st.randoms(use_true_random=False), st.integers(min_value=4, max_value=7))
+    def test_non_asymptotic_verify_with_many_shifts(self, rng, n_users):
+        """On a fractional table the subsets' own shifts
+        floor(s + H(X)) - H(X) differ, so ``verify`` asks the reference
+        at several shifts; the list is the Bell oracle's all the same."""
+        source = random_rational_table(rng, n_users, 2 * n_users)
+        g = source.ground
+        s = math.ceil(bell_min_sum_rate(source, g.full_mask)) - source.entropy(g.full_mask)
+        testable = [m for m in range(3, g.full_mask) if m.bit_count() >= 2]
+        gammas = {m: math.floor(s + source.entropy(m)) for m in testable}
+        assert len({gammas[m] - source.entropy(m) for m in testable}) > 1
+        expected = tuple(m for m in testable if bell_min_sum_rate(source, m) <= gammas[m])
+        assert enumerate_complementary(source, NON_ASYMPTOTIC, verify=True) == expected
+
 
 class TestEnumerationWitnesses:
     """Every verdict of the shared prefix-trie pass is checked against

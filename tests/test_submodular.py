@@ -243,6 +243,42 @@ class TestTruncationAgainstBellOracle:
             assert run.partition.blocks == want_partition.blocks
 
 
+class TestPartitionMinimaCache:
+    """The reference keeps one table of partition minima, for the latest
+    shift of the source it was asked about: switching shifts or sources
+    rebuilds it, and no value comes from a stale table."""
+
+    @pytest.mark.parametrize("make", [random_packet_source, random_rational_table])
+    def test_switching_shifts_and_sources(self, make):
+        rng = random.Random(23)
+        first, second = make(rng, 5, 8), make(rng, 5, 8)
+        assert first.entropies != second.entropies
+        full = first.ground.full_mask
+        s = shift_of(first, min_sum_rate(first).value)
+        for shift in (s, s - Fraction(2, 3), s):
+            for mask in range(1, full + 1):
+                want = bell_truncation(first, shift, mask)[0]
+                assert dilworth_truncation(first, shift, mask) == want
+        for mask in range(1, full + 1):
+            assert dilworth_truncation(second, s, mask) == bell_truncation(second, s, mask)[0]
+
+    def test_mixed_shifts_build_one_table_each(self, monkeypatch):
+        """``dilworth_truncations`` answers masks listed at alternating
+        shifts one shift at a time: one table per distinct shift, each
+        value the Bell oracle's."""
+        source = random_rational_table(random.Random(29), 5, 8)
+        s = shift_of(source, min_sum_rate(source).value)
+        shifts = {mask: s - Fraction(mask % 3, 3) for mask in range(1, source.ground.full_mask + 1)}
+        built = []
+        original = submodular._partition_minima
+        monkeypatch.setattr(
+            submodular, "_partition_minima", lambda src, shift: built.append(shift) or original(src, shift)
+        )
+        values = submodular.dilworth_truncations(source, shifts)
+        assert sorted(built) == sorted(set(shifts.values()))
+        assert values == {mask: bell_truncation(source, shift, mask)[0] for mask, shift in shifts.items()}
+
+
 class TestPrefixTrie:
     """The shared depth-first walk finishes the same sweep over every
     subset as a sweep of its own, at the shift that decides
@@ -287,6 +323,7 @@ class TestMinimizeOverPrefix:
         values = {m: g_value(source, shift, rates, m) for m in candidates}
         assert min_value == min(values.values())
         minimizers = [m for m in candidates if values[m] == min_value]
+        assert result.minimizers == minimizers
         # minimizers form a lattice: their union is the largest of them
         union = 0
         for m in minimizers:
@@ -327,6 +364,7 @@ class TestMinimizeOverPrefix:
         rates = [f_value(five_user, shift, 0b1)] + [Fraction(13, 2) - 10] * 4
         result, min_value = step(five_user, shift, rates, 2)
         assert min_value == Fraction(7, 2)
+        assert result.minimizers == [0b11] and result.maximal_minimizer == 0b11
         assert result.nonsingleton_proper_minimizer == five_user.ground.mask([1, 2])
 
     def test_tie_break_puts_cardinality_before_mask(self):
@@ -335,6 +373,7 @@ class TestMinimizeOverPrefix:
         source = PacketSource(GroundSet((1, 2, 3, 4)), {1: "xy", 2: "xy", 3: "a", 4: "abc"})
         rates = [Fraction(1), Fraction(1), Fraction(0), Fraction(0)]
         result, _ = step(source, Fraction(0), rates, 4)
+        assert result.minimizers == [0b1000, 0b1011, 0b1100, 0b1111]
         assert result.nonsingleton_proper_minimizer == 0b1100
         assert result.maximal_minimizer == 0b1111
         self.assert_matches_brute_force(source, Fraction(0), rates, 4, 0b1111)
