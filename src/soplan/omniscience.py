@@ -22,9 +22,15 @@ Every "is R(X) <= t?" is one completed sweep over X whose verdict is
 checked against its witness (:func:`_reaches`), whether
 :func:`min_sum_rate`, :func:`enumerate_complementary` (for every subset
 in one shared walk) or
-:func:`soplan.compsetso.complementary_by_lower_bound` asks.  Verdicts,
-partition bounds and the achievability check ask the source's
-``entropy_scaled`` and ``shortfall`` and never index its table.
+:func:`soplan.compsetso.complementary_by_lower_bound` asks.  Each
+verdict is decided and checked on ints on the sweep's scale w*D for a
+shift p/w: a yes by the rates' sum and the source's ``shortfall``, a no
+by the partition bound of the sweep's blocks multiplied out
+(:func:`_bound_exceeds`).  :func:`partition_bound` and
+:class:`~soplan.core.Partition` serve only the iteration and the
+certificate of :func:`min_sum_rate`.  Verdicts, partition bounds and the
+achievability check ask the source's ``entropy_scaled`` and
+``shortfall`` and never index its table.
 """
 
 from __future__ import annotations
@@ -209,19 +215,20 @@ def _require_testable(ground: GroundSet, mask: int) -> None:
 def _witnessed_verdict(source, mask: int, shift: Fraction, rates, blocks) -> bool:
     """Whether the completed sweep over X = ``mask`` of
     f(Y) = shift + H(Y), with finished ``rates`` (ints on the scale
-    shift.denominator * D) and tight ``blocks``, reaches f(X), after
+    w*D, w = shift.denominator) and tight ``blocks``, reaches f(X), after
     checking the witness of that verdict.
 
     Yes: the rates sum to f(X) and satisfy r(S) <= f(S) for every
     nonempty S inside X, so they achieve omniscience of X with total
-    f(X) and R(X) <= f(X).  No: the blocks form a partition with at
-    least two blocks and a bound above f(X), so R(X) > f(X).  A witness
-    that fails raises :class:`CertificationError`.
+    f(X) and R(X) <= f(X).  No: the blocks partition X into at least two
+    blocks whose bound exceeds f(X), so R(X) > f(X); that is checked on
+    ints by :func:`_bound_exceeds`.  A witness that fails raises
+    :class:`CertificationError`.
     """
     ground = source.ground
     weight = shift.denominator
-    base = shift.numerator * source.denominator
-    if sum(rates) == base + weight * source.entropy_scaled(mask):
+    own = shift.numerator * source.denominator + weight * source.entropy_scaled(mask)
+    if sum(rates) == own:
         # with r(X) = f(X), r(S) <= f(S) for S inside X is
         # r(X minus S) >= weight * (H(X) - H(S)) on the rates' scale
         short = source.shortfall(mask, rates, weight)
@@ -231,13 +238,30 @@ def _witnessed_verdict(source, mask: int, shift: Fraction, rates, blocks) -> boo
                 f"{ground.format(mask ^ short[0])}"
             )
         return True
-    own = shift + source.entropy(mask)
-    partition = Partition(blocks)
-    if len(partition) < 2 or partition_bound(source, partition) <= own:
+    if not _bound_exceeds(source, mask, blocks, weight, own):
         raise CertificationError(
-            f"partition leaving out {ground.format(mask)} does not bound R above {own}"
+            f"partition leaving out {ground.format(mask)} does not bound R above "
+            f"{Fraction(own, weight * source.denominator)}"
         )
     return False
+
+
+def _bound_exceeds(source, mask: int, blocks, weight: int, own: int) -> bool:
+    """Whether ``blocks`` are k >= 2 nonempty, pairwise disjoint masks
+    whose union is X = ``mask`` and whose partition bound exceeds
+    t = own / (weight * D).  With the entropies on the scale D, the bound
+    (k*h(X) - sum of h(B)) / (D*(k - 1)) exceeds t exactly when
+    (k*h(X) - sum of h(B)) * weight > own * (k - 1), which is decided on
+    ints; no :class:`Partition` and no Fraction is built."""
+    union = members = 0
+    for block in blocks:
+        union |= block
+        members += block.bit_count()
+    k = len(blocks)
+    if k < 2 or union != mask or members != mask.bit_count() or min(blocks) <= 0:
+        return False
+    h = source.entropy_scaled
+    return (k * h(mask) - sum(map(h, blocks))) * weight > own * (k - 1)
 
 
 def _reaches(source, mask: int, target: Fraction) -> tuple:
@@ -265,7 +289,10 @@ def enumerate_complementary(source, model: str = ASYMPTOTIC, verify: bool = Fals
     gamma_X falls below s + H(X) and passes at s gets one more sweep at
     gamma_X - H(X).  Every verdict is checked against its witness (see
     :func:`_witnessed_verdict`), and R(V) is the only minimum sum-rate
-    computed.
+    computed.  For s = p/w every gamma_X is an int on the scale w*D of
+    the sweep's rates: p*D + w*D*H(X), or in the non-asymptotic model
+    its floor G = (p*D + w*D*H(X)) // (w*D) times w*D, so no verdict
+    builds a Fraction, a :class:`Partition` or a partition bound.
 
     With ``verify=True`` every verdict is recomputed from that subset's
     own :func:`dilworth_truncation` at gamma_X - H(X), and the two lists
@@ -276,15 +303,16 @@ def enumerate_complementary(source, model: str = ASYMPTOTIC, verify: bool = Fals
     minima per distinct shift: one in the asymptotic model and whenever
     the entropies are integers, and up to D (one per value of
     gamma_X - H(X)) on a fractional table in the non-asymptotic model.
+    Each value v it returns is compared with gamma_X exactly, as
+    ``v.numerator * w*D == gamma_X * v.denominator`` on the scale w*D.
     """
     check_model(model)
     ground = source.ground
     full = ground.full_mask
     shift = min_sum_rate(source, None, model).value - source.entropy(full)
-
-    def gamma(mask: int) -> Fraction:
-        own = shift + source.entropy(mask)
-        return own if model == ASYMPTOTIC else Fraction(math.floor(own))
+    weight, denominator = shift.denominator, source.denominator
+    base, scale = shift.numerator * denominator, weight * denominator
+    h = source.entropy_scaled
 
     found = []
     for mask, rates, blocks in _prefix_trie_sweeps(source, shift):
@@ -292,9 +320,9 @@ def enumerate_complementary(source, model: str = ASYMPTOTIC, verify: bool = Fals
             continue
         listed = _witnessed_verdict(source, mask, shift, rates, blocks)
         if listed and model == NON_ASYMPTOTIC:
-            target = gamma(mask)
-            if target != shift + source.entropy(mask):
-                listed = _reaches(source, mask, target)[0]
+            own = base + weight * h(mask)
+            if own % scale:  # G < s + H(X): one more sweep, at G - H(X)
+                listed = _reaches(source, mask, Fraction(own // scale))[0]
         if listed:
             found.append(mask)
     found.sort()
@@ -302,11 +330,19 @@ def enumerate_complementary(source, model: str = ASYMPTOTIC, verify: bool = Fals
         targets, own_shifts = {}, {}
         for mask in range(3, full):
             if mask.bit_count() > 1:
-                targets[mask] = gamma(mask)
-                # gamma_X - H(X) is s itself in the asymptotic model
-                own_shifts[mask] = shift if model == ASYMPTOTIC else targets[mask] - source.entropy(mask)
+                own = base + weight * h(mask)
+                if model == ASYMPTOTIC or own % scale == 0:
+                    targets[mask], own_shifts[mask] = own, shift
+                else:
+                    floor = own // scale
+                    targets[mask] = floor * scale
+                    own_shifts[mask] = Fraction(floor * denominator - h(mask), denominator)
         values = dilworth_truncations(source, own_shifts)
-        by_truncation = [mask for mask in own_shifts if values[mask] == targets[mask]]
+        by_truncation = []
+        for mask, target in targets.items():
+            value = values[mask]
+            if value.numerator * scale == target * value.denominator:
+                by_truncation.append(mask)
         if by_truncation != found:
             only_trie = [ground.format(m) for m in found if m not in by_truncation]
             only_own = [ground.format(m) for m in by_truncation if m not in found]

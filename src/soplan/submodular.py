@@ -76,9 +76,10 @@ def dilworth_truncation(source, shift, subset: SubsetLike) -> Fraction:
     mask = source.ground.mask(subset)
     if mask == 0:
         raise DomainError("truncation of the empty set is not defined")
-    shift = Fraction(shift)
+    if not isinstance(shift, Fraction):
+        shift = Fraction(shift)
     cached = source.__dict__.get("_partition_minima")
-    if cached is None or cached[0] != shift:
+    if cached is None or cached[0] is not shift and cached[0] != shift:
         cached = source.__dict__["_partition_minima"] = (shift, _partition_minima(source, shift))
     return Fraction(cached[1][mask], shift.denominator * source.denominator)
 
@@ -90,13 +91,21 @@ def dilworth_truncations(source, shifts: dict) -> dict:
     The masks are asked one shift at a time, whatever their order in
     ``shifts``, so each distinct shift builds the table behind
     :func:`dilworth_truncation` once; every mask is still one call.
+    Equal shifts are grouped by their ``(numerator, denominator)`` pair,
+    which hashes faster than a Fraction, and every mask of a group is
+    asked with the group's first shift object, so the cache check is an
+    identity test.
     """
     by_shift = {}
     for mask, shift in shifts.items():
-        by_shift.setdefault(shift, []).append(mask)
+        key = shift.numerator, shift.denominator
+        group = by_shift.get(key)
+        if group is None:
+            group = by_shift[key] = (shift, [])
+        group[1].append(mask)
     return {
         mask: dilworth_truncation(source, shift, mask)
-        for shift, masks in by_shift.items()
+        for shift, masks in by_shift.values()
         for mask in masks
     }
 

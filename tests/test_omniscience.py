@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -28,11 +29,12 @@ from soplan import (
 )
 import soplan.cli as cli
 from soplan.omniscience import SwCheck, check_model, optimal_rate_vector
-from soplan import omniscience
+from soplan import omniscience, submodular
 from soplan.sources import _SourceBase
 from tests.conftest import (
     enumerate_partitions,
     iter_submasks,
+    make_five_user,
     random_packet_source,
     random_rational_table,
 )
@@ -474,6 +476,155 @@ class TestEnumerationWitnesses:
             for verify in (False, True):
                 enumerate_complementary(five_user, model, verify)
         assert calls == [None] * 4
+
+
+def rational_five() -> TableSource:
+    """A 5-user rational table whose non-asymptotic gamma_X are floored
+    at some complementary subsets."""
+    return random_rational_table(random.Random(0), 5, 10)
+
+
+class TestIntVerdicts:
+    """``enumerate`` decides and verifies every verdict on ints on the
+    scale w*D; these pin that arithmetic to the Fraction definitions."""
+
+    @staticmethod
+    def fraction_bound_exceeds(source, mask, blocks, threshold) -> bool:
+        """The "no" witness from the definitions: the blocks partition X
+        into at least two blocks whose partition bound exceeds ``threshold``."""
+        try:
+            partition = Partition(blocks)
+        except DomainError:
+            return False
+        if len(partition) < 2 or partition.union != mask:
+            return False
+        return omniscience.partition_bound(source, partition) > threshold
+
+    @staticmethod
+    def finished_sweeps(source, model):
+        """``(shift, mask, rates, blocks)`` for the sweeps whose verdicts
+        ``enumerate`` checks in ``model``: the walk at s over each
+        non-singleton proper subset and, for each floored gamma_X, the
+        sweep at G - H(X) that it runs when X passes at s."""
+        full = source.ground.full_mask
+        shift = min_sum_rate(source, None, model).value - source.entropy(full)
+        for mask, rates, blocks in omniscience._prefix_trie_sweeps(source, shift):
+            if mask.bit_count() < 2 or mask == full:
+                continue
+            yield shift, mask, rates, blocks
+            gamma = shift + source.entropy(mask)
+            if model == NON_ASYMPTOTIC and gamma.denominator != 1:
+                own = math.floor(gamma) - source.entropy(mask)
+                run = submodular.run_rate_update(source, own, early_exit=False, within=mask)
+                yield own, mask, run.scaled[-1], run.blocks
+
+    @classmethod
+    def assert_no_witnesses_agree(cls, source) -> int:
+        """At every unlisted subset, in both models, the int inequality
+        agrees with the Fraction bound: at shift + H(X), at the bound
+        itself and one unit below it on the scale w*D.  Returns the
+        number of unlisted verdicts checked."""
+        checked = 0
+        for model in (ASYMPTOTIC, NON_ASYMPTOTIC):
+            for shift, mask, rates, blocks in cls.finished_sweeps(source, model):
+                own = shift + source.entropy(mask)
+                if sum(rates) == own * shift.denominator * source.denominator:
+                    continue
+                assert omniscience._witnessed_verdict(source, mask, shift, rates, blocks) is False
+                checked += 1
+                bound = bound_of(source, blocks)
+                unit = Fraction(1, shift.denominator * source.denominator)
+                for threshold in (own, bound, bound - unit):
+                    scaled = threshold * source.denominator
+                    got = omniscience._bound_exceeds(
+                        source, mask, blocks, scaled.denominator, scaled.numerator
+                    )
+                    assert got == cls.fraction_bound_exceeds(source, mask, blocks, threshold)
+                    assert got == (threshold != bound)
+        return checked
+
+    def test_no_witness_agrees_with_fractions_on_corpus(self, source_corpus):
+        assert sum(map(self.assert_no_witnesses_agree, source_corpus)) > 1000
+
+    def test_no_witness_agrees_with_fractions_on_rational_tables(self):
+        rng = random.Random(37)
+        sources = [random_rational_table(rng, rng.randint(4, 6), rng.randint(4, 10)) for _ in range(12)]
+        assert sum(map(self.assert_no_witnesses_agree, sources)) > 100
+
+    def test_malformed_no_witnesses_fail(self, five_user):
+        # every partition bound of X = {1,2,3} exceeds -H(V)
+        far = -five_user.entropy_scaled(five_user.ground.full_mask)
+        for blocks in ([0b111], [0b011, 0b110], [0b001, 0b010], [0b001, 0b010, 0b100, 0],
+                       [0b001, 0b010, 0b100, 0b1000], [0b001, 0b1010]):
+            assert not omniscience._bound_exceeds(five_user, 0b111, blocks, 1, far)
+        assert omniscience._bound_exceeds(five_user, 0b111, [0b001, 0b110], 1, far)
+
+    def test_no_witness_must_partition_the_subset(self):
+        """Blocks that bound R above the target but cover more than X
+        witness nothing about X."""
+        source = random_packet_source(random.Random(3), 5, 8)
+        mask = 0b00111
+        shift = min_sum_rate(source, mask).value - Fraction(1, 2) - source.entropy(mask)
+        run = submodular.run_rate_update(source, shift, early_exit=False, within=mask)
+        assert omniscience._witnessed_verdict(source, mask, shift, run.scaled[-1], run.blocks) is False
+        singletons = [1 << pos for pos in range(5)]
+        with pytest.raises(CertificationError, match="does not bound R above"):
+            omniscience._witnessed_verdict(source, mask, shift, run.scaled[-1], singletons)
+
+    @pytest.mark.parametrize("model", [ASYMPTOTIC, NON_ASYMPTOTIC])
+    @pytest.mark.parametrize("make", [make_five_user, rational_five])
+    def test_verify_catches_one_unit(self, make, model, monkeypatch):
+        """One unit on the w*D scale of the reference table at a listed
+        subset makes ``verify`` disagree, in either direction.  On the
+        rational table the non-asymptotic model floors gamma_X, so some
+        of those subsets are read off tables at their own shifts."""
+        source = make()
+        full = source.ground.full_mask
+        listed = enumerate_complementary(source, model)
+        s = min_sum_rate(source, None, model).value - source.entropy(full)
+        floored = [mask for mask in listed if (s + source.entropy(mask)).denominator != 1]
+        assert listed and (model == ASYMPTOTIC or source.integral or floored)
+        original = submodular._partition_minima
+        for mask in listed:
+            for delta in (-1, 1):
+                def perturbed(src, shift, mask=mask, delta=delta):
+                    best = original(src, shift)
+                    best[mask] += delta
+                    return best
+
+                monkeypatch.setattr(submodular, "_partition_minima", perturbed)
+                fresh = make()
+                with pytest.raises(CertificationError, match="subsets disagree"):
+                    enumerate_complementary(fresh, model, verify=True)
+        monkeypatch.setattr(submodular, "_partition_minima", original)
+        assert enumerate_complementary(make(), model, verify=True) == listed
+
+    @pytest.mark.parametrize("make", [make_five_user, rational_five])
+    def test_no_partition_beyond_min_sum_rate(self, make, monkeypatch):
+        """``enumerate`` builds no Partition and asks no partition bound
+        beyond those of the R(V) it computes."""
+        calls = Counter()
+        bound, post_init = omniscience.partition_bound, Partition.__post_init__
+
+        def counted_bound(*args):
+            calls["partition_bound"] += 1
+            return bound(*args)
+
+        def counted_post_init(self):
+            calls["Partition"] += 1
+            post_init(self)
+
+        monkeypatch.setattr(omniscience, "partition_bound", counted_bound)
+        monkeypatch.setattr(Partition, "__post_init__", counted_post_init)
+        for model in (ASYMPTOTIC, NON_ASYMPTOTIC):
+            calls.clear()
+            min_sum_rate(make(), None, model)
+            want = dict(calls)
+            assert want["partition_bound"] > 0 and want["Partition"] > 0
+            for verify in (False, True):
+                calls.clear()
+                enumerate_complementary(make(), model, verify)
+                assert calls == want, (model, verify)
 
 
 class TestOptimalRateVector:
