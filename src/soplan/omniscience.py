@@ -28,7 +28,9 @@ shift p/w: a yes by the rates' sum and the source's ``shortfall``, a no
 by the partition bound of the sweep's blocks multiplied out
 (:func:`_bound_exceeds`).  :func:`partition_bound` and
 :class:`~soplan.core.Partition` serve only the iteration and the
-certificate of :func:`min_sum_rate`.  Verdicts, partition bounds and the
+certificate of :func:`min_sum_rate`, whose partition is the fundamental
+partition; :func:`enumerate_complementary` checks its list against that
+partition's blocks.  Verdicts, partition bounds and the
 achievability check ask the source's ``entropy_scaled`` and
 ``shortfall`` and never index its table.
 """
@@ -66,7 +68,7 @@ class MinSumRateResult:
     """Value of the minimum sum-rate with its primal-dual witness: an
     achievable rate vector that sums to the value (so R <= value), in
     both models, and in the asymptotic model a partition whose bound
-    equals the value (so R >= value)."""
+    equals the value (so R >= value), the finest such partition."""
 
     model: str
     value: Fraction
@@ -84,32 +86,46 @@ def partition_bound(source, partition: Partition) -> Fraction:
     return Fraction(deficit, source.denominator * (len(partition) - 1))
 
 
+def _starting_bound(source, mask: int) -> Fraction:
+    """The larger of two partition bounds on R(X) for X = ``mask``: the
+    singletons', (|X|*H(X) - sum of H({i})) / (|X| - 1), and the best
+    bipartition's, 2*H(X) - min over Y of [H(Y) + H(X minus Y)]."""
+    h, k = source.entropy_scaled, mask.bit_count()
+    singletons = k * h(mask) - sum(h(1 << pos) for pos in bit_positions(mask))
+    split = 2 * h(mask) - source.split_minimum(mask)
+    return max(Fraction(singletons, source.denominator * (k - 1)),
+               Fraction(split, source.denominator))
+
+
 def _min_sum_rate_asymptotic(source, mask: int) -> MinSumRateResult:
     """R(X) by the decomposition scheme of Ding, Chan, Zhou, Kennedy and
     Sadeghi ("Determining optimal rates for communication for
     omniscience", IEEE Trans. IT 2018).
 
-    Starting from the singleton-partition bound, each alpha is put to
-    :func:`_reaches`: a yes makes its rates the witness, and a no
-    records a partition with a strictly larger bound, which becomes the
-    next alpha.
+    Starting from :func:`_starting_bound`, each alpha is put to
+    :func:`_reaches`.  A no records a partition with a strictly larger
+    bound, which becomes the next alpha.  A yes comes at alpha = R(X),
+    since every alpha is a partition bound; its rates are the witness,
+    and its finest tight partition is the fundamental partition, the
+    finest partition whose bound is R(X) (Chan, Al-Bashabsheh, Zhou,
+    Kaced and Liu, "Successive omniscience", IEEE Trans. IT 2016).
     """
-    partition = Partition(tuple(1 << pos for pos in bit_positions(mask)))
-    alpha = partition_bound(source, partition)
+    alpha = _starting_bound(source, mask)
     while True:
         reached, run = _reaches(source, mask, alpha)
         if reached:
             rates = RateVector(source.ground, run.rates, mask)
-            return MinSumRateResult(ASYMPTOTIC, alpha, partition, rates)
-        partition = run.partition
-        alpha = partition_bound(source, partition)
+            return MinSumRateResult(ASYMPTOTIC, alpha, run.finest_partition, rates)
+        alpha = partition_bound(source, run.partition)
 
 
 def _certified(source, mask: int, result: MinSumRateResult) -> MinSumRateResult:
-    """``result`` once its partition attains its value, else
-    :class:`CertificationError`; the verdict that accepted it checked its rates."""
+    """``result`` once its partition has two blocks or more and attains
+    its value, else :class:`CertificationError`; the verdict that
+    accepted it checked its rates."""
     partition, value = result.maximizing_partition, result.value
-    if partition.union != mask or partition_bound(source, partition) != value:
+    if (len(partition) < 2 or partition.union != mask
+            or partition_bound(source, partition) != value):
         raise CertificationError(
             f"witness partition of {source.ground.format(mask)} does not attain {value}"
         )
@@ -123,6 +139,9 @@ def min_sum_rate(source, subset: SubsetLike = None, model: str = ASYMPTOTIC) -> 
     witness before it is returned; a failed certificate raises
     :class:`CertificationError`.  The asymptotic witness rates are the
     final sweep's, at alpha = R(X), checked by its verdict.  The
+    asymptotic ``maximizing_partition`` is the fundamental partition of
+    X, the finest of the partitions whose bound is R(X): the maximizer
+    with the most blocks, since the maximizers form a lattice.  The
     non-asymptotic value is the ceiling of R(X), and its witness is the
     sweep at that ceiling, which must reach it: the asymptotic one when
     R(X) is an integer, and integer-valued whenever the entropies are.
@@ -289,7 +308,10 @@ def enumerate_complementary(source, model: str = ASYMPTOTIC, verify: bool = Fals
     gamma_X falls below s + H(X) and passes at s gets one more sweep at
     gamma_X - H(X).  Every verdict is checked against its witness (see
     :func:`_witnessed_verdict`), and R(V) is the only minimum sum-rate
-    computed.  For s = p/w every gamma_X is an int on the scale w*D of
+    computed.  In the asymptotic model every block of R(V)'s
+    fundamental partition (:func:`min_sum_rate`) with two users or more
+    is complementary, so each must be listed; that cross-check costs no
+    sweep.  For s = p/w every gamma_X is an int on the scale w*D of
     the sweep's rates: p*D + w*D*H(X), or in the non-asymptotic model
     its floor G = (p*D + w*D*H(X)) // (w*D) times w*D, so no verdict
     builds a Fraction, a :class:`Partition` or a partition bound.
@@ -309,7 +331,8 @@ def enumerate_complementary(source, model: str = ASYMPTOTIC, verify: bool = Fals
     check_model(model)
     ground = source.ground
     full = ground.full_mask
-    shift = min_sum_rate(source, None, model).value - source.entropy(full)
+    r_v = min_sum_rate(source, None, model)
+    shift = r_v.value - source.entropy(full)
     weight, denominator = shift.denominator, source.denominator
     base, scale = shift.numerator * denominator, weight * denominator
     h = source.entropy_scaled
@@ -326,6 +349,14 @@ def enumerate_complementary(source, model: str = ASYMPTOTIC, verify: bool = Fals
         if listed:
             found.append(mask)
     found.sort()
+    if model == ASYMPTOTIC:
+        complementary = set(found)
+        for block in r_v.maximizing_partition:
+            if block.bit_count() > 1 and block not in complementary:
+                raise CertificationError(
+                    f"block {ground.format(block)} of the fundamental partition "
+                    "is not listed as complementary"
+                )
     if verify:
         targets, own_shifts = {}, {}
         for mask in range(3, full):

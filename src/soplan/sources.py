@@ -8,10 +8,12 @@ Two interchangeable models expose ``entropy(subset) -> Fraction``:
   validated against the polymatroid axioms at load time.
 
 Sources are immutable after construction.  Sweeps, verdicts, bounds
-and merges ask a source three queries instead of indexing its table:
+and merges ask a source four queries instead of indexing its table:
 ``entropy_scaled(mask)``, the int D * H(mask) for the common
-``denominator`` D; ``stepper(weight)``, one sweep's prefix steps; and
-``shortfall``, the achievability loop.  All three read one list of ints,
+``denominator`` D; ``stepper(weight)``, one sweep's prefix steps;
+``shortfall``, the achievability loop; and ``split_minimum(mask)``, the
+least D * (H(Y) + H(X minus Y)) behind the best-bipartition bound.  All
+four read one list of ints,
 ``entropies``, with D * H(mask) for all 2^|V| masks, built on first
 use; ``entropy`` reads ``entropy_scaled`` back as a reduced Fraction.
 
@@ -41,9 +43,9 @@ from contextlib import suppress
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import compress, cycle, repeat
+from itertools import compress, cycle, islice, repeat
 from math import gcd, isfinite, lcm
-from operator import gt, lt, sub
+from operator import add, gt, lt, sub
 from typing import Iterable, Mapping
 
 from .core import (
@@ -51,6 +53,7 @@ from .core import (
     FormatError,
     GroundSet,
     SubsetLike,
+    bit_positions,
     brief,
     json_text,
     parse_fraction,
@@ -65,7 +68,7 @@ TABLE_MODEL = "table"
 
 class _SourceBase:
     """Shared plumbing: the integer entropy table, which a subclass
-    builds in ``_entropy_table`` or on construction, the three queries
+    builds in ``_entropy_table`` or on construction, the four queries
     answered from it, and the exact view ``entropy``."""
 
     ground: GroundSet
@@ -104,6 +107,25 @@ class _SourceBase:
             if have < need:
                 return c, need - have
         return None
+
+    def split_minimum(self, mask: int) -> int:
+        """The least D * (H(Y) + H(X minus Y)) over the nonempty proper
+        subsets Y of X = ``mask``, which needs two users or more.
+
+        The entropies of X's submasks, in the order that doubling lists
+        them, pair each Y with its complement at the mirrored index, so
+        one ``min`` over one ``map`` covers each split once; at X = V
+        that list is the table itself, read without a copy."""
+        table = self.entropies
+        if mask == self.ground.full_mask:
+            h = table
+        else:
+            submasks = [0]
+            for pos in bit_positions(mask):
+                submasks += [y | 1 << pos for y in submasks]
+            h = list(map(table.__getitem__, submasks))
+        half = len(h) // 2
+        return min(map(add, islice(h, 1, half), islice(reversed(h), 1, half)))
 
 
 class PacketSource(_SourceBase):

@@ -17,12 +17,15 @@ completed sweep over k users visits 2^k - 1 sets.  A sweep asks the
 source for a stepper (:class:`PrefixStepper` on a table), which keeps
 the submasks of the finished prefix and their rate sums and doubles
 both lists with each finished user.  The step returns the minimum, the
-maximal minimizer and the minimizers; a completed sweep reads only the
-first two, and only the early-exit sweep reads the (cardinality, mask)
-tie-break among the minimizers, which is worked out when read.  The
-truncation is the sum of the finished rates, and the sweep records the
-blocks of a partition attaining it, which become a
-:class:`~soplan.core.Partition` only when a caller reads one.
+maximal minimizer and the minimizers; a completed sweep reads the first
+two and keeps the minimizers, and only the early-exit sweep reads the
+(cardinality, mask) tie-break among them, which is worked out when
+read.  The truncation is the sum of the finished rates.  The sweep
+records the blocks of a partition attaining it, joined at each step's
+maximal minimizer, which become a :class:`~soplan.core.Partition` only
+when a caller reads one; the finest such partition, joined at each
+step's minimal minimizer instead, is built only when read, and only
+the accepting sweep of a minimum sum-rate reads it.
 Partitions are never enumerated outside the tests, where
 ``tests/conftest.enumerate_partitions`` serves as the oracle.
 
@@ -218,6 +221,8 @@ class UpdateRun:
     ``blocks`` are the tight blocks of a completed sweep's domain (None
     after an early exit): their f values add up to the sum of the
     finished rates.  ``partition`` builds their :class:`Partition` when
+    read.  ``minimizers`` holds each completed step's minimizers, from
+    which ``finest_partition`` builds the finest tight partition when
     read.
     """
 
@@ -227,22 +232,47 @@ class UpdateRun:
     scale: int
     candidates_examined: int
     blocks: list | None
+    minimizers: list | None = None
 
     @property
     def partition(self) -> Partition | None:
         return None if self.blocks is None else Partition(self.blocks)
 
     @property
+    def finest_partition(self) -> Partition | None:
+        """The finest partition of a completed sweep's domain into tight
+        blocks: each step joins its user with every block that meets the
+        step's minimal minimizer, the intersection of its minimizers.
+
+        Every block of the finest tight partition of the prefix lies in
+        one block of any tight partition of the prefix with the newest
+        user, since the pieces cut from it would be tight, and the
+        newest user's block holds the minimal minimizer; so the join is
+        the finest.  At alpha = R(X) the tight partitions with two or
+        more blocks are those whose bound is R(X), so this is the
+        finest of them, the fundamental partition; above R(X) it is
+        {X}."""
+        if self.minimizers is None:
+            return None
+        blocks = []
+        for minimizers in self.minimizers:
+            minimal = minimizers[0]
+            for m in minimizers:
+                minimal &= m
+            blocks = _join_blocks(blocks, 1 << (minimal.bit_length() - 1), minimal)
+        return Partition(blocks)
+
+    @property
     def rates(self) -> tuple:
         return tuple(Fraction(value, self.scale) for value in self.scaled[-1])
 
 
-def _join_blocks(blocks: list, top: int, maximal: int) -> list:
+def _join_blocks(blocks: list, top: int, minimizer: int) -> list:
     """The tight blocks after the step of ``top``: ``top`` joined with
-    every block that meets the step's maximal minimizer."""
+    every block that meets ``minimizer``, one of the step's minimizers."""
     joined, rest = top, []
     for block in blocks:
-        if block & maximal:
+        if block & minimizer:
             joined |= block
         else:
             rest.append(block)
@@ -267,7 +297,8 @@ def run_rate_update(source, shift, early_exit: bool = True, within: SubsetLike =
     keeps a partition of the prefix whose blocks are tight
     (r(B) = f(B)): each step joins the newest user with every block that
     meets that step's maximal minimizer.  Tight sets that meet have a
-    tight union, so the blocks stay tight.
+    tight union, so the blocks stay tight.  It also keeps each step's
+    minimizers, for :attr:`UpdateRun.finest_partition`.
     """
     ground = source.ground
     whole = ground.full_mask if within is None else ground.mask(within)
@@ -278,7 +309,7 @@ def run_rate_update(source, shift, early_exit: bool = True, within: SubsetLike =
     base = shift.numerator * source.denominator  # f's constant on the scale weight*D
     rates = [base if whole >> pos & 1 else 0 for pos in range(ground.size)]
     stepper, last = source.stepper(weight), whole.bit_length() - 1
-    scaled, blocks = [], []
+    scaled, blocks, minimizers = [], [], []
     candidates = -1  # the first user's one candidate, itself, is no choice
     exit_subset = exit_position = None
     for pos in bit_positions(whole):
@@ -291,10 +322,13 @@ def run_rate_update(source, shift, early_exit: bool = True, within: SubsetLike =
         rates[pos] = rate = base + step.min_value
         scaled.append(tuple(rates))
         blocks = _join_blocks(blocks, top, step.maximal_minimizer)
+        minimizers.append(step.minimizers)
         if pos != last:
             stepper.absorb(top, rate)
+    if exit_subset is not None:
+        blocks = minimizers = None
     return UpdateRun(exit_subset, exit_position, tuple(scaled), weight * source.denominator,
-                     candidates, None if exit_subset is not None else blocks)
+                     candidates, blocks, minimizers)
 
 
 def _prefix_trie_sweeps(source, shift):

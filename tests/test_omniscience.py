@@ -252,6 +252,111 @@ class TestSweepAgainstBellOracle:
             min_sum_rate(source, None, NON_ASYMPTOTIC)
 
 
+def bell_fundamental_partition(source, mask) -> tuple:
+    """``(R(X), the finest partition whose bound is R(X))`` by one pass
+    of Bell-number enumeration.  The maximizers form a lattice, so the
+    finest is the one with the most blocks."""
+    best = finest = None
+    for partition in enumerate_partitions(mask):
+        if len(partition) < 2:
+            continue
+        value = bound_of(source, partition)
+        if best is None or value > best or value == best and len(partition) > len(finest):
+            best, finest = value, partition
+    return best, finest
+
+
+class TestFundamentalPartition:
+    """``maximizing_partition`` is the fundamental partition: the finest
+    partition that attains R(X), which the accepting sweep reads off its
+    minimal minimizers."""
+
+    @staticmethod
+    def assert_finest(source, mask):
+        value, finest = bell_fundamental_partition(source, mask)
+        result = min_sum_rate(source, mask)
+        assert (result.value, result.maximizing_partition) == (value, finest)
+
+    def test_corpus_v(self, source_corpus):
+        for source in source_corpus:
+            self.assert_finest(source, source.ground.full_mask)
+
+    def test_corpus_subsets(self, source_corpus):
+        for source in source_corpus[::5]:
+            for mask in range(3, source.ground.full_mask + 1):
+                if mask.bit_count() > 1:
+                    self.assert_finest(source, mask)
+
+    def test_rational_tables(self):
+        rng = random.Random(8)
+        for n in range(3, 8):
+            for _ in range(4):
+                source = random_rational_table(rng, n, rng.randint(n, 2 * n))
+                self.assert_finest(source, source.ground.full_mask)
+
+
+class TestSweepCount:
+    """The sweep starts at the larger of the singleton and best-bipartition
+    bounds and reads the fundamental partition off the accepting sweep,
+    so no sweep runs below R(X) only to find that partition."""
+
+    @staticmethod
+    def sweeps(monkeypatch, source, model=ASYMPTOTIC) -> int:
+        calls = []
+        real = omniscience.run_rate_update
+
+        def counted(*args, **kwargs):
+            calls.append(args[1])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(omniscience, "run_rate_update", counted)
+        min_sum_rate(source, None, model)
+        return len(calls)
+
+    def test_five_user(self, monkeypatch):
+        # the best split's bound 20 - 14 = 6 beats the singletons' 23/4
+        # and falls short of R = 13/2; the non-asymptotic ceiling 7 adds
+        # a sweep
+        assert self.sweeps(monkeypatch, make_five_user()) == 2
+        assert self.sweeps(monkeypatch, make_five_user(), NON_ASYMPTOTIC) == 3
+
+    @pytest.mark.parametrize("n", [9, 10, 11, 12])
+    def test_one_sweep_at_the_best_split(self, n, monkeypatch):
+        source = random_packet_source(random.Random(n), n, 2 * n)
+        assert self.sweeps(monkeypatch, source) == 1
+
+
+class TestAcceptingPartitionCertified:
+    """The accepting sweep's finest tight partition is certified like
+    any witness: one block, or a bound other than the value, raises
+    :class:`CertificationError`, which the CLI maps to exit 3."""
+
+    @staticmethod
+    def replace_finest(monkeypatch, blocks_of):
+        monkeypatch.setattr(
+            submodular.UpdateRun, "finest_partition",
+            property(lambda run: Partition(blocks_of(run))),
+        )
+
+    def test_one_block_raises(self, five_user, monkeypatch):
+        self.replace_finest(monkeypatch, lambda run: [five_user.ground.full_mask])
+        with pytest.raises(CertificationError, match="does not attain 13/2"):
+            min_sum_rate(five_user)
+
+    def test_other_bound_raises(self, five_user, monkeypatch):
+        # the singletons bound 23/4, not R = 13/2
+        self.replace_finest(monkeypatch, lambda run: [1 << pos for pos in range(5)])
+        with pytest.raises(CertificationError, match="does not attain 13/2"):
+            min_sum_rate(five_user)
+
+    def test_exit_3(self, five_user, monkeypatch, tmp_path, capsys):
+        path = tmp_path / "five.json"
+        dump_source(five_user, path)
+        self.replace_finest(monkeypatch, lambda run: [five_user.ground.full_mask])
+        assert cli.main(["minrate", str(path)]) == 3
+        assert "does not attain 13/2" in capsys.readouterr().err
+
+
 class TestSwAchievability:
     def test_optimal_vector_passes(self, five_user):
         g = five_user.ground
@@ -462,6 +567,21 @@ class TestEnumerationWitnesses:
         self.skip_one_listed(monkeypatch, five_user)
         assert cli.main(["enumerate", str(path), "--verify"]) == 3
         assert "subsets disagree" in capsys.readouterr().err
+
+    def test_unlisted_fundamental_block_raises(self, five_user, monkeypatch):
+        # {1,2,5}, the one block of R(V)'s fundamental partition with two
+        # users or more, is complementary; a pass that never sweeps it
+        # has no verdict to check, and the cross-check still sees it
+        block = five_user.ground.mask([1, 2, 5])
+        assert block in min_sum_rate(five_user).maximizing_partition
+        real = omniscience._prefix_trie_sweeps
+
+        def skipping(source, shift):
+            return (swept for swept in real(source, shift) if swept[0] != block)
+
+        monkeypatch.setattr(omniscience, "_prefix_trie_sweeps", skipping)
+        with pytest.raises(CertificationError, match=r"block \{1,2,5\} of the fundamental"):
+            enumerate_complementary(five_user)
 
     def test_minimum_sum_rate_of_v_only(self, five_user, monkeypatch):
         calls = []

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import json
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -226,6 +227,32 @@ class TestTableLoading:
         with pytest.raises(FormatError) as got:
             source_from_dict({"model": "table", "users": [1, 2], "entropy": entropy})
         assert str(got.value) == message
+
+
+class TestSplitMinimum:
+    """``split_minimum`` against the least H(Y) + H(X minus Y) taken one
+    split at a time, on every subset of two users or more."""
+
+    @staticmethod
+    def assert_every_subset(source):
+        h = source.entropies
+        for mask in range(3, source.ground.full_mask + 1):
+            if mask.bit_count() > 1:
+                splits = [h[y] + h[mask ^ y] for y in range(1, mask) if y & mask == y]
+                assert source.split_minimum(mask) == min(splits), mask
+
+    def test_corpus(self, source_corpus):
+        for source in source_corpus[::4]:
+            self.assert_every_subset(source)
+
+    def test_rational_tables(self):
+        rng = random.Random(6)
+        for n in (2, 3, 5, 7):
+            self.assert_every_subset(random_rational_table(rng, n, 2 * n))
+
+    def test_five_user(self, five_user):
+        # {3} | {1,2,4,5}: 4 + 10, and {4} | {1,2,3,5} ties
+        assert five_user.split_minimum(five_user.ground.full_mask) == 14
 
 
 class TestReorder:
