@@ -210,8 +210,10 @@ class RateVector:
         labels = self.ground.labels
         if len(self.values) != len(labels):
             raise DomainError("rate vector length does not match the ground set")
+        # a Fraction is kept as it is; anything else is parsed, or refused
         values = tuple(
-            parse_fraction(v, where=f"rate for {label!r}") for label, v in zip(labels, self.values)
+            v if type(v) is Fraction else parse_fraction(v, where=f"rate for {label!r}")
+            for label, v in zip(labels, self.values)
         )
         domain = self.ground.mask(self.domain)
         for pos, value in enumerate(values):

@@ -6,7 +6,9 @@ span-membership machinery the simulator needs.  Most rows in play are
 unit rows (a user's own packet chunks), so a space takes a set of
 covered columns whose unit rows it contains without storing them, and
 keeps the other basis rows on the uncovered columns only: rank is the
-number of covered columns plus one small residual elimination.
+number of covered columns plus one small residual elimination.  Unit
+rows a space comes to hold can be turned into covered columns later
+(:meth:`RowSpace.cover`).
 
 Because the basis is fully reduced, a vector is reduced by reading its
 entries at the pivot columns, with no elimination order to follow, and
@@ -104,7 +106,7 @@ class RowSpace:
 
     __slots__ = (
         "q", "width", "covered", "free", "rows", "pivots",
-        "_bits", "_bytes", "_format", "_project", "_covered_columns", "_place",
+        "_bits", "_bytes", "_format", "_project", "_covered_columns", "_place", "_layout",
     )
 
     def __init__(self, q: int, width: int, rows: Iterable[Sequence[int]] = (), covered: int = 0):
@@ -133,6 +135,7 @@ class RowSpace:
         self._place = _getter([slot[j] for j in range(width)])
         self.rows: list = []  # packed
         self.pivots: list = []  # positions in ``free``
+        self._layout = None  # see combination; reset when the basis grows
         for row in rows:
             self.add(row)
 
@@ -182,6 +185,7 @@ class RowSpace:
         at = bisect(self.pivots, pivot)
         self.rows.insert(at, new)
         self.pivots.insert(at, pivot)
+        self._layout = None
         return True
 
     def contains(self, row: Sequence[int]) -> bool:
@@ -208,6 +212,25 @@ class RowSpace:
             if self._unpack(self.rows[k]).count(0) != len(free) - 1:
                 return False
         return True
+
+    def cover(self, columns: int) -> "RowSpace":
+        """The same space with the columns in the bitmask ``columns``
+        among its covered ones; refuses columns whose unit rows the space
+        does not hold.  Those unit rows are stored rows of the canonical
+        basis, and every other stored row is zero on them, so the result
+        drops them and keeps the rest of each stored row: the basis is
+        unchanged, as is :meth:`combination` on the same coefficients."""
+        if not self.spans_units(columns):
+            raise DomainError("cannot cover columns whose unit rows the space does not hold")
+        other = RowSpace(self.q, self.width, covered=self.covered | columns)
+        position = {column: k for k, column in enumerate(other.free)}
+        keep = _getter([k for k, column in enumerate(self.free) if column in position])
+        for pivot, row in zip(self.pivots, self.rows):
+            column = self.free[pivot]
+            if column in position:
+                other.rows.append(other._pack(keep(self._unpack(row))))
+                other.pivots.append(position[column])
+        return other
 
     @property
     def rank(self) -> int:
@@ -240,10 +263,18 @@ class RowSpace:
             raise DomainError(
                 f"{len(coefficients)} coefficients for a basis of {self.rank} rows"
             )
-        pivot_columns = list(map(self.free.__getitem__, self.pivots))
-        at = dict(zip(sorted(self._covered_columns + pivot_columns), coefficients))
-        packed = sum(map(mul, map(at.__getitem__, pivot_columns), self.rows))
-        return self._place(self._unpack(packed) + list(map(at.__getitem__, self._covered_columns)))
+        if self._layout is None:
+            # which coefficient goes to each stored row and to each
+            # covered column, kept until the basis grows
+            pivot_columns = list(map(self.free.__getitem__, self.pivots))
+            order = {column: k for k, column in enumerate(sorted(self._covered_columns + pivot_columns))}
+            self._layout = (
+                _getter(list(map(order.__getitem__, pivot_columns))),
+                _getter(list(map(order.__getitem__, self._covered_columns))),
+            )
+        stored, covered = self._layout
+        packed = sum(map(mul, stored(coefficients), self.rows))
+        return self._place(self._unpack(packed) + list(covered(coefficients)))
 
     def clone(self) -> "RowSpace":
         other = RowSpace.__new__(RowSpace)

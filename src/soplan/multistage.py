@@ -36,6 +36,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import lcm
 from typing import Mapping
 
@@ -107,8 +108,9 @@ class StagePlan:
             if stage.rates.ground != self.ground:
                 raise DomainError("stage rates must live on the plan's ground set")
 
-    @property
+    @cached_property
     def total_rates(self) -> RateVector:
+        """Each user's rate summed over the stages, computed once."""
         return sum((stage.rates for stage in self.stages), RateVector.zeros(self.ground))
 
     def to_dict(self) -> dict:

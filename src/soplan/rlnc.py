@@ -22,9 +22,13 @@ Every user's space starts from its chunk columns as covered
 coordinates (see :class:`~soplan.gf.RowSpace`), so only broadcasts are
 ever eliminated.  Whether a member decodes a stage is read off its
 reduced basis (:meth:`~soplan.gf.RowSpace.spans_units`), with no
-elimination; the one membership test per broadcast checks that the
-sender spans its own row, and a row outside it raises
-:class:`~soplan.core.CertificationError`.
+elimination, for the first member that decodes; the other members
+are read off their rank (see :func:`draw_stage`).  The members that decode
+a stage hold one space from then on, as the planner's super user does:
+they share one :class:`~soplan.gf.RowSpace` with the stage's columns
+covered, which hears each later row once.  The one membership test per
+broadcast checks that the sender spans its own row, and a row outside
+it raises :class:`~soplan.core.CertificationError`.
 """
 
 from __future__ import annotations
@@ -160,9 +164,10 @@ class Transcript:
 @dataclass(frozen=True)
 class StageDraw:
     """One stage's coding rows as ``(sender, row)`` pairs in broadcast
-    order, every listener's space after hearing them, the number of
-    attempts taken, and whether each sender spans the needed columns
-    after the last attempt."""
+    order, every listener's space after hearing them (the members that
+    decoded with the same covered columns share one, with the needed
+    columns covered), the number of attempts taken, and whether each
+    sender spans the needed columns after the last attempt."""
 
     rows: tuple
     spaces: Mapping
@@ -174,21 +179,30 @@ def draw_stage(spaces: Mapping, counts: Mapping, rng, needed: int, stage: int = 
     """Draw one stage's random coding rows, redrawing short draws.
 
     ``spaces`` maps every listener to its current row space and stays
-    untouched; ``counts`` maps each sender, in sending order, to its
-    number of rows.  A sender combines what it spans at its turn (its
-    observation plus the rows sent before it in the same draw), and
-    every other listener hears each row.  A draw is kept once every
-    sender spans the unit rows of the columns in ``needed``.  Drawing
-    stops there, after one draw without rows (fresh randomness cannot
-    change it), or after ``STAGE_REDRAW_LIMIT`` attempts; the last draw
-    is returned.  A row outside its sender's span, which no correct
-    combination produces, raises :class:`CertificationError` naming
-    ``stage`` and the sender.
+    untouched; listeners may share one space.  Every space must hold
+    its covered columns' unit rows and the rows broadcast so far, and
+    nothing else, as :func:`execute_plan` keeps them.  ``counts`` maps
+    each sender, in sending order, to its number of rows.  A sender
+    combines what it spans at its turn (its observation plus the rows
+    sent before it in the same draw), and every other space hears each
+    row.  A draw is kept once every sender spans the unit rows of the
+    columns in ``needed``.  Drawing stops there, after one draw without
+    rows (fresh randomness cannot change it), or after
+    ``STAGE_REDRAW_LIMIT`` attempts; the last draw is returned.  A row
+    outside its sender's span, which no correct combination produces,
+    raises :class:`CertificationError` naming ``stage`` and the sender.
     """
     attempts = 0
     while True:
         attempts += 1
-        trial = {user: space.clone() for user, space in spaces.items()}
+        # one copy of each distinct space, shared as the spaces are
+        copies = {}
+        trial = {}
+        for user, space in spaces.items():
+            if id(space) not in copies:
+                copies[id(space)] = space.clone()
+            trial[user] = copies[id(space)]
+        listeners = list(copies.values())
         rows = []
         for sender, count in counts.items():
             space = trial[sender]
@@ -200,12 +214,35 @@ def draw_stage(spaces: Mapping, counts: Mapping, rng, needed: int, stage: int = 
                         f"stage {stage}: sender {sender!r} broadcast a row outside its own span"
                     )
                 rows.append((sender, row))
-                for user, listener in trial.items():
-                    if user != sender:
+                for listener in listeners:
+                    if listener is not space:
                         listener.add(row)
-        achieved = {member: trial[member].spans_units(needed) for member in counts}
+        # A member with covered columns C holds at most the unit rows of
+        # C | needed and the rows sent so far, and it decodes exactly when
+        # it holds all of them.  So once one member with the same C |
+        # needed is seen to decode, another decodes iff its rank is the
+        # same.
+        achieved = {}
+        decoded = {}  # C | needed -> the space of the first member that decodes
+        for member in counts:
+            space = trial[member]
+            key = space.covered | needed
+            if key in decoded:
+                achieved[member] = space.rank == decoded[key].rank
+            elif space.spans_units(needed):
+                achieved[member] = True
+                decoded[key] = space
+            else:
+                achieved[member] = False
         if all(achieved.values()) or not rows or attempts >= STAGE_REDRAW_LIMIT:
-            return StageDraw(tuple(rows), trial, attempts, achieved)
+            break
+    # the members that decoded with the same C | needed hold one space
+    # and share it from here on, with the needed columns covered
+    shared = {key: space.cover(needed) for key, space in decoded.items()}
+    for member, ok in achieved.items():
+        if ok:
+            trial[member] = shared[trial[member].covered | needed]
+    return StageDraw(tuple(rows), trial, attempts, achieved)
 
 
 def _chunk_columns(packet_order, possession: Mapping, chunk_factor: int) -> tuple:

@@ -12,6 +12,8 @@ import pytest
 
 from soplan import DomainError, GroundSet, PacketSource, Partition, TableSource
 from soplan.core import bit_positions
+from soplan.gf import RowSpace, random_combination
+from soplan.rlnc import STAGE_REDRAW_LIMIT, _chunk_columns
 from soplan.sources import PolymatroidReport, Violation
 
 CORPUS_SEED = 20260823
@@ -216,3 +218,49 @@ def polymatroid_report(source) -> PolymatroidReport:
                         )
                     )
     return PolymatroidReport(not violations, tuple(violations))
+
+
+def reference_draw_stage(spaces, counts, rng, needed: int) -> tuple:
+    """The stage loop with one space per user: every attempt copies each
+    user's space, every listener hears every row another user sends, and
+    every member is checked with ``spans_units``.  Returns the rows, the
+    spaces, the attempts and the decode flags: the oracle for the shared
+    spaces of ``rlnc.draw_stage``."""
+    attempts = 0
+    while True:
+        attempts += 1
+        trial = {user: space.clone() for user, space in spaces.items()}
+        rows = []
+        for sender, count in counts.items():
+            space = trial[sender]
+            for _ in range(count):
+                row = random_combination(space, space.width, space.q, rng)
+                assert space.contains(row)
+                rows.append((sender, row))
+                for user, listener in trial.items():
+                    if user != sender:
+                        listener.add(row)
+        achieved = {member: trial[member].spans_units(needed) for member in counts}
+        if all(achieved.values()) or not rows or attempts >= STAGE_REDRAW_LIMIT:
+            return tuple(rows), trial, attempts, achieved
+
+
+def reference_execute(source: PacketSource, plan, seed: int = None) -> tuple:
+    """``execute_plan`` run stage by stage through
+    :func:`reference_draw_stage`.  Returns, per stage, the rows, the
+    attempts and the decode flags, and then every user's final rank."""
+    ground = plan.ground
+    chunk = plan.chunk_factor
+    width, coverage = _chunk_columns(source.packet_order, source.possession, chunk)
+    rng = random.Random(plan.seed if seed is None else seed)
+    spaces = {user: RowSpace(plan.field_order, width, covered=coverage[user]) for user in ground.labels}
+    stages = []
+    for stage in plan.stages:
+        members = ground.labels_of(stage.target)
+        counts = {member: int(stage.rates.rate(member) * chunk) for member in members}
+        needed = 0
+        for member in members:
+            needed |= coverage[member]
+        rows, spaces, attempts, achieved = reference_draw_stage(spaces, counts, rng, needed)
+        stages.append((rows, attempts, achieved))
+    return tuple(stages), {user: spaces[user].rank for user in ground.labels}

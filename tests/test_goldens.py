@@ -75,6 +75,32 @@ GOLDENS = {
         "bca83f2a88b24179f68fd98028b710c2b6497b2cbb37e429a8671e39d33bb9c8",
         "5940391ee9578d4d3f6f30641e9a1f45747afa116fe4985b5c69252c87454b39",
     ),
+    # two or three stages at chunk factor 2 or 3: later stages run on
+    # the spaces of groups that decoded earlier
+    (23, 33, ASYMPTOTIC): (
+        "19d5a2dc644e5008f025062e273384e38dcfb8744e69edb5a9fb191e52386a14",
+        "47abf479f0aaefb31aa562f195001f95d430954a1df34c4a833869154567d54e",
+    ),
+    (59, 69, ASYMPTOTIC): (
+        "fce2c216a8211861c4889897b0637d2b78d361f95694f4b9772316a864c6ca83",
+        "f246fc88ce43a258abed2c7f27f260e2de18e42746d4bcb61c55a2ba078c1290",
+    ),
+    (126, 136, ASYMPTOTIC): (
+        "607edd4b935488a3d7844448c63f4d778a77562ab26f74de68d0b36368a546d4",
+        "fee8c1a28f9e66622c0c565c93050e24971e9eb512d50b07133485b7148c11f3",
+    ),
+    # stage_attempts [1, 25, 25, 25]: three stages stay short and the run
+    # does not decode
+    (59, 69, NON_ASYMPTOTIC): (
+        "ced4413259dfd15cd55a644621b14e7a3b79eaadaea45536dfd9618f8aeafa9e",
+        "7537f2a7b30ea0dda2ee9674b703f15c8d354e386034073a9aeca2be41e43a11",
+    ),
+    # stage_attempts [1, 25, 25, 1]: the last stage decodes after two
+    # short ones
+    (130, 140, ASYMPTOTIC): (
+        "26cf0936a3d7872e4cf995619ae809cda5bb7b78e14c094553c19edb833b6cb9",
+        "4267382fec577b1dba171c031a0eb596f7f869a5fc5a285d4dda7baafc078e62",
+    ),
 }
 
 

@@ -19,7 +19,7 @@ from soplan import (
     plan_multistage,
 )
 from soplan.multistage import Stage
-from tests.conftest import make_five_user
+from tests.conftest import make_five_user, reference_draw_stage, reference_execute
 from soplan.rlnc import FieldSpec, _chunk_columns, choose_field, draw_stage
 from soplan.sources import reorder
 from soplan.gf import RowSpace, is_prime, next_prime, random_combination
@@ -286,3 +286,76 @@ class TestChunkColumns:
     def test_user_covers_every_chunk_of_its_packets(self, five_user):
         _, coverage = _chunk_columns(five_user.packet_order, five_user.possession, 3)
         assert coverage[3].bit_count() == 3 * 4
+
+
+def _expanded_basis(space: RowSpace) -> tuple:
+    """The basis with coordinate rows written out as full-width rows."""
+    width = space.width
+    return tuple(
+        tuple(int(j == entry) for j in range(width)) if isinstance(entry, int) else entry
+        for entry in space.basis()
+    )
+
+
+class TestSharedSpaces:
+    """Members that decode a stage share one space from then on, and
+    later members' decode flags are read off ranks.  The per-user loop
+    of ``tests.conftest.reference_execute`` is the oracle: rows, decode
+    flags, attempts and ranks must all match it."""
+
+    @staticmethod
+    def assert_matches_reference(source, plan):
+        transcript = execute_plan(source, plan)
+        stages, ranks = reference_execute(source, plan)
+        rows = tuple((b.sender, b.row) for b in transcript.broadcasts)
+        assert rows == tuple(row for stage_rows, _, _ in stages for row in stage_rows)
+        for report, (_, attempts, achieved) in zip(transcript.stage_reports, stages, strict=True):
+            assert report.attempts == attempts
+            assert dict(report.achieved) == achieved
+        assert dict(transcript.ranks) == ranks
+
+    def test_corpus_plans_with_later_stages(self, source_corpus):
+        checked = 0
+        for index, source in enumerate(source_corpus):
+            for model in ("asymptotic", "non_asymptotic"):
+                plan = plan_multistage(source, model, seed=index + 10)
+                if len(plan.stages) < 2:
+                    continue
+                self.assert_matches_reference(source, plan)
+                checked += 1
+        assert checked > 300
+
+    @pytest.mark.parametrize("q", [5, 7])
+    def test_small_fields_redraw_and_fail_as_the_reference(self, q):
+        """Over GF(5) and GF(7) draws come up short often, so members
+        fail, the next member falls back to ``spans_units`` and stages
+        redraw.  Stage targets are random and need not nest."""
+        rng = random.Random(q)
+        failed = redrawn = shared = 0
+        for _ in range(60):
+            n, width = rng.randint(3, 5), rng.randint(3, 9)
+            users = list(range(n))
+            coverage = {user: rng.getrandbits(width) for user in users}
+            spaces = {user: RowSpace(q, width, covered=coverage[user]) for user in users}
+            reference = dict(spaces)
+            for stage in range(rng.randint(2, 4)):
+                members = rng.sample(users, rng.randint(1, n))
+                counts = {member: rng.choice((0, 0, 1, 1, 2, 3)) for member in members}
+                needed = 0
+                for member in members:
+                    needed |= coverage[member]
+                seed = rng.getrandbits(32)
+                draw = draw_stage(spaces, counts, random.Random(seed), needed, stage)
+                rows, reference, attempts, achieved = reference_draw_stage(
+                    reference, counts, random.Random(seed), needed
+                )
+                assert draw.rows == rows
+                assert draw.attempts == attempts
+                assert draw.achieved == achieved
+                spaces = draw.spaces
+                for user in users:
+                    assert _expanded_basis(spaces[user]) == _expanded_basis(reference[user])
+                failed += not all(achieved.values())
+                redrawn += attempts > 1
+                shared += len(set(map(id, spaces.values()))) < n
+        assert failed and redrawn and shared

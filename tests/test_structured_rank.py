@@ -207,3 +207,81 @@ class TestStoredRowsStayReduced:
             for k, packed in enumerate(space.rows):
                 for i, pivot in enumerate(space.pivots):
                     assert self.entry(space, packed, pivot) == int(i == k)
+
+
+def _spanned_columns(space: RowSpace) -> list:
+    return [j for j in range(space.width) if space.spans_units(1 << j)]
+
+
+class TestCover:
+    """``cover`` turns spanned unit rows into covered columns; the
+    result must be the space built from scratch with those columns
+    covered."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(spaces(), st.booleans(), st.data())
+    def test_matches_a_space_built_with_the_columns_covered(self, case, full, data):
+        q, width, covered, rows, probes = case
+        if full:
+            rows = rows + data.draw(full_rank_rows(q, width))
+        space = RowSpace(q, width, rows, covered=covered)
+        spanned = _spanned_columns(space)
+        chosen = data.draw(st.lists(st.sampled_from(spanned), unique=True)) if spanned else []
+        columns = sum(1 << j for j in chosen)
+        result = space.cover(columns)
+        rebuilt = RowSpace(q, width, rows, covered=covered | columns)
+        assert result.covered == covered | columns
+        assert result.rank == rebuilt.rank == space.rank
+        assert result.basis() == rebuilt.basis()
+        assert [expand(entry, width) for entry in result.basis()] == [
+            expand(entry, width) for entry in space.basis()
+        ]
+        for mask in data.draw(st.lists(st.integers(0, (1 << width) - 1), max_size=4)):
+            assert result.spans_units(mask) is rebuilt.spans_units(mask) is space.spans_units(mask)
+        coefficients = data.draw(st.lists(st.integers(0, 2 * q), min_size=space.rank, max_size=space.rank))
+        assert result.combination(coefficients) == rebuilt.combination(coefficients)
+        assert result.combination(coefficients) == space.combination(coefficients)
+        # the result grows as the rebuilt space does, and leaves the
+        # space it came from as it was
+        before = space.basis()
+        for probe in probes:
+            assert result.add(probe) is rebuilt.add(probe)
+        assert result.basis() == rebuilt.basis()
+        assert space.basis() == before
+
+    @settings(max_examples=100, deadline=None)
+    @given(spaces(), st.data())
+    def test_refuses_columns_the_space_does_not_span(self, case, data):
+        q, width, covered, rows, _ = case
+        space = RowSpace(q, width, rows, covered=covered)
+        missing = [j for j in range(width) if j not in _spanned_columns(space)]
+        if not missing:
+            return
+        column = data.draw(st.sampled_from(missing))
+        with pytest.raises(DomainError, match="does not hold"):
+            space.cover(1 << column | covered)
+
+    def test_out_of_width_columns_are_refused(self):
+        with pytest.raises(DomainError):
+            RowSpace(5, 3, covered=0b111).cover(0b1000)
+
+
+class TestCombinationLayout:
+    @settings(max_examples=150, deadline=None)
+    @given(spaces(), st.integers(0, 2**32))
+    def test_combinations_between_adds_match_a_fresh_space(self, case, seed):
+        """``combination`` keeps its pivot layout until the basis grows;
+        each combination between adds must equal a fresh space's."""
+        q, width, covered, rows, probes = case
+        rng = random.Random(seed)
+        space = RowSpace(q, width, rows, covered=covered)
+        added = list(rows)
+        for probe in [None] + probes:
+            if probe is not None:
+                space.add(probe)
+                added.append(probe)
+            fresh = RowSpace(q, width, added, covered=covered)
+            for _ in range(2):
+                coefficients = [rng.randrange(q) for _ in range(space.rank)]
+                assert space.combination(coefficients) == fresh.combination(coefficients)
+            assert space.clone().combination(coefficients) == fresh.combination(coefficients)

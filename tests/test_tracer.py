@@ -7,7 +7,7 @@ import importlib.util
 import random
 from pathlib import Path
 
-from soplan import ASYMPTOTIC, enumerate_complementary, multistage, plan_multistage, sources
+from soplan import ASYMPTOTIC, enumerate_complementary, multistage, plan_multistage, rlnc, sources
 from tests.conftest import make_five_user, random_rational_table
 
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
@@ -56,3 +56,30 @@ def test_prefix_trie_steps_are_counted():
         assert tracer.counts["submodular.minimize_over_prefix.candidates"] >= (3 ** 6 - 1) // 2
         assert tracer.stat("submodular.dilworth_truncation")[0] == truncations
     assert steps[True] == steps[False]
+
+
+def test_simulator_rows_pass_through_the_traced_entry_points():
+    """The benchmark's gf metrics count ``RowSpace.add``, ``contains``
+    and ``clone`` and ``random_combination``; a simulator that routed
+    rows around them would read zero there, so it fails here."""
+    source = make_five_user()
+    tracer = _tracer_module().Tracer()
+    tracer.install()
+    try:
+        plan = plan_multistage(source, ASYMPTOTIC)
+        # through the module, where the tracer wraps it
+        transcript = rlnc.execute_plan(source, plan)
+    finally:
+        tracer.uninstall()
+    assert len(plan.stages) >= 2
+    broadcasts = len(transcript.broadcasts)
+    assert broadcasts > 0
+    assert tracer.counts["rlnc.broadcasts"] == broadcasts
+    assert tracer.stat("rlnc.execute_plan")[0] == 1
+    # one combination and one membership check per row, and every row
+    # heard by at least one other space
+    assert tracer.stat("gf.random_combination")[0] >= broadcasts
+    assert tracer.stat("gf.contains")[0] >= broadcasts
+    assert tracer.stat("gf.add")[0] >= broadcasts
+    assert tracer.counts["gf.add.grew"] > 0
+    assert tracer.stat("gf.clone")[0] >= len(plan.stages)
