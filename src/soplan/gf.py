@@ -10,19 +10,23 @@ number of covered columns plus one small residual elimination.  Unit
 rows a space comes to hold can be turned into covered columns later
 (:meth:`RowSpace.cover`).
 
-Because the basis is fully reduced, a vector is reduced by reading its
-entries at the pivot columns, with no elimination order to follow, and
-whether the space holds a unit row is read off the basis itself.
-Coefficients are drawn by :func:`draw_coefficients`, value for value as
-``rng.randrange(q)`` draws them.  Pure Python keeps everything exact.
-"""
+Those other rows are stored in systematic form, [I | A]: a basis row is
+1 at its own pivot and 0 at every other pivot, so only its entries on
+the open columns, the uncovered columns that are no row's pivot, are
+kept.  An r-row basis on f uncovered columns stores f - r entries per
+row, not f.  Because the basis is fully reduced, a vector is reduced by
+reading its entries at the pivot columns, with no elimination order to
+follow, and whether the space holds a unit row is read off the basis
+itself.  Coefficients are drawn by :func:`draw_coefficients`, value for
+value as ``rng.randrange(q)`` draws them.  Pure Python keeps everything
+exact."""
 
 from __future__ import annotations
 
 from bisect import bisect, bisect_left
 from itertools import repeat
-from operator import itemgetter, mul
-from struct import pack, unpack
+from operator import itemgetter, mul, neg
+from struct import Struct
 from typing import Callable, Iterable, Sequence
 
 from .core import DomainError, bit_positions
@@ -84,29 +88,58 @@ def _getter(indices: Sequence[int]) -> Callable[[Sequence], tuple]:
     return itemgetter(*indices)
 
 
+_STRUCTS: dict = {}
+
+
+def _slots_struct(count: int) -> Struct:
+    """The struct of ``count`` little-endian 8-byte slots, one per count."""
+    packer = _STRUCTS.get(count)
+    if packer is None:
+        packer = _STRUCTS[count] = Struct(f"<{count}Q")
+    return packer
+
+
 class RowSpace:
     """A subspace of GF(q)^width, maintained as a reduced echelon basis.
 
     The unit row of every column in the bitmask ``covered`` belongs to
-    the space; these coordinate rows are implicit.  The other basis rows
-    vanish on covered columns, so they are stored on the uncovered
-    columns (``free``, ascending) only.  Their leading entry is 1, they
-    are sorted by pivot, and every pivot column is zero in all other
-    rows.  So reducing a vector subtracts one multiple of each stored
-    row: the vector's own entry at that row's pivot.  With
-    ``covered == 0`` this is a plain reduced echelon basis.
+    the space; these coordinate rows are implicit.  Every other basis
+    row has leading entry 1 at its pivot column and is zero at covered
+    columns and at every other pivot, so it is stored in systematic
+    form: only its entries on the open columns, the uncovered columns
+    that are no row's pivot, are kept; its 1 and its zeros are implicit.
+    Stored rows are sorted by pivot (``pivots`` lists their columns).
+    Reducing a vector subtracts one multiple of each stored row: the
+    vector's own entry at that row's pivot.  With ``covered == 0`` this
+    is a plain reduced echelon basis.
 
-    A stored row is one int holding an entry per free column in a fixed
-    number of bits, so a row operation is a single big-int multiply-add.
+    A stored row is one int holding an entry per open column in a fixed
+    number of bits, so a row operation is a single big-int multiply-add
+    over the open columns only.  The open columns are kept in
+    descending order, slot 0 (the low bits) holding the highest one.  A
+    new pivot is the lowest nonzero column of a reduced vector, usually
+    the lowest open column, so its slot is usually the top one:
+    dropping it from the stored rows is a mask, and reading their
+    entries there a shift with a small result.
+
     Entries are only meaningful mod q and are normalized when a row is
-    read out; a row operation adds less than q*q to an entry, and the
-    slots are wide enough that no sequence of them can carry into the
-    next slot.
+    read out.  A row operation adds less than q*q to an entry, and at
+    most one is applied per later pivot, so entries stay below
+    (n + 1) * q^2 for n uncovered columns; a reduced vector or a
+    combination adds at most n products of a multiplier below q with
+    such an entry, so the slots are sized to hold (n + 1)^2 * q^3 and no
+    sequence of operations can carry into the next slot.  Dropping
+    identity columns changes none of this: the open entries are the
+    ones the full rows held.  A space made by :meth:`cover` has fewer
+    uncovered columns but no more open ones, hence no more later
+    pivots, so it keeps the slots and the bound of the space it came
+    from, unless its own n allows narrower slots; then its rows are
+    packed again, normalized.
     """
 
     __slots__ = (
-        "q", "width", "covered", "free", "rows", "pivots",
-        "_bits", "_bytes", "_format", "_project", "_covered_columns", "_place", "_layout",
+        "q", "width", "covered", "rows", "pivots",
+        "_open", "_bits", "_covered_columns", "_getters", "_layout",
     )
 
     def __init__(self, q: int, width: int, rows: Iterable[Sequence[int]] = (), covered: int = 0):
@@ -119,73 +152,85 @@ class RowSpace:
         self.q = q
         self.width = width
         self.covered = covered
-        self.free = tuple(j for j in range(width) if not covered >> j & 1)
-        # A stored entry takes at most one row operation per later basis
-        # row, and a reduced vector or a combination one per basis row:
-        # entries stay below (n + 1)^2 * q^3 for n free columns.
-        size = -(-((len(self.free) + 1) ** 2 * q**3).bit_length() // 8)
-        self._bytes = max(size, 8)
-        self._bits = 8 * self._bytes
-        self._format = f"<{len(self.free)}Q" if self._bytes == 8 else None
-        # a full-width row's entries on the free columns
-        self._project = _getter(self.free)
-        self._covered_columns = list(bit_positions(covered))
-        # full-width row from its free entries followed by its covered ones
-        slot = {column: k for k, column in enumerate(self.free + tuple(self._covered_columns))}
-        self._place = _getter([slot[j] for j in range(width)])
-        self.rows: list = []  # packed
-        self.pivots: list = []  # positions in ``free``
+        self._covered_columns = tuple(bit_positions(covered))
+        self._open = [j for j in range(width - 1, -1, -1) if not covered >> j & 1]
+        # slots of 8 bytes are packed by struct, wider ones byte by byte
+        self._bits = 8 * max(-(-((len(self._open) + 1) ** 2 * q**3).bit_length() // 8), 8)
+        self.rows: list = []  # packed, in pivot order
+        self.pivots: list = []  # the stored rows' pivot columns
+        self._getters = None  # see _reduce; reset when the basis grows
         self._layout = None  # see combination; reset when the basis grows
         for row in rows:
             self.add(row)
 
-    def _pack(self, values: Sequence[int]) -> int:
-        if self._format:
-            return int.from_bytes(pack(self._format, *values), "little")
-        size = self._bytes
-        return int.from_bytes(b"".join(value.to_bytes(size, "little") for value in values), "little")
+    def _pack(self, values: Iterable[int], count: int) -> int:
+        """``count`` entries, slot 0 first, as one int."""
+        if self._bits > 64:
+            size = self._bits // 8
+            return int.from_bytes(b"".join(value.to_bytes(size, "little") for value in values), "little")
+        # unpacking a list, not an iterator, into the call: an iterator
+        # is collected into a tuple grown by repeated resizing, which
+        # left the simulator's peak RSS about 1 MiB higher
+        return int.from_bytes(_slots_struct(count).pack(*list(values)), "little")
 
     def _unpack(self, packed: int) -> list:
-        """The entries of a packed row, normalized mod q."""
-        q, size = self.q, self._bytes
-        data = packed.to_bytes(size * len(self.free), "little")
-        if self._format:
-            return list(map(q.__rmod__, unpack(self._format, data)))
-        return [int.from_bytes(data[k:k + size], "little") % q for k in range(0, len(data), size)]
+        """The entries of a packed row over the open columns, slot 0
+        first, normalized mod q."""
+        q, count = self.q, len(self._open)
+        if self._bits > 64:
+            size = self._bits // 8
+            data = packed.to_bytes(size * count, "little")
+            return [int.from_bytes(data[k:k + size], "little") % q for k in range(0, len(data), size)]
+        return list(map(q.__rmod__, _slots_struct(count).unpack(packed.to_bytes(8 * count, "little"))))
 
     def _reduce(self, row: Sequence[int]) -> int:
+        """``row`` minus its multiple of each stored row, packed over the
+        open columns; its entries at the pivots are zero."""
         if len(row) != self.width:
             raise DomainError(f"row width {len(row)} != {self.width}")
-        if len(self.rows) == len(self.free):
+        if not self._open:
             return 0  # the space is everything: every row reduces to zero
+        if self._getters is None:
+            self._getters = (_getter(self._open), _getter(self.pivots))
+        open_entries, pivot_entries = self._getters
         q = self.q
-        values = list(map(q.__rmod__, self._project(row)))
+        packed = self._pack(map(q.__rmod__, open_entries(row)), len(self._open))
         # every other stored row is zero at a row's pivot, so the
         # multiple of that row to subtract is the vector's entry there
-        multipliers = [-values[pivot] % q for pivot in self.pivots]
-        return self._pack(values) + sum(map(mul, multipliers, self.rows))
+        multipliers = map(q.__rmod__, map(neg, pivot_entries(row)))
+        return sum(map(mul, multipliers, self.rows), packed)
 
     def add(self, row: Sequence[int]) -> bool:
         """Insert ``row``; return True iff it enlarged the space."""
         q = self.q
         reduced = self._unpack(self._reduce(row))
-        lead = next(filter(None, reduced), 0)
-        if not lead:
+        if not any(reduced):
             return False
-        pivot = reduced.index(lead)
-        inv = pow(lead, -1, q)
-        new = self._pack([value * inv % q for value in reduced])
-        # Clear the new pivot column from the existing basis rows to keep
-        # the basis fully reduced.
-        shift, mask = pivot * self._bits, (1 << self._bits) - 1
-        self.rows = [
-            stored + (q - coeff) * new if (coeff := (stored >> shift & mask) % q) else stored
-            for stored in self.rows
-        ]
-        at = bisect(self.pivots, pivot)
+        # the pivot is the lowest nonzero column, in the highest nonzero
+        # slot; the new row is zero in the slots above it
+        while not reduced[-1]:
+            reduced.pop()
+        inv = pow(reduced.pop(), -1, q)
+        slot = len(reduced)
+        new = self._pack(map(q.__rmod__, map(inv.__mul__, reduced)), slot)
+        # Clear the new pivot column from the existing basis rows, to keep
+        # the basis fully reduced, and drop its slot from them.
+        bits = self._bits
+        shift = slot * bits
+        low = (1 << shift) - 1
+        if slot == len(self._open) - 1:  # the top slot: nothing above it
+            self.rows = [(stored & low) + (-(stored >> shift) % q) * new for stored in self.rows]
+        else:
+            mask = (1 << bits) - 1
+            self.rows = [
+                (stored & low | stored >> shift + bits << shift) + (-(stored >> shift & mask) % q) * new
+                for stored in self.rows
+            ]
+        column = self._open.pop(slot)
+        at = bisect(self.pivots, column)
         self.rows.insert(at, new)
-        self.pivots.insert(at, pivot)
-        self._layout = None
+        self.pivots.insert(at, column)
+        self._getters = self._layout = None
         return True
 
     def contains(self, row: Sequence[int]) -> bool:
@@ -195,21 +240,17 @@ class RowSpace:
         """Does the space contain the unit row of every column in the
         bitmask ``columns``?  A covered column's unit row is implicit;
         an uncovered column's is in the space exactly when the column is
-        a pivot whose stored row is that unit row, because the reduced
-        echelon basis is canonical."""
+        a pivot whose stored row is zero on every open column, because
+        the reduced echelon basis is canonical."""
         if columns < 0 or columns >> self.width:
             raise DomainError(f"columns must lie inside width {self.width}")
         rest = columns & ~self.covered
-        if not rest or self.rank == self.width:
+        if not rest or not self._open:
             return True
-        free, pivots = self.free, self.pivots
+        pivots = self.pivots
         for column in bit_positions(rest):
-            position = bisect_left(free, column)
-            k = bisect_left(pivots, position)
-            if k == len(pivots) or pivots[k] != position:
-                return False
-            # the pivot entry is 1; a unit row is zero everywhere else
-            if self._unpack(self.rows[k]).count(0) != len(free) - 1:
+            k = bisect_left(pivots, column)
+            if k == len(pivots) or pivots[k] != column or any(self._unpack(self.rows[k])):
                 return False
         return True
 
@@ -217,19 +258,21 @@ class RowSpace:
         """The same space with the columns in the bitmask ``columns``
         among its covered ones; refuses columns whose unit rows the space
         does not hold.  Those unit rows are stored rows of the canonical
-        basis, and every other stored row is zero on them, so the result
-        drops them and keeps the rest of each stored row: the basis is
-        unchanged, as is :meth:`combination` on the same coefficients."""
+        basis whose pivots the other stored rows are zero at, so the
+        result drops them and keeps the open columns and every other
+        stored row as they are: the basis is unchanged, as is
+        :meth:`combination` on the same coefficients.  The rows are
+        packed again only if the result's slots are narrower."""
         if not self.spans_units(columns):
             raise DomainError("cannot cover columns whose unit rows the space does not hold")
         other = RowSpace(self.q, self.width, covered=self.covered | columns)
-        position = {column: k for k, column in enumerate(other.free)}
-        keep = _getter([k for k, column in enumerate(self.free) if column in position])
-        for pivot, row in zip(self.pivots, self.rows):
-            column = self.free[pivot]
-            if column in position:
-                other.rows.append(other._pack(keep(self._unpack(row))))
-                other.pivots.append(position[column])
+        other._open = list(self._open)
+        other.pivots = [pivot for pivot in self.pivots if not columns >> pivot & 1]
+        rows = [row for pivot, row in zip(self.pivots, self.rows) if not columns >> pivot & 1]
+        # fewer uncovered columns never need wider slots
+        if other._bits < self._bits:
+            rows = [other._pack(self._unpack(row), len(self._open)) for row in rows]
+        other.rows = rows
         return other
 
     @property
@@ -240,13 +283,13 @@ class RowSpace:
         """The reduced echelon basis in pivot order.  A coordinate row
         is given as its column index; every other row as a full-width
         tuple."""
-        free = self.free
         entries = [(j, j) for j in self._covered_columns]
         for pivot, row in zip(self.pivots, self.rows):
             full = [0] * self.width
-            for j, value in zip(free, self._unpack(row)):
+            full[pivot] = 1
+            for j, value in zip(self._open, self._unpack(row)):
                 full[j] = value
-            entries.append((free[pivot], tuple(full)))
+            entries.append((pivot, tuple(full)))
         entries.sort(key=lambda entry: entry[0])
         return tuple(entry for _, entry in entries)
 
@@ -256,7 +299,8 @@ class RowSpace:
         ``coefficients``, which must give one coefficient per basis
         row.  Every basis row is 1 at its own pivot and 0 at all the
         others, so the sum's entry at each pivot column is that row's
-        coefficient; the stored rows are combined packed."""
+        coefficient; the stored rows are combined packed over the open
+        columns."""
         q = self.q
         coefficients = list(map(q.__rmod__, coefficients))
         if len(coefficients) != self.rank:
@@ -264,17 +308,20 @@ class RowSpace:
                 f"{len(coefficients)} coefficients for a basis of {self.rank} rows"
             )
         if self._layout is None:
-            # which coefficient goes to each stored row and to each
-            # covered column, kept until the basis grows
-            pivot_columns = list(map(self.free.__getitem__, self.pivots))
-            order = {column: k for k, column in enumerate(sorted(self._covered_columns + pivot_columns))}
-            self._layout = (
-                _getter(list(map(order.__getitem__, pivot_columns))),
-                _getter(list(map(order.__getitem__, self._covered_columns))),
-            )
-        stored, covered = self._layout
+            # which coefficient goes to each stored row, and where each
+            # open entry and each coefficient lands in the full-width
+            # row; kept until the basis grows
+            count = len(self._open)
+            order = {column: k for k, column in enumerate(sorted(self._covered_columns + tuple(self.pivots)))}
+            place = [0] * self.width
+            for k, column in enumerate(self._open):
+                place[column] = k
+            for column, k in order.items():
+                place[column] = count + k
+            self._layout = (_getter(list(map(order.__getitem__, self.pivots))), _getter(place))
+        stored, place = self._layout
         packed = sum(map(mul, stored(coefficients), self.rows))
-        return self._place(self._unpack(packed) + list(covered(coefficients)))
+        return place(self._unpack(packed) + coefficients)
 
     def clone(self) -> "RowSpace":
         other = RowSpace.__new__(RowSpace)
@@ -282,6 +329,7 @@ class RowSpace:
             setattr(other, name, getattr(self, name))
         other.rows = list(self.rows)
         other.pivots = list(self.pivots)
+        other._open = list(self._open)
         return other
 
 

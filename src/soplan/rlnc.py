@@ -20,10 +20,13 @@ then fail to decode.
 
 Every user's space starts from its chunk columns as covered
 coordinates (see :class:`~soplan.gf.RowSpace`), so only broadcasts are
-ever eliminated.  Whether a member decodes a stage is read off its
-reduced basis (:meth:`~soplan.gf.RowSpace.spans_units`), with no
-elimination, for the first member that decodes; the other members
-are read off their rank (see :func:`draw_stage`).  The members that decode
+ever eliminated, and the basis rows they leave are stored without
+their identity columns: with r such rows on f uncovered columns, an
+elimination works on f - r entries per row.  Whether a member decodes
+a stage is read off its reduced basis
+(:meth:`~soplan.gf.RowSpace.spans_units`), with no elimination, for
+the first member that decodes; the other members are read off their
+rank (see :func:`draw_stage`).  The members that decode
 a stage hold one space from then on, as the planner's super user does:
 they share one :class:`~soplan.gf.RowSpace` with the stage's columns
 covered, which hears each later row once.  The one membership test per

@@ -8,13 +8,17 @@ change to how rows are drawn, reduced or ordered shows up here.
 from __future__ import annotations
 
 import hashlib
+import random
 from pathlib import Path
 
 import pytest
 
+import soplan.cli as cli
 from soplan import ASYMPTOTIC, NON_ASYMPTOTIC, dump_plan, execute_plan, load_source, plan_multistage
+from tests.conftest import random_packet_source
 
 DEMO = Path(__file__).resolve().parent.parent / "data" / "demo_source.json"
+FIXTURES = Path(__file__).resolve().parent / "data"
 
 # (source, plan seed, model) -> (plan sha256, transcript sha256).
 # "demo" is data/demo_source.json; an int is an index into the corpus.
@@ -116,3 +120,56 @@ def test_plan_and_transcript_bytes(which, seed, model, source_corpus, tmp_path):
         hashlib.sha256(transcript).hexdigest(),
     )
     assert digests == GOLDENS[(which, seed, model)]
+
+
+# (rng seed, users, packets, plan seed) -> (plan sha256, transcript
+# sha256) for ``random_packet_source(random.Random(rng seed), users,
+# packets)``.  Both plans have one stage at chunk factor 4 or more, so
+# every listener eliminates a few hundred rows of a wide space.
+WIDE_GOLDENS = {
+    # chunk factor 5, field 3001, 500 chunk columns
+    (6, 6, 100, 6): (
+        "a8527054e8d5a00bcc11d92aad8663e543518d81fae99f67461de2a8b895eecf",
+        "006b4384c982e44bc641736a210b2b18a50da441e68532471928ebb1ce0fd90b",
+    ),
+    # chunk factor 4, field 809, 160 chunk columns
+    (4, 5, 40, 4): (
+        "1f2af34d49ffe2c198f08cfee75360aa0df850391415f275e463afbf3725ee38",
+        "8a62dc6dbe5d6b682eef32b5242e76f007faeca6ed2afd7a019e585015a6df80",
+    ),
+}
+
+
+@pytest.mark.parametrize("rng_seed, users, packets, seed", sorted(WIDE_GOLDENS))
+def test_wide_one_stage_bytes(rng_seed, users, packets, seed, tmp_path):
+    source = random_packet_source(random.Random(rng_seed), users, packets)
+    plan = plan_multistage(source, ASYMPTOTIC, seed=seed)
+    assert len(plan.stages) == 1 and plan.chunk_factor >= 4
+    path = tmp_path / "plan.json"
+    dump_plan(plan, path)
+    transcript = execute_plan(source, plan).to_jsonl().encode()
+    digests = (
+        hashlib.sha256(path.read_bytes()).hexdigest(),
+        hashlib.sha256(transcript).hexdigest(),
+    )
+    assert digests == WIDE_GOLDENS[(rng_seed, users, packets, seed)]
+
+
+def test_known_bystander_failure_is_unchanged(tmp_path):
+    """Instance 24 of perfbench's deep-packets workload at seed 3, as
+    the CLI writes it.  User 1 is in neither stage's target, and the
+    accepted draws leave it one row short, so ``simulate`` ends with
+    exit 4 (user 1 at rank 44 of 45).  This pins the failure as it stands; the fix that checks
+    bystanders' generic ranks (ROADMAP item 2) must change this test
+    deliberately."""
+    out = tmp_path / "transcript.jsonl"
+    code = cli.main([
+        "simulate",
+        str(FIXTURES / "deep_packets_seed3_i24_source.json"),
+        str(FIXTURES / "deep_packets_seed3_i24_plan.json"),
+        "--out", str(out),
+    ])
+    assert code == cli.EXIT_DECODE
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "eaabe3fd4d3d7fdcbb942811563eb9541c297282572870e54e0ed305922a76d0"
+    )

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 from soplan.core import DomainError
 from soplan.gf import RowSpace, draw_coefficients, random_combination
+from soplan.rlnc import choose_field
 
 
 def dense_rref(rows, q: int, width: int) -> list:
@@ -187,26 +188,43 @@ class TestDrawCoefficients:
 
 
 class TestStoredRowsStayReduced:
-    """After any sequence of adds, every packed stored row is 1 mod q at
-    its own pivot and 0 mod q at every other pivot, read straight off
-    the packed ints."""
+    """After any sequence of adds, every stored row is packed in
+    systematic form, read straight off the packed ints: one slot per
+    open column (an uncovered column that is no stored row's pivot),
+    highest column first, and no more; expanded with the implicit 1 at
+    its own pivot and 0 at every other pivot, it is the canonical
+    reduced echelon row of that pivot."""
 
     @staticmethod
-    def entry(space: RowSpace, packed: int, position: int) -> int:
-        return (packed >> position * space._bits & ((1 << space._bits) - 1)) % space.q
+    def expand(space: RowSpace, packed: int, pivot: int) -> tuple:
+        bits = space._bits
+        full = [0] * space.width
+        full[pivot] = 1
+        for k, column in enumerate(space._open):
+            full[column] = (packed >> k * bits & ((1 << bits) - 1)) % space.q
+        return tuple(full)
 
     @settings(max_examples=150, deadline=None)
     @given(st.sampled_from((5, 2**31 - 1)), st.integers(1, 8), st.data())
-    def test_pivot_entries(self, q, width, data):
+    def test_rows_hold_only_open_columns(self, q, width, data):
         covered = data.draw(st.integers(0, (1 << width) - 1))
         space = RowSpace(q, width, covered=covered)
-        # 2^31 - 1 needs slots wider than 8 bytes, so no struct format
-        assert (space._format is None) is (q > 5)
+        # 2^31 - 1 needs slots wider than 8 bytes
+        assert (space._bits > 64) is (q > 5)
+        uncovered = [j for j in range(width) if not covered >> j & 1]
+        added = []
         for row in data.draw(mixed_rows(q, width, 8)):
             space.add(row)
-            for k, packed in enumerate(space.rows):
-                for i, pivot in enumerate(space.pivots):
-                    assert self.entry(space, packed, pivot) == int(i == k)
+            added.append(row)
+            assert sorted(space._open + space.pivots) == uncovered
+            assert space._open == sorted(space._open, reverse=True)
+            reference = {
+                next(j for j, value in enumerate(entry) if value): entry
+                for entry in _full(q, width, covered, added)
+            }
+            for pivot, packed in zip(space.pivots, space.rows):
+                assert 0 <= packed < 1 << len(space._open) * space._bits
+                assert self.expand(space, packed, pivot) == reference[pivot]
 
 
 def _spanned_columns(space: RowSpace) -> list:
@@ -264,6 +282,108 @@ class TestCover:
     def test_out_of_width_columns_are_refused(self):
         with pytest.raises(DomainError):
             RowSpace(5, 3, covered=0b111).cover(0b1000)
+
+
+class TestWideSpacesAgainstDense:
+    """Seeded runs at the widths the simulator works at, 40 to 200
+    uncovered columns, where stored rows hold far fewer slots than
+    there are free columns.  Adds of dense rows, of sparse rows shaped
+    like a sender's and of unit rows are interleaved with ``clone``,
+    ``cover`` (once narrowing the slots), ``spans_units`` and
+    ``combination``, and each result is checked against ``dense_rref``
+    of every row the space has taken."""
+
+    @staticmethod
+    def row(rng: random.Random, q: int, width: int, taken: list) -> tuple:
+        kind = rng.random()
+        if kind < 0.35:
+            return tuple(rng.randrange(q) for _ in range(width))
+        if kind < 0.7:
+            # a sender's row: random on the columns the sender knows
+            known = rng.sample(range(width), rng.randint(1, width // 2))
+            row = [0] * width
+            for j in known:
+                row[j] = rng.randrange(q)
+            return tuple(row)
+        if kind < 0.9 or not taken:
+            return unit(width, rng.randrange(width), rng.randrange(1, q))
+        # a row the space already spans
+        out = [0] * width
+        for row in rng.sample(taken, min(3, len(taken))):
+            coeff = rng.randrange(q)
+            out = [(a + coeff * b) % q for a, b in zip(out, row)]
+        return tuple(out)
+
+    @staticmethod
+    def check(space: RowSpace, reference: list, rng: random.Random) -> list:
+        """Compare ``space`` with its dense basis ``reference``; return
+        the columns whose unit rows it spans."""
+        q, width = space.q, space.width
+        assert space.rank == len(reference)
+        assert [expand(entry, width) for entry in space.basis()] == reference
+        # a unit row is in the span iff it is a row of the canonical basis
+        units = [j for j in range(width) if unit(width, j) in reference]
+        assert space.spans_units(sum(1 << j for j in units))
+        for _ in range(4):
+            extra = rng.randrange(width)
+            mask = sum(1 << j for j in rng.sample(units, len(units) // 2)) | 1 << extra
+            assert space.spans_units(mask) is (extra in units)
+        coefficients = [rng.randrange(q) for _ in reference]
+        expected = [0] * width
+        for coeff, row in zip(coefficients, reference):
+            expected = [(a + coeff * b) % q for a, b in zip(expected, row)]
+        combined = space.combination(coefficients)
+        assert combined == tuple(expected)
+        assert space.contains(combined)
+        return units
+
+    @pytest.mark.parametrize(
+        "q, free, unit_rows, seed",
+        [
+            (choose_field(4, 40, 6).order, 40, 10, 1),
+            (choose_field(4, 40, 6).order, 200, 30, 2),
+            (2**31 - 1, 40, 10, 3),
+            # covering 80 of 120 columns narrows the slots from 14 bytes to 13
+            (2**31 - 1, 120, 80, 4),
+        ],
+    )
+    def test_interleaved_operations(self, q, free, unit_rows, seed):
+        rng = random.Random(seed)
+        width = free + free // 4
+        covered = sum(1 << j for j in rng.sample(range(width), width - free))
+        space = RowSpace(q, width, covered=covered)
+        taken = []
+
+        def grow(space: RowSpace, taken: list, count: int) -> None:
+            rank = space.rank
+            grew = 0
+            for _ in range(count):
+                row = self.row(rng, q, width, taken)
+                grew += space.add(row)
+                taken.append(row)
+            assert space.rank == rank + grew
+
+        grow(space, taken, free // 4)
+        self.check(space, _full(q, width, covered, taken), rng)
+        before = space.basis()
+
+        copy, copy_taken = space.clone(), list(taken)
+        grow(copy, copy_taken, free // 8)
+        for j in rng.sample([j for j in range(width) if not covered >> j & 1], unit_rows):
+            copy.add(unit(width, j, rng.randrange(1, q)))
+            copy_taken.append(unit(width, j))
+        reference = _full(q, width, covered, copy_taken)
+        units = self.check(copy, reference, rng)
+        assert space.basis() == before
+
+        columns = sum(1 << j for j in units)
+        result = copy.cover(columns)
+        assert result.covered == covered | columns
+        assert (result._bits < copy._bits) is (unit_rows == 80)
+        self.check(result, reference, rng)
+        grow(result, copy_taken, free // 8)
+        self.check(result, _full(q, width, covered | columns, copy_taken), rng)
+        assert copy.rank == len(reference)
 
 
 class TestCombinationLayout:
