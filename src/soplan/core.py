@@ -23,8 +23,9 @@ from typing import Iterable, Iterator, Mapping, Sequence, Union
 #: ``enumerate`` makes 3^n / 2 candidate visits, 9 times more per 2 users:
 #: about 11 s at 16 users, so roughly 15 min at 20 (extrapolated, not run;
 #: README, Design notes).  Loading and validating a 20-user entropy table
-#: (a 42 MB file) took 11.8 s and peaked at 365 MiB, 254 MiB of it the
-#: parsed JSON document (measured, one run).
+#: (a 42 MB file) takes about 5 s and peaks at 356 MiB while the JSON is
+#: parsed; a table whose values need 8-byte slots takes about 10 s and
+#: 407 MiB (README, File formats).
 MAX_USERS = 20
 
 
@@ -83,10 +84,21 @@ def read_json(path):
     """The JSON document in file ``path``, or :class:`FormatError`.
 
     Strict JSON only: Python's reader also takes ``NaN`` and
-    ``Infinity``, which no file of this package may hold."""
+    ``Infinity``, which no file of this package may hold, and keeps the
+    last of two equal names in one object, which would let a file give
+    one subset two entropies or one user two packet lists unnoticed."""
+
+    def unique_names(pairs: list) -> dict:
+        obj = dict(pairs)
+        if len(obj) < len(pairs):
+            seen = set()
+            twice = next(name for name, _ in pairs if name in seen or seen.add(name))
+            raise FormatError(f"{path} names {brief(twice)} twice in one object")
+        return obj
+
     try:
         with open(path) as fh:
-            return json.load(fh, parse_constant=_refuse_constant)
+            return json.load(fh, parse_constant=_refuse_constant, object_pairs_hook=unique_names)
     except OSError as exc:
         raise FormatError(f"cannot read {path}: {exc}") from None
     except ValueError as exc:  # bad syntax or text, a refused constant, an int too long to read

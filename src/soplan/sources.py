@@ -30,22 +30,24 @@ float packet id must be finite and not integral.  Packet ids are
 written in order of their text, then of their type.  Rationals are
 ``"p/q"`` strings or integers, never floats.
 
-A table loads in whole-list passes: each key sums the bits of its
-labels, looked up by label text, and may name a user only once; each
-distinct value is read once by :func:`_ratio`; and
-:func:`validate_polymatroid` costs O(2^|V| * |V|^2) int comparisons
-(README, "File formats", gives load times).
+A table loads in whole-list passes: the key text of every subset, its
+labels in ground order as :func:`source_to_dict` writes them, is built
+once and looked up in the entropy dict, so a key is split into labels
+only when some key is not such a text (labels out of order, unknown or
+repeated users); each distinct value is read once by :func:`_ratio`;
+and :func:`validate_polymatroid` makes |V|(|V|+1)/2 subtractions of
+ints of 2^|V| slots (README, "File formats", gives load times).
 """
 
 from __future__ import annotations
 
-from contextlib import suppress
+import struct
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import compress, cycle, islice, repeat
+from itertools import chain, compress, islice, repeat
 from math import gcd, isfinite, lcm
-from operator import add, gt, lt, sub
+from operator import add, sub
 from typing import Iterable, Mapping
 
 from .core import (
@@ -176,9 +178,7 @@ class TableSource(_SourceBase):
         values = table.values()
         try:
             by_mask = dict(zip(map(ground.mask, table), values))  # a later key replaces an earlier
-            # Each distinct value is read once, told apart by type too: True, 1.0 and 1
-            # are equal keys, and the values read without an error are equal as rationals.
-            ratios = {value: _ratio(value) for _, value in set(zip(map(type, values), values))}
+            ratios = _read_values(values)
         except (DomainError, FormatError, TypeError):  # TypeError: an unhashable value
             for key, value in table.items():  # again in order, so the first bad entry raises
                 mask = ground.mask(key)
@@ -193,10 +193,25 @@ class TableSource(_SourceBase):
             first = ground.format(missing[0])
             raise DomainError(f"entropy table misses {len(missing)} subsets, first {first}")
         ordered = list(map(by_mask.__getitem__, range(size)))
-        self.denominator = lcm(*(ratios[value][1] for value in set(ordered)))
+        del by_mask  # the validation needs room for its own ints
+        kept = {value: ratios[value] for value in set(ordered)}  # a replaced value sets no scale
+        self._fill(ordered, kept, validate)
+
+    @classmethod
+    def _from_values(cls, ground: GroundSet, values: list, ratios: dict, validate: bool):
+        """The table H(mask) = ``values[mask]``, with ``ratios`` from
+        :func:`_read_values` holding the distinct values."""
+        source = cls.__new__(cls)
+        source.ground = ground
+        source._fill(values, ratios, validate)
+        return source
+
+    def _fill(self, values: list, ratios: dict, validate: bool) -> None:
+        """Store ``values`` on the scale of the lcm of the denominators in
+        ``ratios``, which must hold exactly the distinct values."""
+        self.denominator = lcm(*(den for _, den in ratios.values()))
         scaled = {value: num * (self.denominator // den) for value, (num, den) in ratios.items()}
-        self.entropies = list(map(scaled.__getitem__, ordered))
-        del by_mask, ordered  # the validation below needs room for its own lists
+        self.entropies = list(map(scaled.__getitem__, values))
         if validate:
             report = validate_polymatroid(self)
             if not report.ok:
@@ -217,6 +232,13 @@ class TableSource(_SourceBase):
 Source = PacketSource | TableSource
 
 
+def _read_values(values) -> dict:
+    """Each distinct value in ``values`` as :func:`_ratio` reads it, told
+    apart by type too: True, 1.0 and 1 are equal keys, and the values
+    read without an error are equal as rationals."""
+    return {value: _ratio(value) for _, value in set(zip(map(type, values), values))}
+
+
 def _ratio(value) -> tuple:
     """An entropy value as a reduced ``(numerator, denominator)`` int pair.
 
@@ -229,8 +251,11 @@ def _ratio(value) -> tuple:
     if type(value) is str and value.isascii():
         num, slash, den = value.partition("/")
         if num.isdigit() and (den.isdigit() or not slash):
-            with suppress(ValueError):  # beyond int()'s digit limit: parse_fraction refuses it too
+            try:
                 num, den = int(num), int(den or 1)
+            except ValueError:  # beyond int()'s digit limit: parse_fraction refuses it too
+                pass
+            else:
                 if den:
                     return num // gcd(num, den), den // gcd(num, den)
     value = parse_fraction(value)
@@ -265,31 +290,58 @@ def validate_polymatroid(source: Source) -> PolymatroidReport:
     must not grow when j joins C.  Every violated case is reported,
     ordered by C, then i, then monotonicity before the pairs (i, j) by j.
 
-    The checks are whole-list passes over the source's int entropy
-    table: per user i, one list of i's marginals over the 2^(|V|-1) sets
-    without i, picked by ``itertools.compress`` with cycled selectors;
-    per pair (i, j), one ``map`` comparing that list's entries without j
-    to their partners with j, through list slices.  That is
-    O(2^|V| * |V|^2) int comparisons, none in an interpreted loop
-    (README, "File formats", gives times).  Only the violated cases are
-    formatted, with values as Fractions; a loaded table's values were
-    read by :func:`_ratio`.
+    The checks are whole-int passes over the int entropy table packed by
+    :func:`_pack`, a slot per mask, each slot's top bit G its guard bit
+    and the bit below it its half.  Per user j, shifting the packed
+    table P right by 2^j slots and adding (half - P) gives D_j, with
+    j's marginal plus half in C's slot: never negative, so a shift of
+    D_j drops whole slots.  One subtraction then compares
+    every C at once: ``(G - 1 + half) - D_j`` for monotonicity and
+    ``(G - 1 - D_j) + (D_j >> 2^i slots)`` for the pair (i, j) with
+    i < j.  No slot carries into or borrows from the next, and its guard
+    bit comes out set exactly where H(C) > H(C + j), or where
+    H(C) + H(C + i + j) > H(C + i) + H(C + j).  The guard bits of the
+    slots C without i, by which the results are masked, come from those
+    without i + 1 by one shift and one xor.  That is |V|(|V|+1)/2
+    subtractions over 2^|V| slots, none in an interpreted loop, and
+    about a dozen such ints alive at once whatever |V| (README, "File
+    formats", gives times).  Only the violated cases are formatted,
+    with values as Fractions; a loaded table's values were read by
+    :func:`_ratio`.
     """
     h = source.entropies
-    masks = list(range(len(h)))  # compress then hands out these ints instead of new ones
+    size, n = len(h), source.ground.size
+    packed, k = _pack(h)
+    width = 8 * k  # the bits of a slot
+
+    def spread(slot: bytes, count: int = size) -> int:
+        """``count`` slots, lowest first, each holding ``slot``."""
+        return int.from_bytes(slot * count, "little")
+
+    def guard_slots(bits: int) -> Iterable:
+        """The slots whose guard bit ``bits`` sets, ascending."""
+        return compress(range(size), bits.to_bytes(size * k, "little")[k - 1 :: k])
+
+    halves = spread(bytes(k - 1) + b"\x40")
+    lifted = halves - packed
+    below = spread(b"\xff" * (k - 1) + b"\x7f")  # G - 1 in every slot
+    clear = spread(bytes(k - 1) + b"\x80", size >> 1)  # the guard bits of the sets without j
     found = []  # (C, i, j) with j = -1 for a monotonicity case
-    for i in range(source.ground.size):
-        clear, full = (True,) * (1 << i), (False,) * (1 << i)
-        sets = list(compress(masks, cycle(clear + full)))  # the sets C without i, ascending
-        with_i, without_i = compress(h, cycle(full + clear)), compress(h, cycle(clear + full))
-        marginal = list(map(sub, with_i, without_i))  # H(C + i) - H(C) by C's place in sets
-        found += [(c, i, -1) for c in compress(sets, map(gt, repeat(0), marginal))]
-        for j in range(i + 1, source.ground.size):
-            # bit j of C is bit j - 1 of C's place k in sets, and C + j is at k + 2^(j - 1)
-            violated = []
-            for lower, upper in _partner_slices(len(marginal), j - 1):
-                violated += compress(sets[lower], map(lt, marginal[lower], marginal[upper]))
-            found += [(c, i, j) for c in violated]
+    for j in reversed(range(n)):
+        marginal = (packed >> (width << j)) + lifted  # D_j
+        upper = below - marginal
+        violated = clear & (upper + halves)
+        if violated:
+            found += [(c, j, -1) for c in guard_slots(violated)]
+        without = clear  # then the guard bits of the sets without i
+        for i in reversed(range(j)):
+            shift = width << i
+            without ^= without << shift
+            violated = clear & without & (upper + (marginal >> shift))
+            if violated:
+                found += [(c, i, j) for c in guard_slots(violated)]
+        if j:
+            clear ^= clear << (width << j - 1)
 
     def term(mask: int) -> str:
         return f"H({source.ground.format(mask)})"
@@ -315,16 +367,23 @@ def validate_polymatroid(source: Source) -> PolymatroidReport:
     return PolymatroidReport(not violations, tuple(violations))
 
 
-def _partner_slices(size: int, pos: int) -> tuple:
-    """Pairs of slices of ``range(size)``: the first of each pair picks
-    indices whose bit ``pos`` is clear, the second those indices plus
-    that bit, and the pairs together cover every such index once.  The
-    slices are strided while 2^pos is small and contiguous blocks once
-    it is large, whichever takes fewer: at most sqrt(size / 2) pairs."""
-    half, period = 1 << pos, 2 << pos
-    if half * period <= size:
-        return tuple((slice(r, size, period), slice(r + half, size, period)) for r in range(half))
-    return tuple((slice(s, s + half), slice(s + half, s + period)) for s in range(0, size, period))
+def _pack(h: list) -> tuple:
+    """``(P, k)``: the ints ``h`` less their minimum, packed into the
+    int P lowest first, in k-byte slots.  k is the fewest of 1, 2, 4 or
+    8 bytes, or beyond that of any number of bytes, whose top bit, the
+    guard bit, lies above twice the largest shifted value: a slot then
+    holds the guard bit less one plus or minus twice any value without
+    a carry or borrow into the next slot."""
+    low = min(h)
+    if low:
+        h = list(map(sub, h, repeat(low)))
+    k = ((2 * max(h)).bit_length() + 8) // 8
+    if k > 8:
+        data = b"".join(map(int.to_bytes, h, repeat(k), repeat("little")))
+    else:
+        k = 1 << (k - 1).bit_length()
+        data = struct.pack(f"<{len(h)}{'BHIQ'[k.bit_length() - 1]}", *h)
+    return int.from_bytes(data, "little"), k
 
 
 def induced_table(source: Source) -> TableSource:
@@ -397,6 +456,17 @@ def _check_table_labels(ground: GroundSet) -> None:
             raise FormatError(f"table sources need nonempty comma-free labels, got {brief(label)}")
 
 
+def _key_texts(ground: GroundSet) -> list:
+    """Each subset's table key by mask: its labels' texts in ground
+    order joined with commas, "" for the empty set, built by doubling."""
+    texts = [""]
+    for label in ground.labels:
+        text = str(label)
+        texts.append(text)
+        texts += map(add, islice(texts, 1, len(texts) - 1), repeat("," + text))
+    return texts
+
+
 def source_from_dict(data, validate: bool = True) -> Source:
     """Build a source from the JSON structure documented in the module
     docstring.  Raises :class:`FormatError` on malformed input.
@@ -433,6 +503,30 @@ def source_from_dict(data, validate: bool = True) -> Source:
     raw = data.get("entropy")
     if not isinstance(raw, dict):
         raise FormatError("'entropy' must map subset keys to rationals")
+    try:
+        return _table_from_dict(ground, lookup, raw, validate)
+    except DomainError as exc:
+        raise FormatError(str(exc)) from None
+
+
+_ABSENT = object()  # a subset that an entropy dict does not name
+
+
+def _table_from_dict(ground: GroundSet, lookup: dict, raw: dict, validate: bool) -> TableSource:
+    """The table of the ``entropy`` dict ``raw``, read by each subset's
+    key text from :func:`_key_texts`, with "" defaulting to 0.  Only when
+    those texts do not account for every key, or a value cannot be read,
+    does each key go through the parse below, whose refusals name the
+    first bad key or value in file order."""
+    values = list(map(raw.get, _key_texts(ground), chain((0,), repeat(_ABSENT))))
+    if len(raw) == len(values) - ("" not in raw) and _ABSENT not in values:
+        try:
+            ratios = _read_values(values)
+        except (FormatError, TypeError):  # TypeError: an unhashable value
+            pass
+        else:
+            return TableSource._from_values(ground, values, ratios, validate)
+    del values
     bits = {text: ground.bit(label) for text, label in lookup.items()}
     table = {}
     for key, value in raw.items():
@@ -451,10 +545,7 @@ def source_from_dict(data, validate: bool = True) -> Source:
             raise FormatError(f"entropy key {brief(key)} repeats a subset")
         table[mask] = value
     table.setdefault(0, 0)
-    try:
-        return TableSource(ground, table, validate=validate)
-    except DomainError as exc:
-        raise FormatError(str(exc)) from None
+    return TableSource(ground, table, validate=validate)
 
 
 def source_to_dict(source: Source) -> dict:
@@ -478,8 +569,7 @@ def source_to_dict(source: Source) -> dict:
         "model": TABLE_MODEL,
         "users": list(ground.labels),
         "entropy": {
-            ",".join(str(l) for l in ground.labels_of(mask)): str(source.entropy(mask))
-            for mask in range(ground.full_mask + 1)
+            text: str(source.entropy(mask)) for mask, text in enumerate(_key_texts(ground))
         },
     }
 

@@ -213,6 +213,29 @@ def test_unreadable_json_exits_2(text, tmp_path, capsys):
     assert "is not valid JSON" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text, name", [
+    ('{"model": "table", "users": [1, 2], "entropy": '
+     '{"": "0", "1": "1", "2": "1", "1,2": "2", "1": "2"}}', "'1'"),
+    ('{"model": "packet", "users": ["a", "b"], "packets": {"a": [1], "b": [2], "a": [2]}}', "'a'"),
+    ('{"model": "packet", "model": "packet", "users": ["a", "b"], "packets": {}}', "'model'"),
+], ids=["entropy-key", "packet-user", "top-level"])
+def test_repeated_json_names_exit_2(text, name, tmp_path, capsys):
+    # the reader kept the last: H({1}) = 2 was validated and exit was 0
+    path = tmp_path / "src.json"
+    path.write_text(text)
+    assert cli.main(["validate", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: {path} names {name} twice in one object\n"
+
+
+def test_repeated_json_name_in_a_plan_exits_2(five_user_file, tmp_path, capsys):
+    plan_path = tmp_path / "plan.json"
+    assert cli.main(["plan", five_user_file, "--out", str(plan_path)]) == 0
+    plan_path.write_text('{"model": "asymptotic",' + plan_path.read_text().lstrip()[1:])
+    capsys.readouterr()
+    assert cli.main(["simulate", five_user_file, str(plan_path)]) == 2
+    assert f"{plan_path} names 'model' twice in one object" in capsys.readouterr().err
+
+
 class TestPlan:
     def test_plan_artifact_and_summary(self, five_user_file, tmp_path, capsys):
         out_path = tmp_path / "plan.json"

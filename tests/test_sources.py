@@ -3,6 +3,7 @@ polymatroid gate."""
 
 from __future__ import annotations
 
+import copy
 import json
 import math
 import random
@@ -27,6 +28,10 @@ from soplan import (
 from soplan.core import parse_fraction
 from soplan.sources import induced_table, reorder, source_from_dict, source_to_dict
 from tests.conftest import polymatroid_report, random_packet_source, random_rational_table
+
+#: The largest span of a table that packs into 1-, 2-, 4- and 8-byte
+#: slots, and the next one up for 1 and 8 bytes.
+_SLOT_EDGES = (2**6 - 1, 2**6, 2**14 - 1, 2**30 - 1, 2**62 - 1, 2**62)
 
 
 class TestPacketSource:
@@ -147,6 +152,44 @@ class TestTableLoading:
         assert report == polymatroid_report(source)
         assert report.summary() == polymatroid_report(source).summary()
 
+    @pytest.mark.parametrize(
+        "make",
+        [
+            pytest.param(lambda rng: _shifted(random_rational_table(rng, 5, 8), -40), id="negative"),
+            pytest.param(lambda rng: _garbage(rng, 4, -60, 60), id="negative-garbage"),
+            pytest.param(
+                lambda rng: _blurred(random_rational_table(rng, 5, 8), 2**70), id="past-64-bit-slots"
+            ),
+            pytest.param(
+                lambda rng: _shifted(random_rational_table(rng, 4, 6), 2**71), id="shifted-past-2^70"
+            ),
+            pytest.param(lambda rng: _garbage(rng, 4, -(2**72), 2**72), id="wide-garbage"),
+            pytest.param(lambda rng: _garbage(rng, 1, 0, 3, _one_user_ground()), id="one-user"),
+            pytest.param(lambda rng: _garbage(rng, 5, 0, 20), id="dense-garbage-5"),
+            pytest.param(lambda rng: _garbage(rng, 6, 0, 40), id="dense-garbage-6"),
+            *(
+                pytest.param(lambda rng, span=span: _extremes(rng, 5, span), id=f"edge-{span:#x}")
+                for span in _SLOT_EDGES
+            ),
+            *(
+                pytest.param(lambda rng, span=span: _by_one(span), id=f"by-one-{span:#x}")
+                for span in _SLOT_EDGES
+            ),
+        ],
+    )
+    @pytest.mark.parametrize("seed", range(3))
+    def test_packed_slots_match_the_oracle(self, make, seed):
+        # the packed check shifts by the minimum and widens its slots for
+        # large spans; every report, its order and its texts stay the oracle's
+        source = make(random.Random(seed))
+        report = validate_polymatroid(source)
+        assert report == polymatroid_report(source)
+        assert report.summary() == polymatroid_report(source).summary()
+
+    def test_dense_garbage_reports_hundreds(self):
+        report = validate_polymatroid(_garbage(random.Random(0), 6, 0, 40))
+        assert len(report.violations) > 200
+
     def test_oracle_agrees_on_the_clean_corpus(self, source_corpus):
         for source in source_corpus[:40]:
             assert validate_polymatroid(source) == polymatroid_report(source)
@@ -212,6 +255,43 @@ class TestTableLoading:
         assert source.entropy([1]) == 1
         assert source.denominator == 1
 
+    def test_key_order_and_the_empty_key_do_not_matter(self):
+        source = random_rational_table(random.Random(3), 4, 7)
+        canonical = source_to_dict(source)
+        entropy = canonical["entropy"]
+        rng = random.Random(4)
+        permuted = {",".join(rng.sample(key.split(","), key.count(",") + 1)) if key else key: value
+                    for key, value in entropy.items()}
+        shuffled = dict(rng.sample(list(entropy.items()), len(entropy)))
+        no_empty = {key: value for key, value in entropy.items() if key}
+        for variant in (entropy, permuted, shuffled, no_empty):
+            loaded = source_from_dict({**canonical, "entropy": variant})
+            assert loaded.entropies == source.entropies
+            assert loaded.denominator == source.denominator
+
+    @pytest.mark.parametrize("first, later", [("1,2", "2,1"), ("2,1", "1,2")])
+    def test_the_later_key_for_a_subset_is_named(self, first, later):
+        entropy = {"": "0", "1": "1", "2": "1", first: "2", later: "2"}
+        with pytest.raises(FormatError) as got:
+            source_from_dict({"model": "table", "users": [1, 2], "entropy": entropy})
+        assert str(got.value) == f"entropy key {later!r} repeats a subset"
+
+    def test_the_first_bad_value_in_file_order_is_named(self):
+        # canonical keys, two bad values: the file names {2} before {1}
+        entropy = {"": "0", "2": "y", "1": "x", "1,2": "2"}
+        with pytest.raises(FormatError) as got:
+            source_from_dict({"model": "table", "users": [1, 2], "entropy": entropy})
+        assert str(got.value) == "entropy of {2}: not a rational: 'y'"
+
+    def test_dump_keys_are_the_labels_in_ground_order(self):
+        source = reorder(random_rational_table(random.Random(5), 4, 6), [3, 1, 4, 2])
+        entropy = source_to_dict(source)["entropy"]
+        ground = source.ground
+        assert entropy == {
+            ",".join(map(str, ground.labels_of(mask))): str(source.entropy(mask))
+            for mask in range(ground.full_mask + 1)
+        }
+
     @pytest.mark.parametrize(
         "key, message",
         [
@@ -227,6 +307,55 @@ class TestTableLoading:
         with pytest.raises(FormatError) as got:
             source_from_dict({"model": "table", "users": [1, 2], "entropy": entropy})
         assert str(got.value) == message
+
+
+def _shifted(table: TableSource, offset: int) -> TableSource:
+    """``table`` with every D * H raised by ``offset``: only normalization changes."""
+    return TableSource._from_ints(table.ground, [e + offset for e in table.entropies], 1)
+
+
+def _blurred(table: TableSource, scale: int) -> TableSource:
+    """``table`` times ``scale``, each entry moved by less than a quarter
+    of ``scale``: the ties of ``table`` break either way."""
+    rng = random.Random(len(table.entropies))
+    blur = scale // 4 - 1
+    entropies = [e * scale + rng.randint(-blur, blur) for e in table.entropies]
+    return TableSource._from_ints(table.ground, entropies, 1)
+
+
+def _garbage(rng, n: int, low: int, high: int, ground=None) -> TableSource:
+    """A table of 2^n uniform ints in [low, high], denominator 1."""
+    ground = ground or GroundSet(tuple(range(1, n + 1)))
+    return TableSource._from_ints(ground, [rng.randint(low, high) for _ in range(1 << n)], 1)
+
+
+def _extremes(rng, n: int, span: int) -> TableSource:
+    """A table of 2^n ints, each 0 or ``span``: marginals and pair
+    differences reach the widest that a slot of the packed check holds."""
+    ground = GroundSet(tuple(range(1, n + 1)))
+    return TableSource._from_ints(ground, [rng.choice((0, span)) for _ in range(1 << n)], 1)
+
+
+def _by_one(span: int) -> TableSource:
+    """The two-user table (span, span, 0, 1): every marginal of user 2 is
+    -span, and the sets {} and {1, 2} outweigh {1} and {2} by just 1."""
+    return TableSource._from_ints(GroundSet((1, 2)), [span, span, 0, 1], 1)
+
+
+def _one_user_ground() -> GroundSet:
+    """A ground set of one user, which ``GroundSet`` refuses: the packed
+    check has no such floor, so its two-slot case is built from a copy of
+    a two-user ground with every field that ``GroundSet`` sets replaced.
+    Should ``GroundSet`` gain, lose or rename a field, the helper fails
+    here instead of handing out a half-replaced ground."""
+    two = GroundSet(("a", "b"))
+    fields = {"labels": ("a",), "_index": {"a": 0}, "full_mask": 1}
+    assert vars(two).keys() == fields.keys(), sorted(vars(two))
+    ground = copy.copy(two)
+    for name, value in fields.items():
+        object.__setattr__(ground, name, value)
+    assert ground.size == 1 and ground.format(1) == two.format(1)
+    return ground
 
 
 class TestSplitMinimum:
