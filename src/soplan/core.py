@@ -18,8 +18,8 @@ from typing import Iterable, Iterator, Mapping, Sequence, Union
 #: Hard cap on the number of users.  Every source keeps an entropy table
 #: over all 2^|V| subsets and every prefix sweep and certificate visits
 #: them all, so time and memory double with each user: a minimum sum-rate
-#: of a packet source takes about 0.02 s at 14 users and 1.1-1.5 s at 20,
-#: where the process peaks at 88 MiB (98 MiB with pytest loaded).
+#: of a packet source takes about 0.01 s at 14 users and 0.56-0.60 s at
+#: 20, and the whole ``minrate`` command there peaks at 56 MiB.
 #: ``enumerate`` makes 3^n / 2 candidate visits, 9 times more per 2 users:
 #: about 11 s at 16 users, so roughly 15 min at 20 (extrapolated, not run;
 #: README, Design notes).  Loading and validating a 20-user entropy table

@@ -156,11 +156,7 @@ def min_sum_rate(source, subset: SubsetLike = None, model: str = ASYMPTOTIC) -> 
     result = cache.get((mask, model))
     if result is not None:
         return result
-    asym = cache.get((mask, ASYMPTOTIC))
-    if asym is None:
-        asym = cache[(mask, ASYMPTOTIC)] = _certified(
-            source, mask, _min_sum_rate_asymptotic(source, mask)
-        )
+    asym = _asymptotic_result(source, mask)
     if model == ASYMPTOTIC:
         return asym
     value = Fraction(math.ceil(asym.value))
@@ -175,6 +171,18 @@ def min_sum_rate(source, subset: SubsetLike = None, model: str = ASYMPTOTIC) -> 
         rates = RateVector(ground, run.rates, mask)
     result = cache[(mask, NON_ASYMPTOTIC)] = MinSumRateResult(NON_ASYMPTOTIC, value, None, rates)
     return result
+
+
+def _asymptotic_result(source, mask: int) -> MinSumRateResult:
+    """The certified asymptotic result for X = ``mask``, kept in the
+    source's cache, which :func:`min_sum_rate` fills in either model."""
+    cache = source.__dict__.setdefault("_minrate_cache", {})
+    asym = cache.get((mask, ASYMPTOTIC))
+    if asym is None:
+        asym = cache[(mask, ASYMPTOTIC)] = _certified(
+            source, mask, _min_sum_rate_asymptotic(source, mask)
+        )
+    return asym
 
 
 @dataclass(frozen=True)
@@ -308,13 +316,17 @@ def enumerate_complementary(source, model: str = ASYMPTOTIC, verify: bool = Fals
     gamma_X falls below s + H(X) and passes at s gets one more sweep at
     gamma_X - H(X).  Every verdict is checked against its witness (see
     :func:`_witnessed_verdict`), and R(V) is the only minimum sum-rate
-    computed.  In the asymptotic model every block of R(V)'s
-    fundamental partition (:func:`min_sum_rate`) with two users or more
-    is complementary, so each must be listed; that cross-check costs no
-    sweep.  For s = p/w every gamma_X is an int on the scale w*D of
-    the sweep's rates: p*D + w*D*H(X), or in the non-asymptotic model
-    its floor G = (p*D + w*D*H(X)) // (w*D) times w*D, so no verdict
-    builds a Fraction, a :class:`Partition` or a partition bound.
+    computed.  Every block of R(V)'s asymptotic fundamental partition
+    (:func:`min_sum_rate`) with two users or more is complementary, so
+    each must be listed; that cross-check reads the partition from the
+    cache and costs no sweep.  It holds in the asymptotic model, and in
+    the non-asymptotic model on integer entropies, where
+    R(B) + H(V) - H(B) <= R(V) gives
+    ceil(R(B)) + H(V) - H(B) <= ceil(R(V)).  For s = p/w every gamma_X
+    is an int on the scale w*D of the sweep's rates: p*D + w*D*H(X), or
+    in the non-asymptotic model its floor G = (p*D + w*D*H(X)) // (w*D)
+    times w*D, so no verdict builds a Fraction, a :class:`Partition` or
+    a partition bound.
 
     With ``verify=True`` every verdict is recomputed from that subset's
     own :func:`dilworth_truncation` at gamma_X - H(X), and the two lists
@@ -349,9 +361,9 @@ def enumerate_complementary(source, model: str = ASYMPTOTIC, verify: bool = Fals
         if listed:
             found.append(mask)
     found.sort()
-    if model == ASYMPTOTIC:
+    if model == ASYMPTOTIC or source.integral:
         complementary = set(found)
-        for block in r_v.maximizing_partition:
+        for block in _asymptotic_result(source, full).maximizing_partition:
             if block.bit_count() > 1 and block not in complementary:
                 raise CertificationError(
                     f"block {ground.format(block)} of the fundamental partition "

@@ -11,11 +11,12 @@ Sources are immutable after construction.  Sweeps, verdicts, bounds
 and merges ask a source four queries instead of indexing its table:
 ``entropy_scaled(mask)``, the int D * H(mask) for the common
 ``denominator`` D; ``stepper(weight)``, one sweep's prefix steps;
-``shortfall``, the achievability loop; and ``split_minimum(mask)``, the
-least D * (H(Y) + H(X minus Y)) behind the best-bipartition bound.  All
-four read one list of ints,
-``entropies``, with D * H(mask) for all 2^|V| masks, built on first
-use; ``entropy`` reads ``entropy_scaled`` back as a reduced Fraction.
+``shortfall``, the achievability check; and ``split_minimum(mask)``,
+the least D * (H(Y) + H(X minus Y)) behind the best-bipartition bound.
+All four read one list of ints, ``entropies``, with D * H(mask) for
+all 2^|V| masks, built on first use; at X = V, ``shortfall`` and
+``split_minimum`` read it in mirrored order, without a copy.
+``entropy`` reads ``entropy_scaled`` back as a reduced Fraction.
 
 JSON file format (used by :func:`load_source` / :func:`dump_source`)::
 
@@ -30,6 +31,15 @@ float packet id must be finite and not integral.  Packet ids are
 written in order of their text, then of their type.  Rationals are
 ``"p/q"`` strings or integers, never floats.
 
+A packet file loads in whole-list passes: each user's id list is
+checked by one test of the types it holds, and its ids are checked one
+by one, so that the first bad one is named, only when it holds a type
+other than string, int or null; dumps share that check.  The held
+packets are sorted only when ``packet_order`` is asked for (the
+simulator's columns).  The entropy table counts the packets that each
+set of users holds alone and sums those counts over the submasks in one
+int of byte slots, one shift and add per user (:func:`_meeting_counts`).
+
 A table loads in whole-list passes: the key text of every subset, its
 labels in ground order as :func:`source_to_dict` writes them, is built
 once and looked up in the entropy dict, so a key is split into labels
@@ -42,12 +52,14 @@ ints of 2^|V| slots (README, "File formats", gives load times).
 from __future__ import annotations
 
 import struct
+import sys
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain, compress, islice, repeat
 from math import gcd, isfinite, lcm
-from operator import add, sub
+from operator import add, mul, sub
 from typing import Iterable, Mapping
 
 from .core import (
@@ -99,9 +111,29 @@ class _SourceBase:
     def shortfall(self, mask: int, rates, weight: int) -> tuple | None:
         """``(C, shortfall)`` for the first proper subset C of X = ``mask``,
         in ascending mask order, with r(C) < weight * (H(X) - H(X minus C)),
-        for ``rates`` on the scale weight*D by ground position; else None."""
+        for ``rates`` on the scale weight*D by ground position; else None.
+
+        At X = V the rate sums by mask and the table read backwards put
+        C and V minus C at one index, as :meth:`split_minimum` pairs
+        them, so one ``min`` over one ``map`` decides, and the first
+        failing C is the first index of that list below weight * H(V).
+        A smaller X walks its submasks one by one, which costs less than
+        building the lists of their entropies."""
         table = self.entropies
         h_x = table[mask]
+        if mask == self.ground.full_mask:
+            sums = [0]
+            for rate in rates:
+                sums += [total + rate for total in sums]
+            sums.pop()  # C = V is no constraint
+            rest = reversed(table)  # H(V minus C) at C's index
+            if weight != 1:
+                rest = map(mul, rest, repeat(weight))
+            slack = list(map(add, sums, rest))
+            need = weight * h_x
+            if min(slack) >= need:
+                return None
+            return next((c, need - have) for c, have in enumerate(slack) if have < need)
         submasks, rate_sums = submask_sums(mask, rates)
         submasks.pop()  # C = X is no constraint; C = {} asks for nothing
         for c, have in zip(submasks, rate_sums):
@@ -145,21 +177,19 @@ class PacketSource(_SourceBase):
         self.possession = {
             label: frozenset(possession.get(label, ())) for label in ground.labels
         }
-        held = frozenset().union(*self.possession.values())
-        #: Held packets in a fixed order; the simulator's column layout.
-        self.packet_order = tuple(sorted(held, key=_packet_key))
-        packet_index = {packet: k for k, packet in enumerate(self.packet_order)}
-        self._user_bits = tuple(
-            sum(1 << packet_index[p] for p in self.possession[label])
-            for label in ground.labels
-        )
+
+    @cached_property
+    def packet_order(self) -> tuple:
+        """Held packets in a fixed order; the simulator's column layout."""
+        return tuple(sorted(frozenset().union(*self.possession.values()), key=_packet_key))
 
     def _entropy_table(self) -> list:
-        # union[m | bit] = union[m] | that user's packets, one user at a time
-        union = [0]
-        for bits in self._user_bits:
-            union += [held | bits for held in union]
-        return [held.bit_count() for held in union]
+        holders = {}  # each held packet's holders as a mask
+        for pos, label in enumerate(self.ground.labels):
+            bit = 1 << pos
+            for packet in self.possession[label]:
+                holders[packet] = holders.get(packet, 0) | bit
+        return _meeting_counts(Counter(holders.values()), len(self.ground.labels))
 
 
 class TableSource(_SourceBase):
@@ -386,6 +416,36 @@ def _pack(h: list) -> tuple:
     return int.from_bytes(data, "little"), k
 
 
+def _meeting_counts(counts: Mapping, n: int) -> list:
+    """For each mask S of ``n`` users, how many packets have a holder
+    in S, given ``counts``: how many packets the users of each mask hold
+    alone.  The counts sit in one int in k-byte slots, slot T holding
+    the packets held by exactly T; one shift and add per user adds to
+    each slot its submasks' (a zeta transform), so slot T holds the
+    packets held inside T, and the packets meeting S are all of them
+    less slot V minus S: the slots read backwards.  k is the fewest of
+    1, 2, 4 or 8 bytes that holds the packet count."""
+    total = sum(counts.values())
+    k = 1
+    while total >> 8 * k:
+        k *= 2
+    code = "BHIQ"[k.bit_length() - 1]
+    width, size = 8 * k, 1 << n
+    slots = bytearray(size * k)
+    cells = memoryview(slots).cast(code)
+    for held_by, count in counts.items():
+        cells[held_by] = count
+    inside = int.from_bytes(slots, sys.byteorder)
+    every = (1 << width * size) - 1
+    without = every  # the slots of the sets without user n: all of them
+    for pos in reversed(range(n)):
+        shift = width << pos
+        without ^= without << shift  # the slots without user pos, and bits above the table
+        inside += (inside & without) << shift
+    outside = total * (every // ((1 << width) - 1)) - inside  # H(V minus T) in slot T
+    return memoryview(outside.to_bytes(size * k, sys.byteorder)).cast(code)[::-1].tolist()
+
+
 def induced_table(source: Source) -> TableSource:
     """The explicit-table view of any source."""
     return TableSource._from_ints(source.ground, list(source.entropies), source.denominator)
@@ -435,6 +495,21 @@ def _packet_key(packet) -> tuple:
     """Packet ids in order of their text, then of their type, so that
     ``1`` and ``"1"`` fall in the same order in every process."""
     return str(packet), type(packet).__name__
+
+
+#: The types of the packet ids that need no check one by one.
+_PLAIN_IDS = frozenset((str, int, type(None)))
+
+
+def _checked_ids(ids, what: str):
+    """``ids``, once each is a packet id a file can hold: a collection
+    of strings, ints and nulls passes in one test of its types, any
+    other goes through :func:`_packet_id` id by id, in order, so the
+    first bad id is the one named."""
+    if not _PLAIN_IDS.issuperset(map(type, ids)):
+        for packet in ids:
+            _packet_id(packet, what)
+    return ids
 
 
 def _label_lookup(ground: GroundSet) -> dict:
@@ -496,7 +571,7 @@ def source_from_dict(data, validate: bool = True) -> Source:
         for key, ids in packets.items():
             if not isinstance(ids, list):
                 raise FormatError(f"packets for user {key} must be a list")
-            possession[lookup[key]] = [_packet_id(p, f"packet ids for user {key}") for p in ids]
+            possession[lookup[key]] = _checked_ids(ids, f"packet ids for user {key}")
         return PacketSource(ground, possession)
 
     _check_table_labels(ground)
@@ -557,10 +632,7 @@ def source_to_dict(source: Source) -> dict:
             "model": PACKET_MODEL,
             "users": list(ground.labels),
             "packets": {
-                str(label): sorted(
-                    (_packet_id(p, "packet ids") for p in source.possession[label]),
-                    key=_packet_key,
-                )
+                str(label): sorted(_checked_ids(source.possession[label], "packet ids"), key=_packet_key)
                 for label in ground.labels
             },
         }

@@ -11,10 +11,10 @@ from typing import Iterator
 import pytest
 
 from soplan import DomainError, GroundSet, PacketSource, Partition, TableSource
-from soplan.core import bit_positions
+from soplan.core import bit_positions, json_text, submask_sums
 from soplan.gf import RowSpace, random_combination
 from soplan.rlnc import STAGE_REDRAW_LIMIT, _chunk_columns
-from soplan.sources import PolymatroidReport, Violation
+from soplan.sources import PolymatroidReport, Violation, _packet_id, _packet_key
 
 CORPUS_SEED = 20260823
 CORPUS_SIZE = 200
@@ -218,6 +218,50 @@ def polymatroid_report(source) -> PolymatroidReport:
                         )
                     )
     return PolymatroidReport(not violations, tuple(violations))
+
+
+def reference_shortfall(source, mask: int, rates, weight: int) -> tuple | None:
+    """The achievability loop over every proper subset C of X = ``mask``
+    in ascending mask order, one subset at a time: the oracle for
+    ``shortfall``, which reads the table in mirrored order at X = V."""
+    table = source.entropies
+    submasks, rate_sums = submask_sums(mask, rates)
+    submasks.pop()  # C = X is no constraint
+    for c, have in zip(submasks, rate_sums):
+        need = weight * (table[mask] - table[mask ^ c])
+        if have < need:
+            return c, need - have
+    return None
+
+
+def reference_packet_load(data: dict) -> tuple:
+    """A packet document read id by id: every id through ``_packet_id``
+    in file order, the held packets sorted by ``_packet_key``, each
+    user's bitmask and each subset's entropy counted one packet at a
+    time.  Returns ``(packet_order, possession, entropies, dump text)``:
+    the oracle for the whole-list passes of ``source_from_dict``."""
+    labels = tuple(data["users"])
+    lookup = {str(label): label for label in labels}
+    possession = {label: frozenset() for label in labels}
+    for key, ids in data["packets"].items():
+        possession[lookup[key]] = frozenset(
+            [_packet_id(packet, f"packet ids for user {key}") for packet in ids]
+        )
+    order = tuple(sorted(frozenset().union(*possession.values()), key=_packet_key))
+    bits = [0] * len(labels)
+    for k, packet in enumerate(order):
+        for pos, label in enumerate(labels):
+            if packet in possession[label]:
+                bits[pos] |= 1 << k
+    entropies = []
+    for mask in range(1 << len(labels)):
+        union = 0
+        for pos in bit_positions(mask):
+            union |= bits[pos]
+        entropies.append(union.bit_count())
+    packets = {str(label): sorted(possession[label], key=_packet_key) for label in labels}
+    text = json_text({"model": "packet", "users": list(labels), "packets": packets})
+    return order, possession, entropies, text
 
 
 def reference_draw_stage(spaces, counts, rng, needed: int) -> tuple:

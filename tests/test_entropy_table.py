@@ -14,10 +14,13 @@ from fractions import Fraction
 from functools import reduce
 from operator import or_
 
+import pytest
+
 from soplan import (
     ASYMPTOTIC,
     NON_ASYMPTOTIC,
     GroundSet,
+    PacketSource,
     TableSource,
     min_sum_rate,
     validate_polymatroid,
@@ -65,6 +68,25 @@ def test_packet_sources_against_union_count():
             return len(set().union(*(source.possession[label] for label in ground.labels_of(mask))))
 
         assert_entropies(source, union_count)
+
+
+@pytest.mark.parametrize("n_packets", [0, 1, 255, 256, 65535, 65536])
+def test_packet_counts_at_every_slot_width(n_packets):
+    # the table is built in one int of 1-, 2- or 4-byte slots, chosen by
+    # the packet count; each count here is the widest of a slot width or
+    # one past it, and every packet is held, by user 1 or by user 2
+    rng = random.Random(n_packets)
+    first = {p for p in range(n_packets) if rng.random() < 0.5}
+    third = {p for p in range(n_packets) if rng.random() < 0.5}
+    possession = {1: first, 2: set(range(n_packets)) - first, 3: third}
+    source = PacketSource(GroundSet((1, 2, 3)), possession)
+    ground = source.ground
+
+    def union_count(mask):
+        return len(set().union(*(possession[label] for label in ground.labels_of(mask))))
+
+    assert_entropies(source, union_count)
+    assert source.entropies[ground.full_mask] == n_packets
 
 
 def test_merged_tables_against_drawn_rows(source_corpus):

@@ -28,15 +28,16 @@ from soplan import (
     min_sum_rate,
 )
 import soplan.cli as cli
-from soplan.omniscience import SwCheck, check_model, optimal_rate_vector
+from soplan.omniscience import MODELS, SwCheck, check_model, optimal_rate_vector
 from soplan import omniscience, submodular
-from soplan.sources import _SourceBase
+from soplan.sources import _SourceBase, source_from_dict
 from tests.conftest import (
     enumerate_partitions,
     iter_submasks,
     make_five_user,
     random_packet_source,
     random_rational_table,
+    reference_shortfall,
 )
 
 
@@ -403,6 +404,69 @@ class TestSwAchievability:
             check_sw_achievable(five_user, [1, 3], rates)
 
 
+class TestShortfallAtV:
+    """At X = V, ``shortfall`` decides with one min over the rate sums
+    and the table read in mirrored order, and names the failing subset
+    from the same list; the subset-by-subset loop of
+    ``tests/conftest.reference_shortfall`` is its oracle."""
+
+    @staticmethod
+    def rate_vectors(source, rng):
+        """``(rates, weight)`` pairs on the scale weight*D: R(V)'s witness
+        at weight 1 (rounded down when that scale cannot hold it), at the
+        lcm L of its denominators and at 3L, each as it is and with one
+        or two entries nudged down."""
+        witness = min_sum_rate(source).rates.values
+        lcm = math.lcm(*(value.denominator for value in witness))
+        for weight in sorted({1, lcm, 3 * lcm}):
+            rates = [math.floor(value * weight * source.denominator) for value in witness]
+            yield rates, weight
+            for count in (1, 2):
+                nudged = list(rates)
+                for pos in rng.sample(range(len(rates)), count):
+                    nudged[pos] -= rng.randint(1, 3)
+                yield nudged, weight
+
+    def assert_like_the_loop(self, sources, rng) -> Counter:
+        verdicts = Counter()
+        for source in sources:
+            full = source.ground.full_mask
+            for rates, weight in self.rate_vectors(source, rng):
+                short = source.shortfall(full, rates, weight)
+                assert short == reference_shortfall(source, full, rates, weight)
+                verdicts[short is None, weight > 1] += 1
+        return verdicts
+
+    def test_corpus(self, source_corpus):
+        verdicts = self.assert_like_the_loop(source_corpus, random.Random(5))
+        assert all(verdicts[ok, heavy] for ok in (True, False) for heavy in (True, False))
+
+    def test_rational_tables(self):
+        rng = random.Random(8)
+        tables = [random_rational_table(rng, n, 2 * n) for n in (2, 3, 4, 5, 6, 7) for _ in range(4)]
+        verdicts = self.assert_like_the_loop(tables, rng)
+        assert verdicts[True, True] and verdicts[False, True]
+
+    def test_v_walks_no_submasks(self, source_corpus, monkeypatch):
+        # at V both the verdict and the first failing C are read off the
+        # one list of mirrored sums, at every weight
+        def no_walk(*args):
+            raise AssertionError("the submask loop ran at V")
+
+        rng = random.Random(6)
+        cases = [
+            (source, rates, weight, reference_shortfall(source, source.ground.full_mask, rates, weight))
+            for source in source_corpus[::5]
+            for rates, weight in self.rate_vectors(source, rng)
+        ]
+        monkeypatch.setattr("soplan.sources.submask_sums", no_walk)
+        for source, rates, weight, want in cases:
+            assert source.shortfall(source.ground.full_mask, rates, weight) == want
+        assert {(want is None, weight > 1) for _, _, weight, want in cases} == {
+            (True, True), (True, False), (False, True), (False, False)
+        }
+
+
 class TestComplementary:
     def test_directly_checked_subsets(self, five_user):
         assert is_complementary(five_user, [1, 2], ASYMPTOTIC)
@@ -568,10 +632,12 @@ class TestEnumerationWitnesses:
         assert cli.main(["enumerate", str(path), "--verify"]) == 3
         assert "subsets disagree" in capsys.readouterr().err
 
-    def test_unlisted_fundamental_block_raises(self, five_user, monkeypatch):
+    @pytest.mark.parametrize("model", MODELS)
+    def test_unlisted_fundamental_block_raises(self, five_user, monkeypatch, model):
         # {1,2,5}, the one block of R(V)'s fundamental partition with two
-        # users or more, is complementary; a pass that never sweeps it
-        # has no verdict to check, and the cross-check still sees it
+        # users or more, is complementary in both models on integer
+        # entropies; a pass that never sweeps it has no verdict to
+        # check, and the cross-check still sees it
         block = five_user.ground.mask([1, 2, 5])
         assert block in min_sum_rate(five_user).maximizing_partition
         real = omniscience._prefix_trie_sweeps
@@ -581,7 +647,20 @@ class TestEnumerationWitnesses:
 
         monkeypatch.setattr(omniscience, "_prefix_trie_sweeps", skipping)
         with pytest.raises(CertificationError, match=r"block \{1,2,5\} of the fundamental"):
-            enumerate_complementary(five_user)
+            enumerate_complementary(five_user, model)
+
+    def test_fractional_table_needs_no_block_listed(self):
+        # {1,2} | {3} is the fundamental partition at R(V) = 39/20, but
+        # in whole packets gamma_{1,2} = floor(2 - 49/20 + 5/4) = 0 lies
+        # below ceil(R({1,2})) = 1: the non-asymptotic cross-check holds
+        # on integer entropies only, and is not made here
+        entropy = {"1": "3/4", "2": "5/4", "1,2": "5/4", "3": "17/10",
+                   "1,3": "49/20", "2,3": "49/20", "1,2,3": "49/20"}
+        table = source_from_dict({"model": "table", "users": [1, 2, 3], "entropy": entropy})
+        assert not table.integral
+        assert 3 in min_sum_rate(table).maximizing_partition
+        assert enumerate_complementary(table) == (3, 6)
+        assert enumerate_complementary(table, NON_ASYMPTOTIC, verify=True) == (6,)
 
     def test_minimum_sum_rate_of_v_only(self, five_user, monkeypatch):
         calls = []

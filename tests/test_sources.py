@@ -10,7 +10,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from soplan import (
@@ -25,9 +25,14 @@ from soplan import (
     plan_multistage,
     validate_polymatroid,
 )
-from soplan.core import parse_fraction
+from soplan.core import json_text, parse_fraction
 from soplan.sources import induced_table, reorder, source_from_dict, source_to_dict
-from tests.conftest import polymatroid_report, random_packet_source, random_rational_table
+from tests.conftest import (
+    polymatroid_report,
+    random_packet_source,
+    random_rational_table,
+    reference_packet_load,
+)
 
 #: The largest span of a table that packs into 1-, 2-, 4- and 8-byte
 #: slots, and the next one up for 1 and 8 bytes.
@@ -356,6 +361,73 @@ def _one_user_ground() -> GroundSet:
         object.__setattr__(ground, name, value)
     assert ground.size == 1 and ground.format(1) == two.format(1)
     return ground
+
+
+#: Packet ids of every type a file may hold, with texts that tie
+#: across types ("1" and 1, "-3" and -3, "2.5" and 2.5, "None" and null).
+_MIXED_IDS = (
+    "a", "b", "1", "-3", "2.5", "None", "", "é",
+    1, -3, 0, 10**29 + 7, -(10**29) - 7, None, 2.5, -0.125, 1e-300,
+)
+
+
+class TestPacketLoading:
+    """Packet files load in whole-list passes; the per-id path of
+    ``tests/conftest.reference_packet_load`` is the oracle."""
+
+    @staticmethod
+    def assert_loads_as_reference(data: dict):
+        order, possession, entropies, text = reference_packet_load(data)
+        source = source_from_dict(copy.deepcopy(data))
+        assert source.packet_order == order
+        assert source.possession == possession
+        assert source.entropies == entropies
+        assert json_text(source_to_dict(source)) == text
+
+    @settings(max_examples=80, derandomize=True, deadline=None)
+    @given(
+        st.integers(min_value=2, max_value=5).flatmap(
+            lambda n: st.lists(
+                st.lists(st.sampled_from(_MIXED_IDS), max_size=8), min_size=n, max_size=n
+            )
+        ),
+        st.booleans(),
+    )
+    @example([list(_MIXED_IDS), list(_MIXED_IDS[::3])], False)
+    @example([list(reversed(_MIXED_IDS)), ["b", "a", "b"]], True)
+    def test_mixed_ids_load_as_the_per_id_path(self, lists, strings_only):
+        # drawn from a small pool, so ids repeat within and across users
+        if strings_only:
+            lists = [[p for p in ids if type(p) is str] for ids in lists]
+        users = [f"u{k}" for k in range(len(lists))]
+        packets = {user: ids for user, ids in zip(users, lists) if ids or len(user) % 2}
+        self.assert_loads_as_reference({"model": "packet", "users": users, "packets": packets})
+
+    @pytest.mark.parametrize(
+        "packets,message",
+        [
+            ({"a": ["x", 2.5, True, [1], 1.0]},
+             "packet ids for user a must be strings, numbers or null, got True"),
+            ({"a": ["x", 1.0, True]},
+             "packet ids for user a must not be integral or non-finite floats, got 1.0"),
+            ({"a": [float("nan"), 1.0]},
+             "packet ids for user a must not be integral or non-finite floats, got nan"),
+            ({"a": [None, [1], True]},
+             "packet ids for user a must be strings, numbers or null, got [1]"),
+            ({"a": ["x"], "b": "xy"}, "packets for user b must be a list"),
+            ({"a": ["x", 3], "b": ["y", True], "c": 7},
+             "packet ids for user b must be strings, numbers or null, got True"),
+            ({"a": ["x"], "b": ["y"], "c": [{"p": 1}]},
+             "packet ids for user c must be strings, numbers or null, got {'p': 1}"),
+        ],
+        ids=["true", "integral-float", "nan", "nested-list", "not-a-list",
+             "clean-then-true-then-not-a-list", "object"],
+    )
+    def test_first_bad_entry_in_file_order_is_named(self, packets, message):
+        data = {"model": "packet", "users": ["a", "b", "c"], "packets": packets}
+        with pytest.raises(FormatError) as caught:
+            source_from_dict(data)
+        assert str(caught.value) == message
 
 
 class TestSplitMinimum:
