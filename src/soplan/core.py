@@ -21,7 +21,7 @@ from typing import Iterable, Iterator, Mapping, Sequence, Union
 #: of a packet source takes about 0.01 s at 14 users and 0.56-0.60 s at
 #: 20, and the whole ``minrate`` command there peaks at 56 MiB.
 #: ``enumerate`` makes 3^n / 2 candidate visits, 9 times more per 2 users:
-#: about 11 s at 16 users, so roughly 15 min at 20 (extrapolated, not run;
+#: about 8 s at 16 users, so roughly 11 min at 20 (extrapolated, not run;
 #: README, Design notes).  Loading and validating a 20-user entropy table
 #: (a 42 MB file) takes about 5 s and peaks at 356 MiB while the JSON is
 #: parsed; a table whose values need 8-byte slots takes about 10 s and
@@ -202,7 +202,8 @@ class GroundSet:
         return tuple(self.labels[pos] for pos in bit_positions(self.mask(mask)))
 
     def format(self, mask: int) -> str:
-        return "{%s}" % ",".join(str(label) for label in self.labels_of(mask))
+        labels = self.labels
+        return "{%s}" % ",".join([str(labels[pos]) for pos in bit_positions(self.mask(mask))])
 
 
 @dataclass(frozen=True)

@@ -18,21 +18,23 @@ omniscience inside X followed by global omniscience costs no more than
 going directly: ``H(V) - H(X) + R(X) <= R(V)`` with R per model.  Such
 subsets are exactly what the staged planner peels off first.
 
-Every "is R(X) <= t?" is one completed sweep over X whose verdict is
-checked against its witness (:func:`_reaches`), whether
-:func:`min_sum_rate`, :func:`enumerate_complementary` (for every subset
-in one shared walk) or
-:func:`soplan.compsetso.complementary_by_lower_bound` asks.  Each
-verdict is decided and checked on ints on the sweep's scale w*D for a
-shift p/w: a yes by the rates' sum and the source's ``shortfall``, a no
-by the partition bound of the sweep's blocks multiplied out
-(:func:`_bound_exceeds`).  :func:`partition_bound` and
-:class:`~soplan.core.Partition` serve only the iteration and the
-certificate of :func:`min_sum_rate`, whose partition is the fundamental
-partition; :func:`enumerate_complementary` checks its list against that
-partition's blocks.  Verdicts, partition bounds and the
-achievability check ask the source's ``entropy_scaled`` and
-``shortfall`` and never index its table.
+Every "is R(X) <= t?" is decided by one completed sweep over X, on ints
+on the sweep's scale w*D for a shift p/w, and checked against its
+witness: a no by the partition bound of the sweep's blocks multiplied
+out (:func:`_bound_exceeds`), a yes by r(X) = f(X) and r(S) <= f(S) for
+every nonempty S inside X.  A single sweep (:func:`_reaches`, which
+:func:`min_sum_rate` and
+:func:`soplan.compsetso.complementary_by_lower_bound` ask) checks its yes
+with the source's ``shortfall``.  :func:`enumerate_complementary` decides
+every subset in one shared walk and checks each set S once, at the walk's
+node whose highest user is S's, off the rate sums that node's stepper
+already holds (:meth:`~soplan.submodular.PrefixStepper.first_excess`).
+:func:`partition_bound` and :class:`~soplan.core.Partition` serve only
+the iteration and the certificate of :func:`min_sum_rate`, whose
+partition is the fundamental partition; :func:`enumerate_complementary`
+checks its list against that partition's blocks.  Verdicts, partition
+bounds and the achievability check ask the source's ``entropy_scaled``,
+``stepper`` and ``shortfall`` and never index its table.
 """
 
 from __future__ import annotations
@@ -265,12 +267,19 @@ def _witnessed_verdict(source, mask: int, shift: Fraction, rates, blocks) -> boo
                 f"{ground.format(mask ^ short[0])}"
             )
         return True
+    _require_bound(source, mask, blocks, weight, own)
+    return False
+
+
+def _require_bound(source, mask: int, blocks, weight: int, own: int) -> None:
+    """Raise :class:`CertificationError` unless ``blocks`` witness a no
+    for X = ``mask``: R(X) > own / (weight * D), by
+    :func:`_bound_exceeds`."""
     if not _bound_exceeds(source, mask, blocks, weight, own):
         raise CertificationError(
-            f"partition leaving out {ground.format(mask)} does not bound R above "
+            f"partition leaving out {source.ground.format(mask)} does not bound R above "
             f"{Fraction(own, weight * source.denominator)}"
         )
-    return False
 
 
 def _bound_exceeds(source, mask: int, blocks, weight: int, own: int) -> bool:
@@ -314,9 +323,26 @@ def enumerate_complementary(source, model: str = ASYMPTOTIC, verify: bool = Fals
     f(X) = gamma_X.  One walk of the prefix trie finishes the sweep at
     shift s over every subset, with one step per subset; a subset whose
     gamma_X falls below s + H(X) and passes at s gets one more sweep at
-    gamma_X - H(X).  Every verdict is checked against its witness (see
-    :func:`_witnessed_verdict`), and R(V) is the only minimum sum-rate
-    computed.  Every block of R(V)'s asymptotic fundamental partition
+    gamma_X - H(X).  R(V) is the only minimum sum-rate computed.
+
+    Every verdict is checked against its witness.  A no needs the
+    sweep's blocks to bound R(X) above f(X) (:func:`_bound_exceeds`).  A
+    yes needs r(X) = f(X), read as the last rate sum of the stepper of
+    X's parent P plus the rate of X's top user t, and r(S) <= f(S) for
+    every nonempty S inside X.  The walk checks the second at every
+    node it yields, before that node's children: at X, for every S = T
+    plus t with T inside P
+    (:meth:`~soplan.submodular.PrefixStepper.first_excess`); a
+    failure raises :class:`CertificationError`.  A set S inside X whose
+    highest user u is not t lies inside the ancestor A of X on X's trie
+    path whose top is u, A = the members of X up to u, and was checked
+    there; A's rates are X's on A, since a child only adds its own top's
+    rate.  So the checks along X's path cover every nonempty S inside X
+    exactly once, and a listed X's yes-witness costs nothing more.  The
+    check reads the walk's rate sums, which are arithmetic on its rates,
+    and none of its choices.
+
+    Every block of R(V)'s asymptotic fundamental partition
     (:func:`min_sum_rate`) with two users or more is complementary, so
     each must be listed; that cross-check reads the partition from the
     cache and costs no sweep.  It holds in the asymptotic model, and in
@@ -350,16 +376,25 @@ def enumerate_complementary(source, model: str = ASYMPTOTIC, verify: bool = Fals
     h = source.entropy_scaled
 
     found = []
-    for mask, rates, blocks in _prefix_trie_sweeps(source, shift):
-        if mask == full or mask.bit_count() < 2:
+    for mask, stepper, rate, blocks in _prefix_trie_sweeps(source, shift):
+        top = 1 << (mask.bit_length() - 1)
+        excess = stepper.first_excess(top, rate, base)
+        if excess is not None:
+            raise CertificationError(
+                f"rates of the sweep over {ground.format(mask)} exceed f on "
+                f"{ground.format(excess)}"
+            )
+        if mask == full or mask == top:
             continue
-        listed = _witnessed_verdict(source, mask, shift, rates, blocks)
-        if listed and model == NON_ASYMPTOTIC:
-            own = base + weight * h(mask)
-            if own % scale:  # G < s + H(X): one more sweep, at G - H(X)
-                listed = _reaches(source, mask, Fraction(own // scale))[0]
-        if listed:
-            found.append(mask)
+        own = base + weight * h(mask)
+        if stepper.sums[-1] + rate != own:
+            _require_bound(source, mask, blocks, weight, own)
+            continue
+        # G < s + H(X): one more sweep, at G - H(X)
+        if (model == NON_ASYMPTOTIC and own % scale
+                and not _reaches(source, mask, Fraction(own // scale))[0]):
+            continue
+        found.append(mask)
     found.sort()
     if model == ASYMPTOTIC or source.integral:
         complementary = set(found)

@@ -11,7 +11,9 @@ Sources are immutable after construction.  Sweeps, verdicts, bounds
 and merges ask a source four queries instead of indexing its table:
 ``entropy_scaled(mask)``, the int D * H(mask) for the common
 ``denominator`` D; ``stepper(weight)``, one sweep's prefix steps;
-``shortfall``, the achievability check; and ``split_minimum(mask)``,
+``shortfall``, the achievability check, which serves the yes-verdicts of
+single sweeps and ``check_sw_achievable`` (the ``enumerate`` walk checks
+its own off its steppers' rate sums); and ``split_minimum(mask)``,
 the least D * (H(Y) + H(X minus Y)) behind the best-bipartition bound.
 All four read one list of ints, ``entropies``, with D * H(mask) for
 all 2^|V| masks, built on first use; at X = V, ``shortfall`` and
@@ -444,11 +446,6 @@ def _meeting_counts(counts: Mapping, n: int) -> list:
         inside += (inside & without) << shift
     outside = total * (every // ((1 << width) - 1)) - inside  # H(V minus T) in slot T
     return memoryview(outside.to_bytes(size * k, sys.byteorder)).cast(code)[::-1].tolist()
-
-
-def induced_table(source: Source) -> TableSource:
-    """The explicit-table view of any source."""
-    return TableSource._from_ints(source.ground, list(source.entropies), source.denominator)
 
 
 def reorder(source: Source, labels: Iterable) -> Source:

@@ -46,7 +46,11 @@ X is the sweep over X minus its highest user plus one more step.
 :func:`_prefix_trie_sweeps` uses that to finish the sweep over every
 nonempty subset at one shift in a single depth-first walk, one step per
 subset and 3^n / 2 candidates in all, where a sweep per subset visits
-about 3^n and pays the per-step overhead n * 2^(n-1) times.
+about 3^n and pays the per-step overhead n * 2^(n-1) times.  For each
+subset it yields the new user's rate with the stepper of the subset
+minus that user, whose rate sums give r(X) and whose
+:meth:`PrefixStepper.first_excess` checks r(S) <= f(S) for every S that
+holds the new user, as the walk's caller does at every node.
 
 The sweeps reach H only through the source's stepper, on the scale of
 its ``entropy_scaled(X)`` = D*H(X).  For shift = p/q a sweep keeps every
@@ -209,6 +213,19 @@ class PrefixStepper:
     def fork(self) -> "PrefixStepper":
         return PrefixStepper(self.table, self.weight, self.submasks, self.sums)
 
+    def first_excess(self, top: int, rate: int, base: int) -> int | None:
+        """The first set S = sub | top, over the absorbed submasks ``sub``
+        in ascending order, whose rate sum with ``rate`` as top's rate
+        exceeds f(S) = ``base`` + weight * table[S]; else None.
+
+        This reads the rate sums but none of the step's choices.  A rate
+        that :meth:`step` finished is the least f(S) - r(sub) over these
+        sets, so no set exceeds f with it."""
+        table, weight, slack = self.table, self.weight, base - rate
+        over = [sub for sub, total in zip(self.submasks, self.sums)
+                if total > slack + weight * table[sub | top]]
+        return over[0] | top if over else None
+
 
 @dataclass(slots=True)
 class UpdateRun:
@@ -332,35 +349,39 @@ def run_rate_update(source, shift, early_exit: bool = True, within: SubsetLike =
 
 
 def _prefix_trie_sweeps(source, shift):
-    """Yield ``(mask, rates, blocks)`` for every nonempty mask: the
-    completed sweep of f(X) = shift + H(X) over that mask.
+    """Yield ``(mask, stepper, rate, blocks)`` for every nonempty mask X:
+    the completed sweep of f(Y) = shift + H(Y) over X.
 
-    The result for a mask equals ``run_rate_update(source, shift,
-    early_exit=False, within=mask)``: ``rates`` is its last entry of
-    ``scaled``, on the scale ``shift.denominator * D`` and 0 outside the
-    mask, and ``blocks`` are its tight blocks.  The walk goes
+    ``stepper`` is the stepper of the sweep over X's parent P, the mask
+    minus its highest user ``top``, before ``top`` is absorbed: it holds P's
+    submasks in ascending order with their rate sums on the scale
+    ``shift.denominator * D``, so r(X) is its last sum plus ``rate``,
+    ``top``'s finished rate, and :meth:`PrefixStepper.first_excess`
+    checks every set that holds ``top``.  The rates equal
+    ``run_rate_update(source, shift, early_exit=False, within=mask)``'s
+    finished rates, and ``blocks`` are its tight blocks.  The walk goes
     depth first through the prefix trie, in which the parent of a mask
-    is the mask minus its highest user.  A child takes its parent's
-    rates and a fork of its stepper, and does the one step of its new
-    highest user, which the fork then absorbs for the child's children.
+    is the mask minus its highest user, and yields X before its
+    children.  A child takes a fork of its parent's stepper and does
+    the one step of its new highest user, which the fork then absorbs
+    for the child's children.  The stepper is shared with X's siblings
+    and must not be changed.
     """
     shift = Fraction(shift)
     base = shift.numerator * source.denominator
     size = source.ground.size
-    rates = [0] * size
 
     def grow(parent: int, stepper, blocks: list):
         for pos in range(parent.bit_length(), size):
             top = 1 << pos
             child = parent | top
             step = stepper.step(top, child)
-            rates[pos] = rate = base + step.min_value
+            rate = base + step.min_value
             child_blocks = _join_blocks(blocks, top, step.maximal_minimizer)
-            yield child, tuple(rates), child_blocks
+            yield child, stepper, rate, child_blocks
             if pos + 1 < size:
                 child_stepper = stepper.fork()
                 child_stepper.absorb(top, rate)
                 yield from grow(child, child_stepper, child_blocks)
-            rates[pos] = 0
 
     yield from grow(0, source.stepper(shift.denominator), [])

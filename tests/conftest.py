@@ -104,6 +104,11 @@ def random_rational_table(rng: random.Random, n_users: int, n_packets: int) -> T
     return TableSource(ground, table)
 
 
+def induced_table(source) -> TableSource:
+    """The explicit-table view of any source."""
+    return TableSource._from_ints(source.ground, list(source.entropies), source.denominator)
+
+
 @pytest.fixture(scope="session")
 def source_corpus() -> tuple:
     """200 random packet sources with 3..6 users, frozen by seed."""
@@ -232,6 +237,19 @@ def reference_shortfall(source, mask: int, rates, weight: int) -> tuple | None:
         if have < need:
             return c, need - have
     return None
+
+
+def walk_rates(source, mask: int, stepper, rate: int) -> tuple:
+    """The finished rates of the prefix-trie walk's sweep over ``mask``
+    by ground position, from what the walk yields there: each member of
+    the parent read off its singleton's rate sum in the parent's
+    ``stepper``, and the top user's ``rate``."""
+    rates = [0] * source.ground.size
+    *members, top = bit_positions(mask)
+    for index, pos in enumerate(members):
+        rates[pos] = stepper.sums[1 << index]
+    rates[top] = rate
+    return tuple(rates)
 
 
 def reference_packet_load(data: dict) -> tuple:

@@ -28,8 +28,7 @@ from soplan import (
     plan_multistage,
 )
 from soplan.gf import RowSpace
-from soplan.sources import induced_table
-from tests.conftest import make_five_user, make_cyclic_triple
+from tests.conftest import induced_table, make_five_user, make_cyclic_triple
 
 
 @pytest.fixture
@@ -108,17 +107,18 @@ class TestEnumerate:
         assert "complementary subsets: 18" in capsys.readouterr().out
 
     def test_failed_witness_exits_3(self, five_user_file, monkeypatch, capsys):
-        # A pass that hands out rates above f on some subset lists
-        # nothing it can certify.
+        # A pass that hands out the last user's rates one unit above the
+        # sweep's lists nothing it can certify.
         real = omniscience._prefix_trie_sweeps
 
         def inflated(source, shift):
-            for mask, rates, partition in real(source, shift):
-                yield mask, rates[:-1] + (rates[-1] + 1,), partition
+            last = source.ground.size - 1
+            for mask, stepper, rate, blocks in real(source, shift):
+                yield mask, stepper, rate + (mask >> last), blocks
 
         monkeypatch.setattr(omniscience, "_prefix_trie_sweeps", inflated)
         assert cli.main(["enumerate", five_user_file]) == 3
-        assert "error:" in capsys.readouterr().err
+        assert "exceed f" in capsys.readouterr().err
 
 
 def _independent_table(tmp_path, users) -> str:

@@ -1,9 +1,10 @@
 """Byte stability of the CLI's stdout on the shipped examples.
 
 SHA-256 digests of what ``minrate``, ``compset`` (both alphas) and
-``enumerate --verify`` print for every ``data/*.json`` in both models.
-Any change to a printed value, certificate line or ordering shows up
-here.
+``enumerate --verify`` print for every ``data/*.json`` in both models,
+and of what ``enumerate --verify`` prints for generated sources of 7 to
+10 users, past the shipped examples' 5.  Any change to a printed value,
+certificate line or ordering shows up here.
 """
 
 from __future__ import annotations
@@ -13,9 +14,13 @@ import hashlib
 import io
 from pathlib import Path
 
+import random
+
 import pytest
 
 import soplan.cli as cli
+from soplan import dump_source
+from tests.conftest import random_packet_source, random_rational_table
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 
@@ -77,3 +82,32 @@ def test_stdout_digest(stem, model, command):
         code = cli.main([name, str(DATA / f"{stem}.json"), *flags, "--model", model])
     assert code == 0
     assert hashlib.sha256(out.getvalue().encode()).hexdigest() == GOLDENS[stem, model, command]
+
+
+GENERATORS = {"rational": random_rational_table, "packet": random_packet_source}
+
+# (generator, n, --model) -> sha256 of ``enumerate --verify`` stdout on
+# GENERATORS[generator](random.Random(n), n, 2 * n)
+GENERATED_GOLDENS = {
+    ("rational", 7, "asymptotic"): "88b49f5188f8b17de3a23f6d3f5df67f6377b28b71f79f5683e14cd196abd42c",
+    ("rational", 7, "non-asymptotic"): "ddaa4a465292a083461582fda769ba33e9b90ed25502939fa2a1a800fe8c2fd3",
+    ("rational", 8, "asymptotic"): "70cbbca4f708eac79c208a2bb372a92f005d8a96643b135ddcf23b473f89e47c",
+    ("rational", 8, "non-asymptotic"): "114f7a7de7eb557f37ba08b02ef645410c13233306d73ca8db74e4f2b8302d68",
+    ("rational", 9, "asymptotic"): "8ef4e97b7651bc00cfc9ef6b215a375d9a7c2760441f005ab113b2cf38e60c00",
+    ("rational", 9, "non-asymptotic"): "236b93eb85df4fe0aaa571a9d519652be726d164a0cc8fafd162d91e26685aeb",
+    ("packet", 9, "asymptotic"): "4f352e474252f66072d5d83a8304b0998a8c6089a1580a417f6300c2bc23ef75",
+    ("packet", 9, "non-asymptotic"): "66ba40849d3d6f78200d3527604a4d4eab613f7e0dca79429ad2a791318a331a",
+    ("packet", 10, "asymptotic"): "e1dc21cc9c82205c46114bb2380dda676c28b0fa4fac1d5db47fdedb46a541b8",
+    ("packet", 10, "non-asymptotic"): "f558be4cbd26de81dca9e5fec926531d052947f3f2a27ad33a6aa9ecaa430ea6",
+}
+
+
+@pytest.mark.parametrize("kind,n,model", sorted(GENERATED_GOLDENS))
+def test_generated_enumerate_digest(kind, n, model, tmp_path):
+    path = tmp_path / f"{kind}{n}.json"
+    dump_source(GENERATORS[kind](random.Random(n), n, 2 * n), path)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(["enumerate", str(path), "--verify", "--model", model])
+    assert code == 0
+    assert hashlib.sha256(out.getvalue().encode()).hexdigest() == GENERATED_GOLDENS[kind, n, model]

@@ -28,9 +28,9 @@ from soplan import (
 from soplan.gf import RowSpace
 from soplan.multistage import build_plan
 from soplan.rlnc import _chunk_columns, draw_stage
-from soplan.sources import induced_table, reorder
+from soplan.sources import reorder
 from soplan.submodular import dilworth_truncation, run_rate_update
-from tests.conftest import random_packet_source
+from tests.conftest import induced_table, random_packet_source
 from tests.test_omniscience import bell_min_sum_rate
 from tests.test_submodular import bell_truncation
 

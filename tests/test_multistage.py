@@ -26,7 +26,7 @@ from soplan import (
     plan_multistage,
 )
 from soplan.multistage import Stage, build_plan, initial_system, merge_super_user
-from soplan.sources import induced_table
+from tests.conftest import induced_table
 
 
 class TestStage:

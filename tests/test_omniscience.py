@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import math
 import random
+import re
 from collections import Counter
 from fractions import Fraction
 
@@ -38,6 +39,7 @@ from tests.conftest import (
     random_packet_source,
     random_rational_table,
     reference_shortfall,
+    walk_rates,
 )
 
 
@@ -554,18 +556,18 @@ class TestEnumerationWitnesses:
     @staticmethod
     def tamper(monkeypatch, edit):
         """Replace the pass by one that hands the first proper subset of
-        at least two users for which ``edit`` returns rates through
-        with those rates."""
+        at least two users for which ``edit`` returns a top rate through
+        with that rate.  The walk itself goes on with its own rate."""
         real = omniscience._prefix_trie_sweeps
 
         def tampered(source, shift):
             done = False
-            for mask, rates, partition in real(source, shift):
+            for mask, stepper, rate, blocks in real(source, shift):
                 if not done and mask.bit_count() >= 2 and mask != source.ground.full_mask:
-                    changed = edit(source, Fraction(shift), mask, list(rates))
+                    changed = edit(source, Fraction(shift), mask, stepper.sums[-1], rate)
                     if changed is not None:
-                        done, rates = True, tuple(changed)
-                yield mask, rates, partition
+                        done, rate = True, changed
+                yield mask, stepper, rate, blocks
 
         monkeypatch.setattr(omniscience, "_prefix_trie_sweeps", tampered)
 
@@ -577,29 +579,56 @@ class TestEnumerationWitnesses:
     def test_listing_a_subset_without_a_witness_raises(self, five_user, monkeypatch):
         # Lift the top rate of a subset the sweep leaves out until the
         # rates reach f(X): the achievability check must reject them.
-        def lift(source, shift, mask, rates):
-            short = self.own(source, shift, mask) - sum(rates)
-            if short == 0:
-                return None
-            rates[mask.bit_length() - 1] += short
-            return rates
+        def lift(source, shift, mask, parent_sum, rate):
+            short = self.own(source, shift, mask) - parent_sum - rate
+            return None if short == 0 else rate + short
 
         self.tamper(monkeypatch, lift)
         with pytest.raises(CertificationError, match="exceed f"):
             enumerate_complementary(five_user)
 
     def test_dropping_a_listed_subset_raises(self, five_user, monkeypatch):
-        # Nudge one rate of a listed subset down: its one-block partition
-        # bounds nothing, so the omission has no witness.
-        def nudge(source, shift, mask, rates):
-            if sum(rates) != self.own(source, shift, mask):
-                return None
-            rates[mask.bit_length() - 1] -= 1
-            return rates
+        # Nudge the top rate of a listed subset down: its one-block
+        # partition bounds nothing, so the omission has no witness.
+        def nudge(source, shift, mask, parent_sum, rate):
+            return rate - 1 if parent_sum + rate == self.own(source, shift, mask) else None
 
         self.tamper(monkeypatch, nudge)
         with pytest.raises(CertificationError, match="does not bound"):
             enumerate_complementary(five_user, NON_ASYMPTOTIC)
+
+    @pytest.mark.parametrize("lifted_node,descendant", [([1], [1, 2]), ([1, 3, 4], [1, 3, 4, 5])])
+    def test_an_unlisted_ancestor_is_checked(self, five_user, monkeypatch, lifted_node, descendant):
+        # A walk whose step at X finishes X's top rate one unit high: X
+        # stays unlisted, and its descendant Y stays listed with every
+        # set that holds Y's top within f.  Y's rates break
+        # r({t}) <= f({t}) for X's top t, which only the check at X sees.
+        ground = five_user.ground
+        x, y = ground.mask(lifted_node), ground.mask(descendant)
+        top = 1 << (x.bit_length() - 1)
+        assert x not in enumerate_complementary(five_user) and y in enumerate_complementary(five_user)
+        shift = min_sum_rate(five_user).value - five_user.entropy(ground.full_mask)
+        base = shift.numerator * five_user.denominator
+        real = submodular.minimize_over_prefix
+
+        def lifted(table, weight, step_top, submasks, rate_sums, whole):
+            step = real(table, weight, step_top, submasks, rate_sums, whole)
+            if whole == x and step_top == top:
+                step.min_value += 1
+            return step
+
+        monkeypatch.setattr(submodular, "minimize_over_prefix", lifted)
+        nodes = {mask: (stepper, rate) for mask, stepper, rate, _ in
+                 omniscience._prefix_trie_sweeps(five_user, shift)}
+        stepper, rate = nodes[x]
+        assert stepper.sums[-1] + rate != self.own(five_user, shift, x)
+        assert stepper.first_excess(top, rate, base) == top
+        stepper, rate = nodes[y]
+        assert stepper.sums[-1] + rate == self.own(five_user, shift, y)
+        assert stepper.first_excess(1 << (y.bit_length() - 1), rate, base) is None
+        message = f"sweep over {ground.format(x)} exceed f on {ground.format(top)}"
+        with pytest.raises(CertificationError, match=re.escape(message)):
+            enumerate_complementary(five_user)
 
     @staticmethod
     def skip_one_listed(monkeypatch, source):
@@ -662,6 +691,24 @@ class TestEnumerationWitnesses:
         assert enumerate_complementary(table) == (3, 6)
         assert enumerate_complementary(table, NON_ASYMPTOTIC, verify=True) == (6,)
 
+    def test_shortfall_only_for_v_asymptotically(self, source_corpus, monkeypatch):
+        # the walk checks its own yes-witnesses; in the asymptotic model
+        # only the sweeps of R(V) ask ``shortfall``, always at V
+        asked = []
+        real = _SourceBase.shortfall
+
+        def recorded(source, mask, rates, weight):
+            asked.append(mask == source.ground.full_mask)
+            return real(source, mask, rates, weight)
+
+        monkeypatch.setattr(_SourceBase, "shortfall", recorded)
+        listed = 0
+        for source in source_corpus[::5]:
+            for verify in (False, True):
+                fresh = type(source)(source.ground, source.possession)  # nothing cached
+                listed += len(enumerate_complementary(fresh, ASYMPTOTIC, verify))
+        assert listed and asked and all(asked)
+
     def test_minimum_sum_rate_of_v_only(self, five_user, monkeypatch):
         calls = []
         real = omniscience.min_sum_rate
@@ -707,10 +754,10 @@ class TestIntVerdicts:
         sweep at G - H(X) that it runs when X passes at s."""
         full = source.ground.full_mask
         shift = min_sum_rate(source, None, model).value - source.entropy(full)
-        for mask, rates, blocks in omniscience._prefix_trie_sweeps(source, shift):
+        for mask, stepper, rate, blocks in omniscience._prefix_trie_sweeps(source, shift):
             if mask.bit_count() < 2 or mask == full:
                 continue
-            yield shift, mask, rates, blocks
+            yield shift, mask, walk_rates(source, mask, stepper, rate), blocks
             gamma = shift + source.entropy(mask)
             if model == NON_ASYMPTOTIC and gamma.denominator != 1:
                 own = math.floor(gamma) - source.entropy(mask)

@@ -26,8 +26,9 @@ from soplan import (
     validate_polymatroid,
 )
 from soplan.core import json_text, parse_fraction
-from soplan.sources import induced_table, reorder, source_from_dict, source_to_dict
+from soplan.sources import reorder, source_from_dict, source_to_dict
 from tests.conftest import (
+    induced_table,
     polymatroid_report,
     random_packet_source,
     random_rational_table,

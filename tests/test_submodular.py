@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -27,6 +28,7 @@ from soplan import (
     min_sum_rate,
 )
 from soplan.compsetso import alpha_lower_bound, comp_set_so
+from soplan.core import bit_positions, submask_sums
 from soplan import submodular
 from soplan.submodular import (
     SfmResult,
@@ -37,10 +39,12 @@ from soplan.submodular import (
 )
 from tests.conftest import (
     enumerate_partitions,
+    iter_submasks,
     make_five_user,
     random_packet_source,
     random_rational_table,
     snapshots,
+    walk_rates,
 )
 
 
@@ -286,17 +290,24 @@ class TestPrefixTrie:
 
     @staticmethod
     def assert_matches_own_sweeps(source):
+        """r(X), the top rate and the parent's submasks and rate sums
+        against the sweep over X, read once the walk has finished, so a
+        walk that changed a stepper it had handed out fails too."""
         for model in (ASYMPTOTIC, NON_ASYMPTOTIC):
             shift = shift_of(source, min_sum_rate(source, None, model).value)
             scale = shift.denominator * source.denominator
-            seen = []
-            for mask, rates, blocks in _prefix_trie_sweeps(source, shift):
+            swept = list(_prefix_trie_sweeps(source, shift))
+            for mask, stepper, rate, blocks in swept:
                 run = run_rate_update(source, shift, early_exit=False, within=mask)
-                assert rates == run.scaled[-1]
+                rates = run.scaled[-1]
+                top = mask.bit_length() - 1
+                assert rate == rates[top]
+                assert (stepper.submasks, stepper.sums) == submask_sums(mask ^ 1 << top, rates)
+                assert stepper.sums[-1] + rate == sum(rates)
+                assert walk_rates(source, mask, stepper, rate) == rates
                 assert Partition(blocks) == run.partition
                 assert Fraction(sum(rates), scale) == dilworth_truncation(source, shift, mask)
-                seen.append(mask)
-            assert sorted(seen) == list(range(1, source.ground.full_mask + 1))
+            assert sorted(mask for mask, *_ in swept) == list(range(1, source.ground.full_mask + 1))
 
     def test_corpus_every_subset(self, source_corpus):
         for source in source_corpus:
@@ -308,6 +319,72 @@ class TestPrefixTrie:
         self.assert_matches_own_sweeps(
             random_rational_table(rng, rng.randint(2, 6), rng.randint(2, 10))
         )
+
+
+class TestFirstExcess:
+    """``PrefixStepper.first_excess`` against a scan of every S = T | top,
+    T inside the absorbed prefix, in ascending order, with r(S) summed
+    one user at a time and f(S) from Fraction entropies."""
+
+    @staticmethod
+    def scan(source, shift, rates, parent, top, rate):
+        scale = shift.denominator * source.denominator
+        for sub in iter_submasks(parent):
+            have = sum(rates[pos] for pos in bit_positions(sub)) + rate
+            if Fraction(have, scale) > f_value(source, shift, sub | top):
+                return sub | top
+        return None
+
+    @classmethod
+    def assert_like_the_scan(cls, sources, rng) -> Counter:
+        """Random prefixes of each source, absorbed with their finished
+        rates at three shifts, some nudged up; the top's finished rate
+        is tried as it is and moved by -1, 1 and 2 units."""
+        outcomes = Counter()
+        for source in sources:
+            n = source.ground.size
+            exact = shift_of(source, min_sum_rate(source).value)
+            for shift in (exact, Fraction(math.floor(exact)), exact + Fraction(1, 7)):
+                weight = shift.denominator
+                base = shift.numerator * source.denominator
+                for _ in range(3):
+                    top = rng.randrange(n)
+                    parent = rng.getrandbits(top)
+                    mask = parent | 1 << top
+                    rates = list(run_rate_update(source, shift, early_exit=False, within=mask).scaled[-1])
+                    for pos in bit_positions(parent):
+                        if rng.random() < 0.2:
+                            rates[pos] += rng.randint(1, 2)
+                    stepper = source.stepper(weight)
+                    for pos in bit_positions(parent):
+                        stepper.absorb(1 << pos, rates[pos])
+                    for delta in (0, -1, 1, 2):
+                        rate = rates[top] + delta
+                        got = stepper.first_excess(1 << top, rate, base)
+                        assert got == cls.scan(source, shift, rates, parent, 1 << top, rate)
+                        outcomes[got is None, weight > 1] += 1
+        return outcomes
+
+    def test_corpus(self, source_corpus):
+        outcomes = self.assert_like_the_scan(source_corpus, random.Random(11))
+        assert all(outcomes[ok, heavy] for ok in (True, False) for heavy in (True, False))
+
+    def test_rational_tables(self):
+        rng = random.Random(12)
+        tables = [random_rational_table(rng, n, 2 * n) for n in (2, 3, 4, 5, 6, 7) for _ in range(4)]
+        outcomes = self.assert_like_the_scan(tables, rng)
+        assert all(outcomes[ok, heavy] for ok in (True, False) for heavy in (True, False))
+
+    def test_finished_rates_never_exceed(self, source_corpus):
+        # every rate the walk yields is a greedy minimum, so no set that
+        # holds its top exceeds f
+        for source in source_corpus[::4]:
+            shift = shift_of(source, min_sum_rate(source).value)
+            base = shift.numerator * source.denominator
+            for mask, stepper, rate, _ in _prefix_trie_sweeps(source, shift):
+                top = 1 << (mask.bit_length() - 1)
+                assert stepper.first_excess(top, rate, base) is None
+                assert stepper.first_excess(top, rate + 1, base) is not None
 
 
 class TestMinimizeOverPrefix:
