@@ -199,8 +199,7 @@ def _build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="recompute every verdict from each subset's own truncation, "
         "read off a table of partition minima that shares no code with the "
-        "listing (one table per shift: one, except in the non-asymptotic "
-        "model on fractional entropies)",
+        "listing",
     )
     p.set_defaults(func=_cmd_enumerate)
 

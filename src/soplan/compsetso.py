@@ -14,10 +14,9 @@ Alpha is chosen in one of two modes:
   rates are an optimal omniscience rate vector.  R(V) is never computed.
 
 :func:`comp_set_so` computes alpha itself, so it always lies in
-[0, H(V)].  In the non-asymptotic model it refuses a source with a
-fractional entropy: the guarantee that an early exit is complementary
-there assumes integer entropies, and with a fractional one the ceiling
-on R(X) can break it.
+[0, H(V)].  The non-asymptotic model takes integer entropies only
+(:func:`soplan.omniscience.check_source_model`), and the guarantee that
+an early exit is complementary there needs them.
 
 :func:`comp_set_so` certifies every outcome before returning it by one
 rule, H(V) - H(X) + R(X) <= alpha <= R(V), where the mode only decides
@@ -38,7 +37,7 @@ from .omniscience import (
     NON_ASYMPTOTIC,
     _reaches,
     _require_testable,
-    check_model,
+    check_source_model,
     check_sw_achievable,
     min_sum_rate,
 )
@@ -62,7 +61,7 @@ def _singleton_bound(source, mask: int, model: str) -> Fraction:
 def alpha_lower_bound(source, model: str = ASYMPTOTIC) -> Fraction:
     """The singleton-partition lower bound on the minimum sum-rate,
     ceiled in the non-asymptotic model."""
-    check_model(model)
+    check_source_model(source, model)
     return _singleton_bound(source, source.ground.full_mask, model)
 
 
@@ -108,11 +107,7 @@ def comp_set_so(source, model: str = ASYMPTOTIC, mode: str = EXACT) -> CompSetOu
     """Run the single-sweep search at the alpha that ``mode`` names and
     return the certified outcome.  The non-asymptotic model needs
     integer entropies."""
-    if model == NON_ASYMPTOTIC and not source.integral:
-        raise DomainError(
-            "the non-asymptotic subset search needs integer entropies; "
-            "this source has a fractional one"
-        )
+    check_source_model(source, model)
     alpha = _alpha(source, model, mode)
     ground = source.ground
     run = run_rate_update(source, alpha - source.entropy(ground.full_mask), early_exit=True)
@@ -130,13 +125,14 @@ def complementary_by_lower_bound(source, subset: SubsetLike, model: str = ASYMPT
     Takes the subset-specific bound
     ``alpha = sum_{i in V} (H(X) - H({i})) / (|V| - 1)`` (ceiled in the
     non-asymptotic model) and asks whether R(X) <= gamma for
-    ``gamma = alpha - H(V) + H(X)``, floored in the non-asymptotic model
-    as :func:`soplan.omniscience.enumerate_complementary` does, by one
-    sweep whose verdict is checked against its witness; a failed witness
-    raises :class:`CertificationError`.  When alpha falls outside
+    ``gamma = alpha - H(V) + H(X)``, by one sweep whose verdict is
+    checked against its witness; a failed witness raises
+    :class:`CertificationError`.  The non-asymptotic model takes integer
+    entropies, so gamma is an integer there and bounds the ceiling of
+    R(X) exactly when it bounds R(X).  When alpha falls outside
     [0, H(V)] the test simply does not apply and False is returned.
     """
-    check_model(model)
+    check_source_model(source, model)
     ground = source.ground
     mask = ground.mask(subset)
     _require_testable(ground, mask)
@@ -144,10 +140,7 @@ def complementary_by_lower_bound(source, subset: SubsetLike, model: str = ASYMPT
     h_v = source.entropy(ground.full_mask)
     if not 0 <= alpha <= h_v:
         return False
-    gamma = alpha - h_v + source.entropy(mask)
-    if model == NON_ASYMPTOTIC:
-        gamma = Fraction(math.floor(gamma))
-    return _reaches(source, mask, gamma)[0]
+    return _reaches(source, mask, alpha - h_v + source.entropy(mask))[0]
 
 
 def certify_outcome(source, outcome: CompSetOutcome) -> Certificate:

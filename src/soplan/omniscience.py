@@ -7,7 +7,9 @@ Two rate models are supported everywhere:
   ``max over P of sum_{C in P} (H(X) - H(C)) / (|P| - 1)``
   taken over all partitions of X into at least two blocks.
 * ``non_asymptotic`` - rates are integers (packets); the minimum
-  sum-rate is the ceiling of the asymptotic one.
+  sum-rate is the ceiling of the asymptotic one.  That holds for integer
+  entropies, so this model refuses a source with a fractional one
+  (:func:`check_source_model`).
 
 A rate vector r achieves omniscience of X iff every proper subset C of
 X satisfies ``r(C) >= H(X) - H(X minus C)``, i.e. the members of C can
@@ -52,7 +54,7 @@ from .core import (
     SubsetLike,
     bit_positions,
 )
-from .submodular import _prefix_trie_sweeps, dilworth_truncations, run_rate_update
+from .submodular import _prefix_trie_sweeps, dilworth_truncation, run_rate_update
 
 ASYMPTOTIC = "asymptotic"
 NON_ASYMPTOTIC = "non_asymptotic"
@@ -62,6 +64,20 @@ MODELS = (ASYMPTOTIC, NON_ASYMPTOTIC)
 def check_model(model: str) -> str:
     if model not in MODELS:
         raise DomainError(f"unknown model {model!r}; expected one of {MODELS}")
+    return model
+
+
+def check_source_model(source, model: str) -> str:
+    """``model`` once it is known and, in the non-asymptotic model, the
+    source has integer entropies, else :class:`DomainError`.  The
+    whole-packet minimum is ceil(R) on integer entropies and can exceed
+    it on fractional ones; on integer ones every non-asymptotic target
+    is an integer."""
+    check_model(model)
+    if model == NON_ASYMPTOTIC and not source.integral:
+        raise DomainError(
+            "the non-asymptotic model needs integer entropies; this source has a fractional one"
+        )
     return model
 
 
@@ -146,10 +162,11 @@ def min_sum_rate(source, subset: SubsetLike = None, model: str = ASYMPTOTIC) -> 
     with the most blocks, since the maximizers form a lattice.  The
     non-asymptotic value is the ceiling of R(X), and its witness is the
     sweep at that ceiling, which must reach it: the asymptotic one when
-    R(X) is an integer, and integer-valued whenever the entropies are.
+    R(X) is an integer, and integer-valued, since the non-asymptotic
+    model takes integer entropies only (:func:`check_source_model`).
     Needs at least two users in the subset.
     """
-    check_model(model)
+    check_source_model(source, model)
     ground = source.ground
     mask = ground.full_mask if subset is None else ground.mask(subset)
     if mask.bit_count() < 2:
@@ -224,7 +241,7 @@ def check_sw_achievable(source, subset: SubsetLike, rates: RateVector) -> SwChec
 def is_complementary(source, subset: SubsetLike, model: str = ASYMPTOTIC) -> bool:
     """Whether splitting local omniscience of ``subset`` off first costs
     nothing extra.  Defined only for non-singleton proper subsets."""
-    check_model(model)
+    check_source_model(source, model)
     ground = source.ground
     mask = ground.mask(subset)
     _require_testable(ground, mask)
@@ -316,14 +333,13 @@ def enumerate_complementary(source, model: str = ASYMPTOTIC, verify: bool = Fals
     """All complementary subsets, as masks in ascending order.
 
     X is complementary exactly when R(X) <= gamma_X, where
-    gamma_X = s + H(X) with s = R(V) - H(V), floored in the
-    non-asymptotic model (R(X) is ceiled there, and an integer bounds
-    the ceiling exactly when it bounds R(X)).  That holds exactly when the
-    Dilworth truncation of f(Y) = gamma_X - H(X) + H(Y) at X equals
-    f(X) = gamma_X.  One walk of the prefix trie finishes the sweep at
-    shift s over every subset, with one step per subset; a subset whose
-    gamma_X falls below s + H(X) and passes at s gets one more sweep at
-    gamma_X - H(X).  R(V) is the only minimum sum-rate computed.
+    gamma_X = s + H(X) with s = R(V) - H(V).  In the non-asymptotic model
+    R is ceiled and the entropies are integers, so s and every gamma_X
+    are integers, and an integer bounds the ceiling exactly when it
+    bounds R(X).  R(X) <= gamma_X holds exactly when the Dilworth
+    truncation of f(Y) = s + H(Y) at X equals f(X) = gamma_X.  One walk of the prefix
+    trie finishes the sweep at shift s over every subset, with one step
+    per subset.  R(V) is the only minimum sum-rate computed.
 
     Every verdict is checked against its witness.  A no needs the
     sweep's blocks to bound R(X) above f(X) (:func:`_bound_exceeds`).  A
@@ -346,27 +362,23 @@ def enumerate_complementary(source, model: str = ASYMPTOTIC, verify: bool = Fals
     (:func:`min_sum_rate`) with two users or more is complementary, so
     each must be listed; that cross-check reads the partition from the
     cache and costs no sweep.  It holds in the asymptotic model, and in
-    the non-asymptotic model on integer entropies, where
+    the non-asymptotic model, whose entropies are integers, since
     R(B) + H(V) - H(B) <= R(V) gives
     ceil(R(B)) + H(V) - H(B) <= ceil(R(V)).  For s = p/w every gamma_X
-    is an int on the scale w*D of the sweep's rates: p*D + w*D*H(X), or
-    in the non-asymptotic model its floor G = (p*D + w*D*H(X)) // (w*D)
-    times w*D, so no verdict builds a Fraction, a :class:`Partition` or
-    a partition bound.
+    is an int on the scale w*D of the sweep's rates, p*D + w*D*H(X), so
+    no verdict builds a Fraction, a :class:`Partition` or a partition
+    bound.
 
     With ``verify=True`` every verdict is recomputed from that subset's
-    own :func:`dilworth_truncation` at gamma_X - H(X), and the two lists
-    must agree.  That reference is kept apart from the prefix step on
-    purpose: it shares no code with the trie walk, so a fault in the
-    step cannot corrupt both sides alike.  It is asked through
-    :func:`dilworth_truncations`, which builds one table of partition
-    minima per distinct shift: one in the asymptotic model and whenever
-    the entropies are integers, and up to D (one per value of
-    gamma_X - H(X)) on a fractional table in the non-asymptotic model.
-    Each value v it returns is compared with gamma_X exactly, as
-    ``v.numerator * w*D == gamma_X * v.denominator`` on the scale w*D.
+    own :func:`dilworth_truncation` at s, and the two lists must agree.
+    That reference is kept apart from the prefix step on purpose: it
+    shares no code with the trie walk, so a fault in the step cannot
+    corrupt both sides alike.  Its one table of partition minima at s
+    serves every subset.  Each value v it returns is compared with
+    gamma_X exactly, as ``v.numerator * w*D == gamma_X * v.denominator``
+    on the scale w*D.
     """
-    check_model(model)
+    check_source_model(source, model)
     ground = source.ground
     full = ground.full_mask
     r_v = min_sum_rate(source, None, model)
@@ -390,37 +402,22 @@ def enumerate_complementary(source, model: str = ASYMPTOTIC, verify: bool = Fals
         if stepper.sums[-1] + rate != own:
             _require_bound(source, mask, blocks, weight, own)
             continue
-        # G < s + H(X): one more sweep, at G - H(X)
-        if (model == NON_ASYMPTOTIC and own % scale
-                and not _reaches(source, mask, Fraction(own // scale))[0]):
-            continue
         found.append(mask)
     found.sort()
-    if model == ASYMPTOTIC or source.integral:
-        complementary = set(found)
-        for block in _asymptotic_result(source, full).maximizing_partition:
-            if block.bit_count() > 1 and block not in complementary:
-                raise CertificationError(
-                    f"block {ground.format(block)} of the fundamental partition "
-                    "is not listed as complementary"
-                )
+    complementary = set(found)
+    for block in _asymptotic_result(source, full).maximizing_partition:
+        if block.bit_count() > 1 and block not in complementary:
+            raise CertificationError(
+                f"block {ground.format(block)} of the fundamental partition "
+                "is not listed as complementary"
+            )
     if verify:
-        targets, own_shifts = {}, {}
+        by_truncation = []
         for mask in range(3, full):
             if mask.bit_count() > 1:
-                own = base + weight * h(mask)
-                if model == ASYMPTOTIC or own % scale == 0:
-                    targets[mask], own_shifts[mask] = own, shift
-                else:
-                    floor = own // scale
-                    targets[mask] = floor * scale
-                    own_shifts[mask] = Fraction(floor * denominator - h(mask), denominator)
-        values = dilworth_truncations(source, own_shifts)
-        by_truncation = []
-        for mask, target in targets.items():
-            value = values[mask]
-            if value.numerator * scale == target * value.denominator:
-                by_truncation.append(mask)
+                value = dilworth_truncation(source, shift, mask)
+                if value.numerator * scale == (base + weight * h(mask)) * value.denominator:
+                    by_truncation.append(mask)
         if by_truncation != found:
             only_trie = [ground.format(m) for m in found if m not in by_truncation]
             only_own = [ground.format(m) for m in by_truncation if m not in found]
@@ -433,6 +430,6 @@ def enumerate_complementary(source, model: str = ASYMPTOTIC, verify: bool = Fals
 
 def optimal_rate_vector(source, model: str = ASYMPTOTIC) -> RateVector:
     """An optimal omniscience rate vector for V: the certified witness
-    of :func:`min_sum_rate`.  With integer entropies and the
-    non-asymptotic model every entry is an integer."""
+    of :func:`min_sum_rate`.  In the non-asymptotic model every entry
+    is an integer."""
     return min_sum_rate(source, None, model).rates

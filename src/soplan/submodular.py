@@ -35,9 +35,7 @@ it shares no code with the step, the sweep or the trie walk it checks,
 and not even their method.  It reads the truncation off a table of
 partition minima, built for every subset at once by the recurrence over
 the block that holds a subset's lowest user, and cached on the source
-for the latest shift.  :func:`dilworth_truncations` answers many subsets
-at their own shifts, one shift at a time, so each shift builds its table
-once.
+for the latest shift.
 
 The step has two callers.  :func:`run_rate_update` walks one path of the
 prefix trie: the sweep over V, or over one subset.  The sweep over a
@@ -77,8 +75,6 @@ def dilworth_truncation(source, shift, subset: SubsetLike) -> Fraction:
     :func:`_partition_minima`'s table for ``shift``, which the source
     keeps for the latest shift only: the first call at a shift costs
     3^|V| / 2 visits, and every later call at that shift is a lookup.
-    Callers with many subsets at mixed shifts go through
-    :func:`dilworth_truncations`, which keeps that order for them.
     """
     mask = source.ground.mask(subset)
     if mask == 0:
@@ -89,32 +85,6 @@ def dilworth_truncation(source, shift, subset: SubsetLike) -> Fraction:
     if cached is None or cached[0] is not shift and cached[0] != shift:
         cached = source.__dict__["_partition_minima"] = (shift, _partition_minima(source, shift))
     return Fraction(cached[1][mask], shift.denominator * source.denominator)
-
-
-def dilworth_truncations(source, shifts: dict) -> dict:
-    """The truncation at every mask of ``shifts`` at that mask's own
-    shift, as ``{mask: value}``.
-
-    The masks are asked one shift at a time, whatever their order in
-    ``shifts``, so each distinct shift builds the table behind
-    :func:`dilworth_truncation` once; every mask is still one call.
-    Equal shifts are grouped by their ``(numerator, denominator)`` pair,
-    which hashes faster than a Fraction, and every mask of a group is
-    asked with the group's first shift object, so the cache check is an
-    identity test.
-    """
-    by_shift = {}
-    for mask, shift in shifts.items():
-        key = shift.numerator, shift.denominator
-        group = by_shift.get(key)
-        if group is None:
-            group = by_shift[key] = (shift, [])
-        group[1].append(mask)
-    return {
-        mask: dilworth_truncation(source, shift, mask)
-        for shift, masks in by_shift.values()
-        for mask in masks
-    }
 
 
 def _partition_minima(source, shift: Fraction) -> list:

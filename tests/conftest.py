@@ -13,6 +13,7 @@ import pytest
 from soplan import DomainError, GroundSet, PacketSource, Partition, TableSource
 from soplan.core import bit_positions, json_text, submask_sums
 from soplan.gf import RowSpace, random_combination
+from soplan.omniscience import ASYMPTOTIC, MODELS
 from soplan.rlnc import STAGE_REDRAW_LIMIT, _chunk_columns
 from soplan.sources import PolymatroidReport, Violation, _packet_id, _packet_key
 
@@ -102,6 +103,18 @@ def random_rational_table(rng: random.Random, n_users: int, n_packets: int) -> T
         held = set().union(*(source.possession[label] for label in ground.labels_of(mask)))
         table[mask] = sum((weight[p] for p in held), Fraction(0))
     return TableSource(ground, table)
+
+
+def scaled_table(source) -> TableSource:
+    """``source``'s table times its denominator D: the same polymatroid
+    with integer entropies, which the non-asymptotic model takes."""
+    return TableSource._from_ints(source.ground, list(source.entropies), 1)
+
+
+def models_of(source) -> tuple:
+    """The rate models that take ``source``: the non-asymptotic one needs
+    integer entropies."""
+    return MODELS if source.integral else (ASYMPTOTIC,)
 
 
 def induced_table(source) -> TableSource:

@@ -121,41 +121,73 @@ class TestEnumerate:
         assert "exceed f" in capsys.readouterr().err
 
 
-def _independent_table(tmp_path, users) -> str:
-    """Independent users of entropy 5/4 each: H(V) is fractional, so the
-    non-asymptotic minimum sum-rate, its ceiling, exceeds H(V)."""
+def _independent_table(tmp_path, users, value=lambda size: str(Fraction(5, 4) * size)) -> str:
+    """Independent users: H(X) is the text ``value(|X|)``, by default
+    5/4 per user, so that H(V) is fractional."""
     entropy = {}
     for size in range(1, len(users) + 1):
         for subset in itertools.combinations(users, size):
-            entropy[",".join(subset)] = str(Fraction(5, 4) * size)
-    path = tmp_path / "independent.json"
+            entropy[",".join(subset)] = value(size)
+    path = tmp_path / f"independent-{len(users)}-{value(1).replace('/', '-')}.json"
     path.write_text(json.dumps({"model": "table", "users": users, "entropy": entropy}))
     return str(path)
 
 
 class TestNonAsymptoticPastEntropy:
+    """Two independent users of entropy 5/4 each: the ceiling of
+    R(V) = 5/2 is 3, past H(V), yet each user alone must send 5/4, so
+    whole packets need 4.  The non-asymptotic model refuses a table with
+    a fractional entropy (exit 2); the same table scaled by D = 4 has
+    integer entropies and a certified whole-packet answer."""
+
     def test_minrate_gives_certified_witness(self, tmp_path, capsys):
-        path = _independent_table(tmp_path, ["x", "y"])
+        fractional = _independent_table(tmp_path, ["x", "y"])
+        assert cli.main(["minrate", fractional, "--model", "non-asymptotic"]) == 2
+        assert "needs integer entropies" in capsys.readouterr().err
+        path = _independent_table(tmp_path, ["x", "y"], lambda size: str(5 * size))
         assert cli.main(["minrate", path, "--model", "non-asymptotic"]) == 0
         out = capsys.readouterr().out
-        assert "min sum-rate: 3" in out
+        assert "min sum-rate: 10" in out
         printed = out.split("optimal rates: (")[1].split(")")[0]
         source = load_source(path)
         rates = RateVector.from_map(
             source.ground, dict(part.split(":") for part in printed.split(", "))
         )
-        assert rates.total == 3
+        assert rates.total == 10 and all(v.denominator == 1 for v in rates.values)
         assert check_sw_achievable(source, source.ground.full_mask, rates).ok
 
     def test_enumerate_verify(self, tmp_path, capsys):
-        path = _independent_table(tmp_path, ["x", "y", "z"])
+        fractional = _independent_table(tmp_path, ["x", "y", "z"])
+        assert cli.main(["enumerate", fractional, "--model", "non-asymptotic", "--verify"]) == 2
+        assert "needs integer entropies" in capsys.readouterr().err
+        path = _independent_table(tmp_path, ["x", "y", "z"], lambda size: str(5 * size))
         assert cli.main(["enumerate", path, "--model", "non-asymptotic", "--verify"]) == 0
-        assert "complementary subsets: 0" in capsys.readouterr().out
+        assert capsys.readouterr().out.splitlines()[1:] == [
+            "complementary subsets: 3", "{x,y}", "{x,z}", "{y,z}"
+        ]
 
     def test_compset_refuses_alpha_past_entropy(self, tmp_path, capsys):
         path = _independent_table(tmp_path, ["x", "y"])
         assert cli.main(["compset", path, "--model", "non-asymptotic"]) == 2
         assert "needs integer entropies" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", [
+        "minrate", "enumerate", "enumerate --verify", "compset --alpha exact",
+        "compset --alpha lower-bound",
+    ])
+    def test_every_command_refuses_the_table(self, command, tmp_path, capsys):
+        path = _independent_table(tmp_path, ["x", "y"])
+        name, *flags = command.split()
+        assert cli.main([name, path, *flags, "--model", "non-asymptotic"]) == 2
+        captured = capsys.readouterr()
+        assert "needs integer entropies" in captured.err and captured.out == ""
+        assert cli.main([name, path, *flags]) == 0
+
+    def test_integer_entropies_written_as_fractions(self, tmp_path, capsys):
+        # "4/2" is read as 2, so the table is integral
+        path = _independent_table(tmp_path, ["x", "y"], lambda size: f"{4 * size}/2")
+        assert cli.main(["minrate", path, "--model", "non-asymptotic"]) == 0
+        assert "min sum-rate: 4\n" in capsys.readouterr().out
 
 
 class TestNonAsymptoticFractionalTable:

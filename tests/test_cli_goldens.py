@@ -4,7 +4,9 @@ SHA-256 digests of what ``minrate``, ``compset`` (both alphas) and
 ``enumerate --verify`` print for every ``data/*.json`` in both models,
 and of what ``enumerate --verify`` prints for generated sources of 7 to
 10 users, past the shipped examples' 5.  Any change to a printed value,
-certificate line or ordering shows up here.
+certificate line or ordering shows up here.  The non-asymptotic model
+refuses the generated rational tables, whose entropies are fractional,
+and takes the same tables scaled by their D.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import pytest
 
 import soplan.cli as cli
 from soplan import dump_source
-from tests.conftest import random_packet_source, random_rational_table
+from tests.conftest import random_packet_source, random_rational_table, scaled_table
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 
@@ -84,17 +86,25 @@ def test_stdout_digest(stem, model, command):
     assert hashlib.sha256(out.getvalue().encode()).hexdigest() == GOLDENS[stem, model, command]
 
 
-GENERATORS = {"rational": random_rational_table, "packet": random_packet_source}
+GENERATORS = {
+    "rational": random_rational_table,
+    "scaled": lambda rng, n, packets: scaled_table(random_rational_table(rng, n, packets)),
+    "packet": random_packet_source,
+}
 
 # (generator, n, --model) -> sha256 of ``enumerate --verify`` stdout on
-# GENERATORS[generator](random.Random(n), n, 2 * n)
+# GENERATORS[generator](random.Random(n), n, 2 * n), or None where the
+# command must exit 2 and print nothing
 GENERATED_GOLDENS = {
     ("rational", 7, "asymptotic"): "88b49f5188f8b17de3a23f6d3f5df67f6377b28b71f79f5683e14cd196abd42c",
-    ("rational", 7, "non-asymptotic"): "ddaa4a465292a083461582fda769ba33e9b90ed25502939fa2a1a800fe8c2fd3",
+    ("rational", 7, "non-asymptotic"): None,
     ("rational", 8, "asymptotic"): "70cbbca4f708eac79c208a2bb372a92f005d8a96643b135ddcf23b473f89e47c",
-    ("rational", 8, "non-asymptotic"): "114f7a7de7eb557f37ba08b02ef645410c13233306d73ca8db74e4f2b8302d68",
+    ("rational", 8, "non-asymptotic"): None,
     ("rational", 9, "asymptotic"): "8ef4e97b7651bc00cfc9ef6b215a375d9a7c2760441f005ab113b2cf38e60c00",
-    ("rational", 9, "non-asymptotic"): "236b93eb85df4fe0aaa571a9d519652be726d164a0cc8fafd162d91e26685aeb",
+    ("rational", 9, "non-asymptotic"): None,
+    ("scaled", 7, "non-asymptotic"): "051c7d4f1ac3daa80fafb50cc18c24a64b95ec7ed70ba9bbfa8832b1caa59c6a",
+    ("scaled", 8, "non-asymptotic"): "ad6ddd8c704f543f1a8dd0a126aaaf847e46d68bed979e672221a43e442a85e1",
+    ("scaled", 9, "non-asymptotic"): "db8d1c7a02847f413fe87cc1fbba9cf595253c7f409156aa060e4bba6fc7b6b5",
     ("packet", 9, "asymptotic"): "4f352e474252f66072d5d83a8304b0998a8c6089a1580a417f6300c2bc23ef75",
     ("packet", 9, "non-asymptotic"): "66ba40849d3d6f78200d3527604a4d4eab613f7e0dca79429ad2a791318a331a",
     ("packet", 10, "asymptotic"): "e1dc21cc9c82205c46114bb2380dda676c28b0fa4fac1d5db47fdedb46a541b8",
@@ -103,11 +113,16 @@ GENERATED_GOLDENS = {
 
 
 @pytest.mark.parametrize("kind,n,model", sorted(GENERATED_GOLDENS))
-def test_generated_enumerate_digest(kind, n, model, tmp_path):
+def test_generated_enumerate_digest(kind, n, model, tmp_path, capsys):
     path = tmp_path / f"{kind}{n}.json"
     dump_source(GENERATORS[kind](random.Random(n), n, 2 * n), path)
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         code = cli.main(["enumerate", str(path), "--verify", "--model", model])
+    want = GENERATED_GOLDENS[kind, n, model]
+    if want is None:
+        assert (code, out.getvalue()) == (2, "")
+        assert "needs integer entropies" in capsys.readouterr().err
+        return
     assert code == 0
-    assert hashlib.sha256(out.getvalue().encode()).hexdigest() == GENERATED_GOLDENS[kind, n, model]
+    assert hashlib.sha256(out.getvalue().encode()).hexdigest() == want

@@ -38,6 +38,7 @@ from tests.conftest import (
     make_five_user,
     random_packet_source,
     random_rational_table,
+    scaled_table,
 )
 
 
@@ -229,15 +230,20 @@ class TestSufficientCondition:
         # the subset-specific alpha is negative, the test does not apply
         assert not complementary_by_lower_bound(source, [1, 2], ASYMPTOTIC)
 
-    def test_fractional_table_floors_the_local_budget(self):
-        # alpha = 2 and H(V) - H({1,3}) = 3/5: R({1,3}) = 4/3 fits the
-        # budget 2 - 3/5 = 7/5, but its ceiling 2 exceeds floor(7/5) = 1.
+    def test_fractional_table_is_refused(self):
+        # whole packets need integer entropies: the non-asymptotic model
+        # refuses this table in every test, and the asymptotic one answers
         ground = GroundSet((1, 2, 3))
         h = {1: "31/6", 2: "133/30", 4: "23/6", 3: "173/30", 5: "31/6", 6: "133/30", 7: "173/30"}
         source = TableSource(ground, {0: 0, **{m: Fraction(v) for m, v in h.items()}})
-        assert not complementary_by_lower_bound(source, [1, 3], NON_ASYMPTOTIC)
-        assert not is_complementary(source, [1, 3], NON_ASYMPTOTIC)
-        assert ground.mask([1, 3]) not in enumerate_complementary(source, NON_ASYMPTOTIC)
+        for check in (complementary_by_lower_bound, is_complementary):
+            with pytest.raises(DomainError, match="needs integer entropies"):
+                check(source, [1, 3], NON_ASYMPTOTIC)
+        with pytest.raises(DomainError, match="needs integer entropies"):
+            alpha_lower_bound(source, NON_ASYMPTOTIC)
+        assert not complementary_by_lower_bound(source, [1, 3], ASYMPTOTIC)
+        assert is_complementary(source, [1, 3], ASYMPTOTIC)
+        assert enumerate_complementary(source) == (3, 5, 6)
 
     def test_broken_witness_raises(self, monkeypatch):
         # the pair's verdict is yes, so its rates must pass the shortfall check
@@ -268,9 +274,11 @@ class TestSufficientCondition:
     @settings(max_examples=40, deadline=None)
     @given(st.randoms(use_true_random=False))
     def test_implies_listed_on_rational_tables(self, rng):
-        source = random_rational_table(rng, rng.randint(3, 5), rng.randint(2, 9))
-        full = source.ground.full_mask
-        for model in (ASYMPTOTIC, NON_ASYMPTOTIC):
+        """Asymptotically on the table, and in whole packets on the same
+        table scaled by its D."""
+        table = random_rational_table(rng, rng.randint(3, 5), rng.randint(2, 9))
+        full = table.ground.full_mask
+        for source, model in ((table, ASYMPTOTIC), (scaled_table(table), NON_ASYMPTOTIC)):
             listed = enumerate_complementary(source, model)
             for mask in range(3, full):
                 if mask.bit_count() >= 2 and complementary_by_lower_bound(source, mask, model):

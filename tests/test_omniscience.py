@@ -3,6 +3,7 @@ against hand-computed values and an independent brute-force reference."""
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 import re
@@ -36,9 +37,11 @@ from tests.conftest import (
     enumerate_partitions,
     iter_submasks,
     make_five_user,
+    models_of,
     random_packet_source,
     random_rational_table,
     reference_shortfall,
+    scaled_table,
     walk_rates,
 )
 
@@ -88,6 +91,40 @@ def bound_of(source, blocks) -> Fraction:
 def bell_min_sum_rate(source, mask) -> Fraction:
     """R(X) by Bell-number enumeration of every partition of X."""
     return max(bound_of(source, p) for p in enumerate_partitions(mask) if len(p) >= 2)
+
+
+def whole_packet_min_sum_rate(source) -> int:
+    """The least sum of integer rates r with r(C) >= H(V) - H(V minus C)
+    for every nonempty proper subset C of V, by brute force.  An integer
+    r(C) meets that need exactly when it meets the need's ceiling, so
+    the entropies need not be integers.
+
+    No optimum gives a user i more than ceil(H({i})): lowering r_i to it
+    keeps C = {i} met, as H(V) - H(V minus i) <= H({i}), and every larger
+    C too, as r(C minus i) >= H(V) - H(V minus (C minus i)), which is at
+    least H(V) - H(V minus C) - H({i}) by submodularity.  So each of the
+    first n - 2 users ranges over [need({i}), ceil(H({i}))], and the last
+    two, a and b, need r_a >= x, r_b >= y and r_a + r_b >= z, whose least
+    sum is max(x + y, z)."""
+    n, full = source.ground.size, source.ground.full_mask
+    h = source.entropy
+    need = [math.ceil(h(full) - h(full ^ c)) for c in range(full + 1)]
+    a, b = 1 << (n - 2), 1 << (n - 1)
+    best = None
+    ranges = [range(need[1 << i], math.ceil(h(1 << i)) + 1) for i in range(n - 2)]
+    for head in itertools.product(*ranges):
+        sums = [0] * a  # r(c) for every c inside the first n - 2 users
+        for c in range(1, a):
+            low = c & -c
+            sums[c] = sums[c ^ low] + head[low.bit_length() - 1]
+        if any(sums[c] < need[c] for c in range(1, a)):
+            continue
+        x = max(need[c | a] - sums[c] for c in range(a))
+        y = max(need[c | b] - sums[c] for c in range(a))
+        z = max((need[c | a | b] - sums[c] for c in range(a - 1)), default=0)
+        total = sums[a - 1] + max(x + y, z)
+        best = total if best is None else min(best, total)
+    return best
 
 
 def ref_sw_check(source, mask, rates):
@@ -181,6 +218,43 @@ class TestMinSumRate:
         assert non == math.ceil(asym)
 
 
+class TestWholePacketOracle:
+    """The non-asymptotic minimum sum-rate of V against the brute force
+    over integer rate vectors, which takes no ceiling of R and runs no
+    sweep."""
+
+    @staticmethod
+    def sources(make, count):
+        for seed in range(count):
+            rng = random.Random(seed)
+            n_users = rng.randint(2, 4)
+            yield make(rng, n_users, rng.randint(n_users, 2 * n_users))
+
+    def test_packet_sources(self):
+        for source in self.sources(random_packet_source, 150):
+            assert min_sum_rate(source, None, NON_ASYMPTOTIC).value == whole_packet_min_sum_rate(source)
+
+    def test_scaled_tables(self):
+        for table in self.sources(random_rational_table, 40):
+            source = scaled_table(table)
+            assert min_sum_rate(source, None, NON_ASYMPTOTIC).value == whole_packet_min_sum_rate(source)
+
+    def test_fractional_tables_are_refused(self):
+        """On fractional entropies the whole-packet minimum can exceed
+        the ceiling of R, so the model refuses them: two independent
+        users of entropy 5/4 each need 2 packets each, 4 in all, above
+        the ceiling 3 of R = 5/2."""
+        table = TableSource(GroundSet(("x", "y")), {0: 0, 1: "5/4", 2: "5/4", 3: "5/2"})
+        assert (math.ceil(min_sum_rate(table).value), whole_packet_min_sum_rate(table)) == (3, 4)
+        above = 0
+        for source in self.sources(random_rational_table, 40):
+            if not source.integral:
+                with pytest.raises(DomainError, match="needs integer entropies"):
+                    min_sum_rate(source, None, NON_ASYMPTOTIC)
+                above += whole_packet_min_sum_rate(source) > math.ceil(min_sum_rate(source).value)
+        assert above > 0
+
+
 class TestSweepAgainstBellOracle:
     """The sweep-based minimum sum-rate against Bell-number enumeration."""
 
@@ -194,12 +268,15 @@ class TestSweepAgainstBellOracle:
         assert bound_of(source, partition) == want
         assert asym.rates.domain == mask and asym.rates.total == want
         assert check_sw_achievable(source, mask, asym.rates).ok
+        if not source.integral:
+            with pytest.raises(DomainError, match="needs integer entropies"):
+                min_sum_rate(source, mask, NON_ASYMPTOTIC)
+            return
         integer = min_sum_rate(source, mask, NON_ASYMPTOTIC)
         assert integer.value == math.ceil(want)
         assert integer.rates.domain == mask and integer.rates.total == integer.value
         assert check_sw_achievable(source, mask, integer.rates).ok
-        if source.integral:
-            assert all(v.denominator == 1 for v in integer.rates.values)
+        assert all(v.denominator == 1 for v in integer.rates.values)
 
     def test_corpus_every_subset(self, source_corpus):
         for source in source_corpus:
@@ -210,10 +287,13 @@ class TestSweepAgainstBellOracle:
     @settings(max_examples=40, deadline=None)
     @given(st.randoms(use_true_random=False))
     def test_rational_tables(self, rng):
-        source = random_rational_table(rng, rng.randint(2, 6), rng.randint(2, 10))
-        for mask in range(3, source.ground.full_mask + 1):
-            if mask.bit_count() >= 2:
-                self.assert_matches_oracle(source, mask)
+        """A rational table, which the non-asymptotic model refuses, and
+        the same table scaled by its D, which it takes."""
+        table = random_rational_table(rng, rng.randint(2, 6), rng.randint(2, 10))
+        for source in (table, scaled_table(table)):
+            for mask in range(3, source.ground.full_mask + 1):
+                if mask.bit_count() >= 2:
+                    self.assert_matches_oracle(source, mask)
 
     def test_fourteen_users_certify(self):
         source = random_packet_source(random.Random(14), 14, 40)
@@ -243,16 +323,14 @@ class TestSweepAgainstBellOracle:
         with pytest.raises(CertificationError, match="exceed f"):
             min_sum_rate(five_user)
 
-    def test_ceiling_without_witness_raises(self, monkeypatch):
-        # R(V) = 29/15 on this rational table, and the sweep at the
-        # ceiling 2 must reach it to give the non-asymptotic witness
-        ground = GroundSet((1, 2, 3))
-        h = {1: "31/6", 2: "133/30", 4: "23/6", 3: "173/30", 5: "31/6", 6: "133/30", 7: "173/30"}
-        source = TableSource(ground, {0: 0, **h})
-        assert min_sum_rate(source).value == Fraction(29, 15)
+    def test_ceiling_without_witness_raises(self, cyclic_triple, monkeypatch):
+        # R(V) = 3/2 when each of three users holds two of three packets,
+        # and the sweep at the ceiling 2 must reach it to give the
+        # non-asymptotic witness
+        assert min_sum_rate(cyclic_triple).value == Fraction(3, 2)
         monkeypatch.setattr(omniscience, "_witnessed_verdict", lambda *args: False)
-        with pytest.raises(CertificationError, match="ceiling 2 of R = 29/15 gives no witness"):
-            min_sum_rate(source, None, NON_ASYMPTOTIC)
+        with pytest.raises(CertificationError, match="ceiling 2 of R = 3/2 gives no witness"):
+            min_sum_rate(cyclic_triple, None, NON_ASYMPTOTIC)
 
 
 def bell_fundamental_partition(source, mask) -> tuple:
@@ -515,15 +593,14 @@ class TestComplementary:
     @settings(max_examples=15, deadline=None)
     @given(st.randoms(use_true_random=False))
     def test_enumeration_matches_reference(self, rng):
-        """Packet sources and rational tables, whose non-asymptotic
-        verdicts floor s + H(X), in both models, verified or not."""
-        sources = (
-            random_packet_source(rng, 4, rng.randint(4, 8)),
-            random_rational_table(rng, 4, rng.randint(2, 8)),
-        )
-        for source in sources:
+        """Packet sources, rational tables and the same tables scaled by
+        their D, verified or not, in every model that takes them: the
+        non-asymptotic one needs integer entropies."""
+        packet = random_packet_source(rng, 4, rng.randint(4, 8))
+        table = random_rational_table(rng, 4, rng.randint(2, 8))
+        for source in (packet, table, scaled_table(table)):
             g = source.ground
-            for model in (ASYMPTOTIC, NON_ASYMPTOTIC):
+            for model in models_of(source):
                 expected = tuple(
                     mask
                     for mask in range(3, g.full_mask)
@@ -535,17 +612,21 @@ class TestComplementary:
 
     @settings(max_examples=12, derandomize=True, deadline=None)
     @given(st.randoms(use_true_random=False), st.integers(min_value=4, max_value=7))
-    def test_non_asymptotic_verify_with_many_shifts(self, rng, n_users):
-        """On a fractional table the subsets' own shifts
-        floor(s + H(X)) - H(X) differ, so ``verify`` asks the reference
-        at several shifts; the list is the Bell oracle's all the same."""
-        source = random_rational_table(rng, n_users, 2 * n_users)
+    def test_non_asymptotic_verify_on_scaled_tables(self, rng, n_users):
+        """A rational table scaled by its D has integer entropies, so the
+        shift s = ceil(R(V)) - H(V) and every gamma_X = s + H(X) are
+        integers, and ``verify`` asks the reference at s alone; the list
+        is the Bell oracle's.  The fractional table itself is refused."""
+        table = random_rational_table(rng, n_users, 2 * n_users)
+        if not table.integral:
+            with pytest.raises(DomainError, match="needs integer entropies"):
+                enumerate_complementary(table, NON_ASYMPTOTIC, verify=True)
+        source = scaled_table(table)
         g = source.ground
         s = math.ceil(bell_min_sum_rate(source, g.full_mask)) - source.entropy(g.full_mask)
+        assert s.denominator == 1
         testable = [m for m in range(3, g.full_mask) if m.bit_count() >= 2]
-        gammas = {m: math.floor(s + source.entropy(m)) for m in testable}
-        assert len({gammas[m] - source.entropy(m) for m in testable}) > 1
-        expected = tuple(m for m in testable if bell_min_sum_rate(source, m) <= gammas[m])
+        expected = tuple(m for m in testable if bell_min_sum_rate(source, m) <= s + source.entropy(m))
         assert enumerate_complementary(source, NON_ASYMPTOTIC, verify=True) == expected
 
 
@@ -678,18 +759,22 @@ class TestEnumerationWitnesses:
         with pytest.raises(CertificationError, match=r"block \{1,2,5\} of the fundamental"):
             enumerate_complementary(five_user, model)
 
-    def test_fractional_table_needs_no_block_listed(self):
-        # {1,2} | {3} is the fundamental partition at R(V) = 39/20, but
-        # in whole packets gamma_{1,2} = floor(2 - 49/20 + 5/4) = 0 lies
-        # below ceil(R({1,2})) = 1: the non-asymptotic cross-check holds
-        # on integer entropies only, and is not made here
+    def test_scaled_table_lists_the_block(self):
+        # {1,2} | {3} is the fundamental partition at R(V) = 39/20.  The
+        # non-asymptotic model refuses the fractional table; scaled by
+        # D = 20 its R(V) is 39, and the cross-check that {1,2} is listed
+        # runs in whole packets too
         entropy = {"1": "3/4", "2": "5/4", "1,2": "5/4", "3": "17/10",
                    "1,3": "49/20", "2,3": "49/20", "1,2,3": "49/20"}
         table = source_from_dict({"model": "table", "users": [1, 2, 3], "entropy": entropy})
         assert not table.integral
         assert 3 in min_sum_rate(table).maximizing_partition
         assert enumerate_complementary(table) == (3, 6)
-        assert enumerate_complementary(table, NON_ASYMPTOTIC, verify=True) == (6,)
+        with pytest.raises(DomainError, match="needs integer entropies"):
+            enumerate_complementary(table, NON_ASYMPTOTIC, verify=True)
+        scaled = scaled_table(table)
+        assert min_sum_rate(scaled, None, NON_ASYMPTOTIC).value == 39
+        assert enumerate_complementary(scaled, NON_ASYMPTOTIC, verify=True) == (3, 6)
 
     def test_shortfall_only_for_v_asymptotically(self, source_corpus, monkeypatch):
         # the walk checks its own yes-witnesses; in the asymptotic model
@@ -725,8 +810,7 @@ class TestEnumerationWitnesses:
 
 
 def rational_five() -> TableSource:
-    """A 5-user rational table whose non-asymptotic gamma_X are floored
-    at some complementary subsets."""
+    """A 5-user rational table with fractional entropies."""
     return random_rational_table(random.Random(0), 5, 10)
 
 
@@ -750,28 +834,30 @@ class TestIntVerdicts:
     def finished_sweeps(source, model):
         """``(shift, mask, rates, blocks)`` for the sweeps whose verdicts
         ``enumerate`` checks in ``model``: the walk at s over each
-        non-singleton proper subset and, for each floored gamma_X, the
-        sweep at G - H(X) that it runs when X passes at s."""
+        non-singleton proper subset."""
         full = source.ground.full_mask
         shift = min_sum_rate(source, None, model).value - source.entropy(full)
         for mask, stepper, rate, blocks in omniscience._prefix_trie_sweeps(source, shift):
             if mask.bit_count() < 2 or mask == full:
                 continue
             yield shift, mask, walk_rates(source, mask, stepper, rate), blocks
-            gamma = shift + source.entropy(mask)
-            if model == NON_ASYMPTOTIC and gamma.denominator != 1:
-                own = math.floor(gamma) - source.entropy(mask)
-                run = submodular.run_rate_update(source, own, early_exit=False, within=mask)
-                yield own, mask, run.scaled[-1], run.blocks
+
+    @staticmethod
+    def in_model(make, model):
+        """``make``, or in the non-asymptotic model for a table with a
+        fractional entropy, the same table scaled by its D."""
+        if model == NON_ASYMPTOTIC and not make().integral:
+            return lambda: scaled_table(make())
+        return make
 
     @classmethod
     def assert_no_witnesses_agree(cls, source) -> int:
-        """At every unlisted subset, in both models, the int inequality
-        agrees with the Fraction bound: at shift + H(X), at the bound
-        itself and one unit below it on the scale w*D.  Returns the
-        number of unlisted verdicts checked."""
+        """At every unlisted subset, in each model that takes the source,
+        the int inequality agrees with the Fraction bound: at
+        shift + H(X), at the bound itself and one unit below it on the
+        scale w*D.  Returns the number of unlisted verdicts checked."""
         checked = 0
-        for model in (ASYMPTOTIC, NON_ASYMPTOTIC):
+        for model in models_of(source):
             for shift, mask, rates, blocks in cls.finished_sweeps(source, model):
                 own = shift + source.entropy(mask)
                 if sum(rates) == own * shift.denominator * source.denominator:
@@ -794,8 +880,8 @@ class TestIntVerdicts:
 
     def test_no_witness_agrees_with_fractions_on_rational_tables(self):
         rng = random.Random(37)
-        sources = [random_rational_table(rng, rng.randint(4, 6), rng.randint(4, 10)) for _ in range(12)]
-        assert sum(map(self.assert_no_witnesses_agree, sources)) > 100
+        tables = [random_rational_table(rng, rng.randint(4, 6), rng.randint(4, 10)) for _ in range(12)]
+        assert sum(map(self.assert_no_witnesses_agree, tables + list(map(scaled_table, tables)))) > 100
 
     def test_malformed_no_witnesses_fail(self, five_user):
         # every partition bound of X = {1,2,3} exceeds -H(V)
@@ -821,15 +907,11 @@ class TestIntVerdicts:
     @pytest.mark.parametrize("make", [make_five_user, rational_five])
     def test_verify_catches_one_unit(self, make, model, monkeypatch):
         """One unit on the w*D scale of the reference table at a listed
-        subset makes ``verify`` disagree, in either direction.  On the
-        rational table the non-asymptotic model floors gamma_X, so some
-        of those subsets are read off tables at their own shifts."""
-        source = make()
-        full = source.ground.full_mask
-        listed = enumerate_complementary(source, model)
-        s = min_sum_rate(source, None, model).value - source.entropy(full)
-        floored = [mask for mask in listed if (s + source.entropy(mask)).denominator != 1]
-        assert listed and (model == ASYMPTOTIC or source.integral or floored)
+        subset makes ``verify`` disagree, in either direction.  The
+        non-asymptotic model takes the rational table scaled by its D."""
+        make = self.in_model(make, model)
+        listed = enumerate_complementary(make(), model)
+        assert listed
         original = submodular._partition_minima
         for mask in listed:
             for delta in (-1, 1):
@@ -848,7 +930,8 @@ class TestIntVerdicts:
     @pytest.mark.parametrize("make", [make_five_user, rational_five])
     def test_no_partition_beyond_min_sum_rate(self, make, monkeypatch):
         """``enumerate`` builds no Partition and asks no partition bound
-        beyond those of the R(V) it computes."""
+        beyond those of the R(V) it computes, in whole packets on the
+        rational table scaled by its D."""
         calls = Counter()
         bound, post_init = omniscience.partition_bound, Partition.__post_init__
 
@@ -863,13 +946,14 @@ class TestIntVerdicts:
         monkeypatch.setattr(omniscience, "partition_bound", counted_bound)
         monkeypatch.setattr(Partition, "__post_init__", counted_post_init)
         for model in (ASYMPTOTIC, NON_ASYMPTOTIC):
+            build = self.in_model(make, model)
             calls.clear()
-            min_sum_rate(make(), None, model)
+            min_sum_rate(build(), None, model)
             want = dict(calls)
             assert want["partition_bound"] > 0 and want["Partition"] > 0
             for verify in (False, True):
                 calls.clear()
-                enumerate_complementary(make(), model, verify)
+                enumerate_complementary(build(), model, verify)
                 assert calls == want, (model, verify)
 
 

@@ -12,8 +12,6 @@ from fractions import Fraction
 import pytest
 
 from soplan import (
-    ASYMPTOTIC,
-    NON_ASYMPTOTIC,
     RateVector,
     check_sw_achievable,
     comp_set_so,
@@ -23,9 +21,7 @@ from soplan import (
 from soplan.compsetso import EXACT, LOWER_BOUND
 from soplan.multistage import initial_system, merge_super_user
 from soplan.sources import _SourceBase
-from tests.conftest import make_five_user, random_rational_table
-
-MODELS = (ASYMPTOTIC, NON_ASYMPTOTIC)
+from tests.conftest import make_five_user, models_of, random_rational_table, scaled_table
 
 
 class SeamOnly(_SourceBase):
@@ -68,11 +64,11 @@ def test_seam_only_overrides_every_query():
 
 @pytest.fixture(scope="module")
 def sources(source_corpus) -> list:
-    """Every fifth corpus packet source, the five-user example and
-    rational tables of 3 to 6 users."""
+    """Every fifth corpus packet source, the five-user example, rational
+    tables of 3 to 6 users and the first of each size scaled by its D."""
     rng = random.Random(17)
     tables = [random_rational_table(rng, n, 2 * n) for n in (3, 4, 5, 6) for _ in range(3)]
-    return [make_five_user(), *source_corpus[::5], *tables]
+    return [make_five_user(), *source_corpus[::5], *tables, *map(scaled_table, tables[::3])]
 
 
 def _subsets(source) -> list:
@@ -83,7 +79,7 @@ def _subsets(source) -> list:
 def test_min_sum_rate(sources):
     for source in sources:
         seam = SeamOnly(source)
-        for model in MODELS:
+        for model in models_of(source):
             for mask in _subsets(source):
                 assert min_sum_rate(seam, mask, model) == min_sum_rate(source, mask, model)
 
@@ -91,7 +87,7 @@ def test_min_sum_rate(sources):
 def test_comp_set_so(sources):
     for source in sources:
         seam = SeamOnly(source)
-        for model in MODELS if source.integral else (ASYMPTOTIC,):
+        for model in models_of(source):
             for mode in (EXACT, LOWER_BOUND):
                 got, want = comp_set_so(seam, model, mode), comp_set_so(source, model, mode)
                 assert str(got.certificate) == str(want.certificate)
@@ -100,7 +96,7 @@ def test_comp_set_so(sources):
 
 def test_enumerate_complementary(sources):
     for source in sources:
-        for model in MODELS:
+        for model in models_of(source):
             got = enumerate_complementary(SeamOnly(source), model)
             assert got == enumerate_complementary(source, model)
 

@@ -17,8 +17,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from soplan import (
-    ASYMPTOTIC,
-    NON_ASYMPTOTIC,
     DomainError,
     GroundSet,
     PacketSource,
@@ -41,8 +39,10 @@ from tests.conftest import (
     enumerate_partitions,
     iter_submasks,
     make_five_user,
+    models_of,
     random_packet_source,
     random_rational_table,
+    scaled_table,
     snapshots,
     walk_rates,
 )
@@ -202,9 +202,10 @@ class TestTruncationAgainstBellOracle:
 
     @staticmethod
     def model_shifts(source) -> list:
-        """The shift at R(V) in each model, which decides complementarity."""
+        """The shift at R(V) in each model that takes the source, which
+        decides complementarity."""
         return [shift_of(source, min_sum_rate(source, None, model).value)
-                for model in (ASYMPTOTIC, NON_ASYMPTOTIC)]
+                for model in models_of(source)]
 
     def test_corpus_every_subset(self, source_corpus):
         for k, source in enumerate(source_corpus):
@@ -217,11 +218,12 @@ class TestTruncationAgainstBellOracle:
     @settings(max_examples=40, deadline=None)
     @given(st.randoms(use_true_random=False), st.integers(min_value=0, max_value=8))
     def test_rational_tables(self, rng, eighths):
-        source = random_rational_table(rng, rng.randint(2, 6), rng.randint(2, 10))
-        shift = shift_of(source, source.entropy(source.ground.full_mask) * Fraction(eighths, 8))
-        for shift in [shift] + self.model_shifts(source):
-            for mask in range(1, source.ground.full_mask + 1):
-                self.assert_matches_oracle(source, shift, mask)
+        table = random_rational_table(rng, rng.randint(2, 6), rng.randint(2, 10))
+        for source in (table, scaled_table(table)):
+            shift = shift_of(source, source.entropy(source.ground.full_mask) * Fraction(eighths, 8))
+            for shift in [shift] + self.model_shifts(source):
+                for mask in range(1, source.ground.full_mask + 1):
+                    self.assert_matches_oracle(source, shift, mask)
 
     def test_corpus_at_both_models_shifts_without_the_step(self, source_corpus, monkeypatch):
         """The reference shares no code with the sweep it checks: with
@@ -266,22 +268,6 @@ class TestPartitionMinimaCache:
         for mask in range(1, full + 1):
             assert dilworth_truncation(second, s, mask) == bell_truncation(second, s, mask)[0]
 
-    def test_mixed_shifts_build_one_table_each(self, monkeypatch):
-        """``dilworth_truncations`` answers masks listed at alternating
-        shifts one shift at a time: one table per distinct shift, each
-        value the Bell oracle's."""
-        source = random_rational_table(random.Random(29), 5, 8)
-        s = shift_of(source, min_sum_rate(source).value)
-        shifts = {mask: s - Fraction(mask % 3, 3) for mask in range(1, source.ground.full_mask + 1)}
-        built = []
-        original = submodular._partition_minima
-        monkeypatch.setattr(
-            submodular, "_partition_minima", lambda src, shift: built.append(shift) or original(src, shift)
-        )
-        values = submodular.dilworth_truncations(source, shifts)
-        assert sorted(built) == sorted(set(shifts.values()))
-        assert values == {mask: bell_truncation(source, shift, mask)[0] for mask, shift in shifts.items()}
-
 
 class TestPrefixTrie:
     """The shared depth-first walk finishes the same sweep over every
@@ -293,7 +279,7 @@ class TestPrefixTrie:
         """r(X), the top rate and the parent's submasks and rate sums
         against the sweep over X, read once the walk has finished, so a
         walk that changed a stepper it had handed out fails too."""
-        for model in (ASYMPTOTIC, NON_ASYMPTOTIC):
+        for model in models_of(source):
             shift = shift_of(source, min_sum_rate(source, None, model).value)
             scale = shift.denominator * source.denominator
             swept = list(_prefix_trie_sweeps(source, shift))
@@ -316,9 +302,9 @@ class TestPrefixTrie:
     @settings(max_examples=30, deadline=None)
     @given(st.randoms(use_true_random=False))
     def test_rational_tables(self, rng):
-        self.assert_matches_own_sweeps(
-            random_rational_table(rng, rng.randint(2, 6), rng.randint(2, 10))
-        )
+        table = random_rational_table(rng, rng.randint(2, 6), rng.randint(2, 10))
+        self.assert_matches_own_sweeps(table)
+        self.assert_matches_own_sweeps(scaled_table(table))
 
 
 class TestFirstExcess:
@@ -531,8 +517,9 @@ class TestTieBreakOnlyWhenRead:
 
     def test_completed_sweeps_never_read_it(self, monkeypatch):
         self.forbid(monkeypatch)
-        for source in (make_five_user(), random_rational_table(random.Random(3), 5, 8)):
-            for model in (ASYMPTOTIC, NON_ASYMPTOTIC):
+        table = random_rational_table(random.Random(3), 5, 8)
+        for source in (make_five_user(), table, scaled_table(table)):
+            for model in models_of(source):
                 min_sum_rate(source, None, model)
                 enumerate_complementary(source, model, verify=True)
             dilworth_truncation(source, Fraction(-1), source.ground.full_mask)
