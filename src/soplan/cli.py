@@ -102,7 +102,8 @@ def _cmd_enumerate(args) -> int:
     ground = source.ground
     subsets = enumerate_complementary(source, model, verify=args.verify)
     lines = [f"model: {model}", f"complementary subsets: {len(subsets)}"]
-    lines += [ground.format(mask) for mask in subsets]
+    texts = ground.subset_texts()
+    lines += ["{%s}" % texts[mask] for mask in subsets]
     sys.stdout.write("\n".join(lines) + "\n")
     return EXIT_OK
 

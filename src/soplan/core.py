@@ -13,6 +13,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice, repeat
+from operator import add
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 #: Hard cap on the number of users.  Every source keeps an entropy table
@@ -204,6 +206,18 @@ class GroundSet:
     def format(self, mask: int) -> str:
         labels = self.labels
         return "{%s}" % ",".join([str(labels[pos]) for pos in bit_positions(self.mask(mask))])
+
+    def subset_texts(self) -> list:
+        """Each subset's labels' texts in ground order joined with commas,
+        by mask, "" for the empty set, built by doubling: the inside of
+        :meth:`format` for every mask at once, and an entropy table's
+        key for each subset."""
+        texts = [""]
+        for label in self.labels:
+            text = str(label)
+            texts.append(text)
+            texts += map(add, islice(texts, 1, len(texts) - 1), repeat("," + text))
+        return texts
 
 
 @dataclass(frozen=True)

@@ -34,9 +34,12 @@ already holds (:meth:`~soplan.submodular.PrefixStepper.first_excess`).
 :func:`partition_bound` and :class:`~soplan.core.Partition` serve only
 the iteration and the certificate of :func:`min_sum_rate`, whose
 partition is the fundamental partition; :func:`enumerate_complementary`
-checks its list against that partition's blocks.  Verdicts, partition
-bounds and the achievability check ask the source's ``entropy_scaled``,
-``stepper`` and ``shortfall`` and never index its table.
+checks its list against that partition's blocks, and with ``verify``
+against the reference truncation of :mod:`soplan.submodular`: one call
+at V, which must give R(V), then every other subset's int entry of the
+same table of partition minima.  Verdicts, partition bounds and the
+achievability check ask the source's ``entropy_scaled``, ``stepper``
+and ``shortfall`` and never index its table.
 """
 
 from __future__ import annotations
@@ -54,7 +57,7 @@ from .core import (
     SubsetLike,
     bit_positions,
 )
-from .submodular import _prefix_trie_sweeps, dilworth_truncation, run_rate_update
+from .submodular import _prefix_trie_sweeps, dilworth_truncation, partition_minima, run_rate_update
 
 ASYMPTOTIC = "asymptotic"
 NON_ASYMPTOTIC = "non_asymptotic"
@@ -369,22 +372,24 @@ def enumerate_complementary(source, model: str = ASYMPTOTIC, verify: bool = Fals
     no verdict builds a Fraction, a :class:`Partition` or a partition
     bound.
 
-    With ``verify=True`` every verdict is recomputed from that subset's
-    own :func:`dilworth_truncation` at s, and the two lists must agree.
-    That reference is kept apart from the prefix step on purpose: it
-    shares no code with the trie walk, so a fault in the step cannot
-    corrupt both sides alike.  Its one table of partition minima at s
-    serves every subset.  Each value v it returns is compared with
-    gamma_X exactly, as ``v.numerator * w*D == gamma_X * v.denominator``
-    on the scale w*D.
+    With ``verify=True`` every verdict is recomputed from the Dilworth
+    truncation of f at that subset, and the two lists must agree.  That
+    reference is kept apart from the prefix step on purpose: it shares
+    no code with the trie walk, so a fault in the step cannot corrupt
+    both sides alike.  One call of :func:`dilworth_truncation` at V
+    builds its table of partition minima at s, and must return R(V),
+    which f(V) reaches in either model; the other subsets read that
+    table (:func:`~soplan.submodular.partition_minima`) on its own
+    scale w*D, where X is listed exactly when its entry is the int
+    gamma_X = p*D + w*h(X), so no Fraction is built.
     """
     check_source_model(source, model)
     ground = source.ground
     full = ground.full_mask
     r_v = min_sum_rate(source, None, model)
     shift = r_v.value - source.entropy(full)
-    weight, denominator = shift.denominator, source.denominator
-    base, scale = shift.numerator * denominator, weight * denominator
+    weight = shift.denominator
+    base = shift.numerator * source.denominator
     h = source.entropy_scaled
 
     found = []
@@ -412,12 +417,16 @@ def enumerate_complementary(source, model: str = ASYMPTOTIC, verify: bool = Fals
                 "is not listed as complementary"
             )
     if verify:
-        by_truncation = []
-        for mask in range(3, full):
-            if mask.bit_count() > 1:
-                value = dilworth_truncation(source, shift, mask)
-                if value.numerator * scale == (base + weight * h(mask)) * value.denominator:
-                    by_truncation.append(mask)
+        # f(V) = R(V), or ceil R(V), reaches the truncation at V; this call
+        # also builds the reference's table at s, which the rest reads
+        value = dilworth_truncation(source, shift, full)
+        if value != r_v.value:
+            raise CertificationError(
+                f"the reference truncation at V is {value}, not R(V) = {r_v.value}"
+            )
+        best = partition_minima(source, shift)
+        by_truncation = [mask for mask in range(3, full)
+                         if mask.bit_count() > 1 and best[mask] == base + weight * h(mask)]
         if by_truncation != found:
             only_trie = [ground.format(m) for m in found if m not in by_truncation]
             only_own = [ground.format(m) for m in by_truncation if m not in found]

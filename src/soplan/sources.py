@@ -528,17 +528,6 @@ def _check_table_labels(ground: GroundSet) -> None:
             raise FormatError(f"table sources need nonempty comma-free labels, got {brief(label)}")
 
 
-def _key_texts(ground: GroundSet) -> list:
-    """Each subset's table key by mask: its labels' texts in ground
-    order joined with commas, "" for the empty set, built by doubling."""
-    texts = [""]
-    for label in ground.labels:
-        text = str(label)
-        texts.append(text)
-        texts += map(add, islice(texts, 1, len(texts) - 1), repeat("," + text))
-    return texts
-
-
 def source_from_dict(data, validate: bool = True) -> Source:
     """Build a source from the JSON structure documented in the module
     docstring.  Raises :class:`FormatError` on malformed input.
@@ -586,11 +575,11 @@ _ABSENT = object()  # a subset that an entropy dict does not name
 
 def _table_from_dict(ground: GroundSet, lookup: dict, raw: dict, validate: bool) -> TableSource:
     """The table of the ``entropy`` dict ``raw``, read by each subset's
-    key text from :func:`_key_texts`, with "" defaulting to 0.  Only when
-    those texts do not account for every key, or a value cannot be read,
-    does each key go through the parse below, whose refusals name the
-    first bad key or value in file order."""
-    values = list(map(raw.get, _key_texts(ground), chain((0,), repeat(_ABSENT))))
+    key text from :meth:`GroundSet.subset_texts`, with "" defaulting to
+    0.  Only when those texts do not account for every key, or a value
+    cannot be read, does each key go through the parse below, whose
+    refusals name the first bad key or value in file order."""
+    values = list(map(raw.get, ground.subset_texts(), chain((0,), repeat(_ABSENT))))
     if len(raw) == len(values) - ("" not in raw) and _ABSENT not in values:
         try:
             ratios = _read_values(values)
@@ -638,7 +627,7 @@ def source_to_dict(source: Source) -> dict:
         "model": TABLE_MODEL,
         "users": list(ground.labels),
         "entropy": {
-            text: str(source.entropy(mask)) for mask, text in enumerate(_key_texts(ground))
+            text: str(source.entropy(mask)) for mask, text in enumerate(ground.subset_texts())
         },
     }
 

@@ -16,14 +16,15 @@ minimizes over the 2^(i-1) prefix sets that hold the newest user, so a
 completed sweep over k users visits 2^k - 1 sets.  A sweep asks the
 source for a stepper (:class:`PrefixStepper` on a table), which keeps
 the submasks of the finished prefix and their rate sums and doubles
-both lists with each finished user.  The step returns the minimum, the
-maximal minimizer and the minimizers; a completed sweep reads the first
-two and keeps the minimizers, and only the early-exit sweep reads the
-(cardinality, mask) tie-break among them, which is worked out when
-read.  The truncation is the sum of the finished rates.  The sweep
-records the blocks of a partition attaining it, joined at each step's
-maximal minimizer, which become a :class:`~soplan.core.Partition` only
-when a caller reads one; the finest such partition, joined at each
+both lists with each finished user: in place for a sweep, into a new
+stepper for each child of the trie walk below.  The step returns the
+minimum, the maximal minimizer and the minimizers; a completed sweep
+reads the first two and keeps the minimizers, and only the early-exit
+sweep reads the (cardinality, mask) tie-break among them, which is
+worked out when read.  The truncation is the sum of the finished
+rates.  The sweep records the blocks of a partition attaining it,
+joined at each step's maximal minimizer, which become a
+:class:`~soplan.core.Partition` only when a caller reads one; the finest such partition, joined at each
 step's minimal minimizer instead, is built only when read, and only
 the accepting sweep of a minimum sum-rate reads it.
 Partitions are never enumerated outside the tests, where
@@ -35,7 +36,9 @@ it shares no code with the step, the sweep or the trie walk it checks,
 and not even their method.  It reads the truncation off a table of
 partition minima, built for every subset at once by the recurrence over
 the block that holds a subset's lowest user, and cached on the source
-for the latest shift.
+for the latest shift (:func:`partition_minima`), where ``enumerate
+--verify`` reads every other subset's entry as an int after one call
+at V.
 
 The step has two callers.  :func:`run_rate_update` walks one path of the
 prefix trie: the sweep over V, or over one subset.  The sweep over a
@@ -72,19 +75,26 @@ def dilworth_truncation(source, shift, subset: SubsetLike) -> Fraction:
     trie against, so it is kept apart from the step on purpose: it
     calls neither :func:`minimize_over_prefix` nor :func:`run_rate_update`
     and runs no greedy sweep.  It reads the value off
-    :func:`_partition_minima`'s table for ``shift``, which the source
-    keeps for the latest shift only: the first call at a shift costs
-    3^|V| / 2 visits, and every later call at that shift is a lookup.
+    :func:`partition_minima`'s table for ``shift``: the first call at a
+    shift costs 3^|V| / 2 visits, and every later call at that shift is
+    a lookup.
     """
     mask = source.ground.mask(subset)
     if mask == 0:
         raise DomainError("truncation of the empty set is not defined")
     if not isinstance(shift, Fraction):
         shift = Fraction(shift)
+    return Fraction(partition_minima(source, shift)[mask], shift.denominator * source.denominator)
+
+
+def partition_minima(source, shift: Fraction) -> list:
+    """:func:`_partition_minima`'s table for ``shift``, which the source
+    keeps for the latest shift only; :func:`dilworth_truncation` reads
+    its values, and ``enumerate --verify`` compares them as ints."""
     cached = source.__dict__.get("_partition_minima")
     if cached is None or cached[0] is not shift and cached[0] != shift:
         cached = source.__dict__["_partition_minima"] = (shift, _partition_minima(source, shift))
-    return Fraction(cached[1][mask], shift.denominator * source.denominator)
+    return cached[1]
 
 
 def _partition_minima(source, shift: Fraction) -> list:
@@ -164,14 +174,17 @@ def minimize_over_prefix(table, weight: int, top: int, submasks, rate_sums, whol
 class PrefixStepper:
     """The steps of one sweep on an int entropy table at one ``weight``:
     the finished prefix's submasks inside the sweep's domain and their
-    rate sums, which ``absorb`` doubles in place with each finished user
-    and ``fork`` copies for the trie walk."""
+    rate sums, which double with each finished user.  A sweep doubles
+    its one stepper in place (``absorb``); the trie walk, which branches,
+    builds each child's stepper once (``child``) and leaves the
+    parent's lists to its siblings."""
 
     __slots__ = ("table", "weight", "submasks", "sums")
 
-    def __init__(self, table, weight: int, submasks=(0,), sums=(0,)):
+    def __init__(self, table, weight: int, submasks=None, sums=None):
         self.table, self.weight = table, weight
-        self.submasks, self.sums = list(submasks), list(sums)
+        self.submasks = [0] if submasks is None else submasks
+        self.sums = [0] if sums is None else sums
 
     def step(self, top: int, whole: int) -> SfmResult:
         return minimize_over_prefix(self.table, self.weight, top, self.submasks, self.sums, whole)
@@ -180,8 +193,12 @@ class PrefixStepper:
         self.submasks += [sub | top for sub in self.submasks]
         self.sums += [total + rate for total in self.sums]
 
-    def fork(self) -> "PrefixStepper":
-        return PrefixStepper(self.table, self.weight, self.submasks, self.sums)
+    def child(self, top: int, rate: int) -> "PrefixStepper":
+        """A new stepper with ``top`` absorbed at ``rate``: this one's
+        lists followed by their doubled half, built once."""
+        submasks, sums = self.submasks, self.sums
+        return PrefixStepper(self.table, self.weight, submasks + [sub | top for sub in submasks],
+                             sums + [total + rate for total in sums])
 
     def first_excess(self, top: int, rate: int, base: int) -> int | None:
         """The first set S = sub | top, over the absorbed submasks ``sub``
@@ -332,10 +349,11 @@ def _prefix_trie_sweeps(source, shift):
     finished rates, and ``blocks`` are its tight blocks.  The walk goes
     depth first through the prefix trie, in which the parent of a mask
     is the mask minus its highest user, and yields X before its
-    children.  A child takes a fork of its parent's stepper and does
-    the one step of its new highest user, which the fork then absorbs
-    for the child's children.  The stepper is shared with X's siblings
-    and must not be changed.
+    children.  A child does the one step of its new highest user on its
+    parent's stepper, and its own children step on
+    :meth:`PrefixStepper.child` of that stepper, built once from the
+    parent's lists and the new user's rate.  The stepper is shared with
+    X's siblings and must not be changed.
     """
     shift = Fraction(shift)
     base = shift.numerator * source.denominator
@@ -350,8 +368,6 @@ def _prefix_trie_sweeps(source, shift):
             child_blocks = _join_blocks(blocks, top, step.maximal_minimizer)
             yield child, stepper, rate, child_blocks
             if pos + 1 < size:
-                child_stepper = stepper.fork()
-                child_stepper.absorb(top, rate)
-                yield from grow(child, child_stepper, child_blocks)
+                yield from grow(child, stepper.child(top, rate), child_blocks)
 
     yield from grow(0, source.stepper(shift.denominator), [])

@@ -21,7 +21,7 @@ import random
 import pytest
 
 import soplan.cli as cli
-from soplan import dump_source
+from soplan import GroundSet, PacketSource, TableSource, dump_source
 from tests.conftest import random_packet_source, random_rational_table, scaled_table
 
 DATA = Path(__file__).resolve().parent.parent / "data"
@@ -126,3 +126,33 @@ def test_generated_enumerate_digest(kind, n, model, tmp_path, capsys):
         return
     assert code == 0
     assert hashlib.sha256(out.getvalue().encode()).hexdigest() == want
+
+
+def labelled(source, prefix: str):
+    """``source`` with its users renamed ``prefix + str(label)``."""
+    labels = tuple(f"{prefix}{label}" for label in source.ground.labels)
+    if isinstance(source, PacketSource):
+        possession = {f"{prefix}{label}": held for label, held in source.possession.items()}
+        return PacketSource(GroundSet(labels), possession)
+    return TableSource._from_ints(GroundSet(labels), list(source.entropies), source.denominator)
+
+
+# (generator, n, --model) -> sha256 of ``enumerate --verify --order ...``
+# stdout on GENERATORS[generator](random.Random(n), n, 2 * n) with its
+# users renamed u1, u2, ...: string labels, in an order not the file's
+ORDERED_GOLDENS = {
+    ("packet", 8, "non-asymptotic"): "54420aa77d566f41e5f998e9f6a51a238ead1243be35eada3b1441b1841afed8",
+    ("rational", 7, "asymptotic"): "8c44d424a594b8f83dd8c7cace9041178c1cdd4ee64e12ffcaf71ab2d21a8c35",
+}
+
+
+@pytest.mark.parametrize("kind,n,model", sorted(ORDERED_GOLDENS))
+def test_ordered_string_label_enumerate_digest(kind, n, model, tmp_path):
+    path = tmp_path / f"{kind}{n}.json"
+    dump_source(labelled(GENERATORS[kind](random.Random(n), n, 2 * n), "u"), path)
+    order = ",".join(f"u{k}" for k in random.Random(n).sample(range(1, n + 1), n))
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(["enumerate", str(path), "--verify", "--model", model, "--order", order])
+    assert code == 0
+    assert hashlib.sha256(out.getvalue().encode()).hexdigest() == ORDERED_GOLDENS[kind, n, model]

@@ -20,6 +20,7 @@ from soplan import (
     CertificationError,
     DomainError,
     GroundSet,
+    PacketSource,
     Partition,
     RateVector,
     TableSource,
@@ -32,7 +33,7 @@ from soplan import (
 import soplan.cli as cli
 from soplan.omniscience import MODELS, SwCheck, check_model, optimal_rate_vector
 from soplan import omniscience, submodular
-from soplan.sources import _SourceBase, source_from_dict
+from soplan.sources import _SourceBase, reorder, source_from_dict
 from tests.conftest import (
     enumerate_partitions,
     iter_submasks,
@@ -927,6 +928,26 @@ class TestIntVerdicts:
         monkeypatch.setattr(submodular, "_partition_minima", original)
         assert enumerate_complementary(make(), model, verify=True) == listed
 
+    @pytest.mark.parametrize("model", [ASYMPTOTIC, NON_ASYMPTOTIC])
+    @pytest.mark.parametrize("make", [make_five_user, rational_five])
+    def test_verify_catches_one_unit_at_v(self, make, model, monkeypatch):
+        """One unit on the w*D scale of the reference table at V, which
+        no listed subset reads, fails ``verify``'s check that the
+        reference's truncation at V is R(V), in either direction."""
+        make = self.in_model(make, model)
+        original = submodular._partition_minima
+        for delta in (-1, 1):
+            def perturbed(src, shift, delta=delta):
+                best = original(src, shift)
+                best[-1] += delta
+                return best
+
+            monkeypatch.setattr(submodular, "_partition_minima", perturbed)
+            with pytest.raises(CertificationError, match="reference truncation at V"):
+                enumerate_complementary(make(), model, verify=True)
+        monkeypatch.setattr(submodular, "_partition_minima", original)
+        assert enumerate_complementary(make(), model, verify=True)
+
     @pytest.mark.parametrize("make", [make_five_user, rational_five])
     def test_no_partition_beyond_min_sum_rate(self, make, monkeypatch):
         """``enumerate`` builds no Partition and asks no partition bound
@@ -955,6 +976,60 @@ class TestIntVerdicts:
                 calls.clear()
                 enumerate_complementary(build(), model, verify)
                 assert calls == want, (model, verify)
+
+
+class TestRelationsAtScale:
+    """Relations that ``enumerate --verify`` must satisfy at 9 to 12
+    users, where no oracle reaches: the family follows a relabelling of
+    the users, and neither a packet held by every user nor splitting
+    every packet in two changes it; the first leaves R(V) as it is and
+    the second doubles it (asymptotic model).  On a table, D added to
+    every nonempty entry is the shared packet and every entry doubled
+    is the split."""
+
+    @staticmethod
+    def sources() -> list:
+        packets = [random_packet_source(random.Random(n), n, 2 * n) for n in (9, 10, 12)]
+        tables = [scaled_table(random_rational_table(random.Random(n), n, 2 * n)) for n in (9, 11)]
+        return packets + tables
+
+    @staticmethod
+    def shared(source):
+        if isinstance(source, TableSource):
+            d, h = source.denominator, source.entropies
+            return TableSource._from_ints(source.ground, [0] + [e + d for e in h[1:]], d)
+        held = {label: set(ids) | {"shared"} for label, ids in source.possession.items()}
+        return PacketSource(source.ground, held)
+
+    @staticmethod
+    def split(source):
+        if isinstance(source, TableSource):
+            return TableSource._from_ints(
+                source.ground, [2 * e for e in source.entropies], source.denominator
+            )
+        held = {label: {f"{p}{half}" for p in ids for half in "ab"}
+                for label, ids in source.possession.items()}
+        return PacketSource(source.ground, held)
+
+    @staticmethod
+    def family(source, model) -> set:
+        """The listed subsets as sets of labels, and R(V)."""
+        ground = source.ground
+        listed = enumerate_complementary(source, model, verify=True)
+        return {frozenset(ground.labels_of(m)) for m in listed}, min_sum_rate(source, None, model).value
+
+    def test_relations(self):
+        for n, source in enumerate(self.sources()):
+            labels = list(source.ground.labels)
+            random.Random(n).shuffle(labels)
+            got = {}
+            for model in MODELS:
+                got[model] = want = self.family(source, model)
+                assert want[0]
+                assert self.family(reorder(source, labels), model) == want
+                assert self.family(self.shared(source), model) == want
+            family, r_v = got[ASYMPTOTIC]
+            assert self.family(self.split(source), ASYMPTOTIC) == (family, 2 * r_v)
 
 
 class TestOptimalRateVector:
