@@ -28,8 +28,8 @@ checks the witness of its verdict the same way
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from fractions import Fraction
+from typing import NamedTuple
 
 from .core import CertificationError, DomainError, RateVector, SubsetLike
 from .omniscience import (
@@ -74,8 +74,7 @@ def _alpha(source, model: str, mode: str) -> Fraction:
     raise DomainError(f"unknown alpha mode {mode!r}")
 
 
-@dataclass(frozen=True)
-class Certificate:
+class Certificate(NamedTuple):
     """Human-checkable evidence for an outcome."""
 
     summary: str
@@ -85,8 +84,7 @@ class Certificate:
         return "\n".join((self.summary,) + self.lines)
 
 
-@dataclass(frozen=True)
-class CompSetOutcome:
+class CompSetOutcome(NamedTuple):
     """One search: how alpha was chosen and its value, then either a
     complementary subset (mask) or, if the sweep completed, the finished
     rate vector.  ``exit_position`` is the 1-based user position whose
@@ -115,7 +113,7 @@ def comp_set_so(source, model: str = ASYMPTOTIC, mode: str = EXACT) -> CompSetOu
     outcome = CompSetOutcome(
         mode, model, alpha, run.exit_subset, rates, run.exit_position, run.candidates_examined
     )
-    return replace(outcome, certificate=certify_outcome(source, outcome))
+    return outcome._replace(certificate=certify_outcome(source, outcome))
 
 
 def complementary_by_lower_bound(source, subset: SubsetLike, model: str = ASYMPTOTIC) -> bool:

@@ -11,7 +11,6 @@ and no comparison uses a tolerance.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice, repeat
 from operator import add
@@ -139,8 +138,64 @@ def submask_sums(mask: int, values: Sequence) -> tuple:
     return submasks, sums
 
 
-@dataclass(frozen=True)
-class GroundSet:
+class Record:
+    """The shared behaviour of the public value types (:class:`GroundSet`,
+    :class:`RateVector`, :class:`Partition`, the plan's ``Stage`` and
+    :class:`~soplan.multistage.StagePlan`, the simulator's ``FieldSpec``).
+
+    A subclass lists its attributes in ``__slots__``, names the ones
+    that make up its value, in constructor order, in ``_fields``, and
+    sets them once in ``__init__`` through :meth:`_init`.  Its
+    objects then compare equal to objects of the same type holding
+    equal fields and hash alike, print as ``Name(field=value, ...)``,
+    copy and pickle by calling the constructor again, and refuse
+    assignment with :class:`AttributeError`.
+
+    Two choices are deliberate.  Record types are written out instead of
+    generated by :mod:`dataclasses`: importing it pulls in ``inspect``
+    and ``ast``, and it builds each class's methods by ``exec``, which
+    together made up about a third of a fresh ``import soplan.cli``.  The
+    internal records are :class:`typing.NamedTuple` classes, and
+    ``submodular.SfmResult``, built at every sweep step, a plain slotted
+    class.  Imports
+    are eager: importing :mod:`soplan.cli` imports every module of the
+    package, because the benchmark times jobs in process, and a module
+    imported late would be charged to the first job that needs it.
+    """
+
+    __slots__ = ()
+    _fields: tuple = ()
+
+    def _init(self, **values) -> None:
+        for name, value in values.items():
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join([f"{name}={getattr(self, name)!r}" for name in self._fields])
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class GroundSet(Record):
     """The ordered set of users.
 
     The position of a label in ``labels`` fixes the bit used for that
@@ -148,11 +203,11 @@ class GroundSet:
     update loop, and all tie-breaking.
     """
 
-    labels: tuple
+    __slots__ = ("labels", "_index", "full_mask", "_texts")
+    _fields = ("labels",)
 
-    def __post_init__(self):
-        labels = tuple(self.labels)
-        object.__setattr__(self, "labels", labels)
+    def __init__(self, labels: tuple):
+        labels = tuple(labels)
         if len(labels) < 2:
             raise DomainError("a ground set needs at least two users")
         if len(labels) > MAX_USERS:
@@ -169,8 +224,7 @@ class GroundSet:
             if label in index:
                 raise DomainError(f"duplicate user label {brief(label)}")
             index[label] = pos
-        object.__setattr__(self, "_index", index)
-        object.__setattr__(self, "full_mask", (1 << len(labels)) - 1)
+        self._init(labels=labels, _index=index, full_mask=(1 << len(labels)) - 1, _texts=None)
 
     @property
     def size(self) -> int:
@@ -211,17 +265,21 @@ class GroundSet:
         """Each subset's labels' texts in ground order joined with commas,
         by mask, "" for the empty set, built by doubling: the inside of
         :meth:`format` for every mask at once, and an entropy table's
-        key for each subset."""
-        texts = [""]
-        for label in self.labels:
-            text = str(label)
-            texts.append(text)
-            texts += map(add, islice(texts, 1, len(texts) - 1), repeat("," + text))
+        key for each subset.  The list is built on the first call and
+        kept, so a table's loader and ``enumerate`` share it; callers
+        must not change it."""
+        texts = self._texts
+        if texts is None:
+            texts = [""]
+            for label in self.labels:
+                text = str(label)
+                texts.append(text)
+                texts += map(add, islice(texts, 1, len(texts) - 1), repeat("," + text))
+            self._init(_texts=texts)
         return texts
 
 
-@dataclass(frozen=True)
-class RateVector:
+class RateVector(Record):
     """Per-user transmission rates with an explicit domain.
 
     ``values`` holds one Fraction per ground position; positions outside
@@ -229,27 +287,22 @@ class RateVector:
     update loop is running; final results are certified separately.
     """
 
-    ground: GroundSet
-    values: tuple
-    domain: int
+    __slots__ = _fields = ("ground", "values", "domain")
 
-    def __post_init__(self):
-        labels = self.ground.labels
-        if len(self.values) != len(labels):
+    def __init__(self, ground: GroundSet, values: tuple, domain: int):
+        labels = ground.labels
+        if len(values) != len(labels):
             raise DomainError("rate vector length does not match the ground set")
         # a Fraction is kept as it is; anything else is parsed, or refused
         values = tuple(
             v if type(v) is Fraction else parse_fraction(v, where=f"rate for {label!r}")
-            for label, v in zip(labels, self.values)
+            for label, v in zip(labels, values)
         )
-        domain = self.ground.mask(self.domain)
+        domain = ground.mask(domain)
         for pos, value in enumerate(values):
             if not domain >> pos & 1 and value != 0:
-                raise DomainError(
-                    f"nonzero rate for {self.ground.labels[pos]!r} outside the domain"
-                )
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "domain", domain)
+                raise DomainError(f"nonzero rate for {labels[pos]!r} outside the domain")
+        self._init(ground=ground, values=values, domain=domain)
 
     @classmethod
     def from_map(
@@ -308,18 +361,21 @@ class RateVector:
         return "(" + ", ".join(parts) + ")"
 
 
-@dataclass(frozen=True)
-class Partition:
+class Partition(Record):
     """A set partition stored as disjoint block bitmasks.
 
     Blocks are kept in canonical order, sorted by their lowest member,
     which is exactly the order the restricted-growth enumeration emits.
     """
 
-    blocks: tuple
+    __slots__ = _fields = ("blocks",)
 
-    def __post_init__(self):
-        blocks = tuple(sorted((int(b) for b in self.blocks), key=lambda b: b & -b))
+    def __init__(self, blocks: tuple):
+        blocks = tuple(blocks)
+        for block in blocks:
+            if not isinstance(block, int) or isinstance(block, bool):
+                raise DomainError(f"partition blocks must be int masks, not {brief(block)}")
+        blocks = tuple(sorted(blocks, key=lambda b: b & -b))
         if not blocks:
             raise DomainError("a partition needs at least one block")
         union = 0
@@ -331,7 +387,7 @@ class Partition:
             total_bits += block.bit_count()
         if total_bits != union.bit_count():
             raise DomainError("partition blocks overlap")
-        object.__setattr__(self, "blocks", blocks)
+        self._init(blocks=blocks)
 
     @property
     def union(self) -> int:

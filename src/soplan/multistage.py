@@ -34,11 +34,9 @@ Mechanics worth knowing:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from math import lcm
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from .core import (
     CertificationError,
@@ -46,6 +44,7 @@ from .core import (
     FormatError,
     GroundSet,
     RateVector,
+    Record,
     SubsetLike,
     bit_positions,
     brief,
@@ -60,58 +59,51 @@ from .rlnc import choose_field
 from .sources import PacketSource, TableSource, _label_lookup
 
 
-@dataclass(frozen=True)
-class Stage:
+class Stage(Record):
     """One plan step: a target subset of the original users and the
     per-user rates (packet units) spent on it.  Rates live on the full
     original ground set and are zero outside the target."""
 
-    target: int
-    rates: RateVector
+    __slots__ = _fields = ("target", "rates")
 
-    def __post_init__(self):
-        ground = self.rates.ground
-        target = ground.mask(self.target)
+    def __init__(self, target: int, rates: RateVector):
+        ground = rates.ground
+        target = ground.mask(target)
         if target == 0:
             raise DomainError("a stage needs a nonempty target")
-        object.__setattr__(self, "target", target)
-        for pos, value in enumerate(self.rates.values):
+        for pos, value in enumerate(rates.values):
             if value < 0:
                 raise DomainError("stage rates must be nonnegative")
             if value != 0 and not target >> pos & 1:
                 raise DomainError(
                     f"stage rate for {ground.labels[pos]!r} outside the stage target"
                 )
+        self._init(target=target, rates=rates)
 
     @property
     def total(self) -> Fraction:
         return self.rates.total
 
 
-@dataclass(frozen=True)
-class StagePlan:
+class StagePlan(Record):
     """An ordered list of stages plus everything the simulator needs:
-    the chunk factor, the field order and its default seed."""
+    the chunk factor, the field order and its default seed.
+    ``total_rates`` is each user's rate summed over the stages."""
 
-    ground: GroundSet
-    model: str
-    stages: tuple
-    chunk_factor: int
-    field_order: int
-    seed: int
+    _fields = ("ground", "model", "stages", "chunk_factor", "field_order", "seed")
+    __slots__ = _fields + ("total_rates",)
 
-    def __post_init__(self):
-        check_model(self.model)
-        if self.chunk_factor < 1:
+    def __init__(self, ground: GroundSet, model: str, stages: tuple, chunk_factor: int,
+                 field_order: int, seed: int):
+        check_model(model)
+        if chunk_factor < 1:
             raise DomainError("chunk factor must be a positive integer")
-        for stage in self.stages:
-            if stage.rates.ground != self.ground:
+        for stage in stages:
+            if stage.rates.ground != ground:
                 raise DomainError("stage rates must live on the plan's ground set")
-
-    @cached_property
-    def total_rates(self) -> RateVector:
-        """Each user's rate summed over the stages, computed once."""
-        return sum((stage.rates for stage in self.stages), RateVector.zeros(self.ground))
+        total = sum((stage.rates for stage in stages), RateVector.zeros(ground))
+        self._init(ground=ground, model=model, stages=stages, chunk_factor=chunk_factor,
+                   field_order=field_order, seed=seed, total_rates=total)
 
     def to_dict(self) -> dict:
         """The structure :meth:`from_dict` reads; refuses labels it refuses."""
@@ -213,8 +205,7 @@ def load_plan(path) -> StagePlan:
     return StagePlan.from_dict(read_json(path))
 
 
-@dataclass(frozen=True)
-class MergedSystem:
+class MergedSystem(NamedTuple):
     """The system a stage is planned on.
 
     ``source`` is the packet source for the first stage and an integral
@@ -309,8 +300,7 @@ def merge_super_user(system: MergedSystem, subset: SubsetLike, rates: RateVector
     return MergedSystem(table_source, new_map, system.original, system.scale * d)
 
 
-@dataclass(frozen=True)
-class StageBuild:
+class StageBuild(NamedTuple):
     """Planner-internal record of one stage: the system it was planned
     on, the target in that system's labels and the local rates in that
     system's units.  ``emitted`` is False for zero-rate stages, which are
@@ -323,8 +313,7 @@ class StageBuild:
     emitted: bool
 
 
-@dataclass(frozen=True)
-class PlanBuild:
+class PlanBuild(NamedTuple):
     plan: StagePlan
     builds: tuple
 

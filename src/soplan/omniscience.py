@@ -45,8 +45,8 @@ and ``shortfall`` and never index its table.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .core import (
     CertificationError,
@@ -84,8 +84,7 @@ def check_source_model(source, model: str) -> str:
     return model
 
 
-@dataclass(frozen=True)
-class MinSumRateResult:
+class MinSumRateResult(NamedTuple):
     """Value of the minimum sum-rate with its primal-dual witness: an
     achievable rate vector that sums to the value (so R <= value), in
     both models, and in the asymptotic model a partition whose bound
@@ -207,8 +206,7 @@ def _asymptotic_result(source, mask: int) -> MinSumRateResult:
     return asym
 
 
-@dataclass(frozen=True)
-class SwCheck:
+class SwCheck(NamedTuple):
     """Result of the achievability check; ``violating`` is the first
     offending subset in ascending mask order, with its rate deficit."""
 

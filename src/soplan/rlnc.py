@@ -38,11 +38,10 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING, Mapping
+from typing import TYPE_CHECKING, Mapping, NamedTuple
 
-from .core import CertificationError, DomainError, FormatError
+from .core import CertificationError, DomainError, FormatError, Record
 from .gf import RowSpace, is_prime, next_prime, random_combination
 from .sources import PacketSource
 
@@ -56,24 +55,22 @@ STAGE_REDRAW_LIMIT = 25
 _JSONL = json.JSONEncoder(sort_keys=True, allow_nan=False)
 
 
-@dataclass(frozen=True)
-class FieldSpec:
+class FieldSpec(Record):
     """A prime field big enough for ``n_users`` users sharing a source
     of ``source_entropy`` packets split into ``chunk_factor`` chunks."""
 
-    order: int
-    chunk_factor: int
-    source_entropy: Fraction
-    n_users: int
+    __slots__ = _fields = ("order", "chunk_factor", "source_entropy", "n_users")
 
-    def __post_init__(self):
-        if not is_prime(self.order):
-            raise DomainError(f"field order {self.order} is not prime")
-        if self.order <= self.chunk_factor * self.source_entropy * self.n_users:
+    def __init__(self, order: int, chunk_factor: int, source_entropy: Fraction, n_users: int):
+        if not is_prime(order):
+            raise DomainError(f"field order {order} is not prime")
+        if order <= chunk_factor * source_entropy * n_users:
             raise DomainError(
-                f"field order {self.order} is too small: it must exceed "
-                f"{self.chunk_factor} * {self.source_entropy} * {self.n_users}"
+                f"field order {order} is too small: it must exceed "
+                f"{chunk_factor} * {source_entropy} * {n_users}"
             )
+        self._init(order=order, chunk_factor=chunk_factor, source_entropy=source_entropy,
+                   n_users=n_users)
 
 
 def choose_field(chunk_factor: int, source_entropy, n_users: int) -> FieldSpec:
@@ -95,15 +92,13 @@ def choose_field(chunk_factor: int, source_entropy, n_users: int) -> FieldSpec:
     return FieldSpec(order, chunk_factor, entropy, n_users)
 
 
-@dataclass(frozen=True)
-class Broadcast:
+class Broadcast(NamedTuple):
     stage: int
     sender: object
     row: tuple
 
 
-@dataclass(frozen=True)
-class StageReport:
+class StageReport(NamedTuple):
     """Decode flags for one stage: did each target member end the stage
     spanning every chunk the target group holds?  ``attempts`` counts
     the draws the stage took; anything above 1 means an earlier draw
@@ -119,8 +114,7 @@ class StageReport:
         return all(self.achieved.values())
 
 
-@dataclass(frozen=True)
-class Transcript:
+class Transcript(NamedTuple):
     """Everything a simulation produced, replayable from the seed."""
 
     seed: int
@@ -164,8 +158,7 @@ class Transcript:
         return "\n".join(lines) + "\n"
 
 
-@dataclass(frozen=True)
-class StageDraw:
+class StageDraw(NamedTuple):
     """One stage's coding rows as ``(sender, row)`` pairs in broadcast
     order, every listener's space after hearing them (the members that
     decoded with the same covered columns share one, with the needed

@@ -56,13 +56,12 @@ from __future__ import annotations
 import struct
 import sys
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain, compress, islice, repeat
 from math import gcd, isfinite, lcm
 from operator import add, mul, sub
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 from .core import (
     DomainError,
@@ -245,9 +244,12 @@ class TableSource(_SourceBase):
         scaled = {value: num * (self.denominator // den) for value, (num, den) in ratios.items()}
         self.entropies = list(map(scaled.__getitem__, values))
         if validate:
-            report = validate_polymatroid(self)
-            if not report.ok:
-                raise DomainError("entropy table is not a polymatroid:\n" + report.summary())
+            self._check_polymatroid()
+
+    def _check_polymatroid(self) -> None:
+        report = validate_polymatroid(self)
+        if not report.ok:
+            raise DomainError("entropy table is not a polymatroid:\n" + report.summary())
 
     @classmethod
     def _from_ints(cls, ground: GroundSet, entropies: list, denominator: int) -> "TableSource":
@@ -294,14 +296,12 @@ def _ratio(value) -> tuple:
     return value.numerator, value.denominator
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     kind: str  # "normalization" | "monotonicity" | "submodularity"
     detail: str
 
 
-@dataclass(frozen=True)
-class PolymatroidReport:
+class PolymatroidReport(NamedTuple):
     ok: bool
     violations: tuple
 
@@ -634,8 +634,16 @@ def source_to_dict(source: Source) -> dict:
 
 def load_source(path, validate: bool = True) -> Source:
     """Read a source JSON file.  ``validate=False`` skips the table
-    polymatroid gate so a defective table can still be inspected."""
-    return source_from_dict(read_json(path), validate)
+    polymatroid gate so a defective table can still be inspected.  The
+    gate runs once the parsed document is freed, so its ints and the
+    ground's kept subset texts need no room beside the document."""
+    source = source_from_dict(read_json(path), validate=False)
+    if validate and isinstance(source, TableSource):
+        try:
+            source._check_polymatroid()
+        except DomainError as exc:
+            raise FormatError(str(exc)) from None
+    return source
 
 
 def dump_source(source: Source, path) -> None:

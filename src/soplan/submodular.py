@@ -61,8 +61,8 @@ Fractions appear only in the shift it takes and in what it returns.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .core import DomainError, Partition, SubsetLike, bit_positions
 
@@ -130,19 +130,24 @@ def _partition_minima(source, shift: Fraction) -> list:
     return best
 
 
-@dataclass(slots=True)
 class SfmResult:
     """One prefix step: the minimum key, the union of the minimizers
     (itself a minimizer), the minimizers themselves and the number of
     candidates.  The early exit, the smallest (cardinality, bitmask)
     among the minimizers other than ``{top}`` and the step's domain
-    ``whole``, is worked out only when read."""
+    ``whole``, is worked out only when read.  Every sweep step builds
+    one, so it is a plain slotted class: built and read faster than a
+    :class:`~typing.NamedTuple`."""
 
-    min_value: int
-    maximal_minimizer: int
-    minimizers: list
-    whole: int
-    candidates_examined: int
+    __slots__ = ("min_value", "maximal_minimizer", "minimizers", "whole", "candidates_examined")
+
+    def __init__(self, min_value: int, maximal_minimizer: int, minimizers: list, whole: int,
+                 candidates_examined: int):
+        self.min_value = min_value
+        self.maximal_minimizer = maximal_minimizer
+        self.minimizers = minimizers
+        self.whole = whole
+        self.candidates_examined = candidates_examined
 
     @property
     def nonsingleton_proper_minimizer(self) -> int | None:
@@ -214,8 +219,7 @@ class PrefixStepper:
         return over[0] | top if over else None
 
 
-@dataclass(slots=True)
-class UpdateRun:
+class UpdateRun(NamedTuple):
     """Trace of the rate update loop.
 
     ``scaled`` holds the rates, as ints on the scale ``scale``, after

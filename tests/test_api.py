@@ -3,7 +3,10 @@
 from __future__ import annotations
 
 import ast
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import soplan
@@ -85,3 +88,22 @@ def test_only_the_simulator_imports_gf():
         if _imports_gf(ast.parse(path.read_text()))
     )
     assert importers == ["rlnc.py"]
+
+
+def test_cli_import_is_eager_and_free_of_dataclasses():
+    # One fresh interpreter: importing the CLI loads every module of the
+    # package up front, so no import lands in a job's time, and none of
+    # them pulls in dataclasses or what it imports.
+    modules = ["cli", "compsetso", "core", "gf", "multistage", "omniscience", "rlnc",
+               "sources", "submodular"]
+    assert sorted(path.stem for path in (ROOT / "src" / "soplan").glob("*.py")) == sorted(
+        modules + ["__init__"])
+    code = ("import soplan.cli, sys; "
+            "print(' '.join(sorted(m for m in ('dataclasses', 'inspect') if m in sys.modules))); "
+            "print(' '.join(sorted(m for m in sys.modules if m.startswith('soplan.'))))")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, check=True)
+    unwanted, loaded = done.stdout.split("\n")[:2]
+    assert unwanted == ""
+    assert loaded.split() == [f"soplan.{name}" for name in modules]

@@ -3,7 +3,6 @@ its certificates."""
 
 from __future__ import annotations
 
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -116,7 +115,7 @@ class TestCompSetSo:
             for mode in (EXACT, LOWER_BOUND):
                 outcome = comp_set_so(source, model, mode)
                 # the certificate a fresh check builds is the one returned
-                assert certify_outcome(source, replace(outcome, certificate=None)) == outcome.certificate
+                assert certify_outcome(source, outcome._replace(certificate=None)) == outcome.certificate
                 if outcome.subset is not None:
                     assert outcome.subset in listed
                     assert is_complementary(source, outcome.subset, model)
@@ -166,7 +165,7 @@ class TestCertificates:
         return CompSetOutcome(mode, model, Fraction(alpha), None, vector, None, 0)
 
     def test_non_complementary_subset(self, five_user):
-        outcome = replace(comp_set_so(five_user), subset=five_user.ground.mask([3, 4]), certificate=None)
+        outcome = comp_set_so(five_user)._replace(subset=five_user.ground.mask([3, 4]), certificate=None)
         with pytest.raises(CertificationError, match="FAILED the complementarity check"):
             certify_outcome(five_user, outcome)
 
@@ -196,7 +195,7 @@ class TestCertificates:
 
     def test_exact_mode_at_a_wrong_alpha_raises(self, five_user):
         # an "exact" outcome whose alpha is not R(V) fails its certificate
-        outcome = replace(comp_set_so(five_user), alpha=Fraction(0), certificate=None)
+        outcome = comp_set_so(five_user)._replace(alpha=Fraction(0), certificate=None)
         with pytest.raises(CertificationError, match="exact alpha 13/2: alpha = 0"):
             certify_outcome(five_user, outcome)
 
@@ -204,7 +203,7 @@ class TestCertificates:
         # {1,2} meets H(V) - H(X) + R(X) <= 13/2 = R(V), yet a lower-bound
         # outcome must carry the singleton bound as its alpha
         outcome = comp_set_so(five_user, ASYMPTOTIC, LOWER_BOUND)
-        outcome = replace(outcome, alpha=Fraction(13, 2), certificate=None)
+        outcome = outcome._replace(alpha=Fraction(13, 2), certificate=None)
         with pytest.raises(CertificationError, match="lower_bound alpha 23/4: alpha = 13/2"):
             certify_outcome(five_user, outcome)
 

@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
+import copy
+import pickle
+from collections import namedtuple
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given
@@ -17,6 +21,8 @@ from soplan import (
     RateVector,
 )
 from soplan.core import bit_positions, parse_fraction
+from soplan.multistage import Stage, StagePlan
+from soplan.rlnc import FieldSpec
 from tests.conftest import enumerate_partitions, iter_submasks
 
 BELL = {1: 1, 2: 2, 3: 5, 4: 15, 5: 52, 6: 203}
@@ -96,6 +102,13 @@ class TestGroundSet:
         with pytest.raises(DomainError):
             g.mask(0b100)
 
+    def test_subset_texts_are_built_once(self):
+        g = GroundSet(("a", 2, "c"))
+        texts = g.subset_texts()
+        assert texts == ["", "a", "2", "a,2", "c", "a,c", "2,c", "a,2,c"]
+        assert g.subset_texts() is texts
+        assert GroundSet(("a", 2, "c")) == g
+
 
 class TestRateVector:
     def test_from_map_and_lookup(self):
@@ -155,6 +168,12 @@ class TestPartition:
         assert p.union == 0b111
         assert len(p) == 2
 
+    @pytest.mark.parametrize("bad", [1.5, 2.0, "3", True, None, Fraction(2)])
+    def test_rejects_blocks_that_are_not_int_masks(self, bad):
+        # int() would read 1.5 as 1, "3" as 3 and True as 1
+        with pytest.raises(DomainError, match="int masks"):
+            Partition((bad, 0b1000))
+
     def test_rejects_overlap_and_empty(self):
         with pytest.raises(DomainError):
             Partition((0b011, 0b010))
@@ -191,3 +210,84 @@ class TestPartition:
         for p in enumerate_partitions(mask):
             assert p.union == mask
             assert sum(b.bit_count() for b in p.blocks) == mask.bit_count()
+
+
+def _ground():
+    return GroundSet((1, "b", 3))
+
+
+def _rates():
+    return RateVector.from_map(_ground(), {1: Fraction(1, 2), "b": 2}, [1, "b"])
+
+
+def _stage():
+    return Stage(0b011, _rates())
+
+
+_RATES_TEXT = ("RateVector(ground=GroundSet(labels=(1, 'b', 3)), "
+               "values=(Fraction(1, 2), Fraction(2, 1), Fraction(0, 1)), domain=3)")
+_STAGE_TEXT = f"Stage(target=3, rates={_RATES_TEXT})"
+
+#: (build, its fields, its repr): the reprs are those of the dataclass
+#: versions of these types, which the written-out classes keep
+RECORDS = {
+    "GroundSet": (_ground, ("labels",), "GroundSet(labels=(1, 'b', 3))"),
+    "RateVector": (_rates, ("ground", "values", "domain"), _RATES_TEXT),
+    "Partition": (lambda: Partition([0b100, 0b011]), ("blocks",), "Partition(blocks=(3, 4))"),
+    "Stage": (_stage, ("target", "rates"), _STAGE_TEXT),
+    "StagePlan": (
+        lambda: StagePlan(_ground(), "asymptotic", (_stage(),), 2, 7, 0),
+        ("ground", "model", "stages", "chunk_factor", "field_order", "seed"),
+        "StagePlan(ground=GroundSet(labels=(1, 'b', 3)), model='asymptotic', "
+        f"stages=({_STAGE_TEXT},), chunk_factor=2, field_order=7, seed=0)",
+    ),
+    "FieldSpec": (
+        lambda: FieldSpec(7, 2, Fraction(3, 2), 2),
+        ("order", "chunk_factor", "source_entropy", "n_users"),
+        "FieldSpec(order=7, chunk_factor=2, source_entropy=Fraction(3, 2), n_users=2)",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RECORDS))
+class TestRecordSemantics:
+    """The public value types are immutable values: equal by type and
+    fields, hashed alike, printed as ``Name(field=value, ...)``."""
+
+    def test_fields_refuse_assignment(self, name):
+        build, fields, _ = RECORDS[name]
+        record = build()
+        for field in fields:
+            with pytest.raises(AttributeError):
+                setattr(record, field, getattr(record, field))
+            with pytest.raises(AttributeError):
+                delattr(record, field)
+        with pytest.raises(AttributeError):
+            record.extra = 1
+
+    def test_equal_values_are_equal_and_hash_alike(self, name):
+        build, fields, _ = RECORDS[name]
+        first, second = build(), build()
+        assert first is not second
+        assert first == second and not first != second
+        assert hash(first) == hash(second)
+        assert len({first, second}) == 1
+
+    def test_another_type_with_the_same_values_is_unequal(self, name):
+        build, fields, _ = RECORDS[name]
+        record = build()
+        values = tuple(getattr(record, field) for field in fields)
+        twin = namedtuple(name, fields)(*values)
+        for other in (twin, SimpleNamespace(**dict(zip(fields, values))), values):
+            assert record != other and other != record
+            assert not record == other
+
+    def test_copies_and_pickles_as_equal_values(self, name):
+        build, _, _ = RECORDS[name]
+        record = build()
+        for twin in (copy.copy(record), copy.deepcopy(record), pickle.loads(pickle.dumps(record))):
+            assert twin == record and type(twin) is type(record)
+
+    def test_repr(self, name):
+        build, _, text = RECORDS[name]
+        assert repr(build()) == text

@@ -954,18 +954,18 @@ class TestIntVerdicts:
         beyond those of the R(V) it computes, in whole packets on the
         rational table scaled by its D."""
         calls = Counter()
-        bound, post_init = omniscience.partition_bound, Partition.__post_init__
+        bound, init = omniscience.partition_bound, Partition.__init__
 
         def counted_bound(*args):
             calls["partition_bound"] += 1
             return bound(*args)
 
-        def counted_post_init(self):
+        def counted_init(self, *args):
             calls["Partition"] += 1
-            post_init(self)
+            init(self, *args)
 
         monkeypatch.setattr(omniscience, "partition_bound", counted_bound)
-        monkeypatch.setattr(Partition, "__post_init__", counted_post_init)
+        monkeypatch.setattr(Partition, "__init__", counted_init)
         for model in (ASYMPTOTIC, NON_ASYMPTOTIC):
             build = self.in_model(make, model)
             calls.clear()

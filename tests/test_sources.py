@@ -355,8 +355,8 @@ def _one_user_ground() -> GroundSet:
     Should ``GroundSet`` gain, lose or rename a field, the helper fails
     here instead of handing out a half-replaced ground."""
     two = GroundSet(("a", "b"))
-    fields = {"labels": ("a",), "_index": {"a": 0}, "full_mask": 1}
-    assert vars(two).keys() == fields.keys(), sorted(vars(two))
+    fields = {"labels": ("a",), "_index": {"a": 0}, "full_mask": 1, "_texts": None}
+    assert GroundSet.__slots__ == tuple(fields), GroundSet.__slots__
     ground = copy.copy(two)
     for name, value in fields.items():
         object.__setattr__(ground, name, value)
@@ -493,6 +493,10 @@ class TestJsonRoundTrip:
         loaded = load_source(path)
         assert isinstance(loaded, TableSource)
         assert loaded.entropy([1, 3]) == 3
+        # the key texts the loader read the file by stay on the ground,
+        # for `enumerate` to format its list from
+        assert loaded.ground._texts == ["", "1", "2", "1,2", "3", "1,3", "2,3", "1,2,3"]
+        assert loaded.ground.subset_texts() is loaded.ground._texts
 
     def test_fraction_strings_survive(self):
         data = {
