@@ -267,6 +267,8 @@ def merge_super_user(system: MergedSystem, subset: SubsetLike, rates: RateVector
         raise DomainError("refusing to merge a singleton; a super user needs two members")
     if mask == ground.full_mask:
         raise DomainError("refusing to merge the entire system")
+    if rates.ground != ground:
+        raise DomainError("rate vector is over another ground set than the system")
     source = system.source
     d = lcm(*(rates.values[pos].denominator for pos in bit_positions(mask)))
     h, denominator = source.entropy_scaled, source.denominator

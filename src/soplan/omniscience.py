@@ -228,6 +228,8 @@ def check_sw_achievable(source, subset: SubsetLike, rates: RateVector) -> SwChec
     mask = ground.mask(subset)
     if mask.bit_count() < 2:
         raise DomainError("achievability concerns subsets of at least two users")
+    if rates.ground != ground:
+        raise DomainError("rate vector is over another ground set than the source")
     if mask & ~rates.domain:
         raise DomainError("rate vector domain does not cover the subset")
     denominator = source.denominator

@@ -16,8 +16,8 @@ single sweeps and ``check_sw_achievable`` (the ``enumerate`` walk checks
 its own off its steppers' rate sums); and ``split_minimum(mask)``,
 the least D * (H(Y) + H(X minus Y)) behind the best-bipartition bound.
 All four read one list of ints, ``entropies``, with D * H(mask) for
-all 2^|V| masks, built on first use; at X = V, ``shortfall`` and
-``split_minimum`` read it in mirrored order, without a copy.
+all 2^|V| masks, built on first use; ``shortfall`` and ``split_minimum``
+read X's part of it in mirrored order: at X = V, the list itself.
 ``entropy`` reads ``entropy_scaled`` back as a reduced Fraction.
 
 JSON file format (used by :func:`load_source` / :func:`dump_source`)::
@@ -73,7 +73,6 @@ from .core import (
     json_text,
     parse_fraction,
     read_json,
-    submask_sums,
 )
 from .submodular import PrefixStepper
 
@@ -107,60 +106,53 @@ class _SourceBase:
 
     def stepper(self, weight: int) -> PrefixStepper:
         """A fresh sweep's prefix steps, for rates on the scale weight*D."""
-        return PrefixStepper(self.entropies, weight)
+        return PrefixStepper(self.entropies, weight, [0], [0])
 
     def shortfall(self, mask: int, rates, weight: int) -> tuple | None:
         """``(C, shortfall)`` for the first proper subset C of X = ``mask``,
         in ascending mask order, with r(C) < weight * (H(X) - H(X minus C)),
         for ``rates`` on the scale weight*D by ground position; else None.
 
-        At X = V the rate sums by mask and the table read backwards put
-        C and V minus C at one index, as :meth:`split_minimum` pairs
-        them, so one ``min`` over one ``map`` decides, and the first
-        failing C is the first index of that list below weight * H(V).
-        A smaller X walks its submasks one by one, which costs less than
-        building the lists of their entropies."""
-        table = self.entropies
-        h_x = table[mask]
-        if mask == self.ground.full_mask:
-            sums = [0]
-            for rate in rates:
-                sums += [total + rate for total in sums]
-            sums.pop()  # C = V is no constraint
-            rest = reversed(table)  # H(V minus C) at C's index
-            if weight != 1:
-                rest = map(mul, rest, repeat(weight))
-            slack = list(map(add, sums, rest))
-            need = weight * h_x
-            if min(slack) >= need:
-                return None
-            return next((c, need - have) for c, have in enumerate(slack) if have < need)
-        submasks, rate_sums = submask_sums(mask, rates)
-        submasks.pop()  # C = X is no constraint; C = {} asks for nothing
-        for c, have in zip(submasks, rate_sums):
-            need = weight * (h_x - table[mask ^ c])
-            if have < need:
-                return c, need - have
-        return None
+        The rate sums, doubled over X's users, and :meth:`_submask_entropies`
+        read backwards put C and X minus C at one index, so one ``min`` over
+        one ``map`` decides; the first index below weight * H(X), its bits
+        placed on X's users, is the first failing C (at V, the index)."""
+        h = self._submask_entropies(mask)
+        users = list(bit_positions(mask))
+        sums = [0]
+        for rate in map(rates.__getitem__, users):
+            sums += [total + rate for total in sums]
+        sums.pop()  # C = X is no constraint
+        rest = reversed(h) if weight == 1 else map(mul, reversed(h), repeat(weight))  # H(X minus C)
+        slack = list(map(add, sums, rest))
+        need = weight * h[-1]
+        if min(slack) >= need:
+            return None
+        index, have = next((i, have) for i, have in enumerate(slack) if have < need)
+        return sum(1 << pos for k, pos in enumerate(users) if index >> k & 1), need - have
 
     def split_minimum(self, mask: int) -> int:
         """The least D * (H(Y) + H(X minus Y)) over the nonempty proper
         subsets Y of X = ``mask``, which needs two users or more.
 
-        The entropies of X's submasks, in the order that doubling lists
-        them, pair each Y with its complement at the mirrored index, so
-        one ``min`` over one ``map`` covers each split once; at X = V
-        that list is the table itself, read without a copy."""
-        table = self.entropies
-        if mask == self.ground.full_mask:
-            h = table
-        else:
-            submasks = [0]
-            for pos in bit_positions(mask):
-                submasks += [y | 1 << pos for y in submasks]
-            h = list(map(table.__getitem__, submasks))
+        :meth:`_submask_entropies` pairs each Y with its complement at the
+        mirrored index, so one ``min`` over one ``map`` covers each split
+        once."""
+        h = self._submask_entropies(mask)
         half = len(h) // 2
         return min(map(add, islice(h, 1, half), islice(reversed(h), 1, half)))
+
+    def _submask_entropies(self, mask: int) -> list:
+        """D * H(Y) for the submasks Y of X = ``mask`` in the order that
+        doubling over X's users lists them, which is ascending mask order:
+        one gather, and at X = V the table itself, read without a copy."""
+        table = self.entropies
+        if mask == self.ground.full_mask:
+            return table
+        submasks = [0]
+        for pos in bit_positions(mask):
+            submasks += [y | 1 << pos for y in submasks]
+        return list(map(table.__getitem__, submasks))
 
 
 class PacketSource(_SourceBase):

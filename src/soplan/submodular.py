@@ -15,9 +15,9 @@ One step serves every sweep: :func:`minimize_over_prefix`
 minimizes over the 2^(i-1) prefix sets that hold the newest user, so a
 completed sweep over k users visits 2^k - 1 sets.  A sweep asks the
 source for a stepper (:class:`PrefixStepper` on a table), which keeps
-the submasks of the finished prefix and their rate sums and doubles
-both lists with each finished user: in place for a sweep, into a new
-stepper for each child of the trie walk below.  The step returns the
+the submasks of the finished prefix and their rate sums; each finished
+user doubles both lists into a new stepper, which for the trie walk
+below is one child's.  The step returns the
 minimum, the maximal minimizer and the minimizers; a completed sweep
 reads the first two and keeps the minimizers, and only the early-exit
 sweep reads the (cardinality, mask) tie-break among them, which is
@@ -179,24 +179,17 @@ def minimize_over_prefix(table, weight: int, top: int, submasks, rate_sums, whol
 class PrefixStepper:
     """The steps of one sweep on an int entropy table at one ``weight``:
     the finished prefix's submasks inside the sweep's domain and their
-    rate sums, which double with each finished user.  A sweep doubles
-    its one stepper in place (``absorb``); the trie walk, which branches,
-    builds each child's stepper once (``child``) and leaves the
-    parent's lists to its siblings."""
+    rate sums.  Each finished user grows a new stepper (``child``) and
+    leaves this one's lists as they were, to the siblings of the trie
+    walk, which branches."""
 
     __slots__ = ("table", "weight", "submasks", "sums")
 
-    def __init__(self, table, weight: int, submasks=None, sums=None):
-        self.table, self.weight = table, weight
-        self.submasks = [0] if submasks is None else submasks
-        self.sums = [0] if sums is None else sums
+    def __init__(self, table, weight: int, submasks: list, sums: list):
+        self.table, self.weight, self.submasks, self.sums = table, weight, submasks, sums
 
     def step(self, top: int, whole: int) -> SfmResult:
         return minimize_over_prefix(self.table, self.weight, top, self.submasks, self.sums, whole)
-
-    def absorb(self, top: int, rate: int) -> None:
-        self.submasks += [sub | top for sub in self.submasks]
-        self.sums += [total + rate for total in self.sums]
 
     def child(self, top: int, rate: int) -> "PrefixStepper":
         """A new stepper with ``top`` absorbed at ``rate``: this one's
@@ -332,7 +325,7 @@ def run_rate_update(source, shift, early_exit: bool = True, within: SubsetLike =
         blocks = _join_blocks(blocks, top, step.maximal_minimizer)
         minimizers.append(step.minimizers)
         if pos != last:
-            stepper.absorb(top, rate)
+            stepper = stepper.child(top, rate)
     if exit_subset is not None:
         blocks = minimizers = None
     return UpdateRun(exit_subset, exit_position, tuple(scaled), weight * source.denominator,

@@ -241,7 +241,7 @@ def polymatroid_report(source) -> PolymatroidReport:
 def reference_shortfall(source, mask: int, rates, weight: int) -> tuple | None:
     """The achievability loop over every proper subset C of X = ``mask``
     in ascending mask order, one subset at a time: the oracle for
-    ``shortfall``, which reads the table in mirrored order at X = V."""
+    ``shortfall``, which reads X's submask entropies in mirrored order."""
     table = source.entropies
     submasks, rate_sums = submask_sums(mask, rates)
     submasks.pop()  # C = X is no constraint

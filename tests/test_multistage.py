@@ -96,6 +96,14 @@ class TestMergedSystem:
         with pytest.raises(DomainError):
             merge_super_user(system, system.ground.full_mask, zero)
 
+    def test_merge_refuses_rates_over_another_ground(self, cyclic_triple):
+        system = initial_system(cyclic_triple)
+        narrower = RateVector.from_map(GroundSet((1, 2)), {1: 1})
+        reordered = RateVector.from_map(GroundSet((2, 1, 3)), {1: 1}, [1, 2])
+        for rates in (narrower, reordered):
+            with pytest.raises(DomainError, match="another ground set"):
+                merge_super_user(system, [1, 2], rates)
+
 
 class TestBuildPlanWorkedExample:
     def test_asymptotic_stages(self, five_user):

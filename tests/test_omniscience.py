@@ -7,6 +7,7 @@ import itertools
 import math
 import random
 import re
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
@@ -33,9 +34,11 @@ from soplan import (
 import soplan.cli as cli
 from soplan.omniscience import MODELS, SwCheck, check_model, optimal_rate_vector
 from soplan import omniscience, submodular
+from soplan.core import bit_positions
 from soplan.sources import _SourceBase, reorder, source_from_dict
 from tests.conftest import (
     enumerate_partitions,
+    induced_table,
     iter_submasks,
     make_five_user,
     models_of,
@@ -475,6 +478,18 @@ class TestSwAchievability:
         rates = RateVector.from_map(source.ground, values, domain=mask)
         assert check_sw_achievable(source, mask, rates) == ref_sw_check(source, mask, rates)
 
+    def test_refuses_rates_over_another_ground(self, cyclic_triple):
+        # read by position, the reversed vector would give user 3 the rate
+        # and report {1,2}, and the wider one would report {1,2} too
+        g = cyclic_triple.ground
+        own = RateVector.from_map(g, {1: Fraction(3, 2)})
+        assert check_sw_achievable(cyclic_triple, g.full_mask, own).violating == g.mask([2, 3])
+        reversed_order = RateVector.from_map(GroundSet((3, 2, 1)), {1: Fraction(3, 2)})
+        wider = RateVector(GroundSet(("x", "y", "z", "w")), (0, 0, 0, 5), 0b1111)
+        for rates in (reversed_order, wider):
+            with pytest.raises(DomainError, match="another ground set"):
+                check_sw_achievable(cyclic_triple, g.full_mask, rates)
+
     def test_local_subset_check(self, five_user):
         g = five_user.ground
         rates = RateVector.from_map(g, {1: 2}, domain=[1, 2])
@@ -485,26 +500,33 @@ class TestSwAchievability:
             check_sw_achievable(five_user, [1, 3], rates)
 
 
-class TestShortfallAtV:
-    """At X = V, ``shortfall`` decides with one min over the rate sums
-    and the table read in mirrored order, and names the failing subset
-    from the same list; the subset-by-subset loop of
-    ``tests/conftest.reference_shortfall`` is its oracle."""
+class TestShortfall:
+    """At every non-singleton X, V included, ``shortfall`` decides with
+    one min over the rate sums and X's submask entropies read in mirrored
+    order, and names the failing subset from the same list; the
+    subset-by-subset loop of ``tests/conftest.reference_shortfall`` is
+    its oracle."""
 
     @staticmethod
-    def rate_vectors(source, rng):
-        """``(rates, weight)`` pairs on the scale weight*D: R(V)'s witness
+    def rate_vectors(source, mask, rng):
+        """``(rates, weight)`` pairs on the scale weight*D: R(X)'s witness
         at weight 1 (rounded down when that scale cannot hold it), at the
         lcm L of its denominators and at 3L, each as it is and with one
-        or two entries nudged down."""
-        witness = min_sum_rate(source).rates.values
+        or two of X's entries nudged down.  The users outside X get
+        random rates, which the check must not read."""
+        witness = min_sum_rate(source, mask).rates.values
         lcm = math.lcm(*(value.denominator for value in witness))
+        members = list(bit_positions(mask))
         for weight in sorted({1, lcm, 3 * lcm}):
-            rates = [math.floor(value * weight * source.denominator) for value in witness]
+            rates = [
+                math.floor(value * weight * source.denominator) if mask >> pos & 1
+                else rng.randint(-9, 9)
+                for pos, value in enumerate(witness)
+            ]
             yield rates, weight
             for count in (1, 2):
                 nudged = list(rates)
-                for pos in rng.sample(range(len(rates)), count):
+                for pos in rng.sample(members, count):
                     nudged[pos] -= rng.randint(1, 3)
                 yield nudged, weight
 
@@ -512,40 +534,67 @@ class TestShortfallAtV:
         verdicts = Counter()
         for source in sources:
             full = source.ground.full_mask
-            for rates, weight in self.rate_vectors(source, rng):
-                short = source.shortfall(full, rates, weight)
-                assert short == reference_shortfall(source, full, rates, weight)
-                verdicts[short is None, weight > 1] += 1
+            for mask in range(3, full + 1):
+                if mask.bit_count() < 2:
+                    continue
+                for rates, weight in self.rate_vectors(source, mask, rng):
+                    short = source.shortfall(mask, rates, weight)
+                    assert short == reference_shortfall(source, mask, rates, weight)
+                    verdicts[short is None, mask == full, weight > 1] += 1
         return verdicts
 
     def test_corpus(self, source_corpus):
         verdicts = self.assert_like_the_loop(source_corpus, random.Random(5))
-        assert all(verdicts[ok, heavy] for ok in (True, False) for heavy in (True, False))
+        assert len(verdicts) == 8  # both verdicts below V and at V, at weight 1 and above
 
     def test_rational_tables(self):
         rng = random.Random(8)
         tables = [random_rational_table(rng, n, 2 * n) for n in (2, 3, 4, 5, 6, 7) for _ in range(4)]
         verdicts = self.assert_like_the_loop(tables, rng)
-        assert verdicts[True, True] and verdicts[False, True]
+        assert all(verdicts[ok, at_v, True] for ok in (True, False) for at_v in (True, False))
 
-    def test_v_walks_no_submasks(self, source_corpus, monkeypatch):
-        # at V both the verdict and the first failing C are read off the
-        # one list of mirrored sums, at every weight
-        def no_walk(*args):
-            raise AssertionError("the submask loop ran at V")
+    def test_v_walks_no_submasks(self, source_corpus):
+        """At V the check reads the table itself: by index a constant
+        number of times at every weight, and with no list of V's 2^n
+        submasks beside its own two lists, the rate sums and the slacks."""
+
+        class IndexCounted(list):
+            reads = 0
+
+            def __getitem__(self, index):
+                self.reads += 1
+                return super().__getitem__(index)
 
         rng = random.Random(6)
-        cases = [
-            (source, rates, weight, reference_shortfall(source, source.ground.full_mask, rates, weight))
-            for source in source_corpus[::5]
-            for rates, weight in self.rate_vectors(source, rng)
-        ]
-        monkeypatch.setattr("soplan.sources.submask_sums", no_walk)
-        for source, rates, weight, want in cases:
-            assert source.shortfall(source.ground.full_mask, rates, weight) == want
-        assert {(want is None, weight > 1) for _, _, weight, want in cases} == {
-            (True, True), (True, False), (False, True), (False, False)
-        }
+        sources = [*source_corpus[::5], random_rational_table(rng, 7, 14)]
+        seen = set()
+        for source in sources:
+            full = source.ground.full_mask
+            counted = induced_table(source)
+            counted.entropies = table = IndexCounted(counted.entropies)
+            for rates, weight in self.rate_vectors(source, full, rng):
+                want = reference_shortfall(source, full, rates, weight)
+                table.reads = 0
+                assert counted.shortfall(full, rates, weight) == want
+                assert table.reads <= 2
+                seen.add((want is None, weight > 1))
+        assert len(seen) == 4
+
+        # every sum below is a small int, which CPython keeps cached, so
+        # each list the check builds costs one 8-byte pointer per subset
+        for n in (12, 14):
+            source = random_packet_source(random.Random(n), n, 12)
+            full, pointers = source.ground.full_mask, 8 << n
+            singles = [source.entropy_scaled(1 << pos) for pos in range(n)]
+            for rates, ok in ((singles, True), ([0] * n, False)):
+                tracemalloc.start()
+                try:
+                    before = tracemalloc.get_traced_memory()[0]
+                    assert (source.shortfall(full, rates, 1) is None) == ok
+                    peak = tracemalloc.get_traced_memory()[1] - before
+                finally:
+                    tracemalloc.stop()
+                assert peak < 3 * pointers, (n, ok, peak / pointers)
 
 
 class TestComplementary:

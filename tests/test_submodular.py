@@ -343,7 +343,7 @@ class TestFirstExcess:
                             rates[pos] += rng.randint(1, 2)
                     stepper = source.stepper(weight)
                     for pos in bit_positions(parent):
-                        stepper.absorb(1 << pos, rates[pos])
+                        stepper = stepper.child(1 << pos, rates[pos])
                     for delta in (0, -1, 1, 2):
                         rate = rates[top] + delta
                         got = stepper.first_excess(1 << top, rate, base)
