@@ -156,8 +156,8 @@ class Record:
     and ``ast``, and it builds each class's methods by ``exec``, which
     together made up about a third of a fresh ``import soplan.cli``.  The
     internal records are :class:`typing.NamedTuple` classes, and
-    ``submodular.SfmResult``, built at every sweep step, a plain slotted
-    class.  Imports
+    ``submodular.SfmResult``, the ints that every sweep step returns, a
+    plain slotted class.  Imports
     are eager: importing :mod:`soplan.cli` imports every module of the
     package, because the benchmark times jobs in process, and a module
     imported late would be charged to the first job that needs it.

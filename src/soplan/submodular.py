@@ -17,15 +17,16 @@ completed sweep over k users visits 2^k - 1 sets.  A sweep asks the
 source for a stepper (:class:`PrefixStepper` on a table), which keeps
 the submasks of the finished prefix and their rate sums; each finished
 user doubles both lists into a new stepper, which for the trie walk
-below is one child's.  The step returns the
-minimum, the maximal minimizer and the minimizers; a completed sweep
-reads the first two and keeps the minimizers, and only the early-exit
-sweep reads the (cardinality, mask) tie-break among them, which is
-worked out when read.  The truncation is the sum of the finished
-rates.  The sweep records the blocks of a partition attaining it,
-joined at each step's maximal minimizer, which become a
-:class:`~soplan.core.Partition` only when a caller reads one; the finest such partition, joined at each
-step's minimal minimizer instead, is built only when read, and only
+below is one child's.  The step's minimizers are closed under union
+and intersection, f minus the rates being submodular, and it returns
+that lattice as ints: the minimum, the union (the maximal minimizer)
+and the intersection (the minimal minimizer); only for the early-exit
+sweep does it also work out the (cardinality, mask) tie-break among
+them.  The truncation is the sum of the finished rates.  The sweep
+records the blocks of a partition attaining it, joined at each step's
+maximal minimizer, which become a :class:`~soplan.core.Partition`
+only when a caller reads one; it keeps each step's minimal minimizer,
+at which the finest such partition is joined only when read, and only
 the accepting sweep of a minimum sum-rate reads it.
 Partitions are never enumerated outside the tests, where
 ``tests/conftest.enumerate_partitions`` serves as the oracle.
@@ -131,64 +132,69 @@ def _partition_minima(source, shift: Fraction) -> list:
 
 
 class SfmResult:
-    """One prefix step: the minimum key, the union of the minimizers
-    (itself a minimizer), the minimizers themselves and the number of
+    """One prefix step, as ints: the minimum key, the union and the
+    intersection of the minimizers (both minimizers themselves, since f
+    minus the rates is submodular), the early exit and the number of
     candidates.  The early exit, the smallest (cardinality, bitmask)
-    among the minimizers other than ``{top}`` and the step's domain
-    ``whole``, is worked out only when read.  Every sweep step builds
-    one, so it is a plain slotted class: built and read faster than a
-    :class:`~typing.NamedTuple`."""
+    minimizer other than ``{top}`` and the step's domain, is worked out
+    only for a step that is given the domain; else it is None.  Every
+    sweep step builds one, so it is a plain slotted class: built and
+    read faster than a :class:`~typing.NamedTuple`."""
 
-    __slots__ = ("min_value", "maximal_minimizer", "minimizers", "whole", "candidates_examined")
+    __slots__ = ("min_value", "maximal_minimizer", "minimal_minimizer", "exit_subset",
+                 "candidates_examined")
 
-    def __init__(self, min_value: int, maximal_minimizer: int, minimizers: list, whole: int,
-                 candidates_examined: int):
+    def __init__(self, min_value: int, maximal_minimizer: int, minimal_minimizer: int,
+                 exit_subset: int | None, candidates_examined: int):
         self.min_value = min_value
         self.maximal_minimizer = maximal_minimizer
-        self.minimizers = minimizers
-        self.whole = whole
+        self.minimal_minimizer = minimal_minimizer
+        self.exit_subset = exit_subset
         self.candidates_examined = candidates_examined
 
-    @property
-    def nonsingleton_proper_minimizer(self) -> int | None:
-        # every minimizer holds top, so the ones other than {top} have
-        # at least two members
-        whole = self.whole
-        eligible = [m for m in self.minimizers if m.bit_count() > 1 and m != whole]
-        return min(eligible, key=lambda m: (m.bit_count(), m)) if eligible else None
 
-
-def minimize_over_prefix(table, weight: int, top: int, submasks, rate_sums, whole: int) -> SfmResult:
+def minimize_over_prefix(table, weight: int, top: int, submasks, rate_sums,
+                         whole: int | None = None) -> SfmResult:
     """Minimize the key ``weight * table[sub | top] - total`` over the
-    submasks ``sub`` of the finished prefix inside the sweep's domain
-    ``whole``, each with its rate sum ``total`` from ``rate_sums``.
+    submasks ``sub`` of the finished prefix, in ascending order, each
+    with its rate sum ``total`` from ``rate_sums``.
 
     On the rates' scale weight*D the key is f(X) - r(X) for X = sub | top,
     less f's constant and plus the rate of ``top``, so both have the
     same minimizers, and that rate is finished at f's constant plus
-    ``min_value``."""
+    ``min_value``.  Given the sweep's domain ``whole``, the step also
+    works out the early exit.  Every minimizer holds the intersection,
+    so that is the exit when it has two users or more and is not the
+    domain, and there is none when it is the domain; when it is
+    ``{top}``, the exit is the smallest of the other minimizers."""
     keys = [weight * table[sub | top] - total for sub, total in zip(submasks, rate_sums)]
     best = min(keys)
-    minimizers = [sub | top for sub, key in zip(submasks, keys) if key == best]
-    maximal = 0
-    for m in minimizers:
-        maximal |= m
-    return SfmResult(best, maximal, minimizers, whole, len(submasks))
+    minimizers = [sub for sub, key in zip(submasks, keys) if key == best]
+    # the intersection and the union are minimizers, and no set's mask
+    # exceeds a superset's: they come first and last
+    meet, union = minimizers[0], minimizers[-1]
+    exit_subset = None
+    if whole is not None and meet | top != whole:
+        # sub | top orders as sub does: top is in no sub
+        eligible = [meet] if meet else [sub for sub in minimizers if sub and sub | top != whole]
+        if eligible:
+            exit_subset = min(eligible, key=lambda sub: (sub.bit_count(), sub)) | top
+    return SfmResult(best, union | top, meet | top, exit_subset, len(submasks))
 
 
 class PrefixStepper:
     """The steps of one sweep on an int entropy table at one ``weight``:
-    the finished prefix's submasks inside the sweep's domain and their
-    rate sums.  Each finished user grows a new stepper (``child``) and
-    leaves this one's lists as they were, to the siblings of the trie
-    walk, which branches."""
+    the finished prefix's submasks inside the sweep's domain, ascending,
+    and their rate sums.  Each finished user grows a new stepper
+    (``child``) and leaves this one's lists as they were, to the
+    siblings of the trie walk, which branches."""
 
     __slots__ = ("table", "weight", "submasks", "sums")
 
     def __init__(self, table, weight: int, submasks: list, sums: list):
         self.table, self.weight, self.submasks, self.sums = table, weight, submasks, sums
 
-    def step(self, top: int, whole: int) -> SfmResult:
+    def step(self, top: int, whole: int | None = None) -> SfmResult:
         return minimize_over_prefix(self.table, self.weight, top, self.submasks, self.sums, whole)
 
     def child(self, top: int, rate: int) -> "PrefixStepper":
@@ -222,9 +228,9 @@ class UpdateRun(NamedTuple):
     ``blocks`` are the tight blocks of a completed sweep's domain (None
     after an early exit): their f values add up to the sum of the
     finished rates.  ``partition`` builds their :class:`Partition` when
-    read.  ``minimizers`` holds each completed step's minimizers, from
-    which ``finest_partition`` builds the finest tight partition when
-    read.
+    read.  ``minimal_minimizers`` holds each completed step's minimal
+    minimizer, at which ``finest_partition`` joins the finest tight
+    partition when read.
     """
 
     exit_subset: int | None
@@ -233,7 +239,7 @@ class UpdateRun(NamedTuple):
     scale: int
     candidates_examined: int
     blocks: list | None
-    minimizers: list | None = None
+    minimal_minimizers: list | None = None
 
     @property
     def partition(self) -> Partition | None:
@@ -253,13 +259,10 @@ class UpdateRun(NamedTuple):
         more blocks are those whose bound is R(X), so this is the
         finest of them, the fundamental partition; above R(X) it is
         {X}."""
-        if self.minimizers is None:
+        if self.minimal_minimizers is None:
             return None
         blocks = []
-        for minimizers in self.minimizers:
-            minimal = minimizers[0]
-            for m in minimizers:
-                minimal &= m
+        for minimal in self.minimal_minimizers:
             blocks = _join_blocks(blocks, 1 << (minimal.bit_length() - 1), minimal)
         return Partition(blocks)
 
@@ -299,7 +302,8 @@ def run_rate_update(source, shift, early_exit: bool = True, within: SubsetLike =
     (r(B) = f(B)): each step joins the newest user with every block that
     meets that step's maximal minimizer.  Tight sets that meet have a
     tight union, so the blocks stay tight.  It also keeps each step's
-    minimizers, for :attr:`UpdateRun.finest_partition`.
+    minimal minimizer, the intersection of its minimizers, for
+    :attr:`UpdateRun.finest_partition`.
     """
     ground = source.ground
     whole = ground.full_mask if within is None else ground.mask(within)
@@ -310,26 +314,21 @@ def run_rate_update(source, shift, early_exit: bool = True, within: SubsetLike =
     base = shift.numerator * source.denominator  # f's constant on the scale weight*D
     rates = [base if whole >> pos & 1 else 0 for pos in range(ground.size)]
     stepper, last = source.stepper(weight), whole.bit_length() - 1
-    scaled, blocks, minimizers = [], [], []
+    scaled, blocks, minimal, scale = [], [], [], weight * source.denominator
     candidates = -1  # the first user's one candidate, itself, is no choice
-    exit_subset = exit_position = None
     for pos in bit_positions(whole):
         top = 1 << pos
-        step = stepper.step(top, whole)
+        step = stepper.step(top, whole if early_exit else None)
         candidates += step.candidates_examined
-        if early_exit and step.nonsingleton_proper_minimizer is not None:
-            exit_subset, exit_position = step.nonsingleton_proper_minimizer, pos + 1
-            break
+        if step.exit_subset is not None:
+            return UpdateRun(step.exit_subset, pos + 1, tuple(scaled), scale, candidates, None)
         rates[pos] = rate = base + step.min_value
         scaled.append(tuple(rates))
         blocks = _join_blocks(blocks, top, step.maximal_minimizer)
-        minimizers.append(step.minimizers)
+        minimal.append(step.minimal_minimizer)
         if pos != last:
             stepper = stepper.child(top, rate)
-    if exit_subset is not None:
-        blocks = minimizers = None
-    return UpdateRun(exit_subset, exit_position, tuple(scaled), weight * source.denominator,
-                     candidates, blocks, minimizers)
+    return UpdateRun(None, None, tuple(scaled), scale, candidates, blocks, minimal)
 
 
 def _prefix_trie_sweeps(source, shift):
@@ -360,7 +359,7 @@ def _prefix_trie_sweeps(source, shift):
         for pos in range(parent.bit_length(), size):
             top = 1 << pos
             child = parent | top
-            step = stepper.step(top, child)
+            step = stepper.step(top)
             rate = base + step.min_value
             child_blocks = _join_blocks(blocks, top, step.maximal_minimizer)
             yield child, stepper, rate, child_blocks

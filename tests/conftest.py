@@ -197,6 +197,35 @@ def snapshots(run) -> tuple:
     return tuple(tuple(Fraction(v, run.scale) for v in rates) for rates in run.scaled)
 
 
+def reference_comp_set_so(source, alpha) -> tuple:
+    """CompSetSO at ``alpha`` by brute force: ``(subset, exit_position)``
+    of the early exit, or ``(None, None)`` when the sweep completes.
+
+    Rates start at alpha - H(V).  At each user t in ascending position,
+    every prefix candidate X (a set of earlier users plus t) gets the
+    Fraction value g(X) = f(X) - r(X minus t), with f(X) = alpha - H(V)
+    + H(X).  The sweep exits at the first user whose minimizers include
+    one with two users or more other than V, the smallest by
+    (cardinality, mask); else t's rate is finished at the minimum."""
+    ground = source.ground
+    full = ground.full_mask
+    shift = Fraction(alpha) - source.entropy(full)
+    rates = [shift] * ground.size
+    for pos in range(ground.size):
+        top = 1 << pos
+        values = {}
+        for sub in range(top):
+            others = sum((rates[i] for i in bit_positions(sub)), Fraction(0))
+            values[sub | top] = shift + source.entropy(sub | top) - others
+        least = min(values.values())
+        eligible = [x for x, value in values.items()
+                    if value == least and x.bit_count() > 1 and x != full]
+        if eligible:
+            return min(eligible, key=lambda x: (x.bit_count(), x)), pos + 1
+        rates[pos] = least
+    return None, None
+
+
 def polymatroid_report(source) -> PolymatroidReport:
     """The per-mask polymatroid check: every (C, i) and (C, i, j) tested
     one at a time, in that order, with today's texts: the oracle for

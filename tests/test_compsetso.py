@@ -37,6 +37,7 @@ from tests.conftest import (
     make_five_user,
     random_packet_source,
     random_rational_table,
+    reference_comp_set_so,
     scaled_table,
 )
 
@@ -136,6 +137,34 @@ class TestCompSetSo:
         comp_set_so(source, model, LOWER_BOUND)
         cache = source.__dict__.get("_minrate_cache", {})
         assert all(mask != source.ground.full_mask for mask, _ in cache)
+
+
+class TestExitAgainstReference:
+    """The subset and position of every early exit, and every completion,
+    match a brute-force CompSetSO over Fraction g-values at 3 to 9
+    users, in both alpha modes."""
+
+    @staticmethod
+    def assert_like_the_reference(source, model):
+        for mode in (EXACT, LOWER_BOUND):
+            outcome = comp_set_so(source, model, mode)
+            want = reference_comp_set_so(source, outcome.alpha)
+            assert (outcome.subset, outcome.exit_position) == want, (model, mode)
+
+    @settings(max_examples=80, derandomize=True, deadline=None)
+    @given(st.randoms(use_true_random=False))
+    def test_packet_sources(self, rng):
+        n = rng.randint(3, 9)
+        source = random_packet_source(rng, n, rng.randint(n, 2 * n))
+        for model in (ASYMPTOTIC, NON_ASYMPTOTIC):
+            self.assert_like_the_reference(source, model)
+
+    @settings(max_examples=40, derandomize=True, deadline=None)
+    @given(st.randoms(use_true_random=False))
+    def test_rational_tables(self, rng):
+        n = rng.randint(3, 9)
+        source = random_rational_table(rng, n, rng.randint(n, 2 * n))
+        self.assert_like_the_reference(source, ASYMPTOTIC)
 
 
 class TestCertificates:

@@ -742,9 +742,11 @@ class TestEnumerationWitnesses:
         base = shift.numerator * five_user.denominator
         real = submodular.minimize_over_prefix
 
-        def lifted(table, weight, step_top, submasks, rate_sums, whole):
-            step = real(table, weight, step_top, submasks, rate_sums, whole)
-            if whole == x and step_top == top:
+        def lifted(table, weight, step_top, submasks, *rest):
+            # the step that finishes X: its prefix's largest submask is
+            # X's parent
+            step = real(table, weight, step_top, submasks, *rest)
+            if submasks[-1] | step_top == x:
                 step.min_value += 1
             return step
 
@@ -1029,9 +1031,10 @@ class TestIntVerdicts:
 
 class TestRelationsAtScale:
     """Relations that ``enumerate --verify`` must satisfy at 9 to 12
-    users, where no oracle reaches: the family follows a relabelling of
+    users, and ``min_sum_rate`` at 13 to 16, where no oracle reaches:
+    the family and the fundamental partition follow a relabelling of
     the users, and neither a packet held by every user nor splitting
-    every packet in two changes it; the first leaves R(V) as it is and
+    every packet in two changes them; the first leaves R(V) as it is and
     the second doubles it (asymptotic model).  On a table, D added to
     every nonempty entry is the shared packet and every entry doubled
     is the split."""
@@ -1079,6 +1082,26 @@ class TestRelationsAtScale:
                 assert self.family(self.shared(source), model) == want
             family, r_v = got[ASYMPTOTIC]
             assert self.family(self.split(source), ASYMPTOTIC) == (family, 2 * r_v)
+
+    @staticmethod
+    def fundamental(source) -> tuple:
+        """R(V) and its fundamental partition as sets of labels."""
+        result = min_sum_rate(source)
+        labels = source.ground.labels_of
+        return result.value, {frozenset(labels(block)) for block in result.maximizing_partition}
+
+    def test_min_sum_rate_at_13_to_16_users(self):
+        # R(V) and its fundamental partition follow a relabelling and
+        # ignore a shared packet; splitting every packet doubles R(V)
+        for n in (13, 14, 15, 16):
+            source = random_packet_source(random.Random(n), n, 2 * n)
+            labels = list(source.ground.labels)
+            random.Random(n).shuffle(labels)
+            value, partition = want = self.fundamental(source)
+            assert len(partition) > 1
+            assert self.fundamental(reorder(source, labels)) == want
+            assert self.fundamental(self.shared(source)) == want
+            assert self.fundamental(self.split(source)) == (2 * value, partition)
 
 
 class TestOptimalRateVector:

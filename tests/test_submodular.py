@@ -7,6 +7,7 @@ independently of the sweep's integer arithmetic."""
 
 from __future__ import annotations
 
+import inspect
 import math
 import random
 from collections import Counter
@@ -29,7 +30,6 @@ from soplan.compsetso import alpha_lower_bound, comp_set_so
 from soplan.core import bit_positions, submask_sums
 from soplan import submodular
 from soplan.submodular import (
-    SfmResult,
     _prefix_trie_sweeps,
     dilworth_truncation,
     minimize_over_prefix,
@@ -386,16 +386,18 @@ class TestMinimizeOverPrefix:
         values = {m: g_value(source, shift, rates, m) for m in candidates}
         assert min_value == min(values.values())
         minimizers = [m for m in candidates if values[m] == min_value]
-        assert result.minimizers == minimizers
-        # minimizers form a lattice: their union is the largest of them
-        union = 0
+        # minimizers form a lattice: their union is the largest of them,
+        # and their intersection the smallest
+        union, meet = 0, whole
         for m in minimizers:
             union |= m
+            meet &= m
         assert result.maximal_minimizer == union
-        assert values[union] == min_value
+        assert result.minimal_minimizer == meet
+        assert values[union] == min_value and values[meet] == min_value
         eligible = [m for m in minimizers if m.bit_count() >= 2 and m != whole]
         want = min(eligible, key=lambda m: (m.bit_count(), m)) if eligible else None
-        assert result.nonsingleton_proper_minimizer == want
+        assert result.exit_subset == want
         assert result.candidates_examined == len(candidates)
 
     @staticmethod
@@ -427,8 +429,8 @@ class TestMinimizeOverPrefix:
         rates = [f_value(five_user, shift, 0b1)] + [Fraction(13, 2) - 10] * 4
         result, min_value = step(five_user, shift, rates, 2)
         assert min_value == Fraction(7, 2)
-        assert result.minimizers == [0b11] and result.maximal_minimizer == 0b11
-        assert result.nonsingleton_proper_minimizer == five_user.ground.mask([1, 2])
+        assert result.minimal_minimizer == 0b11 and result.maximal_minimizer == 0b11
+        assert result.exit_subset == five_user.ground.mask([1, 2])
 
     def test_tie_break_puts_cardinality_before_mask(self):
         # at user 4 the minimizers are {4}, {3,4}, {1,2,4} and V: the exit
@@ -436,25 +438,25 @@ class TestMinimizeOverPrefix:
         source = PacketSource(GroundSet((1, 2, 3, 4)), {1: "xy", 2: "xy", 3: "a", 4: "abc"})
         rates = [Fraction(1), Fraction(1), Fraction(0), Fraction(0)]
         result, _ = step(source, Fraction(0), rates, 4)
-        assert result.minimizers == [0b1000, 0b1011, 0b1100, 0b1111]
-        assert result.nonsingleton_proper_minimizer == 0b1100
+        assert result.minimal_minimizer == 0b1000
+        assert result.exit_subset == 0b1100
         assert result.maximal_minimizer == 0b1111
         self.assert_matches_brute_force(source, Fraction(0), rates, 4, 0b1111)
         # inside {1,2,4}, that set is the whole domain and no exit
         result, _ = step(source, Fraction(0), rates, 4, 0b1011)
-        assert result.nonsingleton_proper_minimizer is None
+        assert result.exit_subset is None
 
     @settings(max_examples=60, deadline=None)
     @given(st.randoms(use_true_random=False))
     def test_lattice_closure_of_minimizers(self, rng):
-        n = rng.randint(2, 6)
+        n = rng.randint(2, 9)
         source = random_packet_source(rng, n, rng.randint(n, 10))
         self.assert_matches_brute_force(source, *self.draw(rng, source))
 
     @settings(max_examples=60, deadline=None)
     @given(st.randoms(use_true_random=False))
     def test_rational_tables(self, rng):
-        source = random_rational_table(rng, rng.randint(2, 6), rng.randint(2, 10))
+        source = random_rational_table(rng, rng.randint(2, 9), rng.randint(2, 10))
         self.assert_matches_brute_force(source, *self.draw(rng, source))
 
 
@@ -505,15 +507,23 @@ class TieBreakRead(Exception):
 
 
 class TestTieBreakOnlyWhenRead:
-    """Only the early-exit sweep reads the step's (cardinality, mask)
-    tie-break; completed sweeps and the prefix trie never work it out."""
+    """Only the early-exit sweep asks the step for its (cardinality,
+    mask) tie-break; completed sweeps and the prefix trie never pass the
+    step a domain, so it never works the tie-break out for them."""
 
     @staticmethod
     def forbid(monkeypatch):
-        def refuse(result):
-            raise TieBreakRead
+        real = submodular.minimize_over_prefix
+        signature = inspect.signature(real)
 
-        monkeypatch.setattr(SfmResult, "nonsingleton_proper_minimizer", property(refuse))
+        def refuse(*args, **kwargs):
+            bound = signature.bind(*args, **kwargs)
+            bound.apply_defaults()
+            if bound.arguments["whole"] is not None:
+                raise TieBreakRead
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(submodular, "minimize_over_prefix", refuse)
 
     def test_completed_sweeps_never_read_it(self, monkeypatch):
         self.forbid(monkeypatch)
