@@ -14,7 +14,7 @@ import json
 from fractions import Fraction
 from itertools import islice, repeat
 from operator import add
-from typing import Iterable, Iterator, Mapping, Sequence, Union
+from typing import Iterable, Iterator, Mapping, Union
 
 #: Hard cap on the number of users.  Every source keeps an entropy table
 #: over all 2^|V| subsets and every prefix sweep and certificate visits
@@ -122,20 +122,23 @@ def bit_positions(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-def submask_sums(mask: int, values: Sequence) -> tuple:
-    """Every submask of ``mask`` in ascending numeric order, with the sum
-    of ``values`` (indexed by ground position) over it.
+def subset_sums(values: Iterable) -> list:
+    """The sum of ``values[k]`` over the bits k of m, for every m below
+    2^len(values), built by doubling: each value, first to last, doubles
+    the list, so building it costs one addition per entry.
 
-    Returns two lists of length 2^popcount(mask), ``(submasks, sums)``.
-    Each element of ``mask``, lowest first, doubles both lists, so
-    building them costs one addition per submask.
+    Bits or disjoint masks sum to their union, so the bits of X's users,
+    lowest first, give X's submasks, entry m placing m's bits on X's
+    users: in ascending mask order, a layout that
+    :meth:`~soplan.sources._SourceBase.shortfall` (the first failing
+    subset) and ``split_minimum`` (each subset's complement at the
+    mirrored index) rely on.  X's users' rates, in the same order, give
+    each of those submasks' rate sum at the same index.
     """
-    submasks, sums = [0], [0]
-    for pos in bit_positions(mask):
-        bit, value = 1 << pos, values[pos]
-        submasks += [sub | bit for sub in submasks]
+    sums = [0]
+    for value in values:
         sums += [total + value for total in sums]
-    return submasks, sums
+    return sums
 
 
 class Record:
@@ -203,7 +206,7 @@ class GroundSet(Record):
     update loop, and all tie-breaking.
     """
 
-    __slots__ = ("labels", "_index", "full_mask", "_texts")
+    __slots__ = ("labels", "_index", "full_mask")
     _fields = ("labels",)
 
     def __init__(self, labels: tuple):
@@ -224,7 +227,7 @@ class GroundSet(Record):
             if label in index:
                 raise DomainError(f"duplicate user label {brief(label)}")
             index[label] = pos
-        self._init(labels=labels, _index=index, full_mask=(1 << len(labels)) - 1, _texts=None)
+        self._init(labels=labels, _index=index, full_mask=(1 << len(labels)) - 1)
 
     @property
     def size(self) -> int:
@@ -243,8 +246,11 @@ class GroundSet(Record):
         """Normalize a subset given as a bitmask or an iterable of labels.
 
         An ``int`` argument is always read as a bitmask, never as a
-        single label; pass ``[label]`` for a singleton.
+        single label; pass ``[label]`` for a singleton.  A bool is
+        refused: ``True`` would read as the first user's mask.
         """
+        if isinstance(subset, bool):
+            raise DomainError(f"subsets must be int masks or iterables of labels, not {subset!r}")
         if isinstance(subset, int):
             if not 0 <= subset <= self.full_mask:
                 raise DomainError(f"mask {subset:#x} is out of range for {self.size} users")
@@ -265,17 +271,13 @@ class GroundSet(Record):
         """Each subset's labels' texts in ground order joined with commas,
         by mask, "" for the empty set, built by doubling: the inside of
         :meth:`format` for every mask at once, and an entropy table's
-        key for each subset.  The list is built on the first call and
-        kept, so a table's loader and ``enumerate`` share it; callers
-        must not change it."""
-        texts = self._texts
-        if texts is None:
-            texts = [""]
-            for label in self.labels:
-                text = str(label)
-                texts.append(text)
-                texts += map(add, islice(texts, 1, len(texts) - 1), repeat("," + text))
-            self._init(_texts=texts)
+        key for each subset.  Each call builds a new list, so no ground
+        holds 2^|V| texts beyond its caller's use of them."""
+        texts = [""]
+        for label in self.labels:
+            text = str(label)
+            texts.append(text)
+            texts += map(add, islice(texts, 1, len(texts) - 1), repeat("," + text))
         return texts
 
 

@@ -51,7 +51,7 @@ from .core import (
     json_text,
     parse_fraction,
     read_json,
-    submask_sums,
+    subset_sums,
 )
 from .omniscience import ASYMPTOTIC, NON_ASYMPTOTIC, check_model, min_sum_rate
 from .compsetso import LOWER_BOUND, comp_set_so
@@ -170,7 +170,10 @@ class StagePlan(Record):
                 key = str(item)
                 if key not in lookup:
                     raise FormatError(f"stage {k} targets unknown user {brief(item)}")
-                target_mask |= ground.bit(lookup[key])
+                bit = ground.bit(lookup[key])
+                if target_mask & bit:
+                    raise FormatError(f"stage {k} target names user {brief(key)} twice")
+                target_mask |= bit
             rates = {}
             for key, value in raw["rates"].items():
                 if key not in lookup:
@@ -272,14 +275,14 @@ def merge_super_user(system: MergedSystem, subset: SubsetLike, rates: RateVector
     source = system.source
     d = lcm(*(rates.values[pos].denominator for pos in bit_positions(mask)))
     h, denominator = source.entropy_scaled, source.denominator
-    # r(T) for every T in X, on the scale d * denominator of the new table
-    senders, sent = submask_sums(mask, [int(v * d) * denominator for v in rates.values])
+    # every T in X and r(T), on the scale d * denominator of the new table
+    members = list(bit_positions(mask))
+    senders = subset_sums([1 << pos for pos in members])
+    sent = subset_sums([int(rates.values[pos] * d) * denominator for pos in members])
 
     anchor = mask & -mask
     new_map = {}
-    # old_masks[m] is the current-system subset that the new subset m
-    # stands for; the super user's position stands for all of X
-    old_masks = [0]
+    stands_for = []  # each new position's current-system subset: the super user's is X
     for pos, label in enumerate(ground.labels):
         bit = 1 << pos
         if bit == anchor:
@@ -287,7 +290,8 @@ def merge_super_user(system: MergedSystem, subset: SubsetLike, rates: RateVector
         elif bit & mask:
             continue
         new_map[label] = frozenset().union(*(system.label_map[m] for m in ground.labels_of(bit)))
-        old_masks += [old | bit for old in old_masks]
+        stands_for.append(bit)
+    old_masks = subset_sums(stands_for)  # the current-system subset of each new subset
 
     merged = []
     for old in old_masks:

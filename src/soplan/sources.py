@@ -44,11 +44,13 @@ int of byte slots, one shift and add per user (:func:`_meeting_counts`).
 
 A table loads in whole-list passes: the key text of every subset, its
 labels in ground order as :func:`source_to_dict` writes them, is built
-once and looked up in the entropy dict, so a key is split into labels
-only when some key is not such a text (labels out of order, unknown or
-repeated users); each distinct value is read once by :func:`_ratio`;
-and :func:`validate_polymatroid` makes |V|(|V|+1)/2 subtractions of
-ints of 2^|V| slots (README, "File formats", gives load times).
+and looked up in the entropy dict, then dropped, so a key is split into
+labels only when some key is not such a text (labels out of order,
+unknown or repeated users); each distinct value is read once by
+:func:`_ratio` and put on one scale by :func:`_scaled`, as the
+constructor's are; and :func:`validate_polymatroid` makes |V|(|V|+1)/2
+subtractions of ints of 2^|V| slots (README, "File formats", gives load
+times).
 """
 
 from __future__ import annotations
@@ -73,6 +75,7 @@ from .core import (
     json_text,
     parse_fraction,
     read_json,
+    subset_sums,
 )
 from .submodular import PrefixStepper
 
@@ -113,15 +116,14 @@ class _SourceBase:
         in ascending mask order, with r(C) < weight * (H(X) - H(X minus C)),
         for ``rates`` on the scale weight*D by ground position; else None.
 
-        The rate sums, doubled over X's users, and :meth:`_submask_entropies`
-        read backwards put C and X minus C at one index, so one ``min`` over
-        one ``map`` decides; the first index below weight * H(X), its bits
-        placed on X's users, is the first failing C (at V, the index)."""
+        The rate sums by :func:`~soplan.core.subset_sums` over X's users
+        and :meth:`_submask_entropies` read backwards put C and X minus C
+        at one index, so one ``min`` over one ``map`` decides; the first
+        index below weight * H(X), its bits placed on X's users, is the
+        first failing C (at V, the index)."""
         h = self._submask_entropies(mask)
         users = list(bit_positions(mask))
-        sums = [0]
-        for rate in map(rates.__getitem__, users):
-            sums += [total + rate for total in sums]
+        sums = subset_sums(map(rates.__getitem__, users))
         sums.pop()  # C = X is no constraint
         rest = reversed(h) if weight == 1 else map(mul, reversed(h), repeat(weight))  # H(X minus C)
         slack = list(map(add, sums, rest))
@@ -143,15 +145,13 @@ class _SourceBase:
         return min(map(add, islice(h, 1, half), islice(reversed(h), 1, half)))
 
     def _submask_entropies(self, mask: int) -> list:
-        """D * H(Y) for the submasks Y of X = ``mask`` in the order that
-        doubling over X's users lists them, which is ascending mask order:
-        one gather, and at X = V the table itself, read without a copy."""
+        """D * H(Y) for the submasks Y of X = ``mask`` in ascending mask
+        order, as :func:`~soplan.core.subset_sums` lists them: one gather,
+        and at X = V the table itself, read without a copy."""
         table = self.entropies
         if mask == self.ground.full_mask:
             return table
-        submasks = [0]
-        for pos in bit_positions(mask):
-            submasks += [y | 1 << pos for y in submasks]
+        submasks = subset_sums([1 << pos for pos in bit_positions(mask)])
         return list(map(table.__getitem__, submasks))
 
 
@@ -218,23 +218,7 @@ class TableSource(_SourceBase):
         ordered = list(map(by_mask.__getitem__, range(size)))
         del by_mask  # the validation needs room for its own ints
         kept = {value: ratios[value] for value in set(ordered)}  # a replaced value sets no scale
-        self._fill(ordered, kept, validate)
-
-    @classmethod
-    def _from_values(cls, ground: GroundSet, values: list, ratios: dict, validate: bool):
-        """The table H(mask) = ``values[mask]``, with ``ratios`` from
-        :func:`_read_values` holding the distinct values."""
-        source = cls.__new__(cls)
-        source.ground = ground
-        source._fill(values, ratios, validate)
-        return source
-
-    def _fill(self, values: list, ratios: dict, validate: bool) -> None:
-        """Store ``values`` on the scale of the lcm of the denominators in
-        ``ratios``, which must hold exactly the distinct values."""
-        self.denominator = lcm(*(den for _, den in ratios.values()))
-        scaled = {value: num * (self.denominator // den) for value, (num, den) in ratios.items()}
-        self.entropies = list(map(scaled.__getitem__, values))
+        self.entropies, self.denominator = _scaled(ordered, kept)
         if validate:
             self._check_polymatroid()
 
@@ -256,6 +240,16 @@ class TableSource(_SourceBase):
 
 
 Source = PacketSource | TableSource
+
+
+def _scaled(values: list, ratios: dict) -> tuple:
+    """``(entropies, D)``: the by-mask ``values`` as ints on the scale D,
+    the lcm of the denominators in ``ratios``, which holds exactly the
+    distinct values as :func:`_read_values` reads them.  Every table
+    read from values, by the constructor or the loader, ends here."""
+    denominator = lcm(*(den for _, den in ratios.values()))
+    scaled = {value: num * (denominator // den) for value, (num, den) in ratios.items()}
+    return list(map(scaled.__getitem__, values)), denominator
 
 
 def _read_values(values) -> dict:
@@ -452,10 +446,7 @@ def reorder(source: Source, labels: Iterable) -> Source:
     if isinstance(source, PacketSource):
         return PacketSource(new_ground, source.possession)
     # old_masks[m] is the old mask of the users in the new mask m
-    old_masks = [0]
-    for label in new_ground.labels:
-        bit = source.ground.bit(label)
-        old_masks += [old | bit for old in old_masks]
+    old_masks = subset_sums(map(source.ground.bit, new_ground.labels))
     table = source.entropies
     return TableSource._from_ints(new_ground, [table[old] for old in old_masks], source.denominator)
 
@@ -557,20 +548,24 @@ def source_from_dict(data, validate: bool = True) -> Source:
     if not isinstance(raw, dict):
         raise FormatError("'entropy' must map subset keys to rationals")
     try:
-        return _table_from_dict(ground, lookup, raw, validate)
+        table = _table_from_dict(ground, lookup, raw)
+        if validate:
+            table._check_polymatroid()
     except DomainError as exc:
         raise FormatError(str(exc)) from None
+    return table
 
 
 _ABSENT = object()  # a subset that an entropy dict does not name
 
 
-def _table_from_dict(ground: GroundSet, lookup: dict, raw: dict, validate: bool) -> TableSource:
-    """The table of the ``entropy`` dict ``raw``, read by each subset's
-    key text from :meth:`GroundSet.subset_texts`, with "" defaulting to
-    0.  Only when those texts do not account for every key, or a value
-    cannot be read, does each key go through the parse below, whose
-    refusals name the first bad key or value in file order."""
+def _table_from_dict(ground: GroundSet, lookup: dict, raw: dict) -> TableSource:
+    """The unvalidated table of the ``entropy`` dict ``raw``, read by
+    each subset's key text from :meth:`GroundSet.subset_texts`, with ""
+    defaulting to 0; the texts are dropped once looked up.  Only when
+    they do not account for every key, or a value cannot be read, does
+    each key go through the parse below, whose refusals name the first
+    bad key or value in file order."""
     values = list(map(raw.get, ground.subset_texts(), chain((0,), repeat(_ABSENT))))
     if len(raw) == len(values) - ("" not in raw) and _ABSENT not in values:
         try:
@@ -578,7 +573,7 @@ def _table_from_dict(ground: GroundSet, lookup: dict, raw: dict, validate: bool)
         except (FormatError, TypeError):  # TypeError: an unhashable value
             pass
         else:
-            return TableSource._from_values(ground, values, ratios, validate)
+            return TableSource._from_ints(ground, *_scaled(values, ratios))
     del values
     bits = {text: ground.bit(label) for text, label in lookup.items()}
     table = {}
@@ -598,7 +593,7 @@ def _table_from_dict(ground: GroundSet, lookup: dict, raw: dict, validate: bool)
             raise FormatError(f"entropy key {brief(key)} repeats a subset")
         table[mask] = value
     table.setdefault(0, 0)
-    return TableSource(ground, table, validate=validate)
+    return TableSource(ground, table, validate=False)
 
 
 def source_to_dict(source: Source) -> dict:
@@ -627,8 +622,8 @@ def source_to_dict(source: Source) -> dict:
 def load_source(path, validate: bool = True) -> Source:
     """Read a source JSON file.  ``validate=False`` skips the table
     polymatroid gate so a defective table can still be inspected.  The
-    gate runs once the parsed document is freed, so its ints and the
-    ground's kept subset texts need no room beside the document."""
+    gate runs once the parsed document is freed, so its ints need no
+    room beside the document."""
     source = source_from_dict(read_json(path), validate=False)
     if validate and isinstance(source, TableSource):
         try:

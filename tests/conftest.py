@@ -11,7 +11,7 @@ from typing import Iterator
 import pytest
 
 from soplan import DomainError, GroundSet, PacketSource, Partition, TableSource
-from soplan.core import bit_positions, json_text, submask_sums
+from soplan.core import bit_positions, json_text, subset_sums
 from soplan.gf import RowSpace, random_combination
 from soplan.omniscience import ASYMPTOTIC, MODELS
 from soplan.rlnc import STAGE_REDRAW_LIMIT, _chunk_columns
@@ -272,7 +272,9 @@ def reference_shortfall(source, mask: int, rates, weight: int) -> tuple | None:
     in ascending mask order, one subset at a time: the oracle for
     ``shortfall``, which reads X's submask entropies in mirrored order."""
     table = source.entropies
-    submasks, rate_sums = submask_sums(mask, rates)
+    users = list(bit_positions(mask))
+    submasks = subset_sums([1 << pos for pos in users])
+    rate_sums = subset_sums([rates[pos] for pos in users])
     submasks.pop()  # C = X is no constraint
     for c, have in zip(submasks, rate_sums):
         need = weight * (table[mask] - table[mask ^ c])

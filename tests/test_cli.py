@@ -585,6 +585,16 @@ class TestMalformedInput:
         assert cli.main(["minrate", str(path)]) == 2
         assert capsys.readouterr().err == "error: entropy key '1,1' names user '1' twice\n"
 
+    @pytest.mark.parametrize("again", [1, "1"], ids=["int", "text"])
+    def test_target_naming_a_user_twice(self, again, five_user_file, tmp_path, capsys):
+        # it loaded as the plan that names the user once, and simulated
+        plan = copy.deepcopy(_five_user_plan())
+        plan["stages"][1]["target"] = [1, 2, 5, again]
+        path = tmp_path / "plan.json"
+        path.write_text(json.dumps(plan))
+        assert cli.main(["simulate", five_user_file, str(path)]) == 2
+        assert capsys.readouterr().err == "error: stage 1 target names user '1' twice\n"
+
     _NESTED = json.loads("[" * 900 + "]" * 900)
 
     @pytest.mark.parametrize(

@@ -6,10 +6,12 @@ import copy
 import pickle
 from collections import namedtuple
 from fractions import Fraction
+from functools import reduce
+from operator import or_
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from soplan import (
@@ -17,10 +19,11 @@ from soplan import (
     FormatError,
     GroundSet,
     MAX_USERS,
+    PacketSource,
     Partition,
     RateVector,
 )
-from soplan.core import bit_positions, parse_fraction
+from soplan.core import bit_positions, parse_fraction, subset_sums
 from soplan.multistage import Stage, StagePlan
 from soplan.rlnc import FieldSpec
 from tests.conftest import enumerate_partitions, iter_submasks
@@ -65,6 +68,26 @@ class TestBitHelpers:
         assert len(subs) == 2 ** mask.bit_count()
         assert len(set(subs)) == len(subs)
 
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(st.lists(st.integers(-50, 50) | st.fractions(max_denominator=12), max_size=8))
+    def test_subset_sums_match_brute_force(self, values):
+        sums = subset_sums(values)
+        assert len(sums) == 2 ** len(values)
+        for m, total in enumerate(sums):
+            assert total == sum((values[k] for k in bit_positions(m)), 0)
+
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(st.lists(st.integers(0, 5), max_size=12))
+    def test_subset_sums_of_disjoint_masks_are_unions(self, groups):
+        # position pos joins group groups[pos]: disjoint masks, in any order
+        masks = [sum(1 << pos for pos, g in enumerate(groups) if g == k) for k in range(6)]
+        masks = [mask for mask in masks if mask]
+        for m, union in enumerate(subset_sums(masks)):
+            assert union == reduce(or_, (masks[k] for k in bit_positions(m)), 0)
+        # the bits of a mask, lowest first, give its submasks in ascending order
+        whole = reduce(or_, masks, 0)
+        assert subset_sums([1 << pos for pos in bit_positions(whole)]) == list(iter_submasks(whole))
+
 
 class TestGroundSet:
     def test_positions_and_masks(self):
@@ -102,11 +125,22 @@ class TestGroundSet:
         with pytest.raises(DomainError):
             g.mask(0b100)
 
+    @pytest.mark.parametrize("flag", [True, False])
+    def test_bool_is_no_mask(self, flag):
+        g = GroundSet((1, 2))
+        source = PacketSource(g, {1: ["a"], 2: ["b"]})
+        with pytest.raises(DomainError, match="int masks"):
+            g.mask(flag)
+        with pytest.raises(DomainError, match="int masks"):
+            source.entropy(flag)
+        with pytest.raises(DomainError, match="int masks"):
+            RateVector(g, (0, 0), flag)
+
     def test_subset_texts_are_built_once(self):
         g = GroundSet(("a", 2, "c"))
         texts = g.subset_texts()
         assert texts == ["", "a", "2", "a,2", "c", "a,c", "2,c", "a,2,c"]
-        assert g.subset_texts() is texts
+        assert g.subset_texts() == texts and g.subset_texts() is not texts
         assert GroundSet(("a", 2, "c")) == g
 
 

@@ -1031,13 +1031,13 @@ class TestIntVerdicts:
 
 class TestRelationsAtScale:
     """Relations that ``enumerate --verify`` must satisfy at 9 to 12
-    users, and ``min_sum_rate`` at 13 to 16, where no oracle reaches:
+    users, and ``min_sum_rate`` at 13 to 18, where no oracle reaches:
     the family and the fundamental partition follow a relabelling of
     the users, and neither a packet held by every user nor splitting
-    every packet in two changes them; the first leaves R(V) as it is and
-    the second doubles it (asymptotic model).  On a table, D added to
+    every packet in two changes them; the first two leave R(V) as it is
+    and the split doubles it (asymptotic model).  On a table, D added to
     every nonempty entry is the shared packet and every entry doubled
-    is the split."""
+    is the split, and a relabelling goes through ``reorder``'s gather."""
 
     @staticmethod
     def sources() -> list:
@@ -1063,12 +1063,12 @@ class TestRelationsAtScale:
                 for label, ids in source.possession.items()}
         return PacketSource(source.ground, held)
 
-    @staticmethod
-    def family(source, model) -> set:
-        """The listed subsets as sets of labels, and R(V)."""
+    @classmethod
+    def family(cls, source, model) -> tuple:
+        """The listed subsets as sets of labels, and :meth:`fundamental`."""
         ground = source.ground
         listed = enumerate_complementary(source, model, verify=True)
-        return {frozenset(ground.labels_of(m)) for m in listed}, min_sum_rate(source, None, model).value
+        return {frozenset(ground.labels_of(m)) for m in listed}, cls.fundamental(source, model)
 
     def test_relations(self):
         for n, source in enumerate(self.sources()):
@@ -1080,28 +1080,40 @@ class TestRelationsAtScale:
                 assert want[0]
                 assert self.family(reorder(source, labels), model) == want
                 assert self.family(self.shared(source), model) == want
-            family, r_v = got[ASYMPTOTIC]
-            assert self.family(self.split(source), ASYMPTOTIC) == (family, 2 * r_v)
+            family, (r_v, partition) = got[ASYMPTOTIC]
+            assert len(partition) > 1
+            assert self.family(self.split(source), ASYMPTOTIC) == (family, (2 * r_v, partition))
 
     @staticmethod
-    def fundamental(source) -> tuple:
-        """R(V) and its fundamental partition as sets of labels."""
-        result = min_sum_rate(source)
+    def fundamental(source, model=ASYMPTOTIC) -> tuple:
+        """R(V) and its fundamental partition as sets of labels, an
+        empty set in the non-asymptotic model, which finds none."""
+        result = min_sum_rate(source, None, model)
         labels = source.ground.labels_of
-        return result.value, {frozenset(labels(block)) for block in result.maximizing_partition}
+        return result.value, {frozenset(labels(block)) for block in result.maximizing_partition or ()}
+
+    def min_sum_rate_relations(self, n: int, models) -> None:
+        """On a packet source of ``n`` users: R(V), and its fundamental
+        partition, follow a relabelling and ignore a shared packet in
+        each of ``models``; splitting every packet doubles R(V)."""
+        source = random_packet_source(random.Random(n), n, 2 * n)
+        labels = list(source.ground.labels)
+        random.Random(n).shuffle(labels)
+        for model in models:
+            want = self.fundamental(source, model)
+            assert self.fundamental(reorder(source, labels), model) == want
+            assert self.fundamental(self.shared(source), model) == want
+        value, partition = self.fundamental(source)
+        assert len(partition) > 1
+        assert self.fundamental(self.split(source)) == (2 * value, partition)
 
     def test_min_sum_rate_at_13_to_16_users(self):
-        # R(V) and its fundamental partition follow a relabelling and
-        # ignore a shared packet; splitting every packet doubles R(V)
         for n in (13, 14, 15, 16):
-            source = random_packet_source(random.Random(n), n, 2 * n)
-            labels = list(source.ground.labels)
-            random.Random(n).shuffle(labels)
-            value, partition = want = self.fundamental(source)
-            assert len(partition) > 1
-            assert self.fundamental(reorder(source, labels)) == want
-            assert self.fundamental(self.shared(source)) == want
-            assert self.fundamental(self.split(source)) == (2 * value, partition)
+            self.min_sum_rate_relations(n, MODELS)
+
+    def test_min_sum_rate_at_17_and_18_users(self):
+        for n in (17, 18):
+            self.min_sum_rate_relations(n, (ASYMPTOTIC,))
 
 
 class TestOptimalRateVector:

@@ -355,7 +355,7 @@ def _one_user_ground() -> GroundSet:
     Should ``GroundSet`` gain, lose or rename a field, the helper fails
     here instead of handing out a half-replaced ground."""
     two = GroundSet(("a", "b"))
-    fields = {"labels": ("a",), "_index": {"a": 0}, "full_mask": 1, "_texts": None}
+    fields = {"labels": ("a",), "_index": {"a": 0}, "full_mask": 1}
     assert GroundSet.__slots__ == tuple(fields), GroundSet.__slots__
     ground = copy.copy(two)
     for name, value in fields.items():
@@ -493,10 +493,11 @@ class TestJsonRoundTrip:
         loaded = load_source(path)
         assert isinstance(loaded, TableSource)
         assert loaded.entropy([1, 3]) == 3
-        # the key texts the loader read the file by stay on the ground,
-        # for `enumerate` to format its list from
-        assert loaded.ground._texts == ["", "1", "2", "1,2", "3", "1,3", "2,3", "1,2,3"]
-        assert loaded.ground.subset_texts() is loaded.ground._texts
+        # the key texts the loader read the file by go with the load:
+        # no field of the ground holds a list
+        ground = loaded.ground
+        assert not any(isinstance(getattr(ground, name), list) for name in GroundSet.__slots__)
+        assert ground.subset_texts() == ["", "1", "2", "1,2", "3", "1,3", "2,3", "1,2,3"]
 
     def test_fraction_strings_survive(self):
         data = {
