@@ -43,11 +43,12 @@ def _canonical(name: str) -> str:
 
 def _load_ordered(args):
     source = load_source(args.source)
-    if getattr(args, "order", None):
+    if getattr(args, "order", None) is not None:
         lookup = _label_lookup(source.ground)
         labels = []
         for part in args.order.split(","):
-            part = part.strip()
+            # a label as written, else stripped: "5, 4" and " a" both name users
+            part = part if part in lookup else part.strip()
             if part not in lookup:
                 raise FormatError(f"--order names unknown user {brief(part)}")
             labels.append(lookup[part])

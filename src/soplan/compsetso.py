@@ -22,8 +22,8 @@ an early exit is complementary there needs them.
 rule, H(V) - H(X) + R(X) <= alpha <= R(V), where the mode only decides
 why alpha is at most R(V); a failed check is a bug and raises
 :class:`CertificationError`.  :func:`complementary_by_lower_bound`
-checks the witness of its verdict the same way
-:func:`soplan.omniscience.enumerate_complementary` does.
+asks :func:`soplan.omniscience.is_complementary`'s one witnessed sweep,
+at its bound in place of R(V).
 """
 
 from __future__ import annotations
@@ -35,7 +35,8 @@ from .core import CertificationError, DomainError, RateVector, SubsetLike
 from .omniscience import (
     ASYMPTOTIC,
     NON_ASYMPTOTIC,
-    _reaches,
+    _complementary_at,
+    _deficit,
     _require_testable,
     check_source_model,
     check_sw_achievable,
@@ -52,9 +53,8 @@ LOWER_BOUND = "lower_bound"
 def _singleton_bound(source, mask: int, model: str) -> Fraction:
     """``sum_{i in V} (H(X) - H({i})) / (|V| - 1)`` for X = ``mask``,
     ceiled in the non-asymptotic model."""
-    h, n = source.entropy_scaled, source.ground.size
-    deficit = n * h(mask) - sum(h(1 << pos) for pos in range(n))
-    bound = Fraction(deficit, source.denominator * (n - 1))
+    deficit, parts = _deficit(source, mask, [1 << pos for pos in range(source.ground.size)])
+    bound = Fraction(deficit, source.denominator * parts)
     return Fraction(math.ceil(bound)) if model == NON_ASYMPTOTIC else bound
 
 
@@ -135,10 +135,9 @@ def complementary_by_lower_bound(source, subset: SubsetLike, model: str = ASYMPT
     mask = ground.mask(subset)
     _require_testable(ground, mask)
     alpha = _singleton_bound(source, mask, model)
-    h_v = source.entropy(ground.full_mask)
-    if not 0 <= alpha <= h_v:
+    if not 0 <= alpha <= source.entropy(ground.full_mask):
         return False
-    return _reaches(source, mask, alpha - h_v + source.entropy(mask))[0]
+    return _complementary_at(source, mask, alpha)
 
 
 def certify_outcome(source, outcome: CompSetOutcome) -> Certificate:

@@ -24,13 +24,14 @@ Every "is R(X) <= t?" is decided by one completed sweep over X, on ints
 on the sweep's scale w*D for a shift p/w, and checked against its
 witness: a no by the partition bound of the sweep's blocks multiplied
 out (:func:`_bound_exceeds`), a yes by r(X) = f(X) and r(S) <= f(S) for
-every nonempty S inside X.  A single sweep (:func:`_reaches`, which
-:func:`min_sum_rate` and
-:func:`soplan.compsetso.complementary_by_lower_bound` ask) checks its yes
-with the source's ``shortfall``.  :func:`enumerate_complementary` decides
-every subset in one shared walk and checks each set S once, at the walk's
-node whose highest user is S's, off the rate sums that node's stepper
-already holds (:meth:`~soplan.submodular.PrefixStepper.first_excess`).
+every nonempty S inside X.  A single sweep (:func:`_reaches`) checks its
+yes with the source's ``shortfall``; :func:`min_sum_rate` asks it, and
+so does :func:`_complementary_at`, the one test of
+R(X) <= alpha - H(V) + H(X) behind both complementarity tests.
+:func:`enumerate_complementary` decides every subset in one shared walk
+and checks each set S once, at the walk's node whose highest user is
+S's, off the rate sums that node's stepper already holds
+(:meth:`~soplan.submodular.PrefixStepper.first_excess`).
 :func:`partition_bound` and :class:`~soplan.core.Partition` serve only
 the iteration and the certificate of :func:`min_sum_rate`, whose
 partition is the fundamental partition; :func:`enumerate_complementary`
@@ -96,24 +97,31 @@ class MinSumRateResult(NamedTuple):
     rates: RateVector
 
 
+def _deficit(source, mask: int, blocks) -> tuple:
+    """``(k*h(X) - sum of h(B), k - 1)`` for the k ``blocks`` and
+    X = ``mask``, with h the entropies on the scale D: when the blocks
+    partition X, their partition bound is the first over D times the
+    second."""
+    h = source.entropy_scaled
+    return len(blocks) * h(mask) - sum(map(h, blocks)), len(blocks) - 1
+
+
 def partition_bound(source, partition: Partition) -> Fraction:
     """``sum_{C in P} (H(X) - H(C)) / (|P| - 1)`` for a partition P of X
     into at least two blocks: a lower bound on R(X)."""
     if len(partition) < 2:
         raise DomainError("the partition bound needs at least two blocks")
-    h = source.entropy_scaled
-    deficit = len(partition) * h(partition.union) - sum(map(h, partition))
-    return Fraction(deficit, source.denominator * (len(partition) - 1))
+    deficit, parts = _deficit(source, partition.union, partition)
+    return Fraction(deficit, source.denominator * parts)
 
 
 def _starting_bound(source, mask: int) -> Fraction:
     """The larger of two partition bounds on R(X) for X = ``mask``: the
     singletons', (|X|*H(X) - sum of H({i})) / (|X| - 1), and the best
     bipartition's, 2*H(X) - min over Y of [H(Y) + H(X minus Y)]."""
-    h, k = source.entropy_scaled, mask.bit_count()
-    singletons = k * h(mask) - sum(h(1 << pos) for pos in bit_positions(mask))
-    split = 2 * h(mask) - source.split_minimum(mask)
-    return max(Fraction(singletons, source.denominator * (k - 1)),
+    singletons, parts = _deficit(source, mask, [1 << pos for pos in bit_positions(mask)])
+    split = 2 * source.entropy_scaled(mask) - source.split_minimum(mask)
+    return max(Fraction(singletons, source.denominator * parts),
                Fraction(split, source.denominator))
 
 
@@ -128,28 +136,24 @@ def _min_sum_rate_asymptotic(source, mask: int) -> MinSumRateResult:
     since every alpha is a partition bound; its rates are the witness,
     and its finest tight partition is the fundamental partition, the
     finest partition whose bound is R(X) (Chan, Al-Bashabsheh, Zhou,
-    Kaced and Liu, "Successive omniscience", IEEE Trans. IT 2016).
+    Kaced and Liu, "Successive omniscience", IEEE Trans. IT 2016).  That
+    partition must have two blocks or more and attain alpha, else
+    :class:`CertificationError`; the verdict checked the rates.
     """
     alpha = _starting_bound(source, mask)
     while True:
         reached, run = _reaches(source, mask, alpha)
         if reached:
-            rates = RateVector(source.ground, run.rates, mask)
-            return MinSumRateResult(ASYMPTOTIC, alpha, run.finest_partition, rates)
+            break
         alpha = partition_bound(source, run.partition)
-
-
-def _certified(source, mask: int, result: MinSumRateResult) -> MinSumRateResult:
-    """``result`` once its partition has two blocks or more and attains
-    its value, else :class:`CertificationError`; the verdict that
-    accepted it checked its rates."""
-    partition, value = result.maximizing_partition, result.value
+    rates = RateVector(source.ground, run.rates, mask)
+    partition = run.finest_partition
     if (len(partition) < 2 or partition.union != mask
-            or partition_bound(source, partition) != value):
+            or partition_bound(source, partition) != alpha):
         raise CertificationError(
-            f"witness partition of {source.ground.format(mask)} does not attain {value}"
+            f"witness partition of {source.ground.format(mask)} does not attain {alpha}"
         )
-    return result
+    return MinSumRateResult(ASYMPTOTIC, alpha, partition, rates)
 
 
 def min_sum_rate(source, subset: SubsetLike = None, model: str = ASYMPTOTIC) -> MinSumRateResult:
@@ -177,33 +181,23 @@ def min_sum_rate(source, subset: SubsetLike = None, model: str = ASYMPTOTIC) -> 
     result = cache.get((mask, model))
     if result is not None:
         return result
-    asym = _asymptotic_result(source, mask)
     if model == ASYMPTOTIC:
-        return asym
-    value = Fraction(math.ceil(asym.value))
-    rates = asym.rates
-    if value != asym.value:
-        reached, run = _reaches(source, mask, value)
-        if not reached:
-            raise CertificationError(
-                f"the sweep over {ground.format(mask)} at the ceiling {value} of "
-                f"R = {asym.value} gives no witness"
-            )
-        rates = RateVector(ground, run.rates, mask)
-    result = cache[(mask, NON_ASYMPTOTIC)] = MinSumRateResult(NON_ASYMPTOTIC, value, None, rates)
+        result = _min_sum_rate_asymptotic(source, mask)
+    else:
+        asym = min_sum_rate(source, mask, ASYMPTOTIC)
+        value = Fraction(math.ceil(asym.value))
+        rates = asym.rates
+        if value != asym.value:
+            reached, run = _reaches(source, mask, value)
+            if not reached:
+                raise CertificationError(
+                    f"the sweep over {ground.format(mask)} at the ceiling {value} of "
+                    f"R = {asym.value} gives no witness"
+                )
+            rates = RateVector(ground, run.rates, mask)
+        result = MinSumRateResult(NON_ASYMPTOTIC, value, None, rates)
+    cache[(mask, model)] = result
     return result
-
-
-def _asymptotic_result(source, mask: int) -> MinSumRateResult:
-    """The certified asymptotic result for X = ``mask``, kept in the
-    source's cache, which :func:`min_sum_rate` fills in either model."""
-    cache = source.__dict__.setdefault("_minrate_cache", {})
-    asym = cache.get((mask, ASYMPTOTIC))
-    if asym is None:
-        asym = cache[(mask, ASYMPTOTIC)] = _certified(
-            source, mask, _min_sum_rate_asymptotic(source, mask)
-        )
-    return asym
 
 
 class SwCheck(NamedTuple):
@@ -243,15 +237,24 @@ def check_sw_achievable(source, subset: SubsetLike, rates: RateVector) -> SwChec
 
 def is_complementary(source, subset: SubsetLike, model: str = ASYMPTOTIC) -> bool:
     """Whether splitting local omniscience of ``subset`` off first costs
-    nothing extra.  Defined only for non-singleton proper subsets."""
+    nothing extra: H(V) - H(X) + R(X) <= R(V).  Decided by one witnessed
+    sweep over X at alpha = R(V) (:func:`_complementary_at`); R(X) is not
+    computed.  Defined only for non-singleton proper subsets."""
     check_source_model(source, model)
     ground = source.ground
     mask = ground.mask(subset)
     _require_testable(ground, mask)
-    h_v = source.entropy(ground.full_mask)
-    h_x = source.entropy(mask)
-    r_x = min_sum_rate(source, mask, model).value
-    return h_v - h_x + r_x <= min_sum_rate(source, None, model).value
+    return _complementary_at(source, mask, min_sum_rate(source, None, model).value)
+
+
+def _complementary_at(source, mask: int, alpha: Fraction) -> bool:
+    """Whether R(X) <= alpha - H(V) + H(X) for X = ``mask``, by one
+    witnessed sweep (:func:`_reaches`): complementarity at alpha = R(V),
+    a sufficient condition at a lower bound on R(V).  In the
+    non-asymptotic model alpha and the entropies are integers, so the
+    target bounds ceil(R(X)) exactly when it bounds R(X)."""
+    target = alpha - source.entropy(source.ground.full_mask) + source.entropy(mask)
+    return _reaches(source, mask, target)[0]
 
 
 def _require_testable(ground: GroundSet, mask: int) -> None:
@@ -305,19 +308,18 @@ def _require_bound(source, mask: int, blocks, weight: int, own: int) -> None:
 def _bound_exceeds(source, mask: int, blocks, weight: int, own: int) -> bool:
     """Whether ``blocks`` are k >= 2 nonempty, pairwise disjoint masks
     whose union is X = ``mask`` and whose partition bound exceeds
-    t = own / (weight * D).  With the entropies on the scale D, the bound
-    (k*h(X) - sum of h(B)) / (D*(k - 1)) exceeds t exactly when
-    (k*h(X) - sum of h(B)) * weight > own * (k - 1), which is decided on
-    ints; no :class:`Partition` and no Fraction is built."""
+    t = own / (weight * D).  The bound, deficit / (D*parts) by
+    :func:`_deficit`, exceeds t exactly when deficit * weight >
+    own * parts, which is decided on ints; no :class:`Partition` and no
+    Fraction is built."""
     union = members = 0
     for block in blocks:
         union |= block
         members += block.bit_count()
-    k = len(blocks)
-    if k < 2 or union != mask or members != mask.bit_count() or min(blocks) <= 0:
+    if len(blocks) < 2 or union != mask or members != mask.bit_count() or min(blocks) <= 0:
         return False
-    h = source.entropy_scaled
-    return (k * h(mask) - sum(map(h, blocks))) * weight > own * (k - 1)
+    deficit, parts = _deficit(source, mask, blocks)
+    return deficit * weight > own * parts
 
 
 def _reaches(source, mask: int, target: Fraction) -> tuple:
@@ -363,8 +365,8 @@ def enumerate_complementary(source, model: str = ASYMPTOTIC, verify: bool = Fals
 
     Every block of R(V)'s asymptotic fundamental partition
     (:func:`min_sum_rate`) with two users or more is complementary, so
-    each must be listed; that cross-check reads the partition from the
-    cache and costs no sweep.  It holds in the asymptotic model, and in
+    each must be listed; that cross-check reuses the R(V) computed
+    above and costs no sweep.  It holds in the asymptotic model, and in
     the non-asymptotic model, whose entropies are integers, since
     R(B) + H(V) - H(B) <= R(V) gives
     ceil(R(B)) + H(V) - H(B) <= ceil(R(V)).  For s = p/w every gamma_X
@@ -410,7 +412,7 @@ def enumerate_complementary(source, model: str = ASYMPTOTIC, verify: bool = Fals
         found.append(mask)
     found.sort()
     complementary = set(found)
-    for block in _asymptotic_result(source, full).maximizing_partition:
+    for block in min_sum_rate(source, None, ASYMPTOTIC).maximizing_partition:
         if block.bit_count() > 1 and block not in complementary:
             raise CertificationError(
                 f"block {ground.format(block)} of the fundamental partition "

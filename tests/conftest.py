@@ -111,6 +111,28 @@ def scaled_table(source) -> TableSource:
     return TableSource._from_ints(source.ground, list(source.entropies), 1)
 
 
+def with_shared_packet(source):
+    """``source`` with one more packet that every user holds; on a
+    table, D added to every nonempty entry."""
+    if isinstance(source, TableSource):
+        d, h = source.denominator, source.entropies
+        return TableSource._from_ints(source.ground, [0] + [e + d for e in h[1:]], d)
+    held = {label: set(ids) | {"shared"} for label, ids in source.possession.items()}
+    return PacketSource(source.ground, held)
+
+
+def with_split_packets(source):
+    """``source`` with every packet split in two; on a table, every
+    entry doubled."""
+    if isinstance(source, TableSource):
+        return TableSource._from_ints(
+            source.ground, [2 * e for e in source.entropies], source.denominator
+        )
+    held = {label: {f"{p}{half}" for p in ids for half in "ab"}
+            for label, ids in source.possession.items()}
+    return PacketSource(source.ground, held)
+
+
 def models_of(source) -> tuple:
     """The rate models that take ``source``: the non-asymptotic one needs
     integer entropies."""

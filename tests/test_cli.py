@@ -69,6 +69,23 @@ class TestMinrate:
         assert cli.main(["minrate", five_user_file, "--order", "5,4,3,2,9"]) == 2
         assert "unknown user" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("order", ["", " "])
+    def test_empty_order_refused(self, five_user_file, order, capsys):
+        assert cli.main(["minrate", five_user_file, "--order", order]) == 2
+        assert "--order names unknown user ''" in capsys.readouterr().err
+
+    def test_order_parts_may_carry_spaces(self, five_user_file, capsys):
+        assert cli.main(["minrate", five_user_file, "--order", "5, 4, 3, 2, 1"]) == 0
+        assert "users: {5,4,3,2,1}" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("order, users", [(" a,b", "{ a,b}"), ("b, a", "{b, a}")])
+    def test_order_names_a_label_with_a_space(self, tmp_path, order, users, capsys):
+        path = tmp_path / "spaced.json"
+        path.write_text(json.dumps({"model": "packet", "users": [" a", "b"],
+                                    "packets": {" a": ["p", "q"], "b": ["q"]}}))
+        assert cli.main(["minrate", str(path), "--order", order]) == 0
+        assert f"users: {users}" in capsys.readouterr().out
+
 
 class TestCompset:
     def test_exact_default(self, five_user_file, capsys):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import random
 from fractions import Fraction
 
 import pytest
@@ -26,7 +27,13 @@ from soplan import (
     plan_multistage,
 )
 from soplan.multistage import Stage, build_plan, initial_system, merge_super_user
-from tests.conftest import induced_table
+from soplan.sources import reorder
+from tests.conftest import (
+    induced_table,
+    random_packet_source,
+    with_shared_packet,
+    with_split_packets,
+)
 
 
 class TestStage:
@@ -339,3 +346,33 @@ class TestPlanSerialization:
         data = json.loads(json.dumps(plan.to_dict()))
         loaded = StagePlan.from_dict(data)
         assert loaded.stages[2].rates.rate(1) == Fraction(1, 2)
+
+
+class TestPlanRelationsAtScale:
+    """At 9 to 12 users, where no oracle reaches: a packet every user
+    holds leaves every stage as it is, splitting every packet keeps the
+    targets and doubles every rate (asymptotic model), and relabelling
+    the users keeps the plan total."""
+
+    @staticmethod
+    def stages(plan) -> list:
+        """Each stage's target as a set of labels, with its rates by label."""
+        labels = plan.ground.labels_of
+        return [(frozenset(labels(stage.target)),
+                 {label: stage.rates.rate(label) for label in labels(stage.target)})
+                for stage in plan.stages]
+
+    @pytest.mark.parametrize("n", [9, 10, 11, 12])
+    def test_relations(self, n):
+        source = random_packet_source(random.Random(n), n, 2 * n)
+        labels = list(source.ground.labels)
+        random.Random(n).shuffle(labels)
+        for model in (ASYMPTOTIC, NON_ASYMPTOTIC):
+            plan = plan_multistage(source, model)
+            want = self.stages(plan)
+            assert self.stages(plan_multistage(with_shared_packet(source), model)) == want
+            relabelled = plan_multistage(reorder(source, labels), model)
+            assert relabelled.total_rates.total == plan.total_rates.total
+        doubled = [(target, {label: 2 * rate for label, rate in rates.items()})
+                   for target, rates in self.stages(plan_multistage(source))]
+        assert self.stages(plan_multistage(with_split_packets(source))) == doubled

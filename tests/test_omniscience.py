@@ -21,7 +21,6 @@ from soplan import (
     CertificationError,
     DomainError,
     GroundSet,
-    PacketSource,
     Partition,
     RateVector,
     TableSource,
@@ -47,6 +46,8 @@ from tests.conftest import (
     reference_shortfall,
     scaled_table,
     walk_rates,
+    with_shared_packet,
+    with_split_packets,
 )
 
 
@@ -597,12 +598,53 @@ class TestShortfall:
                 assert peak < 3 * pointers, (n, ok, peak / pointers)
 
 
+def min_sum_rate_subsets(monkeypatch) -> list:
+    """The list that the ``subset`` of every later call of
+    ``omniscience.min_sum_rate`` is appended to."""
+    calls = []
+    real = omniscience.min_sum_rate
+
+    def counted(source, subset=None, model=ASYMPTOTIC):
+        calls.append(subset)
+        return real(source, subset, model)
+
+    monkeypatch.setattr(omniscience, "min_sum_rate", counted)
+    return calls
+
+
 class TestComplementary:
     def test_directly_checked_subsets(self, five_user):
         assert is_complementary(five_user, [1, 2], ASYMPTOTIC)
         assert is_complementary(five_user, [1, 5], ASYMPTOTIC)
         assert not is_complementary(five_user, [3, 4], ASYMPTOTIC)
         assert is_complementary(five_user, [1, 2], NON_ASYMPTOTIC)
+
+    def test_matches_bell_definition_on_corpus(self, source_corpus):
+        """H(V) - H(X) + R(X) <= R(V) with R by the Bell oracle, ceiled
+        in the non-asymptotic model, at every non-singleton proper
+        subset of a slice of the corpus."""
+        checked = 0
+        for source in source_corpus[:60]:
+            full = source.ground.full_mask
+            h = source.entropy
+            oracle = {m: bell_min_sum_rate(source, m) for m in range(3, full + 1) if m.bit_count() > 1}
+            for model in models_of(source):
+                r = oracle if model == ASYMPTOTIC else {m: math.ceil(v) for m, v in oracle.items()}
+                for mask in oracle:
+                    if mask != full:
+                        want = h(full) - h(mask) + r[mask] <= r[full]
+                        assert is_complementary(source, mask, model) == want, (model, mask)
+                        checked += 1
+        assert checked > 1000
+
+    @pytest.mark.parametrize("model", [ASYMPTOTIC, NON_ASYMPTOTIC])
+    def test_minimum_sum_rate_of_v_only(self, model, monkeypatch):
+        calls = min_sum_rate_subsets(monkeypatch)
+        source = make_five_user()
+        for mask in range(3, source.ground.full_mask):
+            if mask.bit_count() > 1:
+                is_complementary(source, mask, model)
+        assert calls and set(calls) <= {None, source.ground.full_mask}
 
     def test_degenerate_subsets_rejected(self, five_user):
         with pytest.raises(DomainError):
@@ -847,18 +889,11 @@ class TestEnumerationWitnesses:
         assert listed and asked and all(asked)
 
     def test_minimum_sum_rate_of_v_only(self, five_user, monkeypatch):
-        calls = []
-        real = omniscience.min_sum_rate
-
-        def counted(source, subset=None, model=ASYMPTOTIC):
-            calls.append(subset)
-            return real(source, subset, model)
-
-        monkeypatch.setattr(omniscience, "min_sum_rate", counted)
+        calls = min_sum_rate_subsets(monkeypatch)
         for model in (ASYMPTOTIC, NON_ASYMPTOTIC):
             for verify in (False, True):
                 enumerate_complementary(five_user, model, verify)
-        assert calls == [None] * 4
+        assert calls and set(calls) <= {None, five_user.ground.full_mask}
 
 
 def rational_five() -> TableSource:
@@ -1045,24 +1080,6 @@ class TestRelationsAtScale:
         tables = [scaled_table(random_rational_table(random.Random(n), n, 2 * n)) for n in (9, 11)]
         return packets + tables
 
-    @staticmethod
-    def shared(source):
-        if isinstance(source, TableSource):
-            d, h = source.denominator, source.entropies
-            return TableSource._from_ints(source.ground, [0] + [e + d for e in h[1:]], d)
-        held = {label: set(ids) | {"shared"} for label, ids in source.possession.items()}
-        return PacketSource(source.ground, held)
-
-    @staticmethod
-    def split(source):
-        if isinstance(source, TableSource):
-            return TableSource._from_ints(
-                source.ground, [2 * e for e in source.entropies], source.denominator
-            )
-        held = {label: {f"{p}{half}" for p in ids for half in "ab"}
-                for label, ids in source.possession.items()}
-        return PacketSource(source.ground, held)
-
     @classmethod
     def family(cls, source, model) -> tuple:
         """The listed subsets as sets of labels, and :meth:`fundamental`."""
@@ -1079,10 +1096,10 @@ class TestRelationsAtScale:
                 got[model] = want = self.family(source, model)
                 assert want[0]
                 assert self.family(reorder(source, labels), model) == want
-                assert self.family(self.shared(source), model) == want
+                assert self.family(with_shared_packet(source), model) == want
             family, (r_v, partition) = got[ASYMPTOTIC]
             assert len(partition) > 1
-            assert self.family(self.split(source), ASYMPTOTIC) == (family, (2 * r_v, partition))
+            assert self.family(with_split_packets(source), ASYMPTOTIC) == (family, (2 * r_v, partition))
 
     @staticmethod
     def fundamental(source, model=ASYMPTOTIC) -> tuple:
@@ -1102,10 +1119,10 @@ class TestRelationsAtScale:
         for model in models:
             want = self.fundamental(source, model)
             assert self.fundamental(reorder(source, labels), model) == want
-            assert self.fundamental(self.shared(source), model) == want
+            assert self.fundamental(with_shared_packet(source), model) == want
         value, partition = self.fundamental(source)
         assert len(partition) > 1
-        assert self.fundamental(self.split(source)) == (2 * value, partition)
+        assert self.fundamental(with_split_packets(source)) == (2 * value, partition)
 
     def test_min_sum_rate_at_13_to_16_users(self):
         for n in (13, 14, 15, 16):
