@@ -144,7 +144,7 @@ def subset_sums(values: Iterable) -> list:
 class Record:
     """The shared behaviour of the public value types (:class:`GroundSet`,
     :class:`RateVector`, :class:`Partition`, the plan's ``Stage`` and
-    :class:`~soplan.multistage.StagePlan`, the simulator's ``FieldSpec``).
+    :class:`~soplan.multistage.StagePlan`).
 
     A subclass lists its attributes in ``__slots__``, names the ones
     that make up its value, in constructor order, in ``_fields``, and

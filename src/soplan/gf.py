@@ -17,9 +17,10 @@ kept.  An r-row basis on f uncovered columns stores f - r entries per
 row, not f.  Because the basis is fully reduced, a vector is reduced by
 reading its entries at the pivot columns, with no elimination order to
 follow, and whether the space holds a unit row is read off the basis
-itself.  Coefficients are drawn by :func:`draw_coefficients`, value for
-value as ``rng.randrange(q)`` draws them.  Pure Python keeps everything
-exact."""
+itself.  :meth:`RowSpace.combination` is the one way a basis is read
+out or combined: :func:`random_combination` hands it coefficients drawn
+by :func:`draw_coefficients`, value for value as ``rng.randrange(q)``
+draws them.  Pure Python keeps everything exact."""
 
 from __future__ import annotations
 
@@ -142,7 +143,7 @@ class RowSpace:
         "_open", "_bits", "_covered_columns", "_getters", "_layout",
     )
 
-    def __init__(self, q: int, width: int, rows: Iterable[Sequence[int]] = (), covered: int = 0):
+    def __init__(self, q: int, width: int, *, covered: int = 0):
         if not is_prime(q):
             raise DomainError(f"field order {q} is not prime")
         if width < 0:
@@ -160,8 +161,6 @@ class RowSpace:
         self.pivots: list = []  # the stored rows' pivot columns
         self._getters = None  # see _reduce; reset when the basis grows
         self._layout = None  # see combination; reset when the basis grows
-        for row in rows:
-            self.add(row)
 
     def _pack(self, values: Iterable[int], count: int) -> int:
         """``count`` entries, slot 0 first, as one int."""
@@ -279,28 +278,15 @@ class RowSpace:
     def rank(self) -> int:
         return len(self._covered_columns) + len(self.rows)
 
-    def basis(self) -> tuple:
-        """The reduced echelon basis in pivot order.  A coordinate row
-        is given as its column index; every other row as a full-width
-        tuple."""
-        entries = [(j, j) for j in self._covered_columns]
-        for pivot, row in zip(self.pivots, self.rows):
-            full = [0] * self.width
-            full[pivot] = 1
-            for j, value in zip(self._open, self._unpack(row)):
-                full[j] = value
-            entries.append((pivot, tuple(full)))
-        entries.sort(key=lambda entry: entry[0])
-        return tuple(entry for _, entry in entries)
-
     def combination(self, coefficients: Iterable[int]) -> tuple:
-        """The full-width sum of the basis rows, in the order
-        :meth:`basis` lists them, each times the next of
-        ``coefficients``, which must give one coefficient per basis
-        row.  Every basis row is 1 at its own pivot and 0 at all the
-        others, so the sum's entry at each pivot column is that row's
-        coefficient; the stored rows are combined packed over the open
-        columns."""
+        """The full-width sum of the reduced echelon basis rows in pivot
+        order, a covered column's unit row among them, each times the
+        next of ``coefficients``, which must give one coefficient per
+        basis row.  Every basis row is 1 at its own pivot and 0 at all
+        the others, so the sum's entry at each pivot column is that
+        row's coefficient; the stored rows are combined packed over the
+        open columns.  The k-th unit vector of coefficients reads out
+        the k-th basis row."""
         q = self.q
         coefficients = list(map(q.__rmod__, coefficients))
         if len(coefficients) != self.rank:
@@ -347,27 +333,9 @@ def draw_coefficients(q: int, count: int, rng) -> list:
     return draws
 
 
-def random_combination(basis, width: int, q: int, rng) -> tuple:
-    """A uniformly random GF(q)-combination of ``basis`` rows, drawing
-    one coefficient per row in order.  A basis entry is a full-width row
-    or, as :meth:`RowSpace.basis` gives coordinate rows, a column index
-    standing for that column's unit row.  ``basis`` may also be a
-    :class:`RowSpace`, whose basis is then combined without expanding
-    it to full-width rows; the draws and the result are the same.
-
-    With an empty basis this is the zero row: a sender that knows
-    nothing can only broadcast nothing.
-    """
-    if isinstance(basis, RowSpace):
-        return basis.combination(draw_coefficients(q, basis.rank, rng))
-    out = [0] * width
-    for row, coeff in zip(basis, draw_coefficients(q, len(basis), rng)):
-        if not coeff:
-            continue
-        if isinstance(row, int):
-            out[row] = (out[row] + coeff) % q
-            continue
-        for j, value in enumerate(row):
-            if value:
-                out[j] = (out[j] + coeff * value) % q
-    return tuple(out)
+def random_combination(space: RowSpace, rng) -> tuple:
+    """A uniformly random GF(q)-combination of ``space``'s basis rows:
+    :meth:`RowSpace.combination` of one :func:`draw_coefficients` value
+    per row, in pivot order.  With an empty basis this is the zero row:
+    a sender that knows nothing can only broadcast nothing."""
+    return space.combination(draw_coefficients(space.q, space.rank, rng))

@@ -55,7 +55,7 @@ from .core import (
 )
 from .omniscience import ASYMPTOTIC, NON_ASYMPTOTIC, check_model, min_sum_rate
 from .compsetso import LOWER_BOUND, comp_set_so
-from .rlnc import choose_field
+from .rlnc import choose_field, least_chunk_factor
 from .sources import PacketSource, TableSource, _label_lookup
 
 
@@ -373,13 +373,13 @@ def build_plan(
         system = merged
 
     stages = tuple(record.stage for record in builds if record.emitted)
-    chunk_factor = lcm(*(rate.denominator for stage in stages for rate in stage.rates.values))
+    chunk_factor = least_chunk_factor(stages)
     if model == NON_ASYMPTOTIC and chunk_factor != 1:
         raise CertificationError(
             "non-asymptotic stage rates are integers; the chunk factor must stay 1"
         )
     field = choose_field(chunk_factor, source.entropy(source.ground.full_mask), source.ground.size)
-    plan = StagePlan(source.ground, model, stages, chunk_factor, field.order, seed)
+    plan = StagePlan(source.ground, model, stages, chunk_factor, field, seed)
     want = min_sum_rate(source, None, model).value
     have = plan.total_rates.total
     if have != want:

@@ -2,19 +2,22 @@
 
 Packets are split into chunks, chunks become symbols of GF(q), and
 every broadcast is a fresh random linear combination of whatever the
-sender can currently span: its own chunks plus all earlier broadcasts.
+sender can currently span, its own chunks plus all earlier broadcasts,
+by :func:`~soplan.gf.random_combination` on the sender's space.
 A user decodes once its received span covers every chunk of every
 packet in play.
 
 The field order is chosen so large that a random stage essentially
-never loses rank.  When a stage does come up short, its rows are
-redrawn from fresh randomness (the rate budget is unchanged; the failed
-draw is discarded) and the attempt count is recorded in the stage
-report, so no failure passes silently.  A stage that stays short after
-``STAGE_REDRAW_LIMIT`` attempts keeps its last draw and the honest
-decode flags propagate to the final report.  Only the stage members
-are checked: a draw can still leave a bystander below the rank generic
-rows give it (the rank the planner's merged tables hold, see
+never loses rank (:func:`choose_field`), and a plan's order is checked
+by the one test :func:`check_field`.  A plan's chunk factor must be the
+one the planner writes (:func:`least_chunk_factor`).  When a stage does
+come up short, its rows are redrawn from fresh randomness (the rate
+budget is unchanged; the failed draw is discarded) and the attempt
+count is recorded in the stage report, so no failure passes silently.  A stage that stays short after ``STAGE_REDRAW_LIMIT``
+attempts keeps its last draw and the honest decode flags propagate to
+the final report.  Only the stage members are checked: a draw can still
+leave a bystander below the rank generic rows give it (the rank the
+planner's merged tables hold, see
 :func:`~soplan.multistage.merge_super_user`), and a later stage may
 then fail to decode.
 
@@ -39,9 +42,10 @@ from __future__ import annotations
 import json
 import random
 from fractions import Fraction
+from math import lcm
 from typing import TYPE_CHECKING, Mapping, NamedTuple
 
-from .core import CertificationError, DomainError, FormatError, Record
+from .core import CertificationError, DomainError, FormatError
 from .gf import RowSpace, is_prime, next_prime, random_combination
 from .sources import PacketSource
 
@@ -55,25 +59,27 @@ STAGE_REDRAW_LIMIT = 25
 _JSONL = json.JSONEncoder(sort_keys=True, allow_nan=False)
 
 
-class FieldSpec(Record):
-    """A prime field big enough for ``n_users`` users sharing a source
-    of ``source_entropy`` packets split into ``chunk_factor`` chunks."""
-
-    __slots__ = _fields = ("order", "chunk_factor", "source_entropy", "n_users")
-
-    def __init__(self, order: int, chunk_factor: int, source_entropy: Fraction, n_users: int):
-        if not is_prime(order):
-            raise DomainError(f"field order {order} is not prime")
-        if order <= chunk_factor * source_entropy * n_users:
-            raise DomainError(
-                f"field order {order} is too small: it must exceed "
-                f"{chunk_factor} * {source_entropy} * {n_users}"
-            )
-        self._init(order=order, chunk_factor=chunk_factor, source_entropy=source_entropy,
-                   n_users=n_users)
+def check_field(order: int, chunk_factor: int, source_entropy, n_users: int) -> None:
+    """Refuse a field order that is not a prime exceeding ``n_users``
+    users times a source of ``source_entropy`` packets split into
+    ``chunk_factor`` chunks, with :class:`DomainError`."""
+    if not is_prime(order):
+        raise DomainError(f"field order {order} is not prime")
+    if order <= chunk_factor * source_entropy * n_users:
+        raise DomainError(
+            f"field order {order} is too small: it must exceed "
+            f"{chunk_factor} * {source_entropy} * {n_users}"
+        )
 
 
-def choose_field(chunk_factor: int, source_entropy, n_users: int) -> FieldSpec:
+def least_chunk_factor(stages) -> int:
+    """The number of chunks a packet is split into so that every stage
+    rate is a whole number of chunk rows, and no more: the lcm of the
+    rates' denominators (1 for no stages)."""
+    return lcm(*(rate.denominator for stage in stages for rate in stage.rates.values))
+
+
+def choose_field(chunk_factor: int, source_entropy, n_users: int) -> int:
     """The smallest prime exceeding chunk_factor * entropy * users."""
     if not isinstance(chunk_factor, int) or chunk_factor < 1:
         raise DomainError("chunk factor must be a positive integer")
@@ -88,8 +94,7 @@ def choose_field(chunk_factor: int, source_entropy, n_users: int) -> FieldSpec:
             f"chunk factor {chunk_factor} does not clear the entropy denominator "
             f"{entropy.denominator}"
         )
-    order = next_prime(int(total) * n_users)
-    return FieldSpec(order, chunk_factor, entropy, n_users)
+    return next_prime(int(total) * n_users)
 
 
 class Broadcast(NamedTuple):
@@ -203,7 +208,7 @@ def draw_stage(spaces: Mapping, counts: Mapping, rng, needed: int, stage: int = 
         for sender, count in counts.items():
             space = trial[sender]
             for _ in range(count):
-                row = random_combination(space, space.width, space.q, rng)
+                row = random_combination(space, rng)
                 # a sender can only combine what it already spans
                 if not space.contains(row):
                     raise CertificationError(
@@ -259,7 +264,9 @@ def execute_plan(source: PacketSource, plan: "StagePlan", seed: int = None) -> T
     defaults to the seed recorded in the plan.  Only the stage members'
     decoding is checked before a draw is kept; bystanders are not.
     The plan's user order is used throughout, so a plan made on a
-    reordered source runs on the source as filed.
+    reordered source runs on the source as filed.  A plan whose field
+    order fails :func:`check_field`, or whose chunk factor is not the
+    one the planner writes, is refused with :class:`FormatError`.
     """
     if not isinstance(source, PacketSource):
         raise DomainError("the simulator needs a packet source")
@@ -272,9 +279,17 @@ def execute_plan(source: PacketSource, plan: "StagePlan", seed: int = None) -> T
     # off the entropy table would build all 2^|V| entries
     h_total = len(source.packet_order)
     try:
-        FieldSpec(q, chunk, h_total, ground.size)
+        check_field(q, chunk, h_total, ground.size)
     except DomainError as exc:
         raise FormatError(f"plan {exc}") from None
+    # build_plan writes the least chunk factor; a larger one only
+    # multiplies the rows to draw and eliminate
+    least = least_chunk_factor(plan.stages)
+    if chunk != least:
+        raise FormatError(
+            f"plan chunk factor {chunk} is not {least}, the least that makes every "
+            f"stage rate a whole number of chunks"
+        )
     stage_counts = []
     for stage_index, stage in enumerate(plan.stages):
         counts = {}
@@ -286,13 +301,7 @@ def execute_plan(source: PacketSource, plan: "StagePlan", seed: int = None) -> T
                     f"stage {stage_index} rate {rate} for {member!r} exceeds "
                     f"the source entropy {h_total}"
                 )
-            scaled = rate * chunk
-            if scaled.denominator != 1:
-                raise FormatError(
-                    f"stage {stage_index} rate {rate} for "
-                    f"{member!r} is not a whole number of chunks at chunk factor {chunk}"
-                )
-            counts[member] = int(scaled)
+            counts[member] = int(rate * chunk)
         stage_counts.append(counts)
     width, coverage = _chunk_columns(source.packet_order, source.possession, chunk)
     if seed is None:

@@ -12,7 +12,7 @@ import pytest
 
 from soplan import DomainError, GroundSet, PacketSource, Partition, TableSource
 from soplan.core import bit_positions, json_text, subset_sums
-from soplan.gf import RowSpace, random_combination
+from soplan.gf import RowSpace, draw_coefficients, random_combination
 from soplan.omniscience import ASYMPTOTIC, MODELS
 from soplan.rlnc import STAGE_REDRAW_LIMIT, _chunk_columns
 from soplan.sources import PolymatroidReport, Violation, _packet_id, _packet_key
@@ -348,6 +348,32 @@ def reference_packet_load(data: dict) -> tuple:
     return order, possession, entropies, text
 
 
+def space_with(q: int, width: int, rows=(), covered: int = 0) -> RowSpace:
+    """A row space over GF(q) with the columns in ``covered`` covered
+    and each of ``rows`` added in turn."""
+    space = RowSpace(q, width, covered=covered)
+    for row in rows:
+        space.add(row)
+    return space
+
+
+def dense_basis(space: RowSpace) -> list:
+    """The reduced echelon basis of ``space`` as full-width rows in pivot
+    order, read out through ``combination`` one unit vector at a time."""
+    rank = space.rank
+    return [space.combination([int(j == k) for j in range(rank)]) for k in range(rank)]
+
+
+def dense_combination(rows, width: int, q: int, rng) -> tuple:
+    """A random GF(q)-combination of the full-width ``rows``, drawing one
+    coefficient per row in order as ``random_combination`` draws one
+    per basis row."""
+    out = [0] * width
+    for row, coeff in zip(rows, draw_coefficients(q, len(rows), rng)):
+        out = [(a + coeff * b) % q for a, b in zip(out, row)]
+    return tuple(out)
+
+
 def reference_draw_stage(spaces, counts, rng, needed: int) -> tuple:
     """The stage loop with one space per user: every attempt copies each
     user's space, every listener hears every row another user sends, and
@@ -362,7 +388,7 @@ def reference_draw_stage(spaces, counts, rng, needed: int) -> tuple:
         for sender, count in counts.items():
             space = trial[sender]
             for _ in range(count):
-                row = random_combination(space, space.width, space.q, rng)
+                row = random_combination(space, rng)
                 assert space.contains(row)
                 rows.append((sender, row))
                 for user, listener in trial.items():

@@ -27,7 +27,7 @@ from soplan import (
     load_source,
     plan_multistage,
 )
-from soplan.gf import RowSpace
+from soplan.gf import RowSpace, next_prime
 from tests.conftest import induced_table, make_five_user, make_cyclic_triple
 
 
@@ -375,6 +375,22 @@ class TestSimulate:
         err = capsys.readouterr().err
         assert err.startswith("error:")
         assert "exceeds the source entropy" in err
+
+    @pytest.mark.parametrize("chunk", [4, 2000])
+    def test_edited_chunk_factor_exits_2(self, five_user_file, tmp_path, capsys, chunk):
+        # the planner writes chunk factor 2, the lcm of the stage rates'
+        # denominators; a larger one, with a field order to match, only
+        # multiplies the rows to draw, and at 2000 still ran after a minute
+        plan = copy.deepcopy(_five_user_plan())
+        assert plan["chunk_factor"] == 2
+        plan["chunk_factor"] = chunk
+        plan["field_order"] = next_prime(chunk * 10 * 5)
+        path = tmp_path / "chunks.json"
+        path.write_text(json.dumps(plan))
+        assert cli.main(["simulate", five_user_file, str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: plan chunk factor {chunk} is not 2,")
+        assert "whole number of chunks" in err
 
     def test_row_outside_sender_span_exits_3(self, five_user_file, tmp_path, monkeypatch, capsys):
         plan_path = tmp_path / "plan.json"

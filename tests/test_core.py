@@ -25,7 +25,6 @@ from soplan import (
 )
 from soplan.core import bit_positions, parse_fraction, subset_sums
 from soplan.multistage import Stage, StagePlan
-from soplan.rlnc import FieldSpec
 from tests.conftest import enumerate_partitions, iter_submasks
 
 BELL = {1: 1, 2: 2, 3: 5, 4: 15, 5: 52, 6: 203}
@@ -274,11 +273,6 @@ RECORDS = {
         ("ground", "model", "stages", "chunk_factor", "field_order", "seed"),
         "StagePlan(ground=GroundSet(labels=(1, 'b', 3)), model='asymptotic', "
         f"stages=({_STAGE_TEXT},), chunk_factor=2, field_order=7, seed=0)",
-    ),
-    "FieldSpec": (
-        lambda: FieldSpec(7, 2, Fraction(3, 2), 2),
-        ("order", "chunk_factor", "source_entropy", "n_users"),
-        "FieldSpec(order=7, chunk_factor=2, source_entropy=Fraction(3, 2), n_users=2)",
     ),
 }
 

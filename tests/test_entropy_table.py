@@ -25,12 +25,11 @@ from soplan import (
     min_sum_rate,
     validate_polymatroid,
 )
-from soplan.gf import RowSpace
 from soplan.multistage import build_plan
 from soplan.rlnc import _chunk_columns, draw_stage
 from soplan.sources import reorder
 from soplan.submodular import dilworth_truncation, run_rate_update
-from tests.conftest import induced_table, random_packet_source
+from tests.conftest import induced_table, random_packet_source, space_with
 from tests.test_omniscience import bell_min_sum_rate
 from tests.test_submodular import bell_truncation
 
@@ -112,7 +111,7 @@ def test_merged_tables_against_drawn_rows(source_corpus):
                 assert count.denominator == 1
                 counts[member] = int(count)
             spaces = {
-                label: RowSpace(q, width, rows[label], covered=coverage[label])
+                label: space_with(q, width, rows[label], coverage[label])
                 for label in system.ground.labels
             }
             sent = tuple(row for _, row in draw_stage(spaces, counts, rng, 0).rows)
@@ -130,7 +129,7 @@ def test_merged_tables_against_drawn_rows(source_corpus):
                 members = table.ground.labels_of(mask)
                 stacked = dict.fromkeys(row for label in members for row in rows[label])
                 covered = reduce(or_, (coverage[label] for label in members), 0)
-                rank = RowSpace(q, width, stacked, covered=covered).rank
+                rank = space_with(q, width, stacked, covered).rank
                 assert table.entropy(mask) * chunk == rank * after.system.scale
             merges += 1
     assert merges > 100

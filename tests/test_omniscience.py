@@ -1066,7 +1066,7 @@ class TestIntVerdicts:
 
 class TestRelationsAtScale:
     """Relations that ``enumerate --verify`` must satisfy at 9 to 12
-    users, and ``min_sum_rate`` at 13 to 18, where no oracle reaches:
+    users, and ``min_sum_rate`` at 13 to 20, where no oracle reaches:
     the family and the fundamental partition follow a relabelling of
     the users, and neither a packet held by every user nor splitting
     every packet in two changes them; the first two leave R(V) as it is
@@ -1130,6 +1130,10 @@ class TestRelationsAtScale:
 
     def test_min_sum_rate_at_17_and_18_users(self):
         for n in (17, 18):
+            self.min_sum_rate_relations(n, (ASYMPTOTIC,))
+
+    def test_min_sum_rate_at_19_and_20_users(self):
+        for n in (19, 20):
             self.min_sum_rate_relations(n, (ASYMPTOTIC,))
 
 

@@ -4,7 +4,10 @@ elimination.
 Row spaces keep unit rows as a column bitmask and eliminate only the
 other rows, packed into big ints, on the uncovered columns.  Every
 check here compares that against a dense Gauss-Jordan reference over
-full-width rows that shares no code with ``soplan.gf``.
+full-width rows that shares no code with ``soplan.gf``; a space's basis
+is read out for it through ``combination`` (``tests.conftest.dense_basis``),
+and a dense combination draws its coefficients with ``draw_coefficients``,
+which ``TestDrawCoefficients`` checks against ``rng.randrange``.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ from hypothesis import strategies as st
 from soplan.core import DomainError
 from soplan.gf import RowSpace, draw_coefficients, random_combination
 from soplan.rlnc import choose_field
+from tests.conftest import dense_basis, dense_combination, space_with
 
 
 def dense_rref(rows, q: int, width: int) -> list:
@@ -47,10 +51,6 @@ def unit(width: int, column: int, scale: int = 1) -> tuple:
     row = [0] * width
     row[column] = scale
     return tuple(row)
-
-
-def expand(entry, width: int) -> tuple:
-    return unit(width, entry) if isinstance(entry, int) else tuple(entry)
 
 
 @st.composite
@@ -94,11 +94,11 @@ class TestRowSpaceAgainstDense:
     @given(spaces())
     def test_rank_basis_and_contains(self, case):
         q, width, covered, rows, probes = case
-        space = RowSpace(q, width, rows, covered=covered)
+        space = space_with(q, width, rows, covered)
         reference = _full(q, width, covered, rows)
         assert space.rank == len(reference)
         # the basis is the canonical reduced echelon form, in pivot order
-        assert [expand(entry, width) for entry in space.basis()] == reference
+        assert dense_basis(space) == reference
         for probe in probes:
             grows = len(_full(q, width, covered, list(rows) + [probe])) > len(reference)
             assert space.contains(probe) is not grows
@@ -107,17 +107,17 @@ class TestRowSpaceAgainstDense:
     @given(spaces(), st.integers(0, 2**32))
     def test_combination_matches_dense_basis(self, case, seed):
         q, width, covered, rows, _ = case
-        space = RowSpace(q, width, rows, covered=covered)
+        space = space_with(q, width, rows, covered)
         dense = _full(q, width, covered, rows)
-        structured = random_combination(space.basis(), width, q, random.Random(seed))
-        assert structured == random_combination(dense, width, q, random.Random(seed))
+        structured = random_combination(space, random.Random(seed))
+        assert structured == dense_combination(dense, width, q, random.Random(seed))
         assert space.contains(structured)
 
     @settings(max_examples=200, deadline=None)
     @given(spaces())
     def test_add_and_clone_keep_the_span(self, case):
         q, width, covered, rows, probes = case
-        space = RowSpace(q, width, rows, covered=covered)
+        space = space_with(q, width, rows, covered)
         copy = space.clone()
         for probe in probes:
             spanned = copy.contains(probe)
@@ -152,14 +152,14 @@ class TestUnitSpan:
         q, width, covered, rows, _ = case
         if full:
             rows = rows + data.draw(full_rank_rows(q, width))
-        space = RowSpace(q, width, rows, covered=covered)
+        space = space_with(q, width, rows, covered)
         if full:
             assert space.rank == width
         columns = data.draw(st.integers(0, (1 << width) - 1))
         assert space.spans_units(columns) is self.oracle(space, columns)
 
     def test_pivot_row_that_is_not_a_unit_row(self):
-        space = RowSpace(5, 4, [(0, 1, 3, 0)], covered=0b0001)
+        space = space_with(5, 4, [(0, 1, 3, 0)], 0b0001)
         assert space.spans_units(0b0001)
         assert not space.spans_units(0b0010)  # pivot column, row (0, 1, 3, 0)
         assert not space.spans_units(0b0100)  # free, not a pivot
@@ -168,7 +168,7 @@ class TestUnitSpan:
         assert not space.spans_units(0b1000)
 
     def test_full_rank_and_bounds(self):
-        space = RowSpace(7, 3, [(1, 2, 3), (0, 1, 4), (0, 0, 5)])
+        space = space_with(7, 3, [(1, 2, 3), (0, 1, 4), (0, 0, 5)])
         assert space.spans_units(0b111)
         assert RowSpace(7, 3).spans_units(0)
         with pytest.raises(DomainError):
@@ -242,18 +242,15 @@ class TestCover:
         q, width, covered, rows, probes = case
         if full:
             rows = rows + data.draw(full_rank_rows(q, width))
-        space = RowSpace(q, width, rows, covered=covered)
+        space = space_with(q, width, rows, covered)
         spanned = _spanned_columns(space)
         chosen = data.draw(st.lists(st.sampled_from(spanned), unique=True)) if spanned else []
         columns = sum(1 << j for j in chosen)
         result = space.cover(columns)
-        rebuilt = RowSpace(q, width, rows, covered=covered | columns)
+        rebuilt = space_with(q, width, rows, covered | columns)
         assert result.covered == covered | columns
         assert result.rank == rebuilt.rank == space.rank
-        assert result.basis() == rebuilt.basis()
-        assert [expand(entry, width) for entry in result.basis()] == [
-            expand(entry, width) for entry in space.basis()
-        ]
+        assert dense_basis(result) == dense_basis(rebuilt) == dense_basis(space)
         for mask in data.draw(st.lists(st.integers(0, (1 << width) - 1), max_size=4)):
             assert result.spans_units(mask) is rebuilt.spans_units(mask) is space.spans_units(mask)
         coefficients = data.draw(st.lists(st.integers(0, 2 * q), min_size=space.rank, max_size=space.rank))
@@ -261,17 +258,17 @@ class TestCover:
         assert result.combination(coefficients) == space.combination(coefficients)
         # the result grows as the rebuilt space does, and leaves the
         # space it came from as it was
-        before = space.basis()
+        before = dense_basis(space)
         for probe in probes:
             assert result.add(probe) is rebuilt.add(probe)
-        assert result.basis() == rebuilt.basis()
-        assert space.basis() == before
+        assert dense_basis(result) == dense_basis(rebuilt)
+        assert dense_basis(space) == before
 
     @settings(max_examples=100, deadline=None)
     @given(spaces(), st.data())
     def test_refuses_columns_the_space_does_not_span(self, case, data):
         q, width, covered, rows, _ = case
-        space = RowSpace(q, width, rows, covered=covered)
+        space = space_with(q, width, rows, covered)
         missing = [j for j in range(width) if j not in _spanned_columns(space)]
         if not missing:
             return
@@ -320,7 +317,7 @@ class TestWideSpacesAgainstDense:
         the columns whose unit rows it spans."""
         q, width = space.q, space.width
         assert space.rank == len(reference)
-        assert [expand(entry, width) for entry in space.basis()] == reference
+        assert dense_basis(space) == reference
         # a unit row is in the span iff it is a row of the canonical basis
         units = [j for j in range(width) if unit(width, j) in reference]
         assert space.spans_units(sum(1 << j for j in units))
@@ -340,8 +337,8 @@ class TestWideSpacesAgainstDense:
     @pytest.mark.parametrize(
         "q, free, unit_rows, seed",
         [
-            (choose_field(4, 40, 6).order, 40, 10, 1),
-            (choose_field(4, 40, 6).order, 200, 30, 2),
+            (choose_field(4, 40, 6), 40, 10, 1),
+            (choose_field(4, 40, 6), 200, 30, 2),
             (2**31 - 1, 40, 10, 3),
             # covering 80 of 120 columns narrows the slots from 14 bytes to 13
             (2**31 - 1, 120, 80, 4),
@@ -365,7 +362,7 @@ class TestWideSpacesAgainstDense:
 
         grow(space, taken, free // 4)
         self.check(space, _full(q, width, covered, taken), rng)
-        before = space.basis()
+        before = dense_basis(space)
 
         copy, copy_taken = space.clone(), list(taken)
         grow(copy, copy_taken, free // 8)
@@ -374,7 +371,7 @@ class TestWideSpacesAgainstDense:
             copy_taken.append(unit(width, j))
         reference = _full(q, width, covered, copy_taken)
         units = self.check(copy, reference, rng)
-        assert space.basis() == before
+        assert dense_basis(space) == before
 
         columns = sum(1 << j for j in units)
         result = copy.cover(columns)
@@ -394,13 +391,13 @@ class TestCombinationLayout:
         each combination between adds must equal a fresh space's."""
         q, width, covered, rows, probes = case
         rng = random.Random(seed)
-        space = RowSpace(q, width, rows, covered=covered)
+        space = space_with(q, width, rows, covered)
         added = list(rows)
         for probe in [None] + probes:
             if probe is not None:
                 space.add(probe)
                 added.append(probe)
-            fresh = RowSpace(q, width, added, covered=covered)
+            fresh = space_with(q, width, added, covered)
             for _ in range(2):
                 coefficients = [rng.randrange(q) for _ in range(space.rank)]
                 assert space.combination(coefficients) == fresh.combination(coefficients)
