@@ -1,7 +1,8 @@
 """Row-space arithmetic over prime fields GF(q).
 
-Rows are tuples of ints in ``[0, q)``.  :class:`RowSpace` keeps a
-reduced row-echelon basis incrementally, which is all the rank and
+Rows handed out are tuples of ints in ``[0, q)``; rows handed in may
+hold any ints, taken mod q as they are reduced.  :class:`RowSpace` keeps
+a reduced row-echelon basis incrementally, which is all the rank and
 span-membership machinery the simulator needs.  Most rows in play are
 unit rows (a user's own packet chunks), so a space takes a set of
 covered columns whose unit rows it contains without storing them, and
@@ -25,8 +26,9 @@ draws them.  Pure Python keeps everything exact."""
 from __future__ import annotations
 
 from bisect import bisect, bisect_left
+from functools import lru_cache
 from itertools import repeat
-from operator import itemgetter, mul, neg
+from operator import itemgetter, mul
 from struct import Struct
 from typing import Callable, Iterable, Sequence
 
@@ -41,9 +43,11 @@ _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 PRIME_TEST_LIMIT = 3317044064679887385961981
 
 
+@lru_cache(maxsize=256, typed=True)
 def is_prime(n: int) -> bool:
     """Exact primality for ``n`` below ``PRIME_TEST_LIMIT``; larger
-    ``n`` raise :class:`DomainError`."""
+    ``n`` raise :class:`DomainError`.  Verdicts are cached: every
+    :class:`RowSpace` checks its field order."""
     if n >= PRIME_TEST_LIMIT:
         raise DomainError(
             f"field order {n} is beyond the exact primality test (orders must be "
@@ -123,16 +127,21 @@ class RowSpace:
     dropping it from the stored rows is a mask, and reading their
     entries there a shift with a small result.
 
-    Entries are only meaningful mod q and are normalized when a row is
-    read out.  A row operation adds less than q*q to an entry, and at
-    most one is applied per later pivot, so entries stay below
-    (n + 1) * q^2 for n uncovered columns; a reduced vector or a
-    combination adds at most n products of a multiplier below q with
-    such an entry, so the slots are sized to hold (n + 1)^2 * q^3 and no
-    sequence of operations can carry into the next slot.  Dropping
-    identity columns changes none of this: the open entries are the
-    ones the full rows held.  A space made by :meth:`cover` has fewer
-    uncovered columns but no more open ones, hence no more later
+    Entries are only meaningful mod q.  They are normalized in three
+    places only: as a vector's entries are gathered to be reduced, once
+    as a new row is scaled by the inverse of its pivot entry, and as a
+    row is read out.  The slots of a reduced vector are read raw: its
+    pivot is the highest slot that is nonzero mod q, and a slot above it
+    may hold a nonzero multiple of q.  A row operation adds less than
+    q*q to an entry, and at most one is applied per later pivot, so
+    entries stay below (n + 1) * q^2 for n uncovered columns; a reduced
+    vector or a combination adds at most n products of a multiplier
+    below q with such an entry, so the slots are sized to hold
+    (n + 1)^2 * q^3 and no sequence of operations can carry into the
+    next slot.
+    Dropping identity columns changes none of this: the open entries are
+    the ones the full rows held.  A space made by :meth:`cover` has
+    fewer uncovered columns but no more open ones, hence no more later
     pivots, so it keeps the slots and the bound of the space it came
     from, unless its own n allows narrower slots; then its rows are
     packed again, normalized.
@@ -140,7 +149,7 @@ class RowSpace:
 
     __slots__ = (
         "q", "width", "covered", "rows", "pivots",
-        "_open", "_bits", "_covered_columns", "_getters", "_layout",
+        "_open", "_bits", "_covered_columns", "_layout",
     )
 
     def __init__(self, q: int, width: int, *, covered: int = 0):
@@ -159,28 +168,33 @@ class RowSpace:
         self._bits = 8 * max(-(-((len(self._open) + 1) ** 2 * q**3).bit_length() // 8), 8)
         self.rows: list = []  # packed, in pivot order
         self.pivots: list = []  # the stored rows' pivot columns
-        self._getters = None  # see _reduce; reset when the basis grows
         self._layout = None  # see combination; reset when the basis grows
 
-    def _pack(self, values: Iterable[int], count: int) -> int:
-        """``count`` entries, slot 0 first, as one int."""
+    def _pack(self, values: list) -> int:
+        """The entries ``values``, slot 0 first, as one int."""
         if self._bits > 64:
             size = self._bits // 8
             return int.from_bytes(b"".join(value.to_bytes(size, "little") for value in values), "little")
-        # unpacking a list, not an iterator, into the call: an iterator
+        # a list, not an iterator, is unpacked into the call: an iterator
         # is collected into a tuple grown by repeated resizing, which
         # left the simulator's peak RSS about 1 MiB higher
-        return int.from_bytes(_slots_struct(count).pack(*list(values)), "little")
+        return int.from_bytes(_slots_struct(len(values)).pack(*values), "little")
+
+    def _slots(self, packed: int) -> Sequence[int]:
+        """The raw entries of a packed row over the open columns, slot 0
+        first: congruent to the row's entries mod q, not normalized."""
+        count = len(self._open)
+        if self._bits > 64:
+            size = self._bits // 8
+            data = packed.to_bytes(size * count, "little")
+            return [int.from_bytes(data[k:k + size], "little") for k in range(0, len(data), size)]
+        return _slots_struct(count).unpack(packed.to_bytes(8 * count, "little"))
 
     def _unpack(self, packed: int) -> list:
         """The entries of a packed row over the open columns, slot 0
         first, normalized mod q."""
-        q, count = self.q, len(self._open)
-        if self._bits > 64:
-            size = self._bits // 8
-            data = packed.to_bytes(size * count, "little")
-            return [int.from_bytes(data[k:k + size], "little") % q for k in range(0, len(data), size)]
-        return list(map(q.__rmod__, _slots_struct(count).unpack(packed.to_bytes(8 * count, "little"))))
+        q = self.q
+        return [value % q for value in self._slots(packed)]
 
     def _reduce(self, row: Sequence[int]) -> int:
         """``row`` minus its multiple of each stored row, packed over the
@@ -189,29 +203,26 @@ class RowSpace:
             raise DomainError(f"row width {len(row)} != {self.width}")
         if not self._open:
             return 0  # the space is everything: every row reduces to zero
-        if self._getters is None:
-            self._getters = (_getter(self._open), _getter(self.pivots))
-        open_entries, pivot_entries = self._getters
         q = self.q
-        packed = self._pack(map(q.__rmod__, open_entries(row)), len(self._open))
+        packed = self._pack([row[column] % q for column in self._open])
         # every other stored row is zero at a row's pivot, so the
         # multiple of that row to subtract is the vector's entry there
-        multipliers = map(q.__rmod__, map(neg, pivot_entries(row)))
+        multipliers = [-row[column] % q for column in self.pivots]
         return sum(map(mul, multipliers, self.rows), packed)
 
     def add(self, row: Sequence[int]) -> bool:
         """Insert ``row``; return True iff it enlarged the space."""
         q = self.q
-        reduced = self._unpack(self._reduce(row))
-        if not any(reduced):
+        reduced = self._slots(self._reduce(row))
+        # the pivot is the lowest nonzero column, in the highest slot
+        # that is nonzero mod q; the new row is zero in the slots above it
+        for slot in range(len(reduced) - 1, -1, -1):
+            if reduced[slot] % q:
+                break
+        else:
             return False
-        # the pivot is the lowest nonzero column, in the highest nonzero
-        # slot; the new row is zero in the slots above it
-        while not reduced[-1]:
-            reduced.pop()
-        inv = pow(reduced.pop(), -1, q)
-        slot = len(reduced)
-        new = self._pack(map(q.__rmod__, map(inv.__mul__, reduced)), slot)
+        inv = pow(reduced[slot], -1, q)
+        new = self._pack([inv * value % q for value in reduced[:slot]])
         # Clear the new pivot column from the existing basis rows, to keep
         # the basis fully reduced, and drop its slot from them.
         bits = self._bits
@@ -229,7 +240,7 @@ class RowSpace:
         at = bisect(self.pivots, column)
         self.rows.insert(at, new)
         self.pivots.insert(at, column)
-        self._getters = self._layout = None
+        self._layout = None
         return True
 
     def contains(self, row: Sequence[int]) -> bool:
@@ -270,7 +281,7 @@ class RowSpace:
         rows = [row for pivot, row in zip(self.pivots, self.rows) if not columns >> pivot & 1]
         # fewer uncovered columns never need wider slots
         if other._bits < self._bits:
-            rows = [other._pack(self._unpack(row), len(self._open)) for row in rows]
+            rows = [other._pack(self._unpack(row)) for row in rows]
         other.rows = rows
         return other
 
@@ -288,7 +299,7 @@ class RowSpace:
         open columns.  The k-th unit vector of coefficients reads out
         the k-th basis row."""
         q = self.q
-        coefficients = list(map(q.__rmod__, coefficients))
+        coefficients = [value % q for value in coefficients]
         if len(coefficients) != self.rank:
             raise DomainError(
                 f"{len(coefficients)} coefficients for a basis of {self.rank} rows"
@@ -304,7 +315,7 @@ class RowSpace:
                 place[column] = k
             for column, k in order.items():
                 place[column] = count + k
-            self._layout = (_getter(list(map(order.__getitem__, self.pivots))), _getter(place))
+            self._layout = (_getter([order[column] for column in self.pivots]), _getter(place))
         stored, place = self._layout
         packed = sum(map(mul, stored(coefficients), self.rows))
         return place(self._unpack(packed) + coefficients)
@@ -327,9 +338,9 @@ def draw_coefficients(q: int, count: int, rng) -> list:
     randrange's per-call overhead."""
     bits = q.bit_length()
     getrandbits = rng.getrandbits
-    draws = list(filter(q.__gt__, map(getrandbits, repeat(bits, count))))
+    draws = [value for value in map(getrandbits, repeat(bits, count)) if value < q]
     while len(draws) < count:
-        draws += filter(q.__gt__, map(getrandbits, repeat(bits, count - len(draws))))
+        draws += [value for value in map(getrandbits, repeat(bits, count - len(draws))) if value < q]
     return draws
 
 

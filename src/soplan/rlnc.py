@@ -143,7 +143,7 @@ class Transcript(NamedTuple):
                 {
                     "stage": broadcast.stage,
                     "sender": str(broadcast.sender),
-                    "coding_row": list(broadcast.row),
+                    "coding_row": broadcast.row,
                     "field": self.field_order,
                 }
             )

@@ -28,7 +28,7 @@ from tests.conftest import (
 )
 from soplan.rlnc import _chunk_columns, check_field, choose_field, draw_stage
 from soplan.sources import reorder
-from soplan.gf import RowSpace, is_prime, next_prime, random_combination
+from soplan.gf import PRIME_TEST_LIMIT, RowSpace, is_prime, next_prime, random_combination
 
 
 class TestPrimes:
@@ -50,6 +50,16 @@ class TestPrimes:
         assert RowSpace(2**61 - 1, 3).rank == 0
         with pytest.raises(DomainError, match="beyond the exact primality test"):
             RowSpace(2**89 - 1, 3)
+
+    def test_cached_verdicts_are_the_uncached_ones(self):
+        # the cache is typed: an int's verdict is not a float's
+        assert is_prime(1009)
+        with pytest.raises(TypeError):
+            is_prime(1009.0)
+        # a refusal is not cached as a verdict
+        for _ in range(2):
+            with pytest.raises(DomainError, match="beyond the exact primality test"):
+                is_prime(PRIME_TEST_LIMIT)
 
     def test_next_prime_is_strictly_greater(self):
         assert next_prime(0) == 2

@@ -227,6 +227,37 @@ class TestStoredRowsStayReduced:
                 assert self.expand(space, packed, pivot) == reference[pivot]
 
 
+class TestPivotScan:
+    """``add`` finds its pivot in the highest slot of the packed
+    reduction that is nonzero mod q.  A slot can hold a nonzero multiple
+    of q: the vector's entry plus (q - c) times a stored entry c is a
+    multiple of q whenever the two are equal mod q.  2^31 - 1 needs
+    slots wider than 8 bytes, 5 does not."""
+
+    @pytest.mark.parametrize("q", [5, 2**31 - 1])
+    def test_row_with_every_slot_a_multiple_of_q_is_spanned(self, q):
+        space = space_with(q, 3, [(1, 3, 0), (0, 2, 1)])
+        assert (space._bits > 64) is (q > 5)
+        before = (list(space.rows), list(space.pivots), space.rank, dense_basis(space))
+        for row in ((1, 3, 0), (1, 5, 1), (q + 2, 8, 1)):
+            # the reduction is a nonzero int, every slot a multiple of q
+            assert space._reduce(row) != 0
+            assert not space.add(row)
+            assert (list(space.rows), list(space.pivots), space.rank, dense_basis(space)) == before
+
+    @pytest.mark.parametrize("q", [5, 2**31 - 1])
+    def test_top_slot_that_is_a_multiple_of_q_is_no_pivot(self, q):
+        space = space_with(q, 3, [(1, 3, 0)])
+        row = (1, 3, 1)
+        # slot 0 holds column 2's entry, 1; slot 1 holds column 1's,
+        # 3 + (q - 1) * 3 = 3q
+        packed = space._reduce(row)
+        assert packed >> space._bits == 3 * q and packed & (1 << space._bits) - 1 == 1
+        assert space.add(row)
+        assert space.pivots == [0, 2]
+        assert dense_basis(space) == dense_rref([(1, 3, 0), row], q, 3)
+
+
 def _spanned_columns(space: RowSpace) -> list:
     return [j for j in range(space.width) if space.spans_units(1 << j)]
 
