@@ -20,12 +20,13 @@ Mechanics worth knowing:
   :func:`merge_super_user`: the rank generic coding rows give every
   listener (Ho et al., "A random linear network coding approach to
   multicast", IEEE Trans. IT 2006).
-* A merged table is scaled by the denominator of its stage's rates, so
-  every table stays integral.  ``MergedSystem.scale`` counts a system's
-  entropy units per packet, and stage rates are divided by it.
+* A merged table counts chunks, so every table stays integral: its
+  unit is 1/c packet for c the chunk factor of the stages planned
+  before it, and a stage's rates on its system are its plan rates
+  times c.
 * The chunk factor, the number of chunks each packet is split into so
-  that every stage broadcast is a whole number of chunk rows, is the lcm
-  of the stage rates' denominators in packet units (1 in the
+  that every stage broadcast is a whole number of chunk rows, is
+  derived from the stages (:func:`least_chunk_factor`; 1 in the
   non-asymptotic model).  The field is chosen from it once, at the end.
 * A super user keeps the label of its earliest original member, who is
   charged its transmissions and can produce them because local
@@ -55,8 +56,8 @@ from .core import (
 )
 from .omniscience import ASYMPTOTIC, NON_ASYMPTOTIC, check_model, min_sum_rate
 from .compsetso import LOWER_BOUND, comp_set_so
-from .rlnc import choose_field, least_chunk_factor
-from .sources import PacketSource, TableSource, _label_lookup
+from .rlnc import choose_field
+from .sources import PacketSource, TableSource, _label_lookup, _scalar
 
 
 class Stage(Record):
@@ -85,25 +86,29 @@ class Stage(Record):
         return self.rates.total
 
 
+def least_chunk_factor(stages) -> int:
+    """The number of chunks a packet is split into so that every stage
+    rate is a whole number of chunk rows, and no more: the lcm of the
+    rates' denominators (1 for no stages)."""
+    return lcm(*(rate.denominator for stage in stages for rate in stage.rates.values))
+
+
 class StagePlan(Record):
-    """An ordered list of stages plus everything the simulator needs:
-    the chunk factor, the field order and its default seed.
-    ``total_rates`` is each user's rate summed over the stages."""
+    """An ordered list of stages plus the field order and the default
+    seed the simulator needs.  ``chunk_factor`` (:func:`least_chunk_factor`)
+    and ``total_rates``, each user's rate summed, derive from the stages."""
 
-    _fields = ("ground", "model", "stages", "chunk_factor", "field_order", "seed")
-    __slots__ = _fields + ("total_rates",)
+    _fields = ("ground", "model", "stages", "field_order", "seed")
+    __slots__ = _fields + ("chunk_factor", "total_rates")
 
-    def __init__(self, ground: GroundSet, model: str, stages: tuple, chunk_factor: int,
-                 field_order: int, seed: int):
+    def __init__(self, ground: GroundSet, model: str, stages: tuple, field_order: int, seed: int):
         check_model(model)
-        if chunk_factor < 1:
-            raise DomainError("chunk factor must be a positive integer")
         for stage in stages:
             if stage.rates.ground != ground:
                 raise DomainError("stage rates must live on the plan's ground set")
         total = sum((stage.rates for stage in stages), RateVector.zeros(ground))
-        self._init(ground=ground, model=model, stages=stages, chunk_factor=chunk_factor,
-                   field_order=field_order, seed=seed, total_rates=total)
+        self._init(ground=ground, model=model, stages=stages, field_order=field_order,
+                   seed=seed, chunk_factor=least_chunk_factor(stages), total_rates=total)
 
     def to_dict(self) -> dict:
         """The structure :meth:`from_dict` reads; refuses labels it refuses."""
@@ -167,7 +172,7 @@ class StagePlan(Record):
                 raise FormatError(f"stage {k} needs a 'target' list and a 'rates' object")
             target_mask = 0
             for item in raw["target"]:
-                key = str(item)
+                key = str(_scalar(item, f"stage {k} targets"))
                 if key not in lookup:
                     raise FormatError(f"stage {k} targets unknown user {brief(item)}")
                 bit = ground.bit(lookup[key])
@@ -184,7 +189,14 @@ class StagePlan(Record):
             except DomainError as exc:
                 raise FormatError(f"stage {k}: {exc}") from None
             stages.append(stage)
-        plan = cls(ground, model, tuple(stages), chunk, field, seed)
+        plan = cls(ground, model, tuple(stages), field, seed)
+        # the planner writes the least chunk factor; a larger one only
+        # multiplies the rows to draw and eliminate
+        if chunk != plan.chunk_factor:
+            raise FormatError(
+                f"plan chunk factor {chunk} is not {plan.chunk_factor}, the least that makes "
+                f"every stage rate a whole number of chunks"
+            )
         declared = data.get("total_rates")
         if declared is not None:
             if not isinstance(declared, dict):
@@ -212,16 +224,17 @@ class MergedSystem(NamedTuple):
     """The system a stage is planned on.
 
     ``source`` is the packet source for the first stage and an integral
-    entropy table afterwards; ``scale`` is its number of entropy units
-    per packet.  ``label_map`` sends every current user to the set of
-    original users it stands for; the sets partition the original
-    ground set.
+    entropy table afterwards, whose unit is 1/c packet for c the
+    :func:`least_chunk_factor` of the stages planned before it (each
+    merge divides the unit by the lcm of its rates' denominators, and
+    that keeps it so).  ``label_map`` sends every current user to the
+    set of original users it stands for; the sets partition the
+    original ground set.
     """
 
     source: PacketSource | TableSource
     label_map: Mapping
     original: GroundSet
-    scale: int
 
     @property
     def ground(self) -> GroundSet:
@@ -239,7 +252,7 @@ class MergedSystem(NamedTuple):
 def initial_system(source: PacketSource) -> MergedSystem:
     """The packet source as a system; every user stands for itself."""
     label_map = {label: frozenset([label]) for label in source.ground.labels}
-    return MergedSystem(source, label_map, source.ground, 1)
+    return MergedSystem(source, label_map, source.ground)
 
 
 def merge_super_user(system: MergedSystem, subset: SubsetLike, rates: RateVector) -> MergedSystem:
@@ -259,10 +272,9 @@ def merge_super_user(system: MergedSystem, subset: SubsetLike, rates: RateVector
         H'(∅) = 0
 
     The new table is scaled by the lcm d of the rates' denominators, so
-    it stays integral, and the returned system's ``scale`` is d times
-    the current one.  Any non-singleton proper subset merges; the planner
-    passes only subsets that :func:`~soplan.compsetso.comp_set_so`
-    certified complementary.
+    it stays integral: its unit is 1/d of the current one.  Any
+    non-singleton proper subset merges; the planner passes only subsets
+    that :func:`~soplan.compsetso.comp_set_so` certified complementary.
     """
     ground = system.ground
     mask = ground.mask(subset)
@@ -303,33 +315,24 @@ def merge_super_user(system: MergedSystem, subset: SubsetLike, rates: RateVector
             value = 0
         merged.append(value)
     table_source = TableSource._from_ints(GroundSet(tuple(new_map)), merged, denominator)
-    return MergedSystem(table_source, new_map, system.original, system.scale * d)
+    return MergedSystem(table_source, new_map, system.original)
 
 
 class StageBuild(NamedTuple):
     """Planner-internal record of one stage: the system it was planned
-    on, the target in that system's labels and the local rates in that
-    system's units.  ``emitted`` is False for zero-rate stages, which are
-    merged through but dropped from the plan."""
+    on, the target in that system's labels and the rates on that
+    system's users, in its unit.  A zero-rate stage is merged through but dropped
+    from the plan."""
 
     system: MergedSystem
     target: int
     rates: RateVector
     stage: Stage
-    emitted: bool
 
 
 class PlanBuild(NamedTuple):
     plan: StagePlan
     builds: tuple
-
-
-def _stage_from_local(system: MergedSystem, mask: int, rates: RateVector) -> Stage:
-    """Map current-system rates down to original users and packet
-    units.  A super user's label is its earliest original member, who
-    takes its rate."""
-    per_original = {label: rate / system.scale for label, rate in rates.as_dict().items() if rate}
-    return Stage(system.original_mask(mask), RateVector.from_map(system.original, per_original))
 
 
 def build_plan(
@@ -341,45 +344,49 @@ def build_plan(
     """Plan with full internal records (per-stage systems and rates).
 
     Each merge is certified: the merged system's minimum sum-rate is the
-    current one less the stage total, at the new scale.  So is the plan:
-    its total is the single-shot minimum sum-rate.  ``seed`` is only
-    recorded in the plan, for the simulator.
+    current one less the stage total, in the merged table's unit.  So
+    is the plan: its total is the single-shot minimum sum-rate.
+    ``seed`` is only recorded in the plan, for the simulator.
     """
     check_model(model)
     if not isinstance(source, PacketSource):
         raise DomainError("staged planning splits packets into chunks and needs a packet source")
     system = initial_system(source)
     builds = []
+    chunks = 1  # the system's units per packet: the chunk factor so far
     while True:
         outcome = comp_set_so(system.source, model, alpha_mode)
         # a completed sweep leaves the whole system as the final target
         final = outcome.subset is None
         mask = system.ground.full_mask if final else outcome.subset
         rates = min_sum_rate(system.source, mask, model).rates
-        stage = _stage_from_local(system, mask, rates)
-        builds.append(StageBuild(system, mask, rates, stage, stage.total > 0))
+        # on the original users, in packets: a super user's label is its
+        # earliest original member, who takes its rate
+        per_original = {label: rate / chunks for label, rate in rates.as_dict().items()}
+        original = RateVector.from_map(system.original, per_original)
+        stage = Stage(system.original_mask(mask), original)
+        builds.append(StageBuild(system, mask, rates, stage))
         if final:
             break
         merged = merge_super_user(system, mask, rates)
-        want = (min_sum_rate(system.source, None, model).value - rates.total) * (
-            merged.scale // system.scale
-        )
+        after = least_chunk_factor(record.stage for record in builds)
+        want = (min_sum_rate(system.source, None, model).value - rates.total) * (after // chunks)
         have = min_sum_rate(merged.source, None, model).value
         if have != want:
             raise CertificationError(
                 f"merging {system.ground.format(mask)} left a minimum sum-rate of {have}, "
                 f"not {want}"
             )
-        system = merged
+        system, chunks = merged, after
 
-    stages = tuple(record.stage for record in builds if record.emitted)
+    stages = tuple(record.stage for record in builds if record.stage.total > 0)
     chunk_factor = least_chunk_factor(stages)
     if model == NON_ASYMPTOTIC and chunk_factor != 1:
         raise CertificationError(
             "non-asymptotic stage rates are integers; the chunk factor must stay 1"
         )
-    field = choose_field(chunk_factor, source.entropy(source.ground.full_mask), source.ground.size)
-    plan = StagePlan(source.ground, model, stages, chunk_factor, field, seed)
+    field = choose_field(chunk_factor, len(source.packet_order), source.ground.size)
+    plan = StagePlan(source.ground, model, stages, field, seed)
     want = min_sum_rate(source, None, model).value
     have = plan.total_rates.total
     if have != want:

@@ -9,11 +9,12 @@ packet in play.
 
 The field order is chosen so large that a random stage essentially
 never loses rank (:func:`choose_field`), and a plan's order is checked
-by the one test :func:`check_field`.  A plan's chunk factor must be the
-one the planner writes (:func:`least_chunk_factor`).  When a stage does
-come up short, its rows are redrawn from fresh randomness (the rate
-budget is unchanged; the failed draw is discarded) and the attempt
-count is recorded in the stage report, so no failure passes silently.  A stage that stays short after ``STAGE_REDRAW_LIMIT``
+by the one test :func:`check_field`.  A plan's chunk factor is derived
+from its stages (:func:`~soplan.multistage.least_chunk_factor`).  When
+a stage does come up short, its rows are redrawn from fresh randomness
+(the rate budget is unchanged; the failed draw is discarded) and the
+attempt count is recorded in the stage report, so no failure passes
+silently.  A stage that stays short after ``STAGE_REDRAW_LIMIT``
 attempts keeps its last draw and the honest decode flags propagate to
 the final report.  Only the stage members are checked: a draw can still
 leave a bystander below the rank generic rows give it (the rank the
@@ -41,8 +42,6 @@ from __future__ import annotations
 
 import json
 import random
-from fractions import Fraction
-from math import lcm
 from typing import TYPE_CHECKING, Mapping, NamedTuple
 
 from .core import CertificationError, DomainError, FormatError
@@ -59,42 +58,23 @@ STAGE_REDRAW_LIMIT = 25
 _JSONL = json.JSONEncoder(sort_keys=True, allow_nan=False)
 
 
-def check_field(order: int, chunk_factor: int, source_entropy, n_users: int) -> None:
+def check_field(order: int, chunk_factor: int, packets: int, n_users: int) -> None:
     """Refuse a field order that is not a prime exceeding ``n_users``
-    users times a source of ``source_entropy`` packets split into
-    ``chunk_factor`` chunks, with :class:`DomainError`."""
+    users times ``packets`` packets split into ``chunk_factor`` chunks,
+    with :class:`DomainError`."""
     if not is_prime(order):
         raise DomainError(f"field order {order} is not prime")
-    if order <= chunk_factor * source_entropy * n_users:
+    if order <= chunk_factor * packets * n_users:
         raise DomainError(
             f"field order {order} is too small: it must exceed "
-            f"{chunk_factor} * {source_entropy} * {n_users}"
+            f"{chunk_factor} * {packets} * {n_users}"
         )
 
 
-def least_chunk_factor(stages) -> int:
-    """The number of chunks a packet is split into so that every stage
-    rate is a whole number of chunk rows, and no more: the lcm of the
-    rates' denominators (1 for no stages)."""
-    return lcm(*(rate.denominator for stage in stages for rate in stage.rates.values))
-
-
-def choose_field(chunk_factor: int, source_entropy, n_users: int) -> int:
-    """The smallest prime exceeding chunk_factor * entropy * users."""
-    if not isinstance(chunk_factor, int) or chunk_factor < 1:
-        raise DomainError("chunk factor must be a positive integer")
-    if n_users < 1:
-        raise DomainError("need at least one user")
-    entropy = Fraction(source_entropy)
-    if entropy < 0:
-        raise DomainError("source entropy cannot be negative")
-    total = entropy * chunk_factor
-    if total.denominator != 1:
-        raise DomainError(
-            f"chunk factor {chunk_factor} does not clear the entropy denominator "
-            f"{entropy.denominator}"
-        )
-    return next_prime(int(total) * n_users)
+def choose_field(chunk_factor: int, packets: int, n_users: int) -> int:
+    """The smallest prime that :func:`check_field` accepts: the least
+    exceeding chunk_factor * packets * users."""
+    return next_prime(chunk_factor * packets * n_users)
 
 
 class Broadcast(NamedTuple):
@@ -265,8 +245,7 @@ def execute_plan(source: PacketSource, plan: "StagePlan", seed: int = None) -> T
     decoding is checked before a draw is kept; bystanders are not.
     The plan's user order is used throughout, so a plan made on a
     reordered source runs on the source as filed.  A plan whose field
-    order fails :func:`check_field`, or whose chunk factor is not the
-    one the planner writes, is refused with :class:`FormatError`.
+    order fails :func:`check_field` is refused with :class:`FormatError`.
     """
     if not isinstance(source, PacketSource):
         raise DomainError("the simulator needs a packet source")
@@ -282,14 +261,6 @@ def execute_plan(source: PacketSource, plan: "StagePlan", seed: int = None) -> T
         check_field(q, chunk, h_total, ground.size)
     except DomainError as exc:
         raise FormatError(f"plan {exc}") from None
-    # build_plan writes the least chunk factor; a larger one only
-    # multiplies the rows to draw and eliminate
-    least = least_chunk_factor(plan.stages)
-    if chunk != least:
-        raise FormatError(
-            f"plan chunk factor {chunk} is not {least}, the least that makes every "
-            f"stage rate a whole number of chunks"
-        )
     stage_counts = []
     for stage_index, stage in enumerate(plan.stages):
         counts = {}

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from string import ascii_lowercase
 from typing import Iterator
 
 import pytest
@@ -121,14 +122,14 @@ def with_shared_packet(source):
     return PacketSource(source.ground, held)
 
 
-def with_split_packets(source):
-    """``source`` with every packet split in two; on a table, every
-    entry doubled."""
+def with_split_packets(source, pieces: int = 2):
+    """``source`` with every packet split into ``pieces`` (at most 26);
+    on a table, every entry times ``pieces``."""
     if isinstance(source, TableSource):
         return TableSource._from_ints(
-            source.ground, [2 * e for e in source.entropies], source.denominator
+            source.ground, [pieces * e for e in source.entropies], source.denominator
         )
-    held = {label: {f"{p}{half}" for p in ids for half in "ab"}
+    held = {label: {f"{p}{piece}" for p in ids for piece in ascii_lowercase[:pieces]}
             for label, ids in source.possession.items()}
     return PacketSource(source.ground, held)
 

@@ -618,6 +618,25 @@ class TestMalformedInput:
         assert cli.main(["minrate", str(path)]) == 2
         assert capsys.readouterr().err == "error: entropy key '1,1' names user '1' twice\n"
 
+    def test_true_in_a_target_is_refused(self, tmp_path, capsys):
+        # it named the user labelled "True", and simulated
+        source = tmp_path / "source.json"
+        source.write_text(json.dumps(
+            {"model": "packet", "users": ["True", "b"], "packets": {"True": ["x"], "b": ["y"]}}
+        ))
+        stage = {"target": [True, "b"], "rates": {"True": "1", "b": "1"}}
+        plan = {"model": "asymptotic", "users": ["True", "b"], "chunk_factor": 1,
+                "field_order": 5, "seed": 0, "stages": [stage]}
+        path = tmp_path / "plan.json"
+        path.write_text(json.dumps(plan))
+        assert cli.main(["simulate", str(source), str(path)]) == 2
+        assert capsys.readouterr().err == (
+            "error: stage 0 targets must be strings, numbers or null, got True\n"
+        )
+        stage["target"] = ["True", "b"]
+        path.write_text(json.dumps(plan))
+        assert cli.main(["simulate", str(source), str(path)]) == 0
+
     @pytest.mark.parametrize("again", [1, "1"], ids=["int", "text"])
     def test_target_naming_a_user_twice(self, again, five_user_file, tmp_path, capsys):
         # it loaded as the plan that names the user once, and simulated
@@ -652,7 +671,8 @@ class TestMalformedInput:
         path.write_text(json.dumps(plan))
         assert cli.main(["simulate", five_user_file, str(path)]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: stage 0 targets unknown user [[[") and len(err.encode()) < 300
+        assert err.startswith("error: stage 0 targets must be strings, numbers or null, got [[[")
+        assert len(err.encode()) < 300
 
     @settings(max_examples=150, deadline=None)
     @given(st.data())

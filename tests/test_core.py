@@ -269,10 +269,10 @@ RECORDS = {
     "Partition": (lambda: Partition([0b100, 0b011]), ("blocks",), "Partition(blocks=(3, 4))"),
     "Stage": (_stage, ("target", "rates"), _STAGE_TEXT),
     "StagePlan": (
-        lambda: StagePlan(_ground(), "asymptotic", (_stage(),), 2, 7, 0),
-        ("ground", "model", "stages", "chunk_factor", "field_order", "seed"),
+        lambda: StagePlan(_ground(), "asymptotic", (_stage(),), 7, 0),
+        ("ground", "model", "stages", "field_order", "seed"),
         "StagePlan(ground=GroundSet(labels=(1, 'b', 3)), model='asymptotic', "
-        f"stages=({_STAGE_TEXT},), chunk_factor=2, field_order=7, seed=0)",
+        f"stages=({_STAGE_TEXT},), field_order=7, seed=0)",
     ),
 }
 

@@ -25,7 +25,7 @@ from soplan import (
     min_sum_rate,
     validate_polymatroid,
 )
-from soplan.multistage import build_plan
+from soplan.multistage import build_plan, least_chunk_factor
 from soplan.rlnc import _chunk_columns, draw_stage
 from soplan.sources import reorder
 from soplan.submodular import dilworth_truncation, run_rate_update
@@ -90,11 +90,13 @@ def test_packet_counts_at_every_slot_width(n_packets):
 
 def test_merged_tables_against_drawn_rows(source_corpus):
     """Every merged system the planner builds from the generic-rank
-    formula has the entropies of rows drawn over GF(2^31 - 1), in packet
-    units: the same stages replayed on the source's chunk columns, with
-    the super user stacking its members' observations and everyone else
-    hearing the stage's rows.  A subset's rank is that of its members'
-    drawn rows with their chunk columns covered."""
+    formula has the entropies of rows drawn over GF(2^31 - 1): H(Y) * L
+    is c times the rank of Y's rows, for chunk factor L and c that of
+    the stages before the table (its units per packet), with the same
+    stages replayed on the source's chunk columns, the super user
+    stacking its members' observations and everyone else hearing the
+    stage's rows.  A subset's rank is that of its members' drawn rows
+    with their chunk columns covered."""
     q = 2**31 - 1
     rng = random.Random(13)
     merges = 0
@@ -103,11 +105,12 @@ def test_merged_tables_against_drawn_rows(source_corpus):
         chunk = build.plan.chunk_factor
         width, coverage = _chunk_columns(source.packet_order, source.possession, chunk)
         rows = {label: () for label in source.ground.labels}
-        for record, after in zip(build.builds, build.builds[1:]):
+        for k, (record, after) in enumerate(zip(build.builds, build.builds[1:])):
             system = record.system
+            units = least_chunk_factor(earlier.stage for earlier in build.builds[:k + 1])
             counts = {}
             for member in system.ground.labels_of(record.target):
-                count = record.rates.rate(member) * chunk / system.scale
+                count = record.stage.rates.rate(member) * chunk
                 assert count.denominator == 1
                 counts[member] = int(count)
             spaces = {
@@ -130,7 +133,7 @@ def test_merged_tables_against_drawn_rows(source_corpus):
                 stacked = dict.fromkeys(row for label in members for row in rows[label])
                 covered = reduce(or_, (coverage[label] for label in members), 0)
                 rank = space_with(q, width, stacked, covered).rank
-                assert table.entropy(mask) * chunk == rank * after.system.scale
+                assert table.entropy(mask) * chunk == rank * units
             merges += 1
     assert merges > 100
 

@@ -59,7 +59,6 @@ class TestMergedSystem:
     def test_initial_system_is_identity(self, five_user):
         system = initial_system(five_user)
         assert system.source is five_user
-        assert system.scale == 1
         assert system.ground.labels == (1, 2, 3, 4, 5)
         assert system.label_map[3] == frozenset([3])
         assert system.source.entropy(system.ground.full_mask) == 10
@@ -72,7 +71,6 @@ class TestMergedSystem:
         assert merged.ground.labels == (1, 3, 4, 5)
         assert merged.label_map[1] == frozenset([1, 2])
         assert merged.original_mask([1, 5]) == five_user.ground.mask([1, 2, 5])
-        assert merged.scale == 1
         # the super user holds the joint observation
         assert merged.source.entropy([1]) == 8
         # user 3 (efhi) gains the row user 1 sends, at no cost to the cap
@@ -83,7 +81,6 @@ class TestMergedSystem:
         system = initial_system(five_user)
         half_row = RateVector.from_map(system.ground, {1: Fraction(1, 2)}, [1, 2])
         merged = merge_super_user(system, [1, 2], half_row)
-        assert merged.scale == 2
         assert merged.source.integral
         assert merged.source.entropy([1]) == 16
         assert merged.source.entropy([3]) == 2 * 4 + 1
@@ -166,7 +163,7 @@ class TestBuildPlanWorkedExample:
 
     def test_builds_cover_all_stages(self, five_user):
         build = build_plan(five_user, ASYMPTOTIC, seed=0)
-        emitted = [record for record in build.builds if record.emitted]
+        emitted = [record for record in build.builds if record.stage.total]
         assert len(emitted) == len(build.plan.stages)
         assert build.builds[-1].target == build.builds[-1].system.ground.full_mask
 
@@ -320,8 +317,21 @@ class TestPlanSerialization:
             with pytest.raises(FormatError):
                 StagePlan.from_dict(case)
 
+    def test_true_in_a_target_is_refused(self, tmp_path):
+        # it was read as the user labelled "True"
+        stage = {"target": [True, "b"], "rates": {"True": "1"}}
+        data = {"model": ASYMPTOTIC, "users": ["True", "b"], "chunk_factor": 1,
+                "field_order": 5, "seed": 0, "stages": [stage]}
+        path = tmp_path / "plan.json"
+        path.write_text(json.dumps(data))
+        with pytest.raises(FormatError, match="stage 0 targets must be strings, numbers or null"):
+            load_plan(path)
+        stage["target"] = ["True", "b"]
+        path.write_text(json.dumps(data))
+        assert load_plan(path).stages[0].target == 0b11
+
     def test_colliding_labels_refused_both_ways(self, five_user, tmp_path):
-        plan = StagePlan(GroundSet((1, "1")), ASYMPTOTIC, (), 1, 2, 0)
+        plan = StagePlan(GroundSet((1, "1")), ASYMPTOTIC, (), 2, 0)
         path = tmp_path / "plan.json"
         path.write_text("kept")
         with pytest.raises(FormatError, match="collide as '1'"):
@@ -334,7 +344,7 @@ class TestPlanSerialization:
 
     @pytest.mark.parametrize("label", [(1, 2), frozenset({1})])
     def test_labels_json_cannot_hold_refused(self, label, tmp_path):
-        plan = StagePlan(GroundSet((label, 3)), ASYMPTOTIC, (), 1, 2, 0)
+        plan = StagePlan(GroundSet((label, 3)), ASYMPTOTIC, (), 2, 0)
         path = tmp_path / "plan.json"
         path.write_text("kept")
         with pytest.raises(FormatError, match="must be strings, numbers or null"):
@@ -350,9 +360,10 @@ class TestPlanSerialization:
 
 class TestPlanRelationsAtScale:
     """At 9 to 12 users, where no oracle reaches: a packet every user
-    holds leaves every stage as it is, splitting every packet keeps the
-    targets and doubles every rate (asymptotic model), and relabelling
-    the users keeps the plan total."""
+    holds leaves every stage as it is, splitting every packet into k
+    pieces keeps the targets and multiplies every rate and every merged
+    table by k (asymptotic model), and relabelling the users keeps the
+    plan total."""
 
     @staticmethod
     def stages(plan) -> list:
@@ -373,6 +384,23 @@ class TestPlanRelationsAtScale:
             assert self.stages(plan_multistage(with_shared_packet(source), model)) == want
             relabelled = plan_multistage(reorder(source, labels), model)
             assert relabelled.total_rates.total == plan.total_rates.total
-        doubled = [(target, {label: 2 * rate for label, rate in rates.items()})
-                   for target, rates in self.stages(plan_multistage(source))]
-        assert self.stages(plan_multistage(with_split_packets(source))) == doubled
+        base = build_plan(source)
+        for pieces in (2, 3):
+            split = build_plan(with_split_packets(source, pieces))
+            assert self.stages(split.plan) == [
+                (target, {label: pieces * rate for label, rate in rates.items()})
+                for target, rates in self.stages(base.plan)
+            ]
+            assert len(split.builds) == len(base.builds)
+            for k, (one, many) in enumerate(zip(base.builds, split.builds)):
+                assert many.system.label_map == one.system.label_map
+                want = [pieces * h for h in self.in_packets(base, k)]
+                assert self.in_packets(split, k) == want
+
+    @staticmethod
+    def in_packets(build, k: int) -> list:
+        """Stage k's system's entropies in packets: its table counts
+        chunks of the stages before it."""
+        chunks = multistage.least_chunk_factor(record.stage for record in build.builds[:k])
+        source = build.builds[k].system.source
+        return [Fraction(h, source.denominator * chunks) for h in source.entropies]

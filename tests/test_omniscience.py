@@ -1109,10 +1109,11 @@ class TestRelationsAtScale:
         labels = source.ground.labels_of
         return result.value, {frozenset(labels(block)) for block in result.maximizing_partition or ()}
 
-    def min_sum_rate_relations(self, n: int, models) -> None:
+    def min_sum_rate_relations(self, n: int, models, pieces=(2,)) -> None:
         """On a packet source of ``n`` users: R(V), and its fundamental
         partition, follow a relabelling and ignore a shared packet in
-        each of ``models``; splitting every packet doubles R(V)."""
+        each of ``models``; splitting every packet into k of ``pieces``
+        multiplies R(V) by k and keeps the partition."""
         source = random_packet_source(random.Random(n), n, 2 * n)
         labels = list(source.ground.labels)
         random.Random(n).shuffle(labels)
@@ -1122,11 +1123,12 @@ class TestRelationsAtScale:
             assert self.fundamental(with_shared_packet(source), model) == want
         value, partition = self.fundamental(source)
         assert len(partition) > 1
-        assert self.fundamental(with_split_packets(source)) == (2 * value, partition)
+        for k in pieces:
+            assert self.fundamental(with_split_packets(source, k)) == (k * value, partition)
 
     def test_min_sum_rate_at_13_to_16_users(self):
         for n in (13, 14, 15, 16):
-            self.min_sum_rate_relations(n, MODELS)
+            self.min_sum_rate_relations(n, MODELS, pieces=(2, 3))
 
     def test_min_sum_rate_at_17_and_18_users(self):
         for n in (17, 18):
