@@ -11,23 +11,29 @@ truncation minimizes the block sum of f over all partitions of a
 subset; equality of f#_alpha(X) with its truncation at the right alpha
 characterizes the subsets worth splitting off early.
 
-One step serves every sweep: :func:`minimize_over_prefix`
-minimizes over the 2^(i-1) prefix sets that hold the newest user, so a
-completed sweep over k users visits 2^k - 1 sets.  A sweep asks the
-source for a stepper (:class:`PrefixStepper` on a table), which keeps
-the submasks of the finished prefix and their rate sums; each finished
-user doubles both lists into a new stepper, which for the trie walk
-below is one child's.  The step's minimizers are closed under union
+One step serves every sweep: :func:`minimize_over_prefix` minimizes
+g(S) = f(S | t) - r(S) over candidate sets S of the finished prefix,
+for the newest user t.  The step's minimizers are closed under union
 and intersection, f minus the rates being submodular, and it returns
 that lattice as ints: the minimum, the union (the maximal minimizer)
 and the intersection (the minimal minimizer); only for the early-exit
 sweep does it also work out the (cardinality, mask) tie-break among
-them.  The truncation is the sum of the finished rates.  The sweep
-records the blocks of a partition attaining it, joined at each step's
+them.  The truncation is the sum of the finished rates.
+
+A sweep does not offer the step every prefix subset, but the unions of
+the finest partition of the prefix into tight blocks (r(B) = f(B)).
+Let B be such a block and S meet B.  Submodularity on S | t and B,
+which meet, gives g(S | B) - g(S) <= r(S & B) - f(S & B) <= 0, so
+joining the blocks a set meets never raises g: the minimum is a block
+union's, the maximal minimizer is a block union, and the least block
+union that minimizes is t with the blocks that meet the minimal
+minimizer.  The sweep joins t with those blocks, which keeps the
+partition the finest tight one.  Before an early exit every step's
+minimal minimizer is {t}, so the blocks are the singletons and the
+early-exit sweep sees every prefix subset, ascending.  The sweep also
+records the blocks of a coarser tight partition, joined at each step's
 maximal minimizer, which become a :class:`~soplan.core.Partition`
-only when a caller reads one; it keeps each step's minimal minimizer,
-at which the finest such partition is joined only when read, and only
-the accepting sweep of a minimum sum-rate reads it.
+only when a caller reads one.
 Partitions are never enumerated outside the tests, where
 ``tests/conftest.enumerate_partitions`` serves as the oracle.
 
@@ -47,12 +53,14 @@ subset X at user j sees only the members of X below j, so the sweep over
 X is the sweep over X minus its highest user plus one more step.
 :func:`_prefix_trie_sweeps` uses that to finish the sweep over every
 nonempty subset at one shift in a single depth-first walk, one step per
-subset and 3^n / 2 candidates in all, where a sweep per subset visits
-about 3^n and pays the per-step overhead n * 2^(n-1) times.  For each
-subset it yields the new user's rate with the stepper of the subset
-minus that user, whose rate sums give r(X) and whose
-:meth:`PrefixStepper.first_excess` checks r(S) <= f(S) for every S that
-holds the new user, as the walk's caller does at every node.
+subset and 3^n / 2 candidates in all, where a sweep per subset pays
+the per-step overhead n * 2^(n-1) times.  For each subset it yields the
+new user's rate with the stepper of the subset minus that user, whose
+rate sums give r(X) and whose :meth:`PrefixStepper.first_excess`
+checks r(S) <= f(S) for every S that holds the new user, as the walk's
+caller does at every node.  That check needs every subset's rate sum,
+so the walk's steps take every prefix subset, not the block unions: a
+:class:`PrefixStepper` keeps them all.
 
 The sweeps reach H only through the source's stepper, on the scale of
 its ``entropy_scaled(X)`` = D*H(X).  For shift = p/q a sweep keeps every
@@ -65,7 +73,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple
 
-from .core import DomainError, Partition, SubsetLike, bit_positions
+from .core import DomainError, Partition, SubsetLike, bit_positions, subset_sums
 
 
 def dilworth_truncation(source, shift, subset: SubsetLike) -> Fraction:
@@ -156,8 +164,12 @@ class SfmResult:
 def minimize_over_prefix(table, weight: int, top: int, submasks, rate_sums,
                          whole: int | None = None) -> SfmResult:
     """Minimize the key ``weight * table[sub | top] - total`` over the
-    submasks ``sub`` of the finished prefix, in ascending order, each
-    with its rate sum ``total`` from ``rate_sums``.
+    candidate sets ``sub`` of the finished prefix, each with its rate
+    sum ``total`` from ``rate_sums``.  The candidates must hold the
+    intersection and the union of any two minimizers, and list every
+    candidate after its subsets: the prefix's submasks in ascending
+    order, or the unions of its tight blocks as
+    :func:`~soplan.core.subset_sums` lists them.
 
     On the rates' scale weight*D the key is f(X) - r(X) for X = sub | top,
     less f's constant and plus the rate of ``top``, so both have the
@@ -170,8 +182,8 @@ def minimize_over_prefix(table, weight: int, top: int, submasks, rate_sums,
     keys = [weight * table[sub | top] - total for sub, total in zip(submasks, rate_sums)]
     best = min(keys)
     minimizers = [sub for sub, key in zip(submasks, keys) if key == best]
-    # the intersection and the union are minimizers, and no set's mask
-    # exceeds a superset's: they come first and last
+    # the intersection and the union are minimizers, and every set comes
+    # after its subsets: they come first and last
     meet, union = minimizers[0], minimizers[-1]
     exit_subset = None
     if whole is not None and meet | top != whole:
@@ -183,11 +195,12 @@ def minimize_over_prefix(table, weight: int, top: int, submasks, rate_sums,
 
 
 class PrefixStepper:
-    """The steps of one sweep on an int entropy table at one ``weight``:
-    the finished prefix's submasks inside the sweep's domain, ascending,
-    and their rate sums.  Each finished user grows a new stepper
-    (``child``) and leaves this one's lists as they were, to the
-    siblings of the trie walk, which branches."""
+    """The steps of the prefix-trie walk on an int entropy table at one
+    ``weight``: the finished prefix's submasks, ascending, and their rate
+    sums.  Each finished user grows a new stepper (``child``) and leaves
+    this one's lists as they were, to the siblings of the walk, which
+    branches.  :func:`run_rate_update` reads only a fresh stepper's
+    ``table``."""
 
     __slots__ = ("table", "weight", "submasks", "sums")
 
@@ -228,9 +241,8 @@ class UpdateRun(NamedTuple):
     ``blocks`` are the tight blocks of a completed sweep's domain (None
     after an early exit): their f values add up to the sum of the
     finished rates.  ``partition`` builds their :class:`Partition` when
-    read.  ``minimal_minimizers`` holds each completed step's minimal
-    minimizer, at which ``finest_partition`` joins the finest tight
-    partition when read.
+    read.  ``finest`` holds the blocks of the finest tight partition,
+    which ``finest_partition`` builds when read.
     """
 
     exit_subset: int | None
@@ -239,7 +251,7 @@ class UpdateRun(NamedTuple):
     scale: int
     candidates_examined: int
     blocks: list | None
-    minimal_minimizers: list | None = None
+    finest: list | None = None
 
     @property
     def partition(self) -> Partition | None:
@@ -248,7 +260,7 @@ class UpdateRun(NamedTuple):
     @property
     def finest_partition(self) -> Partition | None:
         """The finest partition of a completed sweep's domain into tight
-        blocks: each step joins its user with every block that meets the
+        blocks: each step joined its user with every block that meets the
         step's minimal minimizer, the intersection of its minimizers.
 
         Every block of the finest tight partition of the prefix lies in
@@ -259,12 +271,7 @@ class UpdateRun(NamedTuple):
         more blocks are those whose bound is R(X), so this is the
         finest of them, the fundamental partition; above R(X) it is
         {X}."""
-        if self.minimal_minimizers is None:
-            return None
-        blocks = []
-        for minimal in self.minimal_minimizers:
-            blocks = _join_blocks(blocks, 1 << (minimal.bit_length() - 1), minimal)
-        return Partition(blocks)
+        return None if self.finest is None else Partition(self.finest)
 
     @property
     def rates(self) -> tuple:
@@ -290,7 +297,8 @@ def run_rate_update(source, shift, early_exit: bool = True, within: SubsetLike =
     Start from r = shift on the users of ``within``, and 0 elsewhere;
     for each user in turn, minimize f - r over the prefix sets
     containing that user, which for the first is that user alone, by
-    one step of the source's stepper.  With ``early_exit`` the sweep
+    one :func:`minimize_over_prefix` step on the source's table, read
+    through a fresh stepper.  With ``early_exit`` the sweep
     stops as soon as a minimizer is a non-singleton proper subset
     of ``within`` and reports it; otherwise the minimum is absorbed into
     that user's rate and the sweep continues to completion.
@@ -298,12 +306,14 @@ def run_rate_update(source, shift, early_exit: bool = True, within: SubsetLike =
     The finished rates are the greedy maximum of r(within) subject to
     r(X) <= f(X) for every nonempty X inside ``within``, which is the
     Dilworth truncation of f at ``within``.  Along the way the sweep
-    keeps a partition of the prefix whose blocks are tight
+    keeps two partitions of the prefix whose blocks are tight
     (r(B) = f(B)): each step joins the newest user with every block that
-    meets that step's maximal minimizer.  Tight sets that meet have a
-    tight union, so the blocks stay tight.  It also keeps each step's
-    minimal minimizer, the intersection of its minimizers, for
-    :attr:`UpdateRun.finest_partition`.
+    meets that step's maximal minimizer in one, and its minimal
+    minimizer in the other.  Tight sets that meet have a tight union, so
+    the blocks stay tight.  The second, ``fine``, is the finest tight
+    partition, kept with each block's rate sum; each step's candidates
+    are the unions of its blocks, with their rate sums (see the module
+    docstring), and an early-exit sweep's are every prefix subset.
     """
     ground = source.ground
     whole = ground.full_mask if within is None else ground.mask(within)
@@ -313,22 +323,23 @@ def run_rate_update(source, shift, early_exit: bool = True, within: SubsetLike =
     weight = shift.denominator
     base = shift.numerator * source.denominator  # f's constant on the scale weight*D
     rates = [base if whole >> pos & 1 else 0 for pos in range(ground.size)]
-    stepper, last = source.stepper(weight), whole.bit_length() - 1
-    scaled, blocks, minimal, scale = [], [], [], weight * source.denominator
+    table, scale = source.stepper(weight).table, weight * source.denominator
+    scaled, blocks, fine = [], [], {}  # fine: each finest block's rate sum
     candidates = -1  # the first user's one candidate, itself, is no choice
     for pos in bit_positions(whole):
         top = 1 << pos
-        step = stepper.step(top, whole if early_exit else None)
+        step = minimize_over_prefix(table, weight, top, subset_sums(fine),
+                                    subset_sums(fine.values()), whole if early_exit else None)
         candidates += step.candidates_examined
         if step.exit_subset is not None:
             return UpdateRun(step.exit_subset, pos + 1, tuple(scaled), scale, candidates, None)
         rates[pos] = rate = base + step.min_value
         scaled.append(tuple(rates))
         blocks = _join_blocks(blocks, top, step.maximal_minimizer)
-        minimal.append(step.minimal_minimizer)
-        if pos != last:
-            stepper = stepper.child(top, rate)
-    return UpdateRun(None, None, tuple(scaled), scale, candidates, blocks, minimal)
+        joined = [block for block in fine if block & step.minimal_minimizer]
+        # disjoint masks sum to their union
+        fine[sum(joined, top)] = sum(map(fine.pop, joined), rate)
+    return UpdateRun(None, None, tuple(scaled), scale, candidates, blocks, list(fine))
 
 
 def _prefix_trie_sweeps(source, shift):

@@ -17,6 +17,7 @@ from soplan.gf import RowSpace, draw_coefficients, random_combination
 from soplan.omniscience import ASYMPTOTIC, MODELS
 from soplan.rlnc import STAGE_REDRAW_LIMIT, _chunk_columns
 from soplan.sources import PolymatroidReport, Violation, _packet_id, _packet_key
+from soplan.submodular import UpdateRun, _join_blocks
 
 CORPUS_SEED = 20260823
 CORPUS_SIZE = 200
@@ -247,6 +248,34 @@ def reference_comp_set_so(source, alpha) -> tuple:
             return min(eligible, key=lambda x: (x.bit_count(), x)), pos + 1
         rates[pos] = least
     return None, None
+
+
+def reference_rate_update(source, shift, early_exit: bool = True, within=None) -> UpdateRun:
+    """The rate update stepped over every prefix subset: each finished
+    user grows the source's stepper by ``PrefixStepper.child``, and the
+    finest tight partition joins each user with the blocks that meet the
+    step's minimal minimizer over all those subsets.  The oracle for
+    ``run_rate_update``, whose steps take only the unions of the finest
+    tight blocks; the same ``UpdateRun`` fields, with every candidate
+    counted."""
+    whole = source.ground.full_mask if within is None else source.ground.mask(within)
+    shift = Fraction(shift)
+    weight, scale = shift.denominator, shift.denominator * source.denominator
+    base = shift.numerator * source.denominator
+    rates = [base if whole >> pos & 1 else 0 for pos in range(source.ground.size)]
+    stepper, scaled, blocks, finest, candidates = source.stepper(weight), [], [], [], -1
+    for pos in bit_positions(whole):
+        top = 1 << pos
+        step = stepper.step(top, whole if early_exit else None)
+        candidates += step.candidates_examined
+        if step.exit_subset is not None:
+            return UpdateRun(step.exit_subset, pos + 1, tuple(scaled), scale, candidates, None)
+        rates[pos] = rate = base + step.min_value
+        scaled.append(tuple(rates))
+        blocks = _join_blocks(blocks, top, step.maximal_minimizer)
+        finest = _join_blocks(finest, top, step.minimal_minimizer)
+        stepper = stepper.child(top, rate)
+    return UpdateRun(None, None, tuple(scaled), scale, candidates, blocks, finest)
 
 
 def polymatroid_report(source) -> PolymatroidReport:

@@ -1115,8 +1115,13 @@ class TestRelationsAtScale:
         each of ``models``; splitting every packet into k of ``pieces``
         multiplies R(V) by k and keeps the partition."""
         source = random_packet_source(random.Random(n), n, 2 * n)
+        self.assert_min_sum_rate_relations(source, random.Random(n), models, pieces)
+
+    def assert_min_sum_rate_relations(self, source, rng, models, pieces=(2,)) -> None:
+        """:meth:`min_sum_rate_relations` on ``source``, relabelled by a
+        shuffle from ``rng``."""
         labels = list(source.ground.labels)
-        random.Random(n).shuffle(labels)
+        rng.shuffle(labels)
         for model in models:
             want = self.fundamental(source, model)
             assert self.fundamental(reorder(source, labels), model) == want
@@ -1125,6 +1130,14 @@ class TestRelationsAtScale:
         assert len(partition) > 1
         for k in pieces:
             assert self.fundamental(with_split_packets(source, k)) == (k * value, partition)
+
+    @settings(max_examples=50, derandomize=True, deadline=None)
+    @given(st.randoms(use_true_random=False), st.integers(min_value=7, max_value=14))
+    def test_min_sum_rate_on_drawn_sources(self, rng, n):
+        """The relations on hypothesis draws at 7 to 14 users, in both
+        models, where the Bell oracle no longer reaches."""
+        source = random_packet_source(rng, n, rng.randint(n, 3 * n))
+        self.assert_min_sum_rate_relations(source, rng, MODELS)
 
     def test_min_sum_rate_at_13_to_16_users(self):
         for n in (13, 14, 15, 16):

@@ -42,6 +42,7 @@ from tests.conftest import (
     models_of,
     random_packet_source,
     random_rational_table,
+    reference_rate_update,
     scaled_table,
     snapshots,
     walk_rates,
@@ -502,6 +503,51 @@ class TestRunRateUpdate:
                     Fraction(0),
                 )
                 assert total <= f_value(source, shift, mask)
+
+
+class TestBlockUnionSteps:
+    """``run_rate_update`` steps over the unions of the finest tight
+    blocks of the prefix, ``reference_rate_update`` over every prefix
+    subset.  In both modes they agree on the rates, the tight blocks
+    and the finest tight partition, and an early-exit sweep on the exit
+    subset, its position and the candidates examined; a completed sweep
+    examines no more."""
+
+    @staticmethod
+    def assert_matches_reference(source, shift, within=None):
+        for early_exit in (True, False):
+            run = run_rate_update(source, shift, early_exit, within)
+            want = reference_rate_update(source, shift, early_exit, within)
+            assert run.scaled == want.scaled
+            assert run.partition == want.partition
+            assert run.finest_partition == want.finest_partition
+            assert (run.exit_subset, run.exit_position) == (want.exit_subset, want.exit_position)
+            if early_exit:
+                assert run.candidates_examined == want.candidates_examined
+            else:
+                assert run.candidates_examined <= want.candidates_examined
+
+    def test_corpus(self, source_corpus):
+        """At a random alpha, at the lower bound CompSetSO exits at, and
+        at R(V) in each model, where the finest partition is the
+        fundamental one; in V and in a random subset."""
+        rng = random.Random(5)
+        for source in source_corpus:
+            full = source.ground.full_mask
+            alphas = [source.entropy(full) * Fraction(rng.randint(0, 12), 8), alpha_lower_bound(source)]
+            alphas += [min_sum_rate(source, None, model).value for model in models_of(source)]
+            for alpha in alphas:
+                self.assert_matches_reference(source, shift_of(source, alpha))
+                self.assert_matches_reference(source, shift_of(source, alpha), rng.randint(1, full))
+
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(st.randoms(use_true_random=False), st.integers(min_value=0, max_value=16))
+    def test_rational_tables(self, rng, eighths):
+        table = random_rational_table(rng, rng.randint(2, 9), rng.randint(2, 12))
+        full = table.ground.full_mask
+        for alpha in (table.entropy(full) * Fraction(eighths, 8), min_sum_rate(table).value):
+            self.assert_matches_reference(table, shift_of(table, alpha))
+            self.assert_matches_reference(table, shift_of(table, alpha), rng.randint(1, full))
 
 
 class TieBreakRead(Exception):

@@ -7,8 +7,17 @@ import importlib.util
 import random
 from pathlib import Path
 
-from soplan import ASYMPTOTIC, enumerate_complementary, multistage, plan_multistage, rlnc, sources
-from tests.conftest import make_five_user, random_rational_table
+from soplan import (
+    ASYMPTOTIC,
+    compsetso,
+    enumerate_complementary,
+    min_sum_rate,
+    multistage,
+    plan_multistage,
+    rlnc,
+    sources,
+)
+from tests.conftest import make_five_user, random_packet_source, random_rational_table
 
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
 
@@ -58,6 +67,36 @@ def test_prefix_trie_steps_are_counted():
         assert tracer.counts["submodular.minimize_over_prefix.candidates"] >= (3 ** 6 - 1) // 2
         assert tracer.stat("submodular.dilworth_truncation")[0] == truncations
     assert steps[True] == steps[False]
+
+
+def test_sweeps_step_over_block_unions():
+    """A completed sweep steps once per user over the unions of the
+    finest tight blocks, so with a fundamental block of two users or
+    more it examines fewer than the 2^n - 1 prefix sets; CompSetSO's
+    early-exit sweep still examines every prefix subset up to its
+    exit."""
+    source = random_packet_source(random.Random(9), 9, 18)
+    n = source.ground.size
+    tracer = _tracer_module().Tracer()
+    tracer.install()
+    try:
+        result = min_sum_rate(source)
+    finally:
+        tracer.uninstall()
+    assert max(block.bit_count() for block in result.maximizing_partition) > 1
+    assert tracer.stat("submodular.run_rate_update")[0] == 1
+    assert tracer.stat("submodular.minimize_over_prefix")[0] == n
+    assert tracer.counts["submodular.minimize_over_prefix.candidates"] < 2 ** n - 1
+    for mode in (compsetso.EXACT, compsetso.LOWER_BOUND):
+        tracer = _tracer_module().Tracer()
+        tracer.install()
+        try:
+            # through the module, where the tracer wraps it
+            outcome = compsetso.comp_set_so(source, ASYMPTOTIC, mode)
+        finally:
+            tracer.uninstall()
+        # 2^(k-1) sets at the k-th user, less the first user's one
+        assert tracer.counts["compsetso.comp_set_so.candidates"] == 2 ** (outcome.exit_position or n) - 2
 
 
 def test_simulator_rows_pass_through_the_traced_entry_points():
